@@ -76,20 +76,23 @@ class BlockwiseModel:
 
 @dataclass
 class BlockUnit:
-    """One contiguous encoder block with its bridge and local decoder."""
+    """One contiguous encoder block with its bridge and local decoder.
+
+    `param_names` is the sorted tuple of parameters the block owns, fixed
+    when the encoder is partitioned.
+    """
 
     block_id: int
     layer_ids: tuple
     model: BlockwiseModel
+    param_names: tuple
 
-    def param_names(self):
-        names = [n for n in self.model.params
-                 if n.startswith(f"block{self.block_id}.")]
-        names += [n for n in self.model.params
-                  if any(n.startswith(f"enc.layer{j}.") for j in self.layer_ids)]
-        if self.block_id == 0:
-            names += [n for n in self.model.params if n.startswith("embed.")]
-        return sorted(names)
+
+def _block_param_names(params, block_id, layer_ids):
+    prefixes = (f"block{block_id}.",) + tuple(f"enc.layer{j}." for j in layer_ids)
+    if block_id == 0:
+        prefixes += ("embed.",)
+    return tuple(sorted(n for n in params if n.startswith(prefixes)))
 
 
 @dataclass
@@ -126,13 +129,15 @@ def partition_encoder(model, num_blocks):
             f"model was built for {model.num_blocks} blocks, asked for "
             f"{num_blocks}")
     per = depth // num_blocks
-    units = [BlockUnit(block_id=i,
-                       layer_ids=tuple(range(i * per, (i + 1) * per)),
-                       model=model)
-             for i in range(num_blocks)]
+    units = []
+    for i in range(num_blocks):
+        layer_ids = tuple(range(i * per, (i + 1) * per))
+        units.append(BlockUnit(
+            block_id=i, layer_ids=layer_ids, model=model,
+            param_names=_block_param_names(model.params, i, layer_ids)))
     seen = set()
     for u in units:
-        names = set(u.param_names())
+        names = set(u.param_names)
         if names & seen:
             raise IsolationError("block parameter sets overlap")
         seen |= names
@@ -190,12 +195,11 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed,
     num_blocks = len(blocks)
     batch = images.shape[0]
     tape = Tape()
+    block_bytes = max(sum(params[n].nbytes for n in u.param_names)
+                      for u in blocks)
     tape.meter.set_model_constants(
-        param_bytes=model.param_bytes(),
-        grad_bytes=max(sum(params[n].nbytes for n in u.param_names())
-                       for u in blocks),
-        optimizer_state_bytes=2 * max(
-            sum(params[n].nbytes for n in u.param_names()) for u in blocks))
+        param_bytes=model.param_bytes(), grad_bytes=block_bytes,
+        optimizer_state_bytes=2 * block_bytes)
 
     states = [mask_indices(spec.num_patches, plan.mask_schedule[0],
                            rng.split(step_seed, "mask", i))

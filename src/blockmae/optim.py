@@ -52,7 +52,11 @@ class AdamW:
         self.state = {}  # name -> {"t": int, "m": array, "v": array}
 
     def step(self, params, grads, lr):
-        """Update every parameter that has a gradient entry, in place."""
+        """Update every parameter that has a gradient entry, in place.
+
+        All gradients are checked before any parameter or moment changes,
+        so a rejected step leaves parameters and state untouched.
+        """
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
@@ -61,6 +65,8 @@ class AdamW:
                 raise ValueError(
                     f"gradient shape {g.shape} != param shape {p.shape} "
                     f"for {name!r}")
+        for name, g in grads.items():
+            p = params[name]
             st = self.state.get(name)
             if st is None:
                 st = {"t": 0, "m": np.zeros_like(p), "v": np.zeros_like(p)}

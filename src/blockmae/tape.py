@@ -21,6 +21,11 @@ Charged buffers per primitive:
 Releasing a node drops its saved buffers and decreases the live counter by
 exactly the node's charged bytes; running backward through a released node
 is a lifecycle error.
+
+Backward keeps only the gradient frontier: a non-leaf node's gradient is
+dropped as soon as its backward rule has run, so intermediate gradients do
+not accumulate over the pass.  Leaf gradients stay until backward returns
+them.  Gradients are never charged; the table above is the whole meter.
 """
 
 import numpy as np
@@ -271,14 +276,22 @@ class Tape:
 
     @staticmethod
     def _check_row_ids(ids, n_rows, op):
+        """Rank, range and per-sample uniqueness of a row-index array."""
         if ids.ndim not in (1, 2):
             raise DimensionError(f"{op} ids must be rank 1 or 2, got {ids.shape}")
         if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
             raise DimensionError(
                 f"{op} ids out of range [0, {n_rows}): min={ids.min()} max={ids.max()}")
+        ordered = np.sort(ids, axis=-1)
+        if np.any(ordered[..., 1:] == ordered[..., :-1]):
+            raise ContractError(f"{op} ids must be unique per sample")
 
     def gather_rows(self, x, ids, block=None):
-        """Select rows (axis -2) by index; ids rank 2 selects per batch entry."""
+        """Select rows (axis -2) by index; ids rank 2 selects per batch entry.
+
+        Ids must be unique per sample, so the backward rule can place each
+        gradient row by assignment.
+        """
         xv = x.value
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         self._check_row_ids(ids, xv.shape[-2], "gather-rows")
@@ -307,10 +320,6 @@ class Tape:
         if ids.shape[-1] != xv.shape[-2]:
             raise DimensionError(
                 f"scatter-rows: {xv.shape[-2]} rows but {ids.shape[-1]} ids")
-        uniq_axis = ids if ids.ndim == 1 else ids[0]
-        if np.unique(uniq_axis).size != uniq_axis.size or (
-                ids.ndim == 2 and any(np.unique(r).size != r.size for r in ids)):
-            raise ContractError("scatter-rows ids must be unique per sample")
         if xv.ndim == 2 and ids.ndim == 1:
             out = np.zeros((num_rows, xv.shape[-1]), dtype=xv.dtype)
             out[ids] = xv
@@ -474,7 +483,7 @@ class Tape:
         for node in reversed(sub):
             if node.is_leaf or frozen(node):
                 continue
-            g = grads.get(id(node))
+            g = grads.pop(id(node), None)
             if g is None:
                 continue
             for inp, contrib in zip(node.inputs, _VJP[node.kind](node, g)):
@@ -547,7 +556,7 @@ def _vjp_matmul(node, g):
         return (g @ b.T, a.T @ g)
     if a.ndim == 3 and b.ndim == 2:
         da = g @ b.T
-        db = np.einsum("bmk,bmn->kn", a, g)
+        db = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return (da, db)
     da = g @ np.swapaxes(b, -1, -2)
     db = np.swapaxes(a, -1, -2) @ g
@@ -578,14 +587,11 @@ def _vjp_gather_rows(node, g):
     ids = node.saved[0]
     dx = np.zeros(node.attrs["in_shape"], dtype=g.dtype)
     if dx.ndim == 2:
-        np.add.at(dx, ids, g)
+        dx[ids] = g
     elif ids.ndim == 1:
-        np.add.at(dx, (slice(None), ids), g)
+        dx[:, ids] = g
     else:
-        # per-batch ids; rows are unique per sample in every caller, but
-        # add.at keeps this safe for duplicates too
-        b = np.arange(dx.shape[0])[:, None]
-        np.add.at(dx, (b, ids), g)
+        np.put_along_axis(dx, ids[:, :, None], g, axis=1)
     return (dx,)
 
 

@@ -68,7 +68,7 @@ def test_block_parameter_sets_disjoint():
     spec = _tiny_spec(depth=4)
     model = build_model(spec, 2, seed=2, dtype=np.float64)
     units = partition_encoder(model, 2)
-    names0, names1 = set(units[0].param_names()), set(units[1].param_names())
+    names0, names1 = set(units[0].param_names), set(units[1].param_names)
     assert not names0 & names1
     assert names0 | names1 == set(model.params)
 
@@ -181,11 +181,11 @@ def test_counterfactual_block0_update_independent_of_later_losses():
         assert np.array_equal(model2.params[k], p0[k])
     blockwise_train_step(units2, imgs, plan, AdamW(weight_decay=0.01),
                          lr=1e-3, step_seed=11, update_blocks={0})
-    names0 = units[0].param_names()
+    names0 = units[0].param_names
     for name in names0:
         assert np.array_equal(after_full[name], model2.params[name]), name
     # sanity: later blocks did move in the full run
-    moved = [n for n in units[1].param_names()
+    moved = [n for n in units[1].param_names
              if not np.array_equal(after_full[n], p0[n])]
     assert moved
 

@@ -129,6 +129,24 @@ def test_adamw_rejects_nonfinite_gradient():
                  lr=0.1)
 
 
+def test_adamw_nonfinite_gradient_updates_nothing():
+    opt = AdamW()
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+    opt.step(params, {"a": np.array([0.1, -0.1]), "b": np.array([0.2])}, lr=0.01)
+    before = {k: v.copy() for k, v in params.items()}
+    state = {k: (st["t"], st["m"].copy(), st["v"].copy())
+             for k, st in opt.state.items()}
+    with pytest.raises(NumericError, match="'b'"):
+        opt.step(params, {"a": np.array([0.5, 0.5]), "b": np.array([np.nan])},
+                 lr=0.01)
+    for k in params:
+        assert params[k].tobytes() == before[k].tobytes()
+        t, m, v = state[k]
+        assert opt.state[k]["t"] == t
+        assert opt.state[k]["m"].tobytes() == m.tobytes()
+        assert opt.state[k]["v"].tobytes() == v.tobytes()
+
+
 def test_adamw_state_roundtrip():
     opt = AdamW()
     params = {"w": np.array([1.0, 2.0])}

@@ -1,6 +1,8 @@
 """Autodiff tape: gradient oracles, block isolation, release lifecycle,
 and byte accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,18 @@ def test_scatter_gather_roundtrip():
     shuffled = t.gather_rows(xn, perm)
     back = t.scatter_rows(shuffled, perm, 6)
     np.testing.assert_array_equal(back.value, x)
+
+
+@pytest.mark.parametrize("x_shape,ids", [
+    ((5, 4), np.array([1, 3, 1])),
+    ((2, 5, 4), np.array([0, 0])),
+    ((2, 5, 4), np.array([[0, 2, 4], [3, 1, 3]])),
+])
+def test_gather_rows_rejects_duplicate_ids(x_shape, ids):
+    t = Tape()
+    x = t.leaf(np.zeros(x_shape))
+    with pytest.raises(ContractError, match="unique per sample"):
+        t.gather_rows(x, ids)
 
 
 def test_concat_rows_and_reshape():
@@ -214,6 +228,20 @@ def test_grad_batched_matmul_and_scatter(seed):
         return t.mse_masked(z, t.leaf(np.zeros((b, n, n))), t.leaf(np.ones((b, n))))
 
     _grad_check(build, _rand(seed + 99, b, n, k), seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grad_batched_matmul_weight(seed):
+    # [b,m,k]x[k,n] with the weight as the variable: checks the weight
+    # gradient, which sums over batch and rows
+    b, m, k, n = 3, 4, 5, 2
+    a = _rand(5000 + seed, b, m, k)
+
+    def build(t, w):
+        y = t.gelu(t.matmul(t.scale(t.leaf(a), 1.5), w))
+        return t.mse_masked(y, t.leaf(np.zeros((b, m, n))), t.leaf(np.ones((b, m))))
+
+    _grad_check(build, _rand(seed + 55, k, n), seed)
 
 
 def test_grad_reshape():
@@ -426,3 +454,23 @@ def test_determinism_same_seed_bitwise():
     v1, g1 = run()
     v2, g2 = run()
     assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
+
+
+def test_backward_extra_memory_is_bounded():
+    # a chain of 20 scale ops: backward keeps only the gradient frontier
+    # (plus the leaf gradient), not one gradient per node
+    rows = cols = 512  # one 2 MB f64 buffer
+    t = Tape()
+    x = t.leaf(np.ones((rows, cols)), name="x", requires_grad=True)
+    h = x
+    for _ in range(20):
+        h = t.scale(h, 1.0)
+    loss = t.mse_masked(h, t.leaf(np.zeros((rows, cols))), t.leaf(np.ones(rows)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        t.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / x.value.nbytes < 4
