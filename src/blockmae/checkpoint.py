@@ -11,6 +11,7 @@ Optimizer state travels as ordinary tensors under the reserved
 'opt.m.' / 'opt.v.' / 'opt.t.' name prefixes, run counters under 'meta.'.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -23,28 +24,39 @@ _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def save_checkpoint(tensors, path):
-    """Write a name-keyed dict of f32/f64 arrays."""
+    """Write a name-keyed dict of f32/f64 arrays.
+
+    The bytes go to `<path>.tmp`, which replaces `path` only once complete,
+    so a failed save leaves any earlier file at `path` intact.
+    """
     items = list(tensors.items())
     all_f32 = all(np.asarray(v).dtype == np.float32 for _, v in items)
     version = 1 if all_f32 else 2
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<2I", version, len(items)))
-        for name, arr in items:
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype not in _DTYPE_CODES:
-                raise FormatError(
-                    f"tensor {name!r} has unsupported dtype {arr.dtype}")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            if version == 2:
-                fh.write(struct.pack("<I", _DTYPE_CODES[arr.dtype]))
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            payload = arr.astype("<f4") if version == 1 else \
-                arr.astype(_CODE_DTYPES[_DTYPE_CODES[arr.dtype]])
-            fh.write(payload.tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<2I", version, len(items)))
+            for name, arr in items:
+                arr = np.ascontiguousarray(arr)
+                if arr.dtype not in _DTYPE_CODES:
+                    raise FormatError(
+                        f"tensor {name!r} has unsupported dtype {arr.dtype}")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                if version == 2:
+                    fh.write(struct.pack("<I", _DTYPE_CODES[arr.dtype]))
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                payload = arr.astype("<f4") if version == 1 else \
+                    arr.astype(_CODE_DTYPES[_DTYPE_CODES[arr.dtype]])
+                fh.write(payload.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -45,6 +45,8 @@ class TrainConfig:
                 f"{self.total_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.num_blocks < 1:
+            raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if self.mode not in ("blockwise", "mae"):
             raise ConfigError(f"mode must be 'blockwise' or 'mae', got {self.mode!r}")
         if self.dtype not in ("f32", "f64"):
@@ -64,6 +66,19 @@ class TrainConfig:
 class RunConfig:
     model: ModelSpec = field(default_factory=ModelSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        t = self.train
+        if t.mode != "blockwise":
+            return
+        if self.model.depth % t.num_blocks != 0:
+            raise ConfigError(
+                f"depth {self.model.depth} is not divisible into "
+                f"{t.num_blocks} blocks")
+        if len(t.mask_schedule) != t.num_blocks:
+            raise ConfigError(
+                f"mask_schedule has {len(t.mask_schedule)} ratios for "
+                f"{t.num_blocks} blocks")
 
 
 def _parse_bool(v):
@@ -105,13 +120,17 @@ def parse_config(text):
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key in _MODEL_KEYS:
-            model_kw[key] = _MODEL_KEYS[key](value)
+            kw, convert = model_kw, _MODEL_KEYS[key]
         elif key in _TRAIN_KEYS:
-            train_kw[key] = _TRAIN_KEYS[key](value)
+            kw, convert = train_kw, _TRAIN_KEYS[key]
         else:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}; valid keys: "
                 f"{', '.join(VALID_KEYS)}")
+        try:
+            kw[key] = convert(value)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
     try:
         return RunConfig(model=ModelSpec(**model_kw),
                          train=TrainConfig(**train_kw))
@@ -157,22 +176,4 @@ PRESETS = {
         "warmup_epochs = 40\ntotal_epochs = 400\nbatch_size = 4096\n"
         "mode = blockwise\nnum_blocks = 4\nmask_schedule = 0.75,0.75,0.75,0.75\n"
     ),
-}
-
-# Reference recipes recorded as data only (not runnable pipelines here):
-# end-to-end fine-tuning and linear probing at the published scale.
-REFERENCE_RECIPES = {
-    "finetune-base": {
-        "optimizer": "AdamW", "weight_decay": 0.05, "betas": (0.9, 0.999),
-        "layerwise_lr_decay": 0.75, "batch_size": 1024,
-        "schedule": "cosine", "augmentation": "RandAug(9, 0.5)",
-        "label_smoothing": 0.1, "mixup": 0.8, "cutmix": 1.0,
-        "epochs": 100, "drop_path": 0.1, "base_lr": 5e-4,
-    },
-    "linear-probe": {
-        "optimizer": "LARS", "base_lr": 0.1, "momentum": 0.9,
-        "batch_size": 16384, "schedule": "cosine", "warmup_epochs": 10,
-        "epochs": 90, "weight_decay": 0.0,
-        "augmentation": "RandomResizedCrop",
-    },
 }

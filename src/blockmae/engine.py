@@ -63,15 +63,11 @@ class BlockwiseModel:
     spec: ModelSpec
     params: dict
     num_blocks: int
-    init_seed: int
     dtype: object
 
     @property
     def layers_per_block(self):
         return self.spec.depth // self.num_blocks
-
-    def param_bytes(self):
-        return sum(v.nbytes for v in self.params.values())
 
 
 @dataclass
@@ -115,7 +111,7 @@ def build_model(spec, num_blocks, seed, dtype=np.float32):
     for i in range(num_blocks):
         params.update(init_block_head_params(spec, i, seed, dtype))
     return BlockwiseModel(spec=spec, params=params, num_blocks=num_blocks,
-                          init_seed=seed, dtype=dtype)
+                          dtype=dtype)
 
 
 def partition_encoder(model, num_blocks):
@@ -156,7 +152,7 @@ def param_block(name, layers_per_block):
     raise ContractError(f"cannot place parameter {name!r} in a block")
 
 
-def incremental_drop(tape, tokens, states, target_ratio, seed, block=None):
+def incremental_drop(tape, tokens, states, target_ratio, seed):
     """Uniformly drop visible tokens down to floor(N * (1 - target_ratio)).
 
     Returns (tokens, states) unchanged when the target keeps everything
@@ -182,7 +178,7 @@ def incremental_drop(tape, tokens, states, target_ratio, seed, block=None):
         mask = np.ones(n_patches, dtype=np.int64)
         mask[kept] = 0
         new_states.append(type(s)(kept_ids=kept, mask=mask))
-    out = tape.gather_rows(tokens, np.stack(sel), block=block)
+    out = tape.gather_rows(tokens, np.stack(sel))
     return out, new_states
 
 
@@ -195,28 +191,25 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed,
     num_blocks = len(blocks)
     batch = images.shape[0]
     tape = Tape()
-    block_bytes = max(sum(params[n].nbytes for n in u.param_names)
-                      for u in blocks)
-    tape.meter.set_model_constants(
-        param_bytes=model.param_bytes(), grad_bytes=block_bytes,
-        optimizer_state_bytes=2 * block_bytes)
 
     states = [mask_indices(spec.num_patches, plan.mask_schedule[0],
                            rng.split(step_seed, "mask", i))
               for i in range(batch)]
     targets = patch_targets(images, spec)
-    boundary_mode = None if plan.mode == "mae" else "block"
 
     losses = []
     grads_applied = []
     live_trace = []
-    x = None
     prev_boundary = None
     for unit in blocks:
         i = unit.block_id
         with tape.block(i):
             if i == 0:
                 x = embed_visible(tape, params, spec, images, states)
+            else:
+                x, states = incremental_drop(
+                    tape, prev_boundary, states, plan.mask_schedule[i],
+                    rng.split(step_seed, "drop", i))
             for j in unit.layer_ids:
                 x = encoder_block_layer(tape, params, f"enc.layer{j}", x,
                                         spec.heads)
@@ -224,8 +217,7 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed,
             pred = local_decoder_forward(tape, params, spec, x, states, i)
             loss = reconstruction_loss(tape, pred, targets, spec, states,
                                        targets_are_patches=True)
-        bound = None if boundary_mode is None else i
-        table = tape.backward(loss, boundary_block=bound)
+        table = tape.backward(loss, boundary_block=i)
         for name in table:
             if param_block(name, model.layers_per_block) < i:
                 raise IsolationError(
@@ -239,10 +231,6 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed,
             tape.dispose(prev_boundary)
         prev_boundary = xb
         live_trace.append(tape.meter.live_activation_bytes)
-        if i < num_blocks - 1:
-            x, states = incremental_drop(
-                tape, xb, states, plan.mask_schedule[i + 1],
-                rng.split(step_seed, "drop", i + 1), block=i + 1)
     if tape.meter.live_activation_bytes != 0:
         raise IsolationError(
             f"{tape.meter.live_activation_bytes} activation bytes leaked "

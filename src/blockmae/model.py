@@ -4,7 +4,8 @@ Patch embedding, fixed 2D sin-cos positions, MAE-style random masking with
 restore permutations, pre-norm transformer encoder layers, lightweight
 decoders with learned mask tokens, and the masked-patch reconstruction
 loss.  All forward paths are expressed in tape primitives so gradients,
-release points, and byte accounting come for free.
+release points, and byte accounting come for free.  No function here
+tags nodes with a block: the caller's `Tape.block` scope does.
 
 Attention is computed with per-head projection matrices and a rank-3
 layout throughout: heads are merged by transposing each context to
@@ -245,20 +246,18 @@ def unpatchify(patches, spec):
     return np.ascontiguousarray(x.reshape(b, c, g * p, g * p))
 
 
-def patch_embed(tape, params, spec, images, block=None):
+def patch_embed(tape, params, spec, images):
     """Embed every patch of a full image batch: tokens plus fixed positions."""
-    patches = tape.leaf(patchify(images, spec), block=block)
+    patches = tape.leaf(patchify(images, spec))
     pos = tape.leaf(sincos_pos_embed(spec.grid_side, spec.embed_dim)
-                    .astype(images.dtype), block=block)
-    w = tape.leaf(params["embed.w"], name="embed.w", requires_grad=True,
-                  block=block)
-    b = tape.leaf(params["embed.b"], name="embed.b", requires_grad=True,
-                  block=block)
-    tok = tape.add(tape.matmul(patches, w, block=block), b, block=block)
-    return tape.add(tok, pos, block=block)
+                    .astype(images.dtype))
+    w = tape.leaf(params["embed.w"], name="embed.w", requires_grad=True)
+    b = tape.leaf(params["embed.b"], name="embed.b", requires_grad=True)
+    tok = tape.add(tape.matmul(patches, w), b)
+    return tape.add(tok, pos)
 
 
-def embed_visible(tape, params, spec, images, states, block=None):
+def embed_visible(tape, params, spec, images, states):
     """Embed only the visible patches of each sample.
 
     Masking is decided on indices before any embedding, so the masked
@@ -269,13 +268,10 @@ def embed_visible(tape, params, spec, images, states, block=None):
     pos = sincos_pos_embed(spec.grid_side, spec.embed_dim).astype(images.dtype)
     vis = np.stack([patches[i][s.kept_ids] for i, s in enumerate(states)])
     vis_pos = np.stack([pos[s.kept_ids] for s in states])
-    w = tape.leaf(params["embed.w"], name="embed.w", requires_grad=True,
-                  block=block)
-    b = tape.leaf(params["embed.b"], name="embed.b", requires_grad=True,
-                  block=block)
-    tok = tape.add(tape.matmul(tape.leaf(vis, block=block), w, block=block),
-                   b, block=block)
-    return tape.add(tok, tape.leaf(vis_pos, block=block), block=block)
+    w = tape.leaf(params["embed.w"], name="embed.w", requires_grad=True)
+    b = tape.leaf(params["embed.b"], name="embed.b", requires_grad=True)
+    tok = tape.add(tape.matmul(tape.leaf(vis), w), b)
+    return tape.add(tok, tape.leaf(vis_pos))
 
 
 # ----- masking ---------------------------------------------------------------
@@ -297,7 +293,7 @@ def mask_indices(num_patches, ratio, seed):
     return MaskState(kept_ids=kept, mask=mask)
 
 
-def random_mask(tape, tokens, ratio, seed, block=None):
+def random_mask(tape, tokens, ratio, seed):
     """MAE-style random masking of an embedded token batch.
 
     tokens: [batch, N, dim] node.  Returns a PatchBatch whose tokens are
@@ -307,57 +303,49 @@ def random_mask(tape, tokens, ratio, seed, block=None):
     states = [mask_indices(n, ratio, rng.split(seed, "sample", i))
               for i in range(batch)]
     ids = np.stack([s.kept_ids for s in states])
-    vis = tape.gather_rows(tokens, ids, block=block)
+    vis = tape.gather_rows(tokens, ids)
     return PatchBatch(tokens=vis, states=states)
 
 
 # ----- transformer layers ----------------------------------------------------
 
-def _linear(tape, x, params, prefix, block=None):
-    w = tape.leaf(params[f"{prefix}.w"], name=f"{prefix}.w",
-                  requires_grad=True, block=block)
-    b = tape.leaf(params[f"{prefix}.b"], name=f"{prefix}.b",
-                  requires_grad=True, block=block)
-    return tape.add(tape.matmul(x, w, block=block), b, block=block)
+def _linear(tape, x, params, prefix):
+    w = tape.leaf(params[f"{prefix}.w"], name=f"{prefix}.w", requires_grad=True)
+    b = tape.leaf(params[f"{prefix}.b"], name=f"{prefix}.b", requires_grad=True)
+    return tape.add(tape.matmul(x, w), b)
 
 
-def _layernorm(tape, x, params, prefix, block=None):
-    g = tape.leaf(params[f"{prefix}.g"], name=f"{prefix}.g",
-                  requires_grad=True, block=block)
-    b = tape.leaf(params[f"{prefix}.b"], name=f"{prefix}.b",
-                  requires_grad=True, block=block)
-    return tape.layernorm(x, g, b, block=block)
+def _layernorm(tape, x, params, prefix):
+    g = tape.leaf(params[f"{prefix}.g"], name=f"{prefix}.g", requires_grad=True)
+    b = tape.leaf(params[f"{prefix}.b"], name=f"{prefix}.b", requires_grad=True)
+    return tape.layernorm(x, g, b)
 
 
-def encoder_block_layer(tape, params, prefix, x, heads, block=None):
+def encoder_block_layer(tape, params, prefix, x, heads):
     """Pre-norm transformer layer: x + MHSA(LN(x)), then + MLP(LN(x))."""
     dim = x.shape[-1]
     if dim % heads != 0:
         raise DimensionError(f"width {dim} not divisible by heads {heads}")
     dh = dim // heads
-    h1 = _layernorm(tape, x, params, f"{prefix}.ln1", block=block)
+    h1 = _layernorm(tape, x, params, f"{prefix}.ln1")
     ctxs = []
     for h in range(heads):
-        q = _linear(tape, h1, params, f"{prefix}.attn.q{h}", block=block)
-        k = _linear(tape, h1, params, f"{prefix}.attn.k{h}", block=block)
-        v = _linear(tape, h1, params, f"{prefix}.attn.v{h}", block=block)
-        scores = tape.matmul(q, tape.transpose(k, block=block), block=block)
-        attn = tape.softmax(tape.scale(scores, 1.0 / np.sqrt(dh), block=block),
-                            block=block)
-        ctx = tape.matmul(attn, v, block=block)
-        ctxs.append(tape.transpose(ctx, block=block))  # [*, dh, n]
-    merged = tape.transpose(tape.concat_rows(ctxs, block=block), block=block)
-    x2 = tape.add(x, _linear(tape, merged, params, f"{prefix}.attn.out",
-                             block=block), block=block)
-    h2 = _layernorm(tape, x2, params, f"{prefix}.ln2", block=block)
-    f1 = tape.gelu(_linear(tape, h2, params, f"{prefix}.mlp.fc1", block=block),
-                   block=block)
-    f2 = _linear(tape, f1, params, f"{prefix}.mlp.fc2", block=block)
-    return tape.add(x2, f2, block=block)
+        q = _linear(tape, h1, params, f"{prefix}.attn.q{h}")
+        k = _linear(tape, h1, params, f"{prefix}.attn.k{h}")
+        v = _linear(tape, h1, params, f"{prefix}.attn.v{h}")
+        scores = tape.matmul(q, tape.transpose(k))
+        attn = tape.softmax(tape.scale(scores, 1.0 / np.sqrt(dh)))
+        ctx = tape.matmul(attn, v)
+        ctxs.append(tape.transpose(ctx))  # [*, dh, n]
+    merged = tape.transpose(tape.concat_rows(ctxs))
+    x2 = tape.add(x, _linear(tape, merged, params, f"{prefix}.attn.out"))
+    h2 = _layernorm(tape, x2, params, f"{prefix}.ln2")
+    f1 = tape.gelu(_linear(tape, h2, params, f"{prefix}.mlp.fc1"))
+    f2 = _linear(tape, f1, params, f"{prefix}.mlp.fc2")
+    return tape.add(x2, f2)
 
 
-def local_decoder_forward(tape, params, spec, block_output, states, decoder_id,
-                          block=None):
+def local_decoder_forward(tape, params, spec, block_output, states, decoder_id):
     """Predict all N patches from one block's visible-token output.
 
     Applies the block-local LayerNorm + projection bridge, appends learned
@@ -374,31 +362,26 @@ def local_decoder_forward(tape, params, spec, block_output, states, decoder_id,
     dtype = block_output.dtype
     pfx = f"block{decoder_id}"
 
-    bridged = _layernorm(tape, block_output, params, f"{pfx}.bridge.ln",
-                         block=block)
-    z = _linear(tape, bridged, params, f"{pfx}.bridge.proj", block=block)
+    bridged = _layernorm(tape, block_output, params, f"{pfx}.bridge.ln")
+    z = _linear(tape, bridged, params, f"{pfx}.bridge.proj")
 
     mask_token = tape.leaf(params[f"{pfx}.dec.mask_token"],
-                           name=f"{pfx}.dec.mask_token", requires_grad=True,
-                           block=block)
+                           name=f"{pfx}.dec.mask_token", requires_grad=True)
     n_masked = n - n_vis
     if n_masked > 0:
-        zeros = tape.leaf(np.zeros((batch, n_masked, dd), dtype=dtype),
-                          block=block)
-        full = tape.concat_rows([z, tape.add(zeros, mask_token, block=block)],
-                                block=block)
+        zeros = tape.leaf(np.zeros((batch, n_masked, dd), dtype=dtype))
+        full = tape.concat_rows([z, tape.add(zeros, mask_token)])
     else:
         full = z
     restore = np.stack([s.restore_perm for s in states])
-    ordered = tape.gather_rows(full, restore, block=block)
-    pos = tape.leaf(sincos_pos_embed(spec.grid_side, dd).astype(dtype),
-                    block=block)
-    x = tape.add(ordered, pos, block=block)
+    ordered = tape.gather_rows(full, restore)
+    pos = tape.leaf(sincos_pos_embed(spec.grid_side, dd).astype(dtype))
+    x = tape.add(ordered, pos)
     for j in range(spec.decoder_depth):
         x = encoder_block_layer(tape, params, f"{pfx}.dec.layer{j}", x,
-                                spec.decoder_heads, block=block)
-    x = _layernorm(tape, x, params, f"{pfx}.dec.ln", block=block)
-    return _linear(tape, x, params, f"{pfx}.dec.pred", block=block)
+                                spec.decoder_heads)
+    x = _layernorm(tape, x, params, f"{pfx}.dec.ln")
+    return _linear(tape, x, params, f"{pfx}.dec.pred")
 
 
 # ----- reconstruction loss ----------------------------------------------------
@@ -414,12 +397,12 @@ def patch_targets(images, spec):
 
 
 def reconstruction_loss(tape, pred, images_or_targets, spec, states,
-                        block=None, targets_are_patches=False):
+                        targets_are_patches=False):
     """Masked-patch MSE between predictions and (standardized) targets."""
     if targets_are_patches:
         tgt = images_or_targets
     else:
         tgt = patch_targets(images_or_targets, spec)
     mask = np.stack([s.mask for s in states]).astype(pred.dtype)
-    return tape.mse_masked(pred, tape.leaf(tgt.astype(pred.dtype), block=block),
-                           tape.leaf(mask, block=block), block=block)
+    return tape.mse_masked(pred, tape.leaf(tgt.astype(pred.dtype)),
+                           tape.leaf(mask))

@@ -66,10 +66,17 @@ def _dataset_for(cfg):
 
 def _plan_for(cfg):
     t = cfg.train
-    if t.mode == "mae":
-        return BlockPlan(num_blocks=1, mask_schedule=t.mask_schedule[:1],
-                         mode="mae")
-    return BlockPlan(num_blocks=t.num_blocks, mask_schedule=t.mask_schedule)
+    return BlockPlan(num_blocks=t.num_blocks, mask_schedule=t.mask_schedule,
+                     mode=t.mode)
+
+
+def _metric_rows_before(path, step):
+    """Data rows of an existing metrics file whose step is below `step`."""
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8") as fh:
+        rows = fh.readlines()[1:]
+    return [r for r in rows if int(r.split(",", 1)[0]) < step]
 
 
 def _check_finite(values, what):
@@ -112,13 +119,14 @@ def run_pretrain(cfg, out_dir, seed=None, resume_from=None, max_steps=None):
     total_steps = t.total_epochs * steps_per_epoch
 
     artifacts = RunArtifacts(metrics_path=os.path.join(out_dir, "metrics.csv"))
-    mode = "a" if resume_from is not None else "w"
-    fresh = mode == "w" or not os.path.exists(artifacts.metrics_path)
+    # A resumed run keeps the rows before its checkpoint and replays the rest.
+    earlier = ([] if resume_from is None else
+               _metric_rows_before(artifacts.metrics_path, start_step))
     stop = total_steps if max_steps is None else min(total_steps,
                                                      start_step + max_steps)
-    with open(artifacts.metrics_path, mode, encoding="utf-8") as fh:
-        if fresh:
-            fh.write(METRICS_HEADER + "\n")
+    with open(artifacts.metrics_path, "w", encoding="utf-8") as fh:
+        fh.write(METRICS_HEADER + "\n")
+        fh.writelines(earlier)
         for gstep in range(start_step, stop):
             epoch, step = divmod(gstep, steps_per_epoch)
             order = rng.permutation(rng.split(run_seed, "order", epoch),

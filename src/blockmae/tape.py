@@ -18,6 +18,11 @@ Charged buffers per primitive:
     mse-masked    prediction value (when non-leaf)
     boundary      its own (copied) value
 
+Every node, leaves included, takes its block tag from the `Tape.block`
+scope open when it is recorded (None outside any scope); that scope is
+the only way a node gets a tag.  Backward's block boundary and release
+both select nodes by this tag.
+
 Releasing a node drops its saved buffers and decreases the live counter by
 exactly the node's charged bytes; running backward through a released node
 is a lifecycle error.
@@ -32,12 +37,6 @@ import numpy as np
 from scipy.special import erf
 
 LN_EPS = 1e-6
-
-PRIMITIVES = (
-    "matmul", "add", "scale", "transpose", "reshape", "gather-rows",
-    "scatter-rows", "concat-rows", "layernorm", "softmax-lastdim",
-    "gelu", "mse-masked",
-)
 
 
 class TapeError(Exception):
@@ -75,12 +74,12 @@ class Node:
     __slots__ = ("kind", "value", "inputs", "block", "requires_grad",
                  "is_leaf", "name", "attrs", "saved", "bytes", "disposed")
 
-    def __init__(self, kind, value, inputs=(), block=None, requires_grad=False,
+    def __init__(self, kind, value, inputs=(), requires_grad=False,
                  is_leaf=False, name=None, attrs=None):
         self.kind = kind
         self.value = value
         self.inputs = tuple(inputs)
-        self.block = block
+        self.block = None
         self.requires_grad = requires_grad
         self.is_leaf = is_leaf
         self.name = name
@@ -103,38 +102,16 @@ class Node:
         return f"<Node {self.kind} {tuple(self.shape)}{tag}{nm}>"
 
 
-class MeterSnapshot:
-    """Byte counts at one instant: (live, peak, param, grad, optimizer)."""
-
-    __slots__ = ("live_activation_bytes", "peak_activation_bytes",
-                 "param_bytes", "grad_bytes", "optimizer_state_bytes")
-
-    def __init__(self, live, peak, param, grad, opt):
-        self.live_activation_bytes = live
-        self.peak_activation_bytes = peak
-        self.param_bytes = param
-        self.grad_bytes = grad
-        self.optimizer_state_bytes = opt
-
-    def as_tuple(self):
-        return (self.live_activation_bytes, self.peak_activation_bytes,
-                self.param_bytes, self.grad_bytes, self.optimizer_state_bytes)
-
-
 class MemoryMeter:
     """Running account of bytes held by saved activations.
 
     live is the sum over undisposed nodes of their charged bytes; peak is
-    the running maximum.  Parameter / gradient / optimizer-state bytes are
-    per-model constants set once by the training harness.
+    the running maximum.
     """
 
     def __init__(self):
         self.live_activation_bytes = 0
         self.peak_activation_bytes = 0
-        self.param_bytes = 0
-        self.grad_bytes = 0
-        self.optimizer_state_bytes = 0
 
     def charge(self, nbytes):
         self.live_activation_bytes += nbytes
@@ -145,16 +122,6 @@ class MemoryMeter:
         self.live_activation_bytes -= nbytes
         if self.live_activation_bytes < 0:
             raise LifecycleError("live activation bytes went negative")
-
-    def set_model_constants(self, param_bytes, grad_bytes, optimizer_state_bytes):
-        self.param_bytes = param_bytes
-        self.grad_bytes = grad_bytes
-        self.optimizer_state_bytes = optimizer_state_bytes
-
-    def snapshot(self):
-        return MeterSnapshot(self.live_activation_bytes, self.peak_activation_bytes,
-                             self.param_bytes, self.grad_bytes,
-                             self.optimizer_state_bytes)
 
 
 class _BlockScope:
@@ -193,25 +160,25 @@ class Tape:
         """Context manager: ops recorded inside carry block tag `tag`."""
         return _BlockScope(self, tag)
 
-    def leaf(self, value, name=None, block=None, requires_grad=False):
+    def leaf(self, value, name=None, requires_grad=False):
         """Register a constant or parameter; never charged to the meter."""
         value = np.ascontiguousarray(value)
         _check_dtype(value)
-        node = Node("leaf", value, block=block if block is not None else self._block,
-                    requires_grad=requires_grad, is_leaf=True, name=name)
-        self.nodes.append(node)
-        return node
+        return self._register(Node("leaf", value, requires_grad=requires_grad,
+                                   is_leaf=True, name=name), [])
 
     def _register(self, node, saved_pairs):
-        """saved_pairs: (array, charged) tuples retained for backward."""
+        """Tag, charge and append a node.
+
+        saved_pairs: (array, charged) tuples retained for backward.
+        """
         nbytes = 0
         for arr, charged in saved_pairs:
             node.saved.append(arr)
             if charged:
                 nbytes += arr.nbytes
         node.bytes = nbytes
-        if node.block is None:
-            node.block = self._block
+        node.block = self._block
         self.nodes.append(node)
         self.meter.charge(nbytes)
         return node
@@ -223,7 +190,7 @@ class Tape:
 
     # ----- primitives ------------------------------------------------
 
-    def matmul(self, a, b, block=None):
+    def matmul(self, a, b):
         av, bv = a.value, b.value
         if av.ndim == 2 and bv.ndim == 2:
             pass
@@ -237,40 +204,39 @@ class Tape:
                 av.ndim == 3 and bv.ndim == 3 and av.shape[0] != bv.shape[0]):
             raise DimensionError(f"matmul extent mismatch: {av.shape} x {bv.shape}")
         out = av @ bv
-        node = Node("matmul", np.ascontiguousarray(out), (a, b), block=block,
+        node = Node("matmul", np.ascontiguousarray(out), (a, b),
                     requires_grad=a.requires_grad or b.requires_grad)
         return self._register(node, [self._act(a), self._act(b)])
 
-    def add(self, x, y, block=None):
+    def add(self, x, y):
         xs, ys = x.value.shape, y.value.shape
         if xs != ys and ys != xs[len(xs) - len(ys):]:
             raise DimensionError(
                 f"add requires equal shapes or a trailing-shape broadcast; "
                 f"got {xs} + {ys}")
-        node = Node("add", x.value + y.value, (x, y), block=block,
+        node = Node("add", x.value + y.value, (x, y),
                     requires_grad=x.requires_grad or y.requires_grad,
                     attrs={"y_ndim": y.value.ndim})
         return self._register(node, [])
 
-    def scale(self, x, c, block=None):
-        node = Node("scale", x.value * x.value.dtype.type(c), (x,), block=block,
+    def scale(self, x, c):
+        node = Node("scale", x.value * x.value.dtype.type(c), (x,),
                     requires_grad=x.requires_grad, attrs={"c": float(c)})
         return self._register(node, [])
 
-    def transpose(self, x, block=None):
+    def transpose(self, x):
         if x.value.ndim < 2:
             raise DimensionError(f"transpose needs rank >= 2, got {x.value.shape}")
         out = np.ascontiguousarray(np.swapaxes(x.value, -1, -2))
-        node = Node("transpose", out, (x,), block=block,
-                    requires_grad=x.requires_grad)
+        node = Node("transpose", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [])
 
-    def reshape(self, x, shape, block=None):
+    def reshape(self, x, shape):
         shape = tuple(int(s) for s in shape)
         if int(np.prod(shape)) != x.value.size:
             raise DimensionError(f"reshape {x.value.shape} -> {shape}: size mismatch")
         out = np.ascontiguousarray(x.value).reshape(shape).copy()
-        node = Node("reshape", out, (x,), block=block,
+        node = Node("reshape", out, (x,),
                     requires_grad=x.requires_grad, attrs={"in_shape": x.value.shape})
         return self._register(node, [])
 
@@ -286,7 +252,7 @@ class Tape:
         if np.any(ordered[..., 1:] == ordered[..., :-1]):
             raise ContractError(f"{op} ids must be unique per sample")
 
-    def gather_rows(self, x, ids, block=None):
+    def gather_rows(self, x, ids):
         """Select rows (axis -2) by index; ids rank 2 selects per batch entry.
 
         Ids must be unique per sample, so the backward rule can place each
@@ -307,12 +273,11 @@ class Tape:
         else:
             raise DimensionError(
                 f"gather-rows: unsupported ranks x={xv.shape} ids={ids.shape}")
-        node = Node("gather-rows", np.ascontiguousarray(out), (x,), block=block,
-                    requires_grad=x.requires_grad,
-                    attrs={"ids": ids, "in_shape": xv.shape})
+        node = Node("gather-rows", np.ascontiguousarray(out), (x,),
+                    requires_grad=x.requires_grad, attrs={"in_shape": xv.shape})
         return self._register(node, [(ids, True)])
 
-    def scatter_rows(self, x, ids, num_rows, block=None):
+    def scatter_rows(self, x, ids, num_rows):
         """Place row j of x at row ids[j] of a zero output with num_rows rows."""
         xv = x.value
         ids = np.ascontiguousarray(ids, dtype=np.int64)
@@ -335,12 +300,10 @@ class Tape:
         else:
             raise DimensionError(
                 f"scatter-rows: unsupported ranks x={xv.shape} ids={ids.shape}")
-        node = Node("scatter-rows", out, (x,), block=block,
-                    requires_grad=x.requires_grad,
-                    attrs={"ids": ids, "num_rows": num_rows})
+        node = Node("scatter-rows", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [(ids, True)])
 
-    def concat_rows(self, xs, block=None):
+    def concat_rows(self, xs):
         """Concatenate along axis -2."""
         if len(xs) < 1:
             raise ContractError("concat-rows needs at least one input")
@@ -350,12 +313,12 @@ class Tape:
             if len(s) != len(base) or s[:-2] != base[:-2] or s[-1] != base[-1]:
                 raise DimensionError(f"concat-rows shape mismatch: {shapes}")
         out = np.concatenate([x.value for x in xs], axis=-2)
-        node = Node("concat-rows", np.ascontiguousarray(out), tuple(xs), block=block,
+        node = Node("concat-rows", np.ascontiguousarray(out), tuple(xs),
                     requires_grad=any(x.requires_grad for x in xs),
                     attrs={"sizes": [s[-2] for s in shapes]})
         return self._register(node, [])
 
-    def layernorm(self, x, gamma, beta, block=None):
+    def layernorm(self, x, gamma, beta):
         xv = x.value
         d = xv.shape[-1]
         if gamma.value.shape != (d,) or beta.value.shape != (d,):
@@ -367,29 +330,28 @@ class Tape:
         inv_std = 1.0 / np.sqrt(var + xv.dtype.type(LN_EPS))
         xhat = (xv - mu) * inv_std
         out = xhat * gamma.value + beta.value
-        node = Node("layernorm", out, (x, gamma, beta), block=block,
+        node = Node("layernorm", out, (x, gamma, beta),
                     requires_grad=(x.requires_grad or gamma.requires_grad
                                    or beta.requires_grad))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
                                       self._act(gamma)])
 
-    def softmax(self, x, block=None):
+    def softmax(self, x):
         xv = x.value
         shifted = xv - xv.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         out = e / e.sum(axis=-1, keepdims=True)
-        node = Node("softmax-lastdim", out, (x,), block=block,
-                    requires_grad=x.requires_grad)
+        node = Node("softmax-lastdim", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [(out, True)])
 
-    def gelu(self, x, block=None):
+    def gelu(self, x):
         xv = x.value
         out = 0.5 * xv * (1.0 + erf(xv / np.sqrt(xv.dtype.type(2.0))))
-        node = Node("gelu", out.astype(xv.dtype, copy=False), (x,), block=block,
+        node = Node("gelu", out.astype(xv.dtype, copy=False), (x,),
                     requires_grad=x.requires_grad)
         return self._register(node, [self._act(x)])
 
-    def mse_masked(self, pred, target, mask, block=None):
+    def mse_masked(self, pred, target, mask):
         """Mean squared error over masked rows only (mask entry 1 = masked).
 
         pred/target are [..., N, P]; mask is [..., N].  The per-row error is
@@ -405,41 +367,20 @@ class Tape:
             raise ContractError("mse-masked: no masked rows, loss undefined")
         per_row = ((pv - tv) ** 2).mean(axis=-1)
         out = np.asarray((per_row * mv).sum() / total, dtype=pv.dtype)
-        node = Node("mse-masked", out, (pred, target, mask), block=block,
+        node = Node("mse-masked", out, (pred, target, mask),
                     requires_grad=pred.requires_grad)
         return self._register(node, [self._act(pred), self._act(target),
                                       self._act(mask)])
 
-    def boundary(self, x, block=None):
+    def boundary(self, x):
         """Duplicate x into a detached, metered buffer.
 
         The copy feeds the next block as a constant leaf, so gradients from
         later losses terminate here; it stays charged until disposed.
         """
-        node = Node("boundary", x.value.copy(), (), block=block,
+        node = Node("boundary", x.value.copy(), (),
                     requires_grad=False, is_leaf=True)
         return self._register(node, [(node.value, True)])
-
-    def record(self, op_kind, inputs, block=None, **attrs):
-        """Generic entry point dispatching on the primitive name."""
-        ops = {
-            "matmul": lambda: self.matmul(*inputs, block=block),
-            "add": lambda: self.add(*inputs, block=block),
-            "scale": lambda: self.scale(inputs[0], attrs["c"], block=block),
-            "transpose": lambda: self.transpose(inputs[0], block=block),
-            "reshape": lambda: self.reshape(inputs[0], attrs["shape"], block=block),
-            "gather-rows": lambda: self.gather_rows(inputs[0], attrs["ids"], block=block),
-            "scatter-rows": lambda: self.scatter_rows(
-                inputs[0], attrs["ids"], attrs["num_rows"], block=block),
-            "concat-rows": lambda: self.concat_rows(list(inputs), block=block),
-            "layernorm": lambda: self.layernorm(*inputs, block=block),
-            "softmax-lastdim": lambda: self.softmax(inputs[0], block=block),
-            "gelu": lambda: self.gelu(inputs[0], block=block),
-            "mse-masked": lambda: self.mse_masked(*inputs, block=block),
-        }
-        if op_kind not in ops:
-            raise ContractError(f"unknown primitive {op_kind!r}; valid: {PRIMITIVES}")
-        return ops[op_kind]()
 
     # ----- backward ----------------------------------------------------
 
@@ -543,9 +484,6 @@ class Tape:
         if not node.is_leaf:
             node.value = None
         return freed
-
-    def snapshot(self):
-        return self.meter.snapshot()
 
 
 # ----- backward rules ----------------------------------------------------

@@ -181,6 +181,15 @@ def test_config_invariants():
         parse_config("image_size = 30")  # not divisible by patch 4
 
 
+def test_config_blockwise_cross_checks():
+    with pytest.raises(ConfigError, match="depth 6 is not divisible into 4"):
+        parse_config("depth = 6\nnum_blocks = 4")
+    with pytest.raises(ConfigError, match="2 ratios for 4 blocks"):
+        parse_config("mask_schedule = 0.75,0.75")
+    # the end-to-end baseline uses one block whatever num_blocks says
+    parse_config("mode = mae\ndepth = 6\nmask_schedule = 0.75")
+
+
 def test_presets_parse():
     for name, text in PRESETS.items():
         cfg = parse_config(text)
@@ -287,6 +296,19 @@ def test_checkpoint_corruption_names_tensor(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "c.bimc"
+    good = {"w": rng.normals(9, 5)}
+    save_checkpoint(good, path)
+    before = path.read_bytes()
+    with pytest.raises(FormatError, match="unsupported dtype"):
+        save_checkpoint({"w": good["w"], "n": np.arange(3, dtype=np.int32)},
+                        path)
+    assert path.read_bytes() == before
+    assert np.array_equal(load_checkpoint(path)["w"], good["w"])
+    assert os.listdir(tmp_path) == ["c.bimc"]
+
+
 def test_checkpoint_version_gate(tmp_path):
     path = tmp_path / "v9.bimc"
     path.write_bytes(b"BIMC" + (9).to_bytes(4, "little")
@@ -338,6 +360,18 @@ def test_checkpoint_resume_replay_bitwise(tmp_path):
         assert np.array_equal(t_full[k], t_res[k]), k
 
 
+def test_resume_in_place_metrics_match_uninterrupted(tmp_path):
+    cfg = parse_config(TINY_CONFIG + "dataset_size = 16\nbatch_size = 8\n"
+                       "total_epochs = 4\n")
+    full = run_pretrain(cfg, str(tmp_path / "full"))
+    out = str(tmp_path / "inplace")
+    run_pretrain(cfg, out, max_steps=5)
+    resumed = run_pretrain(cfg, out, resume_from=os.path.join(
+        out, "ckpt_epoch1.bimc"))
+    want = open(full.metrics_path, "rb").read()
+    assert open(resumed.metrics_path, "rb").read() == want
+
+
 def test_cli_end_to_end_pipeline(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     out = str(tmp_path / "run")
@@ -363,6 +397,24 @@ def test_cli_bad_config_nonzero_exit(tmp_path, capsys):
     p.write_text("definitely_not_a_key = 1\n")
     assert cli_main(["pretrain", "--config", str(p)]) == 1
     assert "valid keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["batch_size = abc", "norm_pix = maybe"])
+def test_cli_bad_config_value_names_line_and_key(tmp_path, capsys, line):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"# bad value\n{line}\n")
+    assert cli_main(["pretrain", "--config", str(p)]) == 1
+    key = line.split(" ")[0]
+    assert f"line 2: key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_inconsistent_blockwise_config_exits_nonzero(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_text("depth = 6\nnum_blocks = 4\n")
+    out = str(tmp_path / "report")
+    assert cli_main(["flop-report", "--config", str(p), "--out", out]) == 1
+    assert "not divisible" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "flop_report.csv"))
 
 
 def test_cli_baseline_mae_forces_mode(tmp_path):

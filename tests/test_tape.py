@@ -153,15 +153,6 @@ def test_mse_masked_matches_double_loop():
     assert abs(float(loss.value) - acc / cnt) < 1e-12
 
 
-def test_generic_record_dispatch():
-    t = Tape()
-    a = t.leaf(_rand(47, 3, 3))
-    out = t.record("softmax-lastdim", [a])
-    assert out.kind == "softmax-lastdim"
-    with pytest.raises(ContractError, match="unknown primitive"):
-        t.record("conv", [a])
-
-
 # ----- finite-difference oracle on every primitive -------------------------
 
 def test_finite_diff_square():
@@ -292,12 +283,12 @@ def test_backward_requires_scalar():
 # ----- block-boundary isolation ---------------------------------------------
 
 def _two_block_chain(t, x_val, w1_val, w2_val):
-    w1 = t.leaf(w1_val, name="w1", requires_grad=True, block=0)
-    w2 = t.leaf(w2_val, name="w2", requires_grad=True, block=1)
-    x = t.leaf(x_val, block=0)
     with t.block(0):
+        w1 = t.leaf(w1_val, name="w1", requires_grad=True)
+        x = t.leaf(x_val)
         h = t.matmul(x, w1)
     with t.block(1):
+        w2 = t.leaf(w2_val, name="w2", requires_grad=True)
         y = t.matmul(h, w2)
         loss = t.mse_masked(y, t.leaf(np.zeros_like(y.value)),
                             t.leaf(np.ones(y.value.shape[:-1])))
@@ -354,14 +345,14 @@ def test_unused_parameter_reachable_zero_vs_absent():
 
 def _tagged_step(t):
     """Small two-block forward/backward with a boundary buffer; returns nodes."""
-    x = t.leaf(_rand(31, 4, 4), block=0)
-    w0 = t.leaf(_rand(32, 4, 4), name="b0.w", requires_grad=True, block=0)
-    w1 = t.leaf(_rand(33, 4, 4), name="b1.w", requires_grad=True, block=1)
     with t.block(0):
+        x = t.leaf(_rand(31, 4, 4))
+        w0 = t.leaf(_rand(32, 4, 4), name="b0.w", requires_grad=True)
         h0 = t.gelu(t.matmul(x, w0))
         loss0 = t.mse_masked(h0, t.leaf(np.zeros((4, 4))), t.leaf(np.ones(4)))
         xb = t.boundary(h0)
     with t.block(1):
+        w1 = t.leaf(_rand(33, 4, 4), name="b1.w", requires_grad=True)
         h1 = t.gelu(t.matmul(xb, w1))
         loss1 = t.mse_masked(h1, t.leaf(np.zeros((4, 4))), t.leaf(np.ones(4)))
     return x, xb, loss0, loss1
@@ -369,9 +360,8 @@ def _tagged_step(t):
 
 def test_meter_starts_empty():
     t = Tape()
-    snap = t.snapshot()
-    assert snap.live_activation_bytes == 0
-    assert snap.peak_activation_bytes == 0
+    assert t.meter.live_activation_bytes == 0
+    assert t.meter.peak_activation_bytes == 0
 
 
 def test_release_frees_exact_bytes_and_keeps_boundary():
