@@ -5,6 +5,11 @@ prefix k is the first k blocks plus that depth's bridge LayerNorm.  Each
 prefix is probed by training only a linear classifier on mean-pooled
 features; the frozen backbone is shared storage with the full model, so
 prefixes nest by construction.
+
+The frozen-backbone forward never runs backward, so `forward_tokens`
+holds one stage (embedding, encoder layer or final norm) at a time and
+frees it before the next, the way block-wise training frees each block
+before the next.
 """
 
 import dataclasses
@@ -67,20 +72,31 @@ def truncate_backbone(model, k):
 def forward_tokens(prefix, images, apply_norm=False):
     """Token features of the prefix over unmasked inputs, [b, N, d].
 
-    Tokens stay in original patch order (identity visibility)."""
+    Tokens stay in original patch order (identity visibility).  Each stage
+    (embedding, encoder layer, final norm) records on its own `Tape`, with
+    the previous stage's output as an uncharged leaf, and that tape is
+    dropped before the next stage runs.  A tape's meter therefore reads
+    one stage's saved buffers, and the largest is one encoder layer's:
+    `memory._layer_bytes(..., input_charged=False)`.  The values are the
+    same as on a single tape; only fewer buffers are alive at once.
+    """
     spec = prefix.model.spec
     params = prefix.model.params
-    tape = Tape()
     states = [MaskState(kept_ids=np.arange(spec.num_patches),
                         mask=np.zeros(spec.num_patches, dtype=np.int64))
               for _ in range(images.shape[0])]
-    x = embed_visible(tape, params, spec, images, states)
+    tape = Tape()
+    x = embed_visible(tape, params, spec, images, states).value
     for j in range(prefix.depth_layers):
-        x = encoder_block_layer(tape, params, f"enc.layer{j}", x, spec.heads)
+        tape = Tape()
+        x = encoder_block_layer(tape, params, f"enc.layer{j}", tape.leaf(x),
+                                spec.heads).value
     if apply_norm:
+        tape = Tape()
         g, b = prefix.norm_params()
-        x = tape.layernorm(x, tape.leaf(params[g]), tape.leaf(params[b]))
-    return x.value
+        x = tape.layernorm(tape.leaf(x), tape.leaf(params[g]),
+                           tape.leaf(params[b])).value
+    return x
 
 
 def extract_features(prefix, images, chunk=128):

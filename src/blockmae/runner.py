@@ -84,7 +84,7 @@ def _check_finite(values, what):
         raise NumericError(f"non-finite {what}: {values}")
 
 
-def run_pretrain(cfg, out_dir, seed=None, resume_from=None, max_steps=None):
+def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
     """Train per the config; returns paths of everything written.
 
     max_steps caps the steps executed by this invocation (the schedule
@@ -93,10 +93,9 @@ def run_pretrain(cfg, out_dir, seed=None, resume_from=None, max_steps=None):
     """
     os.makedirs(out_dir, exist_ok=True)
     t = cfg.train
-    run_seed = t.seed if seed is None else seed
     dtype = t.np_dtype
     plan = _plan_for(cfg)
-    model = build_model(cfg.model, plan.num_blocks, run_seed, dtype)
+    model = build_model(cfg.model, plan.num_blocks, t.seed, dtype)
     units = partition_encoder(model, plan.num_blocks)
     opt = AdamW(beta1=t.beta1, beta2=t.beta2, weight_decay=t.weight_decay)
 
@@ -129,12 +128,12 @@ def run_pretrain(cfg, out_dir, seed=None, resume_from=None, max_steps=None):
         fh.writelines(earlier)
         for gstep in range(start_step, stop):
             epoch, step = divmod(gstep, steps_per_epoch)
-            order = rng.permutation(rng.split(run_seed, "order", epoch),
+            order = rng.permutation(rng.split(t.seed, "order", epoch),
                                     len(ds))
             idx = order[step * t.batch_size:(step + 1) * t.batch_size]
             images = ds.images(idx, dtype=dtype)
             lr = lr_at_step(gstep, steps_per_epoch, t)
-            step_seed = rng.split(run_seed, "step", epoch, step)
+            step_seed = rng.split(t.seed, "step", epoch, step)
             if plan.mode == "mae":
                 rep = mae_train_step(units, images, plan.mask_schedule[0],
                                      opt, lr, step_seed)
@@ -212,7 +211,7 @@ def _model_from_checkpoint(cfg, checkpoint_path):
     return model, tensors
 
 
-def run_probe(cfg, checkpoint_path, k, out_dir, seed=None):
+def run_probe(cfg, checkpoint_path, k, out_dir):
     """Probe prefix k of a trained checkpoint on the labeled dataset."""
     os.makedirs(out_dir, exist_ok=True)
     model, tensors = _model_from_checkpoint(cfg, checkpoint_path)
@@ -223,8 +222,7 @@ def run_probe(cfg, checkpoint_path, k, out_dir, seed=None):
         raise ConfigError(f"checkpoint lacks backbone tensors: {missing[:3]}")
     ds = _dataset_for(cfg)
     res = linear_probe(prefix, ds,
-                       ProbeConfig(seed=cfg.train.seed if seed is None
-                                   else seed),
+                       ProbeConfig(seed=cfg.train.seed),
                        num_classes=cfg.train.num_classes)
     path = os.path.join(out_dir, "probe_results.csv")
     fresh = not os.path.exists(path)

@@ -338,17 +338,22 @@ class Tape:
 
     def softmax(self, x):
         xv = x.value
-        shifted = xv - xv.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=-1, keepdims=True)
+        out = xv - xv.max(axis=-1, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=-1, keepdims=True)
         node = Node("softmax-lastdim", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [(out, True)])
 
     def gelu(self, x):
         xv = x.value
-        out = 0.5 * xv * (1.0 + erf(xv / np.sqrt(xv.dtype.type(2.0))))
-        node = Node("gelu", out.astype(xv.dtype, copy=False), (x,),
-                    requires_grad=x.requires_grad)
+        # 0.5 * x * (1 + erf(x / sqrt2)), with the CDF term and the product
+        # computed in place: no full-size temporaries beyond cdf and out.
+        cdf = xv / np.sqrt(xv.dtype.type(2.0))
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        out = 0.5 * xv
+        out *= cdf
+        node = Node("gelu", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [self._act(x)])
 
     def mse_masked(self, pred, target, mask):

@@ -1,16 +1,22 @@
 """Nested backbones: truncation equality, frozen probing, cost model."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from blockmae import memory, ofa
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import BlockPlan, build_model, partition_encoder
-from blockmae.model import ModelSpec
+from blockmae.model import (
+    MaskState, ModelSpec, embed_visible, encoder_block_layer,
+)
 from blockmae.ofa import (
     ProbeConfig, extract_features, forward_tokens, linear_probe,
     training_cost_saving, truncate_backbone,
 )
-from blockmae.tape import ContractError
+from blockmae.tape import ContractError, Tape
 
 
 def _model(depth=4, blocks=4, seed=3):
@@ -37,26 +43,91 @@ def test_prefix_parameters_strictly_nested():
         assert small < big
 
 
-def test_full_prefix_forward_equals_full_backbone():
-    spec, model = _model()
-    imgs = gen_synthetic_dataset(16, 3, 7).images(dtype=np.float64)
-    out4 = forward_tokens(truncate_backbone(model, 4), imgs)
-    # running the same layers through the same path is the full backbone
-    full = forward_tokens(truncate_backbone(model, 4), imgs)
-    assert np.array_equal(out4, full)
+def _reference_forward(model, images, layers, norm=None):
+    """Token values after each of the first `layers` encoder layers, all
+    recorded on one tape; with `norm` = (g, b) names, the normed output of
+    the last layer is appended."""
+    spec, params = model.spec, model.params
+    n = spec.num_patches
+    states = [MaskState(kept_ids=np.arange(n), mask=np.zeros(n, dtype=np.int64))
+              for _ in range(images.shape[0])]
+    tape = Tape()
+    x = embed_visible(tape, params, spec, images, states)
+    outs = []
+    for j in range(layers):
+        x = encoder_block_layer(tape, params, f"enc.layer{j}", x, spec.heads)
+        outs.append(x.value)
+    if norm is not None:
+        g, b = norm
+        outs.append(tape.layernorm(x, tape.leaf(params[g]),
+                                   tape.leaf(params[b])).value)
+    return outs
+
+
+def test_prefix_forward_equals_single_tape_forward():
+    spec, model = _model(depth=8)
+    imgs = gen_synthetic_dataset(16, 6, 7).images(dtype=np.float64)
+    for k, apply_norm in itertools.product((1, 2, 3, 4), (False, True)):
+        prefix = truncate_backbone(model, k)
+        want = _reference_forward(
+            model, imgs, prefix.depth_layers,
+            prefix.norm_params() if apply_norm else None)[-1]
+        got = forward_tokens(prefix, imgs, apply_norm=apply_norm)
+        assert np.array_equal(got, want), (k, apply_norm)
 
 
 def test_prefix_forward_is_a_prefix_of_deeper_forward():
-    spec, model = _model()
-    imgs = gen_synthetic_dataset(16, 2, 9).images(dtype=np.float64)
-    # prefix k output equals the deeper prefix truncated at the same layer:
-    # both run layers 0..k*lpb-1 with identical weights and inputs
-    shallow = forward_tokens(truncate_backbone(model, 1), imgs)
-    # recompute through prefix(2)'s first block only by direct layer count
-    p2 = truncate_backbone(model, 2)
-    assert p2.depth_layers == 2
-    again = forward_tokens(truncate_backbone(model, 1), imgs)
-    assert np.array_equal(shallow, again)
+    spec, model = _model(depth=8)
+    imgs = gen_synthetic_dataset(16, 5, 9).images(dtype=np.float64)
+    deep = _reference_forward(model, imgs, spec.depth)
+    lpb = model.layers_per_block
+    assert lpb == 2
+    for k in (1, 2, 3, 4):
+        tokens = forward_tokens(truncate_backbone(model, k), imgs)
+        assert np.array_equal(tokens, deep[k * lpb - 1]), k
+
+
+def _one_layer_bytes(spec, batch):
+    return memory._layer_bytes(batch, spec.num_patches, spec.embed_dim,
+                               spec.heads, spec.mlp_ratio, 8,
+                               input_charged=False)
+
+
+def test_forward_tokens_meter_reads_one_encoder_layer(monkeypatch):
+    meters = []
+
+    class MeterKeepingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            meters.append(self.meter)
+
+    monkeypatch.setattr(ofa, "Tape", MeterKeepingTape)
+    spec, model = _model(depth=8)
+    imgs = gen_synthetic_dataset(16, 12, 19).images(dtype=np.float64)
+    prefix = truncate_backbone(model, 4)
+    forward_tokens(prefix, imgs, apply_norm=True)
+    assert len(meters) == prefix.depth_layers + 2  # embedding, layers, norm
+    assert max(m.peak_activation_bytes for m in meters) == \
+        _one_layer_bytes(spec, 12)
+
+
+# Real bytes of the whole depth-8 forward, over the saved bytes of one
+# layer: 1.63 with one tape per stage, 12.96 when one tape holds all layers.
+HEAP_OVER_ONE_LAYER = 3.0
+
+
+def test_forward_tokens_heap_holds_about_one_layer():
+    spec, model = _model(depth=8)
+    imgs = gen_synthetic_dataset(16, 32, 21).images(dtype=np.float64)
+    prefix = truncate_backbone(model, 4)
+    forward_tokens(prefix, imgs, apply_norm=True)  # warm-up
+    tracemalloc.start()
+    try:
+        forward_tokens(prefix, imgs, apply_norm=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < HEAP_OVER_ONE_LAYER * _one_layer_bytes(spec, 32), peak
 
 
 def test_probe_reaches_95_on_separable_two_class_set():

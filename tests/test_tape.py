@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from blockmae import rng
 from blockmae.tape import (
@@ -86,6 +87,34 @@ def test_softmax_rows_sum_to_one():
     t = Tape()
     out = t.softmax(t.leaf(_rand(11, 3, 4, 7) * 5))
     np.testing.assert_allclose(out.value.sum(-1), 1.0, rtol=1e-12)
+
+
+def _gelu_reference(x):
+    """Out-of-place GELU: the reference for the tape's in-place forward."""
+    out = 0.5 * x * (1.0 + erf(x / np.sqrt(x.dtype.type(2.0))))
+    return out.astype(x.dtype, copy=False)
+
+
+def _softmax_reference(x):
+    """Out-of-place softmax: the reference for the tape's in-place forward."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_and_softmax_bitwise_equal_out_of_place_reference(dtype):
+    edges = np.array([-1e4, -80.0, -7.5, -1.0, -1e-8, -0.0, 0.0, 0.0,
+                      1e-8, 0.5, 3.0, 7.5, 80.0, 1e4])
+    x = np.concatenate([_rand(53, 3, 4, 14).ravel() * 6.0, edges])
+    x = x.reshape(-1, 14).astype(dtype)
+    t = Tape()
+    xn = t.leaf(x.copy())
+    gelu, soft = t.gelu(xn).value, t.softmax(xn).value
+    for got, want in ((gelu, _gelu_reference(x)), (soft, _softmax_reference(x))):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+    np.testing.assert_array_equal(xn.value, x)  # the input is not written
 
 
 def test_scatter_gather_roundtrip():
