@@ -62,9 +62,18 @@ class FlopReport:
 # ----- analytic byte model ------------------------------------------------------
 
 def _layer_bytes(b, n, d, heads, mlp_ratio, s, input_charged=True):
-    """Charged bytes of one transformer layer at n tokens, width d."""
-    lin = (3 * heads + 6 + (1 if input_charged else 0) + 2 * mlp_ratio) * n * d
-    quad = 2 * heads * n * n
+    """Charged bytes of one transformer layer at n tokens, width d.
+
+    Per sample, in units of n*d: the layer input to LN1 (when charged),
+    the LN1 output to the qkv linear (1), the qkv output to attention (3),
+    the merged heads to the out linear (1), the residual sum to LN2 (1),
+    the LN2 output to fc1 (1), and at width mlp_ratio*d the fc1 output and
+    its CDF term to GELU (2) and the GELU output to fc2 (1).  Attention
+    also saves its probabilities, heads*n*n; each LayerNorm saves a mean
+    and an inverse std per row, 2n.
+    """
+    lin = (7 + (1 if input_charged else 0) + 3 * mlp_ratio) * n * d
+    quad = heads * n * n
     aux = 4 * n
     return s * b * (lin + quad + aux)
 

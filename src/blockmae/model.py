@@ -7,12 +7,15 @@ loss.  All forward paths are expressed in tape primitives so gradients,
 release points, and byte accounting come for free.  No function here
 tags nodes with a block: the caller's `Tape.block` scope does.
 
-Attention is computed with per-head projection matrices and a rank-3
-layout throughout: heads are merged by transposing each context to
-[dh, n], concatenating along rows to [d, n], and transposing back, which
-is algebraically identical to the usual reshape-based multi-head layout.
+Attention uses the usual head-batched layout: one `attn.qkv` projection
+of width 3d, whose columns are ordered (q|k|v, head, dh), feeds one
+`Tape.attention` node that runs every head in one batched product and
+returns the heads merged to [b, n, d].  A layer is ten tape nodes.
+Checkpoints written with the earlier split layout, one
+`attn.{q,k,v}{h}` projection per head, load through `fold_split_qkv`.
 """
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,22 +137,39 @@ def _xavier_uniform(seed, fan_in, fan_out, shape, dtype):
     return ((u * 2.0 - 1.0) * limit).astype(dtype)
 
 
-def _layer_param_shapes(spec, dim, heads, mlp_ratio):
-    dh = dim // heads
-    shapes = {"ln1.g": (dim,), "ln1.b": (dim,),
-              "ln2.g": (dim,), "ln2.b": (dim,)}
-    for h in range(heads):
-        for proj in ("q", "k", "v"):
-            shapes[f"attn.{proj}{h}.w"] = (dim, dh)
-            shapes[f"attn.{proj}{h}.b"] = (dh,)
-    shapes["attn.out.w"] = (dim, dim)
-    shapes["attn.out.b"] = (dim,)
+def _layer_param_shapes(dim, mlp_ratio):
     hidden = dim * mlp_ratio
-    shapes["mlp.fc1.w"] = (dim, hidden)
-    shapes["mlp.fc1.b"] = (hidden,)
-    shapes["mlp.fc2.w"] = (hidden, dim)
-    shapes["mlp.fc2.b"] = (dim,)
-    return shapes
+    return {"ln1.g": (dim,), "ln1.b": (dim,),
+            "ln2.g": (dim,), "ln2.b": (dim,),
+            "attn.qkv.w": (dim, 3 * dim), "attn.qkv.b": (3 * dim,),
+            "attn.out.w": (dim, dim), "attn.out.b": (dim,),
+            "mlp.fc1.w": (dim, hidden), "mlp.fc1.b": (hidden,),
+            "mlp.fc2.w": (hidden, dim), "mlp.fc2.b": (dim,)}
+
+
+def split_qkv_names(layer, heads):
+    """Per-head projection names of the split layout, in `attn.qkv` column
+    order: q0..q{heads-1}, then the k heads, then the v heads."""
+    return [f"{layer}.attn.{proj}{h}" for proj in "qkv" for h in range(heads)]
+
+
+def _init_layer_params(layer, dim, heads, mlp_ratio, seed, dtype):
+    """One transformer layer's parameters under the prefix `layer`.
+
+    The `attn.qkv` weight is the column concatenation of per-head xavier
+    draws seeded by the split layout's names, so a fresh model computes the
+    same function as one built with a projection per head.
+    """
+    params = {}
+    for key, shape in _layer_param_shapes(dim, mlp_ratio).items():
+        name = f"{layer}.{key}"
+        if key == "attn.qkv.w":
+            params[name] = np.concatenate(
+                [_init_param(f"{head}.w", (dim, dim // heads), seed, dtype)
+                 for head in split_qkv_names(layer, heads)], axis=1)
+        else:
+            params[name] = _init_param(name, shape, seed, dtype)
+    return params
 
 
 def _init_param(name, shape, seed, dtype):
@@ -168,15 +188,14 @@ def _init_param(name, shape, seed, dtype):
 
 def init_encoder_params(spec, seed, dtype=np.float32):
     """Patch embedding plus `depth` transformer layers, name-keyed."""
-    params = {}
     shapes = {"embed.w": (spec.patch_pixels, spec.embed_dim),
               "embed.b": (spec.embed_dim,)}
+    params = {name: _init_param(name, shape, seed, dtype)
+              for name, shape in shapes.items()}
     for j in range(spec.depth):
-        for k, s in _layer_param_shapes(spec, spec.embed_dim, spec.heads,
-                                        spec.mlp_ratio).items():
-            shapes[f"enc.layer{j}.{k}"] = s
-    for name, shape in shapes.items():
-        params[name] = _init_param(name, shape, seed, dtype)
+        params.update(_init_layer_params(f"enc.layer{j}", spec.embed_dim,
+                                         spec.heads, spec.mlp_ratio, seed,
+                                         dtype))
     return params
 
 
@@ -194,12 +213,65 @@ def init_block_head_params(spec, block_id, seed, dtype=np.float32):
         f"block{block_id}.dec.pred.w": (dd, spec.patch_pixels),
         f"block{block_id}.dec.pred.b": (spec.patch_pixels,),
     }
+    params = {name: _init_param(name, shape, seed, dtype)
+              for name, shape in shapes.items()}
     for j in range(spec.decoder_depth):
-        for k, s in _layer_param_shapes(spec, dd, spec.decoder_heads,
-                                        spec.mlp_ratio).items():
-            shapes[f"block{block_id}.dec.layer{j}.{k}"] = s
-    return {name: _init_param(name, shape, seed, dtype)
-            for name, shape in shapes.items()}
+        params.update(_init_layer_params(f"block{block_id}.dec.layer{j}", dd,
+                                         spec.decoder_heads, spec.mlp_ratio,
+                                         seed, dtype))
+    return params
+
+
+# ----- checkpoint migration ----------------------------------------------------
+
+# A split-layout tensor: optional optimizer-state prefix, layer, leaf name.
+_SPLIT_QKV = re.compile(r"(opt\.[mvt]\.)?(.+)\.attn\.[qkv]\d+\.([wb])")
+
+
+def fold_split_qkv(tensors, spec):
+    """Checkpoint tensors with split-layout attention folded into `attn.qkv`.
+
+    Each layer's `attn.{q,k,v}{h}.{w,b}` tensors, and their `opt.m.` and
+    `opt.v.` moments, are concatenated along the last axis in `attn.qkv`
+    column order; their `opt.t.` step counts must all be equal and become
+    the fused tensor's.  Encoder layers have `spec.heads` heads, decoder
+    layers `spec.decoder_heads`.  A missing or surplus head raises
+    ConfigError naming the tensor.  Other tensors pass through unchanged,
+    so a checkpoint in the fused layout is returned as it is.
+    """
+    from .config import ConfigError  # local import avoids a cycle
+
+    out, used = {}, set()
+    for name, arr in tensors.items():
+        m = _SPLIT_QKV.fullmatch(name)
+        if m is None:
+            out[name] = arr
+            continue
+        state, layer, leaf = m.group(1) or "", m.group(2), m.group(3)
+        fused = f"{state}{layer}.attn.qkv.{leaf}"
+        if fused in out:
+            continue
+        heads = spec.decoder_heads if ".dec." in layer else spec.heads
+        parts = []
+        for head in split_qkv_names(layer, heads):
+            part = f"{state}{head}.{leaf}"
+            if part not in tensors:
+                raise ConfigError(f"checkpoint lacks split attention tensor "
+                                  f"{part!r} of {fused!r}")
+            parts.append(tensors[part])
+            used.add(part)
+        if state == "opt.t.":
+            if any(not np.array_equal(p, parts[0]) for p in parts):
+                raise ConfigError(f"step counts of the heads folded into "
+                                  f"{fused!r} differ")
+            out[fused] = parts[0]
+        else:
+            out[fused] = np.concatenate(parts, axis=-1)
+    surplus = [n for n in tensors if _SPLIT_QKV.fullmatch(n) and n not in used]
+    if surplus:
+        raise ConfigError(f"checkpoint tensor {surplus[0]!r} is not a head "
+                          f"of this model's attention")
+    return out
 
 
 # ----- positions and patches -------------------------------------------------
@@ -251,9 +323,7 @@ def patch_embed(tape, params, spec, images):
     patches = tape.leaf(patchify(images, spec))
     pos = tape.leaf(sincos_pos_embed(spec.grid_side, spec.embed_dim)
                     .astype(images.dtype))
-    w = tape.leaf(params["embed.w"], name="embed.w", requires_grad=True)
-    b = tape.leaf(params["embed.b"], name="embed.b", requires_grad=True)
-    tok = tape.add(tape.matmul(patches, w), b)
+    tok = _linear(tape, patches, params, "embed")
     return tape.add(tok, pos)
 
 
@@ -268,9 +338,7 @@ def embed_visible(tape, params, spec, images, states):
     pos = sincos_pos_embed(spec.grid_side, spec.embed_dim).astype(images.dtype)
     vis = np.stack([patches[i][s.kept_ids] for i, s in enumerate(states)])
     vis_pos = np.stack([pos[s.kept_ids] for s in states])
-    w = tape.leaf(params["embed.w"], name="embed.w", requires_grad=True)
-    b = tape.leaf(params["embed.b"], name="embed.b", requires_grad=True)
-    tok = tape.add(tape.matmul(tape.leaf(vis), w), b)
+    tok = _linear(tape, tape.leaf(vis), params, "embed")
     return tape.add(tok, tape.leaf(vis_pos))
 
 
@@ -312,7 +380,7 @@ def random_mask(tape, tokens, ratio, seed):
 def _linear(tape, x, params, prefix):
     w = tape.leaf(params[f"{prefix}.w"], name=f"{prefix}.w", requires_grad=True)
     b = tape.leaf(params[f"{prefix}.b"], name=f"{prefix}.b", requires_grad=True)
-    return tape.add(tape.matmul(x, w), b)
+    return tape.linear(x, w, b)
 
 
 def _layernorm(tape, x, params, prefix):
@@ -326,18 +394,9 @@ def encoder_block_layer(tape, params, prefix, x, heads):
     dim = x.shape[-1]
     if dim % heads != 0:
         raise DimensionError(f"width {dim} not divisible by heads {heads}")
-    dh = dim // heads
     h1 = _layernorm(tape, x, params, f"{prefix}.ln1")
-    ctxs = []
-    for h in range(heads):
-        q = _linear(tape, h1, params, f"{prefix}.attn.q{h}")
-        k = _linear(tape, h1, params, f"{prefix}.attn.k{h}")
-        v = _linear(tape, h1, params, f"{prefix}.attn.v{h}")
-        scores = tape.matmul(q, tape.transpose(k))
-        attn = tape.softmax(tape.scale(scores, 1.0 / np.sqrt(dh)))
-        ctx = tape.matmul(attn, v)
-        ctxs.append(tape.transpose(ctx))  # [*, dh, n]
-    merged = tape.transpose(tape.concat_rows(ctxs))
+    qkv = _linear(tape, h1, params, f"{prefix}.attn.qkv")
+    merged = tape.attention(qkv, heads)
     x2 = tape.add(x, _linear(tape, merged, params, f"{prefix}.attn.out"))
     h2 = _layernorm(tape, x2, params, f"{prefix}.ln2")
     f1 = tape.gelu(_linear(tape, h2, params, f"{prefix}.mlp.fc1"))

@@ -26,6 +26,7 @@ from .engine import (
     partition_encoder,
 )
 from .memory import compare_peak, flop_estimate
+from .model import fold_split_qkv
 from .ofa import ProbeConfig, linear_probe, truncate_backbone
 from .optim import AdamW, lr_at_step
 from .tape import NumericError
@@ -101,7 +102,7 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
 
     start_step = 0
     if resume_from is not None:
-        tensors = load_checkpoint(resume_from)
+        tensors = fold_split_qkv(load_checkpoint(resume_from), cfg.model)
         for name in model.params:
             if name not in tensors:
                 raise ConfigError(f"checkpoint lacks parameter {name!r}")
@@ -202,7 +203,7 @@ def _model_from_checkpoint(cfg, checkpoint_path):
     plan = _plan_for(cfg)
     model = build_model(cfg.model, plan.num_blocks, cfg.train.seed,
                         np.float64)
-    tensors = load_checkpoint(checkpoint_path)
+    tensors = fold_split_qkv(load_checkpoint(checkpoint_path), cfg.model)
     for name in tensors:
         if name.startswith(("opt.", "meta.")):
             continue

@@ -10,11 +10,13 @@ they live outside the activation budget.
 
 Charged buffers per primitive:
     matmul        both operand values (when non-leaf)
+    linear        input value (when non-leaf); the weight is a leaf
     add/scale/transpose/reshape/concat-rows   nothing
     gather-rows / scatter-rows                the index vector
     layernorm     input value (when non-leaf) + per-row mean and inv-std
     softmax-lastdim   its own output
-    gelu          input value (when non-leaf)
+    attention     the fused q|k|v input (when non-leaf) + the probabilities
+    gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
     mse-masked    prediction value (when non-leaf)
     boundary      its own (copied) value
 
@@ -208,6 +210,22 @@ class Tape:
                     requires_grad=a.requires_grad or b.requires_grad)
         return self._register(node, [self._act(a), self._act(b)])
 
+    def linear(self, x, w, b):
+        """x @ w + b in one node: the bias is added in place to the product."""
+        xv, wv, bv = x.value, w.value, b.value
+        if xv.ndim not in (2, 3) or wv.ndim != 2 or bv.shape != wv.shape[-1:]:
+            raise DimensionError(
+                f"linear supports [m,k] or [b,m,k] x [k,n] + [n]; "
+                f"got {xv.shape} x {wv.shape} + {bv.shape}")
+        if xv.shape[-1] != wv.shape[0]:
+            raise DimensionError(f"linear extent mismatch: {xv.shape} x {wv.shape}")
+        out = xv @ wv
+        out += bv
+        node = Node("linear", out, (x, w, b),
+                    requires_grad=(x.requires_grad or w.requires_grad
+                                   or b.requires_grad))
+        return self._register(node, [self._act(x), self._act(w)])
+
     def add(self, x, y):
         xs, ys = x.value.shape, y.value.shape
         if xs != ys and ys != xs[len(xs) - len(ys):]:
@@ -325,11 +343,16 @@ class Tape:
             raise DimensionError(
                 f"layernorm affine shapes {gamma.value.shape}/{beta.value.shape} "
                 f"do not match feature dim {d}")
+        # One mean and one centred buffer, which becomes the output in
+        # place; the same operations as `xv.var` and `(xv - mu) * inv_std
+        # * gamma + beta`, so the values are equal bit for bit.
         mu = xv.mean(axis=-1, keepdims=True)
-        var = xv.var(axis=-1, keepdims=True)
+        out = xv - mu
+        var = (out * out).mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + xv.dtype.type(LN_EPS))
-        xhat = (xv - mu) * inv_std
-        out = xhat * gamma.value + beta.value
+        out *= inv_std
+        out *= gamma.value
+        out += beta.value
         node = Node("layernorm", out, (x, gamma, beta),
                     requires_grad=(x.requires_grad or gamma.requires_grad
                                    or beta.requires_grad))
@@ -344,17 +367,49 @@ class Tape:
         node = Node("softmax-lastdim", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [(out, True)])
 
+    def attention(self, qkv, heads):
+        """Multi-head softmax(q k^T / sqrt(dh)) v over a fused projection.
+
+        qkv is [b, n, 3d] with columns ordered (q|k|v, head, dh); it is
+        viewed as [3, b, heads, n, dh] and every head runs in one batched
+        product.  The scale, shift, exp and divide act in place on the score
+        buffer, which becomes the saved probabilities.  Returns the heads
+        merged back to [b, n, d], columns ordered (head, dh).
+        """
+        qv = qkv.value
+        if qv.ndim != 3 or qv.shape[-1] % (3 * heads) != 0:
+            raise DimensionError(
+                f"attention needs [b, n, 3*d] with d divisible by {heads} "
+                f"heads; got {qv.shape}")
+        b, n, d = qv.shape[0], qv.shape[1], qv.shape[2] // 3
+        q, k, v = _split_heads(qv, heads)
+        # k^T as a contiguous operand: BLAS may sum a transposed operand in
+        # another order, and this keeps the scores bitwise equal to per-head
+        # products.
+        kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+        probs = q @ kt                                     # [b, heads, n, n]
+        probs *= qv.dtype.type(1.0 / np.sqrt(d // heads))
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        ctx = probs @ v                                    # [b, heads, n, dh]
+        out = np.ascontiguousarray(np.swapaxes(ctx, 1, 2)).reshape(b, n, d)
+        node = Node("attention", out, (qkv,), requires_grad=qkv.requires_grad,
+                    attrs={"heads": heads})
+        return self._register(node, [self._act(qkv), (probs, True)])
+
     def gelu(self, x):
         xv = x.value
         # 0.5 * x * (1 + erf(x / sqrt2)), with the CDF term and the product
         # computed in place: no full-size temporaries beyond cdf and out.
+        # The CDF term is saved for the backward rule.
         cdf = xv / np.sqrt(xv.dtype.type(2.0))
         erf(cdf, out=cdf)
         cdf += 1.0
         out = 0.5 * xv
         out *= cdf
         node = Node("gelu", out, (x,), requires_grad=x.requires_grad)
-        return self._register(node, [self._act(x)])
+        return self._register(node, [self._act(x), (cdf, True)])
 
     def mse_masked(self, pred, target, mask):
         """Mean squared error over masked rows only (mask entry 1 = masked).
@@ -491,6 +546,12 @@ class Tape:
         return freed
 
 
+def _split_heads(qkv, heads):
+    """Views q, k, v of a [b, n, 3d] array, each [b, heads, n, dh]."""
+    b, n, width = qkv.shape
+    return qkv.reshape(b, n, 3, heads, width // (3 * heads)).transpose(2, 0, 3, 1, 4)
+
+
 # ----- backward rules ----------------------------------------------------
 
 def _vjp_matmul(node, g):
@@ -504,6 +565,11 @@ def _vjp_matmul(node, g):
     da = g @ np.swapaxes(b, -1, -2)
     db = np.swapaxes(a, -1, -2) @ g
     return (da, db)
+
+
+def _vjp_linear(node, g):
+    dx, dw = _vjp_matmul(node, g)
+    return (dx, dw, g.sum(axis=tuple(range(g.ndim - 1))))
 
 
 def _vjp_add(node, g):
@@ -575,11 +641,39 @@ def _vjp_softmax(node, g):
     return (y * (g - s),)
 
 
+def _vjp_attention(node, g):
+    qkv, probs = node.saved
+    heads = node.attrs["heads"]
+    b, n, width = qkv.shape
+    q, k, v = _split_heads(qkv, heads)
+    gctx = np.swapaxes(g.reshape(b, n, heads, width // (3 * heads)), 1, 2)
+    # dq, dk and dv land in one [b, n, 3, heads, dh] buffer: the gradient
+    # of qkv, with no per-head copies to merge afterwards.
+    dqkv = np.empty_like(qkv)
+    dq, dk, dv = _split_heads(dqkv, heads)
+    np.matmul(np.swapaxes(probs, -1, -2), gctx, out=dv)
+    dprobs = gctx @ np.swapaxes(v, -1, -2)
+    # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dprobs *= probs
+    dprobs *= qkv.dtype.type(1.0 / np.sqrt(width // (3 * heads)))
+    np.matmul(dprobs, k, out=dq)
+    np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
+    return (dqkv,)
+
+
 def _vjp_gelu(node, g):
-    x = node.saved[0]
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(x.dtype.type(2.0))))
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(x.dtype.type(2.0 * np.pi))
-    return ((g * (cdf + x * pdf)).astype(x.dtype, copy=False),)
+    x, cdf = node.saved
+    # g * (0.5 * cdf + x * pdf(x)), in place in one buffer.  The forward's
+    # CDF term 1 + erf(x/sqrt2) is reused; halving it is exact.
+    dx = -0.5 * x
+    dx *= x
+    np.exp(dx, out=dx)
+    dx /= np.sqrt(x.dtype.type(2.0 * np.pi))
+    dx *= x
+    dx += 0.5 * cdf
+    dx *= g
+    return (dx,)
 
 
 def _vjp_mse_masked(node, g):
@@ -592,6 +686,7 @@ def _vjp_mse_masked(node, g):
 
 _VJP = {
     "matmul": _vjp_matmul,
+    "linear": _vjp_linear,
     "add": _vjp_add,
     "scale": _vjp_scale,
     "transpose": _vjp_transpose,
@@ -601,6 +696,7 @@ _VJP = {
     "concat-rows": _vjp_concat_rows,
     "layernorm": _vjp_layernorm,
     "softmax-lastdim": _vjp_softmax,
+    "attention": _vjp_attention,
     "gelu": _vjp_gelu,
     "mse-masked": _vjp_mse_masked,
 }

@@ -232,10 +232,10 @@ def test_mae_first_layer_gradients_nonzero():
     spec = _tiny_spec(depth=4)
     model = build_model(spec, 1, seed=29, dtype=np.float64)
     units = partition_encoder(model, 1)
-    before = model.params["enc.layer0.attn.q0.w"].copy()
+    before = model.params["enc.layer0.attn.qkv.w"].copy()
     mae_train_step(units, _images(spec, 2, seed=31), 0.5, AdamW(), lr=1e-3,
                    step_seed=2)
-    assert not np.array_equal(before, model.params["enc.layer0.attn.q0.w"])
+    assert not np.array_equal(before, model.params["enc.layer0.attn.qkv.w"])
 
 
 def test_step_determinism_bitwise():

@@ -1,6 +1,7 @@
 """Harness: lr rules, AdamW traces, dataset/checkpoint IO, pipelines, CLI."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from blockmae.data import (
 )
 from blockmae.ofa import ProbeConfig, fit_linear_classifier, _accuracy
 from blockmae.optim import AdamW, lr_at_step, scale_lr
-from blockmae.runner import run_pretrain
+from blockmae.runner import run_pretrain, run_probe
 from blockmae.tape import NumericError
 
 TINY_CONFIG = """
@@ -370,6 +371,64 @@ def test_resume_in_place_metrics_match_uninterrupted(tmp_path):
         out, "ckpt_epoch1.bimc"))
     want = open(full.metrics_path, "rb").read()
     assert open(resumed.metrics_path, "rb").read() == want
+
+
+def _resave_split_layout(src, dst, cfg, drop=()):
+    """Re-save a checkpoint as the split attention layout wrote it: every
+    `attn.qkv` tensor, moment and step count cut into one tensor per
+    projection and head, columns (q|k|v, head, dh)."""
+    out = {}
+    for name, arr in load_checkpoint(src).items():
+        layer, fused, leaf = name.rpartition(".attn.qkv.")
+        if not fused:
+            out[name] = arr
+            continue
+        heads = cfg.model.decoder_heads if ".dec." in layer else cfg.model.heads
+        parts = ([arr] * (3 * heads) if layer.startswith("opt.t.")
+                 else np.split(arr, 3 * heads, axis=-1))
+        names = [f"{layer}.attn.{p}{h}.{leaf}" for p in "qkv" for h in range(heads)]
+        out.update(zip(names, parts))
+    for name in drop:
+        del out[name]
+    save_checkpoint(out, dst)
+
+
+def test_split_layout_checkpoint_resumes_identically(tmp_path):
+    cfg = parse_config(TINY_CONFIG)
+    fused = run_pretrain(cfg, str(tmp_path / "half"), max_steps=4).checkpoint_paths[0]
+    split = str(tmp_path / "split.bimc")
+    _resave_split_layout(fused, split, cfg)
+    assert "opt.t.block1.dec.layer0.attn.v0.b" in load_checkpoint(split)
+    a = run_pretrain(cfg, str(tmp_path / "a"), resume_from=fused)
+    b = run_pretrain(cfg, str(tmp_path / "b"), resume_from=split)
+    assert open(a.metrics_path, "rb").read() == open(b.metrics_path, "rb").read()
+    t_a = load_checkpoint(a.checkpoint_paths[-1])
+    t_b = load_checkpoint(b.checkpoint_paths[-1])
+    assert set(t_a) == set(t_b)
+    assert all(np.array_equal(t_a[k], t_b[k]) for k in t_a)
+
+
+def test_split_layout_checkpoint_probes_identically(tmp_path):
+    cfg = parse_config(TINY_CONFIG)
+    fused = run_pretrain(cfg, str(tmp_path / "run"), max_steps=4).checkpoint_paths[0]
+    split = str(tmp_path / "split.bimc")
+    _resave_split_layout(fused, split, cfg)
+    art_a, res_a = run_probe(cfg, fused, 2, str(tmp_path / "a"))
+    art_b, res_b = run_probe(cfg, split, 2, str(tmp_path / "b"))
+    assert res_a == res_b
+    assert open(art_a.probe_results_path, "rb").read() == \
+        open(art_b.probe_results_path, "rb").read()
+
+
+@pytest.mark.parametrize("missing", ["enc.layer1.attn.k1.w",
+                                     "opt.v.block0.dec.layer0.attn.q0.b"])
+def test_split_layout_checkpoint_missing_head_names_the_tensor(tmp_path, missing):
+    cfg = parse_config(TINY_CONFIG)
+    fused = run_pretrain(cfg, str(tmp_path / "run"), max_steps=4).checkpoint_paths[0]
+    split = str(tmp_path / "split.bimc")
+    _resave_split_layout(fused, split, cfg, drop=(missing,))
+    with pytest.raises(ConfigError, match=re.escape(repr(missing))):
+        run_pretrain(cfg, str(tmp_path / "resumed"), resume_from=split)
 
 
 def test_cli_end_to_end_pipeline(tmp_path):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from blockmae import rng
 from blockmae.engine import BlockPlan
-from blockmae.memory import analytic_peak, compare_peak, flop_estimate
-from blockmae.model import ModelSpec
+from blockmae.memory import _layer_bytes, analytic_peak, compare_peak, flop_estimate
+from blockmae.model import ModelSpec, encoder_block_layer, init_encoder_params
+from blockmae.tape import Tape
 
 
 def _spec(depth=4, **over):
@@ -40,6 +42,22 @@ def test_analytic_equals_measured_incremental_schedule():
     rows = compare_peak(spec, plan, batch=2, seed=3, dtype=np.float64)
     for row in rows:
         assert row.analytic_peak_bytes == row.measured_peak_bytes, row
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("input_charged", [True, False])
+def test_one_layer_meter_equals_layer_bytes(input_charged, dtype):
+    spec = ModelSpec(embed_dim=32, heads=4, depth=1, mlp_ratio=3)
+    b, n, d = 3, 7, spec.embed_dim
+    params = init_encoder_params(spec, seed=4, dtype=dtype)
+    t = Tape()
+    x = t.leaf(rng.normals(5, b * n * d).reshape(b, n, d).astype(dtype))
+    if input_charged:
+        x = t.scale(x, 1.0)  # a non-leaf input, which LN1 charges
+    encoder_block_layer(t, params, "enc.layer0", x, spec.heads)
+    assert t.meter.live_activation_bytes == _layer_bytes(
+        b, n, d, spec.heads, spec.mlp_ratio, np.dtype(dtype).itemsize,
+        input_charged=input_charged)
 
 
 def test_idealized_ratio_is_one_over_blocks():

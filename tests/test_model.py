@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from blockmae import rng
+from blockmae.config import ConfigError
 from blockmae.model import (
-    MaskState, ModelSpec, embed_visible, encoder_block_layer,
-    init_block_head_params, init_encoder_params, local_decoder_forward,
-    mask_indices, patch_embed, patch_targets, patchify, random_mask,
-    reconstruction_loss, sincos_pos_embed, unpatchify,
+    MaskState, ModelSpec, _xavier_uniform, embed_visible, encoder_block_layer,
+    fold_split_qkv, init_block_head_params, init_encoder_params,
+    local_decoder_forward, mask_indices, patch_embed, patch_targets, patchify,
+    random_mask, reconstruction_loss, sincos_pos_embed, unpatchify,
 )
 from blockmae.tape import ContractError, Tape
 
@@ -184,10 +185,126 @@ def test_encoder_layer_attention_rows_sum_to_one():
     t = Tape()
     x = t.leaf(rng.normals(8, 1 * 6 * 16).reshape(1, 6, 16))
     encoder_block_layer(t, params, "enc.layer0", x, spec.heads)
-    softmaxes = [n for n in t.nodes if n.kind == "softmax-lastdim"]
-    assert len(softmaxes) == spec.heads
-    for n in softmaxes:
-        np.testing.assert_allclose(n.value.sum(-1), 1.0, rtol=1e-12)
+    (attn,) = [n for n in t.nodes if n.kind == "attention"]
+    probs = attn.saved[1]
+    assert probs.shape == (1, spec.heads, 6, 6)
+    np.testing.assert_allclose(probs.sum(-1), 1.0, rtol=1e-12)
+
+
+def _split_heads_layer(tape, params, prefix, x, heads):
+    """The layer with one q, k and v projection per head, merged by
+    transposes and a concat-rows: the reference for the fused layer.  The
+    per-head weights are cut from `attn.qkv`, columns (q|k|v, head, dh)."""
+    d = x.shape[-1]
+    dh = d // heads
+
+    def linear(h, w, b):
+        return tape.add(tape.matmul(h, tape.leaf(w)), tape.leaf(b))
+
+    def layernorm(h, name):
+        return tape.layernorm(h, tape.leaf(params[f"{prefix}.{name}.g"]),
+                              tape.leaf(params[f"{prefix}.{name}.b"]))
+
+    def param_linear(h, name):
+        return linear(h, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"])
+
+    w, b = params[f"{prefix}.attn.qkv.w"], params[f"{prefix}.attn.qkv.b"]
+    h1 = layernorm(x, "ln1")
+    ctxs = []
+    for h in range(heads):
+        q, k, v = (linear(h1, w[:, c:c + dh], b[c:c + dh])
+                   for c in (p * d + h * dh for p in range(3)))
+        scores = tape.matmul(q, tape.transpose(k))
+        attn = tape.softmax(tape.scale(scores, 1.0 / np.sqrt(dh)))
+        ctxs.append(tape.transpose(tape.matmul(attn, v)))
+    merged = tape.transpose(tape.concat_rows(ctxs))
+    x2 = tape.add(x, param_linear(merged, "attn.out"))
+    f1 = tape.gelu(param_linear(layernorm(x2, "ln2"), "mlp.fc1"))
+    return tape.add(x2, param_linear(f1, "mlp.fc2"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim,heads,n", [(64, 4, 16), (16, 2, 5), (32, 1, 9)])
+def test_fused_layer_bitwise_equal_split_heads_reference(dtype, dim, heads, n):
+    spec = ModelSpec(embed_dim=dim, heads=heads, depth=1, mlp_ratio=2)
+    params = init_encoder_params(spec, seed=13, dtype=dtype)
+    params["enc.layer0.attn.qkv.b"][:] = rng.normals(14, 3 * dim)
+    x = rng.normals(15, 3 * n * dim).reshape(3, n, dim).astype(dtype)
+    t, t_ref = Tape(), Tape()
+    got = encoder_block_layer(t, params, "enc.layer0", t.leaf(x), heads)
+    want = _split_heads_layer(t_ref, params, "enc.layer0", t_ref.leaf(x), heads)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got.value, want.value)
+    assert [n.kind for n in t.nodes if not n.is_leaf] == [
+        "layernorm", "linear", "attention", "linear", "add",
+        "layernorm", "linear", "gelu", "linear", "add"]
+
+
+@pytest.mark.parametrize("prefix,heads,dim", [("enc.layer1", 4, 64),
+                                              ("block2.dec.layer0", 1, 32)])
+def test_qkv_init_is_the_per_head_draws_of_the_split_layout(prefix, heads, dim):
+    spec = ModelSpec()
+    params = (init_encoder_params(spec, seed=17) if prefix.startswith("enc")
+              else init_block_head_params(spec, 2, seed=17))
+    w = params[f"{prefix}.attn.qkv.w"]
+    dh = dim // heads
+    assert w.shape == (dim, 3 * dim) and w.dtype == np.float32
+    assert np.all(params[f"{prefix}.attn.qkv.b"] == 0.0)
+    for i, (proj, h) in enumerate((p, h) for p in "qkv" for h in range(heads)):
+        draw = _xavier_uniform(rng.split(17, "init", f"{prefix}.attn.{proj}{h}.w"),
+                               dim, dh, (dim, dh), np.float32)
+        assert np.array_equal(w[:, i * dh:(i + 1) * dh], draw), (proj, h)
+
+
+def _split_qkv_tensors(spec):
+    """A split-layout layer, moments and step counts, keyed like a
+    checkpoint of that layout, with its fused equivalent."""
+    dh = spec.embed_dim // spec.heads
+    split = {}
+    for state in ("", "opt.m.", "opt.v.", "opt.t."):
+        for proj in "qkv":
+            for h in range(spec.heads):
+                for leaf, shape in (("w", (spec.embed_dim, dh)), ("b", (dh,))):
+                    name = f"{state}enc.layer0.attn.{proj}{h}.{leaf}"
+                    split[name] = (np.array([3.0]) if state == "opt.t." else
+                                   rng.normals(len(split), int(np.prod(shape)))
+                                   .reshape(shape))
+    return split
+
+
+def test_fold_split_qkv_concatenates_heads_in_column_order():
+    spec = _toy_spec()
+    split = _split_qkv_tensors(spec)
+    split["enc.layer0.ln1.g"] = np.ones(spec.embed_dim)
+    folded = fold_split_qkv(split, spec)
+    assert sorted(folded) == sorted(
+        [f"{s}enc.layer0.attn.qkv.{leaf}" for s in ("", "opt.m.", "opt.v.", "opt.t.")
+         for leaf in "wb"] + ["enc.layer0.ln1.g"])
+    for state in ("", "opt.m.", "opt.v."):
+        w = folded[f"{state}enc.layer0.attn.qkv.w"]
+        assert w.shape == (spec.embed_dim, 3 * spec.embed_dim)
+        dh = spec.embed_dim // spec.heads
+        for i, (proj, h) in enumerate((p, h) for p in "qkv" for h in range(2)):
+            assert np.array_equal(w[:, i * dh:(i + 1) * dh],
+                                  split[f"{state}enc.layer0.attn.{proj}{h}.w"])
+    assert folded["opt.t.enc.layer0.attn.qkv.w"].tolist() == [3.0]
+    assert fold_split_qkv(folded, spec) == folded  # fused layout passes through
+
+
+def test_fold_split_qkv_rejects_unequal_head_steps():
+    spec = _toy_spec()
+    split = _split_qkv_tensors(spec)
+    split["opt.t.enc.layer0.attn.v1.b"] = np.array([4.0])
+    with pytest.raises(ConfigError, match="step counts"):
+        fold_split_qkv(split, spec)
+
+
+def test_fold_split_qkv_rejects_surplus_head():
+    spec = _toy_spec()
+    split = _split_qkv_tensors(spec)
+    split["enc.layer0.attn.q2.w"] = split["enc.layer0.attn.q1.w"]
+    with pytest.raises(ConfigError, match="'enc.layer0.attn.q2.w'"):
+        fold_split_qkv(split, spec)
 
 
 def test_encoder_layer_gradient_matches_finite_diff():

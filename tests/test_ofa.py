@@ -112,7 +112,8 @@ def test_forward_tokens_meter_reads_one_encoder_layer(monkeypatch):
 
 
 # Real bytes of the whole depth-8 forward, over the saved bytes of one
-# layer: 1.63 with one tape per stage, 12.96 when one tape holds all layers.
+# layer: 1.30 with one tape per stage, about 10 when one tape holds all
+# layers.
 HEAP_OVER_ONE_LAYER = 3.0
 
 

@@ -1,6 +1,8 @@
 """Autodiff tape: gradient oracles, block isolation, release lifecycle,
 and byte accounting."""
 
+import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.special import erf
 from blockmae import rng
 from blockmae.tape import (
     Tape, ContractError, DimensionError, LifecycleError, NumericError,
-    finite_diff, LN_EPS,
+    finite_diff, LN_EPS, _VJP,
 )
 
 
@@ -102,12 +104,17 @@ def _softmax_reference(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_and_softmax_bitwise_equal_out_of_place_reference(dtype):
+def _gelu_points(seed, dtype):
+    """Random rows plus one row of edge values: signed zeros, tiny and huge."""
     edges = np.array([-1e4, -80.0, -7.5, -1.0, -1e-8, -0.0, 0.0, 0.0,
                       1e-8, 0.5, 3.0, 7.5, 80.0, 1e4])
-    x = np.concatenate([_rand(53, 3, 4, 14).ravel() * 6.0, edges])
-    x = x.reshape(-1, 14).astype(dtype)
+    x = np.concatenate([_rand(seed, 3, 4, 14).ravel() * 6.0, edges])
+    return x.reshape(-1, 14).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_and_softmax_bitwise_equal_out_of_place_reference(dtype):
+    x = _gelu_points(53, dtype)
     t = Tape()
     xn = t.leaf(x.copy())
     gelu, soft = t.gelu(xn).value, t.softmax(xn).value
@@ -115,6 +122,92 @@ def test_gelu_and_softmax_bitwise_equal_out_of_place_reference(dtype):
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
     np.testing.assert_array_equal(xn.value, x)  # the input is not written
+
+
+def _gelu_vjp_reference(x, g):
+    """GELU backward that recomputes the CDF from x: the reference for the
+    rule that reuses the forward's CDF term."""
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(x.dtype.type(2.0))))
+    pdf = np.exp(-0.5 * x * x) / np.sqrt(x.dtype.type(2.0 * np.pi))
+    return (g * (cdf + x * pdf)).astype(x.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_vjp_bitwise_equal_recompute_reference(dtype):
+    x = _gelu_points(57, dtype)
+    g = _rand(58, *x.shape).astype(dtype)
+    t = Tape()
+    y = t.gelu(t.leaf(x.copy(), name="x", requires_grad=True))
+    (got,) = _VJP["gelu"](y, g)
+    want = _gelu_vjp_reference(x, g)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+def _attention_reference(qkv, heads):
+    """softmax(q k^T / sqrt(dh)) v one head at a time, in plain numpy, with
+    q, k and v cut from the (q|k|v, head, dh) columns of qkv."""
+    d = qkv.shape[-1] // 3
+    dh = d // heads
+    outs = []
+    for h in range(heads):
+        q, k, v = (qkv[..., p * d + h * dh:p * d + (h + 1) * dh]
+                   for p in range(3))
+        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(dh)
+        outs.append(_softmax_reference(scores) @ v)
+    return np.concatenate(outs, axis=-1)
+
+
+@pytest.mark.parametrize("heads,n", [(1, 1), (1, 5), (2, 1), (2, 5), (4, 7)])
+def test_attention_matches_per_head_reference(heads, n):
+    qkv = _rand(61 + n, 2, n, 3 * 4 * heads) * 2.0
+    t = Tape()
+    out = t.attention(t.leaf(qkv), heads)
+    assert out.shape == (2, n, 4 * heads)
+    np.testing.assert_allclose(out.value, _attention_reference(qkv, heads),
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_attention_rejects_width_not_split_by_heads():
+    t = Tape()
+    with pytest.raises(DimensionError, match="heads"):
+        t.attention(t.leaf(np.zeros((2, 3, 12))), 3)  # d = 4, not 3 heads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_bitwise_equal_matmul_plus_bias(dtype):
+    x, w, b = (_rand(s, *shape).astype(dtype)
+               for s, shape in ((71, (2, 5, 4)), (72, (4, 3)), (73, (3,))))
+    g = _rand(74, 2, 5, 3).astype(dtype)
+
+    def run(fused):
+        t = Tape()
+        xn, wn, bn = (t.leaf(a, name=nm, requires_grad=True)
+                      for a, nm in ((x, "x"), (w, "w"), (b, "b")))
+        y = t.linear(xn, wn, bn) if fused else t.add(t.matmul(xn, wn), bn)
+        loss = t.mse_masked(y, t.leaf(g), t.leaf(np.ones((2, 5), dtype)))
+        return y.value, t.backward(loss)
+
+    (y1, g1), (y2, g2) = run(True), run(False)
+    assert np.array_equal(y1, y2)
+    assert all(np.array_equal(g1[k], g2[k]) for k in ("x", "w", "b"))
+
+
+def test_linear_rejects_mismatched_bias():
+    t = Tape()
+    with pytest.raises(DimensionError, match="linear"):
+        t.linear(t.leaf(np.zeros((2, 4))), t.leaf(np.zeros((4, 3))),
+                 t.leaf(np.zeros(4)))
+
+
+def test_every_recorded_node_kind_has_a_backward_rule():
+    kinds = set(re.findall(r'Node\("([\w-]+)"', inspect.getsource(Tape)))
+    t = Tape()
+    x = t.leaf(np.ones((2, 2)))
+    # Recorded as leaves, which backward never runs a rule on.
+    leaf_kinds = {x.kind, t.boundary(x).kind}
+    assert t.nodes[0].is_leaf and t.nodes[1].is_leaf
+    assert kinds - leaf_kinds == set(_VJP)
 
 
 def test_scatter_gather_roundtrip():
@@ -262,6 +355,34 @@ def test_grad_batched_matmul_weight(seed):
         return t.mse_masked(y, t.leaf(np.zeros((b, m, n))), t.leaf(np.ones((b, m))))
 
     _grad_check(build, _rand(seed + 55, k, n), seed)
+
+
+@pytest.mark.parametrize("var", ["x", "w", "b"])
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 1, 4), (2, 5, 4)])
+def test_grad_linear(x_shape, var):
+    vals = {"x": _rand(6001, *x_shape), "w": _rand(6002, 4, 3),
+            "b": _rand(6003, 3)}
+    rows = x_shape[:-1]
+
+    def build(t, v):
+        args = {k: v if k == var else t.leaf(a) for k, a in vals.items()}
+        y = t.gelu(t.linear(args["x"], args["w"], args["b"]))
+        return t.mse_masked(y, t.leaf(np.zeros(rows + (3,))), t.leaf(np.ones(rows)))
+
+    _grad_check(build, vals[var], 6000)
+
+
+@pytest.mark.parametrize("heads,n", [(1, 1), (1, 5), (2, 1), (2, 5)])
+def test_grad_attention(heads, n):
+    b, d = 2, 4 * heads
+    target = _rand(6100 + n, b, n, d)
+
+    def build(t, qkv):
+        out = t.attention(qkv, heads)
+        return t.mse_masked(out, t.leaf(target), t.leaf(np.ones((b, n))))
+
+    seed = 6200 + 10 * heads + n
+    _grad_check(build, _rand(seed, b, n, 3 * d) * 2.0, seed)
 
 
 def test_grad_reshape():
