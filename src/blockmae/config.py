@@ -54,10 +54,6 @@ class TrainConfig:
         self.mask_schedule = tuple(float(r) for r in self.mask_schedule)
 
     @property
-    def effective_lr(self):
-        return self.base_lr * self.batch_size / 256.0
-
-    @property
     def np_dtype(self):
         return np.float32 if self.dtype == "f32" else np.float64
 

@@ -205,10 +205,17 @@ def _plan_fractions(plan):
     return tuple(1.0 - r for r in plan.mask_schedule)
 
 
+def _layer_linear_d2(spec):
+    """Per-token linear MACs of one layer in units of width squared: the
+    qkv and out projections (3 + 1) and the two MLP matrices (2 * ratio)."""
+    return 4 + 2 * spec.mlp_ratio
+
+
 def _encoder_units(spec, lpb, fractions):
     """(linear, quadratic) MAC totals over the whole encoder."""
     n, d = spec.num_patches, spec.embed_dim
-    linear = sum(lpb * f * n * 12 * d * d for f in fractions)
+    linear = sum(lpb * f * n * _layer_linear_d2(spec) * d * d
+                 for f in fractions)
     quad = sum(lpb * 2.0 * (f * n) ** 2 * d for f in fractions)
     return linear, quad
 
@@ -219,7 +226,8 @@ def _decoder_units(spec, num_decoders, fractions):
     total = 0.0
     for f in fractions[:num_decoders]:
         total += f * n * d * dd                       # bridge projection
-        total += spec.decoder_depth * (n * 12 * dd * dd + 2.0 * n * n * dd)
+        total += spec.decoder_depth * (n * _layer_linear_d2(spec) * dd * dd
+                                       + 2.0 * n * n * dd)
         total += n * dd * spec.patch_pixels           # prediction head
     return total
 

@@ -72,12 +72,27 @@ def _plan_for(cfg):
 
 
 def _metric_rows_before(path, step):
-    """Data rows of an existing metrics file whose step is below `step`."""
+    """Complete data rows of an existing metrics file with step below `step`.
+
+    A row is complete when it ends in a newline and has the header's
+    fields; a line torn by a kill is dropped.  Every step below `step`
+    must still have its aggregate row, the last one written for a step,
+    or the file cannot be continued and ConfigError is raised.
+    """
     if not os.path.exists(path):
         return []
+    fields = METRICS_HEADER.count(",") + 1
     with open(path, encoding="utf-8") as fh:
-        rows = fh.readlines()[1:]
-    return [r for r in rows if int(r.split(",", 1)[0]) < step]
+        rows = [r for r in fh.readlines()[1:]
+                if r.endswith("\n") and r.count(",") + 1 == fields]
+    rows = [r for r in rows if int(r.split(",", 1)[0]) < step]
+    done = {int(r.split(",", 1)[0]) for r in rows if r.split(",")[2] == "-1"}
+    missing = [s for s in range(step) if s not in done]
+    if missing:
+        raise ConfigError(
+            f"{path} lacks complete rows for step {missing[0]} (of {step} "
+            f"before the checkpoint); resume from an earlier checkpoint")
+    return rows
 
 
 def _check_finite(values, what):
@@ -149,6 +164,10 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
             fh.write(f"{gstep},{epoch},-1,{_fmt(rep.mean_loss)},{_fmt(lr)},"
                      f"0,{rep.peak_activation_bytes}\n")
             if (gstep + 1) % steps_per_epoch == 0:
+                # The rows up to this step reach the disk before the
+                # checkpoint that a resume would continue them from.
+                fh.flush()
+                os.fsync(fh.fileno())
                 path = os.path.join(out_dir, f"ckpt_epoch{epoch}.bimc")
                 tensors = dict(model.params)
                 tensors.update(opt.state_tensors())

@@ -33,12 +33,35 @@ Backward keeps only the gradient frontier: a non-leaf node's gradient is
 dropped as soon as its backward rule has run, so intermediate gradients do
 not accumulate over the pass.  Leaf gradients stay until backward returns
 them.  Gradients are never charged; the table above is the whole meter.
+
+Threading: the heavy kernels (the forwards of linear, layernorm,
+attention and gelu, and their backward rules) run on all cores the
+process may use.  They split their rows over the leading axis, or run
+independent products at the same time; kernels too small to repay a
+hand-off run inline.  Only numpy work on disjoint slices runs in worker
+threads: node creation, recording, metering, the backward order and
+release stay on the calling thread.  Each part computes its rows with
+the same operations as the whole array would, and reductions across rows
+are never split, so every value, saved buffer and meter reading is the
+same bit for bit whatever the number of workers.
 """
+
+import contextvars
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy.special import erf
 
 LN_EPS = 1e-6
+# Threads a split kernel may use, the caller's included: the cores this
+# process may run on.
+_PARTS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+# Elements per thread below which a hand-off to a worker (about 0.1 ms on
+# a 2-core VM) costs more than it saves.
+_PART_ELEMENTS = 1 << 16
 
 
 class TapeError(Exception):
@@ -64,6 +87,51 @@ class NumericError(TapeError):
 def _check_dtype(arr):
     if arr.dtype not in (np.float32, np.float64):
         raise ContractError(f"tensors must be f32 or f64, got {arr.dtype}")
+
+
+@functools.cache
+def _workers(count):
+    """The worker pool, made on first use: `count` threads besides the
+    caller."""
+    return ThreadPoolExecutor(max_workers=count)
+
+
+def _parallel(size, *tasks, rows=0, part=None):
+    """Run `tasks`, and `part(lo, hi)` over slices of range(rows), at once.
+
+    `size` is the element count of the kernel's largest array; it gets one
+    thread per _PART_ELEMENTS elements, up to _PARTS, and with one thread
+    every call runs inline on the caller.  `range(rows)` is cut into that
+    many contiguous slices of the leading axis, and `part` writes its rows
+    into preallocated outputs.  The caller runs the first call, then every
+    call no worker has started yet.  All calls have finished when this
+    returns or raises; a failure is raised on the caller.  Returns the
+    results of `tasks`.
+    """
+    threads = max(1, min(_PARTS, size // _PART_ELEMENTS))
+    calls = list(tasks)
+    if part is not None:
+        k = max(1, min(threads, rows))
+        bounds = [rows * i // k for i in range(k + 1)]
+        calls += [functools.partial(part, lo, hi)
+                  for lo, hi in zip(bounds, bounds[1:])]
+    if threads == 1 or len(calls) == 1:
+        return [call() for call in calls][:len(tasks)]
+    # Each worker call runs in a copy of the caller's context, so numpy's
+    # error state (`np.errstate`) is the same in every part.
+    futures = [_workers(threads - 1).submit(contextvars.copy_context().run,
+                                            call) for call in calls[1:]]
+    try:
+        results = [calls[0]()]
+        inline = {i: calls[i + 1]() for i, fut in enumerate(futures)
+                  if fut.cancel()}
+        results += [inline[i] if i in inline else fut.result()
+                    for i, fut in enumerate(futures)]
+    finally:
+        for fut in futures:
+            fut.cancel()
+        wait(futures)
+    return results[:len(tasks)]
 
 
 class Node:
@@ -219,8 +287,16 @@ class Tape:
                 f"got {xv.shape} x {wv.shape} + {bv.shape}")
         if xv.shape[-1] != wv.shape[0]:
             raise DimensionError(f"linear extent mismatch: {xv.shape} x {wv.shape}")
-        out = xv @ wv
-        out += bv
+        out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
+        # Split by batch entry: each keeps its own product, so the BLAS
+        # calls are the same as unsplit.  Rows of a 2-D input are not
+        # split, since BLAS may sum a product of fewer rows differently.
+        x3, out3 = (a if a.ndim == 3 else a[None] for a in (xv, out))
+
+        def rows(lo, hi):
+            np.matmul(x3[lo:hi], wv, out=out3[lo:hi])
+            out3[lo:hi] += bv
+        _parallel(out.size, rows=len(x3), part=rows)
         node = Node("linear", out, (x, w, b),
                     requires_grad=(x.requires_grad or w.requires_grad
                                    or b.requires_grad))
@@ -343,16 +419,26 @@ class Tape:
             raise DimensionError(
                 f"layernorm affine shapes {gamma.value.shape}/{beta.value.shape} "
                 f"do not match feature dim {d}")
-        # One mean and one centred buffer, which becomes the output in
-        # place; the same operations as `xv.var` and `(xv - mu) * inv_std
-        # * gamma + beta`, so the values are equal bit for bit.
-        mu = xv.mean(axis=-1, keepdims=True)
-        out = xv - mu
-        var = (out * out).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + xv.dtype.type(LN_EPS))
-        out *= inv_std
-        out *= gamma.value
-        out += beta.value
+        out = np.empty_like(xv)
+        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
+        inv_std = np.empty_like(mu)
+        eps = xv.dtype.type(LN_EPS)
+
+        def rows(lo, hi):
+            # The centred rows become the output in place; the same
+            # operations as `xv.var` and `(xv - mu) * inv_std * gamma +
+            # beta`, so the values are equal bit for bit.
+            xr, o, m, s = (_lead(a)[lo:hi] for a in (xv, out, mu, inv_std))
+            np.mean(xr, axis=-1, keepdims=True, out=m)
+            np.subtract(xr, m, out=o)
+            var = (o * o).mean(axis=-1, keepdims=True)
+            var += eps
+            np.sqrt(var, out=var)
+            np.divide(1.0, var, out=s)
+            o *= s
+            o *= gamma.value
+            o += beta.value
+        _parallel(xv.size, rows=len(_lead(xv)), part=rows)
         node = Node("layernorm", out, (x, gamma, beta),
                     requires_grad=(x.requires_grad or gamma.requires_grad
                                    or beta.requires_grad))
@@ -382,18 +468,25 @@ class Tape:
                 f"attention needs [b, n, 3*d] with d divisible by {heads} "
                 f"heads; got {qv.shape}")
         b, n, d = qv.shape[0], qv.shape[1], qv.shape[2] // 3
-        q, k, v = _split_heads(qv, heads)
-        # k^T as a contiguous operand: BLAS may sum a transposed operand in
-        # another order, and this keeps the scores bitwise equal to per-head
-        # products.
-        kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
-        probs = q @ kt                                     # [b, heads, n, n]
-        probs *= qv.dtype.type(1.0 / np.sqrt(d // heads))
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        ctx = probs @ v                                    # [b, heads, n, dh]
-        out = np.ascontiguousarray(np.swapaxes(ctx, 1, 2)).reshape(b, n, d)
+        probs = np.empty((b, heads, n, n), qv.dtype)
+        out = np.empty((b, n, d), qv.dtype)
+        scale = qv.dtype.type(1.0 / np.sqrt(d // heads))
+
+        def rows(lo, hi):
+            q, k, v = _split_heads(qv[lo:hi], heads)
+            p = probs[lo:hi]
+            # k^T as a contiguous operand: BLAS may sum a transposed
+            # operand in another order, and this keeps the scores bitwise
+            # equal to per-head products.
+            np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)), out=p)
+            p *= scale
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            ctx = p @ v                                    # [b, heads, n, dh]
+            np.copyto(out[lo:hi].reshape(hi - lo, n, heads, -1),
+                      np.swapaxes(ctx, 1, 2))
+        _parallel(max(qv.size, probs.size), rows=b, part=rows)
         node = Node("attention", out, (qkv,), requires_grad=qkv.requires_grad,
                     attrs={"heads": heads})
         return self._register(node, [self._act(qkv), (probs, True)])
@@ -401,13 +494,20 @@ class Tape:
     def gelu(self, x):
         xv = x.value
         # 0.5 * x * (1 + erf(x / sqrt2)), with the CDF term and the product
-        # computed in place: no full-size temporaries beyond cdf and out.
-        # The CDF term is saved for the backward rule.
-        cdf = xv / np.sqrt(xv.dtype.type(2.0))
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        out = 0.5 * xv
-        out *= cdf
+        # computed in place: no temporaries beyond cdf and out.  The CDF
+        # term is saved for the backward rule.
+        cdf = np.empty_like(xv)
+        out = np.empty_like(xv)
+        sqrt2 = np.sqrt(xv.dtype.type(2.0))
+
+        def rows(lo, hi):
+            xr, c, o = (_lead(a)[lo:hi] for a in (xv, cdf, out))
+            np.divide(xr, sqrt2, out=c)
+            erf(c, out=c)
+            c += 1.0
+            np.multiply(0.5, xr, out=o)
+            o *= c
+        _parallel(xv.size, rows=len(_lead(xv)), part=rows)
         node = Node("gelu", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [self._act(x), (cdf, True)])
 
@@ -546,6 +646,11 @@ class Tape:
         return freed
 
 
+def _lead(a):
+    """a itself, or a 0-d/1-d array viewed with a leading axis of length 1."""
+    return a if a.ndim > 1 else a.reshape(1, -1)
+
+
 def _split_heads(qkv, heads):
     """Views q, k, v of a [b, n, 3d] array, each [b, heads, n, dh]."""
     b, n, width = qkv.shape
@@ -568,8 +673,14 @@ def _vjp_matmul(node, g):
 
 
 def _vjp_linear(node, g):
-    dx, dw = _vjp_matmul(node, g)
-    return (dx, dw, g.sum(axis=tuple(range(g.ndim - 1))))
+    # dx, dw and the bias sum at the same time; the products are those of
+    # _vjp_matmul.
+    x, w = node.saved
+    return tuple(_parallel(
+        max(x.size, g.size),
+        lambda: g @ w.T,
+        lambda: x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
+        lambda: g.sum(axis=tuple(range(g.ndim - 1)))))
 
 
 def _vjp_add(node, g):
@@ -625,13 +736,30 @@ def _vjp_concat_rows(node, g):
 
 def _vjp_layernorm(node, g):
     x, mu, inv_std, gamma = node.saved
-    xhat = (x - mu) * inv_std
-    dgamma = (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0)
-    dbeta = g.reshape(-1, x.shape[-1]).sum(axis=0)
-    dxhat = g * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - m1 - xhat * m2)
+    d = x.shape[-1]
+    dx = np.empty(x.shape, np.result_type(x, g, gamma))
+
+    def reduce():
+        # dgamma and dbeta sum over every row: one reduction, never split.
+        xhat = (x - mu) * inv_std
+        return ((g * xhat).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0))
+
+    def rows(lo, hi):
+        xr, m, s, gr, out = (_lead(a)[lo:hi] for a in (x, mu, inv_std, g, dx))
+        xhat = xr - m
+        xhat *= s
+        dxhat = gr * gamma
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dxhat -= m1
+        xhat *= m2
+        dxhat -= xhat
+        np.multiply(s, dxhat, out=out)
+
+    # Both compute xhat = (x - mu) * inv_std, the same way, so the rows
+    # need not wait for the reduction.
+    (dgamma, dbeta), = _parallel(x.size, reduce, rows=len(_lead(x)), part=rows)
     return (dx, dgamma, dbeta)
 
 
@@ -645,34 +773,47 @@ def _vjp_attention(node, g):
     qkv, probs = node.saved
     heads = node.attrs["heads"]
     b, n, width = qkv.shape
-    q, k, v = _split_heads(qkv, heads)
-    gctx = np.swapaxes(g.reshape(b, n, heads, width // (3 * heads)), 1, 2)
+    dh = width // (3 * heads)
     # dq, dk and dv land in one [b, n, 3, heads, dh] buffer: the gradient
     # of qkv, with no per-head copies to merge afterwards.
     dqkv = np.empty_like(qkv)
-    dq, dk, dv = _split_heads(dqkv, heads)
-    np.matmul(np.swapaxes(probs, -1, -2), gctx, out=dv)
-    dprobs = gctx @ np.swapaxes(v, -1, -2)
-    # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
-    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
-    dprobs *= probs
-    dprobs *= qkv.dtype.type(1.0 / np.sqrt(width // (3 * heads)))
-    np.matmul(dprobs, k, out=dq)
-    np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
+
+    def rows(lo, hi):
+        q, k, v = _split_heads(qkv[lo:hi], heads)
+        dq, dk, dv = _split_heads(dqkv[lo:hi], heads)
+        p = probs[lo:hi]
+        gctx = np.swapaxes(g[lo:hi].reshape(hi - lo, n, heads, dh), 1, 2)
+        np.matmul(np.swapaxes(p, -1, -2), gctx, out=dv)
+        dprobs = gctx @ np.swapaxes(v, -1, -2)
+        # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
+        dprobs -= (dprobs * p).sum(axis=-1, keepdims=True)
+        dprobs *= p
+        dprobs *= qkv.dtype.type(1.0 / np.sqrt(dh))
+        np.matmul(dprobs, k, out=dq)
+        np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
+
+    _parallel(max(qkv.size, probs.size), rows=b, part=rows)
     return (dqkv,)
 
 
 def _vjp_gelu(node, g):
     x, cdf = node.saved
-    # g * (0.5 * cdf + x * pdf(x)), in place in one buffer.  The forward's
-    # CDF term 1 + erf(x/sqrt2) is reused; halving it is exact.
-    dx = -0.5 * x
-    dx *= x
-    np.exp(dx, out=dx)
-    dx /= np.sqrt(x.dtype.type(2.0 * np.pi))
-    dx *= x
-    dx += 0.5 * cdf
-    dx *= g
+    dx = np.empty_like(x)
+    sqrt2pi = np.sqrt(x.dtype.type(2.0 * np.pi))
+
+    def rows(lo, hi):
+        # g * (0.5 * cdf + x * pdf(x)), in place in one buffer.  The
+        # forward's CDF term 1 + erf(x/sqrt2) is reused; halving it is exact.
+        xr, c, gr, out = (_lead(a)[lo:hi] for a in (x, cdf, g, dx))
+        np.multiply(-0.5, xr, out=out)
+        out *= xr
+        np.exp(out, out=out)
+        out /= sqrt2pi
+        out *= xr
+        out += 0.5 * c
+        out *= gr
+
+    _parallel(x.size, rows=len(_lead(x)), part=rows)
     return (dx,)
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from blockmae import rng
+from blockmae import rng, runner
 from blockmae.checkpoint import load_checkpoint, save_checkpoint
 from blockmae.cli import main as cli_main
 from blockmae.config import (
@@ -66,9 +66,10 @@ def _cfg(**over):
 
 def test_lr_schedule_peak_at_warmup_knot():
     cfg = _cfg()
-    assert lr_at_step(20, 10, cfg) == cfg.effective_lr
+    assert lr_at_step(20, 10, cfg) == scale_lr(cfg.base_lr, cfg.batch_size)
     assert lr_at_step(0, 10, cfg) == 0.0
-    assert lr_at_step(10, 10, cfg) == 0.5 * cfg.effective_lr
+    assert lr_at_step(10, 10, cfg) == (
+        0.5 * scale_lr(cfg.base_lr, cfg.batch_size))
 
 
 def test_lr_schedule_zero_at_end_and_beyond():
@@ -80,8 +81,8 @@ def test_lr_schedule_zero_at_end_and_beyond():
 def test_lr_schedule_cosine_midpoint_half_peak():
     cfg = _cfg()
     mid = 20 + (100 - 20) // 2
-    assert lr_at_step(mid, 10, cfg) == pytest.approx(0.5 * cfg.effective_lr,
-                                                     rel=1e-12)
+    assert lr_at_step(mid, 10, cfg) == pytest.approx(
+        0.5 * scale_lr(cfg.base_lr, cfg.batch_size), rel=1e-12)
 
 
 # ----- AdamW ---------------------------------------------------------------------
@@ -371,6 +372,57 @@ def test_resume_in_place_metrics_match_uninterrupted(tmp_path):
         out, "ckpt_epoch1.bimc"))
     want = open(full.metrics_path, "rb").read()
     assert open(resumed.metrics_path, "rb").read() == want
+
+
+def test_metrics_rows_on_disk_before_each_checkpoint(tmp_path, monkeypatch):
+    cfg = parse_config(TINY_CONFIG)
+    out = str(tmp_path / "run")
+    on_disk = []
+
+    def save_after_reading_metrics(tensors, path):
+        with open(os.path.join(out, "metrics.csv"), encoding="utf-8") as fh:
+            last = fh.read().splitlines()[-1]
+        on_disk.append((int(tensors["meta.step"][0]), last))
+        save_checkpoint(tensors, path)
+
+    monkeypatch.setattr(runner, "save_checkpoint", save_after_reading_metrics)
+    run_pretrain(cfg, out)
+    assert [step for step, _ in on_disk] == [4, 8]
+    for step, last in on_disk:
+        assert last.startswith(f"{step - 1},{step // 4 - 1},-1,"), last
+
+
+def _torn_metrics_run(tmp_path, cut_row, cut_at):
+    """A 12-step run stopped after 11 steps whose metrics file is then cut
+    `cut_at` characters into line `cut_row` (the header is line 0); returns
+    (config, output directory, the uninterrupted run's metrics bytes)."""
+    cfg = parse_config(TINY_CONFIG + "dataset_size = 16\nbatch_size = 8\n"
+                       "total_epochs = 6\n")
+    full = run_pretrain(cfg, str(tmp_path / "full"))
+    out = str(tmp_path / "torn")
+    path = run_pretrain(cfg, out, max_steps=11).metrics_path
+    lines = open(path, "rb").read().splitlines(keepends=True)
+    open(path, "wb").write(b"".join(lines[:cut_row]) + lines[cut_row][:cut_at])
+    return cfg, out, open(full.metrics_path, "rb").read()
+
+
+@pytest.mark.parametrize("cut_at", [1, 9])
+def test_resume_drops_torn_metrics_row(tmp_path, cut_at):
+    # 3 rows per step: line 31 is the first row of step 10, after the
+    # checkpoint at step 10.  Cut after one character it reads "1", which
+    # must not survive to be glued to the next row.
+    cfg, out, want = _torn_metrics_run(tmp_path, 31, cut_at)
+    resumed = run_pretrain(cfg, out, resume_from=os.path.join(
+        out, "ckpt_epoch4.bimc"))
+    assert open(resumed.metrics_path, "rb").read() == want
+
+
+def test_resume_refuses_metrics_torn_before_checkpoint(tmp_path):
+    # line 30 is step 9's aggregate row, before the checkpoint
+    cfg, out, _ = _torn_metrics_run(tmp_path, 30, 9)
+    with pytest.raises(ConfigError, match="lacks complete rows for step 9"):
+        run_pretrain(cfg, out,
+                     resume_from=os.path.join(out, "ckpt_epoch4.bimc"))
 
 
 def _resave_split_layout(src, dst, cfg, drop=()):

@@ -156,6 +156,22 @@ def test_flop_zero_masking_baseline_parity():
     assert rep.savings_vs_baseline == 0.0
 
 
+def test_flop_linear_units_follow_mlp_ratio():
+    # Per token a layer's linear MACs are qkv (3d^2), out (d^2) and the
+    # two MLP matrices (2 * mlp_ratio * d^2).
+    plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,) * 4)
+    reps = {r: flop_estimate(ModelSpec(mlp_ratio=r), plan) for r in (2, 4, 8)}
+    n, d, dd = TOY.num_patches, TOY.embed_dim, TOY.decoder_dim
+    for r, rep in reps.items():
+        assert rep.encoder_linear_units == pytest.approx(
+            TOY.depth * 0.25 * n * (4 + 2 * r) * d * d, rel=1e-12)
+        per_decoder = (0.25 * n * d * dd + n * (4 + 2 * r) * dd * dd
+                       + 2.0 * n * n * dd + n * dd * TOY.patch_pixels)
+        assert rep.decoder_units == pytest.approx(4 * per_decoder, rel=1e-12)
+    assert len({rep.encoder_linear_units for rep in reps.values()}) == 3
+    assert len({rep.decoder_units for rep in reps.values()}) == 3
+
+
 def test_flop_totals_nonnegative_and_additive():
     plan = BlockPlan(num_blocks=2, mask_schedule=(0.5, 0.75))
     rep = flop_estimate(_spec(depth=4), plan)

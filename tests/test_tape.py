@@ -3,13 +3,16 @@ and byte accounting."""
 
 import inspect
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from blockmae import rng
+from blockmae import rng, tape
 from blockmae.tape import (
     Tape, ContractError, DimensionError, LifecycleError, NumericError,
     finite_diff, LN_EPS, _VJP,
@@ -614,3 +617,151 @@ def test_backward_extra_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert (peak - start) / x.value.nbytes < 4
+
+
+# ----- kernels split across threads ---------------------------------------
+
+class _CountingPool:
+    """A worker pool that counts the calls handed to it."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return self.pool.submit(fn, *args)
+
+
+def _force_parts(monkeypatch, parts):
+    """Split every kernel into `parts` threads, however small; returns the
+    pool the workers run in."""
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    monkeypatch.setattr(tape, "_PART_ELEMENTS", 1)
+    pool = _CountingPool(tape._workers(max(1, parts - 1)))
+    monkeypatch.setattr(tape, "_workers", lambda count: pool)
+    return pool
+
+
+def _split_kernels_run(b, dtype):
+    """Forward and every VJP of linear (2-D and 3-D input), layernorm,
+    attention and gelu; returns each node's value, saved buffers and
+    charged bytes, the meter, and every VJP output."""
+    def r(seed, *shape):
+        return _rand(seed, *shape).astype(dtype)
+
+    t = Tape()
+    x = t.leaf(r(1, b, 5, 12), name="x", requires_grad=True)
+    h = t.layernorm(x, t.leaf(r(2, 12)), t.leaf(r(3, 12)))
+    qkv = t.linear(h, t.leaf(r(4, 12, 36)), t.leaf(r(5, 36)))
+    att = t.attention(qkv, 3)
+    f1 = t.gelu(t.linear(att, t.leaf(r(6, 12, 20)), t.leaf(r(7, 20))))
+    rows = t.linear(t.leaf(r(8, b, 20)), t.leaf(r(9, 20, 6)), t.leaf(r(10, 6)))
+    out = {"peak": t.meter.peak_activation_bytes,
+           "live": t.meter.live_activation_bytes}
+    for i, node in enumerate(t.nodes):
+        if node.is_leaf:
+            continue
+        out[f"{i}.value"] = node.value
+        out[f"{i}.bytes"] = node.bytes
+        out.update((f"{i}.saved{j}", a) for j, a in enumerate(node.saved))
+        g = r(100 + i, *node.shape)
+        out.update((f"{i}.vjp{j}", a)
+                   for j, a in enumerate(_VJP[node.kind](node, g)))
+    assert {n.kind for n in t.nodes} - {"leaf"} == {
+        "layernorm", "linear", "attention", "gelu"}
+    assert f1.shape == (b, 5, 20) and rows.shape == (b, 6)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 2, 3, 5])
+def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
+    monkeypatch.setattr(tape, "_PARTS", 1)
+    want = _split_kernels_run(b, dtype)
+    pool = _force_parts(monkeypatch, 2)
+    got = _split_kernels_run(b, dtype)
+    assert pool.submitted > 0
+    assert want.keys() == got.keys()
+    for key, value in want.items():
+        assert np.asarray(got[key]).dtype == np.asarray(value).dtype, key
+        assert np.array_equal(got[key], value), key
+
+
+def test_worker_failure_reaches_caller_and_records_nothing(monkeypatch):
+    _force_parts(monkeypatch, 2)
+    caller = threading.get_ident()
+    taken = threading.Event()
+    real_erf = tape.erf
+
+    def erf_failing_in_worker(x, out=None):
+        if threading.get_ident() == caller:
+            taken.wait(5)   # hold the caller's part until a worker has one
+            return real_erf(x, out=out)
+        taken.set()
+        raise FloatingPointError("worker part failed")
+
+    monkeypatch.setattr(tape, "erf", erf_failing_in_worker)
+    t = Tape()
+    x = t.leaf(_rand(11, 4, 3, 8), name="x", requires_grad=True)
+    with pytest.raises(FloatingPointError, match="worker part failed"):
+        t.gelu(x)
+    assert taken.is_set()
+    assert [n.kind for n in t.nodes] == ["leaf"]
+    assert t.meter.peak_activation_bytes == 0
+
+
+def test_worker_parts_keep_the_callers_numpy_error_state(monkeypatch):
+    _force_parts(monkeypatch, 2)
+    taken = threading.Event()
+
+    def part(lo, hi):
+        if lo == 0:
+            taken.wait(5)   # leave the other part to a worker
+            return
+        taken.set()
+        np.exp(np.full(4, -1e4))   # underflows
+
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            tape._parallel(2, rows=2, part=part)
+    assert taken.is_set()
+
+
+def test_parallel_waits_for_workers_before_raising(monkeypatch):
+    _force_parts(monkeypatch, 2)
+    started, finished = threading.Event(), []
+
+    def part(lo, hi):
+        if lo == 0:
+            started.wait(5)   # fail only once the worker is busy
+            raise ValueError("caller part failed")
+        started.set()
+        time.sleep(0.2)
+        finished.append(lo)
+
+    with pytest.raises(ValueError, match="caller part failed"):
+        tape._parallel(4, rows=4, part=part)
+    assert finished == [2]
+
+
+def test_split_kernels_stress_more_threads_than_cores(monkeypatch):
+    # 8 threads on any machine, switching as often as the interpreter
+    # allows: every row is still written once, by one part, and every
+    # kernel still matches the single-thread run bit for bit.
+    monkeypatch.setattr(tape, "_PARTS", 1)
+    want = _split_kernels_run(17, np.float32)
+    _force_parts(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = _split_kernels_run(17, np.float32)
+            assert all(np.array_equal(got[k], v) for k, v in want.items())
+        writes = np.zeros(1000, dtype=np.int64)
+
+        def part(lo, hi):
+            writes[lo:hi] += 1
+        tape._parallel(1000, rows=1000, part=part)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(writes == 1)
