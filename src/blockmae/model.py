@@ -463,5 +463,5 @@ def reconstruction_loss(tape, pred, images_or_targets, spec, states,
     else:
         tgt = patch_targets(images_or_targets, spec)
     mask = np.stack([s.mask for s in states]).astype(pred.dtype)
-    return tape.mse_masked(pred, tape.leaf(tgt.astype(pred.dtype)),
+    return tape.mse_masked(pred, tape.leaf(tgt.astype(pred.dtype, copy=False)),
                            tape.leaf(mask))

@@ -25,9 +25,16 @@ scope open when it is recorded (None outside any scope); that scope is
 the only way a node gets a tag.  Backward's block boundary and release
 both select nodes by this tag.
 
-Releasing a node drops its saved buffers and decreases the live counter by
-exactly the node's charged bytes; running backward through a released node
-is a lifecycle error.
+Lifecycle.  A backward rule reads only its node's `saved` buffers, its
+`attrs` and the incoming gradient, never a `value`.  So backward drops the
+value of every non-leaf node it walks, except the loss's, before its
+reverse sweep; a value that a consumer saved stays alive through `saved`.
+Releasing a node, a leaf or not, drops both its value and its saved
+buffers and decreases the live counter by exactly the node's charged
+bytes.  Parameter arrays outlive their leaves in the caller's table.
+Running backward through a released node is a lifecycle error, and a
+later block must continue from a `boundary` copy, not from an earlier
+block's nodes, whose values are gone after that block's backward.
 
 Backward keeps only the gradient frontier: a non-leaf node's gradient is
 dropped as soon as its backward rule has run, so intermediate gradients do
@@ -167,9 +174,12 @@ class Node:
         return self.value.dtype
 
     def __repr__(self):
+        # Not the shape: release and backward clear `value`, and a
+        # LifecycleError about a released node still formats its message.
         tag = f" block={self.block}" if self.block is not None else ""
         nm = f" name={self.name!r}" if self.name else ""
-        return f"<Node {self.kind} {tuple(self.shape)}{tag}{nm}>"
+        state = " released" if self.disposed else ""
+        return f"<Node {self.kind}{tag}{nm}{state}>"
 
 
 class MemoryMeter:
@@ -363,7 +373,7 @@ class Tape:
             if ids.shape[0] != xv.shape[0]:
                 raise DimensionError(
                     f"gather-rows batch mismatch: ids {ids.shape} vs x {xv.shape}")
-            out = np.take_along_axis(xv, ids[:, :, None], axis=1)
+            out = xv[_per_sample(ids)]
         else:
             raise DimensionError(
                 f"gather-rows: unsupported ranks x={xv.shape} ids={ids.shape}")
@@ -390,7 +400,7 @@ class Tape:
                 raise DimensionError(
                     f"scatter-rows batch mismatch: ids {ids.shape} vs x {xv.shape}")
             out = np.zeros((xv.shape[0], num_rows, xv.shape[-1]), dtype=xv.dtype)
-            np.put_along_axis(out, ids[:, :, None], xv, axis=1)
+            out[_per_sample(ids)] = xv
         else:
             raise DimensionError(
                 f"scatter-rows: unsupported ranks x={xv.shape} ids={ids.shape}")
@@ -578,6 +588,11 @@ class Tape:
                     f"backward reached released node {node!r}")
             stack.extend(node.inputs)
 
+        # No rule reads a value, so the walked ones are dead already.
+        for node in order:
+            if node is not loss and not (node.is_leaf or frozen(node)):
+                node.value = None
+
         grads = {id(loss): np.ones_like(loss.value)}
         # Creation order is topological; filter to the visited subgraph.
         sub = [n for n in self.nodes if id(n) in visited]
@@ -613,7 +628,8 @@ class Tape:
     # ----- release -----------------------------------------------------
 
     def release_block_activations(self, block_id, keep=None):
-        """Drop saved buffers of all nodes tagged block_id, except `keep`.
+        """Drop values and saved buffers of all nodes tagged block_id,
+        except `keep`.
 
         Requires that the block's backward already ran; repeated release of
         the same block is an error.  Returns the number of bytes freed.
@@ -640,15 +656,19 @@ class Tape:
         freed = node.bytes
         self.meter.discharge(freed)
         node.saved = None
+        node.value = None
         node.disposed = True
-        if not node.is_leaf:
-            node.value = None
         return freed
 
 
 def _lead(a):
     """a itself, or a 0-d/1-d array viewed with a leading axis of length 1."""
     return a if a.ndim > 1 else a.reshape(1, -1)
+
+
+def _per_sample(ids):
+    """Index of row ids[i, j] of batch entry i, for rank-2 row ids."""
+    return np.arange(len(ids))[:, None], ids
 
 
 def _split_heads(qkv, heads):
@@ -711,7 +731,7 @@ def _vjp_gather_rows(node, g):
     elif ids.ndim == 1:
         dx[:, ids] = g
     else:
-        np.put_along_axis(dx, ids[:, :, None], g, axis=1)
+        dx[_per_sample(ids)] = g
     return (dx,)
 
 
@@ -721,7 +741,7 @@ def _vjp_scatter_rows(node, g):
         return (g[ids],)
     if ids.ndim == 1:
         return (g[:, ids, :],)
-    return (np.take_along_axis(g, ids[:, :, None], axis=1),)
+    return (g[_per_sample(ids)],)
 
 
 def _vjp_concat_rows(node, g):
@@ -810,7 +830,12 @@ def _vjp_gelu(node, g):
         np.exp(out, out=out)
         out /= sqrt2pi
         out *= xr
-        out += 0.5 * c
+        # out += 0.5 * c, without a temporary as large as x.  Doubling and
+        # halving are exact (c = 1 + erf is never subnormal), so the sum is
+        # the same bit for bit.
+        out *= 2.0
+        out += c
+        out *= 0.5
         out *= gr
 
     _parallel(x.size, rows=len(_lead(x)), part=rows)

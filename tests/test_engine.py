@@ -1,5 +1,7 @@
 """Engine: partitioning, incremental drops, isolated steps, baselines."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from blockmae.engine import (
     build_model, incremental_drop, mae_train_step, param_block,
     partition_encoder,
 )
-from blockmae.model import ModelSpec, mask_indices
+from blockmae.model import (
+    ModelSpec, embed_visible, encoder_block_layer, local_decoder_forward,
+    mask_indices, patch_targets, reconstruction_loss,
+)
 from blockmae.optim import AdamW
 from blockmae.tape import ContractError, Tape
 
@@ -155,6 +160,43 @@ def test_step_reports_per_block_losses_and_zero_leak():
     assert rep.mean_loss == pytest.approx(np.mean(rep.losses))
     assert rep.peak_activation_bytes > 0
     assert all(g > 0 for g in rep.grads_applied)
+
+
+def test_release_frees_boundary_copy_and_constant_leaves():
+    # The step's buffer/free pattern by hand: block 1 continues from block
+    # 0's boundary copy, which is disposed once block 1 is released.
+    spec = _tiny_spec(depth=2)
+    params = build_model(spec, 2, seed=3, dtype=np.float64).params
+    images = _images(spec, 2)
+    states = [mask_indices(spec.num_patches, 0.75, rng.split(4, "mask", i))
+              for i in range(2)]
+    targets = patch_targets(images, spec)
+    t = Tape()
+
+    def block(i, x):
+        with t.block(i):
+            x = encoder_block_layer(t, params, f"enc.layer{i}", x, spec.heads)
+            xb = t.boundary(x)
+            pred = local_decoder_forward(t, params, spec, x, states, i)
+            loss = reconstruction_loss(t, pred, targets, spec, states,
+                                       targets_are_patches=True)
+        t.backward(loss, boundary_block=i)
+        return xb
+
+    with t.block(0):
+        tokens = embed_visible(t, params, spec, images, states)
+    xb = block(0, tokens)
+    concat = next(n for n in t.nodes if n.kind == "concat-rows")
+    canvas = weakref.ref(concat.inputs[1].inputs[0].value)   # the zeros leaf
+    copy = weakref.ref(xb.value)
+    t.release_block_activations(0, keep=xb)
+    assert canvas() is None and copy() is not None
+    assert all(n.value is None for n in t.nodes if n.block == 0 and n is not xb)
+    block(1, xb)
+    t.release_block_activations(1)
+    assert copy() is not None   # until the step disposes of it
+    t.dispose(xb)
+    assert copy() is None and t.meter.live_activation_bytes == 0
 
 
 def test_gradient_isolation_over_random_steps():

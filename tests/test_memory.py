@@ -1,12 +1,18 @@
 """Memory model: analytic-vs-measured agreement, published trends, compute."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blockmae import rng
-from blockmae.engine import BlockPlan
+from blockmae.data import gen_synthetic_dataset
+from blockmae.engine import (
+    BlockPlan, blockwise_train_step, build_model, partition_encoder,
+)
 from blockmae.memory import _layer_bytes, analytic_peak, compare_peak, flop_estimate
 from blockmae.model import ModelSpec, encoder_block_layer, init_encoder_params
+from blockmae.optim import AdamW
 from blockmae.tape import Tape
 
 
@@ -178,3 +184,27 @@ def test_flop_totals_nonnegative_and_additive():
     assert rep.encoder_linear_units > 0
     assert rep.encoder_quad_units > 0
     assert rep.decoder_units > 0
+
+
+# ----- real bytes ----------------------------------------------------------------
+
+def test_warm_blockwise_step_heap_within_bound_of_metered():
+    # The meter charges saved buffers only; the process also holds the
+    # gradient frontier, VJP temporaries and the parameter gradients, but
+    # no released or dead forward value.  This reads about 1.25.
+    images = gen_synthetic_dataset(TOY.image_size, 64, 11).images(
+        dtype=np.float32)
+    units = partition_encoder(build_model(TOY, 4, seed=11), 4)
+    plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,) * 4)
+    opt = AdamW()
+    # The optimizer state and the worker threads come with the first step.
+    blockwise_train_step(units, images, plan, opt, 1e-3, step_seed=1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = blockwise_train_step(units, images, plan, opt, 1e-3,
+                                   step_seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / rep.peak_activation_bytes <= 1.4

@@ -213,6 +213,55 @@ def test_every_recorded_node_kind_has_a_backward_rule():
     assert kinds - leaf_kinds == set(_VJP)
 
 
+def _one_node_per_backward_rule():
+    """A node of every kind with a backward rule; every input is a
+    non-leaf except the parameters and constants a kernel takes as such."""
+    t = Tape()
+
+    def leaf(seed, *shape):
+        return t.leaf(_rand(seed, *shape))
+
+    def act(seed, *shape):
+        return t.scale(leaf(seed, *shape), 1.0)
+
+    ids = np.array([[4, 0], [1, 3]])
+    return [
+        t.matmul(act(1, 2, 3, 4), act(2, 4, 5)),
+        t.matmul(act(3, 2, 3, 4), act(4, 2, 4, 5)),
+        t.linear(act(5, 2, 3, 4), leaf(6, 4, 5), leaf(7, 5)),
+        t.add(act(8, 2, 3, 4), act(9, 4)),
+        t.scale(act(10, 3, 4), 0.5),
+        t.transpose(act(11, 2, 3, 4)),
+        t.reshape(act(12, 2, 3, 4), (6, 4)),
+        t.gather_rows(act(13, 5, 4), np.array([4, 0, 2])),
+        t.gather_rows(act(14, 2, 5, 4), ids),
+        t.scatter_rows(act(15, 2, 2, 4), ids, 5),
+        t.concat_rows([act(16, 2, 2, 4), act(17, 2, 3, 4)]),
+        t.layernorm(act(18, 2, 3, 4), leaf(19, 4), leaf(20, 4)),
+        t.softmax(act(21, 2, 3, 4)),
+        t.attention(act(22, 2, 3, 12), 2),
+        t.gelu(act(23, 2, 3, 4)),
+        t.mse_masked(act(24, 2, 3, 4), leaf(25, 2, 3, 4),
+                     t.leaf(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))),
+    ]
+
+
+def test_backward_rules_read_no_values():
+    # Backward drops the values it walks, so a rule may read only `saved`,
+    # `attrs` and the incoming gradient.
+    nodes = _one_node_per_backward_rule()
+    assert {n.kind for n in nodes} == set(_VJP)
+    for i, node in enumerate(nodes):
+        g = _rand(100 + i, *node.shape)
+        want = _VJP[node.kind](node, g)
+        for n in (node, *node.inputs):
+            n.value = None
+        got = _VJP[node.kind](node, g)
+        assert len(got) == len(want), node.kind
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b), node.kind
+
+
 def test_scatter_gather_roundtrip():
     x = _rand(13, 6, 4)
     perm = rng.permutation(17, 6)
@@ -221,6 +270,23 @@ def test_scatter_gather_roundtrip():
     shuffled = t.gather_rows(xn, perm)
     back = t.scatter_rows(shuffled, perm, 6)
     np.testing.assert_array_equal(back.value, x)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_per_sample_gather_and_scatter_match_along_axis_reference(b):
+    x = _rand(61, b, 6, 4)
+    g = _rand(62, b, 4, 4)
+    ids = np.stack([rng.permutation(63 + i, 6)[:4] for i in range(b)])
+    picked = np.take_along_axis(x, ids[:, :, None], axis=1)
+    placed = np.zeros_like(x)
+    np.put_along_axis(placed, ids[:, :, None], g, axis=1)
+    t = Tape()
+    gathered = t.gather_rows(t.leaf(x), ids)
+    scattered = t.scatter_rows(t.leaf(g), ids, 6)
+    assert np.array_equal(gathered.value, picked)
+    assert np.array_equal(_VJP["gather-rows"](gathered, g)[0], placed)
+    assert np.array_equal(scattered.value, placed)
+    assert np.array_equal(_VJP["scatter-rows"](scattered, x)[0], picked)
 
 
 @pytest.mark.parametrize("x_shape,ids", [
@@ -556,6 +622,40 @@ def test_backward_after_release_is_lifecycle_error():
     t.release_block_activations(1)
     with pytest.raises(LifecycleError, match="released"):
         t.backward(loss1, boundary_block=1)
+
+
+def test_backward_into_released_node_is_lifecycle_error():
+    # Block 1 reads block 0's output itself, not a boundary copy of it.
+    t = Tape()
+    with t.block(0):
+        w0 = t.leaf(_rand(41, 4, 4), name="w0", requires_grad=True)
+        h0 = t.gelu(t.matmul(t.leaf(_rand(42, 3, 4)), w0))
+        loss0 = t.mse_masked(h0, t.leaf(np.zeros((3, 4))), t.leaf(np.ones(3)))
+    with t.block(1):
+        w1 = t.leaf(_rand(43, 4, 4), name="w1", requires_grad=True)
+        h1 = t.matmul(h0, w1)
+        loss1 = t.mse_masked(h1, t.leaf(np.zeros((3, 4))), t.leaf(np.ones(3)))
+    t.backward(loss0, boundary_block=0)
+    t.release_block_activations(0)
+    with pytest.raises(LifecycleError,
+                       match="released node <Node gelu block=0 released>"):
+        t.backward(loss1)
+
+
+def test_backward_drops_walked_values_and_keeps_the_loss():
+    t = Tape()
+    *_, loss1 = _tagged_step(t)
+    first = t.backward(loss1, boundary_block=1)
+    walked = [n for n in t.nodes if n.block == 1 and not n.is_leaf]
+    assert loss1 in walked and loss1.value is not None
+    assert all(n.value is None for n in walked if n is not loss1)
+    # Leaves, and block 0, which this backward stops before, keep theirs.
+    assert all(n.value is not None for n in t.nodes
+               if n.is_leaf or n.block == 0)
+    # A second pass reads only the saved buffers, so it is the same.
+    again = t.backward(loss1, boundary_block=1)
+    assert first.keys() == again.keys() == {"b1.w"}
+    assert np.array_equal(first["b1.w"], again["b1.w"])
 
 
 def test_full_release_drains_live_to_zero():
