@@ -5,7 +5,7 @@ blank lines allowed).  Unknown keys are rejected with the full list of
 valid keys, so typos fail fast instead of silently using defaults.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,18 @@ class TrainConfig:
                 f"{self.total_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.dataset_size < 1:
+            raise ConfigError(f"dataset_size must be >= 1, got {self.dataset_size}")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
+        if self.warmup_epochs < 0:
+            raise ConfigError(
+                f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        if self.base_lr < 0:
+            raise ConfigError(f"base_lr must be >= 0, got {self.base_lr}")
+        if self.weight_decay < 0:
+            raise ConfigError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.num_blocks < 1:
             raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if self.mode not in ("blockwise", "mae"):
@@ -137,19 +149,6 @@ def parse_config(text):
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def format_config(cfg):
-    """Serialize a RunConfig back to the key=value format."""
-    lines = []
-    for f in fields(cfg.model):
-        lines.append(f"{f.name} = {getattr(cfg.model, f.name)}")
-    for f in fields(cfg.train):
-        v = getattr(cfg.train, f.name)
-        if f.name == "mask_schedule":
-            v = ",".join(str(x) for x in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 # Named presets.  The paper-scale rows keep the published recipes on file

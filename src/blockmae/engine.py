@@ -63,7 +63,6 @@ class BlockwiseModel:
     spec: ModelSpec
     params: dict
     num_blocks: int
-    dtype: object
 
     @property
     def layers_per_block(self):
@@ -75,7 +74,9 @@ class BlockUnit:
     """One contiguous encoder block with its bridge and local decoder.
 
     `param_names` is the sorted tuple of parameters the block owns, fixed
-    when the encoder is partitioned.
+    when the encoder is partitioned.  It is the one place that decides
+    ownership: a step raises IsolationError when a block's backward yields
+    a gradient for any other parameter.
     """
 
     block_id: int
@@ -98,7 +99,6 @@ class StepReport:
     losses: list
     mean_loss: float
     peak_activation_bytes: int
-    grads_applied: list = field(default_factory=list)
     live_after_release: list = field(default_factory=list)
 
 
@@ -110,8 +110,7 @@ def build_model(spec, num_blocks, seed, dtype=np.float32):
     params = init_encoder_params(spec, seed, dtype)
     for i in range(num_blocks):
         params.update(init_block_head_params(spec, i, seed, dtype))
-    return BlockwiseModel(spec=spec, params=params, num_blocks=num_blocks,
-                          dtype=dtype)
+    return BlockwiseModel(spec=spec, params=params, num_blocks=num_blocks)
 
 
 def partition_encoder(model, num_blocks):
@@ -138,18 +137,6 @@ def partition_encoder(model, num_blocks):
             raise IsolationError("block parameter sets overlap")
         seen |= names
     return units
-
-
-def param_block(name, layers_per_block):
-    """Owning block of a parameter, by naming convention."""
-    if name.startswith("embed."):
-        return 0
-    if name.startswith("enc.layer"):
-        layer = int(name.split(".")[1][len("layer"):])
-        return layer // layers_per_block
-    if name.startswith("block"):
-        return int(name.split(".")[0][len("block"):])
-    raise ContractError(f"cannot place parameter {name!r} in a block")
 
 
 def incremental_drop(tape, tokens, states, target_ratio, seed):
@@ -182,8 +169,7 @@ def incremental_drop(tape, tokens, states, target_ratio, seed):
     return out, new_states
 
 
-def _run_step(blocks, images, plan, optimizer, lr, step_seed,
-              update_blocks=None):
+def _run_step(blocks, images, plan, optimizer, lr, step_seed):
     """Shared forward/backward/release schedule for both training modes."""
     model = blocks[0].model
     spec = model.spec
@@ -198,7 +184,6 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed,
     targets = patch_targets(images, spec)
 
     losses = []
-    grads_applied = []
     live_trace = []
     prev_boundary = None
     for unit in blocks:
@@ -215,17 +200,14 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed,
                                         spec.heads)
             xb = tape.boundary(x) if i < num_blocks - 1 else None
             pred = local_decoder_forward(tape, params, spec, x, states, i)
-            loss = reconstruction_loss(tape, pred, targets, spec, states,
-                                       targets_are_patches=True)
+            loss = reconstruction_loss(tape, pred, targets, states)
         table = tape.backward(loss, boundary_block=i)
-        for name in table:
-            if param_block(name, model.layers_per_block) < i:
-                raise IsolationError(
-                    f"gradient for {name!r} leaked into block {i}")
-        if update_blocks is None or i in update_blocks:
-            optimizer.step(params, table, lr)
+        foreign = sorted(set(table) - set(unit.param_names))
+        if foreign:
+            raise IsolationError(
+                f"gradient for {foreign[0]!r} leaked into block {i}")
+        optimizer.step(params, table, lr)
         losses.append(float(loss.value))
-        grads_applied.append(len(table))
         tape.release_block_activations(i, keep=xb)
         if prev_boundary is not None:
             tape.dispose(prev_boundary)
@@ -237,12 +219,10 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed,
             f"past the step")
     return StepReport(losses=losses, mean_loss=float(np.mean(losses)),
                       peak_activation_bytes=tape.meter.peak_activation_bytes,
-                      grads_applied=grads_applied,
                       live_after_release=live_trace)
 
 
-def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed,
-                         update_blocks=None):
+def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
     """One gradient-isolated step over all blocks (forward, local update,
     release, drop)."""
     if plan.mode != "blockwise":
@@ -250,8 +230,7 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed,
     if len(blocks) != plan.num_blocks:
         raise ContractError(
             f"plan expects {plan.num_blocks} blocks, got {len(blocks)}")
-    return _run_step(blocks, images, plan, optimizer, lr, step_seed,
-                     update_blocks)
+    return _run_step(blocks, images, plan, optimizer, lr, step_seed)
 
 
 def mae_train_step(blocks, images, ratio, optimizer, lr, step_seed):

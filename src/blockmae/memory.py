@@ -13,7 +13,7 @@ Token counts in the compute model are exact fractions of N, not floored,
 so schedules with equal average ratios compare as exactly equal.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,33 +99,25 @@ def _visible_counts(spec, plan):
             for r in plan.mask_schedule]
 
 
-def analytic_peak(spec, plan, batch, dtype_size=4, include_decoder=True,
-                  include_embed=True):
+def analytic_peak(spec, plan, batch, dtype_size=4):
     """Closed-form peak activation bytes for one training step.
 
-    include_decoder covers the bridge + local decoder + loss terms;
-    include_embed covers the token-stream buffers between blocks (boundary
-    copies and drop indices).  Zeroing both isolates the per-layer encoder
-    cost, under which the block-wise/end-to-end ratio is exactly 1/B.
+    The peak is the largest block's live bytes: its encoder layers, bridge,
+    local decoder and loss, plus the token-stream buffers between blocks
+    (boundary copies and drop indices).  End-to-end MAE is the one-block
+    case: every layer of one long backward, with no boundary.
     """
     s = dtype_size
     b = batch
     d = spec.embed_dim
     counts = _visible_counts(spec, plan)
-    if plan.mode == "mae":
-        n = counts[0]
-        total = spec.depth * _layer_bytes(b, n, d, spec.heads, spec.mlp_ratio, s)
-        if include_decoder:
-            total += _bridge_bytes(b, n, d, s) + _decoder_bytes(spec, b, n, s)
-        return total
-
     lpb = spec.depth // plan.num_blocks
     peak = 0
     for i in range(plan.num_blocks):
         n_i = counts[i]
         live = 0
         dropped = i > 0 and counts[i] < counts[i - 1]
-        if include_embed and i > 0:
+        if i > 0:
             live += s * b * counts[i - 1] * d          # previous boundary
             if dropped:
                 live += _IDS_BYTES * b * n_i           # drop gather ids
@@ -134,10 +126,9 @@ def analytic_peak(spec, plan, batch, dtype_size=4, include_decoder=True,
                              input_charged=first_charged)
         live += (lpb - 1) * _layer_bytes(b, n_i, d, spec.heads,
                                          spec.mlp_ratio, s)
-        if include_embed and i < plan.num_blocks - 1:
+        if i < plan.num_blocks - 1:
             live += s * b * n_i * d                    # own boundary copy
-        if include_decoder:
-            live += _bridge_bytes(b, n_i, d, s) + _decoder_bytes(spec, b, n_i, s)
+        live += _bridge_bytes(b, n_i, d, s) + _decoder_bytes(spec, b, n_i, s)
         peak = max(peak, live)
     return peak
 
@@ -154,8 +145,9 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
     """Run one instrumented step per mode and report measured vs analytic.
 
     The end-to-end baseline masks at the plan's initial ratio so both
-    modes see identical input visibility.  Raises if the block-wise mode
-    fails to come in under the baseline.
+    modes see identical input visibility.  Raises if a plan of two or more
+    blocks fails to come in under the baseline; a one-block plan is the
+    baseline itself, at ratio 1.
     """
     dtype = np.dtype(dtype)
     s = dtype.itemsize
@@ -192,7 +184,7 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
                      measured_peak_bytes=rep_p.peak_activation_bytes,
                      ratio_vs_mae=ratio),
     ]
-    if plan.mode != "mae" and ratio >= 1.0:
+    if plan.num_blocks > 1 and ratio >= 1.0:
         raise ResourceError(
             f"block-wise peak {rep_p.peak_activation_bytes} did not improve "
             f"on the end-to-end peak {rep_m.peak_activation_bytes}")

@@ -1,9 +1,9 @@
 """Toy-scale ViT masked-autoencoder components.
 
-Patch embedding, fixed 2D sin-cos positions, MAE-style random masking with
-restore permutations, pre-norm transformer encoder layers, lightweight
-decoders with learned mask tokens, and the masked-patch reconstruction
-loss.  All forward paths are expressed in tape primitives so gradients,
+Per-sample MAE masks with restore permutations, an embedding of the
+visible patches only (fixed 2D sin-cos positions), pre-norm transformer
+encoder layers, lightweight decoders with learned mask tokens, and the
+masked-patch reconstruction loss.  All forward paths are expressed in tape primitives so gradients,
 release points, and byte accounting come for free.  No function here
 tags nodes with a block: the caller's `Tape.block` scope does.
 
@@ -114,19 +114,6 @@ class MaskState:
     @property
     def num_visible(self):
         return self.kept_ids.size
-
-
-@dataclass
-class PatchBatch:
-    """Visible tokens plus one MaskState per sample."""
-
-    tokens: object  # tape Node, [batch, n_visible, dim]
-    states: list
-
-    def __post_init__(self):
-        n_vis = self.tokens.shape[-2]
-        if any(s.num_visible != n_vis for s in self.states):
-            raise ContractError("token count disagrees with mask states")
 
 
 # ----- deterministic initialization ----------------------------------------
@@ -309,24 +296,6 @@ def patchify(images, spec):
     return np.ascontiguousarray(x.reshape(b, g * g, p * p * c))
 
 
-def unpatchify(patches, spec):
-    """Inverse of patchify."""
-    b, n, _ = patches.shape
-    p, g, c = spec.patch_size, spec.grid_side, spec.channels
-    x = patches.reshape(b, g, g, p, p, c)
-    x = x.transpose(0, 5, 1, 3, 2, 4)
-    return np.ascontiguousarray(x.reshape(b, c, g * p, g * p))
-
-
-def patch_embed(tape, params, spec, images):
-    """Embed every patch of a full image batch: tokens plus fixed positions."""
-    patches = tape.leaf(patchify(images, spec))
-    pos = tape.leaf(sincos_pos_embed(spec.grid_side, spec.embed_dim)
-                    .astype(images.dtype))
-    tok = _linear(tape, patches, params, "embed")
-    return tape.add(tok, pos)
-
-
 def embed_visible(tape, params, spec, images, states):
     """Embed only the visible patches of each sample.
 
@@ -359,20 +328,6 @@ def mask_indices(num_patches, ratio, seed):
     mask = np.ones(num_patches, dtype=np.int64)
     mask[kept] = 0
     return MaskState(kept_ids=kept, mask=mask)
-
-
-def random_mask(tape, tokens, ratio, seed):
-    """MAE-style random masking of an embedded token batch.
-
-    tokens: [batch, N, dim] node.  Returns a PatchBatch whose tokens are
-    the gathered visible rows, in kept order.
-    """
-    batch, n = tokens.shape[0], tokens.shape[1]
-    states = [mask_indices(n, ratio, rng.split(seed, "sample", i))
-              for i in range(batch)]
-    ids = np.stack([s.kept_ids for s in states])
-    vis = tape.gather_rows(tokens, ids)
-    return PatchBatch(tokens=vis, states=states)
 
 
 # ----- transformer layers ----------------------------------------------------
@@ -455,13 +410,8 @@ def patch_targets(images, spec):
     return t
 
 
-def reconstruction_loss(tape, pred, images_or_targets, spec, states,
-                        targets_are_patches=False):
-    """Masked-patch MSE between predictions and (standardized) targets."""
-    if targets_are_patches:
-        tgt = images_or_targets
-    else:
-        tgt = patch_targets(images_or_targets, spec)
+def reconstruction_loss(tape, pred, targets, states):
+    """Masked-patch MSE between predictions and `patch_targets` output."""
     mask = np.stack([s.mask for s in states]).astype(pred.dtype)
-    return tape.mse_masked(pred, tape.leaf(tgt.astype(pred.dtype, copy=False)),
-                           tape.leaf(mask))
+    tgt = targets.astype(pred.dtype, copy=False)
+    return tape.mse_masked(pred, tape.leaf(tgt), tape.leaf(mask))

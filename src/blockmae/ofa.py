@@ -69,8 +69,9 @@ def truncate_backbone(model, k):
     return BackbonePrefix(model=model, k=k)
 
 
-def forward_tokens(prefix, images, apply_norm=False):
-    """Token features of the prefix over unmasked inputs, [b, N, d].
+def forward_tokens(prefix, images):
+    """Norm-applied token features of the prefix over unmasked inputs,
+    [b, N, d].
 
     Tokens stay in original patch order (identity visibility).  Each stage
     (embedding, encoder layer, final norm) records on its own `Tape`, with
@@ -91,18 +92,16 @@ def forward_tokens(prefix, images, apply_norm=False):
         tape = Tape()
         x = encoder_block_layer(tape, params, f"enc.layer{j}", tape.leaf(x),
                                 spec.heads).value
-    if apply_norm:
-        tape = Tape()
-        g, b = prefix.norm_params()
-        x = tape.layernorm(tape.leaf(x), tape.leaf(params[g]),
-                           tape.leaf(params[b])).value
-    return x
+    tape = Tape()
+    g, b = prefix.norm_params()
+    return tape.layernorm(tape.leaf(x), tape.leaf(params[g]),
+                          tape.leaf(params[b])).value
 
 
 def extract_features(prefix, images, chunk=128):
     """Mean-pooled, norm-applied features, [b, embed_dim]."""
-    outs = [forward_tokens(prefix, images[s:s + chunk], apply_norm=True)
-            .mean(axis=1) for s in range(0, images.shape[0], chunk)]
+    outs = [forward_tokens(prefix, images[s:s + chunk]).mean(axis=1)
+            for s in range(0, images.shape[0], chunk)]
     return np.concatenate(outs, axis=0)
 
 

@@ -11,8 +11,8 @@ they live outside the activation budget.
 Charged buffers per primitive:
     matmul        both operand values (when non-leaf)
     linear        input value (when non-leaf); the weight is a leaf
-    add/scale/transpose/reshape/concat-rows   nothing
-    gather-rows / scatter-rows                the index vector
+    add/scale/transpose/concat-rows   nothing
+    gather-rows   the index vector
     layernorm     input value (when non-leaf) + per-row mean and inv-std
     softmax-lastdim   its own output
     attention     the fused q|k|v input (when non-leaf) + the probabilities
@@ -335,27 +335,6 @@ class Tape:
         node = Node("transpose", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [])
 
-    def reshape(self, x, shape):
-        shape = tuple(int(s) for s in shape)
-        if int(np.prod(shape)) != x.value.size:
-            raise DimensionError(f"reshape {x.value.shape} -> {shape}: size mismatch")
-        out = np.ascontiguousarray(x.value).reshape(shape).copy()
-        node = Node("reshape", out, (x,),
-                    requires_grad=x.requires_grad, attrs={"in_shape": x.value.shape})
-        return self._register(node, [])
-
-    @staticmethod
-    def _check_row_ids(ids, n_rows, op):
-        """Rank, range and per-sample uniqueness of a row-index array."""
-        if ids.ndim not in (1, 2):
-            raise DimensionError(f"{op} ids must be rank 1 or 2, got {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-            raise DimensionError(
-                f"{op} ids out of range [0, {n_rows}): min={ids.min()} max={ids.max()}")
-        ordered = np.sort(ids, axis=-1)
-        if np.any(ordered[..., 1:] == ordered[..., :-1]):
-            raise ContractError(f"{op} ids must be unique per sample")
-
     def gather_rows(self, x, ids):
         """Select rows (axis -2) by index; ids rank 2 selects per batch entry.
 
@@ -364,7 +343,17 @@ class Tape:
         """
         xv = x.value
         ids = np.ascontiguousarray(ids, dtype=np.int64)
-        self._check_row_ids(ids, xv.shape[-2], "gather-rows")
+        n_rows = xv.shape[-2]
+        if ids.ndim not in (1, 2):
+            raise DimensionError(
+                f"gather-rows ids must be rank 1 or 2, got {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+            raise DimensionError(
+                f"gather-rows ids out of range [0, {n_rows}): min={ids.min()} "
+                f"max={ids.max()}")
+        ordered = np.sort(ids, axis=-1)
+        if np.any(ordered[..., 1:] == ordered[..., :-1]):
+            raise ContractError("gather-rows ids must be unique per sample")
         if xv.ndim == 2 and ids.ndim == 1:
             out = xv[ids]
         elif xv.ndim == 3 and ids.ndim == 1:
@@ -379,32 +368,6 @@ class Tape:
                 f"gather-rows: unsupported ranks x={xv.shape} ids={ids.shape}")
         node = Node("gather-rows", np.ascontiguousarray(out), (x,),
                     requires_grad=x.requires_grad, attrs={"in_shape": xv.shape})
-        return self._register(node, [(ids, True)])
-
-    def scatter_rows(self, x, ids, num_rows):
-        """Place row j of x at row ids[j] of a zero output with num_rows rows."""
-        xv = x.value
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        self._check_row_ids(ids, num_rows, "scatter-rows")
-        if ids.shape[-1] != xv.shape[-2]:
-            raise DimensionError(
-                f"scatter-rows: {xv.shape[-2]} rows but {ids.shape[-1]} ids")
-        if xv.ndim == 2 and ids.ndim == 1:
-            out = np.zeros((num_rows, xv.shape[-1]), dtype=xv.dtype)
-            out[ids] = xv
-        elif xv.ndim == 3 and ids.ndim == 1:
-            out = np.zeros((xv.shape[0], num_rows, xv.shape[-1]), dtype=xv.dtype)
-            out[:, ids, :] = xv
-        elif xv.ndim == 3 and ids.ndim == 2:
-            if ids.shape[0] != xv.shape[0]:
-                raise DimensionError(
-                    f"scatter-rows batch mismatch: ids {ids.shape} vs x {xv.shape}")
-            out = np.zeros((xv.shape[0], num_rows, xv.shape[-1]), dtype=xv.dtype)
-            out[_per_sample(ids)] = xv
-        else:
-            raise DimensionError(
-                f"scatter-rows: unsupported ranks x={xv.shape} ids={ids.shape}")
-        node = Node("scatter-rows", out, (x,), requires_grad=x.requires_grad)
         return self._register(node, [(ids, True)])
 
     def concat_rows(self, xs):
@@ -719,10 +682,6 @@ def _vjp_transpose(node, g):
     return (np.swapaxes(g, -1, -2),)
 
 
-def _vjp_reshape(node, g):
-    return (g.reshape(node.attrs["in_shape"]),)
-
-
 def _vjp_gather_rows(node, g):
     ids = node.saved[0]
     dx = np.zeros(node.attrs["in_shape"], dtype=g.dtype)
@@ -733,15 +692,6 @@ def _vjp_gather_rows(node, g):
     else:
         dx[_per_sample(ids)] = g
     return (dx,)
-
-
-def _vjp_scatter_rows(node, g):
-    ids = node.saved[0]
-    if g.ndim == 2:
-        return (g[ids],)
-    if ids.ndim == 1:
-        return (g[:, ids, :],)
-    return (g[_per_sample(ids)],)
 
 
 def _vjp_concat_rows(node, g):
@@ -856,9 +806,7 @@ _VJP = {
     "add": _vjp_add,
     "scale": _vjp_scale,
     "transpose": _vjp_transpose,
-    "reshape": _vjp_reshape,
     "gather-rows": _vjp_gather_rows,
-    "scatter-rows": _vjp_scatter_rows,
     "concat-rows": _vjp_concat_rows,
     "layernorm": _vjp_layernorm,
     "softmax-lastdim": _vjp_softmax,

@@ -1,5 +1,6 @@
 """Engine: partitioning, incremental drops, isolated steps, baselines."""
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -9,8 +10,7 @@ from blockmae import rng
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import (
     BlockPlan, IsolationError, ScheduleError, blockwise_train_step,
-    build_model, incremental_drop, mae_train_step, param_block,
-    partition_encoder,
+    build_model, incremental_drop, mae_train_step, partition_encoder,
 )
 from blockmae.model import (
     ModelSpec, embed_visible, encoder_block_layer, local_decoder_forward,
@@ -78,10 +78,11 @@ def test_block_parameter_sets_disjoint():
     assert names0 | names1 == set(model.params)
 
 
-def test_param_block_mapping():
-    assert param_block("embed.w", 2) == 0
-    assert param_block("enc.layer3.ln1.g", 2) == 1
-    assert param_block("block2.dec.mask_token", 2) == 2
+def test_partition_maps_parameters_to_blocks():
+    units = partition_encoder(build_model(_tiny_spec(depth=6), 3, seed=2), 3)
+    assert "embed.w" in units[0].param_names
+    assert "enc.layer3.ln1.g" in units[1].param_names
+    assert "block2.dec.mask_token" in units[2].param_names
 
 
 # ----- incremental drop ---------------------------------------------------------
@@ -154,12 +155,16 @@ def _setup(depth=4, blocks=4, dtype=np.float64, seed=3, schedule=None):
 
 def test_step_reports_per_block_losses_and_zero_leak():
     spec, model, units, plan, opt = _setup()
+    before = {k: v.copy() for k, v in model.params.items()}
     rep = blockwise_train_step(units, _images(spec, 4, seed=1), plan, opt,
                                lr=1e-3, step_seed=100)
     assert len(rep.losses) == 4
     assert rep.mean_loss == pytest.approx(np.mean(rep.losses))
     assert rep.peak_activation_bytes > 0
-    assert all(g > 0 for g in rep.grads_applied)
+    # every block got gradients and updated its own parameters
+    for u in units:
+        assert any(not np.array_equal(model.params[n], before[n])
+                   for n in u.param_names), u.block_id
 
 
 def test_release_frees_boundary_copy_and_constant_leaves():
@@ -178,8 +183,7 @@ def test_release_frees_boundary_copy_and_constant_leaves():
             x = encoder_block_layer(t, params, f"enc.layer{i}", x, spec.heads)
             xb = t.boundary(x)
             pred = local_decoder_forward(t, params, spec, x, states, i)
-            loss = reconstruction_loss(t, pred, targets, spec, states,
-                                       targets_are_patches=True)
+            loss = reconstruction_loss(t, pred, targets, states)
         t.backward(loss, boundary_block=i)
         return xb
 
@@ -209,6 +213,28 @@ def test_gradient_isolation_over_random_steps():
         assert len(rep.losses) == 4
 
 
+def test_isolation_check_names_a_gradient_outside_the_block():
+    spec, model, units, plan, opt = _setup()
+    lost = units[1].param_names[0]
+    units[1] = dataclasses.replace(units[1],
+                                   param_names=units[1].param_names[1:])
+    with pytest.raises(IsolationError, match=repr(lost)):
+        blockwise_train_step(units, _images(spec, 2), plan, opt, lr=1e-3,
+                             step_seed=5)
+
+
+class _StepOnly(AdamW):
+    """AdamW that updates only the named parameters."""
+
+    def __init__(self, names, **kwargs):
+        super().__init__(**kwargs)
+        self.names = set(names)
+
+    def step(self, params, grads, lr):
+        super().step(params, {k: g for k, g in grads.items()
+                              if k in self.names}, lr)
+
+
 def test_counterfactual_block0_update_independent_of_later_losses():
     spec, model, units, plan, opt = _setup(seed=7)
     p0 = {k: v.copy() for k, v in model.params.items()}
@@ -221,9 +247,10 @@ def test_counterfactual_block0_update_independent_of_later_losses():
     units2 = partition_encoder(model2, 4)
     for k in p0:
         assert np.array_equal(model2.params[k], p0[k])
-    blockwise_train_step(units2, imgs, plan, AdamW(weight_decay=0.01),
-                         lr=1e-3, step_seed=11, update_blocks={0})
     names0 = units[0].param_names
+    blockwise_train_step(units2, imgs, plan,
+                         _StepOnly(names0, weight_decay=0.01),
+                         lr=1e-3, step_seed=11)
     for name in names0:
         assert np.array_equal(after_full[name], model2.params[name]), name
     # sanity: later blocks did move in the full run

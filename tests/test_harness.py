@@ -10,8 +10,7 @@ from blockmae import rng, runner
 from blockmae.checkpoint import load_checkpoint, save_checkpoint
 from blockmae.cli import main as cli_main
 from blockmae.config import (
-    ConfigError, PRESETS, TrainConfig, format_config, load_config,
-    parse_config,
+    ConfigError, PRESETS, TrainConfig, load_config, parse_config,
 )
 from blockmae.data import (
     FormatError, gen_synthetic_dataset, load_dataset, save_dataset,
@@ -162,11 +161,12 @@ def test_adamw_state_roundtrip():
 
 # ----- config --------------------------------------------------------------------
 
-def test_config_roundtrip():
+def test_config_roundtrip(tmp_path):
     cfg = parse_config(TINY_CONFIG)
     assert cfg.model.depth == 2 and cfg.train.mask_schedule == (0.5, 0.5)
-    again = parse_config(format_config(cfg))
-    assert again == cfg
+    p = tmp_path / "tiny.txt"
+    p.write_text(TINY_CONFIG, encoding="utf-8")
+    assert load_config(str(p)) == cfg
 
 
 def test_config_unknown_key_lists_valid_keys():
@@ -181,6 +181,14 @@ def test_config_invariants():
         parse_config("beta1 = 1.5")
     with pytest.raises(ConfigError):
         parse_config("image_size = 30")  # not divisible by patch 4
+    for line in ("dataset_size = 0", "num_classes = 0", "warmup_epochs = -2",
+                 "base_lr = -1", "weight_decay = -0.1"):
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=f"{key} must be >= "):
+            parse_config(line)
+    # the edges of the ranges stay valid
+    parse_config("warmup_epochs = 0\nbase_lr = 0\nweight_decay = 0\n"
+                 "dataset_size = 1\nnum_classes = 1")
 
 
 def test_config_blockwise_cross_checks():
@@ -517,6 +525,14 @@ def test_cli_bad_config_value_names_line_and_key(tmp_path, capsys, line):
     assert cli_main(["pretrain", "--config", str(p)]) == 1
     key = line.split(" ")[0]
     assert f"line 2: key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_out_of_range_config_value_exits_nonzero(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_text("dataset_size = 0\n")
+    assert cli_main(["pretrain", "--config", str(p),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert "error: dataset_size must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_inconsistent_blockwise_config_exits_nonzero(tmp_path, capsys):

@@ -10,7 +10,10 @@ from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import (
     BlockPlan, blockwise_train_step, build_model, partition_encoder,
 )
-from blockmae.memory import _layer_bytes, analytic_peak, compare_peak, flop_estimate
+from blockmae.memory import (
+    _bridge_bytes, _decoder_bytes, _layer_bytes, analytic_peak, compare_peak,
+    flop_estimate,
+)
 from blockmae.model import ModelSpec, encoder_block_layer, init_encoder_params
 from blockmae.optim import AdamW
 from blockmae.tape import Tape
@@ -67,13 +70,16 @@ def test_one_layer_meter_equals_layer_bytes(input_charged, dtype):
 
 
 def test_idealized_ratio_is_one_over_blocks():
+    # Less the bridge, decoder and loss, and less the boundary copy a block
+    # keeps for the next, the peak is the encoder's bytes: exactly 1/B.
+    s, batch, n, d = 4, 4, TOY.num_patches // 4, TOY.embed_dim
+    head = _bridge_bytes(batch, n, d, s) + _decoder_bytes(TOY, batch, n, s)
+    mae = BlockPlan(num_blocks=1, mask_schedule=(0.75,), mode="mae")
+    base = analytic_peak(TOY, mae, batch=batch) - head
     for b in (1, 2, 4):
         plan = BlockPlan(num_blocks=b, mask_schedule=(0.75,) * b)
-        mae = BlockPlan(num_blocks=1, mask_schedule=(0.75,), mode="mae")
-        bim = analytic_peak(TOY, plan, batch=4, include_decoder=False,
-                            include_embed=False)
-        base = analytic_peak(TOY, mae, batch=4, include_decoder=False,
-                             include_embed=False)
+        boundary = s * batch * n * d if b > 1 else 0
+        bim = analytic_peak(TOY, plan, batch=batch) - head - boundary
         assert bim * b == base
 
 
@@ -95,10 +101,13 @@ def test_measured_doubling_batch_doubles_peaks_ratio_invariant():
 
 
 def test_mae_self_comparison_ratio_one():
+    # A one-block plan is the baseline itself, whatever its mode.
     spec = _spec(depth=4)
-    plan = BlockPlan(num_blocks=1, mask_schedule=(0.5,), mode="mae")
-    rows = compare_peak(spec, plan, batch=2, seed=7, dtype=np.float64)
-    assert rows[1].ratio_vs_mae == 1.0
+    for mode in ("mae", "blockwise"):
+        plan = BlockPlan(num_blocks=1, mask_schedule=(0.5,), mode=mode)
+        rows = compare_peak(spec, plan, batch=2, seed=7, dtype=np.float64)
+        assert rows[1].ratio_vs_mae == 1.0, mode
+        assert rows[1].analytic_peak_bytes == rows[0].analytic_peak_bytes, mode
 
 
 def test_ratio_decreases_with_depth():

@@ -8,8 +8,8 @@ from blockmae.config import ConfigError
 from blockmae.model import (
     MaskState, ModelSpec, _xavier_uniform, embed_visible, encoder_block_layer,
     fold_split_qkv, init_block_head_params, init_encoder_params,
-    local_decoder_forward, mask_indices, patch_embed, patch_targets, patchify,
-    random_mask, reconstruction_loss, sincos_pos_embed, unpatchify,
+    local_decoder_forward, mask_indices, patch_targets, patchify,
+    reconstruction_loss, sincos_pos_embed,
 )
 from blockmae.tape import ContractError, Tape
 
@@ -46,27 +46,38 @@ def test_default_toy_preset_token_count():
 
 # ----- patchify / embed ------------------------------------------------------
 
+def _unmasked(spec, batch):
+    """Mask states that keep every patch, in original order."""
+    return [MaskState(kept_ids=np.arange(spec.num_patches),
+                      mask=np.zeros(spec.num_patches, dtype=np.int64))
+            for _ in range(batch)]
+
+
 def test_patchify_roundtrip_exact():
     spec = _toy_spec(channels=3)
     imgs = _images(spec, 2, seed=5)
-    np.testing.assert_array_equal(unpatchify(patchify(imgs, spec), spec), imgs)
+    p, g, c = spec.patch_size, spec.grid_side, spec.channels
+    x = patchify(imgs, spec).reshape(2, g, g, p, p, c)
+    back = x.transpose(0, 5, 1, 3, 2, 4).reshape(imgs.shape)
+    np.testing.assert_array_equal(back, imgs)
 
 
-def test_patch_embed_token_count():
+def test_embed_visible_token_count():
     spec = ModelSpec()
     params = init_encoder_params(spec, seed=1, dtype=np.float64)
     t = Tape()
-    tok = patch_embed(t, params, spec, _images(spec, 2, seed=2))
+    tok = embed_visible(t, params, spec, _images(spec, 2, seed=2),
+                        _unmasked(spec, 2))
     assert tok.shape == (2, 64, spec.embed_dim)
 
 
-def test_patch_embed_zero_image_gives_positions():
+def test_embed_visible_zero_image_gives_positions():
     spec = _toy_spec()
     params = init_encoder_params(spec, seed=1, dtype=np.float64)
     params["embed.b"][:] = 0.0
     imgs = np.zeros((1, 1, 16, 16))
     t = Tape()
-    tok = patch_embed(t, params, spec, imgs)
+    tok = embed_visible(t, params, spec, imgs, _unmasked(spec, 1))
     want = sincos_pos_embed(spec.grid_side, spec.embed_dim)
     np.testing.assert_allclose(tok.value[0], want, atol=1e-15)
 
@@ -77,12 +88,12 @@ def test_embed_visible_matches_full_embed_gather():
     imgs = _images(spec, 3, seed=4)
     states = [mask_indices(spec.num_patches, 0.5, rng.split(9, i))
               for i in range(3)]
-    t = Tape()
-    full = patch_embed(t, params, spec, imgs)
-    gathered = t.gather_rows(full, np.stack([s.kept_ids for s in states]))
-    t2 = Tape()
-    vis = embed_visible(t2, params, spec, imgs, states)
-    np.testing.assert_allclose(vis.value, gathered.value, atol=1e-14)
+    # every patch embedded, in plain numpy
+    full = (patchify(imgs, spec) @ params["embed.w"] + params["embed.b"]
+            + sincos_pos_embed(spec.grid_side, spec.embed_dim))
+    gathered = np.stack([full[i][s.kept_ids] for i, s in enumerate(states)])
+    vis = embed_visible(Tape(), params, spec, imgs, states)
+    np.testing.assert_allclose(vis.value, gathered, atol=1e-14)
 
 
 # ----- sin-cos positions ------------------------------------------------------
@@ -155,17 +166,6 @@ def test_mask_keep_frequency_monte_carlo():
         counts[mask_indices(n, 0.75, seed=rng.split(777, trial)).kept_ids] += 1
     freq = counts / trials
     assert freq.min() > 0.23 and freq.max() < 0.27
-
-
-def test_random_mask_gathers_in_kept_order():
-    spec = _toy_spec()
-    t = Tape()
-    tokens = t.leaf(rng.normals(3, 2 * 16 * 8).reshape(2, 16, 8))
-    pb = random_mask(t, tokens, 0.5, seed=21)
-    assert pb.tokens.shape == (2, 8, 8)
-    for i, s in enumerate(pb.states):
-        np.testing.assert_array_equal(pb.tokens.value[i],
-                                      tokens.value[i][s.kept_ids])
 
 
 # ----- encoder layer ------------------------------------------------------------
@@ -392,7 +392,7 @@ def test_loss_zero_when_pred_equals_target():
               for i in range(2)]
     t = Tape()
     pred = t.leaf(patch_targets(imgs, spec))
-    loss = reconstruction_loss(t, pred, imgs, spec, states)
+    loss = reconstruction_loss(t, pred, patch_targets(imgs, spec), states)
     assert float(loss.value) == 0.0
 
 
@@ -413,7 +413,7 @@ def test_loss_gradient_zero_on_unmasked_predictions():
     pred = t.leaf(rng.normals(46, 2 * spec.num_patches * spec.patch_pixels)
                   .reshape(2, spec.num_patches, spec.patch_pixels),
                   name="pred", requires_grad=True)
-    loss = reconstruction_loss(t, pred, imgs, spec, states)
+    loss = reconstruction_loss(t, pred, patch_targets(imgs, spec), states)
     g = t.backward(loss)["pred"]
     for i, s in enumerate(states):
         assert np.all(g[i][s.kept_ids] == 0.0)
@@ -427,7 +427,8 @@ def test_forward_deterministic_given_seed():
     def run():
         params = init_encoder_params(spec, seed=99, dtype=np.float64)
         t = Tape()
-        tok = patch_embed(t, params, spec, _images(spec, 2, seed=7))
+        tok = embed_visible(t, params, spec, _images(spec, 2, seed=7),
+                            _unmasked(spec, 2))
         out = encoder_block_layer(t, params, "enc.layer0", tok, spec.heads)
         return out.value.copy()
 

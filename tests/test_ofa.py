@@ -1,6 +1,5 @@
 """Nested backbones: truncation equality, frozen probing, cost model."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -67,13 +66,11 @@ def _reference_forward(model, images, layers, norm=None):
 def test_prefix_forward_equals_single_tape_forward():
     spec, model = _model(depth=8)
     imgs = gen_synthetic_dataset(16, 6, 7).images(dtype=np.float64)
-    for k, apply_norm in itertools.product((1, 2, 3, 4), (False, True)):
+    for k in (1, 2, 3, 4):
         prefix = truncate_backbone(model, k)
-        want = _reference_forward(
-            model, imgs, prefix.depth_layers,
-            prefix.norm_params() if apply_norm else None)[-1]
-        got = forward_tokens(prefix, imgs, apply_norm=apply_norm)
-        assert np.array_equal(got, want), (k, apply_norm)
+        want = _reference_forward(model, imgs, prefix.depth_layers,
+                                  prefix.norm_params())[-1]
+        assert np.array_equal(forward_tokens(prefix, imgs), want), k
 
 
 def test_prefix_forward_is_a_prefix_of_deeper_forward():
@@ -83,8 +80,12 @@ def test_prefix_forward_is_a_prefix_of_deeper_forward():
     lpb = model.layers_per_block
     assert lpb == 2
     for k in (1, 2, 3, 4):
-        tokens = forward_tokens(truncate_backbone(model, k), imgs)
-        assert np.array_equal(tokens, deep[k * lpb - 1]), k
+        prefix = truncate_backbone(model, k)
+        g, b = prefix.norm_params()
+        t = Tape()
+        want = t.layernorm(t.leaf(deep[k * lpb - 1]),
+                           t.leaf(model.params[g]), t.leaf(model.params[b]))
+        assert np.array_equal(forward_tokens(prefix, imgs), want.value), k
 
 
 def _one_layer_bytes(spec, batch):
@@ -105,7 +106,7 @@ def test_forward_tokens_meter_reads_one_encoder_layer(monkeypatch):
     spec, model = _model(depth=8)
     imgs = gen_synthetic_dataset(16, 12, 19).images(dtype=np.float64)
     prefix = truncate_backbone(model, 4)
-    forward_tokens(prefix, imgs, apply_norm=True)
+    forward_tokens(prefix, imgs)
     assert len(meters) == prefix.depth_layers + 2  # embedding, layers, norm
     assert max(m.peak_activation_bytes for m in meters) == \
         _one_layer_bytes(spec, 12)
@@ -121,10 +122,10 @@ def test_forward_tokens_heap_holds_about_one_layer():
     spec, model = _model(depth=8)
     imgs = gen_synthetic_dataset(16, 32, 21).images(dtype=np.float64)
     prefix = truncate_backbone(model, 4)
-    forward_tokens(prefix, imgs, apply_norm=True)  # warm-up
+    forward_tokens(prefix, imgs)  # warm-up
     tracemalloc.start()
     try:
-        forward_tokens(prefix, imgs, apply_norm=True)
+        forward_tokens(prefix, imgs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

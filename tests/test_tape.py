@@ -232,10 +232,8 @@ def _one_node_per_backward_rule():
         t.add(act(8, 2, 3, 4), act(9, 4)),
         t.scale(act(10, 3, 4), 0.5),
         t.transpose(act(11, 2, 3, 4)),
-        t.reshape(act(12, 2, 3, 4), (6, 4)),
         t.gather_rows(act(13, 5, 4), np.array([4, 0, 2])),
         t.gather_rows(act(14, 2, 5, 4), ids),
-        t.scatter_rows(act(15, 2, 2, 4), ids, 5),
         t.concat_rows([act(16, 2, 2, 4), act(17, 2, 3, 4)]),
         t.layernorm(act(18, 2, 3, 4), leaf(19, 4), leaf(20, 4)),
         t.softmax(act(21, 2, 3, 4)),
@@ -268,8 +266,9 @@ def test_scatter_gather_roundtrip():
     t = Tape()
     xn = t.leaf(x)
     shuffled = t.gather_rows(xn, perm)
-    back = t.scatter_rows(shuffled, perm, 6)
-    np.testing.assert_array_equal(back.value, x)
+    back = np.zeros_like(x)
+    back[perm] = shuffled.value
+    np.testing.assert_array_equal(back, x)
 
 
 @pytest.mark.parametrize("b", [1, 3])
@@ -282,11 +281,8 @@ def test_per_sample_gather_and_scatter_match_along_axis_reference(b):
     np.put_along_axis(placed, ids[:, :, None], g, axis=1)
     t = Tape()
     gathered = t.gather_rows(t.leaf(x), ids)
-    scattered = t.scatter_rows(t.leaf(g), ids, 6)
     assert np.array_equal(gathered.value, picked)
     assert np.array_equal(_VJP["gather-rows"](gathered, g)[0], placed)
-    assert np.array_equal(scattered.value, placed)
-    assert np.array_equal(_VJP["scatter-rows"](scattered, x)[0], picked)
 
 
 @pytest.mark.parametrize("x_shape,ids", [
@@ -301,15 +297,14 @@ def test_gather_rows_rejects_duplicate_ids(x_shape, ids):
         t.gather_rows(x, ids)
 
 
-def test_concat_rows_and_reshape():
+def test_concat_rows():
     t = Tape()
     a = t.leaf(_rand(19, 2, 3, 4))
     b = t.leaf(_rand(23, 2, 5, 4))
     cat = t.concat_rows([a, b])
     assert cat.shape == (2, 8, 4)
-    r = t.reshape(cat, (4, 16))
-    assert r.shape == (4, 16)
-    np.testing.assert_array_equal(r.value.ravel(), cat.value.ravel())
+    np.testing.assert_array_equal(
+        cat.value, np.concatenate([a.value, b.value], axis=-2))
 
 
 def test_mse_masked_requires_masked_rows():
@@ -363,7 +358,9 @@ def test_finite_diff_softmax_sum_is_zero():
 
 
 def test_finite_diff_rejects_nonfinite():
-    with pytest.raises(NumericError):
+    # log of the negative probe point is NaN by design; numpy's warning
+    # about it would otherwise fail the suite.
+    with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         finite_diff(lambda x: float(np.log(x).sum()), np.array([1e-9]), eps=1e-6)
 
 
@@ -402,10 +399,13 @@ def test_grad_batched_matmul_and_scatter(seed):
     b, n, k = 2, 4, 3
     w = _rand(4000 + seed, k, k)
     perm = np.stack([rng.permutation(seed + i, n) for i in range(b)])
+    # Gathering by the inverse permutation places row j at row perm[j]: a
+    # scatter.
+    inverse = np.argsort(perm, axis=-1)
 
     def build(t, x):
         y = t.matmul(x, t.leaf(w))
-        y = t.scatter_rows(y, perm, n)
+        y = t.gather_rows(y, inverse)
         z = t.matmul(y, t.transpose(y))
         return t.mse_masked(z, t.leaf(np.zeros((b, n, n))), t.leaf(np.ones((b, n))))
 
@@ -452,14 +452,6 @@ def test_grad_attention(heads, n):
 
     seed = 6200 + 10 * heads + n
     _grad_check(build, _rand(seed, b, n, 3 * d) * 2.0, seed)
-
-
-def test_grad_reshape():
-    def build(t, x):
-        r = t.reshape(x, (6, 2))
-        return t.mse_masked(r, t.leaf(np.zeros((6, 2))), t.leaf(np.ones(6)))
-
-    _grad_check(build, _rand(5, 3, 4), 5)
 
 
 def test_grad_f32_tolerance():
