@@ -15,7 +15,7 @@ from .engine import (
     mae_train_step, partition_encoder,
 )
 from .memory import FlopReport, MemoryReport, analytic_peak, compare_peak, flop_estimate
-from .model import MaskState, ModelSpec, reconstruction_loss, sincos_pos_embed
+from .model import ModelSpec, reconstruction_loss, sincos_pos_embed
 from .ofa import (
     BackbonePrefix, ProbeConfig, ProbeResult, linear_probe,
     training_cost_saving, truncate_backbone,

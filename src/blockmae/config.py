@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ModelSpec, keep_count
 
 
 class ConfigError(Exception):
@@ -39,6 +39,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError(f"betas must lie in (0, 1): {self.beta1}, {self.beta2}")
+        if self.total_epochs < 1:
+            raise ConfigError(
+                f"total_epochs must be >= 1, got {self.total_epochs}")
         if self.warmup_epochs > self.total_epochs:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} exceeds total_epochs "
@@ -52,11 +55,12 @@ class TrainConfig:
         if self.warmup_epochs < 0:
             raise ConfigError(
                 f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
-        if self.base_lr < 0:
-            raise ConfigError(f"base_lr must be >= 0, got {self.base_lr}")
-        if self.weight_decay < 0:
+        if not 0 <= self.base_lr < np.inf:
             raise ConfigError(
-                f"weight_decay must be >= 0, got {self.weight_decay}")
+                f"base_lr must be >= 0 and finite, got {self.base_lr}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError(
+                f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.num_blocks < 1:
             raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if self.mode not in ("blockwise", "mae"):
@@ -76,7 +80,15 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        t = self.train
+        t, n = self.train, self.model.num_patches
+        for r in t.mask_schedule:
+            if not 0.0 <= r < 1.0:
+                raise ConfigError(
+                    f"mask_schedule ratios must lie in [0, 1), got {r}")
+            if keep_count(n, r) < 1:
+                raise ConfigError(
+                    f"mask ratio {r} leaves no visible token "
+                    f"(num_patches = {n})")
         if t.mode != "blockwise":
             return
         if self.model.depth % t.num_blocks != 0:

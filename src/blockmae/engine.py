@@ -15,8 +15,8 @@ import numpy as np
 from . import rng
 from .model import (
     ModelSpec, embed_visible, encoder_block_layer, init_block_head_params,
-    init_encoder_params, local_decoder_forward, mask_indices, patch_targets,
-    reconstruction_loss,
+    init_encoder_params, keep_count, local_decoder_forward, mask_indices,
+    patch_targets, reconstruction_loss,
 )
 from .tape import ContractError, Tape
 
@@ -139,34 +139,27 @@ def partition_encoder(model, num_blocks):
     return units
 
 
-def incremental_drop(tape, tokens, states, target_ratio, seed):
-    """Uniformly drop visible tokens down to floor(N * (1 - target_ratio)).
+def incremental_drop(tape, tokens, kept, keep, seed):
+    """Uniformly drop each sample's visible tokens down to `keep`.
 
-    Returns (tokens, states) unchanged when the target keeps everything
-    currently visible; dropping below the current count samples a subset
-    of each sample's kept ids without replacement, so visibility nests.
+    `kept` [b, cur] holds each sample's visible patch ids in token order.
+    Returns (tokens, kept) unchanged when `keep` equals cur.  Otherwise
+    row i keeps the first `keep` entries of a stable argsort of cur
+    uniforms drawn from split(seed, "sample", i), a subset of its visible
+    tokens without replacement, so visibility nests.
     """
-    n_patches = states[0].num_patches
-    new_keep = int(np.floor(n_patches * (1.0 - target_ratio)))
-    cur = states[0].num_visible
-    if new_keep > cur:
+    cur = kept.shape[1]
+    if keep > cur:
         raise ScheduleError(
-            f"target keep {new_keep} exceeds current visible {cur} "
+            f"target keep {keep} exceeds current visible {cur} "
             f"(ratios must be non-decreasing)")
-    if new_keep == cur:
-        return tokens, states
-    sel = []
-    new_states = []
-    for i, s in enumerate(states):
-        noise = rng.uniforms(rng.split(seed, "sample", i), cur)
-        take = np.argsort(noise, kind="stable")[:new_keep]
-        sel.append(take)
-        kept = s.kept_ids[take]
-        mask = np.ones(n_patches, dtype=np.int64)
-        mask[kept] = 0
-        new_states.append(type(s)(kept_ids=kept, mask=mask))
-    out = tape.gather_rows(tokens, np.stack(sel))
-    return out, new_states
+    if keep == cur:
+        return tokens, kept
+    noise = rng.uniforms([rng.split(seed, "sample", i)
+                          for i in range(len(kept))], cur)
+    take = np.argsort(noise, axis=-1, kind="stable")[:, :keep]
+    return (tape.gather_rows(tokens, take),
+            np.take_along_axis(kept, take, axis=-1))
 
 
 def _run_step(blocks, images, plan, optimizer, lr, step_seed):
@@ -178,9 +171,8 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed):
     batch = images.shape[0]
     tape = Tape()
 
-    states = [mask_indices(spec.num_patches, plan.mask_schedule[0],
-                           rng.split(step_seed, "mask", i))
-              for i in range(batch)]
+    kept = mask_indices(spec.num_patches, plan.mask_schedule[0],
+                        [rng.split(step_seed, "mask", i) for i in range(batch)])
     targets = patch_targets(images, spec)
 
     losses = []
@@ -190,17 +182,18 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed):
         i = unit.block_id
         with tape.block(i):
             if i == 0:
-                x = embed_visible(tape, params, spec, images, states)
+                x = embed_visible(tape, params, spec, images, kept)
             else:
-                x, states = incremental_drop(
-                    tape, prev_boundary, states, plan.mask_schedule[i],
+                x, kept = incremental_drop(
+                    tape, prev_boundary, kept,
+                    keep_count(spec.num_patches, plan.mask_schedule[i]),
                     rng.split(step_seed, "drop", i))
             for j in unit.layer_ids:
                 x = encoder_block_layer(tape, params, f"enc.layer{j}", x,
                                         spec.heads)
             xb = tape.boundary(x) if i < num_blocks - 1 else None
-            pred = local_decoder_forward(tape, params, spec, x, states, i)
-            loss = reconstruction_loss(tape, pred, targets, states)
+            pred = local_decoder_forward(tape, params, spec, x, kept, i)
+            loss = reconstruction_loss(tape, pred, targets, kept)
         table = tape.backward(loss, boundary_block=i)
         foreign = sorted(set(table) - set(unit.param_names))
         if foreign:

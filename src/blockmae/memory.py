@@ -23,6 +23,7 @@ from .engine import (
     partition_encoder,
 )
 from .data import gen_synthetic_dataset
+from .model import keep_count
 from .optim import AdamW
 
 _IDS_BYTES = 8  # int64 row indices
@@ -95,8 +96,7 @@ def _decoder_bytes(spec, b, n_vis, s):
 
 
 def _visible_counts(spec, plan):
-    return [int(np.floor(spec.num_patches * (1.0 - r)))
-            for r in plan.mask_schedule]
+    return [keep_count(spec.num_patches, r) for r in plan.mask_schedule]
 
 
 def analytic_peak(spec, plan, batch, dtype_size=4):

@@ -1,11 +1,16 @@
 """Toy-scale ViT masked-autoencoder components.
 
-Per-sample MAE masks with restore permutations, an embedding of the
+MAE masks drawn for the whole batch at once, an embedding of the
 visible patches only (fixed 2D sin-cos positions), pre-norm transformer
 encoder layers, lightweight decoders with learned mask tokens, and the
-masked-patch reconstruction loss.  All forward paths are expressed in tape primitives so gradients,
-release points, and byte accounting come for free.  No function here
-tags nodes with a block: the caller's `Tape.block` scope does.
+masked-patch reconstruction loss.  All forward paths are expressed in
+tape primitives so gradients, release points, and byte accounting come
+for free.  No function here tags nodes with a block: the caller's
+`Tape.block` scope does.
+
+A step's visibility is one int64 array `kept` [batch, k]: each sample's
+visible patch ids in token order.  The loss mask and the decoder's
+restore order are derived from it where they are read.
 
 Attention uses the usual head-batched layout: one `attn.qkv` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), feeds one
@@ -16,7 +21,7 @@ Checkpoints written with the earlier split layout, one
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,46 +79,6 @@ class ModelSpec:
     @property
     def decoder_heads(self):
         return max(1, self.decoder_dim // DECODER_HEAD_DIM)
-
-
-@dataclass
-class MaskState:
-    """Per-sample visibility bookkeeping threaded through masking stages.
-
-    kept_ids are the original patch indices currently visible, in token
-    order.  restore_perm maps original patch position -> row index in the
-    decoder's shuffled sequence [visible tokens..., masked tokens...],
-    where masked positions are listed in ascending original order.
-    """
-
-    kept_ids: np.ndarray
-    mask: np.ndarray
-    restore_perm: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.kept_ids = np.asarray(self.kept_ids, dtype=np.int64)
-        self.mask = np.asarray(self.mask)
-        if self.restore_perm is None:
-            self.restore_perm = self._build_restore_perm()
-        n = self.mask.shape[0]
-        if self.kept_ids.size + int(self.mask.sum()) != n:
-            raise ContractError("kept_ids and mask do not partition the patches")
-        if not np.array_equal(np.sort(np.where(self.mask == 0)[0]),
-                              np.sort(self.kept_ids)):
-            raise ContractError("kept_ids must be exactly the unmasked entries")
-
-    def _build_restore_perm(self):
-        masked_ids = np.where(self.mask == 1)[0]
-        order = np.concatenate([self.kept_ids, masked_ids])
-        return np.argsort(order, kind="stable").astype(np.int64)
-
-    @property
-    def num_patches(self):
-        return self.mask.shape[0]
-
-    @property
-    def num_visible(self):
-        return self.kept_ids.size
 
 
 # ----- deterministic initialization ----------------------------------------
@@ -296,8 +261,8 @@ def patchify(images, spec):
     return np.ascontiguousarray(x.reshape(b, g * g, p * p * c))
 
 
-def embed_visible(tape, params, spec, images, states):
-    """Embed only the visible patches of each sample.
+def embed_visible(tape, params, spec, images, kept):
+    """Embed only the visible patches `kept` [b, k] of each sample.
 
     Masking is decided on indices before any embedding, so the masked
     patches never enter the graph; this is algebraically identical to
@@ -305,29 +270,36 @@ def embed_visible(tape, params, spec, images, states):
     """
     patches = patchify(images, spec)
     pos = sincos_pos_embed(spec.grid_side, spec.embed_dim).astype(images.dtype)
-    vis = np.stack([patches[i][s.kept_ids] for i, s in enumerate(states)])
-    vis_pos = np.stack([pos[s.kept_ids] for s in states])
+    vis = patches[np.arange(len(kept))[:, None], kept]
     tok = _linear(tape, tape.leaf(vis), params, "embed")
-    return tape.add(tok, tape.leaf(vis_pos))
+    return tape.add(tok, tape.leaf(pos[kept]))
 
 
 # ----- masking ---------------------------------------------------------------
 
-def mask_indices(num_patches, ratio, seed):
-    """One sample's MaskState at masking ratio `ratio`.
+def keep_count(num_patches, ratio):
+    """Visible tokens per sample at masking ratio `ratio`: floor(N * (1 - r))."""
+    return int(np.floor(num_patches * (1.0 - ratio)))
 
-    len_keep = floor(N * (1 - ratio)); the kept set is the first len_keep
-    entries of a stable argsort over N seeded uniforms (ties by index).
+
+def mask_indices(num_patches, ratio, seeds):
+    """Visible patch ids [len(seeds), k] at masking ratio `ratio`.
+
+    k = keep_count(N, ratio); row i is the first k entries of a stable
+    argsort over N uniforms drawn from seeds[i] (ties by index).
     """
     if not 0.0 <= ratio < 1.0:
         raise ContractError(f"masking ratio must be in [0, 1), got {ratio}")
-    len_keep = int(np.floor(num_patches * (1.0 - ratio)))
-    noise = rng.uniforms(seed, num_patches)
-    shuffle = np.argsort(noise, kind="stable")
-    kept = shuffle[:len_keep]
-    mask = np.ones(num_patches, dtype=np.int64)
-    mask[kept] = 0
-    return MaskState(kept_ids=kept, mask=mask)
+    noise = rng.uniforms(seeds, num_patches)
+    return np.argsort(noise, axis=-1, kind="stable")[
+        :, :keep_count(num_patches, ratio)]
+
+
+def patch_mask(kept, num_patches):
+    """[b, N] int64 mask of `kept`: 1 on hidden patches, 0 on visible ones."""
+    mask = np.ones((len(kept), num_patches), dtype=np.int64)
+    np.put_along_axis(mask, kept, 0, axis=-1)
+    return mask
 
 
 # ----- transformer layers ----------------------------------------------------
@@ -359,19 +331,20 @@ def encoder_block_layer(tape, params, prefix, x, heads):
     return tape.add(x2, f2)
 
 
-def local_decoder_forward(tape, params, spec, block_output, states, decoder_id):
+def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
     """Predict all N patches from one block's visible-token output.
 
     Applies the block-local LayerNorm + projection bridge, appends learned
     mask tokens for every non-visible patch, unshuffles to original patch
     order, adds the decoder position table, runs the decoder layers, and
-    projects to patch pixels.
+    projects to patch pixels.  The shuffled sequence is [visible tokens in
+    `kept` order..., mask tokens in ascending patch order...].
     """
-    n_vis = block_output.shape[-2]
-    if any(s.num_visible != n_vis for s in states):
-        raise ContractError("mask state inconsistent with visible token count")
-    batch = block_output.shape[0]
-    n = states[0].num_patches
+    batch, n_vis = block_output.shape[0], block_output.shape[-2]
+    if kept.shape[1] != n_vis:
+        raise ContractError(
+            f"{kept.shape[1]} visible ids for {n_vis} visible tokens")
+    n = spec.num_patches
     dd = spec.decoder_dim
     dtype = block_output.dtype
     pfx = f"block{decoder_id}"
@@ -387,7 +360,9 @@ def local_decoder_forward(tape, params, spec, block_output, states, decoder_id):
         full = tape.concat_rows([z, tape.add(zeros, mask_token)])
     else:
         full = z
-    restore = np.stack([s.restore_perm for s in states])
+    masked = np.nonzero(patch_mask(kept, n))[1].reshape(batch, n_masked)
+    # the inverse permutation of the shuffled order
+    restore = np.argsort(np.concatenate([kept, masked], axis=1), axis=1)
     ordered = tape.gather_rows(full, restore)
     pos = tape.leaf(sincos_pos_embed(spec.grid_side, dd).astype(dtype))
     x = tape.add(ordered, pos)
@@ -410,8 +385,8 @@ def patch_targets(images, spec):
     return t
 
 
-def reconstruction_loss(tape, pred, targets, states):
+def reconstruction_loss(tape, pred, targets, kept):
     """Masked-patch MSE between predictions and `patch_targets` output."""
-    mask = np.stack([s.mask for s in states]).astype(pred.dtype)
+    mask = patch_mask(kept, pred.shape[-2]).astype(pred.dtype)
     tgt = targets.astype(pred.dtype, copy=False)
     return tape.mse_masked(pred, tape.leaf(tgt), tape.leaf(mask))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .model import MaskState, embed_visible, encoder_block_layer
+from .model import embed_visible, encoder_block_layer
 from .optim import AdamW
 from .tape import ContractError, Tape
 
@@ -83,11 +83,10 @@ def forward_tokens(prefix, images):
     """
     spec = prefix.model.spec
     params = prefix.model.params
-    states = [MaskState(kept_ids=np.arange(spec.num_patches),
-                        mask=np.zeros(spec.num_patches, dtype=np.int64))
-              for _ in range(images.shape[0])]
+    kept = np.broadcast_to(np.arange(spec.num_patches),
+                           (images.shape[0], spec.num_patches))
     tape = Tape()
-    x = embed_visible(tape, params, spec, images, states).value
+    x = embed_visible(tape, params, spec, images, kept).value
     for j in range(prefix.depth_layers):
         tape = Tape()
         x = encoder_block_layer(tape, params, f"enc.layer{j}", tape.leaf(x),

@@ -46,10 +46,15 @@ def split(seed: int, *keys) -> int:
     return s
 
 
-def uniforms(seed: int, n: int) -> np.ndarray:
-    """n f64 samples in [0, 1), counter-mode from `seed`."""
+def uniforms(seed, n: int) -> np.ndarray:
+    """n f64 samples in [0, 1), counter-mode from `seed`.
+
+    `seed` may also be a sequence of seeds: the result is then one row of
+    n samples per seed, each equal to that seed's own draw.
+    """
+    seeds = np.asarray(seed, dtype=np.uint64)[..., None]
     with np.errstate(over="ignore"):
-        ctr = np.uint64(seed) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        ctr = seeds + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         z = (ctr ^ (ctr >> np.uint64(30))) * np.uint64(_M1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
         z = z ^ (z >> np.uint64(31))

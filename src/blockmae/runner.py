@@ -118,10 +118,9 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
     start_step = 0
     if resume_from is not None:
         tensors = fold_split_qkv(load_checkpoint(resume_from), cfg.model)
-        for name in model.params:
-            if name not in tensors:
-                raise ConfigError(f"checkpoint lacks parameter {name!r}")
-            model.params[name] = tensors[name].astype(dtype)
+        missing = _load_params(model, tensors, dtype)
+        if missing:
+            raise ConfigError(f"checkpoint lacks parameter {missing[0]!r}")
         opt.load_state_tensors(tensors)
         start_step = int(tensors["meta.step"][0])
 
@@ -218,16 +217,30 @@ def write_flop_report(cfg, out_dir):
     return path
 
 
+def _load_params(model, tensors, dtype):
+    """Copy the checkpoint's parameters into `model.params` as `dtype`.
+
+    Each parameter's tensor and its `opt.m.`/`opt.v.` moments must have
+    the shape the config gives it, or ConfigError names the tensor and
+    both shapes.  Returns the names of the parameters the checkpoint lacks.
+    """
+    for name, arr in model.params.items():
+        for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
+            if key in tensors and tensors[key].shape != arr.shape:
+                raise ConfigError(
+                    f"checkpoint tensor {key!r} has shape "
+                    f"{tensors[key].shape}, the config gives {arr.shape}")
+    model.params.update({name: tensors[name].astype(dtype)
+                         for name in model.params if name in tensors})
+    return [name for name in model.params if name not in tensors]
+
+
 def _model_from_checkpoint(cfg, checkpoint_path):
     plan = _plan_for(cfg)
     model = build_model(cfg.model, plan.num_blocks, cfg.train.seed,
                         np.float64)
     tensors = fold_split_qkv(load_checkpoint(checkpoint_path), cfg.model)
-    for name in tensors:
-        if name.startswith(("opt.", "meta.")):
-            continue
-        if name in model.params:
-            model.params[name] = tensors[name].astype(np.float64)
+    _load_params(model, tensors, np.float64)
     return model, tensors
 
 

@@ -13,8 +13,8 @@ from blockmae.engine import (
     build_model, incremental_drop, mae_train_step, partition_encoder,
 )
 from blockmae.model import (
-    ModelSpec, embed_visible, encoder_block_layer, local_decoder_forward,
-    mask_indices, patch_targets, reconstruction_loss,
+    ModelSpec, embed_visible, encoder_block_layer, keep_count,
+    local_decoder_forward, mask_indices, patch_targets, reconstruction_loss,
 )
 from blockmae.optim import AdamW
 from blockmae.tape import ContractError, Tape
@@ -87,58 +87,92 @@ def test_partition_maps_parameters_to_blocks():
 
 # ----- incremental drop ---------------------------------------------------------
 
+def _tokens(t, kept, width, seed):
+    """A tape leaf of random token rows, one per visible id."""
+    b, k = kept.shape
+    return t.leaf(rng.normals(seed, b * k * width).reshape(b, k, width))
+
+
+def _reference_drop(kept, keep, seed):
+    """The per-sample drop, one sample at a time: the token rows each
+    sample keeps, and the visible ids of those rows."""
+    take = np.stack([np.argsort(rng.uniforms(rng.split(seed, "sample", i),
+                                             kept.shape[1]),
+                                kind="stable")[:keep]
+                     for i in range(len(kept))])
+    return take, np.stack([ids[rows] for ids, rows in zip(kept, take)])
+
+
 def test_incremental_drop_counts_match_published_schedule():
     # schedule 65/70/80/85 over N=64: floor(64*(1-r)) = 22, 19, 12, 9
     n = 64
     schedule = (0.65, 0.70, 0.80, 0.85)
-    states = [mask_indices(n, schedule[0], seed=5)]
+    kept = mask_indices(n, schedule[0], [5])
     t = Tape()
-    tokens = t.leaf(rng.normals(1, states[0].num_visible * 4)
-                    .reshape(1, states[0].num_visible, 4))
-    counts = [states[0].num_visible]
+    tokens = _tokens(t, kept, 4, seed=1)
+    counts = [kept.shape[1]]
     for r in schedule[1:]:
-        tokens, states = incremental_drop(t, tokens, states, r, seed=11)
-        counts.append(states[0].num_visible)
+        tokens, kept = incremental_drop(t, tokens, kept, keep_count(n, r),
+                                        seed=11)
+        counts.append(kept.shape[1])
+        assert tokens.shape[-2] == kept.shape[1]
     assert counts == [22, 19, 12, 9]
 
 
 def test_incremental_drop_identity_when_ratio_unchanged():
-    states = [mask_indices(16, 0.5, seed=6)]
+    kept = mask_indices(16, 0.5, [6])
     t = Tape()
-    tokens = t.leaf(rng.normals(2, 8 * 4).reshape(1, 8, 4))
-    out, states2 = incremental_drop(t, tokens, states, 0.5, seed=7)
-    assert out is tokens and states2 is states
+    tokens = _tokens(t, kept, 4, seed=2)
+    out, kept2 = incremental_drop(t, tokens, kept, keep_count(16, 0.5), seed=7)
+    assert out is tokens and kept2 is kept
 
 
 def test_incremental_drop_rejects_growth():
-    states = [mask_indices(16, 0.5, seed=8)]
+    kept = mask_indices(16, 0.5, [8])
     t = Tape()
-    tokens = t.leaf(rng.normals(3, 8 * 4).reshape(1, 8, 4))
+    tokens = _tokens(t, kept, 4, seed=3)
     with pytest.raises(ScheduleError):
-        incremental_drop(t, tokens, states, 0.25, seed=9)
+        incremental_drop(t, tokens, kept, keep_count(16, 0.25), seed=9)
 
 
 def test_incremental_drop_nesting_over_many_seeds():
-    for trial in range(1000):
-        s0 = mask_indices(16, 0.25, seed=rng.split(999, trial, 0))
+    for trial in range(100):
+        kept0 = mask_indices(16, 0.25, [rng.split(999, trial, 0, i)
+                                        for i in range(10)])
         t = Tape()
-        tokens = t.leaf(rng.normals(4, s0.num_visible * 2)
-                        .reshape(1, s0.num_visible, 2))
-        _, s1 = incremental_drop(t, tokens, [s0], 0.625,
-                                 seed=rng.split(999, trial, 1))
-        assert set(s1[0].kept_ids) <= set(s0.kept_ids)
-        assert s1[0].num_visible == 6
+        _, kept1 = incremental_drop(t, _tokens(t, kept0, 2, seed=4), kept0,
+                                    keep_count(16, 0.625),
+                                    seed=rng.split(999, trial, 1))
+        assert kept1.shape == (10, 6)
+        for before, after in zip(kept0, kept1):
+            assert set(after) <= set(before)
 
 
 def test_incremental_drop_gathers_matching_rows():
-    s0 = mask_indices(16, 0.25, seed=21)
+    kept0 = mask_indices(16, 0.25, [21, 23])
     t = Tape()
-    tok_val = rng.normals(5, s0.num_visible * 3).reshape(1, s0.num_visible, 3)
-    tokens = t.leaf(tok_val)
-    out, s1 = incremental_drop(t, tokens, [s0], 0.75, seed=22)
-    for row, kept in enumerate(s1[0].kept_ids):
-        src = np.where(s0.kept_ids == kept)[0][0]
-        np.testing.assert_array_equal(out.value[0, row], tok_val[0, src])
+    tokens = _tokens(t, kept0, 3, seed=5)
+    out, kept1 = incremental_drop(t, tokens, kept0, keep_count(16, 0.75),
+                                  seed=22)
+    for i in range(2):
+        for row, kept in enumerate(kept1[i]):
+            src = np.where(kept0[i] == kept)[0][0]
+            np.testing.assert_array_equal(out.value[i, row],
+                                          tokens.value[i, src])
+
+
+def test_incremental_drop_equals_per_sample_reference():
+    for n, r0, r1 in ((16, 0.25, 0.75), (64, 0.5, 0.625), (64, 0.0, 0.875)):
+        kept0 = mask_indices(n, r0, [rng.split(31, n, i) for i in range(7)])
+        t = Tape()
+        tokens = _tokens(t, kept0, 3, seed=6)
+        out, kept1 = incremental_drop(t, tokens, kept0, keep_count(n, r1),
+                                      seed=32)
+        take, want = _reference_drop(kept0, keep_count(n, r1), seed=32)
+        assert np.array_equal(kept1, want)
+        assert np.array_equal(out.value,
+                              np.take_along_axis(tokens.value,
+                                                 take[..., None], axis=1))
 
 
 # ----- training steps ------------------------------------------------------------
@@ -173,8 +207,8 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     spec = _tiny_spec(depth=2)
     params = build_model(spec, 2, seed=3, dtype=np.float64).params
     images = _images(spec, 2)
-    states = [mask_indices(spec.num_patches, 0.75, rng.split(4, "mask", i))
-              for i in range(2)]
+    kept = mask_indices(spec.num_patches, 0.75,
+                        [rng.split(4, "mask", i) for i in range(2)])
     targets = patch_targets(images, spec)
     t = Tape()
 
@@ -182,13 +216,13 @@ def test_release_frees_boundary_copy_and_constant_leaves():
         with t.block(i):
             x = encoder_block_layer(t, params, f"enc.layer{i}", x, spec.heads)
             xb = t.boundary(x)
-            pred = local_decoder_forward(t, params, spec, x, states, i)
-            loss = reconstruction_loss(t, pred, targets, states)
+            pred = local_decoder_forward(t, params, spec, x, kept, i)
+            loss = reconstruction_loss(t, pred, targets, kept)
         t.backward(loss, boundary_block=i)
         return xb
 
     with t.block(0):
-        tokens = embed_visible(t, params, spec, images, states)
+        tokens = embed_visible(t, params, spec, images, kept)
     xb = block(0, tokens)
     concat = next(n for n in t.nodes if n.kind == "concat-rows")
     canvas = weakref.ref(concat.inputs[1].inputs[0].value)   # the zeros leaf

@@ -182,13 +182,40 @@ def test_config_invariants():
     with pytest.raises(ConfigError):
         parse_config("image_size = 30")  # not divisible by patch 4
     for line in ("dataset_size = 0", "num_classes = 0", "warmup_epochs = -2",
-                 "base_lr = -1", "weight_decay = -0.1"):
+                 "base_lr = -1", "weight_decay = -0.1", "base_lr = nan",
+                 "base_lr = inf", "weight_decay = nan", "weight_decay = inf",
+                 "total_epochs = 0", "total_epochs = 0\nwarmup_epochs = 0"):
         key = line.split(" ")[0]
         with pytest.raises(ConfigError, match=f"{key} must be >= "):
             parse_config(line)
     # the edges of the ranges stay valid
     parse_config("warmup_epochs = 0\nbase_lr = 0\nweight_decay = 0\n"
-                 "dataset_size = 1\nnum_classes = 1")
+                 "dataset_size = 1\nnum_classes = 1\ntotal_epochs = 1")
+
+
+@pytest.mark.parametrize("text", [
+    "image_size = 16\nnum_blocks = 2\ndepth = 2\nmask_schedule = 0.99,0.99",
+    "image_size = 16\nmode = mae\nmask_schedule = 0.99",
+    "image_size = 4\npatch_size = 4",
+    "image_size = 4\npatch_size = 4\nmode = mae",
+])
+def test_config_mask_ratio_must_leave_a_visible_token(text):
+    ratio = re.search(r"mask_schedule = ([\d.]+)", text)
+    ratio = ratio.group(1) if ratio else "0.75"
+    patches = (int(re.search(r"image_size = (\d+)", text).group(1)) // 4) ** 2
+    with pytest.raises(ConfigError, match=re.escape(
+            f"mask ratio {float(ratio)} leaves no visible token "
+            f"(num_patches = {patches})")):
+        parse_config(text)
+
+
+def test_config_mask_ratio_edges():
+    # floor(16 * (1 - 0.9375)) = 1 visible token is enough
+    parse_config("image_size = 16\nnum_blocks = 2\ndepth = 2\n"
+                 "mask_schedule = 0.5,0.9375")
+    for ratio in ("1.0", "-0.5", "nan"):
+        with pytest.raises(ConfigError, match="ratios must lie in"):
+            parse_config(f"mode = mae\nmask_schedule = {ratio}")
 
 
 def test_config_blockwise_cross_checks():
@@ -491,6 +518,49 @@ def test_split_layout_checkpoint_missing_head_names_the_tensor(tmp_path, missing
         run_pretrain(cfg, str(tmp_path / "resumed"), resume_from=split)
 
 
+def _checkpoint_and_wider_config(tmp_path, key, value):
+    """A 4-step checkpoint of TINY_CONFIG and the path of a config that
+    differs from it in `key` only."""
+    cfg = parse_config(TINY_CONFIG)
+    ckpt = run_pretrain(cfg, str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    return ckpt, _write_cfg(tmp_path, TINY_CONFIG + f"{key} = {value}\n")
+
+
+def test_resume_refuses_checkpoint_of_another_shape(tmp_path):
+    ckpt, cfg_path = _checkpoint_and_wider_config(tmp_path, "mlp_ratio", 4)
+    with pytest.raises(ConfigError, match=re.escape(
+            "'enc.layer0.mlp.fc1.w' has shape (16, 32), the config gives "
+            "(16, 64)")):
+        run_pretrain(load_config(cfg_path), str(tmp_path / "resumed"),
+                     resume_from=ckpt)
+
+
+def test_resume_refuses_moment_of_another_shape(tmp_path):
+    cfg = parse_config(TINY_CONFIG)
+    ckpt = run_pretrain(cfg, str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    tensors = load_checkpoint(ckpt)
+    tensors["opt.v.embed.b"] = tensors["opt.v.embed.b"][:-1]
+    save_checkpoint(tensors, ckpt)
+    with pytest.raises(ConfigError, match=re.escape(
+            "'opt.v.embed.b' has shape (15,), the config gives (16,)")):
+        run_pretrain(cfg, str(tmp_path / "resumed"), resume_from=ckpt)
+
+
+@pytest.mark.parametrize("command", ["export-backbone", "probe"])
+def test_cli_checkpoint_of_another_width_exits_nonzero(tmp_path, capsys,
+                                                       command):
+    ckpt, cfg_path = _checkpoint_and_wider_config(tmp_path, "embed_dim", 32)
+    out = str(tmp_path / "out")
+    assert cli_main([command, "--config", cfg_path, "--checkpoint", ckpt,
+                     "--k", "2", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint tensor 'embed.w' has shape "
+                          "(16, 16), the config gives (16, 32)")
+    assert not os.path.exists(os.path.join(out, "backbone_k2.bimc"))
+
+
 def test_cli_end_to_end_pipeline(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     out = str(tmp_path / "run")
@@ -533,6 +603,17 @@ def test_cli_out_of_range_config_value_exits_nonzero(tmp_path, capsys):
     assert cli_main(["pretrain", "--config", str(p),
                      "--out", str(tmp_path / "run")]) == 1
     assert "error: dataset_size must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_mask_ratio_without_visible_tokens_exits_nonzero(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_text(TINY_CONFIG + "mask_schedule = 0.99,0.99\n")
+    out = str(tmp_path / "run")
+    assert cli_main(["pretrain", "--config", str(p), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mask ratio 0.99 leaves no visible token")
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
 
 def test_cli_inconsistent_blockwise_config_exits_nonzero(tmp_path, capsys):

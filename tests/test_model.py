@@ -6,9 +6,9 @@ import pytest
 from blockmae import rng
 from blockmae.config import ConfigError
 from blockmae.model import (
-    MaskState, ModelSpec, _xavier_uniform, embed_visible, encoder_block_layer,
-    fold_split_qkv, init_block_head_params, init_encoder_params,
-    local_decoder_forward, mask_indices, patch_targets, patchify,
+    ModelSpec, _xavier_uniform, embed_visible, encoder_block_layer,
+    fold_split_qkv, init_block_head_params, init_encoder_params, keep_count,
+    local_decoder_forward, mask_indices, patch_mask, patch_targets, patchify,
     reconstruction_loss, sincos_pos_embed,
 )
 from blockmae.tape import ContractError, Tape
@@ -47,10 +47,8 @@ def test_default_toy_preset_token_count():
 # ----- patchify / embed ------------------------------------------------------
 
 def _unmasked(spec, batch):
-    """Mask states that keep every patch, in original order."""
-    return [MaskState(kept_ids=np.arange(spec.num_patches),
-                      mask=np.zeros(spec.num_patches, dtype=np.int64))
-            for _ in range(batch)]
+    """Visible ids that keep every patch, in original order."""
+    return np.tile(np.arange(spec.num_patches), (batch, 1))
 
 
 def test_patchify_roundtrip_exact():
@@ -86,13 +84,13 @@ def test_embed_visible_matches_full_embed_gather():
     spec = _toy_spec()
     params = init_encoder_params(spec, seed=3, dtype=np.float64)
     imgs = _images(spec, 3, seed=4)
-    states = [mask_indices(spec.num_patches, 0.5, rng.split(9, i))
-              for i in range(3)]
+    kept = mask_indices(spec.num_patches, 0.5,
+                        [rng.split(9, i) for i in range(3)])
     # every patch embedded, in plain numpy
     full = (patchify(imgs, spec) @ params["embed.w"] + params["embed.b"]
             + sincos_pos_embed(spec.grid_side, spec.embed_dim))
-    gathered = np.stack([full[i][s.kept_ids] for i, s in enumerate(states)])
-    vis = embed_visible(Tape(), params, spec, imgs, states)
+    gathered = np.stack([full[i][ids] for i, ids in enumerate(kept)])
+    vis = embed_visible(Tape(), params, spec, imgs, kept)
     np.testing.assert_allclose(vis.value, gathered, atol=1e-14)
 
 
@@ -127,35 +125,77 @@ def test_sincos_rows_distinct_up_to_grid_16():
 
 # ----- masking ----------------------------------------------------------------
 
+def _reference_mask(num_patches, ratio, seeds):
+    """The per-sample draw, one seed at a time: the first floor(N * (1 - r))
+    entries of a stable argsort of that seed's N uniforms."""
+    k = int(np.floor(num_patches * (1.0 - ratio)))
+    return np.stack([np.argsort(rng.uniforms(s, num_patches), kind="stable")[:k]
+                     for s in seeds])
+
+
+def test_uniforms_over_seeds_equal_each_seeds_draw():
+    seeds = [0, 7, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1,
+             rng.split(5, "mask", 3)]
+    rows = rng.uniforms(seeds, 33)
+    assert rows.shape == (len(seeds), 33)
+    assert np.array_equal(rows, np.stack([rng.uniforms(s, 33) for s in seeds]))
+    assert rng.uniforms(seeds[3], 33).shape == (33,)
+
+
+def test_mask_indices_equal_per_sample_reference():
+    for n, ratio in ((16, 0.5), (64, 0.75), (196, 0.75), (10, 0.0)):
+        seeds = [rng.split(13, n, i) for i in range(9)]
+        kept = mask_indices(n, ratio, seeds)
+        assert kept.dtype == np.int64
+        assert np.array_equal(kept, _reference_mask(n, ratio, seeds))
+
+
 def test_mask_keep_count_196():
-    s = mask_indices(196, 0.75, seed=11)
-    assert s.num_visible == 49
+    assert keep_count(196, 0.75) == 49
+    assert mask_indices(196, 0.75, [11]).shape == (1, 49)
 
 
 def test_mask_ratio_zero_identity():
-    s = mask_indices(10, 0.0, seed=12)
-    assert s.num_visible == 10
-    assert np.all(s.mask == 0)
-    # restore_perm inverts [kept..., (no masked)] back to original order
-    assert np.array_equal(s.kept_ids[s.restore_perm], np.arange(10))
+    kept = mask_indices(10, 0.0, [12])
+    assert kept.shape == (1, 10)
+    assert np.all(patch_mask(kept, 10) == 0)
+    assert np.array_equal(np.sort(kept[0]), np.arange(10))
 
 
 def test_mask_ratio_out_of_range():
     with pytest.raises(ContractError):
-        mask_indices(10, 1.0, seed=1)
+        mask_indices(10, 1.0, [1])
     with pytest.raises(ContractError):
-        mask_indices(10, -0.1, seed=1)
+        mask_indices(10, -0.1, [1])
 
 
-def test_mask_partition_and_restore_perm_bijection():
+class _GatherSpy(Tape):
+    """A tape that keeps the ids of its last row gather."""
+
+    def gather_rows(self, x, ids):
+        self.gather_ids = ids
+        return super().gather_rows(x, ids)
+
+
+def test_mask_partition_and_restore_bijection():
+    spec = _toy_spec(image_size=24)  # 36 patches
+    n = spec.num_patches
+    params = init_block_head_params(spec, 0, seed=3, dtype=np.float64)
     for trial in range(50):
-        s = mask_indices(32, 0.6, seed=trial)
-        assert s.num_visible + int(s.mask.sum()) == 32
-        assert np.array_equal(np.sort(s.restore_perm), np.arange(32))
-        # row restore_perm[orig] of [kept..., masked_sorted...] is patch orig
-        masked = np.where(s.mask == 1)[0]
-        order = np.concatenate([s.kept_ids, masked])
-        assert np.array_equal(order[s.restore_perm], np.arange(32))
+        kept = mask_indices(n, 0.6, [rng.split(trial, i) for i in range(3)])
+        mask = patch_mask(kept, n)
+        assert kept.shape == (3, keep_count(n, 0.6))
+        assert np.all(mask.sum(axis=1) == n - kept.shape[1])
+        assert np.all(np.take_along_axis(mask, kept, axis=1) == 0)
+        t = _GatherSpy()
+        z = t.leaf(np.zeros((3, kept.shape[1], spec.embed_dim)))
+        local_decoder_forward(t, params, spec, z, kept, 0)
+        restore = t.gather_ids
+        for i in range(3):
+            assert np.array_equal(np.sort(restore[i]), np.arange(n))
+            # row restore[orig] of [kept..., masked ascending...] is patch orig
+            order = np.concatenate([kept[i], np.flatnonzero(mask[i])])
+            assert np.array_equal(order[restore[i]], np.arange(n))
 
 
 def test_mask_keep_frequency_monte_carlo():
@@ -163,7 +203,7 @@ def test_mask_keep_frequency_monte_carlo():
     n, trials = 64, 10_000
     counts = np.zeros(n)
     for trial in range(trials):
-        counts[mask_indices(n, 0.75, seed=rng.split(777, trial)).kept_ids] += 1
+        counts[mask_indices(n, 0.75, [rng.split(777, trial)])[0]] += 1
     freq = counts / trials
     assert freq.min() > 0.23 and freq.max() < 0.27
 
@@ -333,54 +373,51 @@ def test_encoder_layer_gradient_matches_finite_diff():
 def _decoder_setup(ratio=0.5, batch=2, seed=31):
     spec = _toy_spec()
     params = init_block_head_params(spec, 0, seed=seed, dtype=np.float64)
-    states = [mask_indices(spec.num_patches, ratio, rng.split(seed, "m", i))
-              for i in range(batch)]
+    kept = mask_indices(spec.num_patches, ratio,
+                        [rng.split(seed, "m", i) for i in range(batch)])
     t = Tape()
-    z = t.leaf(rng.normals(seed + 1, batch * states[0].num_visible *
-                           spec.embed_dim).reshape(
-        batch, states[0].num_visible, spec.embed_dim))
-    return spec, params, states, t, z
+    k = kept.shape[1]
+    z = t.leaf(rng.normals(seed + 1, batch * k * spec.embed_dim).reshape(
+        batch, k, spec.embed_dim))
+    return spec, params, kept, t, z
 
 
 def test_decoder_covers_all_patches():
-    spec, params, states, t, z = _decoder_setup()
-    pred = local_decoder_forward(t, params, spec, z, states, 0)
+    spec, params, kept, t, z = _decoder_setup()
+    pred = local_decoder_forward(t, params, spec, z, kept, 0)
     assert pred.shape == (2, spec.num_patches, spec.patch_pixels)
 
 
 def test_decoder_zero_weights_final_bias_everywhere():
-    spec, params, states, t, z = _decoder_setup()
+    spec, params, kept, t, z = _decoder_setup()
     for name in params:
         params[name][:] = 0.0
     beta = rng.normals(55, spec.patch_pixels)
     params["block0.dec.pred.b"][:] = beta
-    pred = local_decoder_forward(t, params, spec, z, states, 0)
+    pred = local_decoder_forward(t, params, spec, z, kept, 0)
     want = np.broadcast_to(beta, pred.value.shape)
     np.testing.assert_allclose(pred.value, want, atol=1e-14)
 
 
 def test_decoder_invariant_to_kept_order_permutation():
-    spec, params, states, t, z = _decoder_setup()
-    pred = local_decoder_forward(t, params, spec, z, states, 0)
+    spec, params, kept, t, z = _decoder_setup()
+    pred = local_decoder_forward(t, params, spec, z, kept, 0)
 
     # permute each sample's kept order together with its token rows
     t2 = Tape()
-    perm = [rng.permutation(rng.split(77, i), s.num_visible)
-            for i, s in enumerate(states)]
-    z2 = t2.leaf(np.stack([z.value[i][perm[i]] for i in range(len(states))]))
-    states2 = [MaskState(kept_ids=s.kept_ids[perm[i]], mask=s.mask)
-               for i, s in enumerate(states)]
-    pred2 = local_decoder_forward(t2, params, spec, z2, states2, 0)
+    perm = np.stack([rng.permutation(rng.split(77, i), kept.shape[1])
+                     for i in range(len(kept))])
+    z2 = t2.leaf(np.take_along_axis(z.value, perm[..., None], axis=1))
+    kept2 = np.take_along_axis(kept, perm, axis=1)
+    pred2 = local_decoder_forward(t2, params, spec, z2, kept2, 0)
     np.testing.assert_allclose(pred2.value, pred.value, atol=1e-12)
 
 
 def test_decoder_rejects_inconsistent_state():
-    spec, params, states, t, z = _decoder_setup()
-    bad = [MaskState(kept_ids=s.kept_ids[:-1],
-                     mask=np.where(np.arange(spec.num_patches) == s.kept_ids[-1],
-                                   1, s.mask)) for s in states]
-    with pytest.raises(ContractError):
-        local_decoder_forward(t, params, spec, z, bad, 0)
+    spec, params, kept, t, z = _decoder_setup()
+    # one visible id fewer than the block has token rows
+    with pytest.raises(ContractError, match="visible ids for"):
+        local_decoder_forward(t, params, spec, z, kept[:, :-1], 0)
 
 
 # ----- loss ----------------------------------------------------------------------
@@ -388,11 +425,11 @@ def test_decoder_rejects_inconsistent_state():
 def test_loss_zero_when_pred_equals_target():
     spec = _toy_spec()
     imgs = _images(spec, 2, seed=41)
-    states = [mask_indices(spec.num_patches, 0.5, rng.split(42, i))
-              for i in range(2)]
+    kept = mask_indices(spec.num_patches, 0.5,
+                        [rng.split(42, i) for i in range(2)])
     t = Tape()
     pred = t.leaf(patch_targets(imgs, spec))
-    loss = reconstruction_loss(t, pred, patch_targets(imgs, spec), states)
+    loss = reconstruction_loss(t, pred, patch_targets(imgs, spec), kept)
     assert float(loss.value) == 0.0
 
 
@@ -407,18 +444,18 @@ def test_loss_normalized_targets():
 def test_loss_gradient_zero_on_unmasked_predictions():
     spec = _toy_spec()
     imgs = _images(spec, 2, seed=44)
-    states = [mask_indices(spec.num_patches, 0.5, rng.split(45, i))
-              for i in range(2)]
+    kept = mask_indices(spec.num_patches, 0.5,
+                        [rng.split(45, i) for i in range(2)])
     t = Tape()
     pred = t.leaf(rng.normals(46, 2 * spec.num_patches * spec.patch_pixels)
                   .reshape(2, spec.num_patches, spec.patch_pixels),
                   name="pred", requires_grad=True)
-    loss = reconstruction_loss(t, pred, patch_targets(imgs, spec), states)
+    loss = reconstruction_loss(t, pred, patch_targets(imgs, spec), kept)
     g = t.backward(loss)["pred"]
-    for i, s in enumerate(states):
-        assert np.all(g[i][s.kept_ids] == 0.0)
-        masked = np.where(s.mask == 1)[0]
-        assert np.abs(g[i][masked]).max() > 0.0
+    mask = patch_mask(kept, spec.num_patches)
+    for i in range(2):
+        assert np.all(g[i][kept[i]] == 0.0)
+        assert np.abs(g[i][mask[i] == 1]).max() > 0.0
 
 
 def test_forward_deterministic_given_seed():

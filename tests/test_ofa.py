@@ -8,9 +8,7 @@ import pytest
 from blockmae import memory, ofa
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import BlockPlan, build_model, partition_encoder
-from blockmae.model import (
-    MaskState, ModelSpec, embed_visible, encoder_block_layer,
-)
+from blockmae.model import ModelSpec, embed_visible, encoder_block_layer
 from blockmae.ofa import (
     ProbeConfig, extract_features, forward_tokens, linear_probe,
     training_cost_saving, truncate_backbone,
@@ -47,11 +45,9 @@ def _reference_forward(model, images, layers, norm=None):
     recorded on one tape; with `norm` = (g, b) names, the normed output of
     the last layer is appended."""
     spec, params = model.spec, model.params
-    n = spec.num_patches
-    states = [MaskState(kept_ids=np.arange(n), mask=np.zeros(n, dtype=np.int64))
-              for _ in range(images.shape[0])]
+    kept = np.tile(np.arange(spec.num_patches), (images.shape[0], 1))
     tape = Tape()
-    x = embed_visible(tape, params, spec, images, states)
+    x = embed_visible(tape, params, spec, images, kept)
     outs = []
     for j in range(layers):
         x = encoder_block_layer(tape, params, f"enc.layer{j}", x, spec.heads)
