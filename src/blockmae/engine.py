@@ -194,7 +194,7 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed):
             xb = tape.boundary(x) if i < num_blocks - 1 else None
             pred = local_decoder_forward(tape, params, spec, x, kept, i)
             loss = reconstruction_loss(tape, pred, targets, kept)
-        table = tape.backward(loss, boundary_block=i)
+        table = tape.backward(loss)
         foreign = sorted(set(table) - set(unit.param_names))
         if foreign:
             raise IsolationError(

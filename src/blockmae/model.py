@@ -73,10 +73,6 @@ class ModelSpec:
         return self.patch_size * self.patch_size * self.channels
 
     @property
-    def head_dim(self):
-        return self.embed_dim // self.heads
-
-    @property
     def decoder_heads(self):
         return max(1, self.decoder_dim // DECODER_HEAD_DIM)
 

@@ -3,10 +3,10 @@
 A jointly trained model yields one usable backbone per block boundary:
 prefix k is the first k blocks plus that depth's bridge LayerNorm.  Each
 prefix is probed by training only a linear classifier on mean-pooled
-features; the frozen backbone is shared storage with the full model, so
+features; the fixed backbone is shared storage with the full model, so
 prefixes nest by construction.
 
-The frozen-backbone forward never runs backward, so `forward_tokens`
+The backbone forward never runs backward, so `forward_tokens`
 holds one stage (embedding, encoder layer or final norm) at a time and
 frees it before the next, the way block-wise training frees each block
 before the next.
@@ -138,7 +138,7 @@ def fit_linear_classifier(feats, labels, num_classes, cfg):
     """Multinomial logistic regression with the package AdamW.
 
     Gradients of softmax cross-entropy for a linear head are closed form
-    (dW = X^T (p - y) / m), so no tape is involved and the frozen features
+    (dW = X^T (p - y) / m), so no tape is involved and the fixed features
     stay plain arrays.
     """
     m, d = feats.shape
@@ -166,7 +166,7 @@ def _accuracy(params, feats, labels):
 
 
 def linear_probe(prefix, dataset, cfg=None, num_classes=None):
-    """Train a linear classifier on frozen prefix features."""
+    """Train a linear classifier on fixed prefix features."""
     if dataset.labels is None:
         raise ContractError("linear probing needs a labeled dataset")
     cfg = cfg or ProbeConfig()
@@ -182,7 +182,7 @@ def linear_probe(prefix, dataset, cfg=None, num_classes=None):
 
     params = fit_linear_classifier(tr_f, tr_y, num_classes, cfg)
     if prefix.param_hash() != hash_before:
-        raise ContractError("probe training mutated the frozen backbone")
+        raise ContractError("probe training mutated the fixed backbone")
     cfg_hash = hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
     return ProbeResult(depth_index=prefix.k,
                        train_accuracy=_accuracy(params, tr_f, tr_y),

@@ -22,8 +22,10 @@ Charged buffers per primitive:
 
 Every node, leaves included, takes its block tag from the `Tape.block`
 scope open when it is recorded (None outside any scope); that scope is
-the only way a node gets a tag.  Backward's block boundary and release
-both select nodes by this tag.
+the only way a node gets a tag.  Release and its lifecycle check select
+nodes by this tag; gradients never read it.  Blocks are isolated by the
+`boundary` leaf alone: backward stops at leaves, and a later block
+continues from a boundary copy of the earlier block's output.
 
 Lifecycle.  A backward rule reads only its node's `saved` buffers, its
 `attrs` and the incoming gradient, never a `value`.  So backward drops the
@@ -241,7 +243,8 @@ class Tape:
         return _BlockScope(self, tag)
 
     def leaf(self, value, name=None, requires_grad=False):
-        """Register a constant or parameter; never charged to the meter."""
+        """Register a constant or parameter; never charged to the meter.
+        Leaves are the only nodes that carry `requires_grad`."""
         value = np.ascontiguousarray(value)
         _check_dtype(value)
         return self._register(Node("leaf", value, requires_grad=requires_grad,
@@ -284,32 +287,27 @@ class Tape:
                 av.ndim == 3 and bv.ndim == 3 and av.shape[0] != bv.shape[0]):
             raise DimensionError(f"matmul extent mismatch: {av.shape} x {bv.shape}")
         out = av @ bv
-        node = Node("matmul", np.ascontiguousarray(out), (a, b),
-                    requires_grad=a.requires_grad or b.requires_grad)
+        node = Node("matmul", np.ascontiguousarray(out), (a, b))
         return self._register(node, [self._act(a), self._act(b)])
 
     def linear(self, x, w, b):
-        """x @ w + b in one node: the bias is added in place to the product."""
+        """x @ w + b in one node, x [b, m, k]: the bias is added in place."""
         xv, wv, bv = x.value, w.value, b.value
-        if xv.ndim not in (2, 3) or wv.ndim != 2 or bv.shape != wv.shape[-1:]:
+        if xv.ndim != 3 or wv.ndim != 2 or bv.shape != wv.shape[-1:]:
             raise DimensionError(
-                f"linear supports [m,k] or [b,m,k] x [k,n] + [n]; "
+                f"linear supports [b,m,k] x [k,n] + [n]; "
                 f"got {xv.shape} x {wv.shape} + {bv.shape}")
         if xv.shape[-1] != wv.shape[0]:
             raise DimensionError(f"linear extent mismatch: {xv.shape} x {wv.shape}")
         out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
-        # Split by batch entry: each keeps its own product, so the BLAS
-        # calls are the same as unsplit.  Rows of a 2-D input are not
-        # split, since BLAS may sum a product of fewer rows differently.
-        x3, out3 = (a if a.ndim == 3 else a[None] for a in (xv, out))
 
         def rows(lo, hi):
-            np.matmul(x3[lo:hi], wv, out=out3[lo:hi])
-            out3[lo:hi] += bv
-        _parallel(out.size, rows=len(x3), part=rows)
-        node = Node("linear", out, (x, w, b),
-                    requires_grad=(x.requires_grad or w.requires_grad
-                                   or b.requires_grad))
+            # Split by batch entry: each keeps its own product, so the BLAS
+            # calls are the same as unsplit.
+            np.matmul(xv[lo:hi], wv, out=out[lo:hi])
+            out[lo:hi] += bv
+        _parallel(out.size, rows=len(xv), part=rows)
+        node = Node("linear", out, (x, w, b))
         return self._register(node, [self._act(x), self._act(w)])
 
     def add(self, x, y):
@@ -319,34 +317,34 @@ class Tape:
                 f"add requires equal shapes or a trailing-shape broadcast; "
                 f"got {xs} + {ys}")
         node = Node("add", x.value + y.value, (x, y),
-                    requires_grad=x.requires_grad or y.requires_grad,
                     attrs={"y_ndim": y.value.ndim})
         return self._register(node, [])
 
     def scale(self, x, c):
         node = Node("scale", x.value * x.value.dtype.type(c), (x,),
-                    requires_grad=x.requires_grad, attrs={"c": float(c)})
+                    attrs={"c": float(c)})
         return self._register(node, [])
 
     def transpose(self, x):
         if x.value.ndim < 2:
             raise DimensionError(f"transpose needs rank >= 2, got {x.value.shape}")
         out = np.ascontiguousarray(np.swapaxes(x.value, -1, -2))
-        node = Node("transpose", out, (x,), requires_grad=x.requires_grad)
+        node = Node("transpose", out, (x,))
         return self._register(node, [])
 
     def gather_rows(self, x, ids):
-        """Select rows (axis -2) by index; ids rank 2 selects per batch entry.
+        """Rows ids[i] of batch entry i of x [b, n, d], for ids [b, k].
 
         Ids must be unique per sample, so the backward rule can place each
         gradient row by assignment.
         """
         xv = x.value
         ids = np.ascontiguousarray(ids, dtype=np.int64)
-        n_rows = xv.shape[-2]
-        if ids.ndim not in (1, 2):
+        if xv.ndim != 3 or ids.ndim != 2 or ids.shape[0] != xv.shape[0]:
             raise DimensionError(
-                f"gather-rows ids must be rank 1 or 2, got {ids.shape}")
+                f"gather-rows needs x [b, n, d] and ids [b, k]; got "
+                f"x={xv.shape} ids={ids.shape}")
+        n_rows = xv.shape[1]
         if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
             raise DimensionError(
                 f"gather-rows ids out of range [0, {n_rows}): min={ids.min()} "
@@ -354,20 +352,8 @@ class Tape:
         ordered = np.sort(ids, axis=-1)
         if np.any(ordered[..., 1:] == ordered[..., :-1]):
             raise ContractError("gather-rows ids must be unique per sample")
-        if xv.ndim == 2 and ids.ndim == 1:
-            out = xv[ids]
-        elif xv.ndim == 3 and ids.ndim == 1:
-            out = xv[:, ids, :]
-        elif xv.ndim == 3 and ids.ndim == 2:
-            if ids.shape[0] != xv.shape[0]:
-                raise DimensionError(
-                    f"gather-rows batch mismatch: ids {ids.shape} vs x {xv.shape}")
-            out = xv[_per_sample(ids)]
-        else:
-            raise DimensionError(
-                f"gather-rows: unsupported ranks x={xv.shape} ids={ids.shape}")
-        node = Node("gather-rows", np.ascontiguousarray(out), (x,),
-                    requires_grad=x.requires_grad, attrs={"in_shape": xv.shape})
+        node = Node("gather-rows", xv[_per_sample(ids)], (x,),
+                    attrs={"in_shape": xv.shape})
         return self._register(node, [(ids, True)])
 
     def concat_rows(self, xs):
@@ -381,7 +367,6 @@ class Tape:
                 raise DimensionError(f"concat-rows shape mismatch: {shapes}")
         out = np.concatenate([x.value for x in xs], axis=-2)
         node = Node("concat-rows", np.ascontiguousarray(out), tuple(xs),
-                    requires_grad=any(x.requires_grad for x in xs),
                     attrs={"sizes": [s[-2] for s in shapes]})
         return self._register(node, [])
 
@@ -412,9 +397,7 @@ class Tape:
             o *= gamma.value
             o += beta.value
         _parallel(xv.size, rows=len(_lead(xv)), part=rows)
-        node = Node("layernorm", out, (x, gamma, beta),
-                    requires_grad=(x.requires_grad or gamma.requires_grad
-                                   or beta.requires_grad))
+        node = Node("layernorm", out, (x, gamma, beta))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
                                       self._act(gamma)])
 
@@ -423,7 +406,7 @@ class Tape:
         out = xv - xv.max(axis=-1, keepdims=True)
         np.exp(out, out=out)
         out /= out.sum(axis=-1, keepdims=True)
-        node = Node("softmax-lastdim", out, (x,), requires_grad=x.requires_grad)
+        node = Node("softmax-lastdim", out, (x,))
         return self._register(node, [(out, True)])
 
     def attention(self, qkv, heads):
@@ -460,8 +443,7 @@ class Tape:
             np.copyto(out[lo:hi].reshape(hi - lo, n, heads, -1),
                       np.swapaxes(ctx, 1, 2))
         _parallel(max(qv.size, probs.size), rows=b, part=rows)
-        node = Node("attention", out, (qkv,), requires_grad=qkv.requires_grad,
-                    attrs={"heads": heads})
+        node = Node("attention", out, (qkv,), attrs={"heads": heads})
         return self._register(node, [self._act(qkv), (probs, True)])
 
     def gelu(self, x):
@@ -481,7 +463,7 @@ class Tape:
             np.multiply(0.5, xr, out=o)
             o *= c
         _parallel(xv.size, rows=len(_lead(xv)), part=rows)
-        node = Node("gelu", out, (x,), requires_grad=x.requires_grad)
+        node = Node("gelu", out, (x,))
         return self._register(node, [self._act(x), (cdf, True)])
 
     def mse_masked(self, pred, target, mask):
@@ -500,8 +482,7 @@ class Tape:
             raise ContractError("mse-masked: no masked rows, loss undefined")
         per_row = ((pv - tv) ** 2).mean(axis=-1)
         out = np.asarray((per_row * mv).sum() / total, dtype=pv.dtype)
-        node = Node("mse-masked", out, (pred, target, mask),
-                    requires_grad=pred.requires_grad)
+        node = Node("mse-masked", out, (pred, target, mask))
         return self._register(node, [self._act(pred), self._act(target),
                                       self._act(mask)])
 
@@ -511,18 +492,18 @@ class Tape:
         The copy feeds the next block as a constant leaf, so gradients from
         later losses terminate here; it stays charged until disposed.
         """
-        node = Node("boundary", x.value.copy(), (),
-                    requires_grad=False, is_leaf=True)
+        node = Node("boundary", x.value.copy(), (), is_leaf=True)
         return self._register(node, [(node.value, True)])
 
     # ----- backward ----------------------------------------------------
 
-    def backward(self, loss, boundary_block=None):
+    def backward(self, loss):
         """Gradients of a scalar loss w.r.t. reachable named parameters.
 
-        With boundary_block set, nodes tagged with a smaller block id are
-        treated as constant leaves: traversal and the returned table stop
-        at the block boundary.
+        The walk stops only at leaves.  A block that reads an earlier
+        block's node instead of its boundary copy therefore gets that
+        block's parameters in its table, or reaches a released node and
+        raises LifecycleError; it is never cut short in silence.
         """
         if loss.disposed:
             raise LifecycleError("backward from a released loss node")
@@ -530,11 +511,7 @@ class Tape:
             raise ContractError(
                 f"backward needs a scalar loss, got shape {loss.value.shape}")
 
-        def frozen(node):
-            return (boundary_block is not None and node.block is not None
-                    and node.block < boundary_block)
-
-        # Ancestors of the loss, pruned at leaves and frozen nodes.
+        # Ancestors of the loss, pruned at leaves.
         visited = set()
         order = []
         stack = [loss]
@@ -544,7 +521,7 @@ class Tape:
                 continue
             visited.add(id(node))
             order.append(node)
-            if node.is_leaf or frozen(node):
+            if node.is_leaf:
                 continue
             if node.disposed:
                 raise LifecycleError(
@@ -553,14 +530,14 @@ class Tape:
 
         # No rule reads a value, so the walked ones are dead already.
         for node in order:
-            if node is not loss and not (node.is_leaf or frozen(node)):
+            if node is not loss and not node.is_leaf:
                 node.value = None
 
         grads = {id(loss): np.ones_like(loss.value)}
         # Creation order is topological; filter to the visited subgraph.
         sub = [n for n in self.nodes if id(n) in visited]
         for node in reversed(sub):
-            if node.is_leaf or frozen(node):
+            if node.is_leaf:
                 continue
             g = grads.pop(id(node), None)
             if g is None:
@@ -577,15 +554,12 @@ class Tape:
         for node in sub:
             if not (node.is_leaf and node.requires_grad and node.name):
                 continue
-            if frozen(node):
-                continue
             g = grads.get(id(node))
             if g is None:
                 g = np.zeros_like(node.value)
             table[node.name] = g
         self._backwarded_blocks.update(
-            n.block for n in sub if n.block is not None and not n.is_leaf
-            and not frozen(n))
+            n.block for n in sub if n.block is not None and not n.is_leaf)
         return table
 
     # ----- release -----------------------------------------------------
@@ -630,7 +604,7 @@ def _lead(a):
 
 
 def _per_sample(ids):
-    """Index of row ids[i, j] of batch entry i, for rank-2 row ids."""
+    """Index of row ids[i, j] of batch entry i."""
     return np.arange(len(ids))[:, None], ids
 
 
@@ -683,14 +657,8 @@ def _vjp_transpose(node, g):
 
 
 def _vjp_gather_rows(node, g):
-    ids = node.saved[0]
     dx = np.zeros(node.attrs["in_shape"], dtype=g.dtype)
-    if dx.ndim == 2:
-        dx[ids] = g
-    elif ids.ndim == 1:
-        dx[:, ids] = g
-    else:
-        dx[_per_sample(ids)] = g
+    dx[_per_sample(node.saved[0])] = g
     return (dx,)
 
 

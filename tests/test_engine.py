@@ -218,7 +218,7 @@ def test_release_frees_boundary_copy_and_constant_leaves():
             xb = t.boundary(x)
             pred = local_decoder_forward(t, params, spec, x, kept, i)
             loss = reconstruction_loss(t, pred, targets, kept)
-        t.backward(loss, boundary_block=i)
+        t.backward(loss)
         return xb
 
     with t.block(0):

@@ -199,7 +199,7 @@ def test_mask_partition_and_restore_bijection():
 
 
 def test_mask_keep_frequency_monte_carlo():
-    # frozen oracle: uniform shuffling keeps each patch w.p. 16/64 = 0.25
+    # fixed oracle: uniform shuffling keeps each patch w.p. 16/64 = 0.25
     n, trials = 64, 10_000
     counts = np.zeros(n)
     for trial in range(trials):

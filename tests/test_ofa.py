@@ -1,4 +1,4 @@
-"""Nested backbones: truncation equality, frozen probing, cost model."""
+"""Nested backbones: truncation equality, fixed-backbone probing, cost model."""
 
 import tracemalloc
 

@@ -62,11 +62,25 @@ def test_matmul_shape_mismatch_names_extents():
 
 def test_gather_rows_id_order():
     t = Tape()
-    x = t.leaf(_rand(5, 5, 8))
-    out = t.gather_rows(x, np.array([4, 0]))
-    assert out.shape == (2, 8)
-    assert np.array_equal(out.value[0], x.value[4])
-    assert np.array_equal(out.value[1], x.value[0])
+    x = t.leaf(_rand(5, 2, 5, 8))
+    out = t.gather_rows(x, np.array([[4, 0], [1, 3]]))
+    assert out.shape == (2, 2, 8)
+    assert np.array_equal(out.value[0, 0], x.value[0, 4])
+    assert np.array_equal(out.value[0, 1], x.value[0, 0])
+    assert np.array_equal(out.value[1, 0], x.value[1, 1])
+    assert np.array_equal(out.value[1, 1], x.value[1, 3])
+
+
+@pytest.mark.parametrize("x_shape,ids", [
+    ((2, 5, 4), np.array([4, 0])),      # one id list shared by the batch
+    ((5, 4), np.array([4, 0])),         # an unbatched input
+    ((5, 4), np.array([[4, 0]])),
+    ((2, 5, 4), np.array([[4, 0]])),    # fewer id rows than batch entries
+])
+def test_gather_rows_rejects_other_ranks(x_shape, ids):
+    t = Tape()
+    with pytest.raises(DimensionError, match=r"x \[b, n, d\] and ids \[b, k\]"):
+        t.gather_rows(t.leaf(np.zeros(x_shape)), ids)
 
 
 def test_layernorm_constant_row_is_zero_before_affine():
@@ -199,8 +213,12 @@ def test_linear_bitwise_equal_matmul_plus_bias(dtype):
 def test_linear_rejects_mismatched_bias():
     t = Tape()
     with pytest.raises(DimensionError, match="linear"):
-        t.linear(t.leaf(np.zeros((2, 4))), t.leaf(np.zeros((4, 3))),
+        t.linear(t.leaf(np.zeros((1, 2, 4))), t.leaf(np.zeros((4, 3))),
                  t.leaf(np.zeros(4)))
+    # an input that is not a token batch [b, m, k]
+    with pytest.raises(DimensionError, match=r"linear supports \[b,m,k\]"):
+        t.linear(t.leaf(np.zeros((2, 4))), t.leaf(np.zeros((4, 3))),
+                 t.leaf(np.zeros(3)))
 
 
 def test_every_recorded_node_kind_has_a_backward_rule():
@@ -232,7 +250,6 @@ def _one_node_per_backward_rule():
         t.add(act(8, 2, 3, 4), act(9, 4)),
         t.scale(act(10, 3, 4), 0.5),
         t.transpose(act(11, 2, 3, 4)),
-        t.gather_rows(act(13, 5, 4), np.array([4, 0, 2])),
         t.gather_rows(act(14, 2, 5, 4), ids),
         t.concat_rows([act(16, 2, 2, 4), act(17, 2, 3, 4)]),
         t.layernorm(act(18, 2, 3, 4), leaf(19, 4), leaf(20, 4)),
@@ -261,13 +278,13 @@ def test_backward_rules_read_no_values():
 
 
 def test_scatter_gather_roundtrip():
-    x = _rand(13, 6, 4)
-    perm = rng.permutation(17, 6)
+    x = _rand(13, 2, 6, 4)
+    perm = np.stack([rng.permutation(17 + i, 6) for i in range(2)])
     t = Tape()
     xn = t.leaf(x)
     shuffled = t.gather_rows(xn, perm)
     back = np.zeros_like(x)
-    back[perm] = shuffled.value
+    back[np.arange(2)[:, None], perm] = shuffled.value
     np.testing.assert_array_equal(back, x)
 
 
@@ -286,8 +303,8 @@ def test_per_sample_gather_and_scatter_match_along_axis_reference(b):
 
 
 @pytest.mark.parametrize("x_shape,ids", [
-    ((5, 4), np.array([1, 3, 1])),
-    ((2, 5, 4), np.array([0, 0])),
+    ((1, 5, 4), np.array([[1, 3, 1]])),
+    ((2, 5, 4), np.array([[0, 0], [1, 2]])),
     ((2, 5, 4), np.array([[0, 2, 4], [3, 1, 3]])),
 ])
 def test_gather_rows_rejects_duplicate_ids(x_shape, ids):
@@ -381,7 +398,7 @@ def test_grad_mixed_primitives(seed):
     # touches add, scale, transpose, gelu, layernorm, gather, concat, mse
     d = 6
     w = _rand(2000 + seed, d, d)
-    ids = rng.permutation(seed, 8)[:5]
+    ids = np.stack([rng.permutation(seed + i, 8)[:5] for i in range(2)])
 
     def build(t, x):
         h = t.layernorm(x, t.leaf(np.ones(d)), t.leaf(np.zeros(d)))
@@ -389,9 +406,10 @@ def test_grad_mixed_primitives(seed):
         h = t.gelu(t.scale(h, 0.7))
         g = t.gather_rows(h, ids)
         cat = t.concat_rows([g, t.transpose(t.transpose(g))])
-        return t.mse_masked(cat, t.leaf(np.zeros((10, d))), t.leaf(np.ones(10)))
+        return t.mse_masked(cat, t.leaf(np.zeros((2, 10, d))),
+                            t.leaf(np.ones((2, 10))))
 
-    _grad_check(build, _rand(seed + 77, 8, d), seed)
+    _grad_check(build, _rand(seed + 77, 2, 8, d), seed)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -427,7 +445,7 @@ def test_grad_batched_matmul_weight(seed):
 
 
 @pytest.mark.parametrize("var", ["x", "w", "b"])
-@pytest.mark.parametrize("x_shape", [(5, 4), (2, 1, 4), (2, 5, 4)])
+@pytest.mark.parametrize("x_shape", [(1, 5, 4), (2, 1, 4), (2, 5, 4)])
 def test_grad_linear(x_shape, var):
     vals = {"x": _rand(6001, *x_shape), "w": _rand(6002, 4, 3),
             "b": _rand(6003, 3)}
@@ -493,11 +511,14 @@ def test_backward_requires_scalar():
 
 # ----- block-boundary isolation ---------------------------------------------
 
-def _two_block_chain(t, x_val, w1_val, w2_val):
+def _two_block_chain(t, x_val, w1_val, w2_val, boundary=False):
+    """Block 1 reads block 0's output h, or a boundary copy of it."""
     with t.block(0):
         w1 = t.leaf(w1_val, name="w1", requires_grad=True)
         x = t.leaf(x_val)
         h = t.matmul(x, w1)
+        if boundary:
+            h = t.boundary(h)
     with t.block(1):
         w2 = t.leaf(w2_val, name="w2", requires_grad=True)
         y = t.matmul(h, w2)
@@ -507,10 +528,15 @@ def _two_block_chain(t, x_val, w1_val, w2_val):
 
 
 def test_boundary_isolation_drops_earlier_blocks():
+    # Block tags do not stop gradients: block 1 reading block 0's live node
+    # gets block 0's parameter too, which a training step rejects.  Through
+    # the boundary copy it gets its own parameter only.
+    x, w1, w2 = _rand(1, 4, 3), _rand(2, 3, 3), _rand(3, 3, 2)
     t = Tape()
-    loss = _two_block_chain(t, _rand(1, 4, 3), _rand(2, 3, 3), _rand(3, 3, 2))
-    table = t.backward(loss, boundary_block=1)
-    assert set(table) == {"w2"}
+    assert set(t.backward(_two_block_chain(t, x, w1, w2))) == {"w1", "w2"}
+    t = Tape()
+    loss = _two_block_chain(t, x, w1, w2, boundary=True)
+    assert set(t.backward(loss)) == {"w2"}
 
 
 def test_boundary_none_matches_chain_rule():
@@ -528,12 +554,13 @@ def test_boundary_none_matches_chain_rule():
 
 
 def test_boundary_restriction_bitwise_equal_without_sharing():
-    # grads for block >= b identical between bounded and full backward
+    # w2's gradient through the boundary copy equals the full chain's
     x, w1, w2 = _rand(11, 4, 3), _rand(12, 3, 3), _rand(13, 3, 2)
     t1 = Tape()
     full = t1.backward(_two_block_chain(t1, x, w1, w2))
     t2 = Tape()
-    part = t2.backward(_two_block_chain(t2, x, w1, w2), boundary_block=1)
+    part = t2.backward(_two_block_chain(t2, x, w1, w2, boundary=True))
+    assert part.keys() == {"w2"}
     assert np.array_equal(full["w2"], part["w2"])
 
 
@@ -579,7 +606,7 @@ def test_release_frees_exact_bytes_and_keeps_boundary():
     t = Tape()
     _, xb, loss0, loss1 = _tagged_step(t)
     live_full = t.meter.live_activation_bytes
-    t.backward(loss0, boundary_block=0)
+    t.backward(loss0)
     block0_bytes = sum(n.bytes for n in t.nodes if n.block == 0 and n is not xb)
     freed = t.release_block_activations(0, keep=xb)
     assert freed == block0_bytes
@@ -598,7 +625,7 @@ def test_release_before_backward_is_lifecycle_error():
 def test_double_release_is_lifecycle_error_and_live_unchanged():
     t = Tape()
     _, xb, loss0, _ = _tagged_step(t)
-    t.backward(loss0, boundary_block=0)
+    t.backward(loss0)
     t.release_block_activations(0, keep=xb)
     live = t.meter.live_activation_bytes
     with pytest.raises(LifecycleError, match="already released"):
@@ -609,11 +636,11 @@ def test_double_release_is_lifecycle_error_and_live_unchanged():
 def test_backward_after_release_is_lifecycle_error():
     t = Tape()
     _, xb, loss0, loss1 = _tagged_step(t)
-    t.backward(loss0, boundary_block=0)
-    t.backward(loss1, boundary_block=1)
+    t.backward(loss0)
+    t.backward(loss1)
     t.release_block_activations(1)
     with pytest.raises(LifecycleError, match="released"):
-        t.backward(loss1, boundary_block=1)
+        t.backward(loss1)
 
 
 def test_backward_into_released_node_is_lifecycle_error():
@@ -627,7 +654,7 @@ def test_backward_into_released_node_is_lifecycle_error():
         w1 = t.leaf(_rand(43, 4, 4), name="w1", requires_grad=True)
         h1 = t.matmul(h0, w1)
         loss1 = t.mse_masked(h1, t.leaf(np.zeros((3, 4))), t.leaf(np.ones(3)))
-    t.backward(loss0, boundary_block=0)
+    t.backward(loss0)
     t.release_block_activations(0)
     with pytest.raises(LifecycleError,
                        match="released node <Node gelu block=0 released>"):
@@ -637,15 +664,16 @@ def test_backward_into_released_node_is_lifecycle_error():
 def test_backward_drops_walked_values_and_keeps_the_loss():
     t = Tape()
     *_, loss1 = _tagged_step(t)
-    first = t.backward(loss1, boundary_block=1)
+    first = t.backward(loss1)
     walked = [n for n in t.nodes if n.block == 1 and not n.is_leaf]
     assert loss1 in walked and loss1.value is not None
     assert all(n.value is None for n in walked if n is not loss1)
-    # Leaves, and block 0, which this backward stops before, keep theirs.
+    # Leaves, and block 0, which block 1 reads through a boundary copy only,
+    # keep theirs.
     assert all(n.value is not None for n in t.nodes
                if n.is_leaf or n.block == 0)
     # A second pass reads only the saved buffers, so it is the same.
-    again = t.backward(loss1, boundary_block=1)
+    again = t.backward(loss1)
     assert first.keys() == again.keys() == {"b1.w"}
     assert np.array_equal(first["b1.w"], again["b1.w"])
 
@@ -653,9 +681,9 @@ def test_backward_drops_walked_values_and_keeps_the_loss():
 def test_full_release_drains_live_to_zero():
     t = Tape()
     _, xb, loss0, loss1 = _tagged_step(t)
-    t.backward(loss0, boundary_block=0)
+    t.backward(loss0)
     t.release_block_activations(0, keep=xb)
-    t.backward(loss1, boundary_block=1)
+    t.backward(loss1)
     t.release_block_activations(1)
     t.dispose(xb)
     assert t.meter.live_activation_bytes == 0
@@ -735,8 +763,7 @@ def _force_parts(monkeypatch, parts):
 
 
 def _split_kernels_run(b, dtype):
-    """Forward and every VJP of linear (2-D and 3-D input), layernorm,
-    attention and gelu; returns each node's value, saved buffers and
+    """Forward and every VJP of linear, layernorm, attention and gelu; returns each node's value, saved buffers and
     charged bytes, the meter, and every VJP output."""
     def r(seed, *shape):
         return _rand(seed, *shape).astype(dtype)
@@ -747,7 +774,6 @@ def _split_kernels_run(b, dtype):
     qkv = t.linear(h, t.leaf(r(4, 12, 36)), t.leaf(r(5, 36)))
     att = t.attention(qkv, 3)
     f1 = t.gelu(t.linear(att, t.leaf(r(6, 12, 20)), t.leaf(r(7, 20))))
-    rows = t.linear(t.leaf(r(8, b, 20)), t.leaf(r(9, 20, 6)), t.leaf(r(10, 6)))
     out = {"peak": t.meter.peak_activation_bytes,
            "live": t.meter.live_activation_bytes}
     for i, node in enumerate(t.nodes):
@@ -761,7 +787,7 @@ def _split_kernels_run(b, dtype):
                    for j, a in enumerate(_VJP[node.kind](node, g)))
     assert {n.kind for n in t.nodes} - {"leaf"} == {
         "layernorm", "linear", "attention", "gelu"}
-    assert f1.shape == (b, 5, 20) and rows.shape == (b, 6)
+    assert f1.shape == (b, 5, 20)
     return out
 
 
