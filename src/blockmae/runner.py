@@ -39,6 +39,7 @@ FLOP_HEADER = ("schedule,visible_fractions,encoder_linear_units,"
                "baseline_quad_units,baseline_decoder_units,"
                "savings_vs_baseline")
 PROBE_HEADER = "depth_k,train_accuracy,val_accuracy,epochs,config_hash"
+_OPT_PREFIXES = ("opt.m.", "opt.v.", "opt.t.")
 
 
 @dataclass
@@ -186,10 +187,14 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
 
 
 def write_mem_report(cfg, out_dir, batch=None):
+    if batch is None:
+        batch = min(cfg.train.batch_size, 8)
+    elif batch < 1:
+        raise ConfigError(f"mem-report batch must be >= 1, got {batch}")
     os.makedirs(out_dir, exist_ok=True)
     plan = _plan_for(cfg)
-    rows = compare_peak(cfg.model, plan, batch or min(cfg.train.batch_size, 8),
-                        seed=cfg.train.seed, dtype=cfg.train.np_dtype)
+    rows = compare_peak(cfg.model, plan, batch, seed=cfg.train.seed,
+                        dtype=cfg.train.np_dtype)
     path = os.path.join(out_dir, "mem_report.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(MEM_HEADER + "\n")
@@ -220,10 +225,19 @@ def write_flop_report(cfg, out_dir):
 def _load_params(model, tensors, dtype):
     """Copy the checkpoint's parameters into `model.params` as `dtype`.
 
-    Each parameter's tensor and its `opt.m.`/`opt.v.` moments must have
-    the shape the config gives it, or ConfigError names the tensor and
-    both shapes.  Returns the names of the parameters the checkpoint lacks.
+    Every checkpoint tensor must be a parameter of the config's model, its
+    `opt.m.`/`opt.v.`/`opt.t.` entry or a `meta.` counter, or ConfigError
+    names the first that is not.  Each parameter's tensor and its
+    `opt.m.`/`opt.v.` moments must have the shape the config gives it, or
+    ConfigError names the tensor and both shapes.  Returns the names of the
+    parameters the checkpoint lacks.
     """
+    for key in tensors:
+        name = key[len("opt.m."):] if key.startswith(_OPT_PREFIXES) else key
+        if name not in model.params and not key.startswith("meta."):
+            raise ConfigError(
+                f"checkpoint tensor {key!r} is not a parameter of the "
+                f"config's model")
     for name, arr in model.params.items():
         for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
             if key in tensors and tensors[key].shape != arr.shape:
@@ -235,25 +249,32 @@ def _load_params(model, tensors, dtype):
     return [name for name in model.params if name not in tensors]
 
 
-def _model_from_checkpoint(cfg, checkpoint_path):
+def _model_from_checkpoint(cfg, checkpoint_path, k):
+    """Prefix k of the config's model, every tensor of it read from the
+    checkpoint: a full run's or an exported backbone."""
     plan = _plan_for(cfg)
     model = build_model(cfg.model, plan.num_blocks, cfg.train.seed,
                         np.float64)
     tensors = fold_split_qkv(load_checkpoint(checkpoint_path), cfg.model)
     _load_params(model, tensors, np.float64)
-    return model, tensors
-
-
-def run_probe(cfg, checkpoint_path, k, out_dir):
-    """Probe prefix k of a trained checkpoint on the labeled dataset."""
-    os.makedirs(out_dir, exist_ok=True)
-    model, tensors = _model_from_checkpoint(cfg, checkpoint_path)
     prefix = truncate_backbone(model, k)
     missing = [n for n in prefix.parameters() + list(prefix.norm_params())
                if n not in tensors]
     if missing:
         raise ConfigError(f"checkpoint lacks backbone tensors: {missing[:3]}")
+    return prefix
+
+
+def run_probe(cfg, checkpoint_path, k, out_dir):
+    """Probe prefix k of a trained checkpoint on the labeled dataset."""
+    os.makedirs(out_dir, exist_ok=True)
+    prefix = _model_from_checkpoint(cfg, checkpoint_path, k)
     ds = _dataset_for(cfg)
+    if ds.labels is not None and ds.labels.max() >= cfg.train.num_classes:
+        top = ds.labels.max()
+        raise ConfigError(
+            f"dataset label {top} needs num_classes > {top}, the config "
+            f"gives num_classes = {cfg.train.num_classes}")
     res = linear_probe(prefix, ds,
                        ProbeConfig(seed=cfg.train.seed),
                        num_classes=cfg.train.num_classes)
@@ -270,9 +291,8 @@ def run_probe(cfg, checkpoint_path, k, out_dir):
 def run_export_backbone(cfg, checkpoint_path, k, out_dir):
     """Write prefix k (backbone weights + its norm) as a BIMC file."""
     os.makedirs(out_dir, exist_ok=True)
-    model, _ = _model_from_checkpoint(cfg, checkpoint_path)
-    prefix = truncate_backbone(model, k)
-    tensors = {n: model.params[n]
+    prefix = _model_from_checkpoint(cfg, checkpoint_path, k)
+    tensors = {n: prefix.model.params[n]
                for n in prefix.parameters() + list(prefix.norm_params())}
     tensors["meta.k"] = np.array([k], dtype=np.float64)
     path = os.path.join(out_dir, f"backbone_k{k}.bimc")

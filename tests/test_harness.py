@@ -2,6 +2,7 @@
 
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,7 +366,7 @@ def _write_cfg(tmp_path, text=TINY_CONFIG):
 def test_pretrain_writes_metrics_and_checkpoints(tmp_path):
     cfg = parse_config(TINY_CONFIG)
     art = run_pretrain(cfg, str(tmp_path / "run"))
-    lines = open(art.metrics_path).read().splitlines()
+    lines = Path(art.metrics_path).read_text().splitlines()
     assert lines[0] == "step,epoch,block_id,loss,lr,live_bytes,peak_bytes"
     # 8 steps x (2 block rows + 1 aggregate)
     assert len(lines) == 1 + 8 * 3
@@ -380,7 +381,7 @@ def test_metrics_bytewise_deterministic(tmp_path):
     cfg = parse_config(TINY_CONFIG)
     a = run_pretrain(cfg, str(tmp_path / "a"))
     b = run_pretrain(cfg, str(tmp_path / "b"))
-    assert open(a.metrics_path, "rb").read() == open(b.metrics_path, "rb").read()
+    assert Path(a.metrics_path).read_bytes() == Path(b.metrics_path).read_bytes()
 
 
 def test_checkpoint_resume_replay_bitwise(tmp_path):
@@ -405,8 +406,8 @@ def test_resume_in_place_metrics_match_uninterrupted(tmp_path):
     run_pretrain(cfg, out, max_steps=5)
     resumed = run_pretrain(cfg, out, resume_from=os.path.join(
         out, "ckpt_epoch1.bimc"))
-    want = open(full.metrics_path, "rb").read()
-    assert open(resumed.metrics_path, "rb").read() == want
+    want = Path(full.metrics_path).read_bytes()
+    assert Path(resumed.metrics_path).read_bytes() == want
 
 
 def test_metrics_rows_on_disk_before_each_checkpoint(tmp_path, monkeypatch):
@@ -436,9 +437,9 @@ def _torn_metrics_run(tmp_path, cut_row, cut_at):
     full = run_pretrain(cfg, str(tmp_path / "full"))
     out = str(tmp_path / "torn")
     path = run_pretrain(cfg, out, max_steps=11).metrics_path
-    lines = open(path, "rb").read().splitlines(keepends=True)
-    open(path, "wb").write(b"".join(lines[:cut_row]) + lines[cut_row][:cut_at])
-    return cfg, out, open(full.metrics_path, "rb").read()
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    Path(path).write_bytes(b"".join(lines[:cut_row]) + lines[cut_row][:cut_at])
+    return cfg, out, Path(full.metrics_path).read_bytes()
 
 
 @pytest.mark.parametrize("cut_at", [1, 9])
@@ -449,7 +450,7 @@ def test_resume_drops_torn_metrics_row(tmp_path, cut_at):
     cfg, out, want = _torn_metrics_run(tmp_path, 31, cut_at)
     resumed = run_pretrain(cfg, out, resume_from=os.path.join(
         out, "ckpt_epoch4.bimc"))
-    assert open(resumed.metrics_path, "rb").read() == want
+    assert Path(resumed.metrics_path).read_bytes() == want
 
 
 def test_resume_refuses_metrics_torn_before_checkpoint(tmp_path):
@@ -488,7 +489,7 @@ def test_split_layout_checkpoint_resumes_identically(tmp_path):
     assert "opt.t.block1.dec.layer0.attn.v0.b" in load_checkpoint(split)
     a = run_pretrain(cfg, str(tmp_path / "a"), resume_from=fused)
     b = run_pretrain(cfg, str(tmp_path / "b"), resume_from=split)
-    assert open(a.metrics_path, "rb").read() == open(b.metrics_path, "rb").read()
+    assert Path(a.metrics_path).read_bytes() == Path(b.metrics_path).read_bytes()
     t_a = load_checkpoint(a.checkpoint_paths[-1])
     t_b = load_checkpoint(b.checkpoint_paths[-1])
     assert set(t_a) == set(t_b)
@@ -503,8 +504,8 @@ def test_split_layout_checkpoint_probes_identically(tmp_path):
     art_a, res_a = run_probe(cfg, fused, 2, str(tmp_path / "a"))
     art_b, res_b = run_probe(cfg, split, 2, str(tmp_path / "b"))
     assert res_a == res_b
-    assert open(art_a.probe_results_path, "rb").read() == \
-        open(art_b.probe_results_path, "rb").read()
+    assert Path(art_a.probe_results_path).read_bytes() == \
+        Path(art_b.probe_results_path).read_bytes()
 
 
 @pytest.mark.parametrize("missing", ["enc.layer1.attn.k1.w",
@@ -561,6 +562,79 @@ def test_cli_checkpoint_of_another_width_exits_nonzero(tmp_path, capsys,
     assert not os.path.exists(os.path.join(out, "backbone_k2.bimc"))
 
 
+def test_cli_export_refuses_checkpoint_that_lacks_a_backbone_tensor(
+        tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = run_pretrain(load_config(cfg_path), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    tensors = load_checkpoint(ckpt)
+    del tensors["enc.layer1.mlp.fc2.w"]
+    save_checkpoint(tensors, ckpt)
+    out = str(tmp_path / "out")
+    assert cli_main(["export-backbone", "--config", cfg_path, "--checkpoint",
+                     ckpt, "--k", "2", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint lacks backbone tensors: "
+                          "['enc.layer1.mlp.fc2.w']")
+    assert not os.path.exists(os.path.join(out, "backbone_k2.bimc"))
+
+
+@pytest.mark.parametrize("command", ["probe", "export-backbone", "pretrain"])
+def test_cli_refuses_checkpoint_with_more_blocks_than_the_config(
+        tmp_path, capsys, command):
+    # A 4-block run loaded under a 2-block config of the same depth: its
+    # block1 bridge norm was trained after layer 1, not layer 3, and its
+    # block2 and block3 tensors have no place in the config's model.
+    deep = TINY_CONFIG + "depth = 4\n"
+    ckpt = run_pretrain(
+        parse_config(deep + "num_blocks = 4\nmask_schedule = 0.5,0.5,0.5,0.5\n"),
+        str(tmp_path / "run"), max_steps=4).checkpoint_paths[0]
+    cfg_path = _write_cfg(tmp_path, deep)
+    out = str(tmp_path / "out")
+    args = (["--resume", ckpt] if command == "pretrain"
+            else ["--checkpoint", ckpt, "--k", "2"])
+    assert cli_main([command, "--config", cfg_path, "--out", out] + args) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: checkpoint tensor 'block2\.[\w.]+' is not a "
+                    r"parameter of the config's model", err), err
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("batch", ["0", "-1"])
+def test_cli_mem_report_refuses_batch_below_one(tmp_path, capsys, batch):
+    out = str(tmp_path / "report")
+    assert cli_main(["mem-report", "--config", _write_cfg(tmp_path),
+                     "--out", out, "--batch", batch]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mem-report batch must be >= 1, got {batch}")
+    assert not os.path.exists(os.path.join(out, "mem_report.csv"))
+
+
+def test_cli_probe_refuses_labels_beyond_num_classes(tmp_path, capsys):
+    ds = gen_synthetic_dataset(16, 64, seed=14, num_classes=4)
+    assert ds.labels.max() == 3
+    data = str(tmp_path / "four.bimd")
+    save_dataset(ds, data)
+    ckpt = run_pretrain(parse_config(TINY_CONFIG), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    out = str(tmp_path / "out")
+
+    def probe(num_classes):
+        cfg_path = _write_cfg(tmp_path, TINY_CONFIG + f"dataset = {data}\n"
+                              f"num_classes = {num_classes}\n")
+        return cli_main(["probe", "--config", cfg_path, "--checkpoint", ckpt,
+                         "--k", "2", "--out", out])
+
+    assert probe(2) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: dataset label 3 needs num_classes > 3, the config gives "
+        "num_classes = 2")
+    assert not os.path.exists(os.path.join(out, "probe_results.csv"))
+    # more classes than labels is a valid probe
+    assert probe(6) == 0
+    assert os.path.exists(os.path.join(out, "probe_results.csv"))
+
+
 def test_cli_end_to_end_pipeline(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     out = str(tmp_path / "run")
@@ -572,11 +646,11 @@ def test_cli_end_to_end_pipeline(tmp_path):
     assert os.path.exists(backbone)
     assert cli_main(["probe", "--config", cfg_path, "--checkpoint", backbone,
                      "--k", "2", "--out", out]) == 0
-    probe_csv = open(os.path.join(out, "probe_results.csv")).read().splitlines()
+    probe_csv = Path(out, "probe_results.csv").read_text().splitlines()
     assert probe_csv[0] == "depth_k,train_accuracy,val_accuracy,epochs,config_hash"
     assert probe_csv[1].startswith("2,")
     assert cli_main(["mem-report", "--config", cfg_path, "--out", out]) == 0
-    mem = open(os.path.join(out, "mem_report.csv")).read().splitlines()
+    mem = Path(out, "mem_report.csv").read_text().splitlines()
     assert float(mem[2].rsplit(",", 1)[1]) < 1.0  # blockwise ratio row
     assert cli_main(["flop-report", "--config", cfg_path, "--out", out]) == 0
 
@@ -629,5 +703,5 @@ def test_cli_baseline_mae_forces_mode(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     out = str(tmp_path / "mae")
     assert cli_main(["baseline-mae", "--config", cfg_path, "--out", out]) == 0
-    lines = open(os.path.join(out, "metrics.csv")).read().splitlines()
+    lines = Path(out, "metrics.csv").read_text().splitlines()
     assert {int(l.split(",")[2]) for l in lines[1:]} == {-1, 0}
