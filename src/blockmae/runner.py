@@ -13,6 +13,7 @@ non-finite loss aborts the run before anything is written for that step.
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,6 @@ FLOP_HEADER = ("schedule,visible_fractions,encoder_linear_units,"
                "baseline_quad_units,baseline_decoder_units,"
                "savings_vs_baseline")
 PROBE_HEADER = "depth_k,train_accuracy,val_accuracy,epochs,config_hash"
-_OPT_PREFIXES = ("opt.m.", "opt.v.", "opt.t.")
 
 
 @dataclass
@@ -233,7 +233,7 @@ def _load_params(model, tensors, dtype):
     parameters the checkpoint lacks.
     """
     for key in tensors:
-        name = key[len("opt.m."):] if key.startswith(_OPT_PREFIXES) else key
+        name = re.sub(r"^opt\.[mvt]\.", "", key)
         if name not in model.params and not key.startswith("meta."):
             raise ConfigError(
                 f"checkpoint tensor {key!r} is not a parameter of the "
