@@ -16,11 +16,8 @@ Attention uses the usual head-batched layout: one `attn.qkv` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), feeds one
 `Tape.attention` node that runs every head in one batched product and
 returns the heads merged to [b, n, d].  A layer is ten tape nodes.
-Checkpoints written with the earlier split layout, one
-`attn.{q,k,v}{h}` projection per head, load through `fold_split_qkv`.
 """
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,58 +165,6 @@ def init_block_head_params(spec, block_id, seed, dtype=np.float32):
                                          spec.decoder_heads, spec.mlp_ratio,
                                          seed, dtype))
     return params
-
-
-# ----- checkpoint migration ----------------------------------------------------
-
-# A split-layout tensor: optional optimizer-state prefix, layer, leaf name.
-_SPLIT_QKV = re.compile(r"(opt\.[mvt]\.)?(.+)\.attn\.[qkv]\d+\.([wb])")
-
-
-def fold_split_qkv(tensors, spec):
-    """Checkpoint tensors with split-layout attention folded into `attn.qkv`.
-
-    Each layer's `attn.{q,k,v}{h}.{w,b}` tensors, and their `opt.m.` and
-    `opt.v.` moments, are concatenated along the last axis in `attn.qkv`
-    column order; their `opt.t.` step counts must all be equal and become
-    the fused tensor's.  Encoder layers have `spec.heads` heads, decoder
-    layers `spec.decoder_heads`.  A missing or surplus head raises
-    ConfigError naming the tensor.  Other tensors pass through unchanged,
-    so a checkpoint in the fused layout is returned as it is.
-    """
-    from .config import ConfigError  # local import avoids a cycle
-
-    out, used = {}, set()
-    for name, arr in tensors.items():
-        m = _SPLIT_QKV.fullmatch(name)
-        if m is None:
-            out[name] = arr
-            continue
-        state, layer, leaf = m.group(1) or "", m.group(2), m.group(3)
-        fused = f"{state}{layer}.attn.qkv.{leaf}"
-        if fused in out:
-            continue
-        heads = spec.decoder_heads if ".dec." in layer else spec.heads
-        parts = []
-        for head in split_qkv_names(layer, heads):
-            part = f"{state}{head}.{leaf}"
-            if part not in tensors:
-                raise ConfigError(f"checkpoint lacks split attention tensor "
-                                  f"{part!r} of {fused!r}")
-            parts.append(tensors[part])
-            used.add(part)
-        if state == "opt.t.":
-            if any(not np.array_equal(p, parts[0]) for p in parts):
-                raise ConfigError(f"step counts of the heads folded into "
-                                  f"{fused!r} differ")
-            out[fused] = parts[0]
-        else:
-            out[fused] = np.concatenate(parts, axis=-1)
-    surplus = [n for n in tensors if _SPLIT_QKV.fullmatch(n) and n not in used]
-    if surplus:
-        raise ConfigError(f"checkpoint tensor {surplus[0]!r} is not a head "
-                          f"of this model's attention")
-    return out
 
 
 # ----- positions and patches -------------------------------------------------

@@ -16,6 +16,7 @@ from blockmae.config import (
 from blockmae.data import (
     FormatError, gen_synthetic_dataset, load_dataset, save_dataset,
 )
+from blockmae.engine import build_model
 from blockmae.ofa import ProbeConfig, fit_linear_classifier, _accuracy
 from blockmae.optim import AdamW, lr_at_step, scale_lr
 from blockmae.runner import run_pretrain, run_probe
@@ -461,7 +462,7 @@ def test_resume_refuses_metrics_torn_before_checkpoint(tmp_path):
                      resume_from=os.path.join(out, "ckpt_epoch4.bimc"))
 
 
-def _resave_split_layout(src, dst, cfg, drop=()):
+def _resave_split_layout(src, dst, cfg):
     """Re-save a checkpoint as the split attention layout wrote it: every
     `attn.qkv` tensor, moment and step count cut into one tensor per
     projection and head, columns (q|k|v, head, dh)."""
@@ -476,47 +477,71 @@ def _resave_split_layout(src, dst, cfg, drop=()):
                  else np.split(arr, 3 * heads, axis=-1))
         names = [f"{layer}.attn.{p}{h}.{leaf}" for p in "qkv" for h in range(heads)]
         out.update(zip(names, parts))
-    for name in drop:
-        del out[name]
     save_checkpoint(out, dst)
 
 
-def test_split_layout_checkpoint_resumes_identically(tmp_path):
-    cfg = parse_config(TINY_CONFIG)
-    fused = run_pretrain(cfg, str(tmp_path / "half"), max_steps=4).checkpoint_paths[0]
-    split = str(tmp_path / "split.bimc")
-    _resave_split_layout(fused, split, cfg)
-    assert "opt.t.block1.dec.layer0.attn.v0.b" in load_checkpoint(split)
-    a = run_pretrain(cfg, str(tmp_path / "a"), resume_from=fused)
-    b = run_pretrain(cfg, str(tmp_path / "b"), resume_from=split)
-    assert Path(a.metrics_path).read_bytes() == Path(b.metrics_path).read_bytes()
-    t_a = load_checkpoint(a.checkpoint_paths[-1])
-    t_b = load_checkpoint(b.checkpoint_paths[-1])
-    assert set(t_a) == set(t_b)
-    assert all(np.array_equal(t_a[k], t_b[k]) for k in t_a)
-
-
-def test_split_layout_checkpoint_probes_identically(tmp_path):
+def test_split_layout_checkpoint_is_refused(tmp_path):
     cfg = parse_config(TINY_CONFIG)
     fused = run_pretrain(cfg, str(tmp_path / "run"), max_steps=4).checkpoint_paths[0]
     split = str(tmp_path / "split.bimc")
     _resave_split_layout(fused, split, cfg)
-    art_a, res_a = run_probe(cfg, fused, 2, str(tmp_path / "a"))
-    art_b, res_b = run_probe(cfg, split, 2, str(tmp_path / "b"))
-    assert res_a == res_b
-    assert Path(art_a.probe_results_path).read_bytes() == \
-        Path(art_b.probe_results_path).read_bytes()
-
-
-@pytest.mark.parametrize("missing", ["enc.layer1.attn.k1.w",
-                                     "opt.v.block0.dec.layer0.attn.q0.b"])
-def test_split_layout_checkpoint_missing_head_names_the_tensor(tmp_path, missing):
-    cfg = parse_config(TINY_CONFIG)
-    fused = run_pretrain(cfg, str(tmp_path / "run"), max_steps=4).checkpoint_paths[0]
-    split = str(tmp_path / "split.bimc")
-    _resave_split_layout(fused, split, cfg, drop=(missing,))
-    with pytest.raises(ConfigError, match=re.escape(repr(missing))):
+    unknown = (r"checkpoint tensor '[\w.]*\.attn\.q0\.[wb]' is not a "
+               r"parameter of the config's model")
+    with pytest.raises(ConfigError, match=unknown):
         run_pretrain(cfg, str(tmp_path / "resumed"), resume_from=split)
+    with pytest.raises(ConfigError, match=unknown):
+        run_probe(cfg, split, 2, str(tmp_path / "probe"))
+
+
+def _cli_resume(tmp_path, tensors):
+    """Exit code of `pretrain --resume` from a file of `tensors`, and
+    whether the run wrote a metrics file."""
+    ckpt = str(tmp_path / "resume.bimc")
+    save_checkpoint(tensors, ckpt)
+    out = str(tmp_path / "resumed")
+    code = cli_main(["pretrain", "--config", _write_cfg(tmp_path),
+                     "--out", out, "--resume", ckpt])
+    return code, os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+@pytest.mark.parametrize("with_step", [False, True])
+def test_cli_resume_from_weights_only_exits_nonzero(tmp_path, capsys,
+                                                    with_step):
+    cfg = parse_config(TINY_CONFIG)
+    model = build_model(cfg.model, cfg.train.num_blocks, cfg.train.seed,
+                        cfg.train.np_dtype)
+    tensors = dict(model.params)
+    if with_step:
+        tensors["meta.step"] = np.array([4.0])
+    missing = f"opt.m.{next(iter(model.params))}" if with_step else "meta.step"
+    assert _cli_resume(tmp_path, tensors) == (1, False)
+    assert capsys.readouterr().err.startswith(
+        f"error: checkpoint lacks {missing!r}, which a resume needs")
+
+
+@pytest.mark.parametrize("missing", ["opt.t.embed.w", "opt.v.embed.w",
+                                     "opt.m.embed.w"])
+def test_cli_resume_with_partial_optimizer_state_exits_nonzero(
+        tmp_path, capsys, missing):
+    # Without opt.m. the other two entries used to be dropped in silence;
+    # without opt.t. or opt.v. the resume died with a KeyError.
+    ckpt = run_pretrain(parse_config(TINY_CONFIG), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    tensors = load_checkpoint(ckpt)
+    del tensors[missing]
+    assert _cli_resume(tmp_path, tensors) == (1, False)
+    assert capsys.readouterr().err.startswith(
+        f"error: checkpoint lacks {missing!r}, which a resume needs")
+
+
+def test_run_without_mallopt_writes_the_same_metrics(tmp_path, monkeypatch):
+    cfg = parse_config(TINY_CONFIG)
+    want = Path(run_pretrain(cfg, str(tmp_path / "a"),
+                             max_steps=4).metrics_path).read_bytes()
+    monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
+    assert runner._keep_freed_heap() is False
+    got = run_pretrain(cfg, str(tmp_path / "b"), max_steps=4).metrics_path
+    assert Path(got).read_bytes() == want
 
 
 def _checkpoint_and_wider_config(tmp_path, key, value):

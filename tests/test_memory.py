@@ -16,6 +16,7 @@ from blockmae.memory import (
 )
 from blockmae.model import ModelSpec, encoder_block_layer, init_encoder_params
 from blockmae.optim import AdamW
+from blockmae.runner import _keep_freed_heap
 from blockmae.tape import Tape
 
 
@@ -197,17 +198,24 @@ def test_flop_totals_nonnegative_and_additive():
 
 # ----- real bytes ----------------------------------------------------------------
 
-def test_warm_blockwise_step_heap_within_bound_of_metered():
-    # The meter charges saved buffers only; the process also holds the
-    # gradient frontier, VJP temporaries and the parameter gradients, but
-    # no released or dead forward value.  This reads about 1.25.
+def _warm_desk_blockwise():
+    """Units, images, plan and optimizer of a desk block-wise run at batch
+    64, after the first step: the optimizer state and the worker threads
+    come with it."""
     images = gen_synthetic_dataset(TOY.image_size, 64, 11).images(
         dtype=np.float32)
     units = partition_encoder(build_model(TOY, 4, seed=11), 4)
     plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,) * 4)
     opt = AdamW()
-    # The optimizer state and the worker threads come with the first step.
     blockwise_train_step(units, images, plan, opt, 1e-3, step_seed=1)
+    return units, images, plan, opt
+
+
+def test_warm_blockwise_step_heap_within_bound_of_metered():
+    # The meter charges saved buffers only; the process also holds the
+    # gradient frontier, VJP temporaries and the parameter gradients, but
+    # no released or dead forward value.  This reads about 1.25.
+    units, images, plan, opt = _warm_desk_blockwise()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -217,3 +225,21 @@ def test_warm_blockwise_step_heap_within_bound_of_metered():
     finally:
         tracemalloc.stop()
     assert (peak - start) / rep.peak_activation_bytes <= 1.4
+
+
+def test_warm_blockwise_steps_fault_no_pages():
+    # With the thresholds a training run sets, a warm step reuses the heap
+    # the step before it freed.  With glibc's defaults each step faults
+    # about 20,000 pages back in.
+    resource = pytest.importorskip("resource")
+    if not _keep_freed_heap():
+        pytest.skip("libc has no glibc mallopt")
+    units, images, plan, opt = _warm_desk_blockwise()
+    blockwise_train_step(units, images, plan, opt, 1e-3, step_seed=2)
+    faults = []
+    for seed in range(3, 8):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        blockwise_train_step(units, images, plan, opt, 1e-3, step_seed=seed)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    assert np.median(faults) <= 200, faults

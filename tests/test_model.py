@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from blockmae import rng
-from blockmae.config import ConfigError
 from blockmae.model import (
     ModelSpec, _xavier_uniform, embed_visible, encoder_block_layer,
-    fold_split_qkv, init_block_head_params, init_encoder_params, keep_count,
+    init_block_head_params, init_encoder_params, keep_count,
     local_decoder_forward, mask_indices, patch_mask, patch_targets, patchify,
     reconstruction_loss, sincos_pos_embed,
 )
@@ -294,57 +293,6 @@ def test_qkv_init_is_the_per_head_draws_of_the_split_layout(prefix, heads, dim):
         draw = _xavier_uniform(rng.split(17, "init", f"{prefix}.attn.{proj}{h}.w"),
                                dim, dh, (dim, dh), np.float32)
         assert np.array_equal(w[:, i * dh:(i + 1) * dh], draw), (proj, h)
-
-
-def _split_qkv_tensors(spec):
-    """A split-layout layer, moments and step counts, keyed like a
-    checkpoint of that layout, with its fused equivalent."""
-    dh = spec.embed_dim // spec.heads
-    split = {}
-    for state in ("", "opt.m.", "opt.v.", "opt.t."):
-        for proj in "qkv":
-            for h in range(spec.heads):
-                for leaf, shape in (("w", (spec.embed_dim, dh)), ("b", (dh,))):
-                    name = f"{state}enc.layer0.attn.{proj}{h}.{leaf}"
-                    split[name] = (np.array([3.0]) if state == "opt.t." else
-                                   rng.normals(len(split), int(np.prod(shape)))
-                                   .reshape(shape))
-    return split
-
-
-def test_fold_split_qkv_concatenates_heads_in_column_order():
-    spec = _toy_spec()
-    split = _split_qkv_tensors(spec)
-    split["enc.layer0.ln1.g"] = np.ones(spec.embed_dim)
-    folded = fold_split_qkv(split, spec)
-    assert sorted(folded) == sorted(
-        [f"{s}enc.layer0.attn.qkv.{leaf}" for s in ("", "opt.m.", "opt.v.", "opt.t.")
-         for leaf in "wb"] + ["enc.layer0.ln1.g"])
-    for state in ("", "opt.m.", "opt.v."):
-        w = folded[f"{state}enc.layer0.attn.qkv.w"]
-        assert w.shape == (spec.embed_dim, 3 * spec.embed_dim)
-        dh = spec.embed_dim // spec.heads
-        for i, (proj, h) in enumerate((p, h) for p in "qkv" for h in range(2)):
-            assert np.array_equal(w[:, i * dh:(i + 1) * dh],
-                                  split[f"{state}enc.layer0.attn.{proj}{h}.w"])
-    assert folded["opt.t.enc.layer0.attn.qkv.w"].tolist() == [3.0]
-    assert fold_split_qkv(folded, spec) == folded  # fused layout passes through
-
-
-def test_fold_split_qkv_rejects_unequal_head_steps():
-    spec = _toy_spec()
-    split = _split_qkv_tensors(spec)
-    split["opt.t.enc.layer0.attn.v1.b"] = np.array([4.0])
-    with pytest.raises(ConfigError, match="step counts"):
-        fold_split_qkv(split, spec)
-
-
-def test_fold_split_qkv_rejects_surplus_head():
-    spec = _toy_spec()
-    split = _split_qkv_tensors(spec)
-    split["enc.layer0.attn.q2.w"] = split["enc.layer0.attn.q1.w"]
-    with pytest.raises(ConfigError, match="'enc.layer0.attn.q2.w'"):
-        fold_split_qkv(split, spec)
 
 
 def test_encoder_layer_gradient_matches_finite_diff():
