@@ -65,22 +65,23 @@ class FlopReport:
 def _layer_bytes(b, n, d, heads, mlp_ratio, s, input_charged=True):
     """Charged bytes of one transformer layer at n tokens, width d.
 
-    Per sample, in units of n*d: the layer input to LN1 (when charged),
-    the LN1 output to the qkv linear (1), the qkv output to attention (3),
-    the merged heads to the out linear (1), the residual sum to LN2 (1),
-    the LN2 output to fc1 (1), and at width mlp_ratio*d the fc1 output and
-    its CDF term to GELU (2) and the GELU output to fc2 (1).  Attention
-    also saves its probabilities, heads*n*n; each LayerNorm saves a mean
-    and an inverse std per row, 2n.
+    Per sample, in units of n*d: the layer input to the LN1 + qkv node
+    (when charged), the qkv output to attention (3), the merged heads to
+    the out linear (1), the residual sum to the LN2 + fc1 node (1), and at
+    width mlp_ratio*d the fc1 output and its CDF term to the GELU + fc2
+    node (2).  Attention also saves its probabilities, heads*n*n; each
+    fused LayerNorm saves a mean and an inverse std per row, 2n.  No
+    LayerNorm or GELU output is saved: backward recomputes them.
     """
-    lin = (7 + (1 if input_charged else 0) + 3 * mlp_ratio) * n * d
+    lin = (5 + (1 if input_charged else 0) + 2 * mlp_ratio) * n * d
     quad = heads * n * n
     aux = 4 * n
     return s * b * (lin + quad + aux)
 
 
 def _bridge_bytes(b, n, d, s):
-    return s * b * (2 * n * d + 2 * n)
+    """The LN + projection node: the block output and its row statistics."""
+    return s * b * (n * d + 2 * n)
 
 
 def _decoder_bytes(spec, b, n_vis, s):
@@ -89,8 +90,7 @@ def _decoder_bytes(spec, b, n_vis, s):
     total = _IDS_BYTES * b * n  # unshuffle gather ids
     for _ in range(spec.decoder_depth):
         total += _layer_bytes(b, n, dd, spec.decoder_heads, spec.mlp_ratio, s)
-    total += s * b * (n * dd + 2 * n)        # final norm
-    total += s * b * n * dd                  # prediction head matmul
+    total += s * b * (n * dd + 2 * n)        # final norm + prediction head
     total += s * b * n * spec.patch_pixels   # loss saves the prediction
     return total
 

@@ -15,7 +15,10 @@ restore order are derived from it where they are read.
 Attention uses the usual head-batched layout: one `attn.qkv` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), feeds one
 `Tape.attention` node that runs every head in one batched product and
-returns the heads merged to [b, n, d].  A layer is ten tape nodes.
+returns the heads merged to [b, n, d].  A layer is five tape nodes: each
+LayerNorm is fused into the linear that reads it, the GELU into fc2, and
+both residual sums into the linear before them (`Tape.layernorm_linear`,
+`Tape.gelu_linear`, `Tape.linear(..., residual=)`).
 """
 
 from dataclasses import dataclass
@@ -212,8 +215,8 @@ def embed_visible(tape, params, spec, images, kept):
     patches = patchify(images, spec)
     pos = sincos_pos_embed(spec.grid_side, spec.embed_dim).astype(images.dtype)
     vis = patches[np.arange(len(kept))[:, None], kept]
-    tok = _linear(tape, tape.leaf(vis), params, "embed")
-    return tape.add(tok, tape.leaf(pos[kept]))
+    return _linear(tape, tape.leaf(vis), params, "embed",
+                   residual=tape.leaf(pos[kept]))
 
 
 # ----- masking ---------------------------------------------------------------
@@ -245,16 +248,20 @@ def patch_mask(kept, num_patches):
 
 # ----- transformer layers ----------------------------------------------------
 
-def _linear(tape, x, params, prefix):
-    w = tape.leaf(params[f"{prefix}.w"], name=f"{prefix}.w", requires_grad=True)
-    b = tape.leaf(params[f"{prefix}.b"], name=f"{prefix}.b", requires_grad=True)
-    return tape.linear(x, w, b)
+def _param(tape, params, name):
+    return tape.leaf(params[name], name=name, requires_grad=True)
 
 
-def _layernorm(tape, x, params, prefix):
-    g = tape.leaf(params[f"{prefix}.g"], name=f"{prefix}.g", requires_grad=True)
-    b = tape.leaf(params[f"{prefix}.b"], name=f"{prefix}.b", requires_grad=True)
-    return tape.layernorm(x, g, b)
+def _linear(tape, x, params, prefix, residual=None):
+    return tape.linear(x, _param(tape, params, f"{prefix}.w"),
+                       _param(tape, params, f"{prefix}.b"), residual=residual)
+
+
+def _layernorm_linear(tape, x, params, norm, prefix):
+    """The linear `prefix` of LayerNorm `norm` of x, in one node."""
+    return tape.layernorm_linear(
+        x, *(_param(tape, params, name) for name in (
+            f"{norm}.g", f"{norm}.b", f"{prefix}.w", f"{prefix}.b")))
 
 
 def encoder_block_layer(tape, params, prefix, x, heads):
@@ -262,14 +269,15 @@ def encoder_block_layer(tape, params, prefix, x, heads):
     dim = x.shape[-1]
     if dim % heads != 0:
         raise DimensionError(f"width {dim} not divisible by heads {heads}")
-    h1 = _layernorm(tape, x, params, f"{prefix}.ln1")
-    qkv = _linear(tape, h1, params, f"{prefix}.attn.qkv")
+    qkv = _layernorm_linear(tape, x, params, f"{prefix}.ln1",
+                            f"{prefix}.attn.qkv")
     merged = tape.attention(qkv, heads)
-    x2 = tape.add(x, _linear(tape, merged, params, f"{prefix}.attn.out"))
-    h2 = _layernorm(tape, x2, params, f"{prefix}.ln2")
-    f1 = tape.gelu(_linear(tape, h2, params, f"{prefix}.mlp.fc1"))
-    f2 = _linear(tape, f1, params, f"{prefix}.mlp.fc2")
-    return tape.add(x2, f2)
+    x2 = _linear(tape, merged, params, f"{prefix}.attn.out", residual=x)
+    f1 = _layernorm_linear(tape, x2, params, f"{prefix}.ln2",
+                           f"{prefix}.mlp.fc1")
+    return tape.gelu_linear(f1, _param(tape, params, f"{prefix}.mlp.fc2.w"),
+                            _param(tape, params, f"{prefix}.mlp.fc2.b"),
+                            residual=x2)
 
 
 def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
@@ -290,11 +298,10 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
     dtype = block_output.dtype
     pfx = f"block{decoder_id}"
 
-    bridged = _layernorm(tape, block_output, params, f"{pfx}.bridge.ln")
-    z = _linear(tape, bridged, params, f"{pfx}.bridge.proj")
+    z = _layernorm_linear(tape, block_output, params, f"{pfx}.bridge.ln",
+                          f"{pfx}.bridge.proj")
 
-    mask_token = tape.leaf(params[f"{pfx}.dec.mask_token"],
-                           name=f"{pfx}.dec.mask_token", requires_grad=True)
+    mask_token = _param(tape, params, f"{pfx}.dec.mask_token")
     n_masked = n - n_vis
     if n_masked > 0:
         zeros = tape.leaf(np.zeros((batch, n_masked, dd), dtype=dtype))
@@ -310,8 +317,8 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
     for j in range(spec.decoder_depth):
         x = encoder_block_layer(tape, params, f"{pfx}.dec.layer{j}", x,
                                 spec.decoder_heads)
-    x = _layernorm(tape, x, params, f"{pfx}.dec.ln")
-    return _linear(tape, x, params, f"{pfx}.dec.pred")
+    return _layernorm_linear(tape, x, params, f"{pfx}.dec.ln",
+                             f"{pfx}.dec.pred")
 
 
 # ----- reconstruction loss ----------------------------------------------------

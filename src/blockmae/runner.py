@@ -229,6 +229,7 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
                 tensors.update(opt.state_tensors())
                 tensors["meta.step"] = np.array([gstep + 1], dtype=np.float64)
                 tensors["meta.epoch"] = np.array([epoch + 1], dtype=np.float64)
+                tensors["meta.num_blocks"] = _num_blocks_record(model)
                 save_checkpoint(tensors, path)
                 artifacts.checkpoint_paths.append(path)
 
@@ -278,15 +279,25 @@ def write_flop_report(cfg, out_dir):
     return path
 
 
+def _num_blocks_record(model):
+    """`meta.num_blocks` of a checkpoint of `model`: the block count its
+    bridge norms were trained for."""
+    return np.array([model.num_blocks], dtype=np.float64)
+
+
 def _load_params(model, tensors, dtype):
     """Copy the checkpoint's parameters into `model.params` as `dtype`.
 
     Every checkpoint tensor must be a parameter of the config's model, its
     `opt.m.`/`opt.v.`/`opt.t.` entry or a `meta.` counter, or ConfigError
-    names the first that is not.  Each parameter's tensor and its
-    `opt.m.`/`opt.v.` moments must have the shape the config gives it, or
-    ConfigError names the tensor and both shapes.  Returns the names of the
-    parameters the checkpoint lacks.
+    names the first that is not.  A file's `meta.num_blocks` must equal
+    the config's block count, or ConfigError names both: a bridge norm
+    trained after the last layer of another block count reads other
+    features.  A file without that record must hold every parameter of
+    the config's model, or ConfigError names the first it lacks.  Each
+    parameter's tensor and its `opt.m.`/`opt.v.` moments must have the
+    shape the config gives it, or ConfigError names the tensor and both
+    shapes.  Returns the names of the parameters the checkpoint lacks.
     """
     for key in tensors:
         name = re.sub(r"^opt\.[mvt]\.", "", key)
@@ -294,6 +305,18 @@ def _load_params(model, tensors, dtype):
             raise ConfigError(
                 f"checkpoint tensor {key!r} is not a parameter of the "
                 f"config's model")
+    missing = [name for name in model.params if name not in tensors]
+    if "meta.num_blocks" in tensors:
+        recorded = int(tensors["meta.num_blocks"][0])
+        if recorded != model.num_blocks:
+            raise ConfigError(
+                f"checkpoint was trained with {recorded} blocks, the config "
+                f"gives {model.num_blocks}")
+    elif missing:
+        raise ConfigError(
+            f"checkpoint records no meta.num_blocks and lacks parameter "
+            f"{missing[0]!r}; only a file of every parameter may omit the "
+            f"record")
     for name, arr in model.params.items():
         for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
             if key in tensors and tensors[key].shape != arr.shape:
@@ -302,7 +325,7 @@ def _load_params(model, tensors, dtype):
                     f"{tensors[key].shape}, the config gives {arr.shape}")
     model.params.update({name: tensors[name].astype(dtype)
                          for name in model.params if name in tensors})
-    return [name for name in model.params if name not in tensors]
+    return missing
 
 
 def _model_from_checkpoint(cfg, checkpoint_path, k):
@@ -351,6 +374,7 @@ def run_export_backbone(cfg, checkpoint_path, k, out_dir):
     tensors = {n: prefix.model.params[n]
                for n in prefix.parameters() + list(prefix.norm_params())}
     tensors["meta.k"] = np.array([k], dtype=np.float64)
+    tensors["meta.num_blocks"] = _num_blocks_record(prefix.model)
     path = os.path.join(out_dir, f"backbone_k{k}.bimc")
     save_checkpoint(tensors, path)
     return RunArtifacts(backbone_path=path)

@@ -10,13 +10,20 @@ they live outside the activation budget.
 
 Charged buffers per primitive:
     matmul        both operand values (when non-leaf)
-    linear        input value (when non-leaf); the weight is a leaf
+    linear        input value (when non-leaf); the weight is a leaf.  An
+                  optional residual, added in place, is not saved: its
+                  gradient is the incoming one
     add/scale/transpose/concat-rows   nothing
     gather-rows   the index vector
     layernorm     input value (when non-leaf) + per-row mean and inv-std
+    layernorm-linear   as layernorm; the normed rows are not saved, and
+                  backward recomputes them from x, mean and inv-std
     softmax-lastdim   its own output
     attention     the fused q|k|v input (when non-leaf) + the probabilities
     gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
+    gelu-linear   as gelu; the GELU output is not saved, and backward
+                  recomputes it as 0.5 * x * CDF term.  Its optional
+                  residual is not saved, as in linear
     mse-masked    prediction value (when non-leaf)
     boundary      its own (copied) value
 
@@ -44,15 +51,15 @@ not accumulate over the pass.  Leaf gradients stay until backward returns
 them.  Gradients are never charged; the table above is the whole meter.
 
 Threading: the heavy kernels (the forwards of linear, layernorm,
-attention and gelu, and their backward rules) run on all cores the
-process may use.  They split their rows over the leading axis, or run
-independent products at the same time; kernels too small to repay a
-hand-off run inline.  Only numpy work on disjoint slices runs in worker
-threads: node creation, recording, metering, the backward order and
-release stay on the calling thread.  Each part computes its rows with
-the same operations as the whole array would, and reductions across rows
-are never split, so every value, saved buffer and meter reading is the
-same bit for bit whatever the number of workers.
+attention, gelu and the two fused nodes, and their backward rules) run
+on all cores the process may use.  They split their rows over the
+leading axis, or run independent products at the same time; kernels too
+small to repay a hand-off run inline.  Only numpy work on disjoint
+slices runs in worker threads: node creation, recording, metering, the
+backward order and release stay on the calling thread.  Each part
+computes its rows with the same operations as the whole array would, and
+reductions across rows are never split, so every value, saved buffer and
+meter reading is the same bit for bit whatever the number of workers.
 """
 
 import contextvars
@@ -290,24 +297,19 @@ class Tape:
         node = Node("matmul", np.ascontiguousarray(out), (a, b))
         return self._register(node, [self._act(a), self._act(b)])
 
-    def linear(self, x, w, b):
-        """x @ w + b in one node, x [b, m, k]: the bias is added in place."""
+    def linear(self, x, w, b, residual=None):
+        """x @ w + b in one node, x [b, m, k]: the bias is added in place,
+        and so is `residual`, a node of the output's shape, when given."""
         xv, wv, bv = x.value, w.value, b.value
-        if xv.ndim != 3 or wv.ndim != 2 or bv.shape != wv.shape[-1:]:
-            raise DimensionError(
-                f"linear supports [b,m,k] x [k,n] + [n]; "
-                f"got {xv.shape} x {wv.shape} + {bv.shape}")
-        if xv.shape[-1] != wv.shape[0]:
-            raise DimensionError(f"linear extent mismatch: {xv.shape} x {wv.shape}")
+        _check_linear(xv, wv, bv, "linear")
         out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
+        rv = _residual_value(residual, out.shape)
 
         def rows(lo, hi):
-            # Split by batch entry: each keeps its own product, so the BLAS
-            # calls are the same as unsplit.
-            np.matmul(xv[lo:hi], wv, out=out[lo:hi])
-            out[lo:hi] += bv
+            _linear_rows(xv[lo:hi], wv, bv, out[lo:hi],
+                         None if rv is None else rv[lo:hi])
         _parallel(out.size, rows=len(xv), part=rows)
-        node = Node("linear", out, (x, w, b))
+        node = Node("linear", out, _with_residual((x, w, b), residual))
         return self._register(node, [self._act(x), self._act(w)])
 
     def add(self, x, y):
@@ -372,34 +374,44 @@ class Tape:
 
     def layernorm(self, x, gamma, beta):
         xv = x.value
-        d = xv.shape[-1]
-        if gamma.value.shape != (d,) or beta.value.shape != (d,):
-            raise DimensionError(
-                f"layernorm affine shapes {gamma.value.shape}/{beta.value.shape} "
-                f"do not match feature dim {d}")
+        _check_layernorm(xv, gamma.value, beta.value)
         out = np.empty_like(xv)
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
-        eps = xv.dtype.type(LN_EPS)
 
         def rows(lo, hi):
-            # The centred rows become the output in place; the same
-            # operations as `xv.var` and `(xv - mu) * inv_std * gamma +
-            # beta`, so the values are equal bit for bit.
-            xr, o, m, s = (_lead(a)[lo:hi] for a in (xv, out, mu, inv_std))
-            np.mean(xr, axis=-1, keepdims=True, out=m)
-            np.subtract(xr, m, out=o)
-            var = (o * o).mean(axis=-1, keepdims=True)
-            var += eps
-            np.sqrt(var, out=var)
-            np.divide(1.0, var, out=s)
-            o *= s
-            o *= gamma.value
-            o += beta.value
+            _layernorm_rows(*(_lead(a)[lo:hi] for a in (xv, mu, inv_std, out)),
+                            gamma.value, beta.value)
         _parallel(xv.size, rows=len(_lead(xv)), part=rows)
         node = Node("layernorm", out, (x, gamma, beta))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
                                       self._act(gamma)])
+
+    def layernorm_linear(self, x, gamma, beta, w, b):
+        """linear(layernorm(x, gamma, beta), w, b) in one node, x [b, m, k].
+
+        Each part normalizes its rows into a temporary that the product
+        reads, with the kernels of `layernorm` and `linear`, so the output
+        is bitwise equal to the two nodes'.  The normed rows are not saved:
+        backward recomputes them from x and the row statistics.
+        """
+        xv, gv, bev, wv, bv = (n.value for n in (x, gamma, beta, w, b))
+        _check_linear(xv, wv, bv, "layernorm-linear")
+        _check_layernorm(xv, gv, bev)
+        out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
+        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
+        inv_std = np.empty_like(mu)
+
+        def rows(lo, hi):
+            normed = np.empty_like(xv[lo:hi])
+            _layernorm_rows(xv[lo:hi], mu[lo:hi], inv_std[lo:hi], normed, gv,
+                            bev)
+            _linear_rows(normed, wv, bv, out[lo:hi])
+        _parallel(max(xv.size, out.size), rows=len(xv), part=rows)
+        node = Node("layernorm-linear", out, (x, gamma, beta, w, b))
+        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
+                                      self._act(gamma), self._act(beta),
+                                      self._act(w)])
 
     def softmax(self, x):
         xv = x.value
@@ -453,18 +465,35 @@ class Tape:
         # term is saved for the backward rule.
         cdf = np.empty_like(xv)
         out = np.empty_like(xv)
-        sqrt2 = np.sqrt(xv.dtype.type(2.0))
 
         def rows(lo, hi):
-            xr, c, o = (_lead(a)[lo:hi] for a in (xv, cdf, out))
-            np.divide(xr, sqrt2, out=c)
-            erf(c, out=c)
-            c += 1.0
-            np.multiply(0.5, xr, out=o)
-            o *= c
+            _gelu_rows(*(_lead(a)[lo:hi] for a in (xv, cdf, out)))
         _parallel(xv.size, rows=len(_lead(xv)), part=rows)
         node = Node("gelu", out, (x,))
         return self._register(node, [self._act(x), (cdf, True)])
+
+    def gelu_linear(self, x, w, b, residual=None):
+        """linear(gelu(x), w, b, residual) in one node, x [b, m, k].
+
+        Each part computes its GELU rows into a temporary that the product
+        reads, with the kernels of `gelu` and `linear`, so the output is
+        bitwise equal to the two nodes'.  The GELU output is not saved:
+        backward recomputes it from x and the saved CDF term.
+        """
+        xv, wv, bv = x.value, w.value, b.value
+        _check_linear(xv, wv, bv, "gelu-linear")
+        out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
+        rv = _residual_value(residual, out.shape)
+        cdf = np.empty_like(xv)
+
+        def rows(lo, hi):
+            h = np.empty_like(xv[lo:hi])
+            _gelu_rows(xv[lo:hi], cdf[lo:hi], h)
+            _linear_rows(h, wv, bv, out[lo:hi],
+                         None if rv is None else rv[lo:hi])
+        _parallel(max(xv.size, out.size), rows=len(xv), part=rows)
+        node = Node("gelu-linear", out, _with_residual((x, w, b), residual))
+        return self._register(node, [self._act(x), (cdf, True), self._act(w)])
 
     def mse_masked(self, pred, target, mask):
         """Mean squared error over masked rows only (mask entry 1 = masked).
@@ -614,6 +643,109 @@ def _split_heads(qkv, heads):
     return qkv.reshape(b, n, 3, heads, width // (3 * heads)).transpose(2, 0, 3, 1, 4)
 
 
+def _check_linear(xv, wv, bv, kind):
+    if xv.ndim != 3 or wv.ndim != 2 or bv.shape != wv.shape[-1:]:
+        raise DimensionError(
+            f"{kind} supports [b,m,k] x [k,n] + [n]; "
+            f"got {xv.shape} x {wv.shape} + {bv.shape}")
+    if xv.shape[-1] != wv.shape[0]:
+        raise DimensionError(f"{kind} extent mismatch: {xv.shape} x {wv.shape}")
+
+
+def _check_layernorm(xv, gv, bv):
+    d = xv.shape[-1]
+    if gv.shape != (d,) or bv.shape != (d,):
+        raise DimensionError(
+            f"layernorm affine shapes {gv.shape}/{bv.shape} "
+            f"do not match feature dim {d}")
+
+
+def _residual_value(residual, shape):
+    """The residual node's value, which must have the output's shape."""
+    if residual is None:
+        return None
+    if residual.value.shape != shape:
+        raise DimensionError(
+            f"residual {residual.value.shape} does not match the output "
+            f"{shape}")
+    return residual.value
+
+
+def _with_residual(inputs, residual):
+    return inputs if residual is None else inputs + (residual,)
+
+
+# ----- row kernels --------------------------------------------------------
+#
+# One kernel per operation, shared by its own node and the fused nodes.
+# Each writes the rows it is given into preallocated outputs.
+
+def _linear_rows(x, w, b, out, residual=None):
+    # Split by batch entry: each keeps its own product, so the BLAS calls
+    # are the same as unsplit.  The sums are those of add(x @ w, b) and
+    # add(residual, that): addition commutes bit for bit.
+    np.matmul(x, w, out=out)
+    out += b
+    if residual is not None:
+        out += residual
+
+
+def _layernorm_rows(x, mu, inv_std, out, gamma, beta):
+    # The centred rows become the output in place; the same operations as
+    # `x.var` and `(x - mu) * inv_std * gamma + beta`, so the values are
+    # equal bit for bit.
+    np.mean(x, axis=-1, keepdims=True, out=mu)
+    np.subtract(x, mu, out=out)
+    var = (out * out).mean(axis=-1, keepdims=True)
+    var += x.dtype.type(LN_EPS)
+    np.sqrt(var, out=var)
+    np.divide(1.0, var, out=inv_std)
+    out *= inv_std
+    _affine_rows(out, gamma, beta, out)
+
+
+def _xhat_rows(x, mu, inv_std, out):
+    """(x - mu) * inv_std, as the forward computes it."""
+    np.subtract(x, mu, out=out)
+    out *= inv_std
+
+
+def _affine_rows(xhat, gamma, beta, out):
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+
+
+def _gelu_rows(x, cdf, out):
+    # The CDF term 1 + erf(x / sqrt2) in place, then the output from it.
+    np.divide(x, np.sqrt(x.dtype.type(2.0)), out=cdf)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    _gelu_from_cdf(x, cdf, out)
+
+
+def _gelu_from_cdf(x, cdf, out):
+    np.multiply(0.5, x, out=out)
+    out *= cdf
+
+
+def _gelu_grad_rows(x, cdf, g, out):
+    """g * (0.5 * cdf + x * pdf(x)), in place in `out`, which is written
+    before g is read and so must not be g's buffer.  The forward's CDF term
+    1 + erf(x/sqrt2) is reused; halving it is exact."""
+    np.multiply(-0.5, x, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out /= np.sqrt(x.dtype.type(2.0 * np.pi))
+    out *= x
+    # out += 0.5 * cdf, without a temporary as large as x.  Doubling and
+    # halving are exact (cdf = 1 + erf is never subnormal), so the sum is
+    # the same bit for bit.
+    out *= 2.0
+    out += cdf
+    out *= 0.5
+    out *= g
+
+
 # ----- backward rules ----------------------------------------------------
 
 def _vjp_matmul(node, g):
@@ -629,15 +761,21 @@ def _vjp_matmul(node, g):
     return (da, db)
 
 
-def _vjp_linear(node, g):
-    # dx, dw and the bias sum at the same time; the products are those of
-    # _vjp_matmul.
-    x, w = node.saved
+def _linear_grads(x, w, g):
+    """(dx, dw, db) of x @ w + b: the two products and the bias sum at the
+    same time.  The products are those of _vjp_matmul."""
     return tuple(_parallel(
         max(x.size, g.size),
         lambda: g @ w.T,
         lambda: x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
         lambda: g.sum(axis=tuple(range(g.ndim - 1)))))
+
+
+def _vjp_linear(node, g):
+    # The last entry is a residual's gradient, g itself; a node without a
+    # residual has no input to pair it with.
+    x, w = node.saved
+    return _linear_grads(x, w, g) + (g,)
 
 
 def _vjp_add(node, g):
@@ -672,33 +810,56 @@ def _vjp_concat_rows(node, g):
     return tuple(outs)
 
 
-def _vjp_layernorm(node, g):
-    x, mu, inv_std, gamma = node.saved
-    d = x.shape[-1]
-    dx = np.empty(x.shape, np.result_type(x, g, gamma))
+def _layernorm_grads(xhat, inv_std, gamma, g, dx):
+    """(dx, dgamma, dbeta) of xhat * gamma + beta, xhat the normed rows.
 
-    def reduce():
-        # dgamma and dbeta sum over every row: one reduction, never split.
-        xhat = (x - mu) * inv_std
-        return ((g * xhat).reshape(-1, d).sum(axis=0),
-                g.reshape(-1, d).sum(axis=0))
+    dx is written into the given buffer, which must be neither xhat nor g.
+    Each part then overwrites its xhat rows with g * xhat, which dgamma
+    sums, so the caller's xhat is consumed; the sums over every row run
+    once all parts are done, never split.
+    """
+    d = xhat.shape[-1]
 
     def rows(lo, hi):
-        xr, m, s, gr, out = (_lead(a)[lo:hi] for a in (x, mu, inv_std, g, dx))
-        xhat = xr - m
-        xhat *= s
+        xh, s, gr, out = (_lead(a)[lo:hi] for a in (xhat, inv_std, g, dx))
         dxhat = gr * gamma
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        np.multiply(dxhat, xh, out=out)
+        m2 = out.mean(axis=-1, keepdims=True)
         dxhat -= m1
-        xhat *= m2
-        dxhat -= xhat
+        np.multiply(xh, m2, out=out)
+        dxhat -= out
         np.multiply(s, dxhat, out=out)
+        xh *= gr
 
-    # Both compute xhat = (x - mu) * inv_std, the same way, so the rows
-    # need not wait for the reduction.
-    (dgamma, dbeta), = _parallel(x.size, reduce, rows=len(_lead(x)), part=rows)
-    return (dx, dgamma, dbeta)
+    _parallel(xhat.size, rows=len(_lead(xhat)), part=rows)
+    return (dx, xhat.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+
+def _vjp_layernorm(node, g):
+    x, mu, inv_std, gamma = node.saved
+    xhat = np.empty_like(x)
+
+    def rows(lo, hi):
+        _xhat_rows(*(_lead(a)[lo:hi] for a in (x, mu, inv_std, xhat)))
+    _parallel(x.size, rows=len(_lead(x)), part=rows)
+    return _layernorm_grads(xhat, inv_std, gamma, g,
+                            np.empty(x.shape, np.result_type(x, g, gamma)))
+
+
+def _vjp_layernorm_linear(node, g):
+    # xhat once, for the recomputed normed rows and for the LayerNorm
+    # rule; the normed rows are dead once dw is summed, and their buffer
+    # takes dx.
+    x, mu, inv_std, gamma, beta, w = node.saved
+    xhat, normed = np.empty_like(x), np.empty_like(x)
+
+    def rows(lo, hi):
+        _xhat_rows(x[lo:hi], mu[lo:hi], inv_std[lo:hi], xhat[lo:hi])
+        _affine_rows(xhat[lo:hi], gamma, beta, normed[lo:hi])
+    _parallel(x.size, rows=len(x), part=rows)
+    dh, dw, db = _linear_grads(normed, w, g)
+    return _layernorm_grads(xhat, inv_std, gamma, dh, normed) + (dw, db)
 
 
 def _vjp_softmax(node, g):
@@ -737,27 +898,29 @@ def _vjp_attention(node, g):
 def _vjp_gelu(node, g):
     x, cdf = node.saved
     dx = np.empty_like(x)
-    sqrt2pi = np.sqrt(x.dtype.type(2.0 * np.pi))
 
     def rows(lo, hi):
-        # g * (0.5 * cdf + x * pdf(x)), in place in one buffer.  The
-        # forward's CDF term 1 + erf(x/sqrt2) is reused; halving it is exact.
-        xr, c, gr, out = (_lead(a)[lo:hi] for a in (x, cdf, g, dx))
-        np.multiply(-0.5, xr, out=out)
-        out *= xr
-        np.exp(out, out=out)
-        out /= sqrt2pi
-        out *= xr
-        # out += 0.5 * c, without a temporary as large as x.  Doubling and
-        # halving are exact (c = 1 + erf is never subnormal), so the sum is
-        # the same bit for bit.
-        out *= 2.0
-        out += c
-        out *= 0.5
-        out *= gr
-
+        _gelu_grad_rows(*(_lead(a)[lo:hi] for a in (x, cdf, g, dx)))
     _parallel(x.size, rows=len(_lead(x)), part=rows)
     return (dx,)
+
+
+def _vjp_gelu_linear(node, g):
+    # The recomputed GELU output is dead once dw is summed, and its buffer
+    # takes the GELU gradient.  The last entry is a residual's gradient, as
+    # in _vjp_linear.
+    x, cdf, w = node.saved
+    h = np.empty_like(x)
+
+    def recompute(lo, hi):
+        _gelu_from_cdf(x[lo:hi], cdf[lo:hi], h[lo:hi])
+    _parallel(x.size, rows=len(x), part=recompute)
+    dh, dw, db = _linear_grads(h, w, g)
+
+    def rows(lo, hi):
+        _gelu_grad_rows(x[lo:hi], cdf[lo:hi], dh[lo:hi], h[lo:hi])
+    _parallel(x.size, rows=len(x), part=rows)
+    return (h, dw, db, g)
 
 
 def _vjp_mse_masked(node, g):
@@ -777,9 +940,11 @@ _VJP = {
     "gather-rows": _vjp_gather_rows,
     "concat-rows": _vjp_concat_rows,
     "layernorm": _vjp_layernorm,
+    "layernorm-linear": _vjp_layernorm_linear,
     "softmax-lastdim": _vjp_softmax,
     "attention": _vjp_attention,
     "gelu": _vjp_gelu,
+    "gelu-linear": _vjp_gelu_linear,
     "mse-masked": _vjp_mse_masked,
 }
 

@@ -625,6 +625,64 @@ def test_cli_refuses_checkpoint_with_more_blocks_than_the_config(
     assert not os.path.exists(out) or os.listdir(out) == []
 
 
+def _two_block_deep_run(tmp_path):
+    """A 4-step checkpoint of a 2-block, depth-4 run, and the path of the
+    4-block config of the same depth."""
+    deep = TINY_CONFIG + "depth = 4\n"
+    ckpt = run_pretrain(parse_config(deep), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    return ckpt, _write_cfg(tmp_path, deep + "num_blocks = 4\n"
+                            "mask_schedule = 0.5,0.5,0.5,0.5\n")
+
+
+@pytest.mark.parametrize("command", ["probe", "export-backbone"])
+def test_cli_refuses_checkpoint_with_fewer_blocks_than_the_config(
+        tmp_path, capsys, command):
+    # Every tensor of the 2-block run is a parameter of the 4-block model,
+    # but its block1 bridge norm was trained after layer 3, and under the
+    # 4-block config prefix 2 reads it after layer 1.
+    ckpt, cfg_path = _two_block_deep_run(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli_main([command, "--config", cfg_path, "--checkpoint", ckpt,
+                     "--k", "2", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint was trained with 2 blocks, the config gives 4")
+    assert not os.path.exists(out) or os.listdir(out) == []
+    assert load_checkpoint(ckpt)["meta.num_blocks"].tolist() == [2.0]
+
+
+def test_checkpoint_without_block_record_must_hold_every_parameter(
+        tmp_path):
+    ckpt, cfg_path = _two_block_deep_run(tmp_path)
+    tensors = load_checkpoint(ckpt)
+    del tensors["meta.num_blocks"]
+    save_checkpoint(tensors, ckpt)
+    with pytest.raises(ConfigError, match=re.escape(
+            "checkpoint records no meta.num_blocks and lacks parameter "
+            "'block2.bridge.ln.g'")):
+        run_probe(load_config(cfg_path), ckpt, 2, str(tmp_path / "probe"))
+    # Every parameter and no record, as a file of initial weights has.
+    cfg = load_config(cfg_path)
+    model = build_model(cfg.model, cfg.train.num_blocks, cfg.train.seed,
+                        cfg.train.np_dtype)
+    save_checkpoint(dict(model.params), ckpt)
+    _, res = run_probe(cfg, ckpt, 2, str(tmp_path / "probe"))
+    assert res.depth_index == 2
+
+
+def test_exported_backbone_records_the_block_count(tmp_path):
+    cfg_path = _write_cfg(tmp_path)
+    cfg = load_config(cfg_path)
+    ckpt = run_pretrain(cfg, str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    out = str(tmp_path / "out")
+    assert cli_main(["export-backbone", "--config", cfg_path, "--checkpoint",
+                     ckpt, "--k", "1", "--out", out]) == 0
+    backbone = load_checkpoint(os.path.join(out, "backbone_k1.bimc"))
+    assert backbone["meta.num_blocks"].tolist() == [2.0]
+    assert backbone["meta.k"].tolist() == [1.0]
+
+
 @pytest.mark.parametrize("batch", ["0", "-1"])
 def test_cli_mem_report_refuses_batch_below_one(tmp_path, capsys, batch):
     out = str(tmp_path / "report")

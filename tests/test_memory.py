@@ -14,7 +14,11 @@ from blockmae.memory import (
     _bridge_bytes, _decoder_bytes, _layer_bytes, analytic_peak, compare_peak,
     flop_estimate,
 )
-from blockmae.model import ModelSpec, encoder_block_layer, init_encoder_params
+from blockmae.model import (
+    ModelSpec, encoder_block_layer, init_block_head_params,
+    init_encoder_params, local_decoder_forward, mask_indices, patch_targets,
+    reconstruction_loss,
+)
 from blockmae.optim import AdamW
 from blockmae.runner import _keep_freed_heap
 from blockmae.tape import Tape
@@ -68,6 +72,26 @@ def test_one_layer_meter_equals_layer_bytes(input_charged, dtype):
     assert t.meter.live_activation_bytes == _layer_bytes(
         b, n, d, spec.heads, spec.mlp_ratio, np.dtype(dtype).itemsize,
         input_charged=input_charged)
+
+
+@pytest.mark.parametrize("n_vis", [16, 32])
+def test_decoder_meter_equals_bridge_and_decoder_bytes(n_vis):
+    # The bridge, the local decoder and the loss of one block at desk
+    # shapes, fed a block output that is an activation, as in a step.
+    b, d, s = 3, TOY.embed_dim, 4
+    params = init_block_head_params(TOY, 1, seed=6, dtype=np.float32)
+    kept = mask_indices(TOY.num_patches, 1.0 - n_vis / TOY.num_patches,
+                        [rng.split(7, i) for i in range(b)])
+    assert kept.shape == (b, n_vis)
+    images = gen_synthetic_dataset(TOY.image_size, b, 8).images(
+        dtype=np.float32)
+    t = Tape()
+    x = t.scale(t.leaf(rng.normals(9, b * n_vis * d).reshape(
+        b, n_vis, d).astype(np.float32)), 1.0)
+    pred = local_decoder_forward(t, params, TOY, x, kept, 1)
+    reconstruction_loss(t, pred, patch_targets(images, TOY), kept)
+    assert t.meter.live_activation_bytes == (
+        _bridge_bytes(b, n_vis, d, s) + _decoder_bytes(TOY, b, n_vis, s))
 
 
 def test_idealized_ratio_is_one_over_blocks():
@@ -213,8 +237,9 @@ def _warm_desk_blockwise():
 
 def test_warm_blockwise_step_heap_within_bound_of_metered():
     # The meter charges saved buffers only; the process also holds the
-    # gradient frontier, VJP temporaries and the parameter gradients, but
-    # no released or dead forward value.  This reads about 1.25.
+    # gradient frontier, VJP temporaries (the normed rows and GELU outputs
+    # the fused nodes recompute among them) and the parameter gradients,
+    # but no released or dead forward value.  This reads about 1.34.
     units, images, plan, opt = _warm_desk_blockwise()
     tracemalloc.start()
     try:

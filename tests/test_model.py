@@ -275,8 +275,52 @@ def test_fused_layer_bitwise_equal_split_heads_reference(dtype, dim, heads, n):
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.value, want.value)
     assert [n.kind for n in t.nodes if not n.is_leaf] == [
-        "layernorm", "linear", "attention", "linear", "add",
-        "layernorm", "linear", "gelu", "linear", "add"]
+        "layernorm-linear", "attention", "linear", "layernorm-linear",
+        "gelu-linear"]
+
+
+def _unfused_layer(tape, params, prefix, x, heads):
+    """The layer as ten nodes, one per LayerNorm, GELU and residual sum:
+    the reference for the fused nodes' gradients."""
+    def p(name):
+        return tape.leaf(params[f"{prefix}.{name}"], name=f"{prefix}.{name}",
+                         requires_grad=True)
+
+    def linear(h, name):
+        return tape.linear(h, p(f"{name}.w"), p(f"{name}.b"))
+
+    h1 = tape.layernorm(x, p("ln1.g"), p("ln1.b"))
+    merged = tape.attention(linear(h1, "attn.qkv"), heads)
+    x2 = tape.add(x, linear(merged, "attn.out"))
+    h2 = tape.layernorm(x2, p("ln2.g"), p("ln2.b"))
+    f1 = tape.gelu(linear(h2, "mlp.fc1"))
+    return tape.add(x2, linear(f1, "mlp.fc2"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_layer_gradients_bitwise_equal_unfused_layer(dtype):
+    # The residual input x gets two contributions in both layers, in the
+    # same order, so even its sums are bitwise equal.
+    spec = ModelSpec(embed_dim=32, heads=2, depth=1, mlp_ratio=2)
+    params = init_encoder_params(spec, seed=19, dtype=dtype)
+    x = rng.normals(20, 3 * 7 * 32).reshape(3, 7, 32).astype(dtype)
+    target = rng.normals(21, x.size).reshape(x.shape).astype(dtype)
+
+    def run(layer):
+        t = Tape()
+        xn = t.leaf(x, name="x", requires_grad=True)
+        out = layer(t, params, "enc.layer0", t.scale(xn, 1.0), spec.heads)
+        loss = t.mse_masked(out, t.leaf(target),
+                            t.leaf(np.ones((3, 7), dtype)))
+        return out.value.copy(), t.backward(loss)
+
+    y, grads = run(encoder_block_layer)
+    y_ref, grads_ref = run(_unfused_layer)
+    assert np.array_equal(y, y_ref)
+    assert grads.keys() == grads_ref.keys() and len(grads) == 13
+    for name, g in grads.items():
+        assert g.dtype == dtype, name
+        assert np.array_equal(g, grads_ref[name]), name
 
 
 @pytest.mark.parametrize("prefix,heads,dim", [("enc.layer1", 4, 64),

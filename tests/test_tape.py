@@ -210,6 +210,93 @@ def test_linear_bitwise_equal_matmul_plus_bias(dtype):
     assert all(np.array_equal(g1[k], g2[k]) for k in ("x", "w", "b"))
 
 
+def _fused_and_unfused(t, kind, v):
+    """The fused node `kind` over leaves v, and the same function as the
+    nodes it fuses, both recorded on tape t."""
+    if kind == "layernorm-linear":
+        args = (v["x"], v["gamma"], v["beta"], v["w"], v["b"])
+        return (t.layernorm_linear(*args),
+                t.linear(t.layernorm(*args[:3]), *args[3:]))
+    if kind == "gelu-linear":
+        return (t.gelu_linear(v["x"], v["w"], v["b"], residual=v["res"]),
+                t.add(v["res"], t.linear(t.gelu(v["x"]), v["w"], v["b"])))
+    return (t.linear(v["x"], v["w"], v["b"], residual=v["res"]),
+            t.add(v["res"], t.linear(v["x"], v["w"], v["b"])))
+
+
+def _fused_inputs(kind, dtype, seed=81):
+    shapes = {"x": (2, 5, 4), "w": (4, 3), "b": (3,), "res": (2, 5, 3)}
+    if kind == "layernorm-linear":
+        shapes.update(gamma=(4,), beta=(4,))
+        del shapes["res"]
+    return {k: (_rand(seed + i, *shape) * 1.5).astype(dtype)
+            for i, (k, shape) in enumerate(shapes.items())}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["layernorm-linear", "gelu-linear", "linear"])
+def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
+    # One tape: the fused node and the nodes it fuses read the same leaves,
+    # and one loss sums both outputs' errors, so every input gradient is
+    # the sum of the two paths' contributions.  Each path is checked on
+    # its own tape too, where each is the whole gradient.
+    vals = _fused_inputs(kind, dtype)
+    target = _rand(90, 2, 5, 3).astype(dtype)
+
+    def run(which):
+        t = Tape()
+        v = {k: t.leaf(a, name=k, requires_grad=True) for k, a in vals.items()}
+        outs = _fused_and_unfused(t, kind, v)
+        assert outs[0].kind == kind
+        ys = [outs[i] for i in which]
+        mask = t.leaf(np.ones((2, 5), dtype))
+        losses = [t.mse_masked(y, t.leaf(target), mask) for y in ys]
+        loss = losses[0] if len(losses) == 1 else t.add(*losses)
+        return [y.value.copy() for y in ys], t.backward(loss)
+
+    (fused,), g_fused = run([0])
+    (unfused,), g_unfused = run([1])
+    both, g_both = run([0, 1])
+    assert fused.dtype == unfused.dtype == dtype
+    assert np.array_equal(fused, unfused)
+    assert all(np.array_equal(b, fused) for b in both)
+    assert g_fused.keys() == g_unfused.keys() == set(vals)
+    for k in vals:
+        assert g_fused[k].dtype == dtype, k
+        assert np.array_equal(g_fused[k], g_unfused[k]), k
+        assert np.array_equal(g_both[k], g_fused[k] + g_unfused[k]), k
+
+
+@pytest.mark.parametrize("kind,var", [
+    *(("layernorm-linear", v) for v in ("x", "gamma", "beta", "w", "b")),
+    *(("gelu-linear", v) for v in ("x", "w", "b", "res")),
+    ("linear", "res")])
+def test_grad_fused_nodes(kind, var):
+    vals = _fused_inputs(kind, np.float64, seed=6300)
+    target = _rand(6390, 2, 5, 3)
+
+    def build(t, node):
+        v = {k: node if k == var else t.leaf(a) for k, a in vals.items()}
+        y = _fused_and_unfused(t, kind, v)[0]
+        return t.mse_masked(y, t.leaf(target), t.leaf(np.ones((2, 5))))
+
+    _grad_check(build, vals[var], 6300)
+
+
+def test_fused_nodes_refuse_mismatched_shapes():
+    t = Tape()
+    x, w, b = (t.leaf(np.zeros(s)) for s in ((2, 5, 4), (4, 3), (3,)))
+    with pytest.raises(DimensionError, match="residual"):
+        t.linear(x, w, b, residual=t.leaf(np.zeros((2, 5, 4))))
+    with pytest.raises(DimensionError, match="residual"):
+        t.gelu_linear(x, w, b, residual=t.leaf(np.zeros((5, 3))))
+    with pytest.raises(DimensionError, match="gelu-linear extent"):
+        t.gelu_linear(x, t.leaf(np.zeros((3, 3))), b)
+    with pytest.raises(DimensionError, match="layernorm affine"):
+        t.layernorm_linear(x, t.leaf(np.ones(3)), t.leaf(np.zeros(4)), w, b)
+    assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
+
+
 def test_linear_rejects_mismatched_bias():
     t = Tape()
     with pytest.raises(DimensionError, match="linear"):
@@ -247,6 +334,13 @@ def _one_node_per_backward_rule():
         t.matmul(act(1, 2, 3, 4), act(2, 4, 5)),
         t.matmul(act(3, 2, 3, 4), act(4, 2, 4, 5)),
         t.linear(act(5, 2, 3, 4), leaf(6, 4, 5), leaf(7, 5)),
+        t.linear(act(26, 2, 3, 4), leaf(27, 4, 5), leaf(28, 5),
+                 residual=act(29, 2, 3, 5)),
+        t.layernorm_linear(act(30, 2, 3, 4), leaf(31, 4), leaf(32, 4),
+                           leaf(33, 4, 5), leaf(34, 5)),
+        t.gelu_linear(act(35, 2, 3, 4), leaf(36, 4, 5), leaf(37, 5)),
+        t.gelu_linear(act(38, 2, 3, 4), leaf(39, 4, 5), leaf(40, 5),
+                      residual=act(41, 2, 3, 5)),
         t.add(act(8, 2, 3, 4), act(9, 4)),
         t.scale(act(10, 3, 4), 0.5),
         t.transpose(act(11, 2, 3, 4)),
@@ -763,8 +857,10 @@ def _force_parts(monkeypatch, parts):
 
 
 def _split_kernels_run(b, dtype):
-    """Forward and every VJP of linear, layernorm, attention and gelu; returns each node's value, saved buffers and
-    charged bytes, the meter, and every VJP output."""
+    """Forward and every VJP of linear (with and without a residual),
+    layernorm, attention, gelu, layernorm-linear and gelu-linear; returns
+    each node's value, saved buffers and charged bytes, the meter, and
+    every VJP output."""
     def r(seed, *shape):
         return _rand(seed, *shape).astype(dtype)
 
@@ -774,6 +870,11 @@ def _split_kernels_run(b, dtype):
     qkv = t.linear(h, t.leaf(r(4, 12, 36)), t.leaf(r(5, 36)))
     att = t.attention(qkv, 3)
     f1 = t.gelu(t.linear(att, t.leaf(r(6, 12, 20)), t.leaf(r(7, 20))))
+    f2 = t.layernorm_linear(att, t.leaf(r(8, 12)), t.leaf(r(9, 12)),
+                            t.leaf(r(10, 12, 20)), t.leaf(r(11, 20)))
+    f3 = t.gelu_linear(f2, t.leaf(r(12, 20, 12)), t.leaf(r(13, 12)),
+                       residual=att)
+    t.linear(f3, t.leaf(r(14, 12, 12)), t.leaf(r(15, 12)), residual=x)
     out = {"peak": t.meter.peak_activation_bytes,
            "live": t.meter.live_activation_bytes}
     for i, node in enumerate(t.nodes):
@@ -786,7 +887,8 @@ def _split_kernels_run(b, dtype):
         out.update((f"{i}.vjp{j}", a)
                    for j, a in enumerate(_VJP[node.kind](node, g)))
     assert {n.kind for n in t.nodes} - {"leaf"} == {
-        "layernorm", "linear", "attention", "gelu"}
+        "layernorm", "linear", "attention", "gelu", "layernorm-linear",
+        "gelu-linear"}
     assert f1.shape == (b, 5, 20)
     return out
 
