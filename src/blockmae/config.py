@@ -1,14 +1,21 @@
 """Run configuration: typed key=value files, training constants, presets.
 
 The config file format is UTF-8 ``key = value`` lines ('#' comments and
-blank lines allowed).  Unknown keys are rejected with the full list of
-valid keys, so typos fail fast instead of silently using defaults.
+blank lines allowed).  The valid keys are the fields of `ModelSpec` and
+`TrainConfig`, each read by its annotated type.  Unknown keys are
+rejected with the full list of valid keys, so typos fail fast instead of
+silently using defaults.
+
+`RunConfig` builds the run's `BlockPlan` once, as `cfg.plan`; the plan
+checks the schedule and block count, and `RunConfig` adds only the two
+rules that need the model.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .engine import BlockPlan, ScheduleError
 from .model import ModelSpec, keep_count
 
 
@@ -61,10 +68,6 @@ class TrainConfig:
         if not 0 <= self.weight_decay < np.inf:
             raise ConfigError(
                 f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
-        if self.num_blocks < 1:
-            raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        if self.mode not in ("blockwise", "mae"):
-            raise ConfigError(f"mode must be 'blockwise' or 'mae', got {self.mode!r}")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
         self.mask_schedule = tuple(float(r) for r in self.mask_schedule)
@@ -78,27 +81,24 @@ class TrainConfig:
 class RunConfig:
     model: ModelSpec = field(default_factory=ModelSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
+    plan: BlockPlan = field(init=False)
 
     def __post_init__(self):
         t, n = self.train, self.model.num_patches
+        try:
+            self.plan = BlockPlan(num_blocks=t.num_blocks,
+                                  mask_schedule=t.mask_schedule, mode=t.mode)
+        except ScheduleError as exc:
+            raise ConfigError(str(exc)) from exc
         for r in t.mask_schedule:
-            if not 0.0 <= r < 1.0:
-                raise ConfigError(
-                    f"mask_schedule ratios must lie in [0, 1), got {r}")
             if keep_count(n, r) < 1:
                 raise ConfigError(
                     f"mask ratio {r} leaves no visible token "
                     f"(num_patches = {n})")
-        if t.mode != "blockwise":
-            return
-        if self.model.depth % t.num_blocks != 0:
+        if self.model.depth % self.plan.num_blocks != 0:
             raise ConfigError(
                 f"depth {self.model.depth} is not divisible into "
-                f"{t.num_blocks} blocks")
-        if len(t.mask_schedule) != t.num_blocks:
-            raise ConfigError(
-                f"mask_schedule has {len(t.mask_schedule)} ratios for "
-                f"{t.num_blocks} blocks")
+                f"{self.plan.num_blocks} blocks")
 
 
 def _parse_bool(v):
@@ -113,24 +113,19 @@ def _parse_schedule(v):
     return tuple(float(x) for x in v.replace(",", " ").split())
 
 
-_MODEL_KEYS = {
-    "image_size": int, "patch_size": int, "channels": int, "embed_dim": int,
-    "depth": int, "heads": int, "mlp_ratio": int, "decoder_dim": int,
-    "decoder_depth": int, "norm_pix": _parse_bool,
-}
-_TRAIN_KEYS = {
-    "base_lr": float, "batch_size": int, "beta1": float, "beta2": float,
-    "weight_decay": float, "warmup_epochs": int, "total_epochs": int,
-    "seed": int, "mode": str, "num_blocks": int,
-    "mask_schedule": _parse_schedule, "dataset": str, "dataset_size": int,
-    "num_classes": int, "dtype": str,
-}
-VALID_KEYS = sorted(_MODEL_KEYS) + sorted(_TRAIN_KEYS)
+_READERS = {int: int, float: float, str: str, bool: _parse_bool,
+            tuple: _parse_schedule}
+# key -> (RunConfig section, reader), from the two dataclasses' fields
+_KEYS = {f.name: (section, _READERS[f.type])
+         for section, cls in (("model", ModelSpec), ("train", TrainConfig))
+         for f in fields(cls)}
+VALID_KEYS = (sorted(f.name for f in fields(ModelSpec))
+              + sorted(f.name for f in fields(TrainConfig)))
 
 
 def parse_config(text):
     """Parse key=value text into a RunConfig; unknown keys are errors."""
-    model_kw, train_kw = {}, {}
+    kw = {"model": {}, "train": {}}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,21 +134,18 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _MODEL_KEYS:
-            kw, convert = model_kw, _MODEL_KEYS[key]
-        elif key in _TRAIN_KEYS:
-            kw, convert = train_kw, _TRAIN_KEYS[key]
-        else:
+        if key not in _KEYS:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}; valid keys: "
                 f"{', '.join(VALID_KEYS)}")
+        section, convert = _KEYS[key]
         try:
-            kw[key] = convert(value)
+            kw[section][key] = convert(value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
     try:
-        return RunConfig(model=ModelSpec(**model_kw),
-                         train=TrainConfig(**train_kw))
+        return RunConfig(model=ModelSpec(**kw["model"]),
+                         train=TrainConfig(**kw["train"]))
     except Exception as exc:  # surface model-spec violations as config errors
         raise ConfigError(str(exc)) from exc
 

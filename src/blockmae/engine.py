@@ -4,8 +4,11 @@ Partitions the encoder into gradient-isolated blocks with local decoders,
 applies the incremental masking layer between blocks, and executes the
 buffer/free pattern: forward block i, decode and update locally, release
 everything except the boundary activation, drop extra tokens, continue.
-The end-to-end baseline step runs through the same code path with a
-single block, so the two are bitwise comparable under shared seeds.
+
+`BlockPlan` is the one owner of the schedule rules (mode, block count,
+ratio range, length, order).  The end-to-end baseline is the one-block
+"mae" plan and runs through the same step body, `blockwise_train_step`,
+so the two are bitwise comparable under shared seeds.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +34,8 @@ class IsolationError(Exception):
 
 @dataclass
 class BlockPlan:
-    """Block count, per-block masking ratios, and training mode."""
+    """Block count, per-block masking ratios, and training mode; the one
+    place a schedule is checked, each rule raising ScheduleError."""
 
     num_blocks: int = 4
     mask_schedule: tuple = (0.75, 0.75, 0.75, 0.75)
@@ -40,20 +44,27 @@ class BlockPlan:
     def __post_init__(self):
         self.mask_schedule = tuple(float(r) for r in self.mask_schedule)
         if self.mode not in ("blockwise", "mae"):
-            raise ContractError(f"plan mode must be blockwise or mae: {self.mode!r}")
+            raise ScheduleError(
+                f"mode must be 'blockwise' or 'mae', got {self.mode!r}")
+        if self.num_blocks < 1:
+            raise ScheduleError(
+                f"num_blocks must be >= 1, got {self.num_blocks}")
+        for r in self.mask_schedule:
+            if not 0.0 <= r < 1.0:
+                raise ScheduleError(
+                    f"mask_schedule ratios must lie in [0, 1), got {r}")
         if self.mode == "mae":
             # a single global ratio applies; block count is ignored
             self.num_blocks = 1
             self.mask_schedule = self.mask_schedule[:1]
         if len(self.mask_schedule) != self.num_blocks:
             raise ScheduleError(
-                f"schedule length {len(self.mask_schedule)} != "
-                f"num_blocks {self.num_blocks}")
-        if any(not 0.0 <= r < 1.0 for r in self.mask_schedule):
-            raise ScheduleError(f"ratios must lie in [0, 1): {self.mask_schedule}")
+                f"mask_schedule has {len(self.mask_schedule)} ratios for "
+                f"{self.num_blocks} blocks")
         if any(b < a for a, b in zip(self.mask_schedule, self.mask_schedule[1:])):
             raise ScheduleError(
-                f"masking ratios must be non-decreasing: {self.mask_schedule}")
+                f"mask_schedule ratios must be non-decreasing, got "
+                f"{self.mask_schedule}")
 
 
 @dataclass
@@ -113,19 +124,12 @@ def build_model(spec, num_blocks, seed, dtype=np.float32):
     return BlockwiseModel(spec=spec, params=params, num_blocks=num_blocks)
 
 
-def partition_encoder(model, num_blocks):
-    """Split the encoder into contiguous, disjoint, order-preserving blocks."""
-    depth = model.spec.depth
-    if depth % num_blocks != 0:
-        raise ContractError(
-            f"depth {depth} is not divisible into {num_blocks} blocks")
-    if model.num_blocks != num_blocks:
-        raise ContractError(
-            f"model was built for {model.num_blocks} blocks, asked for "
-            f"{num_blocks}")
-    per = depth // num_blocks
+def partition_encoder(model):
+    """Split the encoder into `model.num_blocks` contiguous, disjoint,
+    order-preserving blocks."""
+    per = model.layers_per_block
     units = []
-    for i in range(num_blocks):
+    for i in range(model.num_blocks):
         layer_ids = tuple(range(i * per, (i + 1) * per))
         units.append(BlockUnit(
             block_id=i, layer_ids=layer_ids, model=model,
@@ -162,12 +166,15 @@ def incremental_drop(tape, tokens, kept, keep, seed):
             np.take_along_axis(kept, take, axis=-1))
 
 
-def _run_step(blocks, images, plan, optimizer, lr, step_seed):
-    """Shared forward/backward/release schedule for both training modes."""
+def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
+    """One gradient-isolated step over all blocks: forward, local update,
+    release, drop.  A one-block plan is the end-to-end baseline step."""
+    if len(blocks) != plan.num_blocks:
+        raise ContractError(
+            f"plan expects {plan.num_blocks} blocks, got {len(blocks)}")
     model = blocks[0].model
     spec = model.spec
     params = model.params
-    num_blocks = len(blocks)
     batch = images.shape[0]
     tape = Tape()
 
@@ -191,7 +198,7 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed):
             for j in unit.layer_ids:
                 x = encoder_block_layer(tape, params, f"enc.layer{j}", x,
                                         spec.heads)
-            xb = tape.boundary(x) if i < num_blocks - 1 else None
+            xb = tape.boundary(x) if i < plan.num_blocks - 1 else None
             pred = local_decoder_forward(tape, params, spec, x, kept, i)
             loss = reconstruction_loss(tape, pred, targets, kept)
         table = tape.backward(loss)
@@ -215,20 +222,8 @@ def _run_step(blocks, images, plan, optimizer, lr, step_seed):
                       live_after_release=live_trace)
 
 
-def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
-    """One gradient-isolated step over all blocks (forward, local update,
-    release, drop)."""
-    if plan.mode != "blockwise":
-        raise ContractError("blockwise_train_step needs a blockwise plan")
-    if len(blocks) != plan.num_blocks:
-        raise ContractError(
-            f"plan expects {plan.num_blocks} blocks, got {len(blocks)}")
-    return _run_step(blocks, images, plan, optimizer, lr, step_seed)
-
-
 def mae_train_step(blocks, images, ratio, optimizer, lr, step_seed):
     """End-to-end baseline: one forward, one full backward, one update."""
-    if len(blocks) != 1:
-        raise ContractError("the end-to-end baseline uses a single block")
-    plan = BlockPlan(num_blocks=1, mask_schedule=(ratio,), mode="mae")
-    return _run_step(blocks, images, plan, optimizer, lr, step_seed)
+    return blockwise_train_step(blocks, images,
+                                BlockPlan(1, (ratio,), "mae"),
+                                optimizer, lr, step_seed)

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .engine import (
-    BlockPlan, blockwise_train_step, build_model, mae_train_step,
-    partition_encoder,
+    BlockPlan, blockwise_train_step, build_model, partition_encoder,
 )
 from .data import gen_synthetic_dataset
 from .model import keep_count
@@ -157,16 +155,14 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
                          mode="mae")
     try:
         model_m = build_model(spec, 1, seed=seed, dtype=dtype)
-        rep_m = mae_train_step(partition_encoder(model_m, 1), images,
-                               plan.mask_schedule[0], AdamW(), lr=0.0,
-                               step_seed=seed)
+        rep_m = blockwise_train_step(partition_encoder(model_m), images,
+                                     mae_plan, AdamW(), lr=0.0, step_seed=seed)
         if plan.mode == "mae":
             rep_p = rep_m
         else:
             model_p = build_model(spec, plan.num_blocks, seed=seed, dtype=dtype)
-            rep_p = blockwise_train_step(partition_encoder(
-                model_p, plan.num_blocks), images, plan, AdamW(), lr=0.0,
-                step_seed=seed)
+            rep_p = blockwise_train_step(partition_encoder(model_p), images,
+                                         plan, AdamW(), lr=0.0, step_seed=seed)
     except MemoryError as exc:
         raise ResourceError(
             f"step at batch {batch} exceeded memory; analytic estimate "

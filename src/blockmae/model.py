@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .tape import ContractError, DimensionError, Tape
+from .tape import ContractError, DimensionError
 
 DECODER_HEAD_DIM = 32  # decoder heads sized to a fixed head width
 
@@ -59,6 +59,15 @@ class ModelSpec:
         if self.embed_dim % self.heads != 0:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
+        # the sin-cos position tables split each width into four parts
+        for name in ("embed_dim", "decoder_dim"):
+            if getattr(self, name) % 4 != 0:
+                raise ContractError(
+                    f"{name} {getattr(self, name)} not divisible by 4")
+        if self.decoder_dim % self.decoder_heads != 0:
+            raise ContractError(
+                f"decoder_dim {self.decoder_dim} not divisible by its "
+                f"{self.decoder_heads} decoder heads")
 
     @property
     def grid_side(self):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .engine import BlockPlan
+from .memory import flop_estimate
 from .model import embed_visible, encoder_block_layer
 from .optim import AdamW
 from .tape import ContractError, Tape
@@ -171,6 +173,10 @@ def linear_probe(prefix, dataset, cfg=None, num_classes=None):
     """Train a linear classifier on fixed prefix features."""
     if dataset.labels is None:
         raise ContractError("linear probing needs a labeled dataset")
+    if len(dataset) < 2:
+        raise ContractError(
+            f"linear probing needs at least 2 images to split into train "
+            f"and validation, got {len(dataset)}")
     cfg = cfg or ProbeConfig()
     labels = dataset.labels.astype(np.int64)
     num_classes = num_classes or int(labels.max()) + 1
@@ -199,9 +205,6 @@ def training_cost_saving(depths, plan, spec, include_decoders=True):
     compute model; independent runs are end-to-end baselines at the plan's
     average visible fraction with a single decoder each.
     """
-    from .engine import BlockPlan  # local import avoids a cycle
-    from .memory import flop_estimate
-
     depths = tuple(depths)
     if any(b <= a for a, b in zip(depths, depths[1:])) or not depths:
         raise ContractError(f"depths must be strictly increasing: {depths}")

@@ -29,10 +29,9 @@ import numpy as np
 from . import rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError
-from .data import Dataset, gen_synthetic_dataset, load_dataset
+from .data import gen_synthetic_dataset, load_dataset
 from .engine import (
-    BlockPlan, blockwise_train_step, build_model, mae_train_step,
-    partition_encoder,
+    blockwise_train_step, build_model, mae_train_step, partition_encoder,
 )
 from .memory import compare_peak, flop_estimate
 from .ofa import ProbeConfig, linear_probe, truncate_backbone
@@ -74,18 +73,20 @@ def _fmt(x):
 
 
 def _dataset_for(cfg):
-    t = cfg.train
+    """The config's dataset; ConfigError if its images are not the
+    model's (H, W, C)."""
+    t, spec = cfg.train, cfg.model
     if t.dataset == "synthetic":
-        return gen_synthetic_dataset(cfg.model.image_size, t.dataset_size,
-                                     t.seed, channels=cfg.model.channels,
+        return gen_synthetic_dataset(spec.image_size, t.dataset_size,
+                                     t.seed, channels=spec.channels,
                                      num_classes=t.num_classes)
-    return load_dataset(t.dataset)
-
-
-def _plan_for(cfg):
-    t = cfg.train
-    return BlockPlan(num_blocks=t.num_blocks, mask_schedule=t.mask_schedule,
-                     mode=t.mode)
+    ds = load_dataset(t.dataset)
+    want = (spec.image_size, spec.image_size, spec.channels)
+    if ds.pixels.shape[1:] != want:
+        raise ConfigError(
+            f"dataset {t.dataset} holds images of (H, W, C) = "
+            f"{ds.pixels.shape[1:]}, the config gives {want}")
+    return ds
 
 
 def _metric_rows_before(path, step):
@@ -167,9 +168,9 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
     os.makedirs(out_dir, exist_ok=True)
     t = cfg.train
     dtype = t.np_dtype
-    plan = _plan_for(cfg)
+    plan = cfg.plan
     model = build_model(cfg.model, plan.num_blocks, t.seed, dtype)
-    units = partition_encoder(model, plan.num_blocks)
+    units = partition_encoder(model)
     opt = AdamW(beta1=t.beta1, beta2=t.beta2, weight_decay=t.weight_decay)
 
     start_step = 0
@@ -249,8 +250,7 @@ def write_mem_report(cfg, out_dir, batch=None):
     elif batch < 1:
         raise ConfigError(f"mem-report batch must be >= 1, got {batch}")
     os.makedirs(out_dir, exist_ok=True)
-    plan = _plan_for(cfg)
-    rows = compare_peak(cfg.model, plan, batch, seed=cfg.train.seed,
+    rows = compare_peak(cfg.model, cfg.plan, batch, seed=cfg.train.seed,
                         dtype=cfg.train.np_dtype)
     path = os.path.join(out_dir, "mem_report.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -264,7 +264,7 @@ def write_mem_report(cfg, out_dir, batch=None):
 
 def write_flop_report(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    rep = flop_estimate(cfg.model, _plan_for(cfg))
+    rep = flop_estimate(cfg.model, cfg.plan)
     path = os.path.join(out_dir, "flop_report.csv")
     sched = " ".join(_fmt(r) for r in rep.schedule)
     fracs = " ".join(_fmt(f) for f in rep.visible_fractions)
@@ -331,8 +331,7 @@ def _load_params(model, tensors, dtype):
 def _model_from_checkpoint(cfg, checkpoint_path, k):
     """Prefix k of the config's model, every tensor of it read from the
     checkpoint: a full run's or an exported backbone."""
-    plan = _plan_for(cfg)
-    model = build_model(cfg.model, plan.num_blocks, cfg.train.seed,
+    model = build_model(cfg.model, cfg.plan.num_blocks, cfg.train.seed,
                         np.float64)
     tensors = load_checkpoint(checkpoint_path)
     _load_params(model, tensors, np.float64)

@@ -1,12 +1,14 @@
 """Engine: partitioning, incremental drops, isolated steps, baselines."""
 
 import dataclasses
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from blockmae import rng
+from blockmae.config import PRESETS, parse_config
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import (
     BlockPlan, IsolationError, ScheduleError, blockwise_train_step,
@@ -45,6 +47,15 @@ def test_plan_validates_schedule():
         BlockPlan(num_blocks=2, mask_schedule=(0.5, 1.0))
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(num_blocks=0, mask_schedule=()), "num_blocks must be >= 1, got 0"),
+    (dict(mode="x"), "mode must be 'blockwise' or 'mae', got 'x'"),
+])
+def test_plan_refuses_blocks_and_modes_it_cannot_run(kw, message):
+    with pytest.raises(ScheduleError, match=re.escape(message)):
+        BlockPlan(**kw)
+
+
 def test_plan_mae_collapses_to_single_block():
     plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,), mode="mae")
     assert plan.num_blocks == 1 and plan.mask_schedule == (0.75,)
@@ -53,7 +64,7 @@ def test_plan_mae_collapses_to_single_block():
 def test_partition_uniform_blocks():
     spec = _tiny_spec(depth=8)
     model = build_model(spec, 4, seed=1, dtype=np.float64)
-    units = partition_encoder(model, 4)
+    units = partition_encoder(model)
     assert [u.layer_ids for u in units] == [(0, 1), (2, 3), (4, 5), (6, 7)]
 
 
@@ -65,21 +76,21 @@ def test_partition_rejects_uneven_depth():
 def test_partition_two_blocks_large_style():
     spec = _tiny_spec(depth=4)
     model = build_model(spec, 2, seed=1, dtype=np.float64)
-    units = partition_encoder(model, 2)
+    units = partition_encoder(model)
     assert [u.layer_ids for u in units] == [(0, 1), (2, 3)]
 
 
 def test_block_parameter_sets_disjoint():
     spec = _tiny_spec(depth=4)
     model = build_model(spec, 2, seed=2, dtype=np.float64)
-    units = partition_encoder(model, 2)
+    units = partition_encoder(model)
     names0, names1 = set(units[0].param_names), set(units[1].param_names)
     assert not names0 & names1
     assert names0 | names1 == set(model.params)
 
 
 def test_partition_maps_parameters_to_blocks():
-    units = partition_encoder(build_model(_tiny_spec(depth=6), 3, seed=2), 3)
+    units = partition_encoder(build_model(_tiny_spec(depth=6), 3, seed=2))
     assert "embed.w" in units[0].param_names
     assert "enc.layer3.ln1.g" in units[1].param_names
     assert "block2.dec.mask_token" in units[2].param_names
@@ -180,7 +191,7 @@ def test_incremental_drop_equals_per_sample_reference():
 def _setup(depth=4, blocks=4, dtype=np.float64, seed=3, schedule=None):
     spec = _tiny_spec(depth=depth)
     model = build_model(spec, blocks, seed=seed, dtype=dtype)
-    units = partition_encoder(model, blocks)
+    units = partition_encoder(model)
     schedule = schedule or tuple([0.5] * blocks)
     plan = BlockPlan(num_blocks=blocks, mask_schedule=schedule)
     opt = AdamW(weight_decay=0.01)
@@ -278,7 +289,7 @@ def test_counterfactual_block0_update_independent_of_later_losses():
 
     # rebuild identical model; update only block 0 (later losses "zeroed")
     model2 = build_model(spec, 4, seed=7, dtype=np.float64)
-    units2 = partition_encoder(model2, 4)
+    units2 = partition_encoder(model2)
     for k in p0:
         assert np.array_equal(model2.params[k], p0[k])
     names0 = units[0].param_names
@@ -298,12 +309,12 @@ def test_blockwise_single_block_bitwise_equals_mae():
     imgs = _images(spec, 4, seed=13)
 
     model_a = build_model(spec, 1, seed=17, dtype=np.float64)
-    units_a = partition_encoder(model_a, 1)
+    units_a = partition_encoder(model_a)
     opt_a = AdamW()
     plan = BlockPlan(num_blocks=1, mask_schedule=(0.75,))
 
     model_b = build_model(spec, 1, seed=17, dtype=np.float64)
-    units_b = partition_encoder(model_b, 1)
+    units_b = partition_encoder(model_b)
     opt_b = AdamW()
 
     for step in range(5):
@@ -317,16 +328,35 @@ def test_blockwise_single_block_bitwise_equals_mae():
         assert np.array_equal(model_a.params[name], model_b.params[name]), name
 
 
+def test_blockwise_step_runs_the_mae_preset_plan_bitwise_as_mae_step():
+    cfg = parse_config(PRESETS["desk-mae"])
+    plan = cfg.plan
+    assert plan.mode == "mae" and plan.num_blocks == 1
+    imgs = _images(cfg.model, 2, seed=5)
+    model_a = build_model(cfg.model, 1, seed=7, dtype=np.float64)
+    model_b = build_model(cfg.model, 1, seed=7, dtype=np.float64)
+    units_a, units_b = partition_encoder(model_a), partition_encoder(model_b)
+    opt_a, opt_b = AdamW(), AdamW()
+    for step in range(3):
+        ra = blockwise_train_step(units_a, imgs, plan, opt_a, lr=1e-3,
+                                  step_seed=step)
+        rb = mae_train_step(units_b, imgs, plan.mask_schedule[0], opt_b,
+                            lr=1e-3, step_seed=step)
+        assert ra == rb
+    for name in model_a.params:
+        assert np.array_equal(model_a.params[name], model_b.params[name]), name
+
+
 def test_blockwise_peak_below_mae_peak():
     spec = _tiny_spec(depth=4)
     imgs = _images(spec, 4, seed=19)
     model = build_model(spec, 4, seed=23, dtype=np.float64)
-    units = partition_encoder(model, 4)
+    units = partition_encoder(model)
     plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,) * 4)
     rep_b = blockwise_train_step(units, imgs, plan, AdamW(), lr=0.0,
                                  step_seed=1)
     model_m = build_model(spec, 1, seed=23, dtype=np.float64)
-    units_m = partition_encoder(model_m, 1)
+    units_m = partition_encoder(model_m)
     rep_m = mae_train_step(units_m, imgs, 0.75, AdamW(), lr=0.0, step_seed=1)
     assert rep_b.peak_activation_bytes < rep_m.peak_activation_bytes
 
@@ -334,7 +364,7 @@ def test_blockwise_peak_below_mae_peak():
 def test_mae_first_layer_gradients_nonzero():
     spec = _tiny_spec(depth=4)
     model = build_model(spec, 1, seed=29, dtype=np.float64)
-    units = partition_encoder(model, 1)
+    units = partition_encoder(model)
     before = model.params["enc.layer0.attn.qkv.w"].copy()
     mae_train_step(units, _images(spec, 2, seed=31), 0.5, AdamW(), lr=1e-3,
                    step_seed=2)

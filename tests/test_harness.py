@@ -2,6 +2,7 @@
 
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from blockmae.data import (
     FormatError, gen_synthetic_dataset, load_dataset, save_dataset,
 )
 from blockmae.engine import build_model
+from blockmae.model import ModelSpec
 from blockmae.ofa import ProbeConfig, fit_linear_classifier, _accuracy
 from blockmae.optim import AdamW, lr_at_step, scale_lr
 from blockmae.runner import run_pretrain, run_probe
@@ -227,6 +229,58 @@ def test_config_blockwise_cross_checks():
         parse_config("mask_schedule = 0.75,0.75")
     # the end-to-end baseline uses one block whatever num_blocks says
     parse_config("mode = mae\ndepth = 6\nmask_schedule = 0.75")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mask_schedule = 0.75,0.5,0.5,0.5",
+     "mask_schedule ratios must be non-decreasing, got (0.75, 0.5, 0.5, 0.5)"),
+    ("mode = x", "mode must be 'blockwise' or 'mae', got 'x'"),
+    ("num_blocks = 0", "num_blocks must be >= 1, got 0"),
+    ("mode = mae\nnum_blocks = 0", "num_blocks must be >= 1, got 0"),
+    ("mode = mae\nmask_schedule = 0.5,1.0",
+     "mask_schedule ratios must lie in [0, 1), got 1.0"),
+])
+def test_config_schedule_rule_texts(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("embed_dim = 18\nheads = 2", "embed_dim 18 not divisible by 4"),
+    ("decoder_dim = 18", "decoder_dim 18 not divisible by 4"),
+    ("decoder_dim = 100",
+     "decoder_dim 100 not divisible by its 3 decoder heads"),
+])
+def test_config_refuses_widths_the_model_cannot_build(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+
+
+def _config_value(v):
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, tuple):
+        return ",".join(repr(r) for r in v)
+    return str(v)
+
+
+def test_config_every_field_round_trips():
+    model = dict(image_size=16, patch_size=2, channels=3, embed_dim=32,
+                 depth=4, heads=2, mlp_ratio=2, decoder_dim=64,
+                 decoder_depth=2, norm_pix=True)
+    train = dict(base_lr=1e-3, batch_size=8, beta1=0.8, beta2=0.9,
+                 weight_decay=0.1, warmup_epochs=1, total_epochs=3, seed=5,
+                 mode="mae", num_blocks=2, mask_schedule=(0.5, 0.625),
+                 dataset="other.bimd", dataset_size=16, num_classes=3,
+                 dtype="f64")
+    for cls, values in ((ModelSpec, model), (TrainConfig, train)):
+        assert set(values) == {f.name for f in fields(cls)}, cls
+        default = cls()
+        assert all(getattr(default, k) != v for k, v in values.items()), cls
+    cfg = parse_config("".join(f"{k} = {_config_value(v)}\n"
+                               for k, v in {**model, **train}.items()))
+    assert cfg.model == ModelSpec(**model)
+    assert cfg.train == TrainConfig(**train)
 
 
 def test_presets_parse():
@@ -716,6 +770,43 @@ def test_cli_probe_refuses_labels_beyond_num_classes(tmp_path, capsys):
     # more classes than labels is a valid probe
     assert probe(6) == 0
     assert os.path.exists(os.path.join(out, "probe_results.csv"))
+
+
+def test_cli_probe_refuses_a_dataset_too_small_to_split(tmp_path, capsys):
+    ckpt = run_pretrain(parse_config(TINY_CONFIG), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    cfg_path = _write_cfg(tmp_path, TINY_CONFIG + "dataset_size = 1\n")
+    out = str(tmp_path / "out")
+    assert cli_main(["probe", "--config", cfg_path, "--checkpoint", ckpt,
+                     "--k", "2", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: linear probing needs at least 2 images to split into train "
+        "and validation, got 1")
+    assert not os.path.exists(os.path.join(out, "probe_results.csv"))
+
+
+def test_cli_dataset_of_another_image_shape_keeps_earlier_metrics(
+        tmp_path, capsys):
+    data = str(tmp_path / "wide.bimd")
+    save_dataset(gen_synthetic_dataset(32, 64, seed=3), data)
+    cfg_path = _write_cfg(tmp_path, TINY_CONFIG + f"dataset = {data}\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    earlier = b"step,epoch,block_id,loss,lr,live_bytes,peak_bytes\n0,0,-1\n"
+    (out / "metrics.csv").write_bytes(earlier)
+    assert cli_main(["pretrain", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: dataset {data} holds images of (H, W, C) = (32, 32, 1), "
+        f"the config gives (16, 16, 1)")
+    assert (out / "metrics.csv").read_bytes() == earlier
+
+
+def test_cli_flop_report_refuses_decoder_width_of_its_heads(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, "decoder_dim = 100\n")
+    out = str(tmp_path / "report")
+    assert cli_main(["flop-report", "--config", cfg_path, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: decoder_dim 100 ")
+    assert not os.path.exists(os.path.join(out, "flop_report.csv"))
 
 
 def test_cli_end_to_end_pipeline(tmp_path):

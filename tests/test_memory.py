@@ -228,7 +228,7 @@ def _warm_desk_blockwise():
     come with it."""
     images = gen_synthetic_dataset(TOY.image_size, 64, 11).images(
         dtype=np.float32)
-    units = partition_encoder(build_model(TOY, 4, seed=11), 4)
+    units = partition_encoder(build_model(TOY, 4, seed=11))
     plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,) * 4)
     opt = AdamW()
     blockwise_train_step(units, images, plan, opt, 1e-3, step_seed=1)

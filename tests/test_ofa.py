@@ -21,7 +21,7 @@ def _model(depth=4, blocks=4, seed=3):
                      depth=depth, heads=2, mlp_ratio=2, decoder_dim=8,
                      decoder_depth=1)
     model = build_model(spec, blocks, seed=seed, dtype=np.float64)
-    partition_encoder(model, blocks)
+    partition_encoder(model)
     return spec, model
 
 
