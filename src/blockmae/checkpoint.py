@@ -12,6 +12,7 @@ Optimizer state travels as ordinary tensors under the reserved
 trained block count (`meta.num_blocks`) under 'meta.'.
 """
 
+import math
 import os
 import struct
 
@@ -86,7 +87,12 @@ def load_checkpoint(path):
 
     for _ in range(count):
         (nlen,) = struct.unpack("<I", take(4, "name length"))
-        name = take(nlen, "name").decode("utf-8")
+        raw = take(nlen, "name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"tensor name at byte {off - nlen} is not UTF-8: {exc}") from exc
         if version == 2:
             (code,) = struct.unpack("<I", take(4, f"dtype of {name!r}"))
             if code not in _CODE_DTYPES:
@@ -96,7 +102,7 @@ def load_checkpoint(path):
             dtype = _CODE_DTYPES[0]
         (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
-        n_items = int(np.prod(dims)) if rank else 1
+        n_items = math.prod(dims)
         payload = take(n_items * dtype.itemsize, f"payload of tensor {name!r}")
         out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
     if off != len(blob):

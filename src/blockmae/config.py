@@ -7,15 +7,15 @@ rejected with the full list of valid keys, so typos fail fast instead of
 silently using defaults.
 
 `RunConfig` builds the run's `BlockPlan` once, as `cfg.plan`; the plan
-checks the schedule and block count, and `RunConfig` adds only the two
-rules that need the model.
+checks the schedule and block count, `engine.block_layers` the depth,
+and `RunConfig` only how many patches each ratio keeps.
 """
 
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .engine import BlockPlan, ScheduleError
+from .engine import BlockPlan, ScheduleError, block_layers
 from .model import ModelSpec, keep_count
 
 
@@ -88,17 +88,15 @@ class RunConfig:
         try:
             self.plan = BlockPlan(num_blocks=t.num_blocks,
                                   mask_schedule=t.mask_schedule, mode=t.mode)
+            block_layers(self.model.depth, self.plan.num_blocks)
         except ScheduleError as exc:
             raise ConfigError(str(exc)) from exc
         for r in t.mask_schedule:
-            if keep_count(n, r) < 1:
-                raise ConfigError(
-                    f"mask ratio {r} leaves no visible token "
-                    f"(num_patches = {n})")
-        if self.model.depth % self.plan.num_blocks != 0:
-            raise ConfigError(
-                f"depth {self.model.depth} is not divisible into "
-                f"{self.plan.num_blocks} blocks")
+            # a token for the encoder to see, a patch for the loss to score
+            k = keep_count(n, r)
+            if not 1 <= k < n:
+                what = "leaves no visible token" if k < 1 else "hides no patch"
+                raise ConfigError(f"mask ratio {r} {what} (num_patches = {n})")
 
 
 def _parse_bool(v):
@@ -151,8 +149,12 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc}") from exc
+    return parse_config(text)
 
 
 # Named presets.  The paper-scale rows keep the published recipes on file

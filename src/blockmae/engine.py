@@ -5,10 +5,10 @@ applies the incremental masking layer between blocks, and executes the
 buffer/free pattern: forward block i, decode and update locally, release
 everything except the boundary activation, drop extra tokens, continue.
 
-`BlockPlan` is the one owner of the schedule rules (mode, block count,
-ratio range, length, order).  The end-to-end baseline is the one-block
-"mae" plan and runs through the same step body, `blockwise_train_step`,
-so the two are bitwise comparable under shared seeds.
+`BlockPlan` owns the schedule rules (mode, block count, ratio range,
+length, order) and `block_layers` the block layout.  The end-to-end
+baseline is the one-block "mae" plan and runs through the same step body,
+`blockwise_train_step`, so the two are bitwise comparable under shared seeds.
 """
 
 from dataclasses import dataclass, field
@@ -67,23 +67,33 @@ class BlockPlan:
                 f"{self.mask_schedule}")
 
 
+def block_layers(depth, num_blocks):
+    """Each block's encoder layer ids: the one owner of the block layout."""
+    if depth % num_blocks:
+        raise ScheduleError(
+            f"depth {depth} is not divisible into {num_blocks} blocks")
+    per = depth // num_blocks
+    return tuple(tuple(range(i, i + per)) for i in range(0, depth, per))
+
+
 @dataclass
 class BlockwiseModel:
     """Encoder parameters plus per-block bridges/decoders, name-keyed."""
 
     spec: ModelSpec
     params: dict
-    num_blocks: int
+    blocks: tuple  # each block's layer ids, from `block_layers`
 
     @property
-    def layers_per_block(self):
-        return self.spec.depth // self.num_blocks
+    def num_blocks(self):
+        return len(self.blocks)
 
 
 @dataclass
 class BlockUnit:
     """One contiguous encoder block with its bridge and local decoder.
 
+    `layer_ids` is its entry of `model.blocks`, from `block_layers`.
     `param_names` is the sorted tuple of parameters the block owns, fixed
     when the encoder is partitioned.  It is the one place that decides
     ownership: a step raises IsolationError when a block's backward yields
@@ -115,25 +125,18 @@ class StepReport:
 
 def build_model(spec, num_blocks, seed, dtype=np.float32):
     """Initialize encoder + per-block heads; partition-ready."""
-    if spec.depth % num_blocks != 0:
-        raise ContractError(
-            f"depth {spec.depth} is not divisible into {num_blocks} blocks")
+    blocks = block_layers(spec.depth, num_blocks)
     params = init_encoder_params(spec, seed, dtype)
     for i in range(num_blocks):
         params.update(init_block_head_params(spec, i, seed, dtype))
-    return BlockwiseModel(spec=spec, params=params, num_blocks=num_blocks)
+    return BlockwiseModel(spec=spec, params=params, blocks=blocks)
 
 
 def partition_encoder(model):
-    """Split the encoder into `model.num_blocks` contiguous, disjoint,
-    order-preserving blocks."""
-    per = model.layers_per_block
-    units = []
-    for i in range(model.num_blocks):
-        layer_ids = tuple(range(i * per, (i + 1) * per))
-        units.append(BlockUnit(
-            block_id=i, layer_ids=layer_ids, model=model,
-            param_names=_block_param_names(model.params, i, layer_ids)))
+    """One BlockUnit per entry of `model.blocks`."""
+    units = [BlockUnit(block_id=i, layer_ids=ids, model=model,
+                       param_names=_block_param_names(model.params, i, ids))
+             for i, ids in enumerate(model.blocks)]
     seen = set()
     for u in units:
         names = set(u.param_names)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    BlockPlan, blockwise_train_step, build_model, partition_encoder,
+    BlockPlan, block_layers, blockwise_train_step, build_model,
+    partition_encoder,
 )
 from .data import gen_synthetic_dataset
 from .model import keep_count
@@ -109,9 +110,8 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
     b = batch
     d = spec.embed_dim
     counts = _visible_counts(spec, plan)
-    lpb = spec.depth // plan.num_blocks
     peak = 0
-    for i in range(plan.num_blocks):
+    for i, layers in enumerate(block_layers(spec.depth, plan.num_blocks)):
         n_i = counts[i]
         live = 0
         dropped = i > 0 and counts[i] < counts[i - 1]
@@ -122,8 +122,8 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
         first_charged = (i == 0) or dropped
         live += _layer_bytes(b, n_i, d, spec.heads, spec.mlp_ratio, s,
                              input_charged=first_charged)
-        live += (lpb - 1) * _layer_bytes(b, n_i, d, spec.heads,
-                                         spec.mlp_ratio, s)
+        live += (len(layers) - 1) * _layer_bytes(b, n_i, d, spec.heads,
+                                                 spec.mlp_ratio, s)
         if i < plan.num_blocks - 1:
             live += s * b * n_i * d                    # own boundary copy
         live += _bridge_bytes(b, n_i, d, s) + _decoder_bytes(spec, b, n_i, s)
@@ -199,12 +199,12 @@ def _layer_linear_d2(spec):
     return 4 + 2 * spec.mlp_ratio
 
 
-def _encoder_units(spec, lpb, fractions):
+def _encoder_units(spec, blocks, fractions):
     """(linear, quadratic) MAC totals over the whole encoder."""
     n, d = spec.num_patches, spec.embed_dim
-    linear = sum(lpb * f * n * _layer_linear_d2(spec) * d * d
-                 for f in fractions)
-    quad = sum(lpb * 2.0 * (f * n) ** 2 * d for f in fractions)
+    pairs = [(len(ids), f) for ids, f in zip(blocks, fractions)]
+    linear = sum(k * f * n * _layer_linear_d2(spec) * d * d for k, f in pairs)
+    quad = sum(k * 2.0 * (f * n) ** 2 * d for k, f in pairs)
     return linear, quad
 
 
@@ -223,12 +223,12 @@ def _decoder_units(spec, num_decoders, fractions):
 def flop_estimate(spec, plan, baseline_ratio=0.75):
     """MAC totals for the plan against a fixed-ratio single-decoder baseline."""
     fractions = _plan_fractions(plan)
-    lpb = spec.depth // plan.num_blocks
-    linear, quad = _encoder_units(spec, lpb, fractions)
+    blocks = block_layers(spec.depth, plan.num_blocks)
+    linear, quad = _encoder_units(spec, blocks, fractions)
     dec = _decoder_units(spec, plan.num_blocks, fractions)
 
     base_frac = (1.0 - baseline_ratio,) * plan.num_blocks
-    b_linear, b_quad = _encoder_units(spec, lpb, base_frac)
+    b_linear, b_quad = _encoder_units(spec, blocks, base_frac)
     b_dec = _decoder_units(spec, 1, base_frac)
     return FlopReport(
         schedule=plan.mask_schedule,

@@ -312,11 +312,8 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
 
     mask_token = _param(tape, params, f"{pfx}.dec.mask_token")
     n_masked = n - n_vis
-    if n_masked > 0:
-        zeros = tape.leaf(np.zeros((batch, n_masked, dd), dtype=dtype))
-        full = tape.concat_rows([z, tape.add(zeros, mask_token)])
-    else:
-        full = z
+    zeros = tape.leaf(np.zeros((batch, n_masked, dd), dtype=dtype))
+    full = tape.concat_rows([z, tape.add(zeros, mask_token)])
     masked = np.nonzero(patch_mask(kept, n))[1].reshape(batch, n_masked)
     # the inverse permutation of the shuffled order
     restore = np.argsort(np.concatenate([kept, masked], axis=1), axis=1)

@@ -31,9 +31,9 @@ class BackbonePrefix:
     """First k blocks of a jointly trained encoder, with a final norm.
 
     Weights are views into the parent model's storage.  parameters() is
-    the shared backbone set (embedding + encoder layers), which nests
-    strictly across depths; the attached norm is the per-depth bridge
-    LayerNorm used to read features out.
+    the embedding plus `layer_ids`, the first k blocks' layers from
+    `engine.block_layers`; it nests strictly across depths.  The attached
+    norm is the per-depth bridge LayerNorm used to read features out.
     """
 
     model: object
@@ -45,14 +45,12 @@ class BackbonePrefix:
                 f"prefix depth k={self.k} outside 1..{self.model.num_blocks}")
 
     @property
-    def depth_layers(self):
-        return self.k * self.model.layers_per_block
+    def layer_ids(self):
+        return sum(self.model.blocks[:self.k], ())
 
     def parameters(self):
-        names = [n for n in self.model.params if n.startswith("embed.")]
-        names += [n for n in self.model.params if n.startswith("enc.layer")
-                  and int(n.split(".")[1][len("layer"):]) < self.depth_layers]
-        return sorted(names)
+        prefixes = ("embed.",) + tuple(f"enc.layer{j}." for j in self.layer_ids)
+        return sorted(n for n in self.model.params if n.startswith(prefixes))
 
     def norm_params(self):
         pfx = f"block{self.k - 1}.bridge.ln"
@@ -91,7 +89,7 @@ def forward_tokens(prefix, images):
                            (images.shape[0], spec.num_patches))
     tape = Tape()
     x = embed_visible(tape, params, spec, images, kept).value
-    for j in range(prefix.depth_layers):
+    for j in prefix.layer_ids:
         tape = Tape()
         x = encoder_block_layer(tape, params, f"enc.layer{j}", tape.leaf(x),
                                 spec.heads).value

@@ -11,15 +11,16 @@ from blockmae import rng
 from blockmae.config import PRESETS, parse_config
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import (
-    BlockPlan, IsolationError, ScheduleError, blockwise_train_step,
-    build_model, incremental_drop, mae_train_step, partition_encoder,
+    BlockPlan, IsolationError, ScheduleError, block_layers,
+    blockwise_train_step, build_model, incremental_drop, mae_train_step,
+    partition_encoder,
 )
 from blockmae.model import (
     ModelSpec, embed_visible, encoder_block_layer, keep_count,
     local_decoder_forward, mask_indices, patch_targets, reconstruction_loss,
 )
 from blockmae.optim import AdamW
-from blockmae.tape import ContractError, Tape
+from blockmae.tape import Tape
 
 
 def _tiny_spec(depth=4, **over):
@@ -69,8 +70,17 @@ def test_partition_uniform_blocks():
 
 
 def test_partition_rejects_uneven_depth():
-    with pytest.raises(ContractError, match="divisible"):
+    with pytest.raises(ScheduleError,
+                       match="^depth 7 is not divisible into 4 blocks$"):
         build_model(_tiny_spec(depth=7, image_size=16), 4, seed=1)
+
+
+def test_block_layers_is_the_models_layout():
+    assert block_layers(8, 4) == ((0, 1), (2, 3), (4, 5), (6, 7))
+    assert block_layers(3, 1) == ((0, 1, 2),)
+    model = build_model(_tiny_spec(depth=6), 3, seed=1)
+    assert model.blocks == block_layers(6, 3) and model.num_blocks == 3
+    assert tuple(u.layer_ids for u in partition_encoder(model)) == model.blocks
 
 
 def test_partition_two_blocks_large_style():

@@ -2,6 +2,7 @@
 
 import os
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -213,6 +214,21 @@ def test_config_mask_ratio_must_leave_a_visible_token(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text", [
+    "mask_schedule = 0.0,0.75,0.75,0.75",
+    "mode = mae\nmask_schedule = 0.0",
+    "mode = mae\nmask_schedule = 1e-17",
+])
+def test_config_mask_ratio_must_hide_a_patch(text):
+    ratio = float(re.search(r"mask_schedule = ([^,\n]+)", text).group(1))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"mask ratio {ratio} hides no patch (num_patches = 64)")):
+        parse_config(text)
+    # below 1/N a ratio still hides one patch
+    assert parse_config("mode = mae\nmask_schedule = 0.01").plan.mask_schedule \
+        == (0.01,)
+
+
 def test_config_mask_ratio_edges():
     # floor(16 * (1 - 0.9375)) = 1 visible token is enough
     parse_config("image_size = 16\nnum_blocks = 2\ndepth = 2\n"
@@ -400,6 +416,16 @@ def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
     assert path.read_bytes() == before
     assert np.array_equal(load_checkpoint(path)["w"], good["w"])
     assert os.listdir(tmp_path) == ["c.bimc"]
+
+
+def test_checkpoint_dims_past_int64_report_the_truncated_payload(tmp_path):
+    # four dims of 65536 hold 2**64 items, which an int64 product wraps to 0
+    path = tmp_path / "huge.bimc"
+    path.write_bytes(b"BIMC" + struct.pack("<3I", 1, 1, 1) + b"w"
+                     + struct.pack("<5I", 4, *(65536,) * 4))
+    with pytest.raises(FormatError, match="truncated payload of tensor 'w' "
+                       "at byte 37: need 73786976294838206464 more bytes"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_version_gate(tmp_path):
@@ -862,6 +888,41 @@ def test_cli_mask_ratio_without_visible_tokens_exits_nonzero(tmp_path, capsys):
     assert err.startswith("error: mask ratio 0.99 leaves no visible token")
     assert "Traceback" not in err
     assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+def test_cli_mask_ratio_that_hides_no_patch_exits_nonzero(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_text(TINY_CONFIG + "mask_schedule = 0.0,0.5\n")
+    out = str(tmp_path / "run")
+    assert cli_main(["pretrain", "--config", str(p), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: mask ratio 0.0 hides no patch (num_patches = 16)")
+    assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+def test_cli_config_that_is_not_utf8_exits_nonzero(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"seed = 1 # \xff\xfe\n")
+    out = tmp_path / "report"
+    assert cli_main(["mem-report", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p} is not UTF-8: ")
+    assert not out.exists()
+
+
+def test_cli_probe_of_checkpoint_with_non_utf8_name_exits_nonzero(
+        tmp_path, capsys):
+    ckpt = tmp_path / "c.bimc"
+    save_checkpoint({"w": np.ones(2, dtype=np.float32)}, ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    assert blob[16:17] == b"w"   # after magic, version, count, name length
+    blob[16] = 0xFF
+    ckpt.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    assert cli_main(["probe", "--config", _write_cfg(tmp_path), "--checkpoint",
+                     str(ckpt), "--k", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: tensor name at byte 16 is not UTF-8")
+    assert not (out / "probe_results.csv").exists()
 
 
 def test_cli_inconsistent_blockwise_config_exits_nonzero(tmp_path, capsys):

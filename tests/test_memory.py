@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from blockmae import rng
+from blockmae.config import ConfigError, parse_config
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import (
-    BlockPlan, blockwise_train_step, build_model, partition_encoder,
+    BlockPlan, ScheduleError, blockwise_train_step, build_model,
+    partition_encoder,
 )
 from blockmae.memory import (
     _bridge_bytes, _decoder_bytes, _layer_bytes, analytic_peak, compare_peak,
@@ -67,7 +69,8 @@ def test_one_layer_meter_equals_layer_bytes(input_charged, dtype):
     t = Tape()
     x = t.leaf(rng.normals(5, b * n * d).reshape(b, n, d).astype(dtype))
     if input_charged:
-        x = t.scale(x, 1.0)  # a non-leaf input, which LN1 charges
+        # a non-leaf input, which LN1 charges
+        x = t.add(x, t.leaf(np.zeros(d, dtype)))
     encoder_block_layer(t, params, "enc.layer0", x, spec.heads)
     assert t.meter.live_activation_bytes == _layer_bytes(
         b, n, d, spec.heads, spec.mlp_ratio, np.dtype(dtype).itemsize,
@@ -86,8 +89,8 @@ def test_decoder_meter_equals_bridge_and_decoder_bytes(n_vis):
     images = gen_synthetic_dataset(TOY.image_size, b, 8).images(
         dtype=np.float32)
     t = Tape()
-    x = t.scale(t.leaf(rng.normals(9, b * n_vis * d).reshape(
-        b, n_vis, d).astype(np.float32)), 1.0)
+    x = t.add(t.leaf(rng.normals(9, b * n_vis * d).reshape(
+        b, n_vis, d).astype(np.float32)), t.leaf(np.zeros(d, np.float32)))
     pred = local_decoder_forward(t, params, TOY, x, kept, 1)
     reconstruction_loss(t, pred, patch_targets(images, TOY), kept)
     assert t.meter.live_activation_bytes == (
@@ -186,6 +189,23 @@ def test_flop_schedule_65_70_80_85_parity_with_fixed_75():
     rep = flop_estimate(TOY, plan, baseline_ratio=0.75)
     assert abs(rep.encoder_linear_units - rep.baseline_linear_units) \
         < 1e-9 * rep.baseline_linear_units
+
+
+@pytest.mark.parametrize("reader", ["parse_config", "build_model",
+                                    "analytic_peak", "flop_estimate"])
+def test_uneven_depth_is_refused_by_every_reader_of_the_layout(reader):
+    # depth 7 over 4 blocks used to give the depth-4 bytes and MACs
+    spec = _spec(depth=7)
+    plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,) * 4)
+    call, error = {
+        "parse_config": (lambda: parse_config("depth = 7\nnum_blocks = 4"),
+                         ConfigError),
+        "build_model": (lambda: build_model(spec, 4, seed=1), ScheduleError),
+        "analytic_peak": (lambda: analytic_peak(spec, plan, 2), ScheduleError),
+        "flop_estimate": (lambda: flop_estimate(spec, plan), ScheduleError),
+    }[reader]
+    with pytest.raises(error, match="^depth 7 is not divisible into 4 blocks$"):
+        call()
 
 
 def test_flop_zero_masking_baseline_parity():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from blockmae import rng
 from blockmae.model import (
@@ -10,7 +11,7 @@ from blockmae.model import (
     local_decoder_forward, mask_indices, patch_mask, patch_targets, patchify,
     reconstruction_loss, sincos_pos_embed,
 )
-from blockmae.tape import ContractError, Tape
+from blockmae.tape import LN_EPS, ContractError, Tape
 
 
 def _toy_spec(**over):
@@ -230,22 +231,35 @@ def test_encoder_layer_attention_rows_sum_to_one():
     np.testing.assert_allclose(probs.sum(-1), 1.0, rtol=1e-12)
 
 
-def _split_heads_layer(tape, params, prefix, x, heads):
-    """The layer with one q, k and v projection per head, merged by
-    transposes and a concat-rows: the reference for the fused layer.  The
-    per-head weights are cut from `attn.qkv`, columns (q|k|v, head, dh)."""
+def _split_heads_layer(params, prefix, x, heads):
+    """The layer in plain numpy, with one q, k and v projection per head
+    and the heads merged by a concatenation: the reference for the fused
+    layer.  The per-head weights are cut from `attn.qkv`, columns
+    (q|k|v, head, dh).  Each step is the operation the tape's kernels
+    perform, so the values agree bit for bit."""
     d = x.shape[-1]
     dh = d // heads
 
     def linear(h, w, b):
-        return tape.add(tape.matmul(h, tape.leaf(w)), tape.leaf(b))
-
-    def layernorm(h, name):
-        return tape.layernorm(h, tape.leaf(params[f"{prefix}.{name}.g"]),
-                              tape.leaf(params[f"{prefix}.{name}.b"]))
+        return h @ np.ascontiguousarray(w) + b
 
     def param_linear(h, name):
-        return linear(h, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"])
+        return linear(h, params[f"{prefix}.{name}.w"],
+                      params[f"{prefix}.{name}.b"])
+
+    def layernorm(h, name):
+        centred = h - h.mean(axis=-1, keepdims=True)
+        var = ((centred * centred).mean(axis=-1, keepdims=True)
+               + h.dtype.type(LN_EPS))
+        return (centred * (1.0 / np.sqrt(var)) * params[f"{prefix}.{name}.g"]
+                + params[f"{prefix}.{name}.b"])
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def gelu(h):
+        return 0.5 * h * (1.0 + erf(h / np.sqrt(h.dtype.type(2.0))))
 
     w, b = params[f"{prefix}.attn.qkv.w"], params[f"{prefix}.attn.qkv.b"]
     h1 = layernorm(x, "ln1")
@@ -253,13 +267,11 @@ def _split_heads_layer(tape, params, prefix, x, heads):
     for h in range(heads):
         q, k, v = (linear(h1, w[:, c:c + dh], b[c:c + dh])
                    for c in (p * d + h * dh for p in range(3)))
-        scores = tape.matmul(q, tape.transpose(k))
-        attn = tape.softmax(tape.scale(scores, 1.0 / np.sqrt(dh)))
-        ctxs.append(tape.transpose(tape.matmul(attn, v)))
-    merged = tape.transpose(tape.concat_rows(ctxs))
-    x2 = tape.add(x, param_linear(merged, "attn.out"))
-    f1 = tape.gelu(param_linear(layernorm(x2, "ln2"), "mlp.fc1"))
-    return tape.add(x2, param_linear(f1, "mlp.fc2"))
+        scores = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+        ctxs.append(softmax(scores * scores.dtype.type(1.0 / np.sqrt(dh))) @ v)
+    x2 = x + param_linear(np.concatenate(ctxs, axis=-1), "attn.out")
+    f1 = gelu(param_linear(layernorm(x2, "ln2"), "mlp.fc1"))
+    return x2 + param_linear(f1, "mlp.fc2")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -269,11 +281,11 @@ def test_fused_layer_bitwise_equal_split_heads_reference(dtype, dim, heads, n):
     params = init_encoder_params(spec, seed=13, dtype=dtype)
     params["enc.layer0.attn.qkv.b"][:] = rng.normals(14, 3 * dim)
     x = rng.normals(15, 3 * n * dim).reshape(3, n, dim).astype(dtype)
-    t, t_ref = Tape(), Tape()
+    t = Tape()
     got = encoder_block_layer(t, params, "enc.layer0", t.leaf(x), heads)
-    want = _split_heads_layer(t_ref, params, "enc.layer0", t_ref.leaf(x), heads)
+    want = _split_heads_layer(params, "enc.layer0", x, heads)
     assert got.dtype == want.dtype == dtype
-    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.value, want)
     assert [n.kind for n in t.nodes if not n.is_leaf] == [
         "layernorm-linear", "attention", "linear", "layernorm-linear",
         "gelu-linear"]
@@ -289,11 +301,18 @@ def _unfused_layer(tape, params, prefix, x, heads):
     def linear(h, name):
         return tape.linear(h, p(f"{name}.w"), p(f"{name}.b"))
 
+    def gelu(h):
+        # GELU as a node of its own: gelu-linear through an identity weight
+        # and a zero bias, which is exact in both directions.
+        d = h.shape[-1]
+        return tape.gelu_linear(h, tape.leaf(np.eye(d, dtype=h.dtype)),
+                                tape.leaf(np.zeros(d, h.dtype)))
+
     h1 = tape.layernorm(x, p("ln1.g"), p("ln1.b"))
     merged = tape.attention(linear(h1, "attn.qkv"), heads)
     x2 = tape.add(x, linear(merged, "attn.out"))
     h2 = tape.layernorm(x2, p("ln2.g"), p("ln2.b"))
-    f1 = tape.gelu(linear(h2, "mlp.fc1"))
+    f1 = gelu(linear(h2, "mlp.fc1"))
     return tape.add(x2, linear(f1, "mlp.fc2"))
 
 
@@ -309,7 +328,9 @@ def test_fused_layer_gradients_bitwise_equal_unfused_layer(dtype):
     def run(layer):
         t = Tape()
         xn = t.leaf(x, name="x", requires_grad=True)
-        out = layer(t, params, "enc.layer0", t.scale(xn, 1.0), spec.heads)
+        # a non-leaf layer input, as in a step
+        xa = t.add(xn, t.leaf(np.zeros_like(x)))
+        out = layer(t, params, "enc.layer0", xa, spec.heads)
         loss = t.mse_masked(out, t.leaf(target),
                             t.leaf(np.ones((3, 7), dtype)))
         return out.value.copy(), t.backward(loss)

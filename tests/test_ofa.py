@@ -64,7 +64,8 @@ def test_prefix_forward_equals_single_tape_forward():
     imgs = gen_synthetic_dataset(16, 6, 7).images(dtype=np.float64)
     for k in (1, 2, 3, 4):
         prefix = truncate_backbone(model, k)
-        want = _reference_forward(model, imgs, prefix.depth_layers,
+        assert prefix.layer_ids == tuple(range(2 * k))
+        want = _reference_forward(model, imgs, len(prefix.layer_ids),
                                   prefix.norm_params())[-1]
         assert np.array_equal(forward_tokens(prefix, imgs), want), k
 
@@ -73,13 +74,12 @@ def test_prefix_forward_is_a_prefix_of_deeper_forward():
     spec, model = _model(depth=8)
     imgs = gen_synthetic_dataset(16, 5, 9).images(dtype=np.float64)
     deep = _reference_forward(model, imgs, spec.depth)
-    lpb = model.layers_per_block
-    assert lpb == 2
+    assert model.blocks == ((0, 1), (2, 3), (4, 5), (6, 7))
     for k in (1, 2, 3, 4):
         prefix = truncate_backbone(model, k)
         g, b = prefix.norm_params()
         t = Tape()
-        want = t.layernorm(t.leaf(deep[k * lpb - 1]),
+        want = t.layernorm(t.leaf(deep[model.blocks[k - 1][-1]]),
                            t.leaf(model.params[g]), t.leaf(model.params[b]))
         assert np.array_equal(forward_tokens(prefix, imgs), want.value), k
 
@@ -103,7 +103,7 @@ def test_forward_tokens_meter_reads_one_encoder_layer(monkeypatch):
     imgs = gen_synthetic_dataset(16, 12, 19).images(dtype=np.float64)
     prefix = truncate_backbone(model, 4)
     forward_tokens(prefix, imgs)
-    assert len(meters) == prefix.depth_layers + 2  # embedding, layers, norm
+    assert len(meters) == len(prefix.layer_ids) + 2  # embedding, layers, norm
     assert max(m.peak_activation_bytes for m in meters) == \
         _one_layer_bytes(spec, 12)
 

@@ -1,4 +1,5 @@
-"""Source hygiene: every module reads each name it imports."""
+"""Source hygiene: every module reads each name it imports, and every
+private module-level definition is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,50 @@ def test_detector_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert _unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _defined_privates(tree):
+    """Names starting with one underscore that a module binds at its top
+    level by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _unread_privates(sources):
+    """`module.name` of each private top-level definition in `sources`
+    (module name -> source) that no module loads, by name or as an
+    attribute, sorted."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{m}.{name}" for m, tree in trees.items()
+                  for name in _defined_privates(tree) if name not in read)
+
+
+def test_detector_finds_an_unread_private_definition():
+    sources = {
+        "a": ("_USED = 1\n_DEAD = 2\n__all__ = ()\n"
+              "def _helper():\n    return _USED\n"
+              "def _orphan():\n    pass\n"
+              "class _Gone:\n    pass\n"
+              "def public():\n    return _helper()\n"),
+        "b": ("from . import a\n_X, _Y = 1, 2\n"
+              "def g(self):\n    self._Y = 3\n    return a._orphan, _X\n"),
+    }
+    assert _unread_privates(sources) == ["a._DEAD", "a._Gone", "b._Y"]
+
+
+def test_package_reads_every_private_definition():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
+    assert _unread_privates(sources) == []
