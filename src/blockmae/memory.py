@@ -66,13 +66,13 @@ def _layer_bytes(b, n, d, heads, mlp_ratio, s, input_charged=True):
 
     Per sample, in units of n*d: the layer input to the LN1 + qkv node
     (when charged), the qkv output to attention (3), the merged heads to
-    the out linear (1), the residual sum to the LN2 + fc1 node (1), and at
-    width mlp_ratio*d the fc1 output and its CDF term to the GELU + fc2
-    node (2).  Attention also saves its probabilities, heads*n*n; each
-    fused LayerNorm saves a mean and an inverse std per row, 2n.  No
-    LayerNorm or GELU output is saved: backward recomputes them.
+    the out linear (1), and the residual sum to the MLP node (1), which
+    also saves the GELU's CDF term at width mlp_ratio*d (mlp_ratio).
+    Attention also saves its probabilities, heads*n*n; each fused
+    LayerNorm saves a mean and an inverse std per row, 2n.  No LayerNorm
+    output, fc1 output or GELU output is saved: backward recomputes them.
     """
-    lin = (5 + (1 if input_charged else 0) + 2 * mlp_ratio) * n * d
+    lin = (5 + (1 if input_charged else 0) + mlp_ratio) * n * d
     quad = heads * n * n
     aux = 4 * n
     return s * b * (lin + quad + aux)
@@ -221,7 +221,10 @@ def _decoder_units(spec, num_decoders, fractions):
 
 
 def flop_estimate(spec, plan, baseline_ratio=0.75):
-    """MAC totals for the plan against a fixed-ratio single-decoder baseline."""
+    """MAC totals for the plan against a fixed-ratio single-decoder baseline.
+
+    Forward MACs only: neither backward nor the fc1 products that the MLP
+    node's backward recomputes are counted."""
     fractions = _plan_fractions(plan)
     blocks = block_layers(spec.depth, plan.num_blocks)
     linear, quad = _encoder_units(spec, blocks, fractions)

@@ -15,10 +15,11 @@ restore order are derived from it where they are read.
 Attention uses the usual head-batched layout: one `attn.qkv` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), feeds one
 `Tape.attention` node that runs every head in one batched product and
-returns the heads merged to [b, n, d].  A layer is five tape nodes: each
-LayerNorm is fused into the linear that reads it, the GELU into fc2, and
-both residual sums into the linear before them (`Tape.layernorm_linear`,
-`Tape.gelu_linear`, `Tape.linear(..., residual=)`).
+returns the heads merged to [b, n, d].  A layer is four tape nodes: LN1
+is fused into the qkv projection (`Tape.layernorm_linear`), the first
+residual sum into the out projection (`Tape.linear(..., residual=)`), and
+LN2, fc1, GELU, fc2 and the second residual sum into one MLP node
+(`Tape.layernorm_mlp`).
 """
 
 from dataclasses import dataclass
@@ -282,11 +283,10 @@ def encoder_block_layer(tape, params, prefix, x, heads):
                             f"{prefix}.attn.qkv")
     merged = tape.attention(qkv, heads)
     x2 = _linear(tape, merged, params, f"{prefix}.attn.out", residual=x)
-    f1 = _layernorm_linear(tape, x2, params, f"{prefix}.ln2",
-                           f"{prefix}.mlp.fc1")
-    return tape.gelu_linear(f1, _param(tape, params, f"{prefix}.mlp.fc2.w"),
-                            _param(tape, params, f"{prefix}.mlp.fc2.b"),
-                            residual=x2)
+    return tape.layernorm_mlp(x2, *(
+        _param(tape, params, f"{prefix}.{name}") for name in (
+            "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w",
+            "mlp.fc2.b")))
 
 
 def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):

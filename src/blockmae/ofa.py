@@ -78,9 +78,9 @@ def forward_tokens(prefix, images):
     the previous stage's output as an uncharged leaf, and that tape is
     dropped before the next stage runs.  A tape's meter therefore reads
     one stage's saved buffers, and the largest is one encoder layer's:
-    `memory._layer_bytes(..., input_charged=False)`, 13 units of n*d at
+    `memory._layer_bytes(..., input_charged=False)`, 9 units of n*d at
     mlp_ratio 4 plus the attention probabilities and row statistics
-    (71.6 MB for a 128-image f64 chunk at desk scale).  The values are the
+    (54.8 MB for a 128-image f64 chunk at desk scale).  The values are the
     same as on a single tape; only fewer buffers are alive at once.
     """
     spec = prefix.model.spec

@@ -21,9 +21,11 @@ Charged buffers per primitive:
     softmax-lastdim   its own output
     attention     the fused q|k|v input (when non-leaf) + the probabilities
     gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
-    gelu-linear   as gelu; the GELU output is not saved, and backward
-                  recomputes it as 0.5 * x * CDF term.  Its optional
-                  residual is not saved, as in linear
+    layernorm-mlp as layernorm, plus the CDF term of the GELU at the
+                  hidden width; x is the residual too.  Neither the fc1
+                  output nor the GELU output is saved: backward recomputes
+                  fc1 from the normed rows a chunk of rows at a time, and
+                  the GELU output as 0.5 * fc1 * CDF term
     mse-masked    prediction value (when non-leaf)
     boundary      its own (copied) value
 
@@ -38,12 +40,16 @@ Lifecycle.  A backward rule reads only its node's `saved` buffers, its
 `attrs` and the incoming gradient, never a `value`.  So backward drops the
 value of every non-leaf node it walks, except the loss's, before its
 reverse sweep; a value that a consumer saved stays alive through `saved`.
-Releasing a node, a leaf or not, drops both its value and its saved
-buffers and decreases the live counter by exactly the node's charged
-bytes.  Parameter arrays outlive their leaves in the caller's table.
-Running backward through a released node is a lifecycle error, and a
-later block must continue from a `boundary` copy, not from an earlier
-block's nodes, whose values are gone after that block's backward.
+It drops each node's saved buffers as soon as that node's rule has run,
+but the meter charges them until release, so the peak and the live
+counter read the same as if they were kept.  Releasing a node, a leaf or
+not, drops both its value and its saved buffers and decreases the live
+counter by exactly the node's charged bytes.  Parameter arrays outlive
+their leaves in the caller's table.  Running backward through a released
+node, or through a node an earlier backward ran the rule of, is a
+lifecycle error, and a later block must continue from a `boundary` copy,
+not from an earlier block's nodes, whose values are gone after that
+block's backward.
 
 Backward keeps only the gradient frontier: a non-leaf node's gradient is
 dropped as soon as its backward rule has run, so intermediate gradients do
@@ -51,7 +57,7 @@ not accumulate over the pass.  Leaf gradients stay until backward returns
 them.  Gradients are never charged; the table above is the whole meter.
 
 Threading: the heavy kernels (the forwards of linear, layernorm,
-attention, gelu and the two fused nodes, and their backward rules) run
+attention, gelu and the fused nodes, and their backward rules) run
 on all cores the process may use.  They split their rows over the
 leading axis, or run independent products at the same time; kernels too
 small to repay a hand-off run inline.  Only numpy work on disjoint
@@ -64,6 +70,7 @@ meter reading is the same bit for bit whatever the number of workers.
 
 import contextvars
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -301,7 +308,7 @@ class Tape:
         """x @ w + b in one node, x [b, m, k]: the bias is added in place,
         and so is `residual`, a node of the output's shape, when given."""
         xv, wv, bv = x.value, w.value, b.value
-        _check_linear(xv, wv, bv, "linear")
+        _check_linear(xv.shape, wv.shape, bv.shape, "linear")
         out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
         rv = _residual_value(residual, out.shape)
 
@@ -396,7 +403,7 @@ class Tape:
         backward recomputes them from x and the row statistics.
         """
         xv, gv, bev, wv, bv = (n.value for n in (x, gamma, beta, w, b))
-        _check_linear(xv, wv, bv, "layernorm-linear")
+        _check_linear(xv.shape, wv.shape, bv.shape, "layernorm-linear")
         _check_layernorm(xv, gv, bev)
         out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
@@ -472,28 +479,42 @@ class Tape:
         node = Node("gelu", out, (x,))
         return self._register(node, [self._act(x), (cdf, True)])
 
-    def gelu_linear(self, x, w, b, residual=None):
-        """linear(gelu(x), w, b, residual) in one node, x [b, m, k].
+    def layernorm_mlp(self, x, gamma, beta, w1, b1, w2, b2):
+        """x + linear(gelu(linear(layernorm(x), w1, b1)), w2, b2) in one
+        node, x [b, m, d]: a pre-norm MLP and its residual sum.
 
-        Each part computes its GELU rows into a temporary that the product
-        reads, with the kernels of `gelu` and `linear`, so the output is
-        bitwise equal to the two nodes'.  The GELU output is not saved:
-        backward recomputes it from x and the saved CDF term.
+        Each part runs its rows in chunks of at most _PART_ELEMENTS hidden
+        elements, with the kernels of `layernorm`, `linear` and `gelu`, so
+        the output is bitwise equal to the unfused nodes'.  Only x, the row
+        statistics and the GELU's CDF term are saved: backward recomputes
+        the normed rows, the fc1 output and the GELU output.
         """
-        xv, wv, bv = x.value, w.value, b.value
-        _check_linear(xv, wv, bv, "gelu-linear")
-        out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
-        rv = _residual_value(residual, out.shape)
-        cdf = np.empty_like(xv)
+        xv, gv, bev, w1v, b1v, w2v, b2v = (
+            n.value for n in (x, gamma, beta, w1, b1, w2, b2))
+        _check_layernorm(xv, gv, bev)
+        _check_linear(xv.shape, w1v.shape, b1v.shape, "layernorm-mlp")
+        hidden_shape = xv.shape[:-1] + w1v.shape[1:]
+        _check_linear(hidden_shape, w2v.shape, b2v.shape, "layernorm-mlp")
+        cdf = np.empty(hidden_shape, np.result_type(xv, w1v))
+        out = np.empty(xv.shape[:-1] + w2v.shape[1:], np.result_type(cdf, w2v))
+        _residual_value(x, out.shape)
+        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
+        inv_std = np.empty_like(mu)
 
         def rows(lo, hi):
-            h = np.empty_like(xv[lo:hi])
-            _gelu_rows(xv[lo:hi], cdf[lo:hi], h)
-            _linear_rows(h, wv, bv, out[lo:hi],
-                         None if rv is None else rv[lo:hi])
-        _parallel(max(xv.size, out.size), rows=len(xv), part=rows)
-        node = Node("gelu-linear", out, _with_residual((x, w, b), residual))
-        return self._register(node, [self._act(x), (cdf, True), self._act(w)])
+            for c in _chunks(lo, hi, cdf):
+                normed = np.empty_like(xv[c])
+                _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
+                h = np.empty_like(cdf[c])
+                _linear_rows(normed, w1v, b1v, h)
+                _gelu_rows(h, cdf[c], h)
+                _linear_rows(h, w2v, b2v, out[c], xv[c])
+        _parallel(max(xv.size, cdf.size), rows=len(xv), part=rows)
+        node = Node("layernorm-mlp", out, (x, gamma, beta, w1, b1, w2, b2))
+        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
+                                      (cdf, True), self._act(gamma),
+                                      self._act(beta), self._act(w1),
+                                      self._act(b1), self._act(w2)])
 
     def mse_masked(self, pred, target, mask):
         """Mean squared error over masked rows only (mask entry 1 = masked).
@@ -555,6 +576,10 @@ class Tape:
             if node.disposed:
                 raise LifecycleError(
                     f"backward reached released node {node!r}")
+            if node.saved is None:
+                raise LifecycleError(
+                    f"backward reached {node!r}, whose saved buffers an "
+                    f"earlier backward dropped")
             stack.extend(node.inputs)
 
         # No rule reads a value, so the walked ones are dead already.
@@ -571,7 +596,9 @@ class Tape:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            for inp, contrib in zip(node.inputs, _VJP[node.kind](node, g)):
+            contribs = _VJP[node.kind](node, g)
+            node.saved = None   # the meter charges them until release
+            for inp, contrib in zip(node.inputs, contribs):
                 if contrib is None:
                     continue
                 if inp.is_leaf and not inp.requires_grad:
@@ -632,6 +659,13 @@ def _lead(a):
     return a if a.ndim > 1 else a.reshape(1, -1)
 
 
+def _chunks(lo, hi, a):
+    """Slices of rows lo..hi of `a`, each of at most _PART_ELEMENTS
+    elements, and of one row at least."""
+    step = max(1, _PART_ELEMENTS // max(1, math.prod(a.shape[1:])))
+    return [slice(i, min(i + step, hi)) for i in range(lo, hi, step)]
+
+
 def _per_sample(ids):
     """Index of row ids[i, j] of batch entry i."""
     return np.arange(len(ids))[:, None], ids
@@ -643,13 +677,13 @@ def _split_heads(qkv, heads):
     return qkv.reshape(b, n, 3, heads, width // (3 * heads)).transpose(2, 0, 3, 1, 4)
 
 
-def _check_linear(xv, wv, bv, kind):
-    if xv.ndim != 3 or wv.ndim != 2 or bv.shape != wv.shape[-1:]:
+def _check_linear(x_shape, w_shape, b_shape, kind):
+    if len(x_shape) != 3 or len(w_shape) != 2 or b_shape != w_shape[-1:]:
         raise DimensionError(
             f"{kind} supports [b,m,k] x [k,n] + [n]; "
-            f"got {xv.shape} x {wv.shape} + {bv.shape}")
-    if xv.shape[-1] != wv.shape[0]:
-        raise DimensionError(f"{kind} extent mismatch: {xv.shape} x {wv.shape}")
+            f"got {x_shape} x {w_shape} + {b_shape}")
+    if x_shape[-1] != w_shape[0]:
+        raise DimensionError(f"{kind} extent mismatch: {x_shape} x {w_shape}")
 
 
 def _check_layernorm(xv, gv, bv):
@@ -761,14 +795,18 @@ def _vjp_matmul(node, g):
     return (da, db)
 
 
+def _weight_grads(x, g):
+    """Calls for (dw, db) of x @ w + b.  Each sums over every row, so
+    neither is ever split."""
+    return (lambda: x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
+            lambda: g.sum(axis=tuple(range(g.ndim - 1))))
+
+
 def _linear_grads(x, w, g):
     """(dx, dw, db) of x @ w + b: the two products and the bias sum at the
     same time.  The products are those of _vjp_matmul."""
-    return tuple(_parallel(
-        max(x.size, g.size),
-        lambda: g @ w.T,
-        lambda: x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
-        lambda: g.sum(axis=tuple(range(g.ndim - 1)))))
+    return tuple(_parallel(max(x.size, g.size), lambda: g @ w.T,
+                           *_weight_grads(x, g)))
 
 
 def _vjp_linear(node, g):
@@ -905,22 +943,41 @@ def _vjp_gelu(node, g):
     return (dx,)
 
 
-def _vjp_gelu_linear(node, g):
-    # The recomputed GELU output is dead once dw is summed, and its buffer
-    # takes the GELU gradient.  The last entry is a residual's gradient, as
-    # in _vjp_linear.
-    x, cdf, w = node.saved
-    h = np.empty_like(x)
+def _vjp_layernorm_mlp(node, g):
+    # Pass 1 rebuilds the normed rows and the GELU output whole, since the
+    # weight gradients sum over every row; fc1 exists a chunk at a time.
+    # Once dw2 is summed, pass 2 writes the GELU gradient into the GELU
+    # output's buffer.  xhat is made only once that buffer is dead.  The
+    # normed rows then take dx, as in _vjp_layernorm_linear, and the
+    # residual adds g.
+    x, mu, inv_std, cdf, gamma, beta, w1, b1, w2 = node.saved
+    normed, h = np.empty_like(x), np.empty_like(cdf)
 
-    def recompute(lo, hi):
-        _gelu_from_cdf(x[lo:hi], cdf[lo:hi], h[lo:hi])
-    _parallel(x.size, rows=len(x), part=recompute)
-    dh, dw, db = _linear_grads(h, w, g)
+    def rebuild(lo, hi):
+        for c in _chunks(lo, hi, cdf):
+            _xhat_rows(x[c], mu[c], inv_std[c], normed[c])
+            _affine_rows(normed[c], gamma, beta, normed[c])
+            _linear_rows(normed[c], w1, b1, h[c])
+            _gelu_from_cdf(h[c], cdf[c], h[c])
+    _parallel(h.size, rows=len(x), part=rebuild)
+    dw2, db2 = _parallel(h.size, *_weight_grads(h, g))
+
+    def gelu_grad(lo, hi):
+        for c in _chunks(lo, hi, cdf):
+            f1 = np.empty_like(cdf[c])
+            _linear_rows(normed[c], w1, b1, f1)
+            _gelu_grad_rows(f1, cdf[c], g[c] @ w2.T, h[c])
+    _parallel(h.size, rows=len(x), part=gelu_grad)
+    dnormed, dw1, db1 = _linear_grads(normed, w1, h)
+    del h
+    xhat = np.empty_like(x)
 
     def rows(lo, hi):
-        _gelu_grad_rows(x[lo:hi], cdf[lo:hi], dh[lo:hi], h[lo:hi])
+        _xhat_rows(x[lo:hi], mu[lo:hi], inv_std[lo:hi], xhat[lo:hi])
     _parallel(x.size, rows=len(x), part=rows)
-    return (h, dw, db, g)
+    dx, dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, dnormed, normed)
+    dx += g
+    return (dx, dgamma, dbeta, dw1, db1, dw2, db2)
 
 
 def _vjp_mse_masked(node, g):
@@ -941,10 +998,10 @@ _VJP = {
     "concat-rows": _vjp_concat_rows,
     "layernorm": _vjp_layernorm,
     "layernorm-linear": _vjp_layernorm_linear,
+    "layernorm-mlp": _vjp_layernorm_mlp,
     "softmax-lastdim": _vjp_softmax,
     "attention": _vjp_attention,
     "gelu": _vjp_gelu,
-    "gelu-linear": _vjp_gelu_linear,
     "mse-masked": _vjp_mse_masked,
 }
 

@@ -287,8 +287,7 @@ def test_fused_layer_bitwise_equal_split_heads_reference(dtype, dim, heads, n):
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.value, want)
     assert [n.kind for n in t.nodes if not n.is_leaf] == [
-        "layernorm-linear", "attention", "linear", "layernorm-linear",
-        "gelu-linear"]
+        "layernorm-linear", "attention", "linear", "layernorm-mlp"]
 
 
 def _unfused_layer(tape, params, prefix, x, heads):
@@ -301,18 +300,11 @@ def _unfused_layer(tape, params, prefix, x, heads):
     def linear(h, name):
         return tape.linear(h, p(f"{name}.w"), p(f"{name}.b"))
 
-    def gelu(h):
-        # GELU as a node of its own: gelu-linear through an identity weight
-        # and a zero bias, which is exact in both directions.
-        d = h.shape[-1]
-        return tape.gelu_linear(h, tape.leaf(np.eye(d, dtype=h.dtype)),
-                                tape.leaf(np.zeros(d, h.dtype)))
-
     h1 = tape.layernorm(x, p("ln1.g"), p("ln1.b"))
     merged = tape.attention(linear(h1, "attn.qkv"), heads)
     x2 = tape.add(x, linear(merged, "attn.out"))
     h2 = tape.layernorm(x2, p("ln2.g"), p("ln2.b"))
-    f1 = gelu(linear(h2, "mlp.fc1"))
+    f1 = tape.gelu(linear(h2, "mlp.fc1"))
     return tape.add(x2, linear(f1, "mlp.fc2"))
 
 

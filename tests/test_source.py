@@ -1,10 +1,13 @@
-"""Source hygiene: every module reads each name it imports, and every
-private module-level definition is read somewhere in the package."""
+"""Source hygiene: every module reads each name it imports, every
+private module-level definition is read somewhere in the package, and
+the tape's table of charged buffers names every node kind."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from blockmae import tape
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "blockmae"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -80,3 +83,29 @@ def test_package_reads_every_private_definition():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in SRC.glob("*.py")}
     assert _unread_privates(sources) == []
+
+
+def _table_kinds(doc):
+    """Node kinds, sorted, that the "Charged buffers per primitive" table
+    of a docstring names: the slash-separated first word of each line
+    indented by exactly four spaces, up to the first blank line."""
+    table = doc.split("Charged buffers per primitive:\n", 1)[1]
+    lines = table.split("\n\n", 1)[0].splitlines()
+    return sorted(kind for line in lines
+                  if line.startswith("    ") and line[4:5].strip()
+                  for kind in line.split()[0].split("/"))
+
+
+def test_detector_reads_the_charged_buffer_table():
+    doc = ("Intro.\n\nCharged buffers per primitive:\n"
+           "    b/a-c     nothing\n"
+           "                  a continuation line, not-a-kind\n"
+           "    z         its value\n"
+           "\n"
+           "    after     the table\n")
+    assert _table_kinds(doc) == ["a-c", "b", "z"]
+
+
+def test_charged_buffer_table_names_every_node_kind():
+    # The rule kinds, and the one charged leaf
+    assert _table_kinds(tape.__doc__) == sorted(set(tape._VJP) | {"boundary"})

@@ -217,9 +217,11 @@ def _fused_and_unfused(t, kind, v):
         args = (v["x"], v["gamma"], v["beta"], v["w"], v["b"])
         return (t.layernorm_linear(*args),
                 t.linear(t.layernorm(*args[:3]), *args[3:]))
-    if kind == "gelu-linear":
-        return (t.gelu_linear(v["x"], v["w"], v["b"], residual=v["res"]),
-                t.add(v["res"], t.linear(t.gelu(v["x"]), v["w"], v["b"])))
+    if kind == "layernorm-mlp":
+        args = [v[k] for k in ("x", "gamma", "beta", "w1", "b1", "w2", "b2")]
+        fused = t.layernorm_mlp(*args)
+        h = t.gelu(t.layernorm_linear(*args[:5]))
+        return fused, t.linear(h, *args[5:], residual=v["x"])
     return (t.linear(v["x"], v["w"], v["b"], residual=v["res"]),
             t.add(v["res"], t.linear(v["x"], v["w"], v["b"])))
 
@@ -229,19 +231,21 @@ def _fused_inputs(kind, dtype, seed=81):
     if kind == "layernorm-linear":
         shapes.update(gamma=(4,), beta=(4,))
         del shapes["res"]
+    if kind == "layernorm-mlp":
+        shapes = {"x": (2, 5, 4), "gamma": (4,), "beta": (4,), "w1": (4, 6),
+                  "b1": (6,), "w2": (6, 4), "b2": (4,)}
     return {k: (_rand(seed + i, *shape) * 1.5).astype(dtype)
             for i, (k, shape) in enumerate(shapes.items())}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kind", ["layernorm-linear", "gelu-linear", "linear"])
+@pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear"])
 def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     # One tape: the fused node and the nodes it fuses read the same leaves,
     # and one loss sums both outputs' errors, so every input gradient is
     # the sum of the two paths' contributions.  Each path is checked on
     # its own tape too, where each is the whole gradient.
     vals = _fused_inputs(kind, dtype)
-    target = _rand(90, 2, 5, 3).astype(dtype)
 
     def run(which):
         t = Tape()
@@ -249,6 +253,7 @@ def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
         outs = _fused_and_unfused(t, kind, v)
         assert outs[0].kind == kind
         ys = [outs[i] for i in which]
+        target = _rand(90, *outs[0].shape).astype(dtype)
         mask = t.leaf(np.ones((2, 5), dtype))
         losses = [t.mse_masked(y, t.leaf(target), mask) for y in ys]
         loss = losses[0] if len(losses) == 1 else t.add(*losses)
@@ -269,16 +274,17 @@ def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
 
 @pytest.mark.parametrize("kind,var", [
     *(("layernorm-linear", v) for v in ("x", "gamma", "beta", "w", "b")),
-    *(("gelu-linear", v) for v in ("x", "w", "b", "res")),
+    *(("layernorm-mlp", v)
+      for v in ("x", "gamma", "beta", "w1", "b1", "w2", "b2")),
     ("linear", "res")])
 def test_grad_fused_nodes(kind, var):
     vals = _fused_inputs(kind, np.float64, seed=6300)
-    target = _rand(6390, 2, 5, 3)
 
     def build(t, node):
         v = {k: node if k == var else t.leaf(a) for k, a in vals.items()}
         y = _fused_and_unfused(t, kind, v)[0]
-        return t.mse_masked(y, t.leaf(target), t.leaf(np.ones((2, 5))))
+        return t.mse_masked(y, t.leaf(_rand(6390, *y.shape)),
+                            t.leaf(np.ones((2, 5))))
 
     _grad_check(build, vals[var], 6300)
 
@@ -288,12 +294,30 @@ def test_fused_nodes_refuse_mismatched_shapes():
     x, w, b = (t.leaf(np.zeros(s)) for s in ((2, 5, 4), (4, 3), (3,)))
     with pytest.raises(DimensionError, match="residual"):
         t.linear(x, w, b, residual=t.leaf(np.zeros((2, 5, 4))))
-    with pytest.raises(DimensionError, match="residual"):
-        t.gelu_linear(x, w, b, residual=t.leaf(np.zeros((5, 3))))
-    with pytest.raises(DimensionError, match="gelu-linear extent"):
-        t.gelu_linear(x, t.leaf(np.zeros((3, 3))), b)
     with pytest.raises(DimensionError, match="layernorm affine"):
         t.layernorm_linear(x, t.leaf(np.ones(3)), t.leaf(np.zeros(4)), w, b)
+    norm = [t.leaf(np.ones(4)), t.leaf(np.zeros(4))]
+    mlp = [t.leaf(np.zeros(s)) for s in ((4, 6), (6,), (6, 4), (4,))]
+
+    def with_mlp(i, shape):
+        args = norm + mlp
+        args[i] = t.leaf(np.zeros(shape))
+        return args
+
+    for i, shape, match in (
+            (0, (3,), "layernorm affine"),
+            (2, (3, 6), r"layernorm-mlp extent mismatch: \(2, 5, 4\)"),
+            (3, (5,), r"layernorm-mlp supports \[b,m,k\] x \[k,n\] \+ \[n\]"),
+            (4, (5, 4), r"layernorm-mlp extent mismatch: \(2, 5, 6\)"),
+            (5, (3,), r"layernorm-mlp supports")):
+        with pytest.raises(DimensionError, match=match):
+            t.layernorm_mlp(x, *with_mlp(i, shape))
+    # fc2 back to a width other than x's, so x cannot be its residual
+    with pytest.raises(DimensionError, match="residual"):
+        t.layernorm_mlp(x, *norm, *mlp[:2], t.leaf(np.zeros((6, 3))),
+                        t.leaf(np.zeros(3)))
+    with pytest.raises(DimensionError, match="layernorm-mlp supports"):
+        t.layernorm_mlp(t.leaf(np.zeros((5, 4))), *norm, *mlp)
     assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
@@ -338,9 +362,9 @@ def _one_node_per_backward_rule():
                  residual=act(29, 2, 3, 5)),
         t.layernorm_linear(act(30, 2, 3, 4), leaf(31, 4), leaf(32, 4),
                            leaf(33, 4, 5), leaf(34, 5)),
-        t.gelu_linear(act(35, 2, 3, 4), leaf(36, 4, 5), leaf(37, 5)),
-        t.gelu_linear(act(38, 2, 3, 4), leaf(39, 4, 5), leaf(40, 5),
-                      residual=act(41, 2, 3, 5)),
+        t.layernorm_mlp(act(35, 2, 3, 4), leaf(36, 4), leaf(37, 4),
+                        leaf(38, 4, 6), leaf(39, 6), leaf(40, 6, 4),
+                        leaf(41, 4)),
         t.add(act(8, 2, 3, 4), act(9, 4)),
         t.scale(act(10, 3, 4), 0.5),
         t.transpose(act(11, 2, 3, 4)),
@@ -758,7 +782,9 @@ def test_backward_into_released_node_is_lifecycle_error():
 def test_backward_drops_walked_values_and_keeps_the_loss():
     t = Tape()
     *_, loss1 = _tagged_step(t)
+    live = t.meter.live_activation_bytes
     first = t.backward(loss1)
+    assert first.keys() == {"b1.w"}
     walked = [n for n in t.nodes if n.block == 1 and not n.is_leaf]
     assert loss1 in walked and loss1.value is not None
     assert all(n.value is None for n in walked if n is not loss1)
@@ -766,10 +792,15 @@ def test_backward_drops_walked_values_and_keeps_the_loss():
     # keep theirs.
     assert all(n.value is not None for n in t.nodes
                if n.is_leaf or n.block == 0)
-    # A second pass reads only the saved buffers, so it is the same.
-    again = t.backward(loss1)
-    assert first.keys() == again.keys() == {"b1.w"}
-    assert np.array_equal(first["b1.w"], again["b1.w"])
+    # Every walked rule has run and dropped its saved buffers, which the
+    # meter charges until release.
+    assert all(n.saved is None for n in walked)
+    assert t.meter.live_activation_bytes == live
+    # So a second pass is refused, naming the node it cannot run.
+    with pytest.raises(LifecycleError, match=r"reached <Node mse-masked "
+                       r"block=1>, whose saved buffers an earlier backward"):
+        t.backward(loss1)
+    assert t.meter.live_activation_bytes == live
 
 
 def test_full_release_drains_live_to_zero():
@@ -833,6 +864,35 @@ def test_backward_extra_memory_is_bounded():
     assert (peak - start) / x.value.nbytes < 4
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+def test_layernorm_mlp_backward_holds_fc1_a_chunk_at_a_time(monkeypatch,
+                                                            parts):
+    # At the desk decoder's shape.  Per row, the rule holds the GELU
+    # output, which becomes the GELU gradient (hidden), and at most three
+    # buffers of width d: the normed rows, which become dx, their gradient
+    # and xhat.  fc1 and dh exist a chunk of rows per thread at a time.  A
+    # whole-size fc1 or dh buffer adds hidden per row and fails the bound.
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    b, n, d, hidden = 64, 64, 32, 128
+    shapes = ((b, n, d), (d,), (d,), (d, hidden), (hidden,), (hidden, d),
+              (d,))
+    t = Tape()
+    node = t.layernorm_mlp(*(t.leaf((_rand(90 + i, *s) * 0.2).astype(
+        np.float32)) for i, s in enumerate(shapes)))
+    g = _rand(99, b, n, d).astype(np.float32)
+    _VJP[node.kind](node, g)   # the worker threads start outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = _VJP[node.kind](node, g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    params = sum(a.nbytes for a in grads[1:])
+    bound = 4 * (b * n * (hidden + 3 * d) + parts * tape._PART_ELEMENTS)
+    assert peak <= bound + params, (peak, bound, params)
+
+
 # ----- kernels split across threads ---------------------------------------
 
 class _CountingPool:
@@ -858,7 +918,7 @@ def _force_parts(monkeypatch, parts):
 
 def _split_kernels_run(b, dtype):
     """Forward and every VJP of linear (with and without a residual),
-    layernorm, attention, gelu, layernorm-linear and gelu-linear; returns
+    layernorm, attention, gelu, layernorm-linear and layernorm-mlp; returns
     each node's value, saved buffers and charged bytes, the meter, and
     every VJP output."""
     def r(seed, *shape):
@@ -872,8 +932,9 @@ def _split_kernels_run(b, dtype):
     f1 = t.gelu(t.linear(att, t.leaf(r(6, 12, 20)), t.leaf(r(7, 20))))
     f2 = t.layernorm_linear(att, t.leaf(r(8, 12)), t.leaf(r(9, 12)),
                             t.leaf(r(10, 12, 20)), t.leaf(r(11, 20)))
-    f3 = t.gelu_linear(f2, t.leaf(r(12, 20, 12)), t.leaf(r(13, 12)),
-                       residual=att)
+    f3 = t.layernorm_mlp(att, t.leaf(r(12, 12)), t.leaf(r(13, 12)),
+                         t.leaf(r(16, 12, 20)), t.leaf(r(17, 20)),
+                         t.leaf(r(18, 20, 12)), t.leaf(r(19, 12)))
     t.linear(f3, t.leaf(r(14, 12, 12)), t.leaf(r(15, 12)), residual=x)
     out = {"peak": t.meter.peak_activation_bytes,
            "live": t.meter.live_activation_bytes}
@@ -888,8 +949,8 @@ def _split_kernels_run(b, dtype):
                    for j, a in enumerate(_VJP[node.kind](node, g)))
     assert {n.kind for n in t.nodes} - {"leaf"} == {
         "layernorm", "linear", "attention", "gelu", "layernorm-linear",
-        "gelu-linear"}
-    assert f1.shape == (b, 5, 20)
+        "layernorm-mlp"}
+    assert f1.shape == f2.shape == (b, 5, 20)
     return out
 
 
@@ -904,6 +965,31 @@ def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
     assert want.keys() == got.keys()
     for key, value in want.items():
         assert np.asarray(got[key]).dtype == np.asarray(value).dtype, key
+        assert np.array_equal(got[key], value), key
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
+    # Two of the 5 rows of layernorm-mlp's [5, 5, 20] hidden buffers per
+    # chunk: rows 2, 2, 1 on one thread, or 2 | 2, 1 on two.
+    monkeypatch.setattr(tape, "_PARTS", 1)
+    want = _split_kernels_run(5, np.float32)
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    monkeypatch.setattr(tape, "_PART_ELEMENTS", 2 * 5 * 20)
+    chunks = []
+    real_chunks = tape._chunks
+
+    def recorded(lo, hi, a):
+        cut = real_chunks(lo, hi, a)
+        chunks.append([(c.start, c.stop) for c in cut])
+        return cut
+    monkeypatch.setattr(tape, "_chunks", recorded)
+    got = _split_kernels_run(5, np.float32)
+    split = {1: [[(0, 2), (2, 4), (4, 5)]], 2: [[(0, 2)], [(2, 4), (4, 5)]]}
+    # the forward, then backward's two passes
+    assert sorted(chunks) == sorted(split[parts] * 3)
+    assert want.keys() == got.keys()
+    for key, value in want.items():
         assert np.array_equal(got[key], value), key
 
 
