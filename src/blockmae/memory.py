@@ -68,14 +68,15 @@ def _layer_bytes(b, n, d, heads, mlp_ratio, s, input_charged=True):
     (when charged), the qkv output to attention (3), the merged heads to
     the out linear (1), and the residual sum to the MLP node (1), which
     also saves the GELU's CDF term at width mlp_ratio*d (mlp_ratio).
-    Attention also saves its probabilities, heads*n*n; each fused
-    LayerNorm saves a mean and an inverse std per row, 2n.  No LayerNorm
-    output, fc1 output or GELU output is saved: backward recomputes them.
+    The row statistics: each fused LayerNorm saves a mean and an inverse
+    std per row, 2n, and attention a softmax max and sum per row and head,
+    2*heads*n.  No LayerNorm output, fc1 output, GELU output or attention
+    probability is saved: backward recomputes them.  So no term is
+    quadratic in n.
     """
     lin = (5 + (1 if input_charged else 0) + mlp_ratio) * n * d
-    quad = heads * n * n
-    aux = 4 * n
-    return s * b * (lin + quad + aux)
+    aux = (4 + 2 * heads) * n
+    return s * b * (lin + aux)
 
 
 def _bridge_bytes(b, n, d, s):
@@ -223,8 +224,9 @@ def _decoder_units(spec, num_decoders, fractions):
 def flop_estimate(spec, plan, baseline_ratio=0.75):
     """MAC totals for the plan against a fixed-ratio single-decoder baseline.
 
-    Forward MACs only: neither backward nor the fc1 products that the MLP
-    node's backward recomputes are counted."""
+    Forward MACs only: neither backward nor what backward recomputes (the
+    MLP node's fc1 products, the attention node's score products) is
+    counted."""
     fractions = _plan_fractions(plan)
     blocks = block_layers(spec.depth, plan.num_blocks)
     linear, quad = _encoder_units(spec, blocks, fractions)

@@ -19,7 +19,10 @@ Charged buffers per primitive:
     layernorm-linear   as layernorm; the normed rows are not saved, and
                   backward recomputes them from x, mean and inv-std
     softmax-lastdim   its own output
-    attention     the fused q|k|v input (when non-leaf) + the probabilities
+    attention     the fused q|k|v input (when non-leaf) + each row's softmax
+                  max and sum; the probabilities are not saved: backward
+                  rebuilds them from q, k and those, a chunk of samples at
+                  a time
     gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
     layernorm-mlp as layernorm, plus the CDF term of the GELU at the
                   hidden width; x is the residual too.  Neither the fc1
@@ -38,8 +41,10 @@ continues from a boundary copy of the earlier block's output.
 
 Lifecycle.  A backward rule reads only its node's `saved` buffers, its
 `attrs` and the incoming gradient, never a `value`.  So backward drops the
-value of every non-leaf node it walks, except the loss's, before its
-reverse sweep; a value that a consumer saved stays alive through `saved`.
+value of every node it walks, constant leaves included, except the loss's
+and the parameters' (leaves with `requires_grad`), before its reverse
+sweep; a value that a consumer saved stays alive through `saved`, and a
+boundary copy's array through its own `saved` until it is disposed.
 It drops each node's saved buffers as soon as that node's rule has run,
 but the meter charges them until release, so the peak and the live
 counter read the same as if they were kept.  Releasing a node, a leaf or
@@ -433,9 +438,12 @@ class Tape:
 
         qkv is [b, n, 3d] with columns ordered (q|k|v, head, dh); it is
         viewed as [3, b, heads, n, dh] and every head runs in one batched
-        product.  The scale, shift, exp and divide act in place on the score
-        buffer, which becomes the saved probabilities.  Returns the heads
-        merged back to [b, n, d], columns ordered (head, dh).
+        product.  Each part runs its samples in chunks of at most
+        _PART_ELEMENTS probabilities, so the [b, heads, n, n] probabilities
+        exist one chunk at a time.  Only each row's softmax max and sum are
+        saved: backward rebuilds the probabilities from q, k and them.
+        Returns the heads merged back to [b, n, d], columns ordered
+        (head, dh).
         """
         qv = qkv.value
         if qv.ndim != 3 or qv.shape[-1] % (3 * heads) != 0:
@@ -443,27 +451,22 @@ class Tape:
                 f"attention needs [b, n, 3*d] with d divisible by {heads} "
                 f"heads; got {qv.shape}")
         b, n, d = qv.shape[0], qv.shape[1], qv.shape[2] // 3
-        probs = np.empty((b, heads, n, n), qv.dtype)
+        row_max = np.empty((b, heads, n, 1), qv.dtype)
+        row_sum = np.empty_like(row_max)
         out = np.empty((b, n, d), qv.dtype)
-        scale = qv.dtype.type(1.0 / np.sqrt(d // heads))
+        q, k, v = _split_heads(qv, heads)
+        # Each head's product lands in its (head, dh) columns of out.
+        ctx = np.swapaxes(out.reshape(b, n, heads, d // heads), 1, 2)
 
         def rows(lo, hi):
-            q, k, v = _split_heads(qv[lo:hi], heads)
-            p = probs[lo:hi]
-            # k^T as a contiguous operand: BLAS may sum a transposed
-            # operand in another order, and this keeps the scores bitwise
-            # equal to per-head products.
-            np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)), out=p)
-            p *= scale
-            p -= p.max(axis=-1, keepdims=True)
-            np.exp(p, out=p)
-            p /= p.sum(axis=-1, keepdims=True)
-            ctx = p @ v                                    # [b, heads, n, dh]
-            np.copyto(out[lo:hi].reshape(hi - lo, n, heads, -1),
-                      np.swapaxes(ctx, 1, 2))
-        _parallel(max(qv.size, probs.size), rows=b, part=rows)
+            for c in _chunks(lo, hi, (heads, n, n)):
+                p = _attention_probs(q[c], k[c], row_max[c], row_sum[c],
+                                     stats=True)
+                np.matmul(p, v[c], out=ctx[c])
+        _parallel(max(qv.size, b * heads * n * n), rows=b, part=rows)
         node = Node("attention", out, (qkv,), attrs={"heads": heads})
-        return self._register(node, [self._act(qkv), (probs, True)])
+        return self._register(node, [self._act(qkv), (row_max, True),
+                                      (row_sum, True)])
 
     def gelu(self, x):
         xv = x.value
@@ -502,7 +505,7 @@ class Tape:
         inv_std = np.empty_like(mu)
 
         def rows(lo, hi):
-            for c in _chunks(lo, hi, cdf):
+            for c in _chunks(lo, hi, cdf.shape[1:]):
                 normed = np.empty_like(xv[c])
                 _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
                 h = np.empty_like(cdf[c])
@@ -582,9 +585,10 @@ class Tape:
                     f"earlier backward dropped")
             stack.extend(node.inputs)
 
-        # No rule reads a value, so the walked ones are dead already.
+        # No rule reads a value, so the walked ones are dead already; the
+        # parameters' arrays are the caller's.
         for node in order:
-            if node is not loss and not node.is_leaf:
+            if node is not loss and not node.requires_grad:
                 node.value = None
 
         grads = {id(loss): np.ones_like(loss.value)}
@@ -659,10 +663,10 @@ def _lead(a):
     return a if a.ndim > 1 else a.reshape(1, -1)
 
 
-def _chunks(lo, hi, a):
-    """Slices of rows lo..hi of `a`, each of at most _PART_ELEMENTS
-    elements, and of one row at least."""
-    step = max(1, _PART_ELEMENTS // max(1, math.prod(a.shape[1:])))
+def _chunks(lo, hi, row_shape):
+    """Slices of rows lo..hi of an array whose rows have shape `row_shape`,
+    each of at most _PART_ELEMENTS elements, and of one row at least."""
+    step = max(1, _PART_ELEMENTS // max(1, math.prod(row_shape)))
     return [slice(i, min(i + step, hi)) for i in range(lo, hi, step)]
 
 
@@ -778,6 +782,27 @@ def _gelu_grad_rows(x, cdf, g, out):
     out += cdf
     out *= 0.5
     out *= g
+
+
+def _attention_probs(q, k, row_max, row_sum, stats=False):
+    """softmax(q k^T / sqrt(dh)) of q, k [c, heads, n, dh], in a new
+    [c, heads, n, n] buffer.  With `stats` (the forward) each row's max and
+    sum are written into row_max and row_sum before they are used; without
+    (backward) they are read, and the rebuilt probabilities equal the
+    forward's bit for bit."""
+    # k^T as a contiguous operand: BLAS may sum a transposed operand in
+    # another order, and this keeps the scores bitwise equal to per-head
+    # products.
+    p = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    p *= q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    if stats:
+        np.max(p, axis=-1, keepdims=True, out=row_max)
+    p -= row_max
+    np.exp(p, out=p)
+    if stats:
+        np.sum(p, axis=-1, keepdims=True, out=row_sum)
+    p /= row_sum
+    return p
 
 
 # ----- backward rules ----------------------------------------------------
@@ -907,29 +932,33 @@ def _vjp_softmax(node, g):
 
 
 def _vjp_attention(node, g):
-    qkv, probs = node.saved
+    qkv, row_max, row_sum = node.saved
     heads = node.attrs["heads"]
     b, n, width = qkv.shape
     dh = width // (3 * heads)
     # dq, dk and dv land in one [b, n, 3, heads, dh] buffer: the gradient
     # of qkv, with no per-head copies to merge afterwards.
     dqkv = np.empty_like(qkv)
+    q, k, v = _split_heads(qkv, heads)
+    dq, dk, dv = _split_heads(dqkv, heads)
+    gctx = np.swapaxes(g.reshape(b, n, heads, dh), 1, 2)
+    scale = qkv.dtype.type(1.0 / np.sqrt(dh))
 
     def rows(lo, hi):
-        q, k, v = _split_heads(qkv[lo:hi], heads)
-        dq, dk, dv = _split_heads(dqkv[lo:hi], heads)
-        p = probs[lo:hi]
-        gctx = np.swapaxes(g[lo:hi].reshape(hi - lo, n, heads, dh), 1, 2)
-        np.matmul(np.swapaxes(p, -1, -2), gctx, out=dv)
-        dprobs = gctx @ np.swapaxes(v, -1, -2)
-        # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
-        dprobs -= (dprobs * p).sum(axis=-1, keepdims=True)
-        dprobs *= p
-        dprobs *= qkv.dtype.type(1.0 / np.sqrt(dh))
-        np.matmul(dprobs, k, out=dq)
-        np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
+        # A chunk holds the rebuilt probabilities and their gradient, so it
+        # takes half as many samples as the forward's.
+        for c in _chunks(lo, hi, (2, heads, n, n)):
+            p = _attention_probs(q[c], k[c], row_max[c], row_sum[c])
+            np.matmul(np.swapaxes(p, -1, -2), gctx[c], out=dv[c])
+            dprobs = gctx[c] @ np.swapaxes(v[c], -1, -2)
+            # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
+            dprobs -= (dprobs * p).sum(axis=-1, keepdims=True)
+            dprobs *= p
+            dprobs *= scale
+            np.matmul(dprobs, k[c], out=dq[c])
+            np.matmul(np.swapaxes(dprobs, -1, -2), q[c], out=dk[c])
 
-    _parallel(max(qkv.size, probs.size), rows=b, part=rows)
+    _parallel(max(qkv.size, b * heads * n * n), rows=b, part=rows)
     return (dqkv,)
 
 
@@ -954,7 +983,7 @@ def _vjp_layernorm_mlp(node, g):
     normed, h = np.empty_like(x), np.empty_like(cdf)
 
     def rebuild(lo, hi):
-        for c in _chunks(lo, hi, cdf):
+        for c in _chunks(lo, hi, cdf.shape[1:]):
             _xhat_rows(x[c], mu[c], inv_std[c], normed[c])
             _affine_rows(normed[c], gamma, beta, normed[c])
             _linear_rows(normed[c], w1, b1, h[c])
@@ -963,7 +992,7 @@ def _vjp_layernorm_mlp(node, g):
     dw2, db2 = _parallel(h.size, *_weight_grads(h, g))
 
     def gelu_grad(lo, hi):
-        for c in _chunks(lo, hi, cdf):
+        for c in _chunks(lo, hi, cdf.shape[1:]):
             f1 = np.empty_like(cdf[c])
             _linear_rows(normed[c], w1, b1, f1)
             _gelu_grad_rows(f1, cdf[c], g[c] @ w2.T, h[c])

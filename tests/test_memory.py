@@ -77,6 +77,18 @@ def test_one_layer_meter_equals_layer_bytes(input_charged, dtype):
         input_charged=input_charged)
 
 
+@pytest.mark.parametrize("heads,d", [(1, 32), (4, 64), (16, 16)])
+@pytest.mark.parametrize("input_charged", [True, False])
+def test_layer_bytes_grow_at_most_linearly_in_tokens(heads, d, input_charged):
+    # Attention saves row statistics, not probabilities: doubling the
+    # tokens at most doubles a layer's charged bytes.
+    for n in (1, 8, 64, 256):
+        one, two = (_layer_bytes(2, m, d, heads, 4, 4,
+                                 input_charged=input_charged)
+                    for m in (n, 2 * n))
+        assert two <= 2 * one, (n, one, two)
+
+
 @pytest.mark.parametrize("n_vis", [16, 32])
 def test_decoder_meter_equals_bridge_and_decoder_bytes(n_vis):
     # The bridge, the local decoder and the loss of one block at desk
@@ -271,9 +283,10 @@ def _warm_step_heap_over_metered(plan):
 
 def test_warm_blockwise_step_heap_within_bound_of_metered():
     # The meter charges saved buffers only; the process also holds the
-    # gradient frontier, VJP temporaries (the normed rows and GELU outputs
-    # the fused nodes recompute among them) and the parameter gradients,
-    # but no released or dead forward value.  This reads about 1.33.
+    # gradient frontier, VJP temporaries (the normed rows, GELU outputs
+    # and attention probabilities the fused nodes recompute among them)
+    # and the parameter gradients, but no released or dead forward value.
+    # This reads about 1.33.
     assert _warm_step_heap_over_metered(BlockPlan(
         num_blocks=4, mask_schedule=(0.75,) * 4)) <= 1.4
 
@@ -285,7 +298,7 @@ def test_warm_blockwise_step_heap_within_bound_of_metered():
 def test_warm_step_heap_within_bound_of_metered(plan):
     # The same bound on the growing schedule, where block 0 holds the
     # peak, and on desk-mae's one long backward.  These read about 1.21
-    # and 1.14.
+    # and 1.13.
     assert _warm_step_heap_over_metered(plan) <= 1.4
 
 

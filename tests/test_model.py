@@ -11,7 +11,9 @@ from blockmae.model import (
     local_decoder_forward, mask_indices, patch_mask, patch_targets, patchify,
     reconstruction_loss, sincos_pos_embed,
 )
-from blockmae.tape import LN_EPS, ContractError, Tape
+from blockmae.tape import (
+    LN_EPS, ContractError, Tape, _attention_probs, _split_heads,
+)
 
 
 def _toy_spec(**over):
@@ -226,7 +228,11 @@ def test_encoder_layer_attention_rows_sum_to_one():
     x = t.leaf(rng.normals(8, 1 * 6 * 16).reshape(1, 6, 16))
     encoder_block_layer(t, params, "enc.layer0", x, spec.heads)
     (attn,) = [n for n in t.nodes if n.kind == "attention"]
-    probs = attn.saved[1]
+    # The node saves q|k|v and each row's max and sum; the probabilities
+    # are rebuilt from them as backward rebuilds them.
+    qkv, row_max, row_sum = attn.saved
+    q, k, _ = _split_heads(qkv, spec.heads)
+    probs = _attention_probs(q, k, row_max, row_sum)
     assert probs.shape == (1, spec.heads, 6, 6)
     np.testing.assert_allclose(probs.sum(-1), 1.0, rtol=1e-12)
 

@@ -109,7 +109,7 @@ def test_forward_tokens_meter_reads_one_encoder_layer(monkeypatch):
 
 
 # Real bytes of the whole depth-8 forward, over the saved bytes of one
-# layer: 1.46 with one tape per stage, about 10 when one tape holds all
+# layer: 1.82 with one tape per stage, about 10 when one tape holds all
 # layers.
 HEAP_OVER_ONE_LAYER = 3.0
 

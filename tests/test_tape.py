@@ -781,20 +781,26 @@ def test_backward_into_released_node_is_lifecycle_error():
 
 def test_backward_drops_walked_values_and_keeps_the_loss():
     t = Tape()
-    *_, loss1 = _tagged_step(t)
+    _, xb, _, loss1 = _tagged_step(t)
+    copy = xb.value
     live = t.meter.live_activation_bytes
     first = t.backward(loss1)
     assert first.keys() == {"b1.w"}
-    walked = [n for n in t.nodes if n.block == 1 and not n.is_leaf]
+    # Block 1 and the boundary copy it reads are walked.  Only the loss and
+    # the parameter keep their values; constant leaves and the copy lose
+    # theirs, and the copy's array stays in its saved list until disposed.
+    walked = [n for n in t.nodes if n.block == 1] + [xb]
     assert loss1 in walked and loss1.value is not None
-    assert all(n.value is None for n in walked if n is not loss1)
-    # Leaves, and block 0, which block 1 reads through a boundary copy only,
-    # keep theirs.
+    assert [n.name for n in walked if n.value is not None] == ["b1.w", None]
+    assert sum(n.is_leaf and not n.requires_grad for n in walked) == 3
+    assert xb.value is None and xb.saved[0] is copy
+    # Block 0, which block 1 reads through the boundary copy only, keeps
+    # its values.
     assert all(n.value is not None for n in t.nodes
-               if n.is_leaf or n.block == 0)
+               if n.block == 0 and n is not xb)
     # Every walked rule has run and dropped its saved buffers, which the
     # meter charges until release.
-    assert all(n.saved is None for n in walked)
+    assert all(n.saved is None for n in walked if not n.is_leaf)
     assert t.meter.live_activation_bytes == live
     # So a second pass is refused, naming the node it cannot run.
     with pytest.raises(LifecycleError, match=r"reached <Node mse-masked "
@@ -893,6 +899,80 @@ def test_layernorm_mlp_backward_holds_fc1_a_chunk_at_a_time(monkeypatch,
     assert peak <= bound + params, (peak, bound, params)
 
 
+def _attention_whole_probabilities(qkv, heads, g):
+    """Attention's output and qkv gradient in plain numpy, with the whole
+    [b, heads, n, n] probabilities saved between them: the forward's
+    product with a contiguous k^T, scale, shift, exp and divide, then dv,
+    dprobs, the softmax gradient, the scale, dq and dk into one buffer."""
+    b, n, width = qkv.shape
+    dh = width // (3 * heads)
+    scale = qkv.dtype.type(1.0 / np.sqrt(dh))
+    q, k, v = qkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    probs = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = np.swapaxes(probs @ v, 1, 2).reshape(b, n, width // 3)
+    dqkv = np.empty_like(qkv)
+    dq, dk, dv = dqkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    gctx = np.swapaxes(g.reshape(b, n, heads, dh), 1, 2)
+    np.matmul(np.swapaxes(probs, -1, -2), gctx, out=dv)
+    dprobs = gctx @ np.swapaxes(v, -1, -2)
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dprobs *= probs
+    dprobs *= scale
+    np.matmul(dprobs, k, out=dq)
+    np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
+    return out, dqkv
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b,n,d,heads", [(64, 64, 32, 1), (64, 16, 64, 4),
+                                         (3, 5, 12, 3)])
+def test_attention_rebuilt_probabilities_bitwise_equal_to_saved(
+        monkeypatch, b, n, d, heads, dtype, parts):
+    # The desk decoder's and encoder's shapes run in several chunks of
+    # samples per thread; the rule that rebuilds the probabilities a chunk
+    # at a time gives the gradient of the rule that saved them whole.
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    qkv = (_rand(200 + n, b, n, 3 * d) * 0.5).astype(dtype)
+    g = _rand(201 + n, b, n, d).astype(dtype)
+    t = Tape()
+    node = t.attention(t.leaf(qkv), heads)
+    (dqkv,) = _VJP[node.kind](node, g)
+    want_out, want_dqkv = _attention_whole_probabilities(qkv, heads, g)
+    assert node.value.dtype == dqkv.dtype == dtype
+    assert np.array_equal(node.value, want_out)
+    assert np.array_equal(dqkv, want_dqkv)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_attention_backward_holds_probabilities_a_chunk_at_a_time(
+        monkeypatch, parts):
+    # At the desk decoder's shape.  Beyond dqkv, each thread holds one
+    # chunk's rebuilt probabilities, their gradient, a temporary of their
+    # product and a contiguous k^T: under two _PART_ELEMENTS chunks.  Whole
+    # [b, heads, n, n] probabilities and their gradient fail the bound.
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    b, n, d, heads = 64, 64, 32, 1
+    t = Tape()
+    node = t.attention(t.leaf((_rand(95, b, n, 3 * d) * 0.5).astype(
+        np.float32)), heads)
+    g = _rand(96, b, n, d).astype(np.float32)
+    _VJP[node.kind](node, g)   # the worker threads start outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (dqkv,) = _VJP[node.kind](node, g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    bound = dqkv.nbytes + 4 * 2 * parts * tape._PART_ELEMENTS
+    assert peak <= bound, (peak, bound)
+
+
 # ----- kernels split across threads ---------------------------------------
 
 class _CountingPool:
@@ -970,8 +1050,10 @@ def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
-    # Two of the 5 rows of layernorm-mlp's [5, 5, 20] hidden buffers per
-    # chunk: rows 2, 2, 1 on one thread, or 2 | 2, 1 on two.
+    # Two of the 5 rows of layernorm-mlp's [5, 5, 20] hidden buffers, and
+    # of attention's [5, 3, 5, 5] probabilities, per chunk: rows 2, 2, 1
+    # on one thread, or 2 | 2, 1 on two.  Attention's backward holds the
+    # probabilities and their gradient, so its chunks are one row each.
     monkeypatch.setattr(tape, "_PARTS", 1)
     want = _split_kernels_run(5, np.float32)
     monkeypatch.setattr(tape, "_PARTS", parts)
@@ -986,8 +1068,11 @@ def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
     monkeypatch.setattr(tape, "_chunks", recorded)
     got = _split_kernels_run(5, np.float32)
     split = {1: [[(0, 2), (2, 4), (4, 5)]], 2: [[(0, 2)], [(2, 4), (4, 5)]]}
-    # the forward, then backward's two passes
-    assert sorted(chunks) == sorted(split[parts] * 3)
+    rows = {1: [[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]],
+            2: [[(0, 1), (1, 2)], [(2, 3), (3, 4), (4, 5)]]}
+    # layernorm-mlp's forward and backward's two passes, attention's
+    # forward, then attention's backward
+    assert sorted(chunks) == sorted(split[parts] * 4 + rows[parts])
     assert want.keys() == got.keys()
     for key, value in want.items():
         assert np.array_equal(got[key], value), key
