@@ -7,6 +7,7 @@
     blockmae mem-report      --config C [--out DIR] [--batch N]
     blockmae flop-report     --config C [--out DIR]
 
+`baseline-mae` trains the config's first mask ratio as one block (MAE).
 Exit code 0 only if the run completed with every run-time invariant held.
 """
 
@@ -78,8 +79,8 @@ def main(argv=None):
             art = run_pretrain(cfg, args.out, resume_from=args.resume)
             print(f"metrics: {art.metrics_path}")
         elif args.command == "baseline-mae":
-            cfg = dataclasses.replace(
-                cfg, train=dataclasses.replace(cfg.train, mode="mae"))
+            cfg = dataclasses.replace(cfg, train=dataclasses.replace(
+                cfg.train, mask_schedule=cfg.train.mask_schedule[:1]))
             art = run_pretrain(cfg, args.out, resume_from=args.resume)
             print(f"metrics: {art.metrics_path}")
         elif args.command == "probe":

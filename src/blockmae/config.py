@@ -6,9 +6,11 @@ blank lines allowed).  The valid keys are the fields of `ModelSpec` and
 rejected with the full list of valid keys, so typos fail fast instead of
 silently using defaults.
 
-`RunConfig` builds the run's `BlockPlan` once, as `cfg.plan`; the plan
-checks the schedule and block count, `engine.block_layers` the depth,
-and `RunConfig` only how many patches each ratio keeps.
+`mask_schedule` is the whole block plan: one ratio per block, so the
+block count is its length, and one ratio is the end-to-end MAE baseline.
+`RunConfig` builds the run's `BlockPlan` from it once, as `cfg.plan`; the
+plan checks the ratios, `engine.block_layers` the depth, and `RunConfig`
+only how many patches each ratio keeps.
 """
 
 from dataclasses import dataclass, field, fields
@@ -35,9 +37,7 @@ class TrainConfig:
     warmup_epochs: int = 5
     total_epochs: int = 50
     seed: int = 0
-    mode: str = "blockwise"        # "blockwise" | "mae"
-    num_blocks: int = 4
-    mask_schedule: tuple = (0.75, 0.75, 0.75, 0.75)
+    mask_schedule: tuple = (0.75, 0.75, 0.75, 0.75)  # one ratio per block
     dataset: str = "synthetic"     # "synthetic" or a .bimd file path
     dataset_size: int = 2048
     num_classes: int = 4
@@ -71,6 +71,21 @@ class TrainConfig:
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
         self.mask_schedule = tuple(float(r) for r in self.mask_schedule)
+        if not self.mask_schedule:
+            raise ConfigError("mask_schedule needs at least one ratio")
+
+    @property
+    def num_blocks(self):
+        """The schedule's length.  Nothing in the package reads it; it stays
+        for the benchmark's workloads, which read `cfg.train.num_blocks`."""
+        return len(self.mask_schedule)
+
+    @property
+    def mode(self):
+        """The plan's name, "mae" for one ratio.  Nothing in the package
+        reads it; it stays for the benchmark's workloads, which read
+        `cfg.train.mode`."""
+        return "mae" if len(self.mask_schedule) == 1 else "blockwise"
 
     @property
     def np_dtype(self):
@@ -85,9 +100,11 @@ class RunConfig:
 
     def __post_init__(self):
         t, n = self.train, self.model.num_patches
+        blocks = len(t.mask_schedule)
         try:
-            self.plan = BlockPlan(num_blocks=t.num_blocks,
-                                  mask_schedule=t.mask_schedule, mode=t.mode)
+            self.plan = BlockPlan(num_blocks=blocks,
+                                  mask_schedule=t.mask_schedule,
+                                  mode="mae" if blocks == 1 else "blockwise")
             block_layers(self.model.depth, self.plan.num_blocks)
         except ScheduleError as exc:
             raise ConfigError(str(exc)) from exc
@@ -161,13 +178,12 @@ def load_config(path):
 # for reference; only the desk presets are meant to be executed here.
 PRESETS = {
     "desk-blockwise": (
-        "mode = blockwise\nnum_blocks = 4\n"
         "mask_schedule = 0.75,0.75,0.75,0.75\n"
         "total_epochs = 50\nwarmup_epochs = 5\nbatch_size = 64\n"
         "dataset_size = 2048\nbase_lr = 2e-2\n"
     ),
     "desk-mae": (
-        "mode = mae\nnum_blocks = 1\nmask_schedule = 0.75\n"
+        "mask_schedule = 0.75\n"
         "total_epochs = 50\nwarmup_epochs = 5\nbatch_size = 64\n"
         "dataset_size = 2048\nbase_lr = 2e-2\n"
     ),
@@ -175,6 +191,6 @@ PRESETS = {
     "paper-pretrain": (
         "base_lr = 1.5e-4\nweight_decay = 0.05\nbeta1 = 0.9\nbeta2 = 0.95\n"
         "warmup_epochs = 40\ntotal_epochs = 400\nbatch_size = 4096\n"
-        "mode = blockwise\nnum_blocks = 4\nmask_schedule = 0.75,0.75,0.75,0.75\n"
+        "mask_schedule = 0.75,0.75,0.75,0.75\n"
     ),
 }

@@ -3,12 +3,13 @@
 Partitions the encoder into gradient-isolated blocks with local decoders,
 applies the incremental masking layer between blocks, and executes the
 buffer/free pattern: forward block i, decode and update locally, release
-everything except the boundary activation, drop extra tokens, continue.
+it (its boundary copy is block i+1's), drop extra tokens, continue.
 
-`BlockPlan` owns the schedule rules (mode, block count, ratio range,
-length, order) and `block_layers` the block layout.  The end-to-end
-baseline is the one-block "mae" plan and runs through the same step body,
-`blockwise_train_step`, so the two are bitwise comparable under shared seeds.
+`BlockPlan` owns the schedule rules (name, ratio range, one ratio per
+block, order) and `block_layers` the block layout.  The end-to-end
+baseline is the one-block plan, named "mae", and runs through the same
+step body, `blockwise_train_step`, so the two are bitwise comparable
+under shared seeds.
 """
 
 from dataclasses import dataclass, field
@@ -34,8 +35,8 @@ class IsolationError(Exception):
 
 @dataclass
 class BlockPlan:
-    """Block count, per-block masking ratios, and training mode; the one
-    place a schedule is checked, each rule raising ScheduleError."""
+    """Block count, per-block masking ratios, and name ("mae" only for one
+    block); the one place a schedule is checked, each raising ScheduleError."""
 
     num_blocks: int = 4
     mask_schedule: tuple = (0.75, 0.75, 0.75, 0.75)
@@ -49,14 +50,13 @@ class BlockPlan:
         if self.num_blocks < 1:
             raise ScheduleError(
                 f"num_blocks must be >= 1, got {self.num_blocks}")
+        if self.mode == "mae" and self.num_blocks > 1:
+            raise ScheduleError(
+                f"the 'mae' plan has one block, got {self.num_blocks}")
         for r in self.mask_schedule:
             if not 0.0 <= r < 1.0:
                 raise ScheduleError(
                     f"mask_schedule ratios must lie in [0, 1), got {r}")
-        if self.mode == "mae":
-            # a single global ratio applies; block count is ignored
-            self.num_blocks = 1
-            self.mask_schedule = self.mask_schedule[:1]
         if len(self.mask_schedule) != self.num_blocks:
             raise ScheduleError(
                 f"mask_schedule has {len(self.mask_schedule)} ratios for "
@@ -187,7 +187,6 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
 
     losses = []
     live_trace = []
-    prev_boundary = None
     for unit in blocks:
         i = unit.block_id
         with tape.block(i):
@@ -195,13 +194,15 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
                 x = embed_visible(tape, params, spec, images, kept)
             else:
                 x, kept = incremental_drop(
-                    tape, prev_boundary, kept,
+                    tape, xb, kept,
                     keep_count(spec.num_patches, plan.mask_schedule[i]),
                     rng.split(step_seed, "drop", i))
             for j in unit.layer_ids:
                 x = encoder_block_layer(tape, params, f"enc.layer{j}", x,
                                         spec.heads)
-            xb = tape.boundary(x) if i < plan.num_blocks - 1 else None
+            if i < plan.num_blocks - 1:
+                with tape.block(i + 1):   # block i+1 reads it and frees it
+                    xb = tape.boundary(x)
             pred = local_decoder_forward(tape, params, spec, x, kept, i)
             loss = reconstruction_loss(tape, pred, targets, kept)
         table = tape.backward(loss)
@@ -211,10 +212,7 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
                 f"gradient for {foreign[0]!r} leaked into block {i}")
         optimizer.step(params, table, lr)
         losses.append(float(loss.value))
-        tape.release_block_activations(i, keep=xb)
-        if prev_boundary is not None:
-            tape.dispose(prev_boundary)
-        prev_boundary = xb
+        tape.release_block_activations(i)
         live_trace.append(tape.meter.live_activation_bytes)
     if tape.meter.live_activation_bytes != 0:
         raise IsolationError(

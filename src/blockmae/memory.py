@@ -152,8 +152,7 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
     s = dtype.itemsize
     images = gen_synthetic_dataset(spec.image_size, batch, seed,
                                    channels=spec.channels).images(dtype=dtype)
-    mae_plan = BlockPlan(num_blocks=1, mask_schedule=plan.mask_schedule[:1],
-                         mode="mae")
+    mae_plan = BlockPlan(num_blocks=1, mask_schedule=plan.mask_schedule[:1])
     try:
         model_m = build_model(spec, 1, seed=seed, dtype=dtype)
         rep_m = blockwise_train_step(partition_encoder(model_m), images,

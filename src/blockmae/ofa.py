@@ -221,8 +221,7 @@ def training_cost_saving(depths, plan, spec, include_decoders=True):
     independent = 0.0
     for d in depths:
         sub = dataclasses.replace(spec, depth=d)
-        sub_plan = BlockPlan(num_blocks=1, mask_schedule=(mean_ratio,),
-                             mode="mae")
+        sub_plan = BlockPlan(num_blocks=1, mask_schedule=(mean_ratio,))
         sub_rep = flop_estimate(sub, sub_plan)
         independent += sub_rep.encoder_linear_units + sub_rep.encoder_quad_units
         if include_decoders:

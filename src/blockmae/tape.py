@@ -37,14 +37,14 @@ scope open when it is recorded (None outside any scope); that scope is
 the only way a node gets a tag.  Release and its lifecycle check select
 nodes by this tag; gradients never read it.  Blocks are isolated by the
 `boundary` leaf alone: backward stops at leaves, and a later block
-continues from a boundary copy of the earlier block's output.
+continues from its own boundary copy of the earlier block's output.
 
 Lifecycle.  A backward rule reads only its node's `saved` buffers, its
 `attrs` and the incoming gradient, never a `value`.  So backward drops the
 value of every node it walks, constant leaves included, except the loss's
 and the parameters' (leaves with `requires_grad`), before its reverse
 sweep; a value that a consumer saved stays alive through `saved`, and a
-boundary copy's array through its own `saved` until it is disposed.
+boundary copy's array through its own `saved` until it is released.
 It drops each node's saved buffers as soon as that node's rule has run,
 but the meter charges them until release, so the peak and the live
 counter read the same as if they were kept.  Releasing a node, a leaf or
@@ -542,8 +542,8 @@ class Tape:
     def boundary(self, x):
         """Duplicate x into a detached, metered buffer.
 
-        The copy feeds the next block as a constant leaf, so gradients from
-        later losses terminate here; it stays charged until disposed.
+        Record it in the scope of the block that reads it: gradients of later
+        losses stop at this constant leaf, and that block's release frees it.
         """
         node = Node("boundary", x.value.copy(), (), is_leaf=True)
         return self._register(node, [(node.value, True)])
@@ -624,9 +624,8 @@ class Tape:
 
     # ----- release -----------------------------------------------------
 
-    def release_block_activations(self, block_id, keep=None):
-        """Drop values and saved buffers of all nodes tagged block_id,
-        except `keep`.
+    def release_block_activations(self, block_id):
+        """Drop values and saved buffers of all nodes tagged block_id.
 
         Requires that the block's backward already ran; repeated release of
         the same block is an error.  Returns the number of bytes freed.
@@ -638,13 +637,13 @@ class Tape:
                 f"release of block {block_id} before its backward pass")
         freed = 0
         for node in self.nodes:
-            if node.block == block_id and not node.disposed and node is not keep:
+            if node.block == block_id and not node.disposed:
                 freed += self._dispose(node)
         self._released_blocks.add(block_id)
         return freed
 
     def dispose(self, node):
-        """Explicitly free one node (e.g. a boundary buffer no longer needed)."""
+        """Explicitly free one node, outside any block's release."""
         if node.disposed:
             raise LifecycleError(f"node {node!r} already disposed")
         return self._dispose(node)

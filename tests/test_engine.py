@@ -57,9 +57,10 @@ def test_plan_refuses_blocks_and_modes_it_cannot_run(kw, message):
         BlockPlan(**kw)
 
 
-def test_plan_mae_collapses_to_single_block():
-    plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,), mode="mae")
-    assert plan.num_blocks == 1 and plan.mask_schedule == (0.75,)
+def test_plan_mae_refuses_more_than_one_block():
+    with pytest.raises(ScheduleError, match=re.escape(
+            "the 'mae' plan has one block, got 4")):
+        BlockPlan(num_blocks=4, mask_schedule=(0.75,) * 4, mode="mae")
 
 
 def test_partition_uniform_blocks():
@@ -224,7 +225,7 @@ def test_step_reports_per_block_losses_and_zero_leak():
 
 def test_release_frees_boundary_copy_and_constant_leaves():
     # The step's buffer/free pattern by hand: block 1 continues from block
-    # 0's boundary copy, which is disposed once block 1 is released.
+    # 0's boundary copy, which belongs to block 1 and is freed with it.
     spec = _tiny_spec(depth=2)
     params = build_model(spec, 2, seed=3, dtype=np.float64).params
     images = _images(spec, 2)
@@ -236,7 +237,10 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     def forward(i, x):
         with t.block(i):
             x = encoder_block_layer(t, params, f"enc.layer{i}", x, spec.heads)
-            xb = t.boundary(x)
+            xb = None
+            if i == 0:
+                with t.block(1):
+                    xb = t.boundary(x)
             pred = local_decoder_forward(t, params, spec, x, kept, i)
             return xb, reconstruction_loss(t, pred, targets, kept)
 
@@ -250,13 +254,12 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     # Backward drops the constant leaves it walks; it has not walked the
     # copy yet.
     assert canvas() is None and copy() is not None
-    t.release_block_activations(0, keep=xb)
+    t.release_block_activations(0)
     assert all(n.value is None for n in t.nodes if n.block == 0 and n is not xb)
     _, loss = forward(1, xb)
     t.backward(loss)
+    assert copy() is not None   # until block 1, which reads it, is released
     t.release_block_activations(1)
-    assert copy() is not None   # until the step disposes of it
-    t.dispose(xb)
     assert copy() is None and t.meter.live_activation_bytes == 0
 
 

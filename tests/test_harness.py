@@ -18,7 +18,7 @@ from blockmae.config import (
 from blockmae.data import (
     FormatError, gen_synthetic_dataset, load_dataset, save_dataset,
 )
-from blockmae.engine import build_model
+from blockmae.engine import BlockPlan, build_model
 from blockmae.model import ModelSpec
 from blockmae.ofa import ProbeConfig, fit_linear_classifier, _accuracy
 from blockmae.optim import AdamW, lr_at_step, scale_lr
@@ -35,8 +35,6 @@ heads = 2
 mlp_ratio = 2
 decoder_dim = 8
 decoder_depth = 1
-mode = blockwise
-num_blocks = 2
 mask_schedule = 0.5,0.5
 batch_size = 16
 dataset_size = 64
@@ -46,6 +44,9 @@ base_lr = 1e-2
 seed = 5
 dtype = f64
 """
+# The same run as one block: the end-to-end baseline at the first ratio.
+TINY_ONE_BLOCK = TINY_CONFIG.replace("mask_schedule = 0.5,0.5",
+                                     "mask_schedule = 0.5")
 
 
 # ----- lr rules -----------------------------------------------------------------
@@ -177,6 +178,13 @@ def test_config_roundtrip(tmp_path):
 def test_config_unknown_key_lists_valid_keys():
     with pytest.raises(ConfigError, match="valid keys.*base_lr"):
         parse_config("not_a_key = 3")
+    # The schedule is the whole block plan: its length is the block count
+    # and one ratio is the end-to-end baseline, so neither is a key.
+    for line in ("mode = mae", "num_blocks = 4"):
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"line 1: unknown key {key!r}; valid keys: ")):
+            parse_config(line)
 
 
 def test_config_invariants():
@@ -199,10 +207,10 @@ def test_config_invariants():
 
 
 @pytest.mark.parametrize("text", [
-    "image_size = 16\nnum_blocks = 2\ndepth = 2\nmask_schedule = 0.99,0.99",
-    "image_size = 16\nmode = mae\nmask_schedule = 0.99",
+    "image_size = 16\ndepth = 2\nmask_schedule = 0.99,0.99",
+    "image_size = 16\nmask_schedule = 0.99",
     "image_size = 4\npatch_size = 4",
-    "image_size = 4\npatch_size = 4\nmode = mae",
+    "image_size = 4\npatch_size = 4\nmask_schedule = 0.75",
 ])
 def test_config_mask_ratio_must_leave_a_visible_token(text):
     ratio = re.search(r"mask_schedule = ([\d.]+)", text)
@@ -216,8 +224,8 @@ def test_config_mask_ratio_must_leave_a_visible_token(text):
 
 @pytest.mark.parametrize("text", [
     "mask_schedule = 0.0,0.75,0.75,0.75",
-    "mode = mae\nmask_schedule = 0.0",
-    "mode = mae\nmask_schedule = 1e-17",
+    "mask_schedule = 0.0",
+    "mask_schedule = 1e-17",
 ])
 def test_config_mask_ratio_must_hide_a_patch(text):
     ratio = float(re.search(r"mask_schedule = ([^,\n]+)", text).group(1))
@@ -225,35 +233,29 @@ def test_config_mask_ratio_must_hide_a_patch(text):
             f"mask ratio {ratio} hides no patch (num_patches = 64)")):
         parse_config(text)
     # below 1/N a ratio still hides one patch
-    assert parse_config("mode = mae\nmask_schedule = 0.01").plan.mask_schedule \
-        == (0.01,)
+    assert parse_config("mask_schedule = 0.01").plan.mask_schedule == (0.01,)
 
 
 def test_config_mask_ratio_edges():
     # floor(16 * (1 - 0.9375)) = 1 visible token is enough
-    parse_config("image_size = 16\nnum_blocks = 2\ndepth = 2\n"
-                 "mask_schedule = 0.5,0.9375")
+    parse_config("image_size = 16\ndepth = 2\nmask_schedule = 0.5,0.9375")
     for ratio in ("1.0", "-0.5", "nan"):
         with pytest.raises(ConfigError, match="ratios must lie in"):
-            parse_config(f"mode = mae\nmask_schedule = {ratio}")
+            parse_config(f"mask_schedule = {ratio}")
 
 
 def test_config_blockwise_cross_checks():
     with pytest.raises(ConfigError, match="depth 6 is not divisible into 4"):
-        parse_config("depth = 6\nnum_blocks = 4")
-    with pytest.raises(ConfigError, match="2 ratios for 4 blocks"):
-        parse_config("mask_schedule = 0.75,0.75")
-    # the end-to-end baseline uses one block whatever num_blocks says
-    parse_config("mode = mae\ndepth = 6\nmask_schedule = 0.75")
+        parse_config("depth = 6")
+    # the end-to-end baseline is one block, which any depth fills
+    parse_config("depth = 6\nmask_schedule = 0.75")
 
 
 @pytest.mark.parametrize("text, message", [
     ("mask_schedule = 0.75,0.5,0.5,0.5",
      "mask_schedule ratios must be non-decreasing, got (0.75, 0.5, 0.5, 0.5)"),
-    ("mode = x", "mode must be 'blockwise' or 'mae', got 'x'"),
-    ("num_blocks = 0", "num_blocks must be >= 1, got 0"),
-    ("mode = mae\nnum_blocks = 0", "num_blocks must be >= 1, got 0"),
-    ("mode = mae\nmask_schedule = 0.5,1.0",
+    ("mask_schedule =", "mask_schedule needs at least one ratio"),
+    ("mask_schedule = 0.5,1.0",
      "mask_schedule ratios must lie in [0, 1), got 1.0"),
 ])
 def test_config_schedule_rule_texts(text, message):
@@ -286,7 +288,7 @@ def test_config_every_field_round_trips():
                  decoder_depth=2, norm_pix=True)
     train = dict(base_lr=1e-3, batch_size=8, beta1=0.8, beta2=0.9,
                  weight_decay=0.1, warmup_epochs=1, total_epochs=3, seed=5,
-                 mode="mae", num_blocks=2, mask_schedule=(0.5, 0.625),
+                 mask_schedule=(0.5, 0.625),
                  dataset="other.bimd", dataset_size=16, num_classes=3,
                  dtype="f64")
     for cls, values in ((ModelSpec, model), (TrainConfig, train)):
@@ -303,6 +305,30 @@ def test_presets_parse():
     for name, text in PRESETS.items():
         cfg = parse_config(text)
         assert cfg.train.total_epochs > 0, name
+        assert (cfg.train.num_blocks == cfg.plan.num_blocks
+                == len(cfg.train.mask_schedule)), name
+    assert parse_config(PRESETS["desk-mae"]).plan == BlockPlan(
+        num_blocks=1, mask_schedule=(0.75,), mode="mae")
+
+
+def test_config_views_the_benchmark_reads_agree_with_the_run(tmp_path):
+    # The benchmark's workloads rebuild the plan from `cfg.train.num_blocks`,
+    # `mask_schedule` and `mode`, and size the probe's checkpoint and prefix
+    # by `cfg.train.num_blocks`; each must agree with `cfg.plan`.
+    texts = dict(PRESETS, grow=PRESETS["desk-blockwise"]
+                 + "mask_schedule = 0.5,0.625,0.75,0.875\n")
+    for name, text in texts.items():
+        cfg = parse_config(text)
+        t = cfg.train
+        assert BlockPlan(num_blocks=t.num_blocks, mask_schedule=t.mask_schedule,
+                         mode=t.mode) == cfg.plan, name
+    cfg = parse_config(TINY_ONE_BLOCK)
+    t = cfg.train
+    ckpt = str(tmp_path / "init.bimc")
+    save_checkpoint(dict(build_model(cfg.model, t.num_blocks, t.seed,
+                                     t.np_dtype).params), ckpt)
+    _, res = run_probe(cfg, ckpt, t.num_blocks, str(tmp_path / "probe"))
+    assert res.depth_index == 1
 
 
 # ----- synthetic data and dataset files --------------------------------------------
@@ -692,7 +718,7 @@ def test_cli_refuses_checkpoint_with_more_blocks_than_the_config(
     # block2 and block3 tensors have no place in the config's model.
     deep = TINY_CONFIG + "depth = 4\n"
     ckpt = run_pretrain(
-        parse_config(deep + "num_blocks = 4\nmask_schedule = 0.5,0.5,0.5,0.5\n"),
+        parse_config(deep + "mask_schedule = 0.5,0.5,0.5,0.5\n"),
         str(tmp_path / "run"), max_steps=4).checkpoint_paths[0]
     cfg_path = _write_cfg(tmp_path, deep)
     out = str(tmp_path / "out")
@@ -711,8 +737,7 @@ def _two_block_deep_run(tmp_path):
     deep = TINY_CONFIG + "depth = 4\n"
     ckpt = run_pretrain(parse_config(deep), str(tmp_path / "run"),
                         max_steps=4).checkpoint_paths[0]
-    return ckpt, _write_cfg(tmp_path, deep + "num_blocks = 4\n"
-                            "mask_schedule = 0.5,0.5,0.5,0.5\n")
+    return ckpt, _write_cfg(tmp_path, deep + "mask_schedule = 0.5,0.5,0.5,0.5\n")
 
 
 @pytest.mark.parametrize("command", ["probe", "export-backbone"])
@@ -927,7 +952,7 @@ def test_cli_probe_of_checkpoint_with_non_utf8_name_exits_nonzero(
 
 def test_cli_inconsistent_blockwise_config_exits_nonzero(tmp_path, capsys):
     p = tmp_path / "bad.txt"
-    p.write_text("depth = 6\nnum_blocks = 4\n")
+    p.write_text("depth = 6\n")
     out = str(tmp_path / "report")
     assert cli_main(["flop-report", "--config", str(p), "--out", out]) == 1
     assert "not divisible" in capsys.readouterr().err
@@ -935,8 +960,22 @@ def test_cli_inconsistent_blockwise_config_exits_nonzero(tmp_path, capsys):
 
 
 def test_cli_baseline_mae_forces_mode(tmp_path):
-    cfg_path = _write_cfg(tmp_path)
+    # baseline-mae trains the config's first ratio as one block: the same
+    # run, file for file, as pretrain on that one ratio.
     out = str(tmp_path / "mae")
-    assert cli_main(["baseline-mae", "--config", cfg_path, "--out", out]) == 0
+    assert cli_main(["baseline-mae", "--config", _write_cfg(tmp_path),
+                     "--out", out]) == 0
     lines = Path(out, "metrics.csv").read_text().splitlines()
     assert {int(l.split(",")[2]) for l in lines[1:]} == {-1, 0}
+    one = tmp_path / "one"
+    one.mkdir()
+    ref = str(tmp_path / "ref")
+    assert cli_main(["pretrain", "--config", _write_cfg(one, TINY_ONE_BLOCK),
+                     "--out", ref]) == 0
+    names = sorted(os.listdir(ref))
+    assert {"metrics.csv", "mem_report.csv", "ckpt_epoch0.bimc",
+            "ckpt_epoch1.bimc"} <= set(names)
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        assert Path(out, name).read_bytes() == Path(ref, name).read_bytes(), \
+            name

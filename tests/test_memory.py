@@ -210,8 +210,7 @@ def test_uneven_depth_is_refused_by_every_reader_of_the_layout(reader):
     spec = _spec(depth=7)
     plan = BlockPlan(num_blocks=4, mask_schedule=(0.75,) * 4)
     call, error = {
-        "parse_config": (lambda: parse_config("depth = 7\nnum_blocks = 4"),
-                         ConfigError),
+        "parse_config": (lambda: parse_config("depth = 7"), ConfigError),
         "build_model": (lambda: build_model(spec, 4, seed=1), ScheduleError),
         "analytic_peak": (lambda: analytic_peak(spec, plan, 2), ScheduleError),
         "flop_estimate": (lambda: flop_estimate(spec, plan), ScheduleError),

@@ -706,7 +706,8 @@ def _tagged_step(t):
         w0 = t.leaf(_rand(32, 4, 4), name="b0.w", requires_grad=True)
         h0 = t.gelu(t.matmul(x, w0))
         loss0 = t.mse_masked(h0, t.leaf(np.zeros((4, 4))), t.leaf(np.ones(4)))
-        xb = t.boundary(h0)
+        with t.block(1):    # the copy belongs to the block that reads it
+            xb = t.boundary(h0)
     with t.block(1):
         w1 = t.leaf(_rand(33, 4, 4), name="b1.w", requires_grad=True)
         h1 = t.gelu(t.matmul(xb, w1))
@@ -726,10 +727,10 @@ def test_release_frees_exact_bytes_and_keeps_boundary():
     live_full = t.meter.live_activation_bytes
     t.backward(loss0)
     block0_bytes = sum(n.bytes for n in t.nodes if n.block == 0 and n is not xb)
-    freed = t.release_block_activations(0, keep=xb)
+    freed = t.release_block_activations(0)
     assert freed == block0_bytes
     assert t.meter.live_activation_bytes == live_full - freed
-    # boundary still charged
+    # boundary still charged: it is block 1's
     assert xb.bytes > 0 and not xb.disposed
 
 
@@ -744,10 +745,10 @@ def test_double_release_is_lifecycle_error_and_live_unchanged():
     t = Tape()
     _, xb, loss0, _ = _tagged_step(t)
     t.backward(loss0)
-    t.release_block_activations(0, keep=xb)
+    t.release_block_activations(0)
     live = t.meter.live_activation_bytes
     with pytest.raises(LifecycleError, match="already released"):
-        t.release_block_activations(0, keep=xb)
+        t.release_block_activations(0)
     assert t.meter.live_activation_bytes == live
 
 
@@ -786,10 +787,12 @@ def test_backward_drops_walked_values_and_keeps_the_loss():
     live = t.meter.live_activation_bytes
     first = t.backward(loss1)
     assert first.keys() == {"b1.w"}
-    # Block 1 and the boundary copy it reads are walked.  Only the loss and
-    # the parameter keep their values; constant leaves and the copy lose
-    # theirs, and the copy's array stays in its saved list until disposed.
-    walked = [n for n in t.nodes if n.block == 1] + [xb]
+    # Block 1, the boundary copy it reads included, is walked.  Only the
+    # loss and the parameter keep their values; constant leaves and the
+    # copy lose theirs, and the copy's array stays in its saved list until
+    # block 1 is released.
+    walked = [n for n in t.nodes if n.block == 1]
+    assert xb in walked
     assert loss1 in walked and loss1.value is not None
     assert [n.name for n in walked if n.value is not None] == ["b1.w", None]
     assert sum(n.is_leaf and not n.requires_grad for n in walked) == 3
@@ -811,14 +814,25 @@ def test_backward_drops_walked_values_and_keeps_the_loss():
 
 def test_full_release_drains_live_to_zero():
     t = Tape()
-    _, xb, loss0, loss1 = _tagged_step(t)
+    _, _, loss0, loss1 = _tagged_step(t)
     t.backward(loss0)
-    t.release_block_activations(0, keep=xb)
+    t.release_block_activations(0)
     t.backward(loss1)
     t.release_block_activations(1)
-    t.dispose(xb)
     assert t.meter.live_activation_bytes == 0
     assert t.meter.peak_activation_bytes > 0
+
+
+def test_dispose_frees_one_node_once():
+    t = Tape()
+    _, xb, _, _ = _tagged_step(t)
+    live = t.meter.live_activation_bytes
+    assert t.dispose(xb) == xb.bytes > 0
+    assert xb.disposed and xb.value is None and xb.saved is None
+    assert t.meter.live_activation_bytes == live - xb.bytes
+    with pytest.raises(LifecycleError, match="already disposed"):
+        t.dispose(xb)
+    assert t.meter.live_activation_bytes == live - xb.bytes
 
 
 def test_live_grows_with_depth():
