@@ -64,17 +64,16 @@ class FlopReport:
 def _layer_bytes(b, n, d, heads, mlp_ratio, s, input_charged=True):
     """Charged bytes of one transformer layer at n tokens, width d.
 
-    Per sample, in units of n*d: the layer input to the LN1 + qkv node
-    (when charged), the qkv output to attention (3), the merged heads to
-    the out linear (1), and the residual sum to the MLP node (1), which
-    also saves the GELU's CDF term at width mlp_ratio*d (mlp_ratio).
-    The row statistics: each fused LayerNorm saves a mean and an inverse
-    std per row, 2n, and attention a softmax max and sum per row and head,
-    2*heads*n.  No LayerNorm output, fc1 output, GELU output or attention
-    probability is saved: backward recomputes them.  So no term is
-    quadratic in n.
+    Per sample, in units of n*d: the layer input to the attention node
+    (when charged), and the residual sum to the MLP node (1), which also
+    saves the GELU's CDF term at width mlp_ratio*d (mlp_ratio).  The row
+    statistics: each node's LayerNorm saves a mean and an inverse std per
+    row, 2n, and attention a softmax max and sum per row and head,
+    2*heads*n.  No LayerNorm output, q|k|v, attention probability, merged
+    heads, fc1 output or GELU output is saved: backward recomputes them.
+    So no term is quadratic in n.
     """
-    lin = (5 + (1 if input_charged else 0) + mlp_ratio) * n * d
+    lin = (1 + (1 if input_charged else 0) + mlp_ratio) * n * d
     aux = (4 + 2 * heads) * n
     return s * b * (lin + aux)
 
@@ -87,7 +86,7 @@ def _bridge_bytes(b, n, d, s):
 def _decoder_bytes(spec, b, n_vis, s):
     n = spec.num_patches
     dd = spec.decoder_dim
-    total = _IDS_BYTES * b * n  # unshuffle gather ids
+    total = _IDS_BYTES * b * n  # the decoder input's unshuffle ids
     for _ in range(spec.decoder_depth):
         total += _layer_bytes(b, n, dd, spec.decoder_heads, spec.mlp_ratio, s)
     total += s * b * (n * dd + 2 * n)        # final norm + prediction head
@@ -224,8 +223,8 @@ def flop_estimate(spec, plan, baseline_ratio=0.75):
     """MAC totals for the plan against a fixed-ratio single-decoder baseline.
 
     Forward MACs only: neither backward nor what backward recomputes (the
-    MLP node's fc1 products, the attention node's score products) is
-    counted."""
+    MLP node's fc1 products, the attention node's qkv, score and
+    probability-value products) is counted."""
     fractions = _plan_fractions(plan)
     blocks = block_layers(spec.depth, plan.num_blocks)
     linear, quad = _encoder_units(spec, blocks, fractions)

@@ -13,13 +13,14 @@ visible patch ids in token order.  The loss mask and the decoder's
 restore order are derived from it where they are read.
 
 Attention uses the usual head-batched layout: one `attn.qkv` projection
-of width 3d, whose columns are ordered (q|k|v, head, dh), feeds one
-`Tape.attention` node that runs every head in one batched product and
-returns the heads merged to [b, n, d].  A layer is four tape nodes: LN1
-is fused into the qkv projection (`Tape.layernorm_linear`), the first
-residual sum into the out projection (`Tape.linear(..., residual=)`), and
-LN2, fc1, GELU, fc2 and the second residual sum into one MLP node
-(`Tape.layernorm_mlp`).
+of width 3d, whose columns are ordered (q|k|v, head, dh), runs every head
+in one batched product, and the heads merge back to [b, n, d] for the
+`attn.out` projection.  A layer is two tape nodes: LN1, the qkv
+projection, attention, the out projection and the first residual sum
+are one (`Tape.layernorm_attention`), and LN2, fc1, GELU, fc2 and the
+second residual sum the other (`Tape.layernorm_mlp`).  A decoder's input,
+the mask tokens put among the visible tokens in patch order plus the
+position table, is one node (`Tape.unshuffle`).
 """
 
 from dataclasses import dataclass
@@ -279,10 +280,10 @@ def encoder_block_layer(tape, params, prefix, x, heads):
     dim = x.shape[-1]
     if dim % heads != 0:
         raise DimensionError(f"width {dim} not divisible by heads {heads}")
-    qkv = _layernorm_linear(tape, x, params, f"{prefix}.ln1",
-                            f"{prefix}.attn.qkv")
-    merged = tape.attention(qkv, heads)
-    x2 = _linear(tape, merged, params, f"{prefix}.attn.out", residual=x)
+    x2 = tape.layernorm_attention(x, *(
+        _param(tape, params, f"{prefix}.{name}") for name in (
+            "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
+            "attn.out.b")), heads)
     return tape.layernorm_mlp(x2, *(
         _param(tape, params, f"{prefix}.{name}") for name in (
             "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w",
@@ -310,16 +311,11 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
     z = _layernorm_linear(tape, block_output, params, f"{pfx}.bridge.ln",
                           f"{pfx}.bridge.proj")
 
-    mask_token = _param(tape, params, f"{pfx}.dec.mask_token")
-    n_masked = n - n_vis
-    zeros = tape.leaf(np.zeros((batch, n_masked, dd), dtype=dtype))
-    full = tape.concat_rows([z, tape.add(zeros, mask_token)])
-    masked = np.nonzero(patch_mask(kept, n))[1].reshape(batch, n_masked)
-    # the inverse permutation of the shuffled order
-    restore = np.argsort(np.concatenate([kept, masked], axis=1), axis=1)
-    ordered = tape.gather_rows(full, restore)
+    masked = np.nonzero(patch_mask(kept, n))[1].reshape(batch, n - n_vis)
+    order = np.concatenate([kept, masked], axis=1)   # shuffled rows' patch ids
     pos = tape.leaf(sincos_pos_embed(spec.grid_side, dd).astype(dtype))
-    x = tape.add(ordered, pos)
+    x = tape.unshuffle(z, _param(tape, params, f"{pfx}.dec.mask_token"), pos,
+                       order)
     for j in range(spec.decoder_depth):
         x = encoder_block_layer(tape, params, f"{pfx}.dec.layer{j}", x,
                                 spec.decoder_heads)

@@ -78,11 +78,11 @@ def forward_tokens(prefix, images):
     the previous stage's output as an uncharged leaf, and that tape is
     dropped before the next stage runs.  A tape's meter therefore reads
     one stage's saved buffers, and the largest is one encoder layer's:
-    `memory._layer_bytes(..., input_charged=False)`, 9 units of n*d at
+    `memory._layer_bytes(..., input_charged=False)`, 5 units of n*d at
     mlp_ratio 4 plus the row statistics, each fused LayerNorm's mean and
-    inverse std and each attention row's softmax max and sum (38.5 MB for
-    a 128-image f64 chunk at desk scale).  The values are the
-    same as on a single tape; only fewer buffers are alive at once.
+    inverse std and each attention row's softmax max and sum (21.8 MB for
+    a 128-image f64 chunk at desk scale).  The values are the same as on
+    a single tape; only fewer buffers are alive at once.
     """
     spec = prefix.model.spec
     params = prefix.model.params

@@ -113,6 +113,17 @@ def _metric_rows_before(path, step):
     return rows
 
 
+def _replace_durably(path, lines):
+    """Make `lines` the contents of `path`: written to a temporary file
+    beside it and synced to disk, then renamed over it."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def _check_finite(values, what):
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite {what}: {values}")
@@ -191,14 +202,20 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
     total_steps = t.total_epochs * steps_per_epoch
 
     artifacts = RunArtifacts(metrics_path=os.path.join(out_dir, "metrics.csv"))
-    # A resumed run keeps the rows before its checkpoint and replays the rest.
-    earlier = ([] if resume_from is None else
-               _metric_rows_before(artifacts.metrics_path, start_step))
+    if resume_from is not None:
+        # A resumed run keeps the rows before its checkpoint and replays
+        # the rest.  The kept rows replace the file only once they are on
+        # disk, so a kill at any point leaves a file the same checkpoint
+        # can resume from again.
+        _replace_durably(artifacts.metrics_path, [METRICS_HEADER + "\n"]
+                         + _metric_rows_before(artifacts.metrics_path,
+                                               start_step))
     stop = total_steps if max_steps is None else min(total_steps,
                                                      start_step + max_steps)
-    with open(artifacts.metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        fh.writelines(earlier)
+    with open(artifacts.metrics_path, "w" if resume_from is None else "a",
+              encoding="utf-8") as fh:
+        if resume_from is None:
+            fh.write(METRICS_HEADER + "\n")
         for gstep in range(start_step, stop):
             epoch, step = divmod(gstep, steps_per_epoch)
             order = rng.permutation(rng.split(t.seed, "order", epoch),
@@ -357,13 +374,25 @@ def run_probe(cfg, checkpoint_path, k, out_dir):
                        ProbeConfig(seed=cfg.train.seed),
                        num_classes=cfg.train.num_classes)
     path = os.path.join(out_dir, "probe_results.csv")
-    fresh = not os.path.exists(path)
-    with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(PROBE_HEADER + "\n")
-        fh.write(f"{res.depth_index},{_fmt(res.train_accuracy)},"
-                 f"{_fmt(res.val_accuracy)},{res.epochs},{res.config_hash}\n")
+    _append_row(path, PROBE_HEADER,
+                f"{res.depth_index},{_fmt(res.train_accuracy)},"
+                f"{_fmt(res.val_accuracy)},{res.epochs},{res.config_hash}")
     return RunArtifacts(probe_results_path=path), res
+
+
+def _append_row(path, header, row):
+    """Append the line `row` to the CSV file `path`.
+
+    A last line without its newline, torn by a kill, is cut off first.
+    The header goes first when the file is missing or holds no complete
+    line, as one a kill left empty.
+    """
+    with open(path, "ab+") as fh:
+        fh.seek(0)
+        kept = fh.read().rfind(b"\n") + 1
+        fh.truncate(kept)
+        head = b"" if kept else header.encode() + b"\n"
+        fh.write(head + row.encode() + b"\n")
 
 
 def run_export_backbone(cfg, checkpoint_path, k, out_dir):

@@ -19,16 +19,18 @@ Charged buffers per primitive:
     layernorm-linear   as layernorm; the normed rows are not saved, and
                   backward recomputes them from x, mean and inv-std
     softmax-lastdim   its own output
-    attention     the fused q|k|v input (when non-leaf) + each row's softmax
-                  max and sum; the probabilities are not saved: backward
-                  rebuilds them from q, k and those, a chunk of samples at
-                  a time
+    layernorm-attention   as layernorm; x is the residual too.  Plus each
+                  attention row's softmax max and sum.  Neither the normed
+                  rows, q|k|v, the probabilities nor the merged heads are
+                  saved: backward rebuilds them from x and those, a chunk
+                  of samples at a time
     gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
     layernorm-mlp as layernorm, plus the CDF term of the GELU at the
                   hidden width; x is the residual too.  Neither the fc1
                   output nor the GELU output is saved: backward recomputes
                   fc1 from the normed rows a chunk of rows at a time, and
                   the GELU output as 0.5 * fc1 * CDF term
+    unshuffle     the per-sample row order (int64 ids)
     mse-masked    prediction value (when non-leaf)
     boundary      its own (copied) value
 
@@ -46,8 +48,11 @@ and the parameters' (leaves with `requires_grad`), before its reverse
 sweep; a value that a consumer saved stays alive through `saved`, and a
 boundary copy's array through its own `saved` until it is released.
 It drops each node's saved buffers as soon as that node's rule has run,
-but the meter charges them until release, so the peak and the live
-counter read the same as if they were kept.  Releasing a node, a leaf or
+and a rule may write over them, since nothing reads them after it; the
+meter charges them until release, so the peak and the live counter read
+the same as if they were kept.  A node none of whose inputs takes a
+gradient (each is a leaf without `requires_grad`) has its rule skipped
+and its saved buffers dropped all the same.  Releasing a node, a leaf or
 not, drops both its value and its saved buffers and decreases the live
 counter by exactly the node's charged bytes.  Parameter arrays outlive
 their leaves in the caller's table.  Running backward through a released
@@ -61,16 +66,16 @@ dropped as soon as its backward rule has run, so intermediate gradients do
 not accumulate over the pass.  Leaf gradients stay until backward returns
 them.  Gradients are never charged; the table above is the whole meter.
 
-Threading: the heavy kernels (the forwards of linear, layernorm,
-attention, gelu and the fused nodes, and their backward rules) run
-on all cores the process may use.  They split their rows over the
-leading axis, or run independent products at the same time; kernels too
-small to repay a hand-off run inline.  Only numpy work on disjoint
-slices runs in worker threads: node creation, recording, metering, the
-backward order and release stay on the calling thread.  Each part
-computes its rows with the same operations as the whole array would, and
-reductions across rows are never split, so every value, saved buffer and
-meter reading is the same bit for bit whatever the number of workers.
+Threading: the heavy kernels (the forwards of linear, layernorm, gelu
+and the fused nodes, and their backward rules) run on all cores the
+process may use.  They split their rows over the leading axis, or run
+independent products at the same time; kernels too small to repay a
+hand-off run inline.  Only numpy work on disjoint slices runs in worker
+threads: node creation, recording, metering, the backward order and
+release stay on the calling thread.  Each part computes its rows with
+the same operations as the whole array would, and reductions across rows
+are never split, so every value, saved buffer and meter reading is the
+same bit for bit whatever the number of workers.
 """
 
 import contextvars
@@ -433,40 +438,66 @@ class Tape:
         node = Node("softmax-lastdim", out, (x,))
         return self._register(node, [(out, True)])
 
-    def attention(self, qkv, heads):
-        """Multi-head softmax(q k^T / sqrt(dh)) v over a fused projection.
+    def layernorm_attention(self, x, gamma, beta, w_qkv, b_qkv, w_out, b_out,
+                            heads):
+        """x + linear(mhsa(linear(layernorm(x), w_qkv, b_qkv)), w_out, b_out)
+        in one node, x [b, n, d]: a pre-norm multi-head self-attention
+        sublayer and its residual sum.
 
-        qkv is [b, n, 3d] with columns ordered (q|k|v, head, dh); it is
-        viewed as [3, b, heads, n, dh] and every head runs in one batched
-        product.  Each part runs its samples in chunks of at most
-        _PART_ELEMENTS probabilities, so the [b, heads, n, n] probabilities
-        exist one chunk at a time.  Only each row's softmax max and sum are
-        saved: backward rebuilds the probabilities from q, k and them.
-        Returns the heads merged back to [b, n, d], columns ordered
-        (head, dh).
+        The qkv projection's columns are ordered (q|k|v, head, dh) and
+        viewed as [3, b, heads, n, dh]; every head runs softmax(q k^T /
+        sqrt(dh)) v in one batched product, and the heads merge back to
+        columns (head, dh) for the out projection.  Each part runs its
+        samples in chunks of at most _PART_ELEMENTS probabilities, with the
+        kernels of `layernorm_linear` and `linear`, so the normed rows,
+        q|k|v, the probabilities and the merged heads exist a chunk at a
+        time, and the output is bitwise equal to the unfused nodes'.  Only
+        x, its row statistics and each attention row's softmax max and sum
+        are saved: backward rebuilds the rest from them.
         """
-        qv = qkv.value
-        if qv.ndim != 3 or qv.shape[-1] % (3 * heads) != 0:
+        xv, gv, bev, wqv, bqv, wov, bov = (n.value for n in (
+            x, gamma, beta, w_qkv, b_qkv, w_out, b_out))
+        _check_layernorm(xv, gv, bev)
+        _check_linear(xv.shape, wqv.shape, bqv.shape, "layernorm-attention")
+        if wqv.shape[1] % (3 * heads) != 0:
             raise DimensionError(
-                f"attention needs [b, n, 3*d] with d divisible by {heads} "
-                f"heads; got {qv.shape}")
-        b, n, d = qv.shape[0], qv.shape[1], qv.shape[2] // 3
-        row_max = np.empty((b, heads, n, 1), qv.dtype)
+                f"layernorm-attention needs a q|k|v width 3*d with d "
+                f"divisible by {heads} heads; got {wqv.shape[1]}")
+        merged_shape = xv.shape[:-1] + (wqv.shape[1] // 3,)
+        _check_linear(merged_shape, wov.shape, bov.shape,
+                      "layernorm-attention")
+        dtype = np.result_type(xv, wqv)
+        out = np.empty(xv.shape[:-1] + wov.shape[1:],
+                       np.result_type(dtype, wov))
+        _residual_value(x, out.shape)
+        b, n = xv.shape[:2]
+        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
+        inv_std = np.empty_like(mu)
+        row_max = np.empty((b, heads, n, 1), dtype)
         row_sum = np.empty_like(row_max)
-        out = np.empty((b, n, d), qv.dtype)
-        q, k, v = _split_heads(qv, heads)
-        # Each head's product lands in its (head, dh) columns of out.
-        ctx = np.swapaxes(out.reshape(b, n, heads, d // heads), 1, 2)
 
         def rows(lo, hi):
             for c in _chunks(lo, hi, (heads, n, n)):
-                p = _attention_probs(q[c], k[c], row_max[c], row_sum[c],
-                                     stats=True)
-                np.matmul(p, v[c], out=ctx[c])
-        _parallel(max(qv.size, b * heads * n * n), rows=b, part=rows)
-        node = Node("attention", out, (qkv,), attrs={"heads": heads})
-        return self._register(node, [self._act(qkv), (row_max, True),
-                                      (row_sum, True)])
+                normed = np.empty_like(xv[c])
+                _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
+                qkv = np.empty(normed.shape[:-1] + wqv.shape[1:], dtype)
+                _linear_rows(normed, wqv, bqv, qkv)
+                merged = np.empty(normed.shape[:-1] + merged_shape[-1:], dtype)
+                del normed
+                _attention_rows(qkv, heads, row_max[c], row_sum[c], merged,
+                                stats=True)
+                del qkv
+                _linear_rows(merged, wov, bov, out[c], xv[c])
+        _parallel(max(b * n * wqv.shape[1], b * heads * n * n), rows=b,
+                  part=rows)
+        node = Node("layernorm-attention", out,
+                    (x, gamma, beta, w_qkv, b_qkv, w_out, b_out),
+                    attrs={"heads": heads})
+        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
+                                      (row_max, True), (row_sum, True),
+                                      self._act(gamma), self._act(beta),
+                                      self._act(w_qkv), self._act(b_qkv),
+                                      self._act(w_out)])
 
     def gelu(self, x):
         xv = x.value
@@ -518,6 +549,35 @@ class Tape:
                                       (cdf, True), self._act(gamma),
                                       self._act(beta), self._act(w1),
                                       self._act(b1), self._act(w2)])
+
+    def unshuffle(self, x, fill, pos, order):
+        """A decoder's input in one node, [b, n, d]: the rows of x [b, k, d]
+        and then n - k copies of `fill` [d], row j of sample i placed at
+        row order[i, j], plus the position table `pos` [n, d].
+
+        Each row of order [b, n] must be a permutation of range(n), so that
+        backward gathers each row's gradient by it.  Only order is saved.
+        pos is a constant: it gets no gradient.
+        """
+        xv, fv, pv = x.value, fill.value, pos.value
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        if (xv.ndim != 3 or pv.ndim != 2 or fv.shape != xv.shape[-1:]
+                or pv.shape[1:] != fv.shape or order.shape != (
+                    len(xv), len(pv)) or xv.shape[1] > len(pv)):
+            raise DimensionError(
+                f"unshuffle needs x [b, k, d], fill [d], pos [n, d] and order "
+                f"[b, n] with k <= n; got x={xv.shape} fill={fv.shape} "
+                f"pos={pv.shape} order={order.shape}")
+        if np.any(np.sort(order, axis=-1) != np.arange(len(pv))):
+            raise ContractError(
+                "unshuffle order rows must be permutations of range(n)")
+        k = xv.shape[1]
+        out = np.empty(order.shape + fv.shape, np.result_type(xv, fv, pv))
+        out[_per_sample(order[:, :k])] = xv
+        out[_per_sample(order[:, k:])] = fv
+        out += pv
+        node = Node("unshuffle", out, (x, fill, pos), attrs={"k": k})
+        return self._register(node, [(order, True)])
 
     def mse_masked(self, pred, target, mask):
         """Mean squared error over masked rows only (mask entry 1 = masked).
@@ -600,7 +660,11 @@ class Tape:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            contribs = _VJP[node.kind](node, g)
+            # A rule whose every input is a constant leaf would make only
+            # gradients that are thrown away.
+            takes = any(not inp.is_leaf or inp.requires_grad
+                        for inp in node.inputs)
+            contribs = _VJP[node.kind](node, g) if takes else ()
             node.saved = None   # the meter charges them until release
             for inp, contrib in zip(node.inputs, contribs):
                 if contrib is None:
@@ -766,19 +830,20 @@ def _gelu_from_cdf(x, cdf, out):
 
 
 def _gelu_grad_rows(x, cdf, g, out):
-    """g * (0.5 * cdf + x * pdf(x)), in place in `out`, which is written
-    before g is read and so must not be g's buffer.  The forward's CDF term
-    1 + erf(x/sqrt2) is reused; halving it is exact."""
-    np.multiply(-0.5, x, out=out)
-    out *= x
-    np.exp(out, out=out)
-    out /= np.sqrt(x.dtype.type(2.0 * np.pi))
-    out *= x
-    # out += 0.5 * cdf, without a temporary as large as x.  Doubling and
-    # halving are exact (cdf = 1 + erf is never subnormal), so the sum is
-    # the same bit for bit.
-    out *= 2.0
-    out += cdf
+    """g * (0.5 * cdf + x * pdf(x)) in `out`, which may be cdf's buffer
+    but neither x's nor g's.  The forward's CDF term 1 + erf(x/sqrt2) is
+    reused; halving it is exact."""
+    t = np.empty_like(x)
+    np.multiply(-0.5, x, out=t)
+    t *= x
+    np.exp(t, out=t)
+    t /= np.sqrt(x.dtype.type(2.0 * np.pi))
+    t *= x
+    # 0.5 * cdf + t as (cdf + 2t) / 2.  Doubling and halving are exact
+    # (cdf = 1 + erf is never subnormal), so the sum is the same bit for
+    # bit, and it can land in cdf's buffer.
+    t *= 2.0
+    np.add(cdf, t, out=out)
     out *= 0.5
     out *= g
 
@@ -801,6 +866,19 @@ def _attention_probs(q, k, row_max, row_sum, stats=False):
     if stats:
         np.sum(p, axis=-1, keepdims=True, out=row_sum)
     p /= row_sum
+    return p
+
+
+def _attention_rows(qkv, heads, row_max, row_sum, merged, stats=False):
+    """softmax(q k^T / sqrt(dh)) v of each head of the q|k|v rows qkv
+    [c, n, 3d], each head's product written into its (head, dh) columns of
+    merged [c, n, d].  Returns the probabilities; `stats` as in
+    _attention_probs."""
+    q, k, v = _split_heads(qkv, heads)
+    c, n, d = merged.shape
+    p = _attention_probs(q, k, row_max, row_sum, stats)
+    np.matmul(p, v, out=np.swapaxes(merged.reshape(c, n, heads, d // heads),
+                                    1, 2))
     return p
 
 
@@ -930,37 +1008,6 @@ def _vjp_softmax(node, g):
     return (y * (g - s),)
 
 
-def _vjp_attention(node, g):
-    qkv, row_max, row_sum = node.saved
-    heads = node.attrs["heads"]
-    b, n, width = qkv.shape
-    dh = width // (3 * heads)
-    # dq, dk and dv land in one [b, n, 3, heads, dh] buffer: the gradient
-    # of qkv, with no per-head copies to merge afterwards.
-    dqkv = np.empty_like(qkv)
-    q, k, v = _split_heads(qkv, heads)
-    dq, dk, dv = _split_heads(dqkv, heads)
-    gctx = np.swapaxes(g.reshape(b, n, heads, dh), 1, 2)
-    scale = qkv.dtype.type(1.0 / np.sqrt(dh))
-
-    def rows(lo, hi):
-        # A chunk holds the rebuilt probabilities and their gradient, so it
-        # takes half as many samples as the forward's.
-        for c in _chunks(lo, hi, (2, heads, n, n)):
-            p = _attention_probs(q[c], k[c], row_max[c], row_sum[c])
-            np.matmul(np.swapaxes(p, -1, -2), gctx[c], out=dv[c])
-            dprobs = gctx[c] @ np.swapaxes(v[c], -1, -2)
-            # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
-            dprobs -= (dprobs * p).sum(axis=-1, keepdims=True)
-            dprobs *= p
-            dprobs *= scale
-            np.matmul(dprobs, k[c], out=dq[c])
-            np.matmul(np.swapaxes(dprobs, -1, -2), q[c], out=dk[c])
-
-    _parallel(max(qkv.size, b * heads * n * n), rows=b, part=rows)
-    return (dqkv,)
-
-
 def _vjp_gelu(node, g):
     x, cdf = node.saved
     dx = np.empty_like(x)
@@ -971,33 +1018,99 @@ def _vjp_gelu(node, g):
     return (dx,)
 
 
-def _vjp_layernorm_mlp(node, g):
-    # Pass 1 rebuilds the normed rows and the GELU output whole, since the
-    # weight gradients sum over every row; fc1 exists a chunk at a time.
-    # Once dw2 is summed, pass 2 writes the GELU gradient into the GELU
-    # output's buffer.  xhat is made only once that buffer is dead.  The
-    # normed rows then take dx, as in _vjp_layernorm_linear, and the
+def _vjp_layernorm_attention(node, g):
+    # One pass over chunks of samples rebuilds the normed rows, q|k|v, the
+    # probabilities and the merged heads with the forward's kernels, and
+    # runs attention's rule.  The weight gradients sum over every row, so
+    # the normed rows, the merged heads and dqkv are whole; q|k|v, the
+    # probabilities and their gradients exist a chunk at a time.  A chunk
+    # holds the probabilities and their gradient, so it takes half as many
+    # samples as the forward's.  The merged heads die with the out
+    # projection's weight gradients and dqkv with the qkv projection's;
+    # the normed rows then take dx, as in _vjp_layernorm_linear, and the
     # residual adds g.
+    (x, mu, inv_std, row_max, row_sum, gamma, beta, w_qkv, b_qkv,
+     w_out) = node.saved
+    heads = node.attrs["heads"]
+    b, n, _ = x.shape
+    width = w_out.shape[0]
+    normed = np.empty_like(x)
+    dqkv = np.empty(x.shape[:-1] + w_qkv.shape[1:], row_max.dtype)
+    merged = np.empty(x.shape[:-1] + (width,), row_max.dtype)
+    scale = row_max.dtype.type(1.0 / np.sqrt(width // heads))
+
+    def rows(lo, hi):
+        for c in _chunks(lo, hi, (2, heads, n, n)):
+            _xhat_rows(x[c], mu[c], inv_std[c], normed[c])
+            _affine_rows(normed[c], gamma, beta, normed[c])
+            qkv = np.empty_like(dqkv[c])
+            _linear_rows(normed[c], w_qkv, b_qkv, qkv)
+            p = _attention_rows(qkv, heads, row_max[c], row_sum[c], merged[c])
+            q, k, v = _split_heads(qkv, heads)
+            dq, dk, dv = _split_heads(dqkv[c], heads)
+            gctx = np.swapaxes((g[c] @ w_out.T).reshape(
+                len(qkv), n, heads, width // heads), 1, 2)
+            np.matmul(np.swapaxes(p, -1, -2), gctx, out=dv)
+            dprobs = gctx @ np.swapaxes(v, -1, -2)
+            del gctx
+            # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
+            dprobs -= (dprobs * p).sum(axis=-1, keepdims=True)
+            dprobs *= p
+            del p
+            dprobs *= scale
+            np.matmul(dprobs, k, out=dq)
+            np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
+            del qkv, q, k, v, dprobs
+    _parallel(max(dqkv.size, b * heads * n * n), rows=b, part=rows)
+    dw_out, db_out = _parallel(g.size, *_weight_grads(merged, g))
+    del merged
+    dnormed, dw_qkv, db_qkv = _linear_grads(normed, w_qkv, dqkv)
+    del dqkv
+    xhat = np.empty_like(x)
+
+    def xhat_rows(lo, hi):
+        _xhat_rows(x[lo:hi], mu[lo:hi], inv_std[lo:hi], xhat[lo:hi])
+    _parallel(x.size, rows=b, part=xhat_rows)
+    dx, dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, dnormed, normed)
+    dx += g
+    return (dx, dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
+
+
+def _vjp_layernorm_mlp(node, g):
+    # Pass 1 rebuilds the GELU output whole, since dw2 sums over every
+    # row; the normed rows and fc1 exist a chunk at a time.  Pass 2
+    # rebuilds the normed rows whole, for dw1, and fc1 again a chunk at a
+    # time, and writes the GELU gradient into the saved CDF term's buffer.
+    # The normed rows then take dx, as in _vjp_layernorm_linear, and the
+    # residual adds g.  Each chunk's temporaries are dropped before the
+    # next chunk's are made.
     x, mu, inv_std, cdf, gamma, beta, w1, b1, w2 = node.saved
-    normed, h = np.empty_like(x), np.empty_like(cdf)
+    h = np.empty_like(cdf)
 
     def rebuild(lo, hi):
         for c in _chunks(lo, hi, cdf.shape[1:]):
-            _xhat_rows(x[c], mu[c], inv_std[c], normed[c])
-            _affine_rows(normed[c], gamma, beta, normed[c])
-            _linear_rows(normed[c], w1, b1, h[c])
+            normed = np.empty_like(x[c])
+            _xhat_rows(x[c], mu[c], inv_std[c], normed)
+            _affine_rows(normed, gamma, beta, normed)
+            _linear_rows(normed, w1, b1, h[c])
+            del normed
             _gelu_from_cdf(h[c], cdf[c], h[c])
     _parallel(h.size, rows=len(x), part=rebuild)
     dw2, db2 = _parallel(h.size, *_weight_grads(h, g))
+    del h
+    normed = np.empty_like(x)
 
     def gelu_grad(lo, hi):
         for c in _chunks(lo, hi, cdf.shape[1:]):
+            _xhat_rows(x[c], mu[c], inv_std[c], normed[c])
+            _affine_rows(normed[c], gamma, beta, normed[c])
             f1 = np.empty_like(cdf[c])
             _linear_rows(normed[c], w1, b1, f1)
-            _gelu_grad_rows(f1, cdf[c], g[c] @ w2.T, h[c])
-    _parallel(h.size, rows=len(x), part=gelu_grad)
-    dnormed, dw1, db1 = _linear_grads(normed, w1, h)
-    del h
+            dh = g[c] @ w2.T
+            _gelu_grad_rows(f1, cdf[c], dh, cdf[c])
+            del f1, dh
+    _parallel(cdf.size, rows=len(x), part=gelu_grad)
+    dnormed, dw1, db1 = _linear_grads(normed, w1, cdf)
     xhat = np.empty_like(x)
 
     def rows(lo, hi):
@@ -1006,6 +1119,14 @@ def _vjp_layernorm_mlp(node, g):
     dx, dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, dnormed, normed)
     dx += g
     return (dx, dgamma, dbeta, dw1, db1, dw2, db2)
+
+
+def _vjp_unshuffle(node, g):
+    # Row j of sample i went to row order[i, j]: gather it back.  The fill
+    # rows' gradients sum into the fill's, as add's rule sums a broadcast.
+    order, k = node.saved[0], node.attrs["k"]
+    return (g[_per_sample(order[:, :k])],
+            g[_per_sample(order[:, k:])].sum(axis=(0, 1)), None)
 
 
 def _vjp_mse_masked(node, g):
@@ -1027,8 +1148,9 @@ _VJP = {
     "layernorm": _vjp_layernorm,
     "layernorm-linear": _vjp_layernorm_linear,
     "layernorm-mlp": _vjp_layernorm_mlp,
+    "layernorm-attention": _vjp_layernorm_attention,
+    "unshuffle": _vjp_unshuffle,
     "softmax-lastdim": _vjp_softmax,
-    "attention": _vjp_attention,
     "gelu": _vjp_gelu,
     "mse-masked": _vjp_mse_masked,
 }

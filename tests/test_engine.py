@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from blockmae import rng
+from blockmae import tape as tape_module
 from blockmae.config import PRESETS, parse_config
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import (
@@ -223,6 +224,22 @@ def test_step_reports_per_block_losses_and_zero_leak():
                    for n in u.param_names), u.block_id
 
 
+def test_grow_step_runs_no_rule_for_the_boundary_gathers(monkeypatch):
+    # Each grown block gathers from its boundary copy, a constant leaf, so
+    # backward skips the gather's rule; the steps still gather 3 times.
+    calls, gathers = [], []
+    rule, record = tape_module._VJP["gather-rows"], Tape.gather_rows
+    monkeypatch.setitem(tape_module._VJP, "gather-rows",
+                        lambda node, g: calls.append(node) or rule(node, g))
+    monkeypatch.setattr(Tape, "gather_rows", lambda self, x, ids: (
+        gathers.append(ids) or record(self, x, ids)))
+    spec, _, units, plan, opt = _setup(schedule=(0.5, 0.625, 0.75, 0.875))
+    rep = blockwise_train_step(units, _images(spec, 4, seed=2), plan, opt,
+                               lr=1e-3, step_seed=7)
+    assert len(gathers) == 3 and calls == []
+    assert all(np.isfinite(rep.losses))
+
+
 def test_release_frees_boundary_copy_and_constant_leaves():
     # The step's buffer/free pattern by hand: block 1 continues from block
     # 0's boundary copy, which belongs to block 1 and is freed with it.
@@ -247,13 +264,13 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     with t.block(0):
         tokens = embed_visible(t, params, spec, images, kept)
     xb, loss = forward(0, tokens)
-    concat = next(n for n in t.nodes if n.kind == "concat-rows")
-    canvas = weakref.ref(concat.inputs[1].inputs[0].value)   # the zeros leaf
+    unshuffle = next(n for n in t.nodes if n.kind == "unshuffle")
+    table = weakref.ref(unshuffle.inputs[2].value)   # the position leaf
     copy = weakref.ref(xb.value)
     t.backward(loss)
     # Backward drops the constant leaves it walks; it has not walked the
     # copy yet.
-    assert canvas() is None and copy() is not None
+    assert table() is None and copy() is not None
     t.release_block_activations(0)
     assert all(n.value is None for n in t.nodes if n.block == 0 and n is not xb)
     _, loss = forward(1, xb)

@@ -2,7 +2,10 @@
 
 import os
 import re
+import signal
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -517,6 +520,33 @@ def test_resume_in_place_metrics_match_uninterrupted(tmp_path):
     assert Path(resumed.metrics_path).read_bytes() == want
 
 
+def test_resume_killed_in_its_first_step_resumes_again(tmp_path):
+    # A resumed run SIGKILLed in its first step, before any of its own
+    # rows could reach the disk, still leaves the rows before its
+    # checkpoint there: resuming again replays the uninterrupted run.
+    text = TINY_CONFIG + "dataset_size = 16\nbatch_size = 8\ntotal_epochs = 4\n"
+    cfg = parse_config(text)
+    full = run_pretrain(cfg, str(tmp_path / "full"))
+    out = str(tmp_path / "inplace")
+    run_pretrain(cfg, out, max_steps=5)
+    ckpt = os.path.join(out, "ckpt_epoch1.bimc")
+    child = (
+        "import os, signal\n"
+        "from blockmae import config, runner\n"
+        "def killed(*args, **kwargs):\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "runner.blockwise_train_step = runner.mae_train_step = killed\n"
+        f"runner.run_pretrain(config.parse_config({text!r}), {out!r}, "
+        f"resume_from={ckpt!r})\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", child], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == -signal.SIGKILL
+    resumed = run_pretrain(cfg, out, resume_from=ckpt)
+    want = Path(full.metrics_path).read_bytes()
+    assert Path(resumed.metrics_path).read_bytes() == want
+
+
 def test_metrics_rows_on_disk_before_each_checkpoint(tmp_path, monkeypatch):
     cfg = parse_config(TINY_CONFIG)
     out = str(tmp_path / "run")
@@ -834,6 +864,26 @@ def test_cli_probe_refuses_a_dataset_too_small_to_split(tmp_path, capsys):
         "error: linear probing needs at least 2 images to split into train "
         "and validation, got 1")
     assert not os.path.exists(os.path.join(out, "probe_results.csv"))
+
+
+@pytest.mark.parametrize("earlier", [
+    b"",                                                  # a kill left it empty
+    (runner.PROBE_HEADER + "\n1,0.5,0.25,200,0123456789abcdef\n2,0.7").encode(),
+], ids=["empty", "torn"])
+def test_probe_results_keep_their_header_and_drop_a_torn_row(tmp_path,
+                                                             earlier):
+    cfg = parse_config(TINY_CONFIG)
+    ckpt = run_pretrain(cfg, str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    fresh = Path(run_probe(cfg, ckpt, 2, str(tmp_path / "fresh"))[0]
+                 .probe_results_path).read_bytes()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "probe_results.csv").write_bytes(earlier)
+    run_probe(cfg, ckpt, 2, str(out))
+    header, row = fresh.splitlines(keepends=True)
+    whole = earlier[:earlier.rfind(b"\n") + 1]
+    assert (out / "probe_results.csv").read_bytes() == (whole or header) + row
 
 
 def test_cli_dataset_of_another_image_shape_keeps_earlier_metrics(

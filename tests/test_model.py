@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 from blockmae import rng
+from blockmae import tape as tape_module
 from blockmae.model import (
     ModelSpec, _xavier_uniform, embed_visible, encoder_block_layer,
     init_block_head_params, init_encoder_params, keep_count,
@@ -12,7 +13,7 @@ from blockmae.model import (
     reconstruction_loss, sincos_pos_embed,
 )
 from blockmae.tape import (
-    LN_EPS, ContractError, Tape, _attention_probs, _split_heads,
+    LN_EPS, ContractError, Node, Tape, _attention_probs, _split_heads,
 )
 
 
@@ -171,33 +172,34 @@ def test_mask_ratio_out_of_range():
         mask_indices(10, -0.1, [1])
 
 
-class _GatherSpy(Tape):
-    """A tape that keeps the ids of its last row gather."""
-
-    def gather_rows(self, x, ids):
-        self.gather_ids = ids
-        return super().gather_rows(x, ids)
-
-
 def test_mask_partition_and_restore_bijection():
     spec = _toy_spec(image_size=24)  # 36 patches
     n = spec.num_patches
     params = init_block_head_params(spec, 0, seed=3, dtype=np.float64)
+    token = params["block0.dec.mask_token"]
+    pos = sincos_pos_embed(spec.grid_side, spec.decoder_dim)
     for trial in range(50):
         kept = mask_indices(n, 0.6, [rng.split(trial, i) for i in range(3)])
         mask = patch_mask(kept, n)
-        assert kept.shape == (3, keep_count(n, 0.6))
-        assert np.all(mask.sum(axis=1) == n - kept.shape[1])
+        k = kept.shape[1]
+        assert k == keep_count(n, 0.6)
+        assert np.all(mask.sum(axis=1) == n - k)
         assert np.all(np.take_along_axis(mask, kept, axis=1) == 0)
-        t = _GatherSpy()
-        z = t.leaf(np.zeros((3, kept.shape[1], spec.embed_dim)))
+        t = Tape()
+        z = t.leaf(rng.normals(trial, 3 * k * spec.embed_dim).reshape(
+            3, k, spec.embed_dim))
         local_decoder_forward(t, params, spec, z, kept, 0)
-        restore = t.gather_ids
+        (dec_in,) = [node for node in t.nodes if node.kind == "unshuffle"]
+        bridged = dec_in.inputs[0].value
         for i in range(3):
-            assert np.array_equal(np.sort(restore[i]), np.arange(n))
-            # row restore[orig] of [kept..., masked ascending...] is patch orig
-            order = np.concatenate([kept[i], np.flatnonzero(mask[i])])
-            assert np.array_equal(order[restore[i]], np.arange(n))
+            # Patch kept[i, j] holds visible token j and every hidden patch
+            # the mask token, each plus its position row.
+            hidden = np.flatnonzero(mask[i])
+            assert np.array_equal(np.sort(np.concatenate([kept[i], hidden])),
+                                  np.arange(n))
+            assert np.array_equal(dec_in.value[i, kept[i]],
+                                  bridged[i] + pos[kept[i]])
+            assert np.array_equal(dec_in.value[i, hidden], token + pos[hidden])
 
 
 def test_mask_keep_frequency_monte_carlo():
@@ -227,10 +229,14 @@ def test_encoder_layer_attention_rows_sum_to_one():
     t = Tape()
     x = t.leaf(rng.normals(8, 1 * 6 * 16).reshape(1, 6, 16))
     encoder_block_layer(t, params, "enc.layer0", x, spec.heads)
-    (attn,) = [n for n in t.nodes if n.kind == "attention"]
-    # The node saves q|k|v and each row's max and sum; the probabilities
-    # are rebuilt from them as backward rebuilds them.
-    qkv, row_max, row_sum = attn.saved
+    (attn,) = [n for n in t.nodes if n.kind == "layernorm-attention"]
+    # The node saves x, its row statistics and each attention row's max
+    # and sum; q|k|v and the probabilities are rebuilt from them as
+    # backward rebuilds them.
+    xs, mu, inv_std, row_max, row_sum = attn.saved[:5]
+    g, b, w, bias = (params[f"enc.layer0.{name}"] for name in (
+        "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b"))
+    qkv = ((xs - mu) * inv_std * g + b) @ w + bias
     q, k, _ = _split_heads(qkv, spec.heads)
     probs = _attention_probs(q, k, row_max, row_sum)
     assert probs.shape == (1, spec.heads, 6, 6)
@@ -293,12 +299,60 @@ def test_fused_layer_bitwise_equal_split_heads_reference(dtype, dim, heads, n):
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.value, want)
     assert [n.kind for n in t.nodes if not n.is_leaf] == [
-        "layernorm-linear", "attention", "linear", "layernorm-mlp"]
+        "layernorm-attention", "layernorm-mlp"]
+
+
+class _WholeAttentionTape(Tape):
+    """A tape with an attention node of its own, in plain numpy: it saves
+    q|k|v and the whole [b, heads, n, n] probabilities.  Its rule is
+    `_vjp_whole_attention`."""
+
+    def attention(self, qkv, heads):
+        b, n, width = qkv.shape
+        q, _, v = _split_heads(qkv.value, heads)
+        probs = _whole_probabilities(qkv.value, heads)
+        out = np.swapaxes(probs @ v, 1, 2).reshape(b, n, width // 3)
+        node = Node("attention", out, (qkv,), attrs={"heads": heads})
+        return self._register(node, [(qkv.value, True), (probs, True)])
+
+
+def _whole_probabilities(qkv, heads):
+    """softmax(q k^T / sqrt(dh)) as the tape computes it: the product with
+    a contiguous k^T, scale, shift, exp and divide."""
+    q, k, _ = _split_heads(qkv, heads)
+    probs = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    probs *= probs.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def _vjp_whole_attention(node, g):
+    """dv, dprobs, the softmax gradient, the scale, dq and dk into one
+    buffer, from the saved probabilities."""
+    qkv, probs = node.saved
+    heads = node.attrs["heads"]
+    b, n, width = qkv.shape
+    dh = width // (3 * heads)
+    dqkv = np.empty_like(qkv)
+    q, k, v = _split_heads(qkv, heads)
+    dq, dk, dv = _split_heads(dqkv, heads)
+    gctx = np.swapaxes(g.reshape(b, n, heads, dh), 1, 2)
+    np.matmul(np.swapaxes(probs, -1, -2), gctx, out=dv)
+    dprobs = gctx @ np.swapaxes(v, -1, -2)
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dprobs *= probs
+    dprobs *= qkv.dtype.type(1.0 / np.sqrt(dh))
+    np.matmul(dprobs, k, out=dq)
+    np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
+    return (dqkv,)
 
 
 def _unfused_layer(tape, params, prefix, x, heads):
-    """The layer as ten nodes, one per LayerNorm, GELU and residual sum:
-    the reference for the fused nodes' gradients."""
+    """The layer as ten nodes, one per LayerNorm, projection, GELU and
+    residual sum, and attention as `_WholeAttentionTape.attention`: the
+    reference for the fused nodes' gradients."""
     def p(name):
         return tape.leaf(params[f"{prefix}.{name}"], name=f"{prefix}.{name}",
                          requires_grad=True)
@@ -315,16 +369,19 @@ def _unfused_layer(tape, params, prefix, x, heads):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_fused_layer_gradients_bitwise_equal_unfused_layer(dtype):
-    # The residual input x gets two contributions in both layers, in the
-    # same order, so even its sums are bitwise equal.
+def test_fused_layer_gradients_bitwise_equal_unfused_layer(monkeypatch,
+                                                         dtype):
+    # In the unfused layer the residual input x gets two contributions, g
+    # and then LN1's; the fused node adds them in the other order.
+    # Addition commutes bit for bit, so even x's gradient is bitwise equal.
+    monkeypatch.setitem(tape_module._VJP, "attention", _vjp_whole_attention)
     spec = ModelSpec(embed_dim=32, heads=2, depth=1, mlp_ratio=2)
     params = init_encoder_params(spec, seed=19, dtype=dtype)
     x = rng.normals(20, 3 * 7 * 32).reshape(3, 7, 32).astype(dtype)
     target = rng.normals(21, x.size).reshape(x.shape).astype(dtype)
 
     def run(layer):
-        t = Tape()
+        t = _WholeAttentionTape()
         xn = t.leaf(x, name="x", requires_grad=True)
         # a non-leaf layer input, as in a step
         xa = t.add(xn, t.leaf(np.zeros_like(x)))

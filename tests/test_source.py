@@ -1,15 +1,18 @@
 """Source hygiene: every module reads each name it imports, every
-private module-level definition is read somewhere in the package, and
-the tape's table of charged buffers names every node kind."""
+private module-level definition is read somewhere in the package, the
+tape's table of charged buffers names every node kind, and every package
+name the benchmark wraps exists."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 from blockmae import tape
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "blockmae"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "blockmae"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -109,3 +112,56 @@ def test_detector_reads_the_charged_buffer_table():
 def test_charged_buffer_table_names_every_node_kind():
     # The rule kinds, and the one charged leaf
     assert _table_kinds(tape.__doc__) == sorted(set(tape._VJP) | {"boundary"})
+
+
+def _literal_wraps(module):
+    """(owner, name) of each `patch.wrap(owner, "name", ...)` and
+    `patch.set(owner, "name", ...)` call in a module's source that names
+    its attribute by a string literal, the owner evaluated in the
+    module's namespace."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return [(eval(ast.unparse(call.args[0]), vars(module)),
+             call.args[1].value)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("wrap", "set")
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "patch" and len(call.args) >= 2
+            and isinstance(call.args[1], ast.Constant)]
+
+
+def test_every_name_the_benchmark_wraps_exists():
+    # perfbench wraps package names from outside.  A deleted or renamed
+    # one would fail only inside its smoke runs; here it fails by name.
+    # `instrument` wraps the traced layers, the tape primitives among
+    # them, and `run_call` the entry points; everything is restored.
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench import spans, workloads
+
+    missing = []
+
+    class CheckingPatcher(spans.Patcher):
+        def set(self, owner, attr, value):
+            if attr not in vars(owner):
+                missing.append(f"{owner.__name__}.{attr}")
+            else:
+                super().set(owner, attr, value)
+
+        def wrap(self, owner, attr, make):
+            if attr not in vars(owner):
+                missing.append(f"{owner.__name__}.{attr}")
+            else:
+                super().wrap(owner, attr, make)
+
+    before = spans.namespace_snapshot(workloads.PATCHED_MODULES)
+    with CheckingPatcher() as patch:
+        workloads.instrument(patch, spans.Recorder())
+        named = _literal_wraps(workloads)
+        for owner, attr in named:
+            patch.wrap(owner, attr, lambda fn: fn)
+    assert missing == []
+    assert {attr for _, attr in named} >= {
+        "extract_features", "forward_tokens", "Tape"}
+    assert spans.changed_names(before, workloads.PATCHED_MODULES) == []

@@ -161,34 +161,55 @@ def test_gelu_vjp_bitwise_equal_recompute_reference(dtype):
     assert np.array_equal(got, want)
 
 
-def _attention_reference(qkv, heads):
-    """softmax(q k^T / sqrt(dh)) v one head at a time, in plain numpy, with
-    q, k and v cut from the (q|k|v, head, dh) columns of qkv."""
-    d = qkv.shape[-1] // 3
+def _attention_inputs(b, n, d, dtype, seed):
+    """x [b, n, d] and an attention sublayer's parameters, in the argument
+    order of `Tape.layernorm_attention`."""
+    shapes = {"x": (b, n, d), "gamma": (d,), "beta": (d,),
+              "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
+              "b_out": (d,)}
+    return {k: (_rand(seed + i, *shape) * 0.5).astype(dtype)
+            for i, (k, shape) in enumerate(shapes.items())}
+
+
+def _attention_reference(v, heads):
+    """x + the pre-norm attention sublayer one head at a time, in plain
+    numpy, with q, k and v cut from the (q|k|v, head, dh) columns of the
+    qkv projection."""
+    x = v["x"]
+    d = x.shape[-1]
     dh = d // heads
+    mu = x.mean(-1, keepdims=True)
+    normed = ((x - mu) / np.sqrt(x.var(-1, keepdims=True) + LN_EPS)
+              * v["gamma"] + v["beta"])
+    qkv = normed @ v["w_qkv"] + v["b_qkv"]
     outs = []
     for h in range(heads):
-        q, k, v = (qkv[..., p * d + h * dh:p * d + (h + 1) * dh]
-                   for p in range(3))
+        q, k, val = (qkv[..., p * d + h * dh:p * d + (h + 1) * dh]
+                     for p in range(3))
         scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(dh)
-        outs.append(_softmax_reference(scores) @ v)
-    return np.concatenate(outs, axis=-1)
+        outs.append(_softmax_reference(scores) @ val)
+    return x + np.concatenate(outs, axis=-1) @ v["w_out"] + v["b_out"]
 
 
 @pytest.mark.parametrize("heads,n", [(1, 1), (1, 5), (2, 1), (2, 5), (4, 7)])
 def test_attention_matches_per_head_reference(heads, n):
-    qkv = _rand(61 + n, 2, n, 3 * 4 * heads) * 2.0
+    vals = _attention_inputs(2, n, 4 * heads, np.float64, 61 + n)
     t = Tape()
-    out = t.attention(t.leaf(qkv), heads)
+    out = t.layernorm_attention(*(t.leaf(a) for a in vals.values()), heads)
+    assert out.kind == "layernorm-attention"
     assert out.shape == (2, n, 4 * heads)
-    np.testing.assert_allclose(out.value, _attention_reference(qkv, heads),
-                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(out.value, _attention_reference(vals, heads),
+                               rtol=1e-12, atol=1e-13)
 
 
 def test_attention_rejects_width_not_split_by_heads():
     t = Tape()
-    with pytest.raises(DimensionError, match="heads"):
-        t.attention(t.leaf(np.zeros((2, 3, 12))), 3)  # d = 4, not 3 heads
+    x = t.leaf(np.zeros((2, 3, 4)))
+    params = [t.leaf(np.zeros(s))
+              for s in ((4,), (4,), (4, 12), (12,), (4, 4), (4,))]
+    with pytest.raises(DimensionError, match="divisible by 3 heads"):
+        t.layernorm_attention(x, *params, 3)  # d = 4, not 3 heads
+    assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -210,9 +231,28 @@ def test_linear_bitwise_equal_matmul_plus_bias(dtype):
     assert all(np.array_equal(g1[k], g2[k]) for k in ("x", "w", "b"))
 
 
+# Each sample's shuffled-row order for the unshuffle node's inputs: 3
+# rows of x, then 2 fill rows.
+_ORDER = np.array([[3, 0, 4, 1, 2], [1, 2, 0, 4, 3]])
+
+
+def _fused(t, kind, v):
+    """The fused node `kind` over leaves v, recorded on tape t."""
+    if kind == "layernorm-attention":
+        return t.layernorm_attention(*v.values(), 2)
+    return _fused_and_unfused(t, kind, v)[0]
+
+
 def _fused_and_unfused(t, kind, v):
     """The fused node `kind` over leaves v, and the same function as the
     nodes it fuses, both recorded on tape t."""
+    if kind == "unshuffle":
+        x = v["x"]
+        pos = t.leaf(_rand(88, 5, 4).astype(x.dtype))   # a constant
+        fills = t.add(t.leaf(np.zeros((2, 2, 4), x.dtype)), v["fill"])
+        ordered = t.gather_rows(t.concat_rows([x, fills]),
+                                np.argsort(_ORDER, axis=1))
+        return t.unshuffle(x, v["fill"], pos, _ORDER), t.add(ordered, pos)
     if kind == "layernorm-linear":
         args = (v["x"], v["gamma"], v["beta"], v["w"], v["b"])
         return (t.layernorm_linear(*args),
@@ -234,12 +274,17 @@ def _fused_inputs(kind, dtype, seed=81):
     if kind == "layernorm-mlp":
         shapes = {"x": (2, 5, 4), "gamma": (4,), "beta": (4,), "w1": (4, 6),
                   "b1": (6,), "w2": (6, 4), "b2": (4,)}
+    if kind == "unshuffle":
+        shapes = {"x": (2, 3, 4), "fill": (4,)}
+    if kind == "layernorm-attention":
+        return _attention_inputs(2, 5, 4, dtype, seed)
     return {k: (_rand(seed + i, *shape) * 1.5).astype(dtype)
             for i, (k, shape) in enumerate(shapes.items())}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear"])
+@pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear",
+                                  "unshuffle"])
 def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     # One tape: the fused node and the nodes it fuses read the same leaves,
     # and one loss sums both outputs' errors, so every input gradient is
@@ -276,13 +321,16 @@ def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     *(("layernorm-linear", v) for v in ("x", "gamma", "beta", "w", "b")),
     *(("layernorm-mlp", v)
       for v in ("x", "gamma", "beta", "w1", "b1", "w2", "b2")),
+    *(("layernorm-attention", v) for v in (
+        "x", "gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")),
+    ("unshuffle", "x"), ("unshuffle", "fill"),
     ("linear", "res")])
 def test_grad_fused_nodes(kind, var):
     vals = _fused_inputs(kind, np.float64, seed=6300)
 
     def build(t, node):
         v = {k: node if k == var else t.leaf(a) for k, a in vals.items()}
-        y = _fused_and_unfused(t, kind, v)[0]
+        y = _fused(t, kind, v)
         return t.mse_masked(y, t.leaf(_rand(6390, *y.shape)),
                             t.leaf(np.ones((2, 5))))
 
@@ -318,6 +366,42 @@ def test_fused_nodes_refuse_mismatched_shapes():
                         t.leaf(np.zeros(3)))
     with pytest.raises(DimensionError, match="layernorm-mlp supports"):
         t.layernorm_mlp(t.leaf(np.zeros((5, 4))), *norm, *mlp)
+    assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
+
+
+def test_attention_and_unshuffle_refuse_mismatched_shapes():
+    t = Tape()
+    x = t.leaf(np.zeros((2, 5, 4)))
+    shapes = [(4,), (4,), (4, 12), (12,), (4, 4), (4,)]
+
+    def attention_with(changed):
+        args = [t.leaf(np.zeros(changed.get(i, s)))
+                for i, s in enumerate(shapes)]
+        return t.layernorm_attention(x, *args, 2)
+
+    for changed, match in (
+            ({0: (3,)}, "layernorm affine"),
+            ({2: (3, 12), 3: (12,)}, r"layernorm-attention extent mismatch: "
+                                     r"\(2, 5, 4\) x \(3, 12\)"),
+            ({3: (6,)}, r"layernorm-attention supports \[b,m,k\]"),
+            ({4: (6, 4)}, r"layernorm-attention extent mismatch: "
+                          r"\(2, 5, 4\) x \(6, 4\)"),
+            # the out projection to a width other than x's
+            ({4: (4, 3), 5: (3,)}, "residual")):
+        with pytest.raises(DimensionError, match=match):
+            attention_with(changed)
+    order = np.array([[0, 1, 2], [2, 1, 0]])
+    fill, pos = t.leaf(np.zeros(4)), t.leaf(np.zeros((3, 4)))
+    for args in ((x, fill, pos, order),                 # 5 rows for 3
+                 (t.leaf(np.zeros((2, 2, 4))), t.leaf(np.zeros(3)), pos,
+                  order),
+                 (t.leaf(np.zeros((2, 2, 4))), fill, pos, order[:1]),
+                 (t.leaf(np.zeros((2, 4))), fill, pos, order)):
+        with pytest.raises(DimensionError, match="unshuffle needs x"):
+            t.unshuffle(*args)
+    with pytest.raises(ContractError, match="permutations"):
+        t.unshuffle(t.leaf(np.zeros((2, 2, 4))), fill, pos,
+                    np.array([[0, 1, 1], [2, 1, 0]]))
     assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
@@ -365,6 +449,10 @@ def _one_node_per_backward_rule():
         t.layernorm_mlp(act(35, 2, 3, 4), leaf(36, 4), leaf(37, 4),
                         leaf(38, 4, 6), leaf(39, 6), leaf(40, 6, 4),
                         leaf(41, 4)),
+        t.layernorm_attention(act(22, 2, 3, 4), leaf(42, 4), leaf(43, 4),
+                              leaf(44, 4, 12), leaf(45, 12), leaf(46, 4, 4),
+                              leaf(47, 4), 2),
+        t.unshuffle(act(48, 2, 3, 4), leaf(49, 4), leaf(50, 5, 4), _ORDER),
         t.add(act(8, 2, 3, 4), act(9, 4)),
         t.scale(act(10, 3, 4), 0.5),
         t.transpose(act(11, 2, 3, 4)),
@@ -372,7 +460,6 @@ def _one_node_per_backward_rule():
         t.concat_rows([act(16, 2, 2, 4), act(17, 2, 3, 4)]),
         t.layernorm(act(18, 2, 3, 4), leaf(19, 4), leaf(20, 4)),
         t.softmax(act(21, 2, 3, 4)),
-        t.attention(act(22, 2, 3, 12), 2),
         t.gelu(act(23, 2, 3, 4)),
         t.mse_masked(act(24, 2, 3, 4), leaf(25, 2, 3, 4),
                      t.leaf(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))),
@@ -381,15 +468,17 @@ def _one_node_per_backward_rule():
 
 def test_backward_rules_read_no_values():
     # Backward drops the values it walks, so a rule may read only `saved`,
-    # `attrs` and the incoming gradient.
+    # `attrs` and the incoming gradient.  A rule may write over its saved
+    # buffers, so each runs on its own copy of the nodes.
     nodes = _one_node_per_backward_rule()
     assert {n.kind for n in nodes} == set(_VJP)
-    for i, node in enumerate(nodes):
+    for i, (node, bare) in enumerate(zip(nodes,
+                                         _one_node_per_backward_rule())):
         g = _rand(100 + i, *node.shape)
         want = _VJP[node.kind](node, g)
-        for n in (node, *node.inputs):
+        for n in (bare, *bare.inputs):
             n.value = None
-        got = _VJP[node.kind](node, g)
+        got = _VJP[node.kind](bare, g)
         assert len(got) == len(want), node.kind
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b), node.kind
@@ -579,15 +668,18 @@ def test_grad_linear(x_shape, var):
 
 @pytest.mark.parametrize("heads,n", [(1, 1), (1, 5), (2, 1), (2, 5)])
 def test_grad_attention(heads, n):
+    # x reaches the output through LN1 and through the residual
     b, d = 2, 4 * heads
+    seed = 6200 + 10 * heads + n
+    vals = _attention_inputs(b, n, d, np.float64, seed)
     target = _rand(6100 + n, b, n, d)
 
-    def build(t, qkv):
-        out = t.attention(qkv, heads)
+    def build(t, x):
+        out = t.layernorm_attention(
+            x, *(t.leaf(vals[k]) for k in list(vals)[1:]), heads)
         return t.mse_masked(out, t.leaf(target), t.leaf(np.ones((b, n))))
 
-    seed = 6200 + 10 * heads + n
-    _grad_check(build, _rand(seed, b, n, 3 * d) * 2.0, seed)
+    _grad_check(build, vals["x"] * 4.0, seed)
 
 
 def test_grad_f32_tolerance():
@@ -812,6 +904,49 @@ def test_backward_drops_walked_values_and_keeps_the_loss():
     assert t.meter.live_activation_bytes == live
 
 
+def test_backward_skips_a_rule_whose_inputs_take_no_gradient(monkeypatch):
+    # A gather of a boundary copy, as incremental_drop's: its one input is
+    # a constant leaf, so its rule would make a gradient that is thrown
+    # away.  A gather of an activation runs its rule.
+    calls = []
+    rule = _VJP["gather-rows"]
+
+    def counting(node, g):
+        calls.append(node)
+        return rule(node, g)
+    monkeypatch.setitem(_VJP, "gather-rows", counting)
+    ids = np.array([[2, 0], [1, 3]])
+    t = Tape()
+    w = t.leaf(_rand(1, 4, 4), name="w", requires_grad=True)
+    copy = t.gather_rows(t.boundary(t.leaf(_rand(2, 2, 4, 4))), ids)
+    act = t.gather_rows(t.matmul(t.leaf(_rand(3, 2, 4, 4)), w), ids)
+
+    def loss(y):
+        return t.mse_masked(y, t.leaf(np.zeros((2, 2, 4))),
+                            t.leaf(np.ones((2, 2))))
+    first = loss(t.add(t.matmul(copy, w), act))
+    second = loss(t.matmul(copy, w))
+    live = t.meter.live_activation_bytes
+    got = t.backward(first)["w"]
+    assert calls == [act]
+    assert copy.saved is None and t.meter.live_activation_bytes == live
+    # The same gradient as with the gather's rule run.
+    monkeypatch.setitem(_VJP, "gather-rows", rule)
+    t2 = Tape()
+    w2 = t2.leaf(_rand(1, 4, 4), name="w", requires_grad=True)
+    copy2 = t2.gather_rows(t2.scale(t2.leaf(_rand(2, 2, 4, 4)), 1.0), ids)
+    act2 = t2.gather_rows(t2.matmul(t2.leaf(_rand(3, 2, 4, 4)), w2), ids)
+    y2 = t2.add(t2.matmul(copy2, w2), act2)
+    want = t2.backward(t2.mse_masked(y2, t2.leaf(np.zeros((2, 2, 4))),
+                                     t2.leaf(np.ones((2, 2)))))["w"]
+    assert np.array_equal(got, want)
+    # Its saved buffers are gone all the same, so a second pass through
+    # it is refused.
+    with pytest.raises(LifecycleError, match=r"reached <Node gather-rows>, "
+                       r"whose saved buffers an earlier backward"):
+        t.backward(second)
+
+
 def test_full_release_drains_live_to_zero():
     t = Tape()
     _, _, loss0, loss1 = _tagged_step(t)
@@ -913,32 +1048,74 @@ def test_layernorm_mlp_backward_holds_fc1_a_chunk_at_a_time(monkeypatch,
     assert peak <= bound + params, (peak, bound, params)
 
 
-def _attention_whole_probabilities(qkv, heads, g):
-    """Attention's output and qkv gradient in plain numpy, with the whole
-    [b, heads, n, n] probabilities saved between them: the forward's
-    product with a contiguous k^T, scale, shift, exp and divide, then dv,
-    dprobs, the softmax gradient, the scale, dq and dk into one buffer."""
-    b, n, width = qkv.shape
-    dh = width // (3 * heads)
-    scale = qkv.dtype.type(1.0 / np.sqrt(dh))
-    q, k, v = qkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+def _attention_whole_probabilities(inputs, heads, g):
+    """The attention sublayer's output and the gradients of x, gamma, beta,
+    w_qkv, b_qkv, w_out and b_out in plain numpy, with the normed rows,
+    q|k|v, the whole [b, heads, n, n] probabilities and the merged heads
+    kept between them.  Forward: LN1 as `_layernorm_rows` computes it, the
+    qkv product, the product with a contiguous k^T, scale, shift, exp and
+    divide, the probability-value product, the out product and the
+    residual.  Backward: the out projection's gradients, dv, dprobs, the
+    softmax gradient, the scale, dq and dk into one buffer, the qkv
+    projection's gradients, then LN1's and the residual's."""
+    x, gamma, beta, w_qkv, b_qkv, w_out, b_out = inputs
+    b, n, d = x.shape
+    width = w_qkv.shape[1] // 3
+    dh = width // heads
+    scale = x.dtype.type(1.0 / np.sqrt(dh))
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True) + x.dtype.type(LN_EPS)
+    inv_std = 1.0 / np.sqrt(var)
+    xhat *= inv_std
+    normed = xhat * gamma + beta
+    qkv = normed @ w_qkv + b_qkv
+    q, k, val = qkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     probs = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
     probs *= scale
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = np.swapaxes(probs @ v, 1, 2).reshape(b, n, width // 3)
+    merged = np.swapaxes(probs @ val, 1, 2).reshape(b, n, width)
+    out = merged @ w_out + b_out + x
+
+    def weight_grads(a, grad):
+        return (a.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1]),
+                grad.sum(axis=(0, 1)))
+
+    dw_out, db_out = weight_grads(merged, g)
     dqkv = np.empty_like(qkv)
     dq, dk, dv = dqkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    gctx = np.swapaxes(g.reshape(b, n, heads, dh), 1, 2)
+    gctx = np.swapaxes((g @ w_out.T).reshape(b, n, heads, dh), 1, 2)
     np.matmul(np.swapaxes(probs, -1, -2), gctx, out=dv)
-    dprobs = gctx @ np.swapaxes(v, -1, -2)
+    dprobs = gctx @ np.swapaxes(val, -1, -2)
     dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
     dprobs *= probs
     dprobs *= scale
     np.matmul(dprobs, k, out=dq)
     np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
-    return out, dqkv
+    dw_qkv, db_qkv = weight_grads(normed, dqkv)
+    dnormed = dqkv @ w_qkv.T
+    dxhat = dnormed * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv_std * ((dxhat - m1) - xhat * m2) + g
+    dgamma, dbeta = (a.reshape(-1, d).sum(axis=0)
+                     for a in (xhat * dnormed, dnormed))
+    return out, (dx, dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
+
+
+def _assert_attention_matches_whole_probabilities(node, heads, g, grads):
+    """The node's value and its rule's gradients `grads` are bitwise those
+    of `_attention_whole_probabilities` on its inputs' values."""
+    want_out, want_grads = _attention_whole_probabilities(
+        [n.value for n in node.inputs], heads, g)
+    assert node.value.dtype == want_out.dtype
+    assert np.array_equal(node.value, want_out)
+    assert len(grads) == len(want_grads) == 7
+    for i, (got, want) in enumerate(zip(grads, want_grads)):
+        assert got.dtype == want.dtype, i
+        assert np.array_equal(got, want), i
 
 
 @pytest.mark.parametrize("parts", [1, 2])
@@ -948,43 +1125,45 @@ def _attention_whole_probabilities(qkv, heads, g):
 def test_attention_rebuilt_probabilities_bitwise_equal_to_saved(
         monkeypatch, b, n, d, heads, dtype, parts):
     # The desk decoder's and encoder's shapes run in several chunks of
-    # samples per thread; the rule that rebuilds the probabilities a chunk
-    # at a time gives the gradient of the rule that saved them whole.
+    # samples per thread; the node that keeps only x and row statistics
+    # gives the value and every gradient of plain numpy that keeps the
+    # normed rows, q|k|v, the whole probabilities and the merged heads.
     monkeypatch.setattr(tape, "_PARTS", parts)
-    qkv = (_rand(200 + n, b, n, 3 * d) * 0.5).astype(dtype)
-    g = _rand(201 + n, b, n, d).astype(dtype)
+    vals = _attention_inputs(b, n, d, dtype, 200 + n)
+    g = _rand(210 + n, b, n, d).astype(dtype)
     t = Tape()
-    node = t.attention(t.leaf(qkv), heads)
-    (dqkv,) = _VJP[node.kind](node, g)
-    want_out, want_dqkv = _attention_whole_probabilities(qkv, heads, g)
-    assert node.value.dtype == dqkv.dtype == dtype
-    assert np.array_equal(node.value, want_out)
-    assert np.array_equal(dqkv, want_dqkv)
+    node = t.layernorm_attention(*(t.leaf(a) for a in vals.values()), heads)
+    _assert_attention_matches_whole_probabilities(
+        node, heads, g, _VJP[node.kind](node, g))
 
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_attention_backward_holds_probabilities_a_chunk_at_a_time(
         monkeypatch, parts):
-    # At the desk decoder's shape.  Beyond dqkv, each thread holds one
-    # chunk's rebuilt probabilities, their gradient, a temporary of their
-    # product and a contiguous k^T: under two _PART_ELEMENTS chunks.  Whole
-    # [b, heads, n, n] probabilities and their gradient fail the bound.
+    # At the desk decoder's shape.  The rule holds three whole buffers, 5d
+    # per row: the normed rows, the merged heads and dqkv.  Each thread
+    # holds one chunk of c samples: its q|k|v and the merged heads'
+    # gradient, 4d per row, and its probabilities, their gradient and a
+    # temporary of their product, 3 * heads * n per row.  Whole q|k|v or
+    # whole probabilities fail the bound.
     monkeypatch.setattr(tape, "_PARTS", parts)
     b, n, d, heads = 64, 64, 32, 1
+    vals = _attention_inputs(b, n, d, np.float32, 95)
     t = Tape()
-    node = t.attention(t.leaf((_rand(95, b, n, 3 * d) * 0.5).astype(
-        np.float32)), heads)
+    node = t.layernorm_attention(*(t.leaf(a) for a in vals.values()), heads)
     g = _rand(96, b, n, d).astype(np.float32)
     _VJP[node.kind](node, g)   # the worker threads start outside the trace
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        (dqkv,) = _VJP[node.kind](node, g)
+        grads = _VJP[node.kind](node, g)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    bound = dqkv.nbytes + 4 * 2 * parts * tape._PART_ELEMENTS
-    assert peak <= bound, (peak, bound)
+    params = sum(a.nbytes for a in grads[1:])
+    c = tape._PART_ELEMENTS // (2 * heads * n * n)
+    bound = 4 * (b * n * 5 * d + parts * c * n * (4 * d + 3 * heads * n))
+    assert peak <= bound + params, (peak, bound, params)
 
 
 # ----- kernels split across threads ---------------------------------------
@@ -1012,17 +1191,19 @@ def _force_parts(monkeypatch, parts):
 
 def _split_kernels_run(b, dtype):
     """Forward and every VJP of linear (with and without a residual),
-    layernorm, attention, gelu, layernorm-linear and layernorm-mlp; returns
-    each node's value, saved buffers and charged bytes, the meter, and
-    every VJP output."""
+    layernorm, layernorm-attention, gelu, layernorm-linear and
+    layernorm-mlp; returns each node's value, saved buffers and charged
+    bytes, the meter, and every VJP output.  The attention node's value
+    and gradients are checked against plain numpy on the way."""
     def r(seed, *shape):
         return _rand(seed, *shape).astype(dtype)
 
     t = Tape()
     x = t.leaf(r(1, b, 5, 12), name="x", requires_grad=True)
     h = t.layernorm(x, t.leaf(r(2, 12)), t.leaf(r(3, 12)))
-    qkv = t.linear(h, t.leaf(r(4, 12, 36)), t.leaf(r(5, 36)))
-    att = t.attention(qkv, 3)
+    att = t.layernorm_attention(h, *(
+        t.leaf(r(20 + i, *shape)) for i, shape in enumerate(
+            ((12,), (12,), (12, 36), (36,), (12, 12), (12,)))), 3)
     f1 = t.gelu(t.linear(att, t.leaf(r(6, 12, 20)), t.leaf(r(7, 20))))
     f2 = t.layernorm_linear(att, t.leaf(r(8, 12)), t.leaf(r(9, 12)),
                             t.leaf(r(10, 12, 20)), t.leaf(r(11, 20)))
@@ -1037,13 +1218,17 @@ def _split_kernels_run(b, dtype):
             continue
         out[f"{i}.value"] = node.value
         out[f"{i}.bytes"] = node.bytes
-        out.update((f"{i}.saved{j}", a) for j, a in enumerate(node.saved))
+        # copies: a rule may write over its saved buffers
+        out.update((f"{i}.saved{j}", a.copy())
+                   for j, a in enumerate(node.saved))
         g = r(100 + i, *node.shape)
-        out.update((f"{i}.vjp{j}", a)
-                   for j, a in enumerate(_VJP[node.kind](node, g)))
+        grads = _VJP[node.kind](node, g)
+        out.update((f"{i}.vjp{j}", a) for j, a in enumerate(grads))
+        if node is att:
+            _assert_attention_matches_whole_probabilities(node, 3, g, grads)
     assert {n.kind for n in t.nodes} - {"leaf"} == {
-        "layernorm", "linear", "attention", "gelu", "layernorm-linear",
-        "layernorm-mlp"}
+        "layernorm", "linear", "layernorm-attention", "gelu",
+        "layernorm-linear", "layernorm-mlp"}
     assert f1.shape == f2.shape == (b, 5, 20)
     return out
 
@@ -1065,9 +1250,11 @@ def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
 @pytest.mark.parametrize("parts", [1, 2])
 def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
     # Two of the 5 rows of layernorm-mlp's [5, 5, 20] hidden buffers, and
-    # of attention's [5, 3, 5, 5] probabilities, per chunk: rows 2, 2, 1
-    # on one thread, or 2 | 2, 1 on two.  Attention's backward holds the
-    # probabilities and their gradient, so its chunks are one row each.
+    # of layernorm-attention's [5, 3, 5, 5] probabilities, per chunk: rows
+    # 2, 2, 1 on one thread, or 2 | 2, 1 on two.  Attention's backward
+    # holds the probabilities and their gradient, so its chunks are one
+    # row each.  Every chunking gives the plain numpy attention's value
+    # and gradients (see _split_kernels_run).
     monkeypatch.setattr(tape, "_PARTS", 1)
     want = _split_kernels_run(5, np.float32)
     monkeypatch.setattr(tape, "_PARTS", parts)
