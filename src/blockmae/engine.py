@@ -3,7 +3,10 @@
 Partitions the encoder into gradient-isolated blocks with local decoders,
 applies the incremental masking layer between blocks, and executes the
 buffer/free pattern: forward block i, decode and update locally, release
-it (its boundary copy is block i+1's), drop extra tokens, continue.
+it, drop extra tokens, continue.  Block i's output is held once: block
+i+1's boundary leaf shares the array block i's bridge saved, and takes
+over its charge when block i is released.  Each block builds its own
+patch targets, which die with its backward.
 
 `BlockPlan` owns the schedule rules (name, ratio range, one ratio per
 block, order) and `block_layers` the block layout.  The end-to-end
@@ -183,7 +186,6 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
 
     kept = mask_indices(spec.num_patches, plan.mask_schedule[0],
                         [rng.split(step_seed, "mask", i) for i in range(batch)])
-    targets = patch_targets(images, spec)
 
     losses = []
     live_trace = []
@@ -200,11 +202,15 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
             for j in unit.layer_ids:
                 x = encoder_block_layer(tape, params, f"enc.layer{j}", x,
                                         spec.heads)
-            if i < plan.num_blocks - 1:
-                with tape.block(i + 1):   # block i+1 reads it and frees it
-                    xb = tape.boundary(x)
             pred = local_decoder_forward(tape, params, spec, x, kept, i)
-            loss = reconstruction_loss(tape, pred, targets, kept)
+            loss = reconstruction_loss(tape, pred, patch_targets(images, spec),
+                                       kept)
+            if i < plan.num_blocks - 1:
+                # After the bridge, which saves x: block i+1 reads the
+                # boundary and frees it, and block i's release hands the
+                # bridge's charge of x over to it.
+                with tape.block(i + 1):
+                    xb = tape.boundary(x)
         table = tape.backward(loss)
         foreign = sorted(set(table) - set(unit.param_names))
         if foreign:

@@ -84,11 +84,18 @@ def _bridge_bytes(b, n, d, s):
 
 
 def _decoder_bytes(spec, b, n_vis, s):
+    """The local decoder and the loss of one block at n_vis visible tokens.
+
+    The first layer's attention node builds the decoder input itself and
+    saves the bridge output z, [n_vis, dd] per sample, and each sample's
+    row order, in place of the input: that layer's input is uncharged.
+    """
     n = spec.num_patches
     dd = spec.decoder_dim
-    total = _IDS_BYTES * b * n  # the decoder input's unshuffle ids
-    for _ in range(spec.decoder_depth):
-        total += _layer_bytes(b, n, dd, spec.decoder_heads, spec.mlp_ratio, s)
+    total = _IDS_BYTES * b * n + s * b * n_vis * dd   # row order ids and z
+    for j in range(spec.decoder_depth):
+        total += _layer_bytes(b, n, dd, spec.decoder_heads, spec.mlp_ratio, s,
+                              input_charged=j > 0)
     total += s * b * (n * dd + 2 * n)        # final norm + prediction head
     total += s * b * n * spec.patch_pixels   # loss saves the prediction
     return total
@@ -102,9 +109,11 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
     """Closed-form peak activation bytes for one training step.
 
     The peak is the largest block's live bytes: its encoder layers, bridge,
-    local decoder and loss, plus the token-stream buffers between blocks
-    (boundary copies and drop indices).  End-to-end MAE is the one-block
-    case: every layer of one long backward, with no boundary.
+    local decoder and loss, plus the token-stream buffers from the block
+    before (its boundary and the drop indices).  A block's own output is
+    the bridge's saved input until the block is released, and only then
+    the next block's boundary: it is counted once.  End-to-end MAE is the
+    one-block case: every layer of one long backward, with no boundary.
     """
     s = dtype_size
     b = batch
@@ -124,8 +133,6 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
                              input_charged=first_charged)
         live += (len(layers) - 1) * _layer_bytes(b, n_i, d, spec.heads,
                                                  spec.mlp_ratio, s)
-        if i < plan.num_blocks - 1:
-            live += s * b * n_i * d                    # own boundary copy
         live += _bridge_bytes(b, n_i, d, s) + _decoder_bytes(spec, b, n_i, s)
         peak = max(peak, live)
     return peak
@@ -139,13 +146,22 @@ def _config_summary(spec, plan):
             f"schedule={plan.mask_schedule}")
 
 
+def _metered_step(spec, plan, images, seed, dtype):
+    """One step of a fresh model for `plan`, at learning rate 0.  The model
+    and its optimizer state are freed when this returns."""
+    model = build_model(spec, plan.num_blocks, seed=seed, dtype=dtype)
+    return blockwise_train_step(partition_encoder(model), images, plan,
+                                AdamW(), lr=0.0, step_seed=seed)
+
+
 def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
     """Run one instrumented step per mode and report measured vs analytic.
 
     The end-to-end baseline masks at the plan's initial ratio so both
-    modes see identical input visibility.  Raises if a plan of two or more
-    blocks fails to come in under the baseline; a one-block plan is the
-    baseline itself, at ratio 1.
+    modes see identical input visibility; its model is freed before the
+    plan's is built.  Raises if a plan of two or more blocks fails to come
+    in under the baseline; a one-block plan is the baseline itself, at
+    ratio 1.
     """
     dtype = np.dtype(dtype)
     s = dtype.itemsize
@@ -153,15 +169,9 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
                                    channels=spec.channels).images(dtype=dtype)
     mae_plan = BlockPlan(num_blocks=1, mask_schedule=plan.mask_schedule[:1])
     try:
-        model_m = build_model(spec, 1, seed=seed, dtype=dtype)
-        rep_m = blockwise_train_step(partition_encoder(model_m), images,
-                                     mae_plan, AdamW(), lr=0.0, step_seed=seed)
-        if plan.mode == "mae":
-            rep_p = rep_m
-        else:
-            model_p = build_model(spec, plan.num_blocks, seed=seed, dtype=dtype)
-            rep_p = blockwise_train_step(partition_encoder(model_p), images,
-                                         plan, AdamW(), lr=0.0, step_seed=seed)
+        rep_m = _metered_step(spec, mae_plan, images, seed, dtype)
+        rep_p = (rep_m if plan.mode == "mae"
+                 else _metered_step(spec, plan, images, seed, dtype))
     except MemoryError as exc:
         raise ResourceError(
             f"step at batch {batch} exceeded memory; analytic estimate "

@@ -20,7 +20,9 @@ projection, attention, the out projection and the first residual sum
 are one (`Tape.layernorm_attention`), and LN2, fc1, GELU, fc2 and the
 second residual sum the other (`Tape.layernorm_mlp`).  A decoder's input,
 the mask tokens put among the visible tokens in patch order plus the
-position table, is one node (`Tape.unshuffle`).
+position table, is never held: it and its first layer's attention
+sublayer are one node (`Tape.unshuffle_attention`), which saves the
+bridge output and rebuilds the input in backward.
 """
 
 from dataclasses import dataclass
@@ -275,19 +277,24 @@ def _layernorm_linear(tape, x, params, norm, prefix):
             f"{norm}.g", f"{norm}.b", f"{prefix}.w", f"{prefix}.b")))
 
 
+_ATTENTION = ("ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
+              "attn.out.b")
+_MLP = ("ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b")
+
+
+def _sublayer_params(tape, params, prefix, names):
+    return [_param(tape, params, f"{prefix}.{name}") for name in names]
+
+
 def encoder_block_layer(tape, params, prefix, x, heads):
     """Pre-norm transformer layer: x + MHSA(LN(x)), then + MLP(LN(x))."""
     dim = x.shape[-1]
     if dim % heads != 0:
         raise DimensionError(f"width {dim} not divisible by heads {heads}")
-    x2 = tape.layernorm_attention(x, *(
-        _param(tape, params, f"{prefix}.{name}") for name in (
-            "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
-            "attn.out.b")), heads)
-    return tape.layernorm_mlp(x2, *(
-        _param(tape, params, f"{prefix}.{name}") for name in (
-            "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w",
-            "mlp.fc2.b")))
+    x2 = tape.layernorm_attention(
+        x, *_sublayer_params(tape, params, prefix, _ATTENTION), heads)
+    return tape.layernorm_mlp(
+        x2, *_sublayer_params(tape, params, prefix, _MLP))
 
 
 def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
@@ -297,7 +304,9 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
     mask tokens for every non-visible patch, unshuffles to original patch
     order, adds the decoder position table, runs the decoder layers, and
     projects to patch pixels.  The shuffled sequence is [visible tokens in
-    `kept` order..., mask tokens in ascending patch order...].
+    `kept` order..., mask tokens in ascending patch order...].  The first
+    layer's attention sublayer takes the bridge output and does the
+    unshuffle itself (`Tape.unshuffle_attention`).
     """
     batch, n_vis = block_output.shape[0], block_output.shape[-2]
     if kept.shape[1] != n_vis:
@@ -314,9 +323,13 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
     masked = np.nonzero(patch_mask(kept, n))[1].reshape(batch, n - n_vis)
     order = np.concatenate([kept, masked], axis=1)   # shuffled rows' patch ids
     pos = tape.leaf(sincos_pos_embed(spec.grid_side, dd).astype(dtype))
-    x = tape.unshuffle(z, _param(tape, params, f"{pfx}.dec.mask_token"), pos,
-                       order)
-    for j in range(spec.decoder_depth):
+    first = f"{pfx}.dec.layer0"
+    x = tape.unshuffle_attention(
+        z, _param(tape, params, f"{pfx}.dec.mask_token"), pos, order,
+        *_sublayer_params(tape, params, first, _ATTENTION),
+        spec.decoder_heads)
+    x = tape.layernorm_mlp(x, *_sublayer_params(tape, params, first, _MLP))
+    for j in range(1, spec.decoder_depth):
         x = encoder_block_layer(tape, params, f"{pfx}.dec.layer{j}", x,
                                 spec.decoder_heads)
     return _layernorm_linear(tape, x, params, f"{pfx}.dec.ln",

@@ -30,36 +30,49 @@ Charged buffers per primitive:
                   output nor the GELU output is saved: backward recomputes
                   fc1 from the normed rows a chunk of rows at a time, and
                   the GELU output as 0.5 * fc1 * CDF term
-    unshuffle     the per-sample row order (int64 ids)
+    unshuffle-attention   a decoder's input and its first attention
+                  sublayer: the bridge output z (when non-leaf), the
+                  per-sample row order (int64 ids) and the row statistics of
+                  layernorm-attention.  The input, mask tokens put among
+                  z's rows plus the position table, is not saved: backward
+                  rebuilds it from z, the order and those two leaves
     mse-masked    prediction value (when non-leaf)
-    boundary      its own (copied) value
+    boundary      x's array itself, shared, not copied, and charged once:
+                  by the node of x's block that saves it until that block
+                  is released, by the boundary from then on; by the
+                  boundary from the start when no node of x's block saves it
 
 Every node, leaves included, takes its block tag from the `Tape.block`
 scope open when it is recorded (None outside any scope); that scope is
 the only way a node gets a tag.  Release and its lifecycle check select
 nodes by this tag; gradients never read it.  Blocks are isolated by the
 `boundary` leaf alone: backward stops at leaves, and a later block
-continues from its own boundary copy of the earlier block's output.
+continues from its boundary leaf of the earlier block's output, which
+shares that output's array and makes it read-only.
 
 Lifecycle.  A backward rule reads only its node's `saved` buffers, its
 `attrs` and the incoming gradient, never a `value`.  So backward drops the
 value of every node it walks, constant leaves included, except the loss's
 and the parameters' (leaves with `requires_grad`), before its reverse
 sweep; a value that a consumer saved stays alive through `saved`, and a
-boundary copy's array through its own `saved` until it is released.
-It drops each node's saved buffers as soon as that node's rule has run,
-and a rule may write over them, since nothing reads them after it; the
-meter charges them until release, so the peak and the live counter read
-the same as if they were kept.  A node none of whose inputs takes a
-gradient (each is a leaf without `requires_grad`) has its rule skipped
-and its saved buffers dropped all the same.  Releasing a node, a leaf or
-not, drops both its value and its saved buffers and decreases the live
-counter by exactly the node's charged bytes.  Parameter arrays outlive
-their leaves in the caller's table.  Running backward through a released
-node, or through a node an earlier backward ran the rule of, is a
-lifecycle error, and a later block must continue from a `boundary` copy,
-not from an earlier block's nodes, whose values are gone after that
-block's backward.
+boundary leaf's array through its own `saved` until it is released.
+It drops each node's saved buffers as soon as that node's rule has run;
+the meter charges them until release, so the peak and the live counter
+read the same as if they were kept.  A rule may write over a buffer its
+own node made (the MLP node's CDF term), since nothing reads it after
+the rule, but never into a saved input: another node, a later block's
+boundary leaf among them, may hold the same array.  A node none of whose
+inputs takes a gradient (each is a leaf without `requires_grad`) has its
+rule skipped and its saved buffers dropped all the same.  Releasing a
+node, a leaf or not, drops both its value and its saved buffers and
+decreases the live counter by exactly the node's charged bytes; releasing
+a block then charges each boundary leaf whose array that block's nodes
+held, so the counter falls by the block's bytes less those.  Parameter
+arrays outlive their leaves in the caller's table.  Running backward
+through a released node, or through a node an earlier backward ran the
+rule of, is a lifecycle error, and a later block must continue from a
+`boundary` leaf, not from an earlier block's nodes, whose values are gone
+after that block's backward.
 
 Backward keeps only the gradient frontier: a non-leaf node's gradient is
 dropped as soon as its backward rule has run, so intermediate gradients do
@@ -259,6 +272,7 @@ class Tape:
         self._block = None
         self._released_blocks = set()
         self._backwarded_blocks = set()
+        self._handovers = {}   # block -> boundary leaves its nodes hold
 
     # ----- recording -------------------------------------------------
 
@@ -391,7 +405,7 @@ class Tape:
 
     def layernorm(self, x, gamma, beta):
         xv = x.value
-        _check_layernorm(xv, gamma.value, beta.value)
+        _check_layernorm(xv.shape, gamma.value, beta.value)
         out = np.empty_like(xv)
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
@@ -414,7 +428,7 @@ class Tape:
         """
         xv, gv, bev, wv, bv = (n.value for n in (x, gamma, beta, w, b))
         _check_linear(xv.shape, wv.shape, bv.shape, "layernorm-linear")
-        _check_layernorm(xv, gv, bev)
+        _check_layernorm(xv.shape, gv, bev)
         out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
@@ -455,49 +469,55 @@ class Tape:
         x, its row statistics and each attention row's softmax max and sum
         are saved: backward rebuilds the rest from them.
         """
-        xv, gv, bev, wqv, bqv, wov, bov = (n.value for n in (
-            x, gamma, beta, w_qkv, b_qkv, w_out, b_out))
-        _check_layernorm(xv, gv, bev)
-        _check_linear(xv.shape, wqv.shape, bqv.shape, "layernorm-attention")
-        if wqv.shape[1] % (3 * heads) != 0:
-            raise DimensionError(
-                f"layernorm-attention needs a q|k|v width 3*d with d "
-                f"divisible by {heads} heads; got {wqv.shape[1]}")
-        merged_shape = xv.shape[:-1] + (wqv.shape[1] // 3,)
-        _check_linear(merged_shape, wov.shape, bov.shape,
-                      "layernorm-attention")
-        dtype = np.result_type(xv, wqv)
-        out = np.empty(xv.shape[:-1] + wov.shape[1:],
-                       np.result_type(dtype, wov))
-        _residual_value(x, out.shape)
-        b, n = xv.shape[:2]
-        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
-        inv_std = np.empty_like(mu)
-        row_max = np.empty((b, heads, n, 1), dtype)
-        row_sum = np.empty_like(row_max)
-
-        def rows(lo, hi):
-            for c in _chunks(lo, hi, (heads, n, n)):
-                normed = np.empty_like(xv[c])
-                _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
-                qkv = np.empty(normed.shape[:-1] + wqv.shape[1:], dtype)
-                _linear_rows(normed, wqv, bqv, qkv)
-                merged = np.empty(normed.shape[:-1] + merged_shape[-1:], dtype)
-                del normed
-                _attention_rows(qkv, heads, row_max[c], row_sum[c], merged,
-                                stats=True)
-                del qkv
-                _linear_rows(merged, wov, bov, out[c], xv[c])
-        _parallel(max(b * n * wqv.shape[1], b * heads * n * n), rows=b,
-                  part=rows)
+        params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
+        _check_attention(x.value.shape, *params, heads, "layernorm-attention")
+        out, stats = _attention_forward(x.value, *params, heads)
         node = Node("layernorm-attention", out,
                     (x, gamma, beta, w_qkv, b_qkv, w_out, b_out),
                     attrs={"heads": heads})
-        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
-                                      (row_max, True), (row_sum, True),
-                                      self._act(gamma), self._act(beta),
-                                      self._act(w_qkv), self._act(b_qkv),
-                                      self._act(w_out)])
+        return self._register(node, [self._act(x), *((a, True) for a in stats),
+                                      *(self._act(n) for n in (
+                                          gamma, beta, w_qkv, b_qkv, w_out))])
+
+    def unshuffle_attention(self, z, fill, pos, order, gamma, beta, w_qkv,
+                            b_qkv, w_out, b_out, heads):
+        """A decoder's input and its first attention sublayer in one node:
+        `layernorm_attention` of x [b, n, d], where x holds the rows of z
+        [b, k, d] and then n - k copies of `fill` [d], row j of sample i
+        placed at row order[i, j], plus the position table `pos` [n, d].
+
+        Each row of order [b, n] must be a permutation of range(n), so that
+        backward gathers each row's gradient by it.  x exists only while
+        the node runs: z, the order and the row statistics are saved, and
+        backward rebuilds x with the forward's scatter, fill and position
+        add.  pos is a constant: it gets no gradient.
+        """
+        zv, fv, pv = z.value, fill.value, pos.value
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        if (zv.ndim != 3 or pv.ndim != 2 or fv.shape != zv.shape[-1:]
+                or pv.shape[1:] != fv.shape or order.shape != (
+                    len(zv), len(pv)) or zv.shape[1] > len(pv)):
+            raise DimensionError(
+                f"unshuffle-attention needs z [b, k, d], fill [d], pos [n, d] "
+                f"and order [b, n] with k <= n; got z={zv.shape} "
+                f"fill={fv.shape} pos={pv.shape} order={order.shape}")
+        if np.any(np.sort(order, axis=-1) != np.arange(len(pv))):
+            raise ContractError(
+                "unshuffle-attention order rows must be permutations of "
+                "range(n)")
+        params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
+        _check_attention(order.shape + fv.shape, *params, heads,
+                         "unshuffle-attention")
+        out, stats = _attention_forward(_unshuffle_rows(zv, fv, pv, order),
+                                        *params, heads)
+        node = Node("unshuffle-attention", out,
+                    (z, fill, pos, gamma, beta, w_qkv, b_qkv, w_out, b_out),
+                    attrs={"heads": heads})
+        return self._register(node, [self._act(z), (order, True),
+                                      self._act(fill), self._act(pos),
+                                      *((a, True) for a in stats),
+                                      *(self._act(n) for n in (
+                                          gamma, beta, w_qkv, b_qkv, w_out))])
 
     def gelu(self, x):
         xv = x.value
@@ -525,7 +545,7 @@ class Tape:
         """
         xv, gv, bev, w1v, b1v, w2v, b2v = (
             n.value for n in (x, gamma, beta, w1, b1, w2, b2))
-        _check_layernorm(xv, gv, bev)
+        _check_layernorm(xv.shape, gv, bev)
         _check_linear(xv.shape, w1v.shape, b1v.shape, "layernorm-mlp")
         hidden_shape = xv.shape[:-1] + w1v.shape[1:]
         _check_linear(hidden_shape, w2v.shape, b2v.shape, "layernorm-mlp")
@@ -550,35 +570,6 @@ class Tape:
                                       self._act(beta), self._act(w1),
                                       self._act(b1), self._act(w2)])
 
-    def unshuffle(self, x, fill, pos, order):
-        """A decoder's input in one node, [b, n, d]: the rows of x [b, k, d]
-        and then n - k copies of `fill` [d], row j of sample i placed at
-        row order[i, j], plus the position table `pos` [n, d].
-
-        Each row of order [b, n] must be a permutation of range(n), so that
-        backward gathers each row's gradient by it.  Only order is saved.
-        pos is a constant: it gets no gradient.
-        """
-        xv, fv, pv = x.value, fill.value, pos.value
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        if (xv.ndim != 3 or pv.ndim != 2 or fv.shape != xv.shape[-1:]
-                or pv.shape[1:] != fv.shape or order.shape != (
-                    len(xv), len(pv)) or xv.shape[1] > len(pv)):
-            raise DimensionError(
-                f"unshuffle needs x [b, k, d], fill [d], pos [n, d] and order "
-                f"[b, n] with k <= n; got x={xv.shape} fill={fv.shape} "
-                f"pos={pv.shape} order={order.shape}")
-        if np.any(np.sort(order, axis=-1) != np.arange(len(pv))):
-            raise ContractError(
-                "unshuffle order rows must be permutations of range(n)")
-        k = xv.shape[1]
-        out = np.empty(order.shape + fv.shape, np.result_type(xv, fv, pv))
-        out[_per_sample(order[:, :k])] = xv
-        out[_per_sample(order[:, k:])] = fv
-        out += pv
-        node = Node("unshuffle", out, (x, fill, pos), attrs={"k": k})
-        return self._register(node, [(order, True)])
-
     def mse_masked(self, pred, target, mask):
         """Mean squared error over masked rows only (mask entry 1 = masked).
 
@@ -600,13 +591,26 @@ class Tape:
                                       self._act(mask)])
 
     def boundary(self, x):
-        """Duplicate x into a detached, metered buffer.
+        """x's array as a detached constant leaf: shared, not copied, and
+        read-only from now on, so no rule can write into it.
 
-        Record it in the scope of the block that reads it: gradients of later
-        losses stop at this constant leaf, and that block's release frees it.
+        Record it in the scope of the block that reads it, after the nodes
+        of x's block that save x: gradients of later losses stop at this
+        leaf, and that block's release frees it.  The array is charged
+        once: by the node of x's block that saves it until x's block is
+        released, then by this leaf; by this leaf from now on when no node
+        of x's block saves it.
         """
-        node = Node("boundary", x.value.copy(), (), is_leaf=True)
-        return self._register(node, [(node.value, True)])
+        value = x.value
+        value.flags.writeable = False
+        held = not x.is_leaf and x.block is not None and any(
+            n.block == x.block and n.saved and any(a is value for a in n.saved)
+            for n in self.nodes)
+        node = self._register(Node("boundary", value, (), is_leaf=True),
+                              [(value, not held)])
+        if held:
+            self._handovers.setdefault(x.block, []).append(node)
+        return node
 
     # ----- backward ----------------------------------------------------
 
@@ -614,7 +618,7 @@ class Tape:
         """Gradients of a scalar loss w.r.t. reachable named parameters.
 
         The walk stops only at leaves.  A block that reads an earlier
-        block's node instead of its boundary copy therefore gets that
+        block's node instead of its boundary leaf therefore gets that
         block's parameters in its table, or reaches a released node and
         raises LifecycleError; it is never cut short in silence.
         """
@@ -689,10 +693,12 @@ class Tape:
     # ----- release -----------------------------------------------------
 
     def release_block_activations(self, block_id):
-        """Drop values and saved buffers of all nodes tagged block_id.
+        """Drop values and saved buffers of all nodes tagged block_id, and
+        charge the boundary leaves whose arrays they held.
 
         Requires that the block's backward already ran; repeated release of
-        the same block is an error.  Returns the number of bytes freed.
+        the same block is an error.  Returns the number of bytes freed: the
+        block's charged bytes less those handed over.
         """
         if block_id in self._released_blocks:
             raise LifecycleError(f"block {block_id} already released")
@@ -703,6 +709,11 @@ class Tape:
         for node in self.nodes:
             if node.block == block_id and not node.disposed:
                 freed += self._dispose(node)
+        for node in self._handovers.pop(block_id, ()):
+            if not node.disposed:
+                node.bytes = node.saved[0].nbytes
+                self.meter.charge(node.bytes)
+                freed -= node.bytes
         self._released_blocks.add(block_id)
         return freed
 
@@ -753,12 +764,29 @@ def _check_linear(x_shape, w_shape, b_shape, kind):
         raise DimensionError(f"{kind} extent mismatch: {x_shape} x {w_shape}")
 
 
-def _check_layernorm(xv, gv, bv):
-    d = xv.shape[-1]
+def _check_layernorm(x_shape, gv, bv):
+    d = x_shape[-1]
     if gv.shape != (d,) or bv.shape != (d,):
         raise DimensionError(
             f"layernorm affine shapes {gv.shape}/{bv.shape} "
             f"do not match feature dim {d}")
+
+
+def _check_attention(x_shape, gv, bev, wqv, bqv, wov, bov, heads, kind):
+    """Refuse an attention sublayer whose parameters do not fit an input
+    of shape x_shape, before anything is computed."""
+    _check_layernorm(x_shape, gv, bev)
+    _check_linear(x_shape, wqv.shape, bqv.shape, kind)
+    if wqv.shape[1] % (3 * heads) != 0:
+        raise DimensionError(
+            f"{kind} needs a q|k|v width 3*d with d divisible by {heads} "
+            f"heads; got {wqv.shape[1]}")
+    merged_shape = x_shape[:-1] + (wqv.shape[1] // 3,)
+    _check_linear(merged_shape, wov.shape, bov.shape, kind)
+    out_shape = x_shape[:-1] + wov.shape[1:]
+    if out_shape != x_shape:
+        raise DimensionError(
+            f"residual {x_shape} does not match the output {out_shape}")
 
 
 def _residual_value(residual, shape):
@@ -880,6 +908,45 @@ def _attention_rows(qkv, heads, row_max, row_sum, merged, stats=False):
     np.matmul(p, v, out=np.swapaxes(merged.reshape(c, n, heads, d // heads),
                                     1, 2))
     return p
+
+
+def _attention_forward(xv, gv, bev, wqv, bqv, wov, bov, heads):
+    """The output of `Tape.layernorm_attention` and its saved statistics
+    (mean, inv-std, softmax max and sum), for parameters _check_attention
+    accepts."""
+    dtype = np.result_type(xv, wqv)
+    out = np.empty(xv.shape[:-1] + wov.shape[1:], np.result_type(dtype, wov))
+    b, n = xv.shape[:2]
+    mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
+    inv_std = np.empty_like(mu)
+    row_max = np.empty((b, heads, n, 1), dtype)
+    row_sum = np.empty_like(row_max)
+
+    def rows(lo, hi):
+        for c in _chunks(lo, hi, (heads, n, n)):
+            normed = np.empty_like(xv[c])
+            _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
+            qkv = np.empty(normed.shape[:-1] + wqv.shape[1:], dtype)
+            _linear_rows(normed, wqv, bqv, qkv)
+            merged = np.empty(normed.shape[:-1] + wov.shape[:1], dtype)
+            del normed
+            _attention_rows(qkv, heads, row_max[c], row_sum[c], merged,
+                            stats=True)
+            del qkv
+            _linear_rows(merged, wov, bov, out[c], xv[c])
+    _parallel(max(b * n * wqv.shape[1], b * heads * n * n), rows=b, part=rows)
+    return out, (mu, inv_std, row_max, row_sum)
+
+
+def _unshuffle_rows(z, fill, pos, order):
+    """The decoder input [b, n, d]: row j of z's sample i at row order[i, j]
+    for j < k, `fill` at the other rows, then plus `pos`."""
+    k = z.shape[1]
+    out = np.empty(order.shape + fill.shape, np.result_type(z, fill, pos))
+    out[_per_sample(order[:, :k])] = z
+    out[_per_sample(order[:, k:])] = fill
+    out += pos
+    return out
 
 
 # ----- backward rules ----------------------------------------------------
@@ -1018,20 +1085,23 @@ def _vjp_gelu(node, g):
     return (dx,)
 
 
-def _vjp_layernorm_attention(node, g):
-    # One pass over chunks of samples rebuilds the normed rows, q|k|v, the
-    # probabilities and the merged heads with the forward's kernels, and
-    # runs attention's rule.  The weight gradients sum over every row, so
-    # the normed rows, the merged heads and dqkv are whole; q|k|v, the
-    # probabilities and their gradients exist a chunk at a time.  A chunk
-    # holds the probabilities and their gradient, so it takes half as many
-    # samples as the forward's.  The merged heads die with the out
-    # projection's weight gradients and dqkv with the qkv projection's;
-    # the normed rows then take dx, as in _vjp_layernorm_linear, and the
-    # residual adds g.
-    (x, mu, inv_std, row_max, row_sum, gamma, beta, w_qkv, b_qkv,
-     w_out) = node.saved
-    heads = node.attrs["heads"]
+def _attention_grads(x, mu, inv_std, row_max, row_sum, gamma, beta, w_qkv,
+                     b_qkv, w_out, heads, g, xhat=None):
+    """The gradients of `Tape.layernorm_attention`'s inputs, x's first.
+
+    One pass over chunks of samples rebuilds the normed rows, q|k|v, the
+    probabilities and the merged heads with the forward's kernels, and
+    runs attention's rule.  The weight gradients sum over every row, so
+    the normed rows, the merged heads and dqkv are whole; q|k|v, the
+    probabilities and their gradients exist a chunk at a time.  A chunk
+    holds the probabilities and their gradient, so it takes half as many
+    samples as the forward's.  The merged heads die with the out
+    projection's weight gradients and dqkv with the qkv projection's; the
+    normed rows then take dx, as in _vjp_layernorm_linear, and the
+    residual adds g.  xhat is made last, once dqkv is freed, unless the
+    caller passes a buffer for it: x's own, when nothing else holds x,
+    since x is read for the last time as xhat is written.
+    """
     b, n, _ = x.shape
     width = w_out.shape[0]
     normed = np.empty_like(x)
@@ -1066,7 +1136,8 @@ def _vjp_layernorm_attention(node, g):
     del merged
     dnormed, dw_qkv, db_qkv = _linear_grads(normed, w_qkv, dqkv)
     del dqkv
-    xhat = np.empty_like(x)
+    if xhat is None:
+        xhat = np.empty_like(x)
 
     def xhat_rows(lo, hi):
         _xhat_rows(x[lo:hi], mu[lo:hi], inv_std[lo:hi], xhat[lo:hi])
@@ -1074,6 +1145,24 @@ def _vjp_layernorm_attention(node, g):
     dx, dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, dnormed, normed)
     dx += g
     return (dx, dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
+
+
+def _vjp_layernorm_attention(node, g):
+    return _attention_grads(*node.saved, node.attrs["heads"], g)
+
+
+def _vjp_unshuffle_attention(node, g):
+    # The input is rebuilt with the forward's kernel into a buffer this
+    # rule owns, which then takes xhat.  Row j of sample i went to row
+    # order[i, j]: its gradient is gathered back.  The fill rows'
+    # gradients sum into the fill's, as add's rule sums a broadcast.
+    z, order, fill, pos, *attention = node.saved
+    x = _unshuffle_rows(z, fill, pos, order)
+    dx, *grads = _attention_grads(x, *attention, node.attrs["heads"], g,
+                                  xhat=x)
+    k = z.shape[1]
+    return (dx[_per_sample(order[:, :k])],
+            dx[_per_sample(order[:, k:])].sum(axis=(0, 1)), None, *grads)
 
 
 def _vjp_layernorm_mlp(node, g):
@@ -1121,14 +1210,6 @@ def _vjp_layernorm_mlp(node, g):
     return (dx, dgamma, dbeta, dw1, db1, dw2, db2)
 
 
-def _vjp_unshuffle(node, g):
-    # Row j of sample i went to row order[i, j]: gather it back.  The fill
-    # rows' gradients sum into the fill's, as add's rule sums a broadcast.
-    order, k = node.saved[0], node.attrs["k"]
-    return (g[_per_sample(order[:, :k])],
-            g[_per_sample(order[:, k:])].sum(axis=(0, 1)), None)
-
-
 def _vjp_mse_masked(node, g):
     pred, target, mask = node.saved
     p = pred.shape[-1]
@@ -1149,7 +1230,7 @@ _VJP = {
     "layernorm-linear": _vjp_layernorm_linear,
     "layernorm-mlp": _vjp_layernorm_mlp,
     "layernorm-attention": _vjp_layernorm_attention,
-    "unshuffle": _vjp_unshuffle,
+    "unshuffle-attention": _vjp_unshuffle_attention,
     "softmax-lastdim": _vjp_softmax,
     "gelu": _vjp_gelu,
     "mse-masked": _vjp_mse_masked,

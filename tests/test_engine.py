@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from blockmae import rng
+from blockmae import engine, rng
 from blockmae import tape as tape_module
 from blockmae.config import PRESETS, parse_config
 from blockmae.data import gen_synthetic_dataset
@@ -225,7 +225,7 @@ def test_step_reports_per_block_losses_and_zero_leak():
 
 
 def test_grow_step_runs_no_rule_for_the_boundary_gathers(monkeypatch):
-    # Each grown block gathers from its boundary copy, a constant leaf, so
+    # Each grown block gathers from its boundary leaf, a constant leaf, so
     # backward skips the gather's rule; the steps still gather 3 times.
     calls, gathers = [], []
     rule, record = tape_module._VJP["gather-rows"], Tape.gather_rows
@@ -242,7 +242,8 @@ def test_grow_step_runs_no_rule_for_the_boundary_gathers(monkeypatch):
 
 def test_release_frees_boundary_copy_and_constant_leaves():
     # The step's buffer/free pattern by hand: block 1 continues from block
-    # 0's boundary copy, which belongs to block 1 and is freed with it.
+    # 0's boundary leaf, which shares the array block 0's bridge saved,
+    # belongs to block 1 and is freed with it.
     spec = _tiny_spec(depth=2)
     params = build_model(spec, 2, seed=3, dtype=np.float64).params
     images = _images(spec, 2)
@@ -254,22 +255,23 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     def forward(i, x):
         with t.block(i):
             x = encoder_block_layer(t, params, f"enc.layer{i}", x, spec.heads)
+            pred = local_decoder_forward(t, params, spec, x, kept, i)
+            loss = reconstruction_loss(t, pred, targets, kept)
             xb = None
             if i == 0:
                 with t.block(1):
                     xb = t.boundary(x)
-            pred = local_decoder_forward(t, params, spec, x, kept, i)
-            return xb, reconstruction_loss(t, pred, targets, kept)
+            return xb, loss
 
     with t.block(0):
         tokens = embed_visible(t, params, spec, images, kept)
     xb, loss = forward(0, tokens)
-    unshuffle = next(n for n in t.nodes if n.kind == "unshuffle")
-    table = weakref.ref(unshuffle.inputs[2].value)   # the position leaf
+    entry = next(n for n in t.nodes if n.kind == "unshuffle-attention")
+    table = weakref.ref(entry.inputs[2].value)   # the position leaf
     copy = weakref.ref(xb.value)
     t.backward(loss)
     # Backward drops the constant leaves it walks; it has not walked the
-    # copy yet.
+    # boundary yet.
     assert table() is None and copy() is not None
     t.release_block_activations(0)
     assert all(n.value is None for n in t.nodes if n.block == 0 and n is not xb)
@@ -278,6 +280,28 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     assert copy() is not None   # until block 1, which reads it, is released
     t.release_block_activations(1)
     assert copy() is None and t.meter.live_activation_bytes == 0
+
+
+def test_patch_targets_die_with_their_block(monkeypatch):
+    # Each block builds its targets, and its backward drops them, before
+    # the next block's forward starts.
+    made, dead = [], []
+    targets, drop = engine.patch_targets, engine.incremental_drop
+
+    def recorded(images, spec):
+        out = targets(images, spec)
+        made.append(weakref.ref(out))
+        return out
+
+    def checked(*args):
+        dead.append([ref() is None for ref in made])
+        return drop(*args)
+    monkeypatch.setattr(engine, "patch_targets", recorded)
+    monkeypatch.setattr(engine, "incremental_drop", checked)
+    spec, _, units, plan, opt = _setup()
+    blockwise_train_step(units, _images(spec, 2), plan, opt, lr=1e-3,
+                         step_seed=5)
+    assert dead == [[True], [True] * 2, [True] * 3] and len(made) == 4
 
 
 def test_gradient_isolation_over_random_steps():

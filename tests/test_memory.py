@@ -1,11 +1,12 @@
 """Memory model: analytic-vs-measured agreement, published trends, compute."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from blockmae import ofa, rng
+from blockmae import memory, ofa, rng
 from blockmae.config import ConfigError, parse_config
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import (
@@ -143,16 +144,16 @@ def test_decoder_meter_equals_bridge_and_decoder_bytes(n_vis):
 
 
 def test_idealized_ratio_is_one_over_blocks():
-    # Less the bridge, decoder and loss, and less the boundary copy a block
-    # keeps for the next, the peak is the encoder's bytes: exactly 1/B.
+    # Less the bridge, decoder and loss, the peak is the encoder's bytes:
+    # exactly 1/B.  A block's output is charged once, by its bridge, and
+    # a later block's boundary stands in for its uncharged first input.
     s, batch, n, d = 4, 4, TOY.num_patches // 4, TOY.embed_dim
     head = _bridge_bytes(batch, n, d, s) + _decoder_bytes(TOY, batch, n, s)
     mae = BlockPlan(num_blocks=1, mask_schedule=(0.75,), mode="mae")
     base = analytic_peak(TOY, mae, batch=batch) - head
     for b in (1, 2, 4):
         plan = BlockPlan(num_blocks=b, mask_schedule=(0.75,) * b)
-        boundary = s * batch * n * d if b > 1 else 0
-        bim = analytic_peak(TOY, plan, batch=batch) - head - boundary
+        bim = analytic_peak(TOY, plan, batch=batch) - head
         assert bim * b == base
 
 
@@ -171,6 +172,29 @@ def test_measured_doubling_batch_doubles_peaks_ratio_invariant():
     assert r2[0].measured_peak_bytes == 2 * r1[0].measured_peak_bytes
     assert r2[1].measured_peak_bytes == 2 * r1[1].measured_peak_bytes
     assert r2[1].ratio_vs_mae == pytest.approx(r1[1].ratio_vs_mae, rel=1e-12)
+
+
+def test_compare_peak_frees_the_baseline_before_the_plans_step(monkeypatch):
+    # The baseline's parameters would otherwise live through the plan's
+    # step, which is the larger of the two.
+    built, alive = [], []
+    build, step = memory.build_model, memory.blockwise_train_step
+
+    def recorded(*args, **kwargs):
+        model = build(*args, **kwargs)
+        built.append([weakref.ref(a) for a in model.params.values()])
+        return model
+
+    def checked(*args, **kwargs):
+        alive.append([sum(ref() is not None for ref in refs)
+                      for refs in built])
+        return step(*args, **kwargs)
+    monkeypatch.setattr(memory, "build_model", recorded)
+    monkeypatch.setattr(memory, "blockwise_train_step", checked)
+    compare_peak(_spec(depth=4), BlockPlan(num_blocks=2,
+                                           mask_schedule=(0.5, 0.5)),
+                 batch=2, seed=1, dtype=np.float64)
+    assert alive == [[len(built[0])], [0, len(built[1])]]
 
 
 def test_mae_self_comparison_ratio_one():
@@ -316,11 +340,12 @@ def _warm_step_heap_over_metered(plan):
 def test_warm_blockwise_step_heap_within_bound_of_metered():
     # The meter charges saved buffers only; the process also holds the
     # gradient frontier, VJP temporaries (the normed rows, q|k|v, merged
-    # heads, attention probabilities and GELU outputs the fused nodes
-    # recompute among them) and the parameter gradients, but no released
-    # or dead forward value.  This reads about 1.38.
-    assert _warm_step_heap_over_metered(BlockPlan(
-        num_blocks=4, mask_schedule=(0.75,) * 4)) <= 1.4
+    # heads, attention probabilities, GELU outputs and decoder inputs the
+    # fused nodes recompute among them) and the parameter gradients, but
+    # no released or dead forward value.  This reads about 1.381.
+    ratio = _warm_step_heap_over_metered(BlockPlan(
+        num_blocks=4, mask_schedule=(0.75,) * 4))
+    assert ratio <= 1.4, f"heap / metered = {ratio:.4f}"
 
 
 @pytest.mark.parametrize("plan", [
@@ -329,9 +354,10 @@ def test_warm_blockwise_step_heap_within_bound_of_metered():
 ], ids=["grow", "mae"])
 def test_warm_step_heap_within_bound_of_metered(plan):
     # The same bound on the growing schedule, where block 0 holds the
-    # peak, and on desk-mae's one long backward.  These read about 1.21
-    # and 1.15.
-    assert _warm_step_heap_over_metered(plan) <= 1.4
+    # peak, and on desk-mae's one long backward.  These read about 1.217
+    # and 1.127.
+    ratio = _warm_step_heap_over_metered(plan)
+    assert ratio <= 1.4, f"heap / metered = {ratio:.4f}"
 
 
 def test_warm_blockwise_steps_fault_no_pages():

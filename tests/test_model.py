@@ -178,6 +178,9 @@ def test_mask_partition_and_restore_bijection():
     params = init_block_head_params(spec, 0, seed=3, dtype=np.float64)
     token = params["block0.dec.mask_token"]
     pos = sincos_pos_embed(spec.grid_side, spec.decoder_dim)
+    attention = [params[f"block0.dec.layer0.{name}"] for name in (
+        "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
+        "attn.out.b")]
     for trial in range(50):
         kept = mask_indices(n, 0.6, [rng.split(trial, i) for i in range(3)])
         mask = patch_mask(kept, n)
@@ -189,17 +192,24 @@ def test_mask_partition_and_restore_bijection():
         z = t.leaf(rng.normals(trial, 3 * k * spec.embed_dim).reshape(
             3, k, spec.embed_dim))
         local_decoder_forward(t, params, spec, z, kept, 0)
-        (dec_in,) = [node for node in t.nodes if node.kind == "unshuffle"]
-        bridged = dec_in.inputs[0].value
+        (entry,) = [node for node in t.nodes
+                    if node.kind == "unshuffle-attention"]
+        bridged = entry.inputs[0].value
+        # Patch kept[i, j] holds visible token j and every hidden patch the
+        # mask token, each plus its position row.
+        dec_in = np.empty((3, n, spec.decoder_dim))
         for i in range(3):
-            # Patch kept[i, j] holds visible token j and every hidden patch
-            # the mask token, each plus its position row.
             hidden = np.flatnonzero(mask[i])
             assert np.array_equal(np.sort(np.concatenate([kept[i], hidden])),
                                   np.arange(n))
-            assert np.array_equal(dec_in.value[i, kept[i]],
-                                  bridged[i] + pos[kept[i]])
-            assert np.array_equal(dec_in.value[i, hidden], token + pos[hidden])
+            dec_in[i, kept[i]] = bridged[i] + pos[kept[i]]
+            dec_in[i, hidden] = token + pos[hidden]
+        # The node is the first layer's attention sublayer of that input.
+        ref = Tape()
+        want = ref.layernorm_attention(ref.leaf(dec_in),
+                                       *(ref.leaf(a) for a in attention),
+                                       spec.decoder_heads)
+        assert np.array_equal(entry.value, want.value)
 
 
 def test_mask_keep_frequency_monte_carlo():

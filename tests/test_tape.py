@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -231,9 +232,10 @@ def test_linear_bitwise_equal_matmul_plus_bias(dtype):
     assert all(np.array_equal(g1[k], g2[k]) for k in ("x", "w", "b"))
 
 
-# Each sample's shuffled-row order for the unshuffle node's inputs: 3
-# rows of x, then 2 fill rows.
+# Each sample's shuffled-row order for the decoder-entry node's inputs:
+# 3 rows of z, then 2 fill rows.
 _ORDER = np.array([[3, 0, 4, 1, 2], [1, 2, 0, 4, 3]])
+_ATTENTION = ("gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")
 
 
 def _fused(t, kind, v):
@@ -243,16 +245,26 @@ def _fused(t, kind, v):
     return _fused_and_unfused(t, kind, v)[0]
 
 
+def _unshuffle_then_attention(t, z, fill, pos, order, attention, heads):
+    """The decoder input as zeros + fill, concat, gather and position add,
+    then its attention sublayer: the unfused `Tape.unshuffle_attention`."""
+    b, k, d = z.shape
+    fills = t.add(t.leaf(np.zeros((b, order.shape[1] - k, d), z.dtype)), fill)
+    ordered = t.gather_rows(t.concat_rows([z, fills]),
+                            np.argsort(order, axis=1))
+    return t.layernorm_attention(t.add(ordered, pos), *attention, heads)
+
+
 def _fused_and_unfused(t, kind, v):
     """The fused node `kind` over leaves v, and the same function as the
     nodes it fuses, both recorded on tape t."""
-    if kind == "unshuffle":
-        x = v["x"]
-        pos = t.leaf(_rand(88, 5, 4).astype(x.dtype))   # a constant
-        fills = t.add(t.leaf(np.zeros((2, 2, 4), x.dtype)), v["fill"])
-        ordered = t.gather_rows(t.concat_rows([x, fills]),
-                                np.argsort(_ORDER, axis=1))
-        return t.unshuffle(x, v["fill"], pos, _ORDER), t.add(ordered, pos)
+    if kind == "unshuffle-attention":
+        z, fill = v["z"], v["fill"]
+        pos = t.leaf(_rand(88, 5, 4).astype(z.dtype))   # a constant
+        attention = [v[k] for k in _ATTENTION]
+        return (t.unshuffle_attention(z, fill, pos, _ORDER, *attention, 2),
+                _unshuffle_then_attention(t, z, fill, pos, _ORDER, attention,
+                                          2))
     if kind == "layernorm-linear":
         args = (v["x"], v["gamma"], v["beta"], v["w"], v["b"])
         return (t.layernorm_linear(*args),
@@ -274,8 +286,11 @@ def _fused_inputs(kind, dtype, seed=81):
     if kind == "layernorm-mlp":
         shapes = {"x": (2, 5, 4), "gamma": (4,), "beta": (4,), "w1": (4, 6),
                   "b1": (6,), "w2": (6, 4), "b2": (4,)}
-    if kind == "unshuffle":
-        shapes = {"x": (2, 3, 4), "fill": (4,)}
+    if kind == "unshuffle-attention":
+        vals = _attention_inputs(2, 5, 4, dtype, seed)
+        del vals["x"]
+        return {"z": (_rand(seed + 7, 2, 3, 4) * 1.5).astype(dtype),
+                "fill": (_rand(seed + 8, 4) * 1.5).astype(dtype), **vals}
     if kind == "layernorm-attention":
         return _attention_inputs(2, 5, 4, dtype, seed)
     return {k: (_rand(seed + i, *shape) * 1.5).astype(dtype)
@@ -284,7 +299,7 @@ def _fused_inputs(kind, dtype, seed=81):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear",
-                                  "unshuffle"])
+                                  "unshuffle-attention"])
 def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     # One tape: the fused node and the nodes it fuses read the same leaves,
     # and one loss sums both outputs' errors, so every input gradient is
@@ -323,7 +338,7 @@ def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
       for v in ("x", "gamma", "beta", "w1", "b1", "w2", "b2")),
     *(("layernorm-attention", v) for v in (
         "x", "gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")),
-    ("unshuffle", "x"), ("unshuffle", "fill"),
+    *(("unshuffle-attention", v) for v in ("z", "fill") + _ATTENTION),
     ("linear", "res")])
 def test_grad_fused_nodes(kind, var):
     vals = _fused_inputs(kind, np.float64, seed=6300)
@@ -391,17 +406,32 @@ def test_attention_and_unshuffle_refuse_mismatched_shapes():
         with pytest.raises(DimensionError, match=match):
             attention_with(changed)
     order = np.array([[0, 1, 2], [2, 1, 0]])
+    z = t.leaf(np.zeros((2, 2, 4)))
     fill, pos = t.leaf(np.zeros(4)), t.leaf(np.zeros((3, 4)))
+    attention = [t.leaf(np.zeros(s)) for s in shapes]
     for args in ((x, fill, pos, order),                 # 5 rows for 3
-                 (t.leaf(np.zeros((2, 2, 4))), t.leaf(np.zeros(3)), pos,
-                  order),
-                 (t.leaf(np.zeros((2, 2, 4))), fill, pos, order[:1]),
+                 (z, t.leaf(np.zeros(3)), pos, order),
+                 (z, fill, pos, order[:1]),
                  (t.leaf(np.zeros((2, 4))), fill, pos, order)):
-        with pytest.raises(DimensionError, match="unshuffle needs x"):
-            t.unshuffle(*args)
+        with pytest.raises(DimensionError,
+                           match="unshuffle-attention needs z"):
+            t.unshuffle_attention(*args, *attention, 2)
     with pytest.raises(ContractError, match="permutations"):
-        t.unshuffle(t.leaf(np.zeros((2, 2, 4))), fill, pos,
-                    np.array([[0, 1, 1], [2, 1, 0]]))
+        t.unshuffle_attention(z, fill, pos, np.array([[0, 1, 1], [2, 1, 0]]),
+                              *attention, 2)
+    # the attention sublayer's checks, on the [2, 3, 4] decoder input
+    for i, shape, match in (
+            (0, (3,), "layernorm affine"),
+            (2, (3, 12), r"unshuffle-attention extent mismatch: "
+                         r"\(2, 3, 4\) x \(3, 12\)"),
+            (4, (6, 4), r"unshuffle-attention extent mismatch: "
+                        r"\(2, 3, 4\) x \(6, 4\)")):
+        args = list(attention)
+        args[i] = t.leaf(np.zeros(shape))
+        with pytest.raises(DimensionError, match=match):
+            t.unshuffle_attention(z, fill, pos, order, *args, 2)
+    with pytest.raises(DimensionError, match="divisible by 3 heads"):
+        t.unshuffle_attention(z, fill, pos, order, *attention, 3)
     assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
@@ -452,7 +482,10 @@ def _one_node_per_backward_rule():
         t.layernorm_attention(act(22, 2, 3, 4), leaf(42, 4), leaf(43, 4),
                               leaf(44, 4, 12), leaf(45, 12), leaf(46, 4, 4),
                               leaf(47, 4), 2),
-        t.unshuffle(act(48, 2, 3, 4), leaf(49, 4), leaf(50, 5, 4), _ORDER),
+        t.unshuffle_attention(act(48, 2, 3, 4), leaf(49, 4), leaf(50, 5, 4),
+                              _ORDER, leaf(51, 4), leaf(52, 4),
+                              leaf(53, 4, 12), leaf(54, 12), leaf(55, 4, 4),
+                              leaf(56, 4), 2),
         t.add(act(8, 2, 3, 4), act(9, 4)),
         t.scale(act(10, 3, 4), 0.5),
         t.transpose(act(11, 2, 3, 4)),
@@ -722,7 +755,7 @@ def test_backward_requires_scalar():
 # ----- block-boundary isolation ---------------------------------------------
 
 def _two_block_chain(t, x_val, w1_val, w2_val, boundary=False):
-    """Block 1 reads block 0's output h, or a boundary copy of it."""
+    """Block 1 reads block 0's output h, or a boundary leaf of it."""
     with t.block(0):
         w1 = t.leaf(w1_val, name="w1", requires_grad=True)
         x = t.leaf(x_val)
@@ -740,7 +773,7 @@ def _two_block_chain(t, x_val, w1_val, w2_val, boundary=False):
 def test_boundary_isolation_drops_earlier_blocks():
     # Block tags do not stop gradients: block 1 reading block 0's live node
     # gets block 0's parameter too, which a training step rejects.  Through
-    # the boundary copy it gets its own parameter only.
+    # the boundary leaf it gets its own parameter only.
     x, w1, w2 = _rand(1, 4, 3), _rand(2, 3, 3), _rand(3, 3, 2)
     t = Tape()
     assert set(t.backward(_two_block_chain(t, x, w1, w2))) == {"w1", "w2"}
@@ -764,7 +797,7 @@ def test_boundary_none_matches_chain_rule():
 
 
 def test_boundary_restriction_bitwise_equal_without_sharing():
-    # w2's gradient through the boundary copy equals the full chain's
+    # w2's gradient through the boundary leaf equals the full chain's
     x, w1, w2 = _rand(11, 4, 3), _rand(12, 3, 3), _rand(13, 3, 2)
     t1 = Tape()
     full = t1.backward(_two_block_chain(t1, x, w1, w2))
@@ -819,11 +852,52 @@ def test_release_frees_exact_bytes_and_keeps_boundary():
     live_full = t.meter.live_activation_bytes
     t.backward(loss0)
     block0_bytes = sum(n.bytes for n in t.nodes if n.block == 0 and n is not xb)
+    # block 0's loss saves h0, whose array the boundary shares: the loss
+    # charges it until block 0 is released, and the boundary from then on
+    assert xb.bytes == 0
     freed = t.release_block_activations(0)
-    assert freed == block0_bytes
+    assert freed == block0_bytes - xb.value.nbytes
     assert t.meter.live_activation_bytes == live_full - freed
-    # boundary still charged: it is block 1's
-    assert xb.bytes > 0 and not xb.disposed
+    # boundary now charged: it is block 1's
+    assert xb.bytes == xb.value.nbytes > 0 and not xb.disposed
+
+
+def test_boundary_shares_its_producers_array_read_only_until_released():
+    t = Tape()
+    _, xb, loss0, loss1 = _tagged_step(t)
+    (h0,) = [n for n in t.nodes if n.kind == "gelu" and n.block == 0]
+    array = h0.value
+    assert np.shares_memory(xb.value, array)
+    assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        array += 1.0
+    # The loss, which saves h0, charges the array until block 0 is
+    # released; the boundary from then on, so it is never charged twice.
+    charged = [n for n in t.nodes if any(a is array for a in n.saved or ())
+               and n.bytes]
+    assert [n.kind for n in charged] == ["mse-masked"]
+    assert xb.bytes == 0
+    t.backward(loss0)
+    t.release_block_activations(0)
+    assert xb.bytes == array.nbytes
+    alive = weakref.ref(array)
+    del array, h0
+    t.backward(loss1)
+    assert alive() is not None   # until block 1, which reads it, is released
+    t.release_block_activations(1)
+    assert alive() is None and t.meter.live_activation_bytes == 0
+
+
+def test_boundary_of_an_array_no_node_of_its_block_saves_is_charged_at_once():
+    t = Tape()
+    with t.block(0):
+        h = t.scale(t.leaf(_rand(5, 2, 3)), 2.0)
+        leaf = t.leaf(_rand(6, 2, 3))
+    with t.block(1):
+        hb, lb = t.boundary(h), t.boundary(leaf)
+    assert hb.bytes == lb.bytes == h.value.nbytes
+    assert t.meter.live_activation_bytes == 2 * h.value.nbytes
+    assert not (h.value.flags.writeable or leaf.value.flags.writeable)
 
 
 def test_release_before_backward_is_lifecycle_error():
@@ -855,7 +929,7 @@ def test_backward_after_release_is_lifecycle_error():
 
 
 def test_backward_into_released_node_is_lifecycle_error():
-    # Block 1 reads block 0's output itself, not a boundary copy of it.
+    # Block 1 reads block 0's output itself, not a boundary leaf of it.
     t = Tape()
     with t.block(0):
         w0 = t.leaf(_rand(41, 4, 4), name="w0", requires_grad=True)
@@ -879,17 +953,17 @@ def test_backward_drops_walked_values_and_keeps_the_loss():
     live = t.meter.live_activation_bytes
     first = t.backward(loss1)
     assert first.keys() == {"b1.w"}
-    # Block 1, the boundary copy it reads included, is walked.  Only the
+    # Block 1, the boundary leaf it reads included, is walked.  Only the
     # loss and the parameter keep their values; constant leaves and the
-    # copy lose theirs, and the copy's array stays in its saved list until
-    # block 1 is released.
+    # boundary lose theirs, and the boundary's array stays in its saved
+    # list until block 1 is released.
     walked = [n for n in t.nodes if n.block == 1]
     assert xb in walked
     assert loss1 in walked and loss1.value is not None
     assert [n.name for n in walked if n.value is not None] == ["b1.w", None]
     assert sum(n.is_leaf and not n.requires_grad for n in walked) == 3
     assert xb.value is None and xb.saved[0] is copy
-    # Block 0, which block 1 reads through the boundary copy only, keeps
+    # Block 0, which block 1 reads through the boundary leaf only, keeps
     # its values.
     assert all(n.value is not None for n in t.nodes
                if n.block == 0 and n is not xb)
@@ -905,7 +979,7 @@ def test_backward_drops_walked_values_and_keeps_the_loss():
 
 
 def test_backward_skips_a_rule_whose_inputs_take_no_gradient(monkeypatch):
-    # A gather of a boundary copy, as incremental_drop's: its one input is
+    # A gather of a boundary leaf, as incremental_drop's: its one input is
     # a constant leaf, so its rule would make a gradient that is thrown
     # away.  A gather of an activation runs its rule.
     calls = []
@@ -960,7 +1034,9 @@ def test_full_release_drains_live_to_zero():
 
 def test_dispose_frees_one_node_once():
     t = Tape()
-    _, xb, _, _ = _tagged_step(t)
+    _, xb, loss0, _ = _tagged_step(t)
+    t.backward(loss0)
+    t.release_block_activations(0)   # which hands h0's charge to xb
     live = t.meter.live_activation_bytes
     assert t.dispose(xb) == xb.bytes > 0
     assert xb.disposed and xb.value is None and xb.saved is None
@@ -1135,6 +1211,45 @@ def test_attention_rebuilt_probabilities_bitwise_equal_to_saved(
     node = t.layernorm_attention(*(t.leaf(a) for a in vals.values()), heads)
     _assert_attention_matches_whole_probabilities(
         node, heads, g, _VJP[node.kind](node, g))
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b,k,n,d,heads", [(64, 16, 64, 32, 1),
+                                           (3, 2, 5, 12, 3)])
+def test_decoder_entry_bitwise_equal_unshuffle_then_attention(
+        monkeypatch, b, k, n, d, heads, dtype, parts):
+    # The desk decoder's shape, in several chunks of samples per thread,
+    # and a 3-head one: the node that saves z and rebuilds the decoder
+    # input gives the output and every gradient of the input built by
+    # five nodes and then attention's node.
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    vals = _attention_inputs(b, n, d, dtype, 230 + n)
+    del vals["x"]
+    vals = {"z": _rand(240, b, k, d).astype(dtype),
+            "fill": _rand(241, d).astype(dtype), **vals}
+    pos = _rand(242, n, d).astype(dtype)
+    order = np.stack([rng.permutation(243 + i, n) for i in range(b)])
+    target = _rand(250, b, n, d).astype(dtype)
+
+    def run(fused):
+        t = Tape()
+        v = {name: t.leaf(a, name=name, requires_grad=True)
+             for name, a in vals.items()}
+        attention = [v[name] for name in _ATTENTION]
+        args = (v["z"], v["fill"], t.leaf(pos), order)
+        y = (t.unshuffle_attention(*args, *attention, heads) if fused
+             else _unshuffle_then_attention(t, *args, attention, heads))
+        out = y.value.copy()
+        return out, t.backward(t.mse_masked(y, t.leaf(target),
+                                            t.leaf(np.ones((b, n), dtype))))
+
+    (y, grads), (y_ref, grads_ref) = run(True), run(False)
+    assert y.dtype == dtype and np.array_equal(y, y_ref)
+    assert grads.keys() == grads_ref.keys() == set(vals)
+    for name, g in grads.items():
+        assert g.dtype == dtype, name
+        assert np.array_equal(g, grads_ref[name]), name
 
 
 @pytest.mark.parametrize("parts", [1, 2])
