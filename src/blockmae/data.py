@@ -16,6 +16,8 @@ from . import rng
 
 MAGIC = b"BIMD"
 VERSION = 1
+AMPLITUDE = 0.30
+BLOB_AMPLITUDE = 0.10
 
 
 class FormatError(Exception):
@@ -45,13 +47,12 @@ class Dataset:
 
 
 def gen_synthetic_dataset(image_size, count, seed, channels=1, num_classes=4,
-                          amplitude=0.30, blob_amplitude=0.10, noise=0.0,
-                          phase_range=0.25):
+                          noise=0.0, phase_range=0.25):
     """Deterministic labeled images: oriented gratings plus blob clutter.
 
     Per sample: orientation class k fixes the grating angle k*pi/C; the
     phase is jittered within phase_range periods (default a quarter
-    period) and the amplitude within +-17% of `amplitude`, so the class
+    period) and the amplitude within +-17% of AMPLITUDE, so the class
     mean pattern dominates and raw pixels stay linearly separable at the
     defaults.  Two Gaussian blobs add local structure worth
     reconstructing; `noise` adds uniform pixel noise.  phase_range=1.0
@@ -73,7 +74,7 @@ def gen_synthetic_dataset(image_size, count, seed, channels=1, num_classes=4,
         k = int(u[0] * num_classes)
         theta = np.pi * k / num_classes
         phase = (u[1] - 0.5) * (2.0 * np.pi * phase_range)
-        amp = amplitude * (0.83 + 0.34 * u[2])
+        amp = AMPLITUDE * (0.83 + 0.34 * u[2])
         wave = np.sin(2.0 * np.pi * freq * (xx * np.cos(theta)
                                             + yy * np.sin(theta)) + phase)
         img = 0.5 + amp * wave
@@ -81,7 +82,7 @@ def gen_synthetic_dataset(image_size, count, seed, channels=1, num_classes=4,
             cx, cy = u[3 + 2 * bl], u[4 + 2 * bl]
             sig = 0.08 + 0.04 * u[7 if bl == 0 else 8]
             blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig * sig))
-            img = img + blob_amplitude * blob * (1.0 if bl == 0 else -1.0)
+            img = img + BLOB_AMPLITUDE * blob * (1.0 if bl == 0 else -1.0)
         if noise > 0.0:
             jit = rng.uniforms(rng.split(s, "noise"), side * side)
             img = img + noise * (jit.reshape(side, side) - 0.5)

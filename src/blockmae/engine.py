@@ -4,9 +4,9 @@ Partitions the encoder into gradient-isolated blocks with local decoders,
 applies the incremental masking layer between blocks, and executes the
 buffer/free pattern: forward block i, decode and update locally, release
 it, drop extra tokens, continue.  Block i's output is held once: block
-i+1's boundary leaf shares the array block i's bridge saved, and takes
-over its charge when block i is released.  Each block builds its own
-patch targets, which die with its backward.
+i+1's boundary leaf, recorded after block i's release, shares the array
+block i's bridge saved and charges it from then on.  Each block builds
+its own patch targets, which die with its backward.
 
 `BlockPlan` owns the schedule rules (name, ratio range, one ratio per
 block, order) and `block_layers` the block layout.  The end-to-end
@@ -38,8 +38,9 @@ class IsolationError(Exception):
 
 @dataclass
 class BlockPlan:
-    """Block count, per-block masking ratios, and name ("mae" only for one
-    block); the one place a schedule is checked, each raising ScheduleError."""
+    """Block count and per-block masking ratios; the one place a schedule
+    is checked, each raising ScheduleError.  Only its own rule reads `mode`
+    ("mae" only for one block), which stays for perfbench's `plan_of`."""
 
     num_blocks: int = 4
     mask_schedule: tuple = (0.75, 0.75, 0.75, 0.75)
@@ -205,12 +206,9 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
             pred = local_decoder_forward(tape, params, spec, x, kept, i)
             loss = reconstruction_loss(tape, pred, patch_targets(images, spec),
                                        kept)
-            if i < plan.num_blocks - 1:
-                # After the bridge, which saves x: block i+1 reads the
-                # boundary and frees it, and block i's release hands the
-                # bridge's charge of x over to it.
-                with tape.block(i + 1):
-                    xb = tape.boundary(x)
+        # Backward drops x's value, so hold block i's output for block
+        # i+1's boundary; the last block's output dies with its release.
+        out = x.value if i < plan.num_blocks - 1 else None
         table = tape.backward(loss)
         foreign = sorted(set(table) - set(unit.param_names))
         if foreign:
@@ -219,6 +217,10 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
         optimizer.step(params, table, lr)
         losses.append(float(loss.value))
         tape.release_block_activations(i)
+        if out is not None:
+            # From here block i+1's boundary alone charges block i's output.
+            with tape.block(i + 1):
+                xb = tape.boundary(out)
         live_trace.append(tape.meter.live_activation_bytes)
     if tape.meter.live_activation_bytes != 0:
         raise IsolationError(

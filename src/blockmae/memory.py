@@ -111,9 +111,10 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
     The peak is the largest block's live bytes: its encoder layers, bridge,
     local decoder and loss, plus the token-stream buffers from the block
     before (its boundary and the drop indices).  A block's own output is
-    the bridge's saved input until the block is released, and only then
-    the next block's boundary: it is counted once.  End-to-end MAE is the
-    one-block case: every layer of one long backward, with no boundary.
+    the bridge's saved input until the block is released; the next
+    block's boundary is recorded after that release, so the output is
+    counted once.  End-to-end MAE is the one-block case: every layer of
+    one long backward, with no boundary.
     """
     s = dtype_size
     b = batch
@@ -160,8 +161,8 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
     The end-to-end baseline masks at the plan's initial ratio so both
     modes see identical input visibility; its model is freed before the
     plan's is built.  Raises if a plan of two or more blocks fails to come
-    in under the baseline; a one-block plan is the baseline itself, at
-    ratio 1.
+    in under the baseline.  A one-block plan is the baseline itself: its
+    step runs once, and both rows are labelled "mae", at ratio 1.
     """
     dtype = np.dtype(dtype)
     s = dtype.itemsize
@@ -170,7 +171,7 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
     mae_plan = BlockPlan(num_blocks=1, mask_schedule=plan.mask_schedule[:1])
     try:
         rep_m = _metered_step(spec, mae_plan, images, seed, dtype)
-        rep_p = (rep_m if plan.mode == "mae"
+        rep_p = (rep_m if plan.num_blocks == 1
                  else _metered_step(spec, plan, images, seed, dtype))
     except MemoryError as exc:
         raise ResourceError(
@@ -183,7 +184,8 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
                      analytic_peak_bytes=analytic_peak(spec, mae_plan, batch, s),
                      measured_peak_bytes=rep_m.peak_activation_bytes,
                      ratio_vs_mae=1.0),
-        MemoryReport(mode=plan.mode, batch=batch,
+        MemoryReport(mode="mae" if plan.num_blocks == 1 else "blockwise",
+                     batch=batch,
                      config=_config_summary(spec, plan),
                      analytic_peak_bytes=analytic_peak(spec, plan, batch, s),
                      measured_peak_bytes=rep_p.peak_activation_bytes,

@@ -224,7 +224,7 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
             images = ds.images(idx, dtype=dtype)
             lr = lr_at_step(gstep, steps_per_epoch, t)
             step_seed = rng.split(t.seed, "step", epoch, step)
-            if plan.mode == "mae":
+            if plan.num_blocks == 1:
                 rep = mae_train_step(units, images, plan.mask_schedule[0],
                                      opt, lr, step_seed)
             else:

@@ -37,18 +37,17 @@ Charged buffers per primitive:
                   z's rows plus the position table, is not saved: backward
                   rebuilds it from z, the order and those two leaves
     mse-masked    prediction value (when non-leaf)
-    boundary      x's array itself, shared, not copied, and charged once:
-                  by the node of x's block that saves it until that block
-                  is released, by the boundary from then on; by the
-                  boundary from the start when no node of x's block saves it
+    boundary      the array it is given, shared, not copied, and charged
+                  from the moment it is recorded: after the release of the
+                  block that produced it, so the array is charged once
 
 Every node, leaves included, takes its block tag from the `Tape.block`
 scope open when it is recorded (None outside any scope); that scope is
 the only way a node gets a tag.  Release and its lifecycle check select
 nodes by this tag; gradients never read it.  Blocks are isolated by the
 `boundary` leaf alone: backward stops at leaves, and a later block
-continues from its boundary leaf of the earlier block's output, which
-shares that output's array and makes it read-only.
+continues from a boundary leaf of the earlier block's output array,
+recorded once the earlier block is released.
 
 Lifecycle.  A backward rule reads only its node's `saved` buffers, its
 `attrs` and the incoming gradient, never a `value`.  So backward drops the
@@ -61,18 +60,20 @@ the meter charges them until release, so the peak and the live counter
 read the same as if they were kept.  A rule may write over a buffer its
 own node made (the MLP node's CDF term), since nothing reads it after
 the rule, but never into a saved input: another node, a later block's
-boundary leaf among them, may hold the same array.  A node none of whose
-inputs takes a gradient (each is a leaf without `requires_grad`) has its
-rule skipped and its saved buffers dropped all the same.  Releasing a
-node, a leaf or not, drops both its value and its saved buffers and
-decreases the live counter by exactly the node's charged bytes; releasing
-a block then charges each boundary leaf whose array that block's nodes
-held, so the counter falls by the block's bytes less those.  Parameter
-arrays outlive their leaves in the caller's table.  Running backward
-through a released node, or through a node an earlier backward ran the
-rule of, is a lifecycle error, and a later block must continue from a
-`boundary` leaf, not from an earlier block's nodes, whose values are gone
-after that block's backward.
+boundary leaf among them, may hold the same array.  Every activation a
+node saves is made read-only when it is saved, so such a write raises;
+leaf arrays are not touched, and the optimizer updates the parameters in
+place.  A node none of whose inputs takes a gradient (each is a leaf
+without `requires_grad`) has its rule skipped and its saved buffers
+dropped all the same.  Releasing a node, a leaf or not, drops both its
+value and its saved buffers and decreases the live counter by exactly
+the node's charged bytes, fixed when it was recorded; releasing a block
+frees the sum of its nodes' bytes.  Parameter arrays outlive their leaves
+in the caller's table.  Running backward through a released node, or
+through a node an earlier backward ran the rule of, is a lifecycle
+error, and a later block must continue from a `boundary` leaf, not from
+an earlier block's nodes, whose values are gone after that block's
+backward.
 
 Backward keeps only the gradient frontier: a non-leaf node's gradient is
 dropped as soon as its backward rule has run, so intermediate gradients do
@@ -272,7 +273,6 @@ class Tape:
         self._block = None
         self._released_blocks = set()
         self._backwarded_blocks = set()
-        self._handovers = {}   # block -> boundary leaves its nodes hold
 
     # ----- recording -------------------------------------------------
 
@@ -306,7 +306,10 @@ class Tape:
 
     @staticmethod
     def _act(x):
-        """saved-pair helper: charge only activation (non-leaf) buffers."""
+        """saved-pair helper: charge only activation (non-leaf) buffers, and
+        make them read-only, so no rule can write into a saved input."""
+        if not x.is_leaf:
+            x.value.flags.writeable = False
         return (x.value, not x.is_leaf)
 
     # ----- primitives ------------------------------------------------
@@ -590,27 +593,20 @@ class Tape:
         return self._register(node, [self._act(pred), self._act(target),
                                       self._act(mask)])
 
-    def boundary(self, x):
-        """x's array as a detached constant leaf: shared, not copied, and
-        read-only from now on, so no rule can write into it.
+    def boundary(self, value):
+        """The array `value` as a detached constant leaf: shared, not
+        copied, read-only from now on, and charged at once.
 
-        Record it in the scope of the block that reads it, after the nodes
-        of x's block that save x: gradients of later losses stop at this
-        leaf, and that block's release frees it.  The array is charged
-        once: by the node of x's block that saves it until x's block is
-        released, then by this leaf; by this leaf from now on when no node
-        of x's block saves it.
+        Record it in the scope of the block that reads it, after the
+        release of the block that produced it: gradients of later losses
+        stop at this leaf, and the reading block's release frees it.
+        Recorded before its producer's release, the array is charged twice,
+        by the producer's node that saves it and by this leaf, until that
+        release.
         """
-        value = x.value
         value.flags.writeable = False
-        held = not x.is_leaf and x.block is not None and any(
-            n.block == x.block and n.saved and any(a is value for a in n.saved)
-            for n in self.nodes)
-        node = self._register(Node("boundary", value, (), is_leaf=True),
-                              [(value, not held)])
-        if held:
-            self._handovers.setdefault(x.block, []).append(node)
-        return node
+        return self._register(Node("boundary", value, (), is_leaf=True),
+                              [(value, True)])
 
     # ----- backward ----------------------------------------------------
 
@@ -693,12 +689,11 @@ class Tape:
     # ----- release -----------------------------------------------------
 
     def release_block_activations(self, block_id):
-        """Drop values and saved buffers of all nodes tagged block_id, and
-        charge the boundary leaves whose arrays they held.
+        """Drop values and saved buffers of all nodes tagged block_id.
 
         Requires that the block's backward already ran; repeated release of
         the same block is an error.  Returns the number of bytes freed: the
-        block's charged bytes less those handed over.
+        block's charged bytes.
         """
         if block_id in self._released_blocks:
             raise LifecycleError(f"block {block_id} already released")
@@ -709,11 +704,6 @@ class Tape:
         for node in self.nodes:
             if node.block == block_id and not node.disposed:
                 freed += self._dispose(node)
-        for node in self._handovers.pop(block_id, ()):
-            if not node.disposed:
-                node.bytes = node.saved[0].nbytes
-                self.meter.charge(node.bytes)
-                freed -= node.bytes
         self._released_blocks.add(block_id)
         return freed
 

@@ -241,9 +241,10 @@ def test_grow_step_runs_no_rule_for_the_boundary_gathers(monkeypatch):
 
 
 def test_release_frees_boundary_copy_and_constant_leaves():
-    # The step's buffer/free pattern by hand: block 1 continues from block
-    # 0's boundary leaf, which shares the array block 0's bridge saved,
-    # belongs to block 1 and is freed with it.
+    # The step's buffer/free pattern by hand: block 1 continues from a
+    # boundary leaf of block 0's output, recorded after block 0's release.
+    # It shares the array block 0's bridge saved, belongs to block 1 and
+    # is freed with it.
     spec = _tiny_spec(depth=2)
     params = build_model(spec, 2, seed=3, dtype=np.float64).params
     images = _images(spec, 2)
@@ -256,30 +257,68 @@ def test_release_frees_boundary_copy_and_constant_leaves():
         with t.block(i):
             x = encoder_block_layer(t, params, f"enc.layer{i}", x, spec.heads)
             pred = local_decoder_forward(t, params, spec, x, kept, i)
-            loss = reconstruction_loss(t, pred, targets, kept)
-            xb = None
-            if i == 0:
-                with t.block(1):
-                    xb = t.boundary(x)
-            return xb, loss
+            return x, reconstruction_loss(t, pred, targets, kept)
 
     with t.block(0):
         tokens = embed_visible(t, params, spec, images, kept)
-    xb, loss = forward(0, tokens)
+    x, loss = forward(0, tokens)
+    out = x.value
     entry = next(n for n in t.nodes if n.kind == "unshuffle-attention")
     table = weakref.ref(entry.inputs[2].value)   # the position leaf
-    copy = weakref.ref(xb.value)
+    copy = weakref.ref(out)
     t.backward(loss)
-    # Backward drops the constant leaves it walks; it has not walked the
-    # boundary yet.
+    # Backward drops the constant leaves it walks.
     assert table() is None and copy() is not None
     t.release_block_activations(0)
-    assert all(n.value is None for n in t.nodes if n.block == 0 and n is not xb)
+    assert all(n.value is None for n in t.nodes if n.block == 0)
+    assert t.meter.live_activation_bytes == 0
+    with t.block(1):
+        xb = t.boundary(out)
+    del out
+    assert t.meter.live_activation_bytes == xb.bytes
     _, loss = forward(1, xb)
     t.backward(loss)
     assert copy() is not None   # until block 1, which reads it, is released
     t.release_block_activations(1)
     assert copy() is None and t.meter.live_activation_bytes == 0
+
+
+@pytest.mark.parametrize("schedule", [(0.75,) * 4, (0.5, 0.625, 0.75, 0.875)])
+def test_boundary_is_recorded_once_its_producer_is_released(monkeypatch,
+                                                            schedule):
+    # A desk-model step: when block i+1's boundary is recorded, the live bytes
+    # are those right after block i's release, so nothing of block i still
+    # charges the array and the boundary charges it once.
+    events = []
+    boundary, release = Tape.boundary, Tape.release_block_activations
+
+    def recorded_boundary(self, value):
+        events.append(("boundary", self._block,
+                       self.meter.live_activation_bytes))
+        return boundary(self, value)
+
+    def recorded_release(self, block_id):
+        freed = release(self, block_id)
+        events.append(("release", block_id, self.meter.live_activation_bytes))
+        return freed
+    monkeypatch.setattr(Tape, "boundary", recorded_boundary)
+    monkeypatch.setattr(Tape, "release_block_activations", recorded_release)
+    spec = parse_config(PRESETS["desk-blockwise"]).model
+    batch = 2
+    plan = BlockPlan(num_blocks=4, mask_schedule=schedule)
+    units = partition_encoder(build_model(spec, 4, seed=3, dtype=np.float32))
+    rep = blockwise_train_step(units, _images(spec, batch, dtype=np.float32),
+                               plan, AdamW(), lr=1e-3, step_seed=5)
+    assert [e[:2] for e in events] == [
+        ("release", 0), ("boundary", 1), ("release", 1), ("boundary", 2),
+        ("release", 2), ("boundary", 3), ("release", 3)]
+    for (_, _, released), (_, _, recorded) in zip(events[::2], events[1::2]):
+        assert recorded == released == 0
+    # Live bytes after each release: the next block's boundary, which
+    # holds the released block's output.
+    out_bytes = [batch * keep_count(spec.num_patches, r) * spec.embed_dim * 4
+                 for r in schedule[:3]]
+    assert rep.live_after_release == out_bytes + [0]
 
 
 def test_patch_targets_die_with_their_block(monkeypatch):

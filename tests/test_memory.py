@@ -145,8 +145,10 @@ def test_decoder_meter_equals_bridge_and_decoder_bytes(n_vis):
 
 def test_idealized_ratio_is_one_over_blocks():
     # Less the bridge, decoder and loss, the peak is the encoder's bytes:
-    # exactly 1/B.  A block's output is charged once, by its bridge, and
-    # a later block's boundary stands in for its uncharged first input.
+    # exactly 1/B.  A block's output is charged once: by its bridge until
+    # the block is released, then by the next block's boundary, recorded
+    # after that release, which stands in for that block's uncharged first
+    # input.
     s, batch, n, d = 4, 4, TOY.num_patches // 4, TOY.embed_dim
     head = _bridge_bytes(batch, n, d, s) + _decoder_bytes(TOY, batch, n, s)
     mae = BlockPlan(num_blocks=1, mask_schedule=(0.75,), mode="mae")
@@ -205,6 +207,20 @@ def test_mae_self_comparison_ratio_one():
         rows = compare_peak(spec, plan, batch=2, seed=7, dtype=np.float64)
         assert rows[1].ratio_vs_mae == 1.0, mode
         assert rows[1].analytic_peak_bytes == rows[0].analytic_peak_bytes, mode
+
+
+def test_one_block_plan_runs_the_baseline_step_once_whatever_its_name(
+        monkeypatch):
+    # The block count decides, not the plan's name: a one-block plan named
+    # "blockwise" reuses the baseline's step and its row reads "mae".
+    calls = []
+    step = memory._metered_step
+    monkeypatch.setattr(memory, "_metered_step",
+                        lambda *args: calls.append(args[1]) or step(*args))
+    rows = compare_peak(_spec(depth=4), BlockPlan(1, (0.75,), "blockwise"), 8)
+    assert len(calls) == 1
+    assert [r.mode for r in rows] == ["mae", "mae"]
+    assert rows[0].measured_peak_bytes == rows[1].measured_peak_bytes
 
 
 def test_ratio_decreases_with_depth():

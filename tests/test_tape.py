@@ -451,7 +451,7 @@ def test_every_recorded_node_kind_has_a_backward_rule():
     t = Tape()
     x = t.leaf(np.ones((2, 2)))
     # Recorded as leaves, which backward never runs a rule on.
-    leaf_kinds = {x.kind, t.boundary(x).kind}
+    leaf_kinds = {x.kind, t.boundary(x.value).kind}
     assert t.nodes[0].is_leaf and t.nodes[1].is_leaf
     assert kinds - leaf_kinds == set(_VJP)
 
@@ -515,6 +515,41 @@ def test_backward_rules_read_no_values():
         assert len(got) == len(want), node.kind
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b), node.kind
+
+
+def test_a_saved_activation_is_read_only_and_a_saved_leaf_is_not():
+    # A rule never writes into a saved input, since another node may hold
+    # the same array: the tape makes each activation read-only as a node
+    # saves it.  Leaves stay writeable, so the optimizer can update the
+    # parameters in place, and so does an activation no node saves.
+    t = Tape()
+
+    def leaf(seed, *shape):
+        return t.leaf(_rand(seed, *shape), requires_grad=True)
+
+    def act(seed, *shape):
+        return t.scale(t.leaf(_rand(seed, *shape)), 1.0)
+
+    nodes = [
+        t.linear(act(1, 2, 3, 4), leaf(2, 4, 5), leaf(3, 5)),
+        t.layernorm_linear(act(4, 2, 3, 4), leaf(5, 4), leaf(6, 4),
+                           leaf(7, 4, 5), leaf(8, 5)),
+        t.layernorm_attention(act(9, 2, 3, 4), leaf(10, 4), leaf(11, 4),
+                              leaf(12, 4, 12), leaf(13, 12), leaf(14, 4, 4),
+                              leaf(15, 4), 2),
+        t.layernorm_mlp(act(16, 2, 3, 4), leaf(17, 4), leaf(18, 4),
+                        leaf(19, 4, 6), leaf(20, 6), leaf(21, 6, 4),
+                        leaf(22, 4)),
+        t.mse_masked(act(23, 2, 3, 4), t.leaf(_rand(24, 2, 3, 4)),
+                     t.leaf(np.ones((2, 3)))),
+    ]
+    for node in nodes:
+        x, *rest = node.inputs
+        assert not x.is_leaf and all(p.is_leaf for p in rest), node.kind
+        with pytest.raises(ValueError, match="read-only"):
+            x.value[...] = 0.0
+        assert all(p.value.flags.writeable for p in rest), node.kind
+        assert node.value.flags.writeable, node.kind
 
 
 def test_scatter_gather_roundtrip():
@@ -761,7 +796,7 @@ def _two_block_chain(t, x_val, w1_val, w2_val, boundary=False):
         x = t.leaf(x_val)
         h = t.matmul(x, w1)
         if boundary:
-            h = t.boundary(h)
+            h = t.boundary(h.value)
     with t.block(1):
         w2 = t.leaf(w2_val, name="w2", requires_grad=True)
         y = t.matmul(h, w2)
@@ -824,20 +859,34 @@ def test_unused_parameter_reachable_zero_vs_absent():
 
 # ----- release lifecycle and the memory meter -------------------------------
 
-def _tagged_step(t):
-    """Small two-block forward/backward with a boundary buffer; returns nodes."""
+def _block0(t):
+    """Block 0 of a small two-block step: its output h0 and its loss."""
     with t.block(0):
         x = t.leaf(_rand(31, 4, 4))
         w0 = t.leaf(_rand(32, 4, 4), name="b0.w", requires_grad=True)
         h0 = t.gelu(t.matmul(x, w0))
         loss0 = t.mse_masked(h0, t.leaf(np.zeros((4, 4))), t.leaf(np.ones(4)))
-        with t.block(1):    # the copy belongs to the block that reads it
-            xb = t.boundary(h0)
+    return h0, loss0
+
+
+def _block1(t, xb):
+    """Block 1 of the step, continuing from the boundary leaf xb: its loss."""
     with t.block(1):
         w1 = t.leaf(_rand(33, 4, 4), name="b1.w", requires_grad=True)
         h1 = t.gelu(t.matmul(xb, w1))
-        loss1 = t.mse_masked(h1, t.leaf(np.zeros((4, 4))), t.leaf(np.ones(4)))
-    return x, xb, loss0, loss1
+        return t.mse_masked(h1, t.leaf(np.zeros((4, 4))), t.leaf(np.ones(4)))
+
+
+def _tagged_step(t):
+    """Block 0 run and released, then block 1's boundary leaf and forward,
+    in a training step's order; returns the boundary and block 1's loss."""
+    h0, loss0 = _block0(t)
+    out = h0.value   # backward drops h0's value
+    t.backward(loss0)
+    t.release_block_activations(0)
+    with t.block(1):    # the boundary belongs to the block that reads it
+        xb = t.boundary(out)
+    return xb, _block1(t, xb)
 
 
 def test_meter_starts_empty():
@@ -848,38 +897,46 @@ def test_meter_starts_empty():
 
 def test_release_frees_exact_bytes_and_keeps_boundary():
     t = Tape()
-    _, xb, loss0, loss1 = _tagged_step(t)
+    h0, loss0 = _block0(t)
+    out = h0.value
     live_full = t.meter.live_activation_bytes
+    block0_bytes = sum(n.bytes for n in t.nodes if n.block == 0)
     t.backward(loss0)
-    block0_bytes = sum(n.bytes for n in t.nodes if n.block == 0 and n is not xb)
-    # block 0's loss saves h0, whose array the boundary shares: the loss
-    # charges it until block 0 is released, and the boundary from then on
-    assert xb.bytes == 0
-    freed = t.release_block_activations(0)
-    assert freed == block0_bytes - xb.value.nbytes
-    assert t.meter.live_activation_bytes == live_full - freed
-    # boundary now charged: it is block 1's
-    assert xb.bytes == xb.value.nbytes > 0 and not xb.disposed
+    # The release frees exactly the bytes block 0's nodes were charged
+    # when recorded, the loss's charge of h0 among them.
+    assert t.release_block_activations(0) == block0_bytes == live_full
+    assert t.meter.live_activation_bytes == 0
+    # The boundary recorded from then on charges the array once, and is
+    # block 1's: block 0's release is behind it.
+    with t.block(1):
+        xb = t.boundary(out)
+    loss1 = _block1(t, xb)
+    assert xb.bytes == out.nbytes > 0 and not xb.disposed
+    t.backward(loss1)
+    assert t.release_block_activations(1) == sum(
+        n.bytes for n in t.nodes if n.block == 1)
+    assert xb.disposed and t.meter.live_activation_bytes == 0
 
 
-def test_boundary_shares_its_producers_array_read_only_until_released():
+def test_boundary_shares_its_array_read_only_and_charges_it_until_released():
+    # One rule, whatever held the array before: the leaf shares the array
+    # it is given, makes it read-only, charges its bytes from the moment
+    # it is recorded, and is freed with the block that reads it.
     t = Tape()
-    _, xb, loss0, loss1 = _tagged_step(t)
-    (h0,) = [n for n in t.nodes if n.kind == "gelu" and n.block == 0]
+    h0, loss0 = _block0(t)
     array = h0.value
-    assert np.shares_memory(xb.value, array)
-    assert not array.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        array += 1.0
-    # The loss, which saves h0, charges the array until block 0 is
-    # released; the boundary from then on, so it is never charged twice.
-    charged = [n for n in t.nodes if any(a is array for a in n.saved or ())
-               and n.bytes]
-    assert [n.kind for n in charged] == ["mse-masked"]
-    assert xb.bytes == 0
     t.backward(loss0)
     t.release_block_activations(0)
-    assert xb.bytes == array.nbytes
+    const = _rand(6, 4, 4)
+    with t.block(1):
+        xb, cb = t.boundary(array), t.boundary(const)
+    assert np.shares_memory(xb.value, array) and cb.value is const
+    assert not (array.flags.writeable or const.flags.writeable)
+    with pytest.raises(ValueError, match="read-only"):
+        array += 1.0
+    assert xb.bytes == cb.bytes == array.nbytes
+    assert t.meter.live_activation_bytes == 2 * array.nbytes
+    loss1 = _block1(t, xb)
     alive = weakref.ref(array)
     del array, h0
     t.backward(loss1)
@@ -888,30 +945,16 @@ def test_boundary_shares_its_producers_array_read_only_until_released():
     assert alive() is None and t.meter.live_activation_bytes == 0
 
 
-def test_boundary_of_an_array_no_node_of_its_block_saves_is_charged_at_once():
-    t = Tape()
-    with t.block(0):
-        h = t.scale(t.leaf(_rand(5, 2, 3)), 2.0)
-        leaf = t.leaf(_rand(6, 2, 3))
-    with t.block(1):
-        hb, lb = t.boundary(h), t.boundary(leaf)
-    assert hb.bytes == lb.bytes == h.value.nbytes
-    assert t.meter.live_activation_bytes == 2 * h.value.nbytes
-    assert not (h.value.flags.writeable or leaf.value.flags.writeable)
-
-
 def test_release_before_backward_is_lifecycle_error():
     t = Tape()
-    _tagged_step(t)
+    _block0(t)
     with pytest.raises(LifecycleError, match="before its backward"):
         t.release_block_activations(0)
 
 
 def test_double_release_is_lifecycle_error_and_live_unchanged():
     t = Tape()
-    _, xb, loss0, _ = _tagged_step(t)
-    t.backward(loss0)
-    t.release_block_activations(0)
+    _tagged_step(t)   # block 0 is released
     live = t.meter.live_activation_bytes
     with pytest.raises(LifecycleError, match="already released"):
         t.release_block_activations(0)
@@ -920,8 +963,7 @@ def test_double_release_is_lifecycle_error_and_live_unchanged():
 
 def test_backward_after_release_is_lifecycle_error():
     t = Tape()
-    _, xb, loss0, loss1 = _tagged_step(t)
-    t.backward(loss0)
+    _, loss1 = _tagged_step(t)
     t.backward(loss1)
     t.release_block_activations(1)
     with pytest.raises(LifecycleError, match="released"):
@@ -947,8 +989,14 @@ def test_backward_into_released_node_is_lifecycle_error():
 
 
 def test_backward_drops_walked_values_and_keeps_the_loss():
+    # Block 1 runs its backward while block 0 is not, so block 0 keeps
+    # its values; its boundary is recorded before block 0's release, which
+    # charges the array twice meanwhile.  The test reads no absolute bytes.
     t = Tape()
-    _, xb, _, loss1 = _tagged_step(t)
+    h0, _ = _block0(t)
+    with t.block(1):
+        xb = t.boundary(h0.value)
+    loss1 = _block1(t, xb)
     copy = xb.value
     live = t.meter.live_activation_bytes
     first = t.backward(loss1)
@@ -992,7 +1040,7 @@ def test_backward_skips_a_rule_whose_inputs_take_no_gradient(monkeypatch):
     ids = np.array([[2, 0], [1, 3]])
     t = Tape()
     w = t.leaf(_rand(1, 4, 4), name="w", requires_grad=True)
-    copy = t.gather_rows(t.boundary(t.leaf(_rand(2, 2, 4, 4))), ids)
+    copy = t.gather_rows(t.boundary(_rand(2, 2, 4, 4)), ids)
     act = t.gather_rows(t.matmul(t.leaf(_rand(3, 2, 4, 4)), w), ids)
 
     def loss(y):
@@ -1023,9 +1071,7 @@ def test_backward_skips_a_rule_whose_inputs_take_no_gradient(monkeypatch):
 
 def test_full_release_drains_live_to_zero():
     t = Tape()
-    _, _, loss0, loss1 = _tagged_step(t)
-    t.backward(loss0)
-    t.release_block_activations(0)
+    _, loss1 = _tagged_step(t)
     t.backward(loss1)
     t.release_block_activations(1)
     assert t.meter.live_activation_bytes == 0
@@ -1034,9 +1080,7 @@ def test_full_release_drains_live_to_zero():
 
 def test_dispose_frees_one_node_once():
     t = Tape()
-    _, xb, loss0, _ = _tagged_step(t)
-    t.backward(loss0)
-    t.release_block_activations(0)   # which hands h0's charge to xb
+    xb, _ = _tagged_step(t)
     live = t.meter.live_activation_bytes
     assert t.dispose(xb) == xb.bytes > 0
     assert xb.disposed and xb.value is None and xb.saved is None
