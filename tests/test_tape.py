@@ -918,24 +918,20 @@ def test_release_frees_exact_bytes_and_keeps_boundary():
     assert xb.disposed and t.meter.live_activation_bytes == 0
 
 
-def test_boundary_shares_its_array_read_only_and_charges_it_until_released():
-    # One rule, whatever held the array before: the leaf shares the array
-    # it is given, makes it read-only, charges its bytes from the moment
-    # it is recorded, and is freed with the block that reads it.
+def test_boundary_shares_its_producers_array_read_only_until_released():
+    # The leaf shares the array its producer computed, makes it read-only,
+    # and keeps it alive until the block that reads it is released.
     t = Tape()
     h0, loss0 = _block0(t)
     array = h0.value
     t.backward(loss0)
     t.release_block_activations(0)
-    const = _rand(6, 4, 4)
     with t.block(1):
-        xb, cb = t.boundary(array), t.boundary(const)
-    assert np.shares_memory(xb.value, array) and cb.value is const
-    assert not (array.flags.writeable or const.flags.writeable)
+        xb = t.boundary(array)
+    assert np.shares_memory(xb.value, array)
+    assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         array += 1.0
-    assert xb.bytes == cb.bytes == array.nbytes
-    assert t.meter.live_activation_bytes == 2 * array.nbytes
     loss1 = _block1(t, xb)
     alive = weakref.ref(array)
     del array, h0
@@ -943,6 +939,22 @@ def test_boundary_shares_its_array_read_only_and_charges_it_until_released():
     assert alive() is not None   # until block 1, which reads it, is released
     t.release_block_activations(1)
     assert alive() is None and t.meter.live_activation_bytes == 0
+
+
+def test_boundary_of_an_array_no_node_of_its_block_saves_is_charged_at_once():
+    # One rule, whatever held the array before: a node's output that no
+    # node saves and a constant alike are charged from the moment the
+    # leaf is recorded.
+    t = Tape()
+    with t.block(0):
+        h = t.scale(t.leaf(_rand(5, 2, 3)), 2.0)
+    const = _rand(6, 2, 3)
+    with t.block(1):
+        hb, cb = t.boundary(h.value), t.boundary(const)
+    assert cb.value is const
+    assert hb.bytes == cb.bytes == h.value.nbytes
+    assert t.meter.live_activation_bytes == 2 * h.value.nbytes
+    assert not (h.value.flags.writeable or const.flags.writeable)
 
 
 def test_release_before_backward_is_lifecycle_error():
