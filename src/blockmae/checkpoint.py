@@ -62,7 +62,9 @@ def save_checkpoint(tensors, path):
 
 
 def load_checkpoint(path):
-    """Read a BIMC file back into a name-keyed dict of arrays."""
+    """Read a BIMC file back into a name-keyed dict of arrays.  A name
+    may appear once: FormatError names a repeated one and the byte its
+    record starts at."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -86,6 +88,7 @@ def load_checkpoint(path):
         return chunk
 
     for _ in range(count):
+        start = off
         (nlen,) = struct.unpack("<I", take(4, "name length"))
         raw = take(nlen, "name")
         try:
@@ -104,6 +107,9 @@ def load_checkpoint(path):
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
         n_items = math.prod(dims)
         payload = take(n_items * dtype.itemsize, f"payload of tensor {name!r}")
+        if name in out:
+            raise FormatError(
+                f"tensor {name!r} at byte {start} repeats a name read before")
         out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes after last tensor")

@@ -146,13 +146,27 @@ def _keep_freed_heap():
     return took == [1, 1]
 
 
+def _counter(tensors, key):
+    """The checkpoint counter `key` as an int.  It must hold one finite,
+    non-negative whole number, or ConfigError names the key."""
+    arr = tensors[key]
+    value = arr.reshape(-1)[0] if arr.size == 1 else None
+    if value is None or not np.isfinite(value) or value < 0 or \
+            value != np.floor(value):
+        raise ConfigError(
+            f"checkpoint counter {key!r} must be one finite, non-negative "
+            f"whole number, got {arr.tolist()}")
+    return int(value)
+
+
 def _resume_step(tensors, names):
     """The step a checkpoint's run continues from.
 
     A resume needs `meta.step` and the whole optimizer state: the
     `opt.m.`, `opt.v.` and `opt.t.` entries of every parameter in `names`,
     since every step updates every parameter.  ConfigError names the first
-    missing key.
+    missing key, or the first counter (`meta.step`, then each `opt.t.`
+    entry) that is not one finite, non-negative whole number.
     """
     need = ["meta.step"] + [f"opt.{s}.{name}" for name in names
                             for s in "mvt"]
@@ -160,7 +174,10 @@ def _resume_step(tensors, names):
     if missing:
         raise ConfigError(f"checkpoint lacks {missing[0]!r}, which a resume "
                           f"needs")
-    return int(tensors["meta.step"][0])
+    step = _counter(tensors, "meta.step")
+    for name in names:
+        _counter(tensors, f"opt.t.{name}")
+    return step
 
 
 def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
@@ -307,14 +324,15 @@ def _load_params(model, tensors, dtype):
 
     Every checkpoint tensor must be a parameter of the config's model, its
     `opt.m.`/`opt.v.`/`opt.t.` entry or a `meta.` counter, or ConfigError
-    names the first that is not.  A file's `meta.num_blocks` must equal
-    the config's block count, or ConfigError names both: a bridge norm
-    trained after the last layer of another block count reads other
-    features.  A file without that record must hold every parameter of
-    the config's model, or ConfigError names the first it lacks.  Each
-    parameter's tensor and its `opt.m.`/`opt.v.` moments must have the
-    shape the config gives it, or ConfigError names the tensor and both
-    shapes.  Returns the names of the parameters the checkpoint lacks.
+    names the first that is not.  A file's `meta.num_blocks` must be a
+    whole number (`_counter`) equal to the config's block count, or
+    ConfigError names both: a bridge norm trained after the last layer of
+    another block count reads other features.  A file without that record
+    must hold every parameter of the config's model, or ConfigError names
+    the first it lacks.  Each parameter's tensor and its `opt.m.`/`opt.v.`
+    moments must have the shape the config gives it, or ConfigError names
+    the tensor and both shapes.  Returns the names of the parameters the
+    checkpoint lacks.
     """
     for key in tensors:
         name = re.sub(r"^opt\.[mvt]\.", "", key)
@@ -324,7 +342,7 @@ def _load_params(model, tensors, dtype):
                 f"config's model")
     missing = [name for name in model.params if name not in tensors]
     if "meta.num_blocks" in tensors:
-        recorded = int(tensors["meta.num_blocks"][0])
+        recorded = _counter(tensors, "meta.num_blocks")
         if recorded != model.num_blocks:
             raise ConfigError(
                 f"checkpoint was trained with {recorded} blocks, the config "

@@ -22,14 +22,14 @@ Charged buffers per primitive:
     layernorm-attention   as layernorm; x is the residual too.  Plus each
                   attention row's softmax max and sum.  Neither the normed
                   rows, q|k|v, the probabilities nor the merged heads are
-                  saved: backward rebuilds them from x and those, a chunk
+                  saved: backward rebuilds them from x and those, a group
                   of samples at a time
     gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
     layernorm-mlp as layernorm, plus the CDF term of the GELU at the
                   hidden width; x is the residual too.  Neither the fc1
                   output nor the GELU output is saved: backward recomputes
-                  fc1 from the normed rows a chunk of rows at a time, and
-                  the GELU output as 0.5 * fc1 * CDF term
+                  fc1 from the normed rows a group of samples at a time,
+                  and the GELU output as 0.5 * fc1 * CDF term
     unshuffle-attention   a decoder's input and its first attention
                   sublayer: the bridge output z (when non-leaf), the
                   per-sample row order (int64 ids) and the row statistics of
@@ -57,10 +57,15 @@ sweep; a value that a consumer saved stays alive through `saved`, and a
 boundary leaf's array through its own `saved` until it is released.
 It drops each node's saved buffers as soon as that node's rule has run;
 the meter charges them until release, so the peak and the live counter
-read the same as if they were kept.  A rule may write over a buffer its
-own node made (the MLP node's CDF term), since nothing reads it after
-the rule, but never into a saved input: another node, a later block's
-boundary leaf among them, may hold the same array.  Every activation a
+read the same as if they were kept.  A rule walks its batch once, a
+group of whole samples at a time (`_groups`), and holds its dx plus one
+group's temporaries per thread; the rules of layernorm and of the two
+residual nodes, layernorm-attention and layernorm-mlp, write dx over
+their incoming gradient, which no other node or leaf holds (add's rule
+hands y a copy).  A rule may also write over a buffer its own node made
+(the MLP node's CDF term), since nothing reads it after the rule, but
+never into a saved input: another node, a later block's boundary leaf
+among them, may hold the same array.  Every activation a
 node saves is made read-only when it is saved, so such a write raises;
 leaf arrays are not touched, and the optimizer updates the parameters in
 place.  A node none of whose inputs takes a gradient (each is a leaf
@@ -81,15 +86,20 @@ not accumulate over the pass.  Leaf gradients stay until backward returns
 them.  Gradients are never charged; the table above is the whole meter.
 
 Threading: the heavy kernels (the forwards of linear, layernorm, gelu
-and the fused nodes, and their backward rules) run on all cores the
-process may use.  They split their rows over the leading axis, or run
-independent products at the same time; kernels too small to repay a
-hand-off run inline.  Only numpy work on disjoint slices runs in worker
-threads: node creation, recording, metering, the backward order and
-release stay on the calling thread.  Each part computes its rows with
-the same operations as the whole array would, and reductions across rows
-are never split, so every value, saved buffer and meter reading is the
-same bit for bit whatever the number of workers.
+and the fused nodes, and the backward rules) run on all cores the
+process may use; kernels too small to repay a hand-off run inline.  A
+forward splits its rows over the leading axis, and each part computes
+its rows with the same operations as the whole array would.  A backward
+rule that sums over rows (a weight, bias, gamma, beta or broadcast
+gradient) cuts its batch into groups of whole samples by the batch's
+shape alone, adds the groups' partial sums within each half of that cut
+in one fixed order and then the two halves' totals (`_grouped`), and
+runs one half per thread.  Only numpy work on disjoint slices runs in
+worker threads: node creation, recording, metering, the backward order
+and release stay on the calling thread.  So every value, gradient, saved
+buffer and meter reading is the same bit for bit whatever the number of
+workers or the chunk size; a gradient summed over rows is not bitwise
+the whole-batch product or sum, but within rounding of it.
 """
 
 import contextvars
@@ -109,6 +119,12 @@ _PARTS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # Elements per thread below which a hand-off to a worker (about 0.1 ms on
 # a 2-core VM) costs more than it saves.
 _PART_ELEMENTS = 1 << 16
+# Rows a backward rule holds per thread: it walks a batch [b, n, ...] in
+# groups of max(1, _GROUP_ROWS // n) whole samples.  Smaller groups hold
+# less but pay numpy's per-call cost once more per group on each thread:
+# at 256 and 128 rows a desk block-wise step ran about 10% and 20-30%
+# slower (2-core VM).
+_GROUP_ROWS = 384
 
 
 class TapeError(Exception):
@@ -424,10 +440,11 @@ class Tape:
     def layernorm_linear(self, x, gamma, beta, w, b):
         """linear(layernorm(x, gamma, beta), w, b) in one node, x [b, m, k].
 
-        Each part normalizes its rows into a temporary that the product
-        reads, with the kernels of `layernorm` and `linear`, so the output
-        is bitwise equal to the two nodes'.  The normed rows are not saved:
-        backward recomputes them from x and the row statistics.
+        Each part normalizes its rows a group of samples at a time (the
+        cut of `_groups`) into a temporary that the product reads, with the
+        kernels of `layernorm` and `linear`, so the output is bitwise equal
+        to the two nodes'.  The normed rows are not saved: backward recomputes
+        them from x and the row statistics.
         """
         xv, gv, bev, wv, bv = (n.value for n in (x, gamma, beta, w, b))
         _check_linear(xv.shape, wv.shape, bv.shape, "layernorm-linear")
@@ -437,10 +454,10 @@ class Tape:
         inv_std = np.empty_like(mu)
 
         def rows(lo, hi):
-            normed = np.empty_like(xv[lo:hi])
-            _layernorm_rows(xv[lo:hi], mu[lo:hi], inv_std[lo:hi], normed, gv,
-                            bev)
-            _linear_rows(normed, wv, bv, out[lo:hi])
+            for c in _groups(xv.shape, lo, hi):
+                normed = np.empty_like(xv[c])
+                _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
+                _linear_rows(normed, wv, bv, out[c])
         _parallel(max(xv.size, out.size), rows=len(xv), part=rows)
         node = Node("layernorm-linear", out, (x, gamma, beta, w, b))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
@@ -587,7 +604,10 @@ class Tape:
         total = mv.sum()
         if total == 0:
             raise ContractError("mse-masked: no masked rows, loss undefined")
-        per_row = ((pv - tv) ** 2).mean(axis=-1)
+        err = pv - tv
+        err *= err
+        per_row = err.mean(axis=-1)
+        del err
         out = np.asarray((per_row * mv).sum() / total, dtype=pv.dtype)
         node = Node("mse-masked", out, (pred, target, mask))
         return self._register(node, [self._act(pred), self._act(target),
@@ -809,13 +829,23 @@ def _linear_rows(x, w, b, out, residual=None):
         out += residual
 
 
+def _row_mean(a):
+    """a.mean(axis=-1, keepdims=True), bit for bit, without its Python
+    wrapper: the same sum and one division, rounded once to a's dtype
+    (numpy divides in f64 and rounds to f32, which gives the same bits)."""
+    out = np.add.reduce(a, axis=-1, keepdims=True)
+    out /= a.shape[-1]
+    return out
+
+
 def _layernorm_rows(x, mu, inv_std, out, gamma, beta):
     # The centred rows become the output in place; the same operations as
-    # `x.var` and `(x - mu) * inv_std * gamma + beta`, so the values are
-    # equal bit for bit.
-    np.mean(x, axis=-1, keepdims=True, out=mu)
+    # `x.mean`, `x.var` and `(x - mu) * inv_std * gamma + beta` (see
+    # _row_mean), so the values are equal bit for bit.
+    np.add.reduce(x, axis=-1, keepdims=True, out=mu)
+    mu /= x.shape[-1]
     np.subtract(x, mu, out=out)
-    var = (out * out).mean(axis=-1, keepdims=True)
+    var = _row_mean(out * out)
     var += x.dtype.type(LN_EPS)
     np.sqrt(var, out=var)
     np.divide(1.0, var, out=inv_std)
@@ -824,14 +854,17 @@ def _layernorm_rows(x, mu, inv_std, out, gamma, beta):
 
 
 def _xhat_rows(x, mu, inv_std, out):
-    """(x - mu) * inv_std, as the forward computes it."""
+    """(x - mu) * inv_std, as the forward computes it, in `out`, which it
+    returns."""
     np.subtract(x, mu, out=out)
     out *= inv_std
+    return out
 
 
 def _affine_rows(xhat, gamma, beta, out):
     np.multiply(xhat, gamma, out=out)
     out += beta
+    return out
 
 
 def _gelu_rows(x, cdf, out):
@@ -845,22 +878,33 @@ def _gelu_rows(x, cdf, out):
 def _gelu_from_cdf(x, cdf, out):
     np.multiply(0.5, x, out=out)
     out *= cdf
+    return out
 
 
 def _gelu_grad_rows(x, cdf, g, out):
     """g * (0.5 * cdf + x * pdf(x)) in `out`, which may be cdf's buffer
     but neither x's nor g's.  The forward's CDF term 1 + erf(x/sqrt2) is
     reused; halving it is exact."""
-    t = np.empty_like(x)
-    np.multiply(-0.5, x, out=t)
-    t *= x
-    np.exp(t, out=t)
-    t /= np.sqrt(x.dtype.type(2.0 * np.pi))
-    t *= x
-    # 0.5 * cdf + t as (cdf + 2t) / 2.  Doubling and halving are exact
+    _gelu_grad_from_pdf(cdf, _gelu_pdf_rows(x, np.empty_like(x)), g, out)
+
+
+def _gelu_pdf_rows(x, out):
+    """2 * x * pdf(x) in `out`, which must not be x's buffer."""
+    np.multiply(-0.5, x, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out /= np.sqrt(x.dtype.type(2.0 * np.pi))
+    out *= x
+    out *= 2.0
+    return out
+
+
+def _gelu_grad_from_pdf(cdf, t, g, out):
+    """g * (0.5 * cdf + x * pdf(x)) from t = 2 * x * pdf(x), in `out`,
+    which may be cdf's or t's buffer but not g's."""
+    # 0.5 * cdf + t / 2 as (cdf + t) / 2.  Doubling and halving are exact
     # (cdf = 1 + erf is never subnormal), so the sum is the same bit for
     # bit, and it can land in cdf's buffer.
-    t *= 2.0
     np.add(cdf, t, out=out)
     out *= 0.5
     out *= g
@@ -940,47 +984,112 @@ def _unshuffle_rows(z, fill, pos, order):
 
 
 # ----- backward rules ----------------------------------------------------
+#
+# A rule over a batch [b, n, ...] walks it once, a group of whole samples
+# at a time (`_groups`), writes each group's rows of its input gradients
+# and adds each group's partial sums over rows in `_grouped`'s fixed
+# order.  A product with a weight's transpose reads a contiguous copy of
+# it, made once per rule.
 
-def _vjp_matmul(node, g):
-    a, b = node.saved[0], node.saved[1]
-    if a.ndim == 2 and b.ndim == 2:
-        return (g @ b.T, a.T @ g)
-    if a.ndim == 3 and b.ndim == 2:
-        da = g @ b.T
-        db = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return (da, db)
-    da = g @ np.swapaxes(b, -1, -2)
-    db = np.swapaxes(a, -1, -2) @ g
-    return (da, db)
+def _groups(shape, lo=0, hi=None):
+    """Slices of samples lo..hi (all by default) of a batch of `shape`
+    [b, ..., k], each of max(1, _GROUP_ROWS // n) whole samples, n the
+    rows of one sample (1 for [b, k]).  Over the whole batch this is a
+    backward rule's group cut, which depends on the shape alone."""
+    hi = shape[0] if hi is None else hi
+    step = max(1, _GROUP_ROWS // max(1, math.prod(shape[1:-1])))
+    return [slice(i, min(i + step, hi)) for i in range(lo, max(lo + 1, hi),
+                                                       step)]
+
+
+def _grouped(size, cut, group):
+    """Run `group(s)` for each slice s of `cut`; returns the sums of the
+    partials it returns, a list.
+
+    Each call writes its own rows of the rule's outputs and returns new
+    arrays.  The cut splits into a first and a second half, the second
+    taking the odd group (a cut's last group is its smallest).  Each half
+    adds its groups' partials one after another, and the total is the
+    first half's plus the second's.  The halves run one per thread when
+    `size` repays two threads (as in `_parallel`), and one after the other
+    otherwise, so the sums are the same bit for bit either way.
+    """
+    half = max(1, len(cut) // 2)
+
+    def run(groups):
+        total = None
+        for s in groups:
+            if total is None:
+                total = list(group(s))
+            else:
+                for i, p in enumerate(group(s)):
+                    total[i] += p
+        return total
+
+    first, second = _parallel(size, lambda: run(cut[:half]),
+                              lambda: run(cut[half:]))
+    for i, p in enumerate(second or ()):
+        first[i] += p
+    return first
+
+
+def _lead_sum(a, lead):
+    """a summed over its first `lead` axes: `a.sum` without its Python
+    wrapper, which a rule would pay once per group."""
+    return np.add.reduce(a, axis=tuple(range(lead)))
+
+
+def _broadcast_grad(g, lead):
+    """The gradient of an operand broadcast along g's first `lead` axes:
+    g summed over them, group by group."""
+    (total,) = _grouped(g.size, _groups(g.shape),
+                        lambda s: (_lead_sum(g[s], lead),))
+    return total
+
+
+def _weight_grad(x, g):
+    """x's rows, transposed, times g's: the weight gradient of x @ w."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def _weight_grads(x, g):
-    """Calls for (dw, db) of x @ w + b.  Each sums over every row, so
-    neither is ever split."""
-    return (lambda: x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
-            lambda: g.sum(axis=tuple(range(g.ndim - 1))))
+    """The partial (dw, db) of x @ w + b over one group's rows x and their
+    gradient g, both new arrays; a rule adds them over its groups."""
+    return _weight_grad(x, g), _lead_sum(g, g.ndim - 1)
 
 
-def _linear_grads(x, w, g):
-    """(dx, dw, db) of x @ w + b: the two products and the bias sum at the
-    same time.  The products are those of _vjp_matmul."""
-    return tuple(_parallel(max(x.size, g.size), lambda: g @ w.T,
-                           *_weight_grads(x, g)))
+def _vjp_matmul(node, g):
+    a, b = node.saved
+    if b.ndim == 3:
+        return (g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g)
+    bt = np.ascontiguousarray(b.T)
+    da = np.empty(a.shape, np.result_type(g, b))
+
+    def group(s):
+        np.matmul(g[s], bt, out=da[s])
+        return (_weight_grad(a[s], g[s]),)
+    (db,) = _grouped(max(a.size, g.size), _groups(a.shape), group)
+    return (da, db)
 
 
 def _vjp_linear(node, g):
     # The last entry is a residual's gradient, g itself; a node without a
     # residual has no input to pair it with.
     x, w = node.saved
-    return _linear_grads(x, w, g) + (g,)
+    wt = np.ascontiguousarray(w.T)
+    dx = np.empty(x.shape, np.result_type(g, w))
+
+    def group(s):
+        np.matmul(g[s], wt, out=dx[s])
+        return _weight_grads(x[s], g[s])
+    return (dx, *_grouped(max(x.size, g.size), _groups(x.shape), group), g)
 
 
 def _vjp_add(node, g):
-    gy = g
+    # A copy for y: a rule may write over its incoming gradient, so no
+    # two nodes are handed one array.
     extra = g.ndim - node.attrs["y_ndim"]
-    if extra:
-        gy = g.sum(axis=tuple(range(extra)))
-    return (g, gy)
+    return (g, _broadcast_grad(g, extra) if extra else g.copy())
 
 
 def _vjp_scale(node, g):
@@ -1007,56 +1116,51 @@ def _vjp_concat_rows(node, g):
     return tuple(outs)
 
 
-def _layernorm_grads(xhat, inv_std, gamma, g, dx):
-    """(dx, dgamma, dbeta) of xhat * gamma + beta, xhat the normed rows.
-
-    dx is written into the given buffer, which must be neither xhat nor g.
-    Each part then overwrites its xhat rows with g * xhat, which dgamma
-    sums, so the caller's xhat is consumed; the sums over every row run
-    once all parts are done, never split.
+def _layernorm_grads(xhat, inv_std, gamma, g):
+    """The partial (dgamma, dbeta) of xhat * gamma + beta over one group's
+    rows, xhat the normed rows before the affine, and dx, written over
+    the rows' gradient g: g is consumed, xhat is not.
     """
-    d = xhat.shape[-1]
-
-    def rows(lo, hi):
-        xh, s, gr, out = (_lead(a)[lo:hi] for a in (xhat, inv_std, g, dx))
-        dxhat = gr * gamma
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        np.multiply(dxhat, xh, out=out)
-        m2 = out.mean(axis=-1, keepdims=True)
-        dxhat -= m1
-        np.multiply(xh, m2, out=out)
-        dxhat -= out
-        np.multiply(s, dxhat, out=out)
-        xh *= gr
-
-    _parallel(xhat.size, rows=len(_lead(xhat)), part=rows)
-    return (dx, xhat.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+    lead = g.ndim - 1
+    dbeta = _lead_sum(g, lead)
+    dxhat = g * gamma
+    np.multiply(xhat, g, out=g)
+    dgamma = _lead_sum(g, lead)
+    m1 = _row_mean(dxhat)
+    np.multiply(dxhat, xhat, out=g)
+    m2 = _row_mean(g)
+    dxhat -= m1
+    np.multiply(xhat, m2, out=g)
+    dxhat -= g
+    np.multiply(inv_std, dxhat, out=g)
+    return dgamma, dbeta
 
 
 def _vjp_layernorm(node, g):
+    # dx is written over g.
     x, mu, inv_std, gamma = node.saved
-    xhat = np.empty_like(x)
+    x, mu, inv_std, g2 = (_lead(a) for a in (x, mu, inv_std, g))
 
-    def rows(lo, hi):
-        _xhat_rows(*(_lead(a)[lo:hi] for a in (x, mu, inv_std, xhat)))
-    _parallel(x.size, rows=len(_lead(x)), part=rows)
-    return _layernorm_grads(xhat, inv_std, gamma, g,
-                            np.empty(x.shape, np.result_type(x, g, gamma)))
+    def group(s):
+        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
+        return _layernorm_grads(xhat, inv_std[s], gamma, g2[s])
+    return (g, *_grouped(x.size, _groups(x.shape), group))
 
 
 def _vjp_layernorm_linear(node, g):
-    # xhat once, for the recomputed normed rows and for the LayerNorm
-    # rule; the normed rows are dead once dw is summed, and their buffer
-    # takes dx.
+    # Per group: xhat, the normed rows from it, the product's partials;
+    # dx's rows then take the normed rows' gradient, and then their own.
     x, mu, inv_std, gamma, beta, w = node.saved
-    xhat, normed = np.empty_like(x), np.empty_like(x)
+    wt = np.ascontiguousarray(w.T)
+    dx = np.empty_like(x)
 
-    def rows(lo, hi):
-        _xhat_rows(x[lo:hi], mu[lo:hi], inv_std[lo:hi], xhat[lo:hi])
-        _affine_rows(xhat[lo:hi], gamma, beta, normed[lo:hi])
-    _parallel(x.size, rows=len(x), part=rows)
-    dh, dw, db = _linear_grads(normed, w, g)
-    return _layernorm_grads(xhat, inv_std, gamma, dh, normed) + (dw, db)
+    def group(s):
+        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
+        dw, db = _weight_grads(_affine_rows(xhat, gamma, beta,
+                                            np.empty_like(xhat)), g[s])
+        np.matmul(g[s], wt, out=dx[s])
+        return (*_layernorm_grads(xhat, inv_std[s], gamma, dx[s]), dw, db)
+    return (dx, *_grouped(max(x.size, g.size), _groups(x.shape), group))
 
 
 def _vjp_softmax(node, g):
@@ -1075,137 +1179,154 @@ def _vjp_gelu(node, g):
     return (dx,)
 
 
-def _attention_grads(x, mu, inv_std, row_max, row_sum, gamma, beta, w_qkv,
-                     b_qkv, w_out, heads, g, xhat=None):
-    """The gradients of `Tape.layernorm_attention`'s inputs, x's first.
+def _attention_weights(gamma, beta, w_qkv, b_qkv, w_out):
+    """What `_attention_grads` reads of an attention sublayer's saved
+    parameters: those, and contiguous copies of both weights'
+    transposes."""
+    return (gamma, beta, w_qkv, b_qkv, w_out,
+            np.ascontiguousarray(w_qkv.T), np.ascontiguousarray(w_out.T))
 
-    One pass over chunks of samples rebuilds the normed rows, q|k|v, the
-    probabilities and the merged heads with the forward's kernels, and
-    runs attention's rule.  The weight gradients sum over every row, so
-    the normed rows, the merged heads and dqkv are whole; q|k|v, the
-    probabilities and their gradients exist a chunk at a time.  A chunk
-    holds the probabilities and their gradient, so it takes half as many
-    samples as the forward's.  The merged heads die with the out
-    projection's weight gradients and dqkv with the qkv projection's; the
-    normed rows then take dx, as in _vjp_layernorm_linear, and the
-    residual adds g.  xhat is made last, once dqkv is freed, unless the
-    caller passes a buffer for it: x's own, when nothing else holds x,
-    since x is read for the last time as xhat is written.
+
+def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g):
+    """The gradient of `Tape.layernorm_attention`'s input over one group of
+    whole samples, less the residual's g, and the partial gradients of
+    gamma, beta, w_qkv, b_qkv, w_out and b_out.
+
+    xhat holds the group's input rows normed before the affine.  The
+    normed rows are rebuilt from it once, then q|k|v, the probabilities
+    and the merged heads with the forward's kernels, and attention's rule
+    runs into the group's dqkv.  The merged heads die with the out
+    projection's partials, dqkv with the qkv projection's, and the normed
+    rows' buffer takes their gradient and then the input's, which is
+    returned.
     """
-    b, n, _ = x.shape
+    gamma, beta, w_qkv, b_qkv, w_out, w_qkv_t, w_out_t = weights
+    c, n, _ = xhat.shape
     width = w_out.shape[0]
-    normed = np.empty_like(x)
-    dqkv = np.empty(x.shape[:-1] + w_qkv.shape[1:], row_max.dtype)
-    merged = np.empty(x.shape[:-1] + (width,), row_max.dtype)
-    scale = row_max.dtype.type(1.0 / np.sqrt(width // heads))
-
-    def rows(lo, hi):
-        for c in _chunks(lo, hi, (2, heads, n, n)):
-            _xhat_rows(x[c], mu[c], inv_std[c], normed[c])
-            _affine_rows(normed[c], gamma, beta, normed[c])
-            qkv = np.empty_like(dqkv[c])
-            _linear_rows(normed[c], w_qkv, b_qkv, qkv)
-            p = _attention_rows(qkv, heads, row_max[c], row_sum[c], merged[c])
-            q, k, v = _split_heads(qkv, heads)
-            dq, dk, dv = _split_heads(dqkv[c], heads)
-            gctx = np.swapaxes((g[c] @ w_out.T).reshape(
-                len(qkv), n, heads, width // heads), 1, 2)
-            np.matmul(np.swapaxes(p, -1, -2), gctx, out=dv)
-            dprobs = gctx @ np.swapaxes(v, -1, -2)
-            del gctx
-            # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
-            dprobs -= (dprobs * p).sum(axis=-1, keepdims=True)
-            dprobs *= p
-            del p
-            dprobs *= scale
-            np.matmul(dprobs, k, out=dq)
-            np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
-            del qkv, q, k, v, dprobs
-    _parallel(max(dqkv.size, b * heads * n * n), rows=b, part=rows)
-    dw_out, db_out = _parallel(g.size, *_weight_grads(merged, g))
+    normed = _affine_rows(xhat, gamma, beta, np.empty_like(xhat))
+    qkv = np.empty(xhat.shape[:-1] + w_qkv.shape[1:], row_max.dtype)
+    _linear_rows(normed, w_qkv, b_qkv, qkv)
+    merged = np.empty(xhat.shape[:-1] + (width,), row_max.dtype)
+    p = _attention_rows(qkv, heads, row_max, row_sum, merged)
+    dw_out, db_out = _weight_grads(merged, g)
     del merged
-    dnormed, dw_qkv, db_qkv = _linear_grads(normed, w_qkv, dqkv)
+    q, k, v = _split_heads(qkv, heads)
+    dqkv = np.empty_like(qkv)
+    dq, dk, dv = _split_heads(dqkv, heads)
+    gctx = np.swapaxes((g @ w_out_t).reshape(c, n, heads, width // heads),
+                       1, 2)
+    np.matmul(np.swapaxes(p, -1, -2), gctx, out=dv)
+    dprobs = gctx @ np.swapaxes(v, -1, -2)
+    del gctx
+    # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
+    dprobs -= np.add.reduce(dprobs * p, axis=-1, keepdims=True)
+    dprobs *= p
+    del p
+    dprobs *= row_max.dtype.type(1.0 / np.sqrt(width // heads))
+    np.matmul(dprobs, k, out=dq)
+    np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
+    del qkv, q, k, v, dprobs
+    dw_qkv, db_qkv = _weight_grads(normed, dqkv)
+    np.matmul(dqkv, w_qkv_t, out=normed)
     del dqkv
-    if xhat is None:
-        xhat = np.empty_like(x)
+    dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, normed)
+    return normed, (dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
 
-    def xhat_rows(lo, hi):
-        _xhat_rows(x[lo:hi], mu[lo:hi], inv_std[lo:hi], xhat[lo:hi])
-    _parallel(x.size, rows=b, part=xhat_rows)
-    dx, dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, dnormed, normed)
-    dx += g
-    return (dx, dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
+
+def _attention_size(shape, w_qkv, heads):
+    """The element count `_grouped` weighs an attention rule by: the larger
+    of q|k|v and the probabilities over the whole batch."""
+    b, n = shape[:2]
+    return max(b * n * w_qkv.shape[1], b * heads * n * n)
 
 
 def _vjp_layernorm_attention(node, g):
-    return _attention_grads(*node.saved, node.attrs["heads"], g)
+    # dx is written over g: each group adds its rows' gradient to g's.
+    x, mu, inv_std, row_max, row_sum, *params = node.saved
+    heads = node.attrs["heads"]
+    weights = _attention_weights(*params)
+
+    def group(s):
+        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
+        dx, grads = _attention_grads(xhat, inv_std[s], row_max[s],
+                                     row_sum[s], weights, heads, g[s])
+        g[s] += dx
+        return grads
+    return (g, *_grouped(_attention_size(x.shape, params[2], heads),
+                         _groups(x.shape), group))
 
 
 def _vjp_unshuffle_attention(node, g):
-    # The input is rebuilt with the forward's kernel into a buffer this
-    # rule owns, which then takes xhat.  Row j of sample i went to row
-    # order[i, j]: its gradient is gathered back.  The fill rows'
-    # gradients sum into the fill's, as add's rule sums a broadcast.
-    z, order, fill, pos, *attention = node.saved
-    x = _unshuffle_rows(z, fill, pos, order)
-    dx, *grads = _attention_grads(x, *attention, node.attrs["heads"], g,
-                                  xhat=x)
-    k = z.shape[1]
-    return (dx[_per_sample(order[:, :k])],
-            dx[_per_sample(order[:, k:])].sum(axis=(0, 1)), None, *grads)
+    # Each group's input is rebuilt with the forward's kernel into a buffer
+    # that then takes xhat, and the residual adds g to the input's
+    # gradient.  Row j of sample i went to row order[i, j]: its gradient is
+    # gathered back into dz, and the fill rows' gradients into a buffer of
+    # their own, which sums into the fill's as add's rule sums a broadcast.
+    z, order, fill, pos, mu, inv_std, row_max, row_sum, *params = node.saved
+    heads = node.attrs["heads"]
+    weights = _attention_weights(*params)
+    b, k = z.shape[:2]
+    shape = order.shape + fill.shape
+    dtype = np.result_type(z, fill, pos)
+    dz = np.empty(z.shape, dtype)
+    dfill = np.empty((b, shape[1] - k) + fill.shape, dtype)
+
+    def group(s):
+        x = _unshuffle_rows(z[s], fill, pos, order[s])
+        xhat = _xhat_rows(x, mu[s], inv_std[s], x)
+        dx, grads = _attention_grads(xhat, inv_std[s], row_max[s],
+                                     row_sum[s], weights, heads, g[s])
+        dx += g[s]
+        dz[s] = dx[_per_sample(order[s, :k])]
+        dfill[s] = dx[_per_sample(order[s, k:])]
+        return grads
+    grads = _grouped(_attention_size(shape, params[2], heads), _groups(shape),
+                     group)
+    return (dz, _broadcast_grad(dfill, 2), None, *grads)
 
 
 def _vjp_layernorm_mlp(node, g):
-    # Pass 1 rebuilds the GELU output whole, since dw2 sums over every
-    # row; the normed rows and fc1 exist a chunk at a time.  Pass 2
-    # rebuilds the normed rows whole, for dw1, and fc1 again a chunk at a
-    # time, and writes the GELU gradient into the saved CDF term's buffer.
-    # The normed rows then take dx, as in _vjp_layernorm_linear, and the
-    # residual adds g.  Each chunk's temporaries are dropped before the
-    # next chunk's are made.
+    # One pass, a group at a time: the normed rows and fc1 from them, once
+    # each, with only one buffer of width d held while the hidden-wide
+    # ones live: xhat becomes the normed rows in place, and is made again
+    # for the LayerNorm rule.  The GELU output from fc1 and the saved CDF
+    # term, for dw2's partial.  Its buffer then takes 2 * fc1 * pdf(fc1),
+    # fc1's takes dh, and the GELU gradient goes into the CDF term's rows,
+    # which nothing reads after this rule, for dw1's partial.  The normed
+    # rows' buffer then takes their gradient and then the LayerNorm
+    # rule's dx, which is added to g's rows: dx is written over g.
     x, mu, inv_std, cdf, gamma, beta, w1, b1, w2 = node.saved
-    h = np.empty_like(cdf)
+    w1t, w2t = (np.ascontiguousarray(w.T) for w in (w1, w2))
 
-    def rebuild(lo, hi):
-        for c in _chunks(lo, hi, cdf.shape[1:]):
-            normed = np.empty_like(x[c])
-            _xhat_rows(x[c], mu[c], inv_std[c], normed)
-            _affine_rows(normed, gamma, beta, normed)
-            _linear_rows(normed, w1, b1, h[c])
-            del normed
-            _gelu_from_cdf(h[c], cdf[c], h[c])
-    _parallel(h.size, rows=len(x), part=rebuild)
-    dw2, db2 = _parallel(h.size, *_weight_grads(h, g))
-    del h
-    normed = np.empty_like(x)
-
-    def gelu_grad(lo, hi):
-        for c in _chunks(lo, hi, cdf.shape[1:]):
-            _xhat_rows(x[c], mu[c], inv_std[c], normed[c])
-            _affine_rows(normed[c], gamma, beta, normed[c])
-            f1 = np.empty_like(cdf[c])
-            _linear_rows(normed[c], w1, b1, f1)
-            dh = g[c] @ w2.T
-            _gelu_grad_rows(f1, cdf[c], dh, cdf[c])
-            del f1, dh
-    _parallel(cdf.size, rows=len(x), part=gelu_grad)
-    dnormed, dw1, db1 = _linear_grads(normed, w1, cdf)
-    xhat = np.empty_like(x)
-
-    def rows(lo, hi):
-        _xhat_rows(x[lo:hi], mu[lo:hi], inv_std[lo:hi], xhat[lo:hi])
-    _parallel(x.size, rows=len(x), part=rows)
-    dx, dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, dnormed, normed)
-    dx += g
-    return (dx, dgamma, dbeta, dw1, db1, dw2, db2)
+    def group(s):
+        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
+        normed = _affine_rows(xhat, gamma, beta, xhat)
+        f1 = np.empty_like(cdf[s])
+        _linear_rows(normed, w1, b1, f1)
+        h = _gelu_from_cdf(f1, cdf[s], np.empty_like(f1))
+        dw2, db2 = _weight_grads(h, g[s])
+        t = _gelu_pdf_rows(f1, h)
+        dh = np.matmul(g[s], w2t, out=f1)
+        _gelu_grad_from_pdf(cdf[s], t, dh, cdf[s])
+        del f1, h, t, dh
+        dw1, db1 = _weight_grads(normed, cdf[s])
+        np.matmul(cdf[s], w1t, out=normed)
+        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
+        dgamma, dbeta = _layernorm_grads(xhat, inv_std[s], gamma, normed)
+        g[s] += normed
+        return dgamma, dbeta, dw1, db1, dw2, db2
+    return (g, *_grouped(max(x.size, cdf.size), _groups(x.shape), group))
 
 
 def _vjp_mse_masked(node, g):
+    # 2 * (pred - target) * mask / (p * total) * g, in place.
     pred, target, mask = node.saved
-    p = pred.shape[-1]
-    total = mask.sum()
-    dpred = 2.0 * (pred - target) * mask[..., None] / (p * total)
-    return ((dpred * g).astype(pred.dtype, copy=False), None, None)
+    dpred = pred - target
+    dpred *= 2.0
+    dpred *= mask[..., None]
+    dpred /= pred.shape[-1] * mask.sum()
+    dpred *= g
+    return (dpred.astype(pred.dtype, copy=False), None, None)
 
 
 _VJP = {

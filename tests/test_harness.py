@@ -457,6 +457,25 @@ def test_checkpoint_dims_past_int64_report_the_truncated_payload(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_refuses_a_repeated_tensor_name(tmp_path):
+    # Two records named 'w': the second used to replace the first in
+    # silence.
+    def record(name, values):
+        nb = name.encode()
+        return (struct.pack("<I", len(nb)) + nb + struct.pack("<2I", 1,
+                                                                len(values))
+                + np.asarray(values, "<f4").tobytes())
+
+    first = record("w", [1.0, 2.0])
+    path = tmp_path / "twice.bimc"
+    path.write_bytes(b"BIMC" + struct.pack("<2I", 1, 3) + first
+                     + record("b", [0.5]) + record("w", [3.0, 4.0]))
+    offset = 12 + len(first) + len(record("b", [0.5]))
+    with pytest.raises(FormatError, match=rf"tensor 'w' at byte {offset} "
+                                          r"repeats a name read before"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_version_gate(tmp_path):
     path = tmp_path / "v9.bimc"
     path.write_bytes(b"BIMC" + (9).to_bytes(4, "little")
@@ -668,6 +687,31 @@ def test_cli_resume_with_partial_optimizer_state_exits_nonzero(
     assert _cli_resume(tmp_path, tensors) == (1, False)
     assert capsys.readouterr().err.startswith(
         f"error: checkpoint lacks {missing!r}, which a resume needs")
+
+
+@pytest.mark.parametrize("value", [[np.nan], [-4.0], [2.5], []],
+                         ids=["nan", "negative", "fractional", "empty"])
+@pytest.mark.parametrize("key", ["meta.step", "meta.num_blocks",
+                                 "opt.t.embed.w"])
+def test_cli_resume_refuses_a_counter_that_is_not_a_whole_number(
+        tmp_path, capsys, key, value):
+    # Resumed in place.  A NaN step used to die converting it to an int,
+    # an empty one in an IndexError, and a negative step first cut
+    # metrics.csv to its header and then died in lr_at_step; a fractional
+    # count was floored in silence.
+    out = str(tmp_path / "run")
+    ckpt = run_pretrain(parse_config(TINY_CONFIG), out,
+                        max_steps=5).checkpoint_paths[0]
+    tensors = load_checkpoint(ckpt)
+    tensors[key] = np.array(value, dtype=np.float64)
+    save_checkpoint(tensors, ckpt)
+    metrics = Path(out, "metrics.csv").read_bytes()
+    assert cli_main(["pretrain", "--config", _write_cfg(tmp_path), "--out",
+                     out, "--resume", ckpt]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: checkpoint counter {key!r} must be one finite, "
+        f"non-negative whole number")
+    assert Path(out, "metrics.csv").read_bytes() == metrics
 
 
 def test_run_without_mallopt_writes_the_same_metrics(tmp_path, monkeypatch):

@@ -355,13 +355,14 @@ def _warm_step_heap_over_metered(plan):
 
 def test_warm_blockwise_step_heap_within_bound_of_metered():
     # The meter charges saved buffers only; the process also holds the
-    # gradient frontier, VJP temporaries (the normed rows, q|k|v, merged
-    # heads, attention probabilities, GELU outputs and decoder inputs the
-    # fused nodes recompute among them) and the parameter gradients, but
-    # no released or dead forward value.  This reads about 1.381.
+    # gradient frontier, VJP temporaries (one group of rows per thread:
+    # the normed rows, q|k|v, merged heads, attention probabilities, GELU
+    # outputs and decoder inputs the fused nodes recompute among them) and
+    # the parameter gradients, but no released or dead forward value.
+    # This reads about 1.19.
     ratio = _warm_step_heap_over_metered(BlockPlan(
         num_blocks=4, mask_schedule=(0.75,) * 4))
-    assert ratio <= 1.4, f"heap / metered = {ratio:.4f}"
+    assert ratio <= 1.25, f"heap / metered = {ratio:.4f}"
 
 
 @pytest.mark.parametrize("plan", [
@@ -370,10 +371,10 @@ def test_warm_blockwise_step_heap_within_bound_of_metered():
 ], ids=["grow", "mae"])
 def test_warm_step_heap_within_bound_of_metered(plan):
     # The same bound on the growing schedule, where block 0 holds the
-    # peak, and on desk-mae's one long backward.  These read about 1.217
-    # and 1.127.
+    # peak, and on desk-mae's one long backward.  These read about 1.13
+    # and 1.07.
     ratio = _warm_step_heap_over_metered(plan)
-    assert ratio <= 1.4, f"heap / metered = {ratio:.4f}"
+    assert ratio <= 1.25, f"heap / metered = {ratio:.4f}"
 
 
 def test_warm_blockwise_steps_fault_no_pages():

@@ -1,5 +1,7 @@
 """Model components: embedding, positions, masking, layers, decoder, loss."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -378,16 +380,16 @@ def _unfused_layer(tape, params, prefix, x, heads):
     return tape.add(x2, linear(f1, "mlp.fc2"))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_fused_layer_gradients_bitwise_equal_unfused_layer(monkeypatch,
-                                                         dtype):
+def _assert_fused_layer_gradients_equal_unfused(monkeypatch, spec, shape,
+                                                dtype):
+    """A layer of `spec` over x of `shape`: its output and every gradient
+    are those of `_unfused_layer` bit for bit."""
     # In the unfused layer the residual input x gets two contributions, g
     # and then LN1's; the fused node adds them in the other order.
     # Addition commutes bit for bit, so even x's gradient is bitwise equal.
     monkeypatch.setitem(tape_module._VJP, "attention", _vjp_whole_attention)
-    spec = ModelSpec(embed_dim=32, heads=2, depth=1, mlp_ratio=2)
     params = init_encoder_params(spec, seed=19, dtype=dtype)
-    x = rng.normals(20, 3 * 7 * 32).reshape(3, 7, 32).astype(dtype)
+    x = rng.normals(20, math.prod(shape)).reshape(shape).astype(dtype)
     target = rng.normals(21, x.size).reshape(x.shape).astype(dtype)
 
     def run(layer):
@@ -397,7 +399,7 @@ def test_fused_layer_gradients_bitwise_equal_unfused_layer(monkeypatch,
         xa = t.add(xn, t.leaf(np.zeros_like(x)))
         out = layer(t, params, "enc.layer0", xa, spec.heads)
         loss = t.mse_masked(out, t.leaf(target),
-                            t.leaf(np.ones((3, 7), dtype)))
+                            t.leaf(np.ones(shape[:2], dtype)))
         return out.value.copy(), t.backward(loss)
 
     y, grads = run(encoder_block_layer)
@@ -407,6 +409,25 @@ def test_fused_layer_gradients_bitwise_equal_unfused_layer(monkeypatch,
     for name, g in grads.items():
         assert g.dtype == dtype, name
         assert np.array_equal(g, grads_ref[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_layer_gradients_bitwise_equal_unfused_layer(monkeypatch,
+                                                         dtype):
+    _assert_fused_layer_gradients_equal_unfused(
+        monkeypatch, ModelSpec(embed_dim=32, heads=2, depth=1, mlp_ratio=2),
+        (3, 7, 32), dtype)
+
+
+@pytest.mark.parametrize("dim,heads,n", [(64, 4, 16), (32, 1, 64)])
+def test_fused_layer_gradients_bitwise_equal_unfused_layer_at_desk_shapes(
+        monkeypatch, dim, heads, n):
+    # 64 samples at the encoder's and the decoder's width and token count:
+    # every rule sums its rows over several groups, in the same order.
+    assert len(tape_module._groups((64, n, dim))) > 2
+    _assert_fused_layer_gradients_equal_unfused(
+        monkeypatch, ModelSpec(embed_dim=dim, heads=heads, depth=1),
+        (64, n, dim), np.float32)
 
 
 @pytest.mark.parametrize("prefix,heads,dim", [("enc.layer1", 4, 64),

@@ -502,16 +502,17 @@ def _one_node_per_backward_rule():
 def test_backward_rules_read_no_values():
     # Backward drops the values it walks, so a rule may read only `saved`,
     # `attrs` and the incoming gradient.  A rule may write over its saved
-    # buffers, so each runs on its own copy of the nodes.
+    # buffers and its incoming gradient, so each runs on its own copy of
+    # the nodes and of g.
     nodes = _one_node_per_backward_rule()
     assert {n.kind for n in nodes} == set(_VJP)
     for i, (node, bare) in enumerate(zip(nodes,
                                          _one_node_per_backward_rule())):
         g = _rand(100 + i, *node.shape)
-        want = _VJP[node.kind](node, g)
+        want = _VJP[node.kind](node, g.copy())
         for n in (bare, *bare.inputs):
             n.value = None
-        got = _VJP[node.kind](bare, g)
+        got = _VJP[node.kind](bare, g.copy())
         assert len(got) == len(want), node.kind
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b), node.kind
@@ -1154,33 +1155,35 @@ def test_backward_extra_memory_is_bounded():
 @pytest.mark.parametrize("parts", [1, 2])
 def test_layernorm_mlp_backward_holds_fc1_a_chunk_at_a_time(monkeypatch,
                                                             parts):
-    # At the desk decoder's shape.  Per row, the rule holds the GELU
-    # output, which becomes the GELU gradient (hidden), and at most three
-    # buffers of width d: the normed rows, which become dx, their gradient
-    # and xhat.  fc1 and dh exist a chunk of rows per thread at a time.  A
-    # whole-size fc1 or dh buffer adds hidden per row and fails the bound.
-    monkeypatch.setattr(tape, "_PARTS", parts)
-    b, n, d, hidden = 64, 64, 32, 128
-    shapes = ((b, n, d), (d,), (d,), (d, hidden), (hidden,), (hidden, d),
-              (d,))
-    t = Tape()
-    node = t.layernorm_mlp(*(t.leaf((_rand(90 + i, *s) * 0.2).astype(
-        np.float32)) for i, s in enumerate(shapes)))
-    g = _rand(99, b, n, d).astype(np.float32)
-    _VJP[node.kind](node, g)   # the worker threads start outside the trace
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        grads = _VJP[node.kind](node, g)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    params = sum(a.nbytes for a in grads[1:])
-    bound = 4 * (b * n * (hidden + 3 * d) + parts * tape._PART_ELEMENTS)
-    assert peak <= bound + params, (peak, bound, params)
+    # At the desk decoder's shape; see _assert_backward_holds_a_group.  A
+    # whole-size fc1, GELU output or dh buffer fails the bound.
+    _assert_backward_holds_a_group(monkeypatch, "layernorm-mlp", 64, parts)
 
 
-def _attention_whole_probabilities(inputs, heads, g):
+def _in_group_order(partial, b, n):
+    """partial(s) summed over slices s of a batch of b samples of n rows,
+    in the backward rules' order: groups of max(1, _GROUP_ROWS // n) whole
+    samples split into two halves, the second taking the odd group; each
+    half adds its groups one after another, then the first half's total
+    plus the second's."""
+    step = max(1, tape._GROUP_ROWS // n)
+    cut = [slice(i, min(i + step, b)) for i in range(0, b, step)]
+    half = max(1, len(cut) // 2)
+
+    def run(groups):
+        total = partial(groups[0])
+        for s in groups[1:]:
+            total = total + partial(s)
+        return total
+    return run(cut[:half]) + run(cut[half:]) if half < len(cut) else run(cut)
+
+
+def _whole_batch(partial, b, n):
+    """partial over the whole batch: one product or sum of every row."""
+    return partial(slice(None))
+
+
+def _attention_whole_probabilities(inputs, heads, g, rows=_in_group_order):
     """The attention sublayer's output and the gradients of x, gamma, beta,
     w_qkv, b_qkv, w_out and b_out in plain numpy, with the normed rows,
     q|k|v, the whole [b, heads, n, n] probabilities and the merged heads
@@ -1189,9 +1192,11 @@ def _attention_whole_probabilities(inputs, heads, g):
     divide, the probability-value product, the out product and the
     residual.  Backward: the out projection's gradients, dv, dprobs, the
     softmax gradient, the scale, dq and dk into one buffer, the qkv
-    projection's gradients, then LN1's and the residual's."""
+    projection's gradients, then LN1's and the residual's.  Products with
+    a weight's transpose read a contiguous copy, and every sum over rows
+    goes through `rows` (`_in_group_order` or `_whole_batch`)."""
     x, gamma, beta, w_qkv, b_qkv, w_out, b_out = inputs
-    b, n, d = x.shape
+    b, n, _ = x.shape
     width = w_qkv.shape[1] // 3
     dh = width // heads
     scale = x.dtype.type(1.0 / np.sqrt(dh))
@@ -1211,14 +1216,19 @@ def _attention_whole_probabilities(inputs, heads, g):
     merged = np.swapaxes(probs @ val, 1, 2).reshape(b, n, width)
     out = merged @ w_out + b_out + x
 
+    def row_sum(a):
+        return rows(lambda s: a[s].sum(axis=(0, 1)), b, n)
+
     def weight_grads(a, grad):
-        return (a.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1]),
-                grad.sum(axis=(0, 1)))
+        return (rows(lambda s: a[s].reshape(-1, a.shape[-1]).T
+                     @ grad[s].reshape(-1, grad.shape[-1]), b, n),
+                row_sum(grad))
 
     dw_out, db_out = weight_grads(merged, g)
     dqkv = np.empty_like(qkv)
     dq, dk, dv = dqkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    gctx = np.swapaxes((g @ w_out.T).reshape(b, n, heads, dh), 1, 2)
+    gctx = np.swapaxes((g @ np.ascontiguousarray(w_out.T)).reshape(
+        b, n, heads, dh), 1, 2)
     np.matmul(np.swapaxes(probs, -1, -2), gctx, out=dv)
     dprobs = gctx @ np.swapaxes(val, -1, -2)
     dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
@@ -1227,13 +1237,12 @@ def _attention_whole_probabilities(inputs, heads, g):
     np.matmul(dprobs, k, out=dq)
     np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
     dw_qkv, db_qkv = weight_grads(normed, dqkv)
-    dnormed = dqkv @ w_qkv.T
+    dnormed = dqkv @ np.ascontiguousarray(w_qkv.T)
     dxhat = dnormed * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv_std * ((dxhat - m1) - xhat * m2) + g
-    dgamma, dbeta = (a.reshape(-1, d).sum(axis=0)
-                     for a in (xhat * dnormed, dnormed))
+    dgamma, dbeta = row_sum(xhat * dnormed), row_sum(dnormed)
     return out, (dx, dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
 
 
@@ -1266,7 +1275,7 @@ def test_attention_rebuilt_probabilities_bitwise_equal_to_saved(
     t = Tape()
     node = t.layernorm_attention(*(t.leaf(a) for a in vals.values()), heads)
     _assert_attention_matches_whole_probabilities(
-        node, heads, g, _VJP[node.kind](node, g))
+        node, heads, g, _VJP[node.kind](node, g.copy()))
 
 
 @pytest.mark.parametrize("parts", [1, 2])
@@ -1311,30 +1320,10 @@ def test_decoder_entry_bitwise_equal_unshuffle_then_attention(
 @pytest.mark.parametrize("parts", [1, 2])
 def test_attention_backward_holds_probabilities_a_chunk_at_a_time(
         monkeypatch, parts):
-    # At the desk decoder's shape.  The rule holds three whole buffers, 5d
-    # per row: the normed rows, the merged heads and dqkv.  Each thread
-    # holds one chunk of c samples: its q|k|v and the merged heads'
-    # gradient, 4d per row, and its probabilities, their gradient and a
-    # temporary of their product, 3 * heads * n per row.  Whole q|k|v or
-    # whole probabilities fail the bound.
-    monkeypatch.setattr(tape, "_PARTS", parts)
-    b, n, d, heads = 64, 64, 32, 1
-    vals = _attention_inputs(b, n, d, np.float32, 95)
-    t = Tape()
-    node = t.layernorm_attention(*(t.leaf(a) for a in vals.values()), heads)
-    g = _rand(96, b, n, d).astype(np.float32)
-    _VJP[node.kind](node, g)   # the worker threads start outside the trace
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        grads = _VJP[node.kind](node, g)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    params = sum(a.nbytes for a in grads[1:])
-    c = tape._PART_ELEMENTS // (2 * heads * n * n)
-    bound = 4 * (b * n * 5 * d + parts * c * n * (4 * d + 3 * heads * n))
-    assert peak <= bound + params, (peak, bound, params)
+    # At the desk decoder's shape; see _assert_backward_holds_a_group.
+    # Whole q|k|v, whole probabilities or a whole dx buffer fail the bound.
+    _assert_backward_holds_a_group(monkeypatch, "layernorm-attention", 64,
+                                   parts)
 
 
 # ----- kernels split across threads ---------------------------------------
@@ -1393,7 +1382,7 @@ def _split_kernels_run(b, dtype):
         out.update((f"{i}.saved{j}", a.copy())
                    for j, a in enumerate(node.saved))
         g = r(100 + i, *node.shape)
-        grads = _VJP[node.kind](node, g)
+        grads = _VJP[node.kind](node, g.copy())
         out.update((f"{i}.vjp{j}", a) for j, a in enumerate(grads))
         if node is att:
             _assert_attention_matches_whole_probabilities(node, 3, g, grads)
@@ -1420,31 +1409,37 @@ def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
-    # Two of the 5 rows of layernorm-mlp's [5, 5, 20] hidden buffers, and
-    # of layernorm-attention's [5, 3, 5, 5] probabilities, per chunk: rows
-    # 2, 2, 1 on one thread, or 2 | 2, 1 on two.  Attention's backward
-    # holds the probabilities and their gradient, so its chunks are one
-    # row each.  Every chunking gives the plain numpy attention's value
-    # and gradients (see _split_kernels_run).
+    # The forwards of layernorm-mlp and attention take two of the 5 rows of
+    # their [5, 5, 20] hidden buffers and [5, 3, 5, 5] probabilities per
+    # chunk: rows 2, 2, 1 on one thread, or 2 | 2, 1 on two.
+    # layernorm-linear's forward normalizes a group of 2 samples (10 rows)
+    # at a time within each thread's rows, and every backward rule cuts
+    # the 5 samples into groups of 2, whatever the threads and chunk size;
+    # its sums give the one-thread run's bit for bit, and the attention
+    # node's also give the plain numpy attention's (see _split_kernels_run).
+    monkeypatch.setattr(tape, "_GROUP_ROWS", 10)
     monkeypatch.setattr(tape, "_PARTS", 1)
     want = _split_kernels_run(5, np.float32)
     monkeypatch.setattr(tape, "_PARTS", parts)
     monkeypatch.setattr(tape, "_PART_ELEMENTS", 2 * 5 * 20)
-    chunks = []
-    real_chunks = tape._chunks
+    chunks, groups = [], []
 
-    def recorded(lo, hi, a):
-        cut = real_chunks(lo, hi, a)
-        chunks.append([(c.start, c.stop) for c in cut])
-        return cut
-    monkeypatch.setattr(tape, "_chunks", recorded)
+    def recorded(real, calls):
+        def call(*args):
+            cut = real(*args)
+            calls.append([(c.start, c.stop) for c in cut])
+            return cut
+        return call
+    monkeypatch.setattr(tape, "_chunks", recorded(tape._chunks, chunks))
+    monkeypatch.setattr(tape, "_groups", recorded(tape._groups, groups))
     got = _split_kernels_run(5, np.float32)
     split = {1: [[(0, 2), (2, 4), (4, 5)]], 2: [[(0, 2)], [(2, 4), (4, 5)]]}
-    rows = {1: [[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]],
-            2: [[(0, 1), (1, 2)], [(2, 3), (3, 4), (4, 5)]]}
-    # layernorm-mlp's forward and backward's two passes, attention's
-    # forward, then attention's backward
-    assert sorted(chunks) == sorted(split[parts] * 4 + rows[parts])
+    # layernorm-mlp's and attention's forwards
+    assert sorted(chunks) == sorted(split[parts] * 2)
+    # layernorm-linear's forward, then the rules of layernorm, attention,
+    # linear, layernorm-linear, layernorm-mlp and linear with a residual
+    assert sorted(groups) == sorted(split[parts]
+                                    + [[(0, 2), (2, 4), (4, 5)]] * 6)
     assert want.keys() == got.keys()
     for key, value in want.items():
         assert np.array_equal(got[key], value), key
@@ -1528,3 +1523,267 @@ def test_split_kernels_stress_more_threads_than_cores(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.all(writes == 1)
+
+
+# ----- rules at desk shapes: the group order ------------------------------
+
+# The rules that sum over rows, each with the names of its inputs in the
+# order of its gradients; None marks an input whose gradient is not
+# compared (a constant, or a residual's pass-through).
+_DESK_RULES = {
+    "linear": ("x", "w", "b"),
+    "linear+residual": ("x", "w", "b", None),
+    "matmul": ("x", "w"),
+    "add": ("x", "y"),
+    "add-rows": ("x", "y_rows"),
+    "layernorm": ("x", "gamma", "beta"),
+    "layernorm-linear": ("x", "gamma", "beta", "w_pred", "b_pred"),
+    "layernorm-mlp": ("x", "gamma", "beta", "w1", "b1", "w2", "b2"),
+    "layernorm-attention": ("x",) + _ATTENTION,
+    "unshuffle-attention": ("z", "fill", None) + _ATTENTION,
+}
+
+
+def _desk_values(n, dtype, seed=300):
+    """Inputs at a desk shape: 64 samples of n rows, the encoder's width
+    (64, 4 heads) at n = 16 and the decoder's (32, 1 head) at n = 64."""
+    d = 64 if n == 16 else 32
+    shapes = {"x": (64, n, d), "w": (d, d), "b": (d,), "y": (d,),
+              "y_rows": (n, d), "gamma": (d,), "beta": (d,),
+              "w_pred": (d, 16), "b_pred": (16,), "w1": (d, 4 * d),
+              "b1": (4 * d,), "w2": (4 * d, d), "b2": (d,),
+              "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
+              "b_out": (d,), "z": (64, n // 4, d), "fill": (d,),
+              "pos": (n, d), "res": (64, n, d)}
+    vals = {k: (_rand(seed + i, *s) * 0.5).astype(dtype)
+            for i, (k, s) in enumerate(shapes.items())}
+    vals["order"] = np.stack([rng.permutation(seed + 50 + i, n)
+                              for i in range(64)])
+    return vals, 4 if n == 16 else 1
+
+
+def _desk_node(t, kind, vals, heads):
+    """Node `kind` over vals on tape t; x, y, z and the residual are
+    non-leaf, as in a step."""
+    v = {k: t.leaf(a) for k, a in vals.items() if k != "order"}
+    x, z = t.scale(v["x"], 1.0), t.scale(v["z"], 1.0)
+    attention = [v[k] for k in _ATTENTION]
+    if kind == "linear":
+        return t.linear(x, v["w"], v["b"])
+    if kind == "linear+residual":
+        return t.linear(x, v["w"], v["b"], residual=t.scale(v["res"], 1.0))
+    if kind == "matmul":
+        return t.matmul(x, v["w"])
+    if kind in ("add", "add-rows"):
+        y = v["y" if kind == "add" else "y_rows"]
+        return t.add(x, t.scale(y, 1.0))
+    if kind == "layernorm":
+        return t.layernorm(x, v["gamma"], v["beta"])
+    if kind == "layernorm-linear":
+        return t.layernorm_linear(x, v["gamma"], v["beta"], v["w_pred"],
+                                  v["b_pred"])
+    if kind == "layernorm-mlp":
+        return t.layernorm_mlp(x, *(v[k] for k in (
+            "gamma", "beta", "w1", "b1", "w2", "b2")))
+    if kind == "layernorm-attention":
+        return t.layernorm_attention(x, *attention, heads)
+    return t.unshuffle_attention(z, v["fill"], v["pos"], vals["order"],
+                                 *attention, heads)
+
+
+def _desk_rule_grads(n, dtype=np.float32):
+    """Every `_DESK_RULES` rule's outputs at desk shape n, each node on a
+    tape of its own, for one fixed output gradient per rule."""
+    vals, heads = _desk_values(n, dtype)
+    out = {}
+    for i, kind in enumerate(_DESK_RULES):
+        node = _desk_node(Tape(), kind, vals, heads)
+        g = _rand(400 + i, *node.shape).astype(dtype)
+        out[kind] = _VJP[node.kind](node, g)
+    return out
+
+
+def _assert_same_grads(got, want):
+    assert got.keys() == want.keys()
+    for kind, grads in want.items():
+        assert len(got[kind]) == len(grads), kind
+        for i, (a, b) in enumerate(zip(got[kind], grads)):
+            assert (a is None and b is None) or (
+                a.dtype == b.dtype and np.array_equal(a, b)), (kind, i)
+
+
+@pytest.mark.parametrize("rows", [128, tape._GROUP_ROWS])
+@pytest.mark.parametrize("n", [16, 64])
+def test_desk_rules_bitwise_equal_whatever_the_threads(monkeypatch, n,
+                                                       rows):
+    # 64 samples of n rows.  At 128 rows a group, each half of the cut
+    # holds several groups, so the order of the sums over rows matters:
+    # every rule gives the one-thread outputs bit for bit on 2 or 3
+    # threads, and with every kernel split however small.
+    monkeypatch.setattr(tape, "_GROUP_ROWS", rows)
+    if rows == 128:
+        assert len(tape._groups((64, n, 1))) >= 8
+    monkeypatch.setattr(tape, "_PARTS", 1)
+    want = _desk_rule_grads(n)
+    for parts in (2, 3):
+        monkeypatch.setattr(tape, "_PARTS", parts)
+        _assert_same_grads(_desk_rule_grads(n), want)
+    pool = _force_parts(monkeypatch, 2)
+    _assert_same_grads(_desk_rule_grads(n), want)
+    assert pool.submitted > 0
+
+
+@pytest.mark.parametrize("kind", ["linear", "layernorm-linear",
+                                  "layernorm-mlp"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_desk_fused_node_bitwise_equal_unfused_composition(kind, n):
+    # At desk shapes each rule sums over several groups of rows; the fused
+    # node and the nodes it fuses cut and add them the same way.
+    vals, _ = _desk_values(n, np.float32)
+    names = {"linear": ("x", "w", "b", "res"),
+             "layernorm-linear": ("x", "gamma", "beta", "w", "b"),
+             "layernorm-mlp": ("x", "gamma", "beta", "w1", "b1", "w2",
+                               "b2")}[kind]
+    target = _rand(460, 64, n, vals["x"].shape[-1]).astype(np.float32)
+
+    def run(which):
+        t = Tape()
+        v = {k: t.leaf(vals[k], name=k, requires_grad=True) for k in names}
+        y = _fused_and_unfused(t, kind, v)[which]
+        mask = t.leaf(np.ones((64, n), np.float32))
+        return t.backward(t.mse_masked(y, t.leaf(target), mask))
+
+    fused, unfused = run(0), run(1)
+    assert fused.keys() == unfused.keys() == set(names)
+    for k in names:
+        assert np.array_equal(fused[k], unfused[k]), k
+
+
+def _layernorm_whole(x, gamma, beta):
+    """xhat and the normed rows, as the kernels compute them."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    xhat *= 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True)
+                          + x.dtype.type(LN_EPS))
+    return xhat, xhat * gamma + beta
+
+
+def _whole_batch_grads(kind, v, heads, g):
+    """The parameter gradients of `_DESK_RULES[kind]`, in its order from
+    the second input on, each one product or sum over every row of the
+    batch, in plain numpy."""
+    def weight(a, grad):
+        return a.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
+
+    def rows(a):
+        return a.sum(axis=(0, 1))
+
+    x = v["x"]
+    if kind.startswith("linear"):
+        return weight(x, g), rows(g)
+    if kind == "matmul":
+        return (weight(x, g),)
+    if kind == "add":
+        return (rows(g),)
+    if kind == "add-rows":
+        return (g.sum(axis=0),)
+    xhat, normed = _layernorm_whole(x, v["gamma"], v["beta"])
+    if kind == "layernorm":
+        return rows(xhat * g), rows(g)
+    if kind == "layernorm-linear":
+        dn = g @ v["w_pred"].T
+        return rows(xhat * dn), rows(dn), weight(normed, g), rows(g)
+    if kind == "layernorm-mlp":
+        f1 = normed @ v["w1"] + v["b1"]
+        cdf = 1.0 + erf(f1 / np.sqrt(2.0))
+        dgelu = (g @ v["w2"].T) * (0.5 * cdf + f1 * np.exp(-0.5 * f1 * f1)
+                                   / np.sqrt(2.0 * np.pi))
+        dn = dgelu @ v["w1"].T
+        return (rows(xhat * dn), rows(dn), weight(normed, dgelu),
+                rows(dgelu), weight(0.5 * f1 * cdf, g), rows(g))
+    params = [v[k] for k in _ATTENTION]
+    if kind == "layernorm-attention":
+        return _attention_whole_probabilities([x] + params, heads, g,
+                                              _whole_batch)[1][1:]
+    z, order, k = v["z"], v["order"], v["z"].shape[1]
+    xin = np.empty_like(x)
+    xin[np.arange(64)[:, None], order[:, :k]] = z
+    xin[np.arange(64)[:, None], order[:, k:]] = v["fill"]
+    xin += v["pos"]
+    dx, *grads = _attention_whole_probabilities([xin] + params, heads, g,
+                                                _whole_batch)[1]
+    return (rows(dx[np.arange(64)[:, None], order[:, k:]]), *grads)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_desk_rule_parameter_grads_near_whole_batch_sums(n):
+    # The group order moves a sum over rows only at rounding level: in f64
+    # every parameter gradient is within 1e-12 of its largest entry of a
+    # whole-batch product or sum.
+    vals, heads = _desk_values(n, np.float64)
+    for i, (kind, names) in enumerate(_DESK_RULES.items()):
+        node = _desk_node(Tape(), kind, vals, heads)
+        g = _rand(400 + i, *node.shape)
+        got = [a for a, name in zip(_VJP[node.kind](node, g.copy())[1:],
+                                    names[1:]) if name is not None]
+        want = _whole_batch_grads(kind, vals, heads, g)
+        assert len(got) == len(want), kind
+        for j, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape, (kind, j)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (kind, j)
+
+
+def _group_width(kind, d, heads, n):
+    """Elements per row of a group that a streamed rule holds at once at
+    most: xhat, the normed rows and the hidden-wide fc1 and GELU output
+    (layernorm-mlp); xhat, the normed rows and their gradient's temporary
+    (layernorm-linear); xhat, the normed rows, q|k|v, dqkv, the merged
+    heads' gradient and the probabilities, their gradient and a product
+    of the two (the attention rules)."""
+    return {"layernorm-mlp": d + 2 * 4 * d, "layernorm-linear": 3 * d,
+            "layernorm-attention": 9 * d + 3 * heads * n,
+            "unshuffle-attention": 9 * d + 3 * heads * n}[kind]
+
+
+def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
+    """The rule of `kind` at desk shape n, on `parts` threads, holds at
+    most its dx (none when dx is written over g), one group's buffers per
+    thread (`_group_width` per row), contiguous copies of its weights'
+    transposes, and its parameters' partial sums: a running total and one
+    group's partials per thread, and one more total on one thread, which
+    keeps the first half's while it adds the second's.  The copies and
+    each set of sums are at most the parameters' gradients in size."""
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    vals, heads = _desk_values(n, np.float32)
+    node = _desk_node(Tape(), kind, vals, heads)
+    d = vals["x"].shape[-1]
+    g = _rand(99, *node.shape).astype(np.float32)
+    _VJP[node.kind](node, g.copy())   # the worker threads start outside the trace
+    g = g.copy()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = _VJP[node.kind](node, g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # unshuffle-attention's dx is dz and the fill rows' gradients: n rows
+    dx = 0 if grads[0] is g else 4 * 64 * n * d
+    params = sum(a.nbytes for a in grads[1:] if a is not None)
+    rows = max(1, tape._GROUP_ROWS // n) * n
+    bound = (dx + 4 * parts * rows * _group_width(kind, d, heads, n)
+             + (2 * parts + 2) * params)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("kind,n", [
+    ("layernorm-linear", 16), ("layernorm-linear", 64),
+    ("layernorm-mlp", 16), ("layernorm-attention", 16),
+    ("unshuffle-attention", 64)])
+def test_streamed_rule_backward_holds_a_group_per_thread(monkeypatch, kind,
+                                                         n, parts):
+    # The desk encoder's (n = 16) and decoder's (n = 64) shapes; the
+    # decoder's layernorm-mlp and layernorm-attention are the two tests
+    # above.
+    _assert_backward_holds_a_group(monkeypatch, kind, n, parts)
