@@ -6,10 +6,11 @@ prefix is probed by training only a linear classifier on mean-pooled
 features; the fixed backbone is shared storage with the full model, so
 prefixes nest by construction.
 
-The backbone forward never runs backward, so `forward_tokens`
-holds one stage (embedding, encoder layer or final norm) at a time and
-frees it before the next, the way block-wise training frees each block
-before the next.
+The backbone forward never runs backward, so `forward_tokens` runs the
+embedding and the encoder layers on a `Forward` tape, which saves
+nothing: at most one layer's input, attention output and output are
+alive at once, plus one chunk's temporaries per thread.  Only the final
+norm records on a `Tape`.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from .engine import BlockPlan
 from .memory import flop_estimate
 from .model import embed_visible, encoder_block_layer
 from .optim import AdamW
-from .tape import ContractError, Tape
+from .tape import ContractError, Forward, Tape
 
 
 @dataclass
@@ -73,30 +74,26 @@ def forward_tokens(prefix, images):
     """Norm-applied token features of the prefix over unmasked inputs,
     [b, N, d].
 
-    Tokens stay in original patch order (identity visibility).  Each stage
-    (embedding, encoder layer, final norm) records on its own `Tape`, with
-    the previous stage's output as an uncharged leaf, and that tape is
-    dropped before the next stage runs.  A tape's meter therefore reads
-    one stage's saved buffers, and the largest is one encoder layer's:
-    `memory._layer_bytes(..., input_charged=False)`, 5 units of n*d at
-    mlp_ratio 4 plus the row statistics, each fused LayerNorm's mean and
-    inverse std and each attention row's softmax max and sum (21.8 MB for
-    a 128-image f64 chunk at desk scale).  The values are the same as on
-    a single tape; only fewer buffers are alive at once.
+    Tokens stay in original patch order (identity visibility).  The
+    embedding and the encoder layers run on one `Forward` tape, through
+    the same layer functions as training, so the values are the same as
+    on a `Tape`, but nothing is saved for a backward: a layer holds its
+    input, its attention sublayer's output and its own output, each one
+    [b, N, d] activation, plus one chunk's temporaries per thread.  The
+    final norm records on a `Tape`, whose meter reads its row statistics,
+    the mean and inverse std of each of the b * N rows.
     """
     spec = prefix.model.spec
     params = prefix.model.params
     kept = np.broadcast_to(np.arange(spec.num_patches),
                            (images.shape[0], spec.num_patches))
-    tape = Tape()
-    x = embed_visible(tape, params, spec, images, kept).value
+    fwd = Forward()
+    x = embed_visible(fwd, params, spec, images, kept)
     for j in prefix.layer_ids:
-        tape = Tape()
-        x = encoder_block_layer(tape, params, f"enc.layer{j}", tape.leaf(x),
-                                spec.heads).value
+        x = encoder_block_layer(fwd, params, f"enc.layer{j}", x, spec.heads)
     tape = Tape()
     g, b = prefix.norm_params()
-    return tape.layernorm(tape.leaf(x), tape.leaf(params[g]),
+    return tape.layernorm(tape.leaf(x.value), tape.leaf(params[g]),
                           tape.leaf(params[b])).value
 
 

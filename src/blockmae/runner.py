@@ -263,7 +263,6 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
                 tensors = dict(model.params)
                 tensors.update(opt.state_tensors())
                 tensors["meta.step"] = np.array([gstep + 1], dtype=np.float64)
-                tensors["meta.epoch"] = np.array([epoch + 1], dtype=np.float64)
                 tensors["meta.num_blocks"] = _num_blocks_record(model)
                 save_checkpoint(tensors, path)
                 artifacts.checkpoint_paths.append(path)

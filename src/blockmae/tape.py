@@ -78,7 +78,11 @@ in the caller's table.  Running backward through a released node, or
 through a node an earlier backward ran the rule of, is a lifecycle
 error, and a later block must continue from a `boundary` leaf, not from
 an earlier block's nodes, whose values are gone after that block's
-backward.
+backward.  A `Forward` tape, for a forward that never runs backward,
+records nothing: its nodes save no buffer, charge nothing, are not
+appended and keep no link to their inputs, so an array lives only while
+the caller holds its node, and its backward and release raise a
+lifecycle error.
 
 Backward keeps only the gradient frontier: a non-leaf node's gradient is
 dropped as soon as its backward rule has run, so intermediate gradients do
@@ -282,6 +286,10 @@ class Tape:
     Nodes are appended in creation order, which is therefore a topological
     order; backward walks it in reverse.
     """
+
+    # Whether recorded nodes keep what their backward rules read; a node
+    # that saves nothing needs no whole-batch buffer for its rule.
+    saves = True
 
     def __init__(self):
         self.nodes = []
@@ -561,7 +569,9 @@ class Tape:
         elements, with the kernels of `layernorm`, `linear` and `gelu`, so
         the output is bitwise equal to the unfused nodes'.  Only x, the row
         statistics and the GELU's CDF term are saved: backward recomputes
-        the normed rows, the fc1 output and the GELU output.
+        the normed rows, the fc1 output and the GELU output.  A tape that
+        saves nothing (`Forward`) computes each chunk's CDF term into a
+        temporary of the chunk's size instead of the whole batch's.
         """
         xv, gv, bev, w1v, b1v, w2v, b2v = (
             n.value for n in (x, gamma, beta, w1, b1, w2, b2))
@@ -569,21 +579,23 @@ class Tape:
         _check_linear(xv.shape, w1v.shape, b1v.shape, "layernorm-mlp")
         hidden_shape = xv.shape[:-1] + w1v.shape[1:]
         _check_linear(hidden_shape, w2v.shape, b2v.shape, "layernorm-mlp")
-        cdf = np.empty(hidden_shape, np.result_type(xv, w1v))
-        out = np.empty(xv.shape[:-1] + w2v.shape[1:], np.result_type(cdf, w2v))
+        dtype = np.result_type(xv, w1v)
+        cdf = np.empty(hidden_shape, dtype) if self.saves else None
+        out = np.empty(xv.shape[:-1] + w2v.shape[1:], np.result_type(dtype, w2v))
         _residual_value(x, out.shape)
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
 
         def rows(lo, hi):
-            for c in _chunks(lo, hi, cdf.shape[1:]):
+            for c in _chunks(lo, hi, hidden_shape[1:]):
                 normed = np.empty_like(xv[c])
                 _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
-                h = np.empty_like(cdf[c])
+                h = np.empty(normed.shape[:-1] + hidden_shape[-1:], dtype)
                 _linear_rows(normed, w1v, b1v, h)
-                _gelu_rows(h, cdf[c], h)
+                _gelu_rows(h, np.empty_like(h) if cdf is None else cdf[c], h)
                 _linear_rows(h, w2v, b2v, out[c], xv[c])
-        _parallel(max(xv.size, cdf.size), rows=len(xv), part=rows)
+        _parallel(max(xv.size, math.prod(hidden_shape)), rows=len(xv),
+                  part=rows)
         node = Node("layernorm-mlp", out, (x, gamma, beta, w1, b1, w2, b2))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
                                       (cdf, True), self._act(gamma),
@@ -740,6 +752,32 @@ class Tape:
         node.value = None
         node.disposed = True
         return freed
+
+
+class Forward(Tape):
+    """A tape that records nothing, for a forward that never runs backward.
+
+    Every primitive computes the same values as on a `Tape`, bit for bit,
+    but its node saves no buffer, charges nothing, is not appended and
+    keeps no link to its inputs: an array lives only while the caller
+    holds its node.
+    """
+
+    saves = False
+
+    def _register(self, node, saved_pairs):
+        node.inputs = ()
+        return node
+
+    def backward(self, loss):
+        raise LifecycleError(
+            "backward on a Forward tape: it records nothing to run back "
+            "through")
+
+    def release_block_activations(self, block_id):
+        raise LifecycleError(
+            f"release of block {block_id} on a Forward tape: it records "
+            f"nothing to release")
 
 
 def _lead(a):

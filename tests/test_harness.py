@@ -527,6 +527,24 @@ def test_checkpoint_resume_replay_bitwise(tmp_path):
         assert np.array_equal(t_full[k], t_res[k]), k
 
 
+def test_resume_reads_no_meta_epoch(tmp_path):
+    # Checkpoints no longer record `meta.epoch`, which nothing read; a file
+    # that still carries one loads and resumes bitwise as one without.
+    cfg = parse_config(TINY_CONFIG)
+    ckpt = run_pretrain(cfg, str(tmp_path / "half"),
+                        max_steps=4).checkpoint_paths[0]
+    tensors = load_checkpoint(ckpt)
+    assert "meta.epoch" not in tensors
+    old = str(tmp_path / "old.bimc")
+    save_checkpoint({**tensors, "meta.epoch": np.array([1.0])}, old)
+    runs = [run_pretrain(cfg, str(tmp_path / name), resume_from=path)
+            for name, path in (("new", ckpt), ("old", old))]
+    assert (Path(runs[0].metrics_path).read_bytes()
+            == Path(runs[1].metrics_path).read_bytes())
+    assert [Path(p).read_bytes() for p in runs[0].checkpoint_paths] == \
+        [Path(p).read_bytes() for p in runs[1].checkpoint_paths]
+
+
 def test_resume_in_place_metrics_match_uninterrupted(tmp_path):
     cfg = parse_config(TINY_CONFIG + "dataset_size = 16\nbatch_size = 8\n"
                        "total_epochs = 4\n")

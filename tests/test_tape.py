@@ -1787,3 +1787,62 @@ def test_streamed_rule_backward_holds_a_group_per_thread(monkeypatch, kind,
     # decoder's layernorm-mlp and layernorm-attention are the two tests
     # above.
     _assert_backward_holds_a_group(monkeypatch, kind, n, parts)
+
+
+# ----- a tape that records nothing ------------------------------------------
+
+def _forward_chain(t, dtype):
+    """linear, layernorm-attention, layernorm-mlp and layernorm on a batch
+    of 5 samples, each node reading the last; returns the nodes."""
+    def leaf(seed, *shape):
+        return t.leaf(_rand(seed, *shape).astype(dtype))
+
+    x = t.linear(leaf(300, 5, 4, 6), leaf(301, 6, 12), leaf(302, 12))
+    att = t.layernorm_attention(x, *(
+        leaf(310 + i, *shape) for i, shape in enumerate(
+            ((12,), (12,), (12, 36), (36,), (12, 12), (12,)))), 3)
+    mlp = t.layernorm_mlp(att, leaf(320, 12), leaf(321, 12),
+                          leaf(322, 12, 20), leaf(323, 20),
+                          leaf(324, 20, 12), leaf(325, 12))
+    return x, att, mlp, t.layernorm(mlp, leaf(330, 12), leaf(331, 12))
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_values_bitwise_equal_to_tape(monkeypatch, dtype, parts):
+    # Uneven chunks of the 5 samples: 2 samples' [4, 20] hidden rows
+    # (2, 2, 1 on one thread, or 2 | 2, 1 on two) and 3 samples' [3, 4, 4]
+    # probabilities (3, 2, or 2 | 3).
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    monkeypatch.setattr(tape, "_PART_ELEMENTS", 2 * 4 * 20)
+    t, fwd = Tape(), tape.Forward()
+    want, got = _forward_chain(t, dtype), _forward_chain(fwd, dtype)
+    for w, g in zip(want, got):
+        assert g.value.dtype == dtype and np.array_equal(g.value, w.value), \
+            w.kind
+        assert g.saved == [] and g.bytes == 0 and g.inputs == (), w.kind
+    assert fwd.nodes == [] and fwd.meter.peak_activation_bytes == 0
+    # On a Tape the MLP node still saves the whole CDF term, the GELU's
+    # own, and charges it.
+    mlp = want[2]
+    cdf = mlp.saved[3]
+    h = t.linear(t.layernorm(want[1], *mlp.inputs[1:3]), *mlp.inputs[3:5])
+    assert np.array_equal(cdf, t.gelu(h).saved[1])
+    assert cdf.shape == (5, 4, 20)
+    assert mlp.bytes == want[1].value.nbytes + 2 * 5 * 4 * dtype(0).nbytes \
+        + cdf.nbytes
+
+
+def test_forward_refuses_backward_and_release():
+    # A Forward's nodes save nothing: a backward would walk no node and
+    # return no gradient, and a release would free nothing, in silence.
+    fwd = tape.Forward()
+    with fwd.block(0):
+        w = fwd.leaf(np.ones((3, 2)), name="w", requires_grad=True)
+        y = fwd.linear(fwd.leaf(np.ones((1, 2, 3))), w, fwd.leaf(np.zeros(2)))
+        loss = fwd.mse_masked(y, fwd.leaf(np.zeros((1, 2, 2))),
+                              fwd.leaf(np.ones((1, 2))))
+    with pytest.raises(LifecycleError, match="records nothing"):
+        fwd.backward(loss)
+    with pytest.raises(LifecycleError, match="records nothing"):
+        fwd.release_block_activations(0)
