@@ -3,10 +3,11 @@
 Partitions the encoder into gradient-isolated blocks with local decoders,
 applies the incremental masking layer between blocks, and executes the
 buffer/free pattern: forward block i, decode and update locally, release
-it, drop extra tokens, continue.  Block i's output is held once: block
-i+1's boundary leaf, recorded after block i's release, shares the array
-block i's bridge saved and charges it from then on.  Each block builds
-its own patch targets, which die with its backward.
+it, record the tokens block i+1 keeps as its boundary, continue.  Block
+i's output is held once: block i+1's boundary leaf, recorded after block
+i's release, holds the rows block i+1 keeps (block i's array itself when
+none is dropped).  Each block builds its own patch targets, which die
+with its backward.
 
 `BlockPlan` owns the schedule rules (name, ratio range, one ratio per
 block, order) and `block_layers` the block layout.  The end-to-end
@@ -150,14 +151,16 @@ def partition_encoder(model):
     return units
 
 
-def incremental_drop(tape, tokens, kept, keep, seed):
-    """Uniformly drop each sample's visible tokens down to `keep`.
+def incremental_drop(tape, out, kept, keep, seed):
+    """Block i+1's boundary: the rows of block i's output array `out`
+    [b, cur, d] that each sample keeps, and their visible patch ids.
 
     `kept` [b, cur] holds each sample's visible patch ids in token order.
-    Returns (tokens, kept) unchanged when `keep` equals cur.  Otherwise
+    Returns (tape.boundary(out), kept) when `keep` equals cur.  Otherwise
     row i keeps the first `keep` entries of a stable argsort of cur
     uniforms drawn from split(seed, "sample", i), a subset of its visible
-    tokens without replacement, so visibility nests.
+    tokens without replacement, so visibility nests; the boundary holds a
+    copy of those rows, and `out` is not kept.
     """
     cur = kept.shape[1]
     if keep > cur:
@@ -165,17 +168,18 @@ def incremental_drop(tape, tokens, kept, keep, seed):
             f"target keep {keep} exceeds current visible {cur} "
             f"(ratios must be non-decreasing)")
     if keep == cur:
-        return tokens, kept
+        return tape.boundary(out), kept
     noise = rng.uniforms([rng.split(seed, "sample", i)
                           for i in range(len(kept))], cur)
     take = np.argsort(noise, axis=-1, kind="stable")[:, :keep]
-    return (tape.gather_rows(tokens, take),
+    return (tape.boundary(out[np.arange(len(take))[:, None], take]),
             np.take_along_axis(kept, take, axis=-1))
 
 
 def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
     """One gradient-isolated step over all blocks: forward, local update,
-    release, drop.  A one-block plan is the end-to-end baseline step."""
+    release, then the next block's boundary of the tokens it keeps.  A
+    one-block plan is the end-to-end baseline step."""
     if len(blocks) != plan.num_blocks:
         raise ContractError(
             f"plan expects {plan.num_blocks} blocks, got {len(blocks)}")
@@ -190,16 +194,11 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
 
     losses = []
     live_trace = []
+    with tape.block(0):
+        x = embed_visible(tape, params, spec, images, kept)
     for unit in blocks:
         i = unit.block_id
         with tape.block(i):
-            if i == 0:
-                x = embed_visible(tape, params, spec, images, kept)
-            else:
-                x, kept = incremental_drop(
-                    tape, xb, kept,
-                    keep_count(spec.num_patches, plan.mask_schedule[i]),
-                    rng.split(step_seed, "drop", i))
             for j in unit.layer_ids:
                 x = encoder_block_layer(tape, params, f"enc.layer{j}", x,
                                         spec.heads)
@@ -218,9 +217,13 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
         losses.append(float(loss.value))
         tape.release_block_activations(i)
         if out is not None:
-            # From here block i+1's boundary alone charges block i's output.
+            # From here block i+1's boundary alone holds what it reads.
             with tape.block(i + 1):
-                xb = tape.boundary(out)
+                x, kept = incremental_drop(
+                    tape, out, kept,
+                    keep_count(spec.num_patches, plan.mask_schedule[i + 1]),
+                    rng.split(step_seed, "drop", i + 1))
+            del out
         live_trace.append(tape.meter.live_activation_bytes)
     if tape.meter.live_activation_bytes != 0:
         raise IsolationError(

@@ -109,12 +109,13 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
     """Closed-form peak activation bytes for one training step.
 
     The peak is the largest block's live bytes: its encoder layers, bridge,
-    local decoder and loss, plus the token-stream buffers from the block
-    before (its boundary and the drop indices).  A block's own output is
-    the bridge's saved input until the block is released; the next
-    block's boundary is recorded after that release, so the output is
-    counted once.  End-to-end MAE is the one-block case: every layer of
-    one long backward, with no boundary.
+    local decoder and loss, plus, after block 0, its boundary: the n_i
+    tokens it keeps of the block before's output.  That boundary is the
+    first layer's input, so the layer does not charge it again.  A
+    block's own output is the bridge's saved input until the block is
+    released; the next block's boundary is recorded after that release,
+    so no token is counted twice.  End-to-end MAE is the one-block case:
+    every layer of one long backward, with no boundary.
     """
     s = dtype_size
     b = batch
@@ -123,15 +124,9 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
     peak = 0
     for i, layers in enumerate(block_layers(spec.depth, plan.num_blocks)):
         n_i = counts[i]
-        live = 0
-        dropped = i > 0 and counts[i] < counts[i - 1]
-        if i > 0:
-            live += s * b * counts[i - 1] * d          # previous boundary
-            if dropped:
-                live += _IDS_BYTES * b * n_i           # drop gather ids
-        first_charged = (i == 0) or dropped
+        live = s * b * n_i * d if i > 0 else 0        # boundary
         live += _layer_bytes(b, n_i, d, spec.heads, spec.mlp_ratio, s,
-                             input_charged=first_charged)
+                             input_charged=(i == 0))
         live += (len(layers) - 1) * _layer_bytes(b, n_i, d, spec.heads,
                                                  spec.mlp_ratio, s)
         live += _bridge_bytes(b, n_i, d, s) + _decoder_bytes(spec, b, n_i, s)

@@ -37,17 +37,20 @@ Charged buffers per primitive:
                   z's rows plus the position table, is not saved: backward
                   rebuilds it from z, the order and those two leaves
     mse-masked    prediction value (when non-leaf)
-    boundary      the array it is given, shared, not copied, and charged
-                  from the moment it is recorded: after the release of the
-                  block that produced it, so the array is charged once
+    boundary      the array it is given, shared, not copied: the block
+                  before's output, or the rows of it the reading block
+                  keeps.  Charged from the moment it is recorded, after
+                  the release of the block that produced it, so each row
+                  is charged once
 
 Every node, leaves included, takes its block tag from the `Tape.block`
 scope open when it is recorded (None outside any scope); that scope is
 the only way a node gets a tag.  Release and its lifecycle check select
 nodes by this tag; gradients never read it.  Blocks are isolated by the
 `boundary` leaf alone: backward stops at leaves, and a later block
-continues from a boundary leaf of the earlier block's output array,
-recorded once the earlier block is released.
+continues from a boundary leaf of the earlier block's output array, or
+of the rows of it the later block keeps, recorded once the earlier block
+is released.
 
 Lifecycle.  A backward rule reads only its node's `saved` buffers, its
 `attrs` and the incoming gradient, never a `value`.  So backward drops the
@@ -68,12 +71,10 @@ never into a saved input: another node, a later block's boundary leaf
 among them, may hold the same array.  Every activation a
 node saves is made read-only when it is saved, so such a write raises;
 leaf arrays are not touched, and the optimizer updates the parameters in
-place.  A node none of whose inputs takes a gradient (each is a leaf
-without `requires_grad`) has its rule skipped and its saved buffers
-dropped all the same.  Releasing a node, a leaf or not, drops both its
-value and its saved buffers and decreases the live counter by exactly
-the node's charged bytes, fixed when it was recorded; releasing a block
-frees the sum of its nodes' bytes.  Parameter arrays outlive their leaves
+place.  Releasing a node, a leaf or not, drops both its value and its
+saved buffers and decreases the live counter by exactly the node's
+charged bytes, fixed when it was recorded; releasing a block frees the
+sum of its nodes' bytes.  Parameter arrays outlive their leaves
 in the caller's table.  Running backward through a released node, or
 through a node an earlier backward ran the rule of, is a lifecycle
 error, and a later block must continue from a `boundary` leaf, not from
@@ -629,11 +630,13 @@ class Tape:
         """The array `value` as a detached constant leaf: shared, not
         copied, read-only from now on, and charged at once.
 
-        Record it in the scope of the block that reads it, after the
-        release of the block that produced it: gradients of later losses
-        stop at this leaf, and the reading block's release frees it.
-        Recorded before its producer's release, the array is charged twice,
-        by the producer's node that saves it and by this leaf, until that
+        `value` is the producing block's output array, or the rows of it
+        that the reading block keeps, gathered by the caller.  Record it
+        in the scope of the block that reads it, after the release of the
+        block that produced it: gradients of later losses stop at this
+        leaf, and the reading block's release frees it.  An output array
+        recorded before its producer's release is charged twice, by the
+        producer's node that saves it and by this leaf, until that
         release.
         """
         value.flags.writeable = False
@@ -692,11 +695,7 @@ class Tape:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            # A rule whose every input is a constant leaf would make only
-            # gradients that are thrown away.
-            takes = any(not inp.is_leaf or inp.requires_grad
-                        for inp in node.inputs)
-            contribs = _VJP[node.kind](node, g) if takes else ()
+            contribs = _VJP[node.kind](node, g)
             node.saved = None   # the meter charges them until release
             for inp, contrib in zip(node.inputs, contribs):
                 if contrib is None:

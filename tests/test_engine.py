@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from blockmae import engine, rng
-from blockmae import tape as tape_module
 from blockmae.config import PRESETS, parse_config
 from blockmae.data import gen_synthetic_dataset
 from blockmae.engine import (
@@ -110,10 +109,11 @@ def test_partition_maps_parameters_to_blocks():
 
 # ----- incremental drop ---------------------------------------------------------
 
-def _tokens(t, kept, width, seed):
-    """A tape leaf of random token rows, one per visible id."""
+def _tokens(kept, width, seed):
+    """An array of random token rows [b, k, width], one per visible id:
+    a block's output, as the step hands it to the drop."""
     b, k = kept.shape
-    return t.leaf(rng.normals(seed, b * k * width).reshape(b, k, width))
+    return rng.normals(seed, b * k * width).reshape(b, k, width)
 
 
 def _reference_drop(kept, keep, seed):
@@ -132,28 +132,29 @@ def test_incremental_drop_counts_match_published_schedule():
     schedule = (0.65, 0.70, 0.80, 0.85)
     kept = mask_indices(n, schedule[0], [5])
     t = Tape()
-    tokens = _tokens(t, kept, 4, seed=1)
+    tokens = _tokens(kept, 4, seed=1)
     counts = [kept.shape[1]]
     for r in schedule[1:]:
-        tokens, kept = incremental_drop(t, tokens, kept, keep_count(n, r),
-                                        seed=11)
+        xb, kept = incremental_drop(t, tokens, kept, keep_count(n, r),
+                                    seed=11)
         counts.append(kept.shape[1])
-        assert tokens.shape[-2] == kept.shape[1]
+        assert xb.kind == "boundary" and xb.shape[-2] == kept.shape[1]
+        tokens = xb.value
     assert counts == [22, 19, 12, 9]
 
 
 def test_incremental_drop_identity_when_ratio_unchanged():
     kept = mask_indices(16, 0.5, [6])
     t = Tape()
-    tokens = _tokens(t, kept, 4, seed=2)
-    out, kept2 = incremental_drop(t, tokens, kept, keep_count(16, 0.5), seed=7)
-    assert out is tokens and kept2 is kept
+    tokens = _tokens(kept, 4, seed=2)
+    xb, kept2 = incremental_drop(t, tokens, kept, keep_count(16, 0.5), seed=7)
+    assert xb.kind == "boundary" and xb.value is tokens and kept2 is kept
 
 
 def test_incremental_drop_rejects_growth():
     kept = mask_indices(16, 0.5, [8])
     t = Tape()
-    tokens = _tokens(t, kept, 4, seed=3)
+    tokens = _tokens(kept, 4, seed=3)
     with pytest.raises(ScheduleError):
         incremental_drop(t, tokens, kept, keep_count(16, 0.25), seed=9)
 
@@ -163,7 +164,7 @@ def test_incremental_drop_nesting_over_many_seeds():
         kept0 = mask_indices(16, 0.25, [rng.split(999, trial, 0, i)
                                         for i in range(10)])
         t = Tape()
-        _, kept1 = incremental_drop(t, _tokens(t, kept0, 2, seed=4), kept0,
+        _, kept1 = incremental_drop(t, _tokens(kept0, 2, seed=4), kept0,
                                     keep_count(16, 0.625),
                                     seed=rng.split(999, trial, 1))
         assert kept1.shape == (10, 6)
@@ -174,28 +175,27 @@ def test_incremental_drop_nesting_over_many_seeds():
 def test_incremental_drop_gathers_matching_rows():
     kept0 = mask_indices(16, 0.25, [21, 23])
     t = Tape()
-    tokens = _tokens(t, kept0, 3, seed=5)
-    out, kept1 = incremental_drop(t, tokens, kept0, keep_count(16, 0.75),
-                                  seed=22)
+    tokens = _tokens(kept0, 3, seed=5)
+    xb, kept1 = incremental_drop(t, tokens, kept0, keep_count(16, 0.75),
+                                 seed=22)
     for i in range(2):
         for row, kept in enumerate(kept1[i]):
             src = np.where(kept0[i] == kept)[0][0]
-            np.testing.assert_array_equal(out.value[i, row],
-                                          tokens.value[i, src])
+            np.testing.assert_array_equal(xb.value[i, row], tokens[i, src])
 
 
 def test_incremental_drop_equals_per_sample_reference():
     for n, r0, r1 in ((16, 0.25, 0.75), (64, 0.5, 0.625), (64, 0.0, 0.875)):
         kept0 = mask_indices(n, r0, [rng.split(31, n, i) for i in range(7)])
         t = Tape()
-        tokens = _tokens(t, kept0, 3, seed=6)
-        out, kept1 = incremental_drop(t, tokens, kept0, keep_count(n, r1),
-                                      seed=32)
+        tokens = _tokens(kept0, 3, seed=6)
+        xb, kept1 = incremental_drop(t, tokens, kept0, keep_count(n, r1),
+                                     seed=32)
         take, want = _reference_drop(kept0, keep_count(n, r1), seed=32)
         assert np.array_equal(kept1, want)
-        assert np.array_equal(out.value,
-                              np.take_along_axis(tokens.value,
-                                                 take[..., None], axis=1))
+        assert np.array_equal(xb.value,
+                              np.take_along_axis(tokens, take[..., None],
+                                                 axis=1))
 
 
 # ----- training steps ------------------------------------------------------------
@@ -222,22 +222,6 @@ def test_step_reports_per_block_losses_and_zero_leak():
     for u in units:
         assert any(not np.array_equal(model.params[n], before[n])
                    for n in u.param_names), u.block_id
-
-
-def test_grow_step_runs_no_rule_for_the_boundary_gathers(monkeypatch):
-    # Each grown block gathers from its boundary leaf, a constant leaf, so
-    # backward skips the gather's rule; the steps still gather 3 times.
-    calls, gathers = [], []
-    rule, record = tape_module._VJP["gather-rows"], Tape.gather_rows
-    monkeypatch.setitem(tape_module._VJP, "gather-rows",
-                        lambda node, g: calls.append(node) or rule(node, g))
-    monkeypatch.setattr(Tape, "gather_rows", lambda self, x, ids: (
-        gathers.append(ids) or record(self, x, ids)))
-    spec, _, units, plan, opt = _setup(schedule=(0.5, 0.625, 0.75, 0.875))
-    rep = blockwise_train_step(units, _images(spec, 4, seed=2), plan, opt,
-                               lr=1e-3, step_seed=7)
-    assert len(gathers) == 3 and calls == []
-    assert all(np.isfinite(rep.losses))
 
 
 def test_release_frees_boundary_copy_and_constant_leaves():
@@ -315,10 +299,48 @@ def test_boundary_is_recorded_once_its_producer_is_released(monkeypatch,
     for (_, _, released), (_, _, recorded) in zip(events[::2], events[1::2]):
         assert recorded == released == 0
     # Live bytes after each release: the next block's boundary, which
-    # holds the released block's output.
+    # holds the tokens that block keeps of the released block's output.
     out_bytes = [batch * keep_count(spec.num_patches, r) * spec.embed_dim * 4
-                 for r in schedule[:3]]
+                 for r in schedule[1:]]
     assert rep.live_after_release == out_bytes + [0]
+
+
+def test_grown_boundary_holds_only_the_tokens_its_block_keeps(monkeypatch):
+    # A desk-model step on a growing schedule: block i+1's boundary holds
+    # keep_count(N, r_{i+1}) rows per sample, read-only, and block i's
+    # whole output array is dead once that boundary is recorded.
+    schedule = (0.5, 0.625, 0.75, 0.875)
+    outs, recorded, dead = [], [], []
+    drop, layer = engine.incremental_drop, engine.encoder_block_layer
+
+    def drop_kept(tape, out, kept, keep, seed):
+        outs.append(weakref.ref(out))
+        xb, kept = drop(tape, out, kept, keep, seed)
+        recorded.append((xb.kind, xb.shape, xb.value.flags.writeable,
+                         xb.bytes))
+        return xb, kept
+
+    def checked_layer(tape, params, prefix, x, heads):
+        dead.append([ref() is None for ref in outs])
+        return layer(tape, params, prefix, x, heads)
+    monkeypatch.setattr(engine, "incremental_drop", drop_kept)
+    monkeypatch.setattr(engine, "encoder_block_layer", checked_layer)
+    spec = parse_config(PRESETS["desk-blockwise"]).model
+    batch = 2
+    plan = BlockPlan(num_blocks=4, mask_schedule=schedule)
+    units = partition_encoder(build_model(spec, 4, seed=3, dtype=np.float32))
+    rep = blockwise_train_step(units, _images(spec, batch, dtype=np.float32),
+                               plan, AdamW(), lr=1e-3, step_seed=5)
+    keeps = [keep_count(spec.num_patches, r) for r in schedule[1:]]
+    assert keeps == [24, 16, 8]
+    nbytes = [batch * k * spec.embed_dim * 4 for k in keeps]
+    assert recorded == [("boundary", (batch, k, spec.embed_dim), False, nb)
+                        for k, nb in zip(keeps, nbytes)]
+    assert rep.live_after_release == nbytes + [0]
+    # Two encoder layers per block: block i+1's first layer runs with
+    # every earlier block's output already freed.
+    assert dead == [[], [], [True], [True], [True] * 2, [True] * 2,
+                    [True] * 3, [True] * 3]
 
 
 def test_patch_targets_die_with_their_block(monkeypatch):

@@ -19,8 +19,8 @@ from blockmae.memory import (
 )
 from blockmae.model import (
     ModelSpec, encoder_block_layer, init_block_head_params,
-    init_encoder_params, local_decoder_forward, mask_indices, patch_targets,
-    reconstruction_loss,
+    init_encoder_params, keep_count, local_decoder_forward, mask_indices,
+    patch_targets, reconstruction_loss,
 )
 from blockmae.optim import AdamW
 from blockmae.runner import _keep_freed_heap
@@ -393,3 +393,67 @@ def test_warm_blockwise_steps_fault_no_pages():
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                       - before)
     assert np.median(faults) <= 200, faults
+
+
+def _sweep_configs(count, seed):
+    """`count` small (spec, plan, batch, dtype) draws from a fixed seed:
+    N 4-64, widths 8-32 with heads that divide them, decoder depth 1-3,
+    MLP ratio 1-4, norm_pix, f32 and f64, batch 1-5, and a fixed, a
+    growing or a one-ratio schedule."""
+    def pick(key, options):
+        u = rng.uniforms(rng.split(seed, c, key), 1)[0]
+        return options[int(u * len(options))]
+
+    def ratio(n, k):
+        # floor(n * (1 - r)) == k, away from the rounding edge
+        return (n - k - 0.5) / n
+
+    for c in range(count):
+        side = pick("side", range(2, 9))
+        n = side * side
+        width = pick("width", (8, 12, 16, 20, 24, 28, 32))
+        kind = pick("kind", ("fixed", "growing", "one-ratio"))
+        blocks = 1 if kind == "one-ratio" else pick("blocks", (2, 4))
+        spec = ModelSpec(
+            image_size=2 * side, patch_size=2, embed_dim=width,
+            depth=blocks * pick("per", (1, 2)),
+            heads=pick("heads", [h for h in (1, 2, 4, 8) if width % h == 0]),
+            mlp_ratio=pick("mlp", (1, 2, 3, 4)),
+            decoder_dim=pick("dd", (8, 16, 32)),
+            decoder_depth=pick("dec", (1, 2, 3)),
+            norm_pix=pick("norm", (False, True)))
+        if kind == "growing":
+            first = pick("first", range(2, n))
+            last = pick("last", range(1, first))
+            keeps = sorted((pick(f"mid{j}", range(last, first + 1))
+                            for j in range(blocks - 2)), reverse=True)
+            keeps = [first] + keeps + [last]
+        else:
+            keeps = [pick("keep", range(1, n))] * blocks
+        plan = BlockPlan(num_blocks=blocks,
+                         mask_schedule=[ratio(n, k) for k in keeps])
+        yield (spec, plan, pick("batch", range(1, 6)),
+               pick("dtype", (np.float32, np.float64)))
+
+
+def test_seeded_sweep_meters_what_the_model_predicts():
+    # Per config, one step: the metered peak is analytic_peak, and after
+    # each block's release only the next block's boundary is live, the
+    # tokens that block keeps.
+    failures = []
+    for spec, plan, batch, dtype in _sweep_configs(25, seed=14):
+        s = np.dtype(dtype).itemsize
+        images = gen_synthetic_dataset(spec.image_size, batch, 3).images(
+            dtype=dtype)
+        units = partition_encoder(build_model(spec, plan.num_blocks, seed=4,
+                                              dtype=dtype))
+        rep = blockwise_train_step(units, images, plan, AdamW(), 1e-3,
+                                   step_seed=5)
+        keeps = [keep_count(spec.num_patches, r) for r in plan.mask_schedule]
+        boundaries = [s * batch * k * spec.embed_dim for k in keeps[1:]]
+        want = (analytic_peak(spec, plan, batch, s), boundaries + [0])
+        got = (rep.peak_activation_bytes, rep.live_after_release)
+        if got != want:
+            failures.append(f"{spec} {plan} batch={batch} "
+                            f"{np.dtype(dtype).name}: got {got}, want {want}")
+    assert not failures, "\n".join(failures)

@@ -1039,49 +1039,6 @@ def test_backward_drops_walked_values_and_keeps_the_loss():
     assert t.meter.live_activation_bytes == live
 
 
-def test_backward_skips_a_rule_whose_inputs_take_no_gradient(monkeypatch):
-    # A gather of a boundary leaf, as incremental_drop's: its one input is
-    # a constant leaf, so its rule would make a gradient that is thrown
-    # away.  A gather of an activation runs its rule.
-    calls = []
-    rule = _VJP["gather-rows"]
-
-    def counting(node, g):
-        calls.append(node)
-        return rule(node, g)
-    monkeypatch.setitem(_VJP, "gather-rows", counting)
-    ids = np.array([[2, 0], [1, 3]])
-    t = Tape()
-    w = t.leaf(_rand(1, 4, 4), name="w", requires_grad=True)
-    copy = t.gather_rows(t.boundary(_rand(2, 2, 4, 4)), ids)
-    act = t.gather_rows(t.matmul(t.leaf(_rand(3, 2, 4, 4)), w), ids)
-
-    def loss(y):
-        return t.mse_masked(y, t.leaf(np.zeros((2, 2, 4))),
-                            t.leaf(np.ones((2, 2))))
-    first = loss(t.add(t.matmul(copy, w), act))
-    second = loss(t.matmul(copy, w))
-    live = t.meter.live_activation_bytes
-    got = t.backward(first)["w"]
-    assert calls == [act]
-    assert copy.saved is None and t.meter.live_activation_bytes == live
-    # The same gradient as with the gather's rule run.
-    monkeypatch.setitem(_VJP, "gather-rows", rule)
-    t2 = Tape()
-    w2 = t2.leaf(_rand(1, 4, 4), name="w", requires_grad=True)
-    copy2 = t2.gather_rows(t2.scale(t2.leaf(_rand(2, 2, 4, 4)), 1.0), ids)
-    act2 = t2.gather_rows(t2.matmul(t2.leaf(_rand(3, 2, 4, 4)), w2), ids)
-    y2 = t2.add(t2.matmul(copy2, w2), act2)
-    want = t2.backward(t2.mse_masked(y2, t2.leaf(np.zeros((2, 2, 4))),
-                                     t2.leaf(np.ones((2, 2)))))["w"]
-    assert np.array_equal(got, want)
-    # Its saved buffers are gone all the same, so a second pass through
-    # it is refused.
-    with pytest.raises(LifecycleError, match=r"reached <Node gather-rows>, "
-                       r"whose saved buffers an earlier backward"):
-        t.backward(second)
-
-
 def test_full_release_drains_live_to_zero():
     t = Tape()
     _, loss1 = _tagged_step(t)
