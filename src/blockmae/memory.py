@@ -23,7 +23,6 @@ from .engine import (
 )
 from .data import gen_synthetic_dataset
 from .model import keep_count
-from .optim import AdamW
 
 _IDS_BYTES = 8  # int64 row indices
 
@@ -61,19 +60,19 @@ class FlopReport:
 
 # ----- analytic byte model ------------------------------------------------------
 
-def _layer_bytes(b, n, d, heads, mlp_ratio, s, input_charged=True):
+def _layer_bytes(b, n, d, heads, s, input_charged=True):
     """Charged bytes of one transformer layer at n tokens, width d.
 
     Per sample, in units of n*d: the layer input to the attention node
-    (when charged), and the residual sum to the MLP node (1), which also
-    saves the GELU's CDF term at width mlp_ratio*d (mlp_ratio).  The row
+    (when charged), and the residual sum to the MLP node (1).  The row
     statistics: each node's LayerNorm saves a mean and an inverse std per
     row, 2n, and attention a softmax max and sum per row and head,
     2*heads*n.  No LayerNorm output, q|k|v, attention probability, merged
-    heads, fc1 output or GELU output is saved: backward recomputes them.
-    So no term is quadratic in n.
+    heads, fc1 output, GELU CDF term or GELU output is saved: backward
+    recomputes them.  So no term is quadratic in n, and none grows with
+    the MLP's hidden width.
     """
-    lin = (1 + (1 if input_charged else 0) + mlp_ratio) * n * d
+    lin = (1 + (1 if input_charged else 0)) * n * d
     aux = (4 + 2 * heads) * n
     return s * b * (lin + aux)
 
@@ -94,7 +93,7 @@ def _decoder_bytes(spec, b, n_vis, s):
     dd = spec.decoder_dim
     total = _IDS_BYTES * b * n + s * b * n_vis * dd   # row order ids and z
     for j in range(spec.decoder_depth):
-        total += _layer_bytes(b, n, dd, spec.decoder_heads, spec.mlp_ratio, s,
+        total += _layer_bytes(b, n, dd, spec.decoder_heads, s,
                               input_charged=j > 0)
     total += s * b * (n * dd + 2 * n)        # final norm + prediction head
     total += s * b * n * spec.patch_pixels   # loss saves the prediction
@@ -125,10 +124,8 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
     for i, layers in enumerate(block_layers(spec.depth, plan.num_blocks)):
         n_i = counts[i]
         live = s * b * n_i * d if i > 0 else 0        # boundary
-        live += _layer_bytes(b, n_i, d, spec.heads, spec.mlp_ratio, s,
-                             input_charged=(i == 0))
-        live += (len(layers) - 1) * _layer_bytes(b, n_i, d, spec.heads,
-                                                 spec.mlp_ratio, s)
+        live += _layer_bytes(b, n_i, d, spec.heads, s, input_charged=(i == 0))
+        live += (len(layers) - 1) * _layer_bytes(b, n_i, d, spec.heads, s)
         live += _bridge_bytes(b, n_i, d, s) + _decoder_bytes(spec, b, n_i, s)
         peak = max(peak, live)
     return peak
@@ -142,12 +139,21 @@ def _config_summary(spec, plan):
             f"schedule={plan.mask_schedule}")
 
 
+class _NoUpdate:
+    """An optimizer that leaves the parameters as they are and keeps no
+    state: a metered step reads the meter, not the update."""
+
+    def step(self, params, grads, lr):
+        pass
+
+
 def _metered_step(spec, plan, images, seed, dtype):
-    """One step of a fresh model for `plan`, at learning rate 0.  The model
-    and its optimizer state are freed when this returns."""
+    """One step of a fresh model for `plan`, with no update, so no
+    optimizer moments are allocated.  The model is freed when this
+    returns."""
     model = build_model(spec, plan.num_blocks, seed=seed, dtype=dtype)
     return blockwise_train_step(partition_encoder(model), images, plan,
-                                AdamW(), lr=0.0, step_seed=seed)
+                                _NoUpdate(), lr=0.0, step_seed=seed)
 
 
 def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):

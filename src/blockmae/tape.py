@@ -25,11 +25,13 @@ Charged buffers per primitive:
                   saved: backward rebuilds them from x and those, a group
                   of samples at a time
     gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
-    layernorm-mlp as layernorm, plus the CDF term of the GELU at the
-                  hidden width; x is the residual too.  Neither the fc1
-                  output nor the GELU output is saved: backward recomputes
-                  fc1 from the normed rows a group of samples at a time,
-                  and the GELU output as 0.5 * fc1 * CDF term
+    layernorm-mlp as layernorm; x is the residual too.  Nothing of the
+                  hidden width is saved, neither the fc1 output nor the
+                  GELU's CDF term 1 + erf(fc1/sqrt2) nor its output:
+                  backward recomputes fc1 from the normed rows a group of
+                  samples at a time, the CDF term from fc1 with the
+                  forward's kernel, and the GELU output as
+                  0.5 * fc1 * CDF term
     unshuffle-attention   a decoder's input and its first attention
                   sublayer: the bridge output z (when non-leaf), the
                   per-sample row order (int64 ids) and the row statistics of
@@ -65,11 +67,10 @@ group of whole samples at a time (`_groups`), and holds its dx plus one
 group's temporaries per thread; the rules of layernorm and of the two
 residual nodes, layernorm-attention and layernorm-mlp, write dx over
 their incoming gradient, which no other node or leaf holds (add's rule
-hands y a copy).  A rule may also write over a buffer its own node made
-(the MLP node's CDF term), since nothing reads it after the rule, but
-never into a saved input: another node, a later block's boundary leaf
-among them, may hold the same array.  Every activation a
-node saves is made read-only when it is saved, so such a write raises;
+hands y a copy).  A rule never writes into a saved input: another node,
+a later block's boundary leaf among them, may hold the same array.
+Every activation a node saves is made read-only when it is saved, so
+such a write raises;
 leaf arrays are not touched, and the optimizer updates the parameters in
 place.  Releasing a node, a leaf or not, drops both its value and its
 saved buffers and decreases the live counter by exactly the node's
@@ -287,10 +288,6 @@ class Tape:
     Nodes are appended in creation order, which is therefore a topological
     order; backward walks it in reverse.
     """
-
-    # Whether recorded nodes keep what their backward rules read; a node
-    # that saves nothing needs no whole-batch buffer for its rule.
-    saves = True
 
     def __init__(self):
         self.nodes = []
@@ -568,11 +565,11 @@ class Tape:
 
         Each part runs its rows in chunks of at most _PART_ELEMENTS hidden
         elements, with the kernels of `layernorm`, `linear` and `gelu`, so
-        the output is bitwise equal to the unfused nodes'.  Only x, the row
-        statistics and the GELU's CDF term are saved: backward recomputes
-        the normed rows, the fc1 output and the GELU output.  A tape that
-        saves nothing (`Forward`) computes each chunk's CDF term into a
-        temporary of the chunk's size instead of the whole batch's.
+        the output is bitwise equal to the unfused nodes'.  Each chunk's
+        GELU CDF term goes into a temporary of the chunk's size.  Only x
+        and the row statistics are saved, besides the parameters: backward
+        recomputes the normed rows, the fc1 output, the CDF term and the
+        GELU output.
         """
         xv, gv, bev, w1v, b1v, w2v, b2v = (
             n.value for n in (x, gamma, beta, w1, b1, w2, b2))
@@ -581,7 +578,6 @@ class Tape:
         hidden_shape = xv.shape[:-1] + w1v.shape[1:]
         _check_linear(hidden_shape, w2v.shape, b2v.shape, "layernorm-mlp")
         dtype = np.result_type(xv, w1v)
-        cdf = np.empty(hidden_shape, dtype) if self.saves else None
         out = np.empty(xv.shape[:-1] + w2v.shape[1:], np.result_type(dtype, w2v))
         _residual_value(x, out.shape)
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
@@ -593,15 +589,15 @@ class Tape:
                 _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
                 h = np.empty(normed.shape[:-1] + hidden_shape[-1:], dtype)
                 _linear_rows(normed, w1v, b1v, h)
-                _gelu_rows(h, np.empty_like(h) if cdf is None else cdf[c], h)
+                _gelu_rows(h, np.empty_like(h), h)
                 _linear_rows(h, w2v, b2v, out[c], xv[c])
         _parallel(max(xv.size, math.prod(hidden_shape)), rows=len(xv),
                   part=rows)
         node = Node("layernorm-mlp", out, (x, gamma, beta, w1, b1, w2, b2))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
-                                      (cdf, True), self._act(gamma),
-                                      self._act(beta), self._act(w1),
-                                      self._act(b1), self._act(w2)])
+                                      self._act(gamma), self._act(beta),
+                                      self._act(w1), self._act(b1),
+                                      self._act(w2)])
 
     def mse_masked(self, pred, target, mask):
         """Mean squared error over masked rows only (mask entry 1 = masked).
@@ -762,8 +758,6 @@ class Forward(Tape):
     holds its node.
     """
 
-    saves = False
-
     def _register(self, node, saved_pairs):
         node.inputs = ()
         return node
@@ -905,11 +899,15 @@ def _affine_rows(xhat, gamma, beta, out):
 
 
 def _gelu_rows(x, cdf, out):
-    # The CDF term 1 + erf(x / sqrt2) in place, then the output from it.
+    _gelu_from_cdf(x, _gelu_cdf_rows(x, cdf), out)
+
+
+def _gelu_cdf_rows(x, cdf):
+    """The CDF term 1 + erf(x / sqrt2) in `cdf`, in place."""
     np.divide(x, np.sqrt(x.dtype.type(2.0)), out=cdf)
     erf(cdf, out=cdf)
     cdf += 1.0
-    _gelu_from_cdf(x, cdf, out)
+    return cdf
 
 
 def _gelu_from_cdf(x, cdf, out):
@@ -1326,33 +1324,37 @@ def _vjp_layernorm_mlp(node, g):
     # One pass, a group at a time: the normed rows and fc1 from them, once
     # each, with only one buffer of width d held while the hidden-wide
     # ones live: xhat becomes the normed rows in place, and is made again
-    # for the LayerNorm rule.  The GELU output from fc1 and the saved CDF
-    # term, for dw2's partial.  Its buffer then takes 2 * fc1 * pdf(fc1),
-    # fc1's takes dh, and the GELU gradient goes into the CDF term's rows,
-    # which nothing reads after this rule, for dw1's partial.  The normed
+    # for the LayerNorm rule.  fc1 is bitwise the forward's, so the CDF
+    # term recomputed from it with the forward's kernel is too, and the
+    # GELU output from both feeds dw2's partial.  The GELU output's buffer
+    # then takes 2 * fc1 * pdf(fc1), fc1's takes dh, and the GELU gradient
+    # goes into the CDF term's buffer, for dw1's partial.  The normed
     # rows' buffer then takes their gradient and then the LayerNorm
     # rule's dx, which is added to g's rows: dx is written over g.
-    x, mu, inv_std, cdf, gamma, beta, w1, b1, w2 = node.saved
+    x, mu, inv_std, gamma, beta, w1, b1, w2 = node.saved
     w1t, w2t = (np.ascontiguousarray(w.T) for w in (w1, w2))
+    dtype = np.result_type(x, w1)
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
         normed = _affine_rows(xhat, gamma, beta, xhat)
-        f1 = np.empty_like(cdf[s])
+        f1 = np.empty(normed.shape[:-1] + w1.shape[1:], dtype)
         _linear_rows(normed, w1, b1, f1)
-        h = _gelu_from_cdf(f1, cdf[s], np.empty_like(f1))
+        cdf = _gelu_cdf_rows(f1, np.empty_like(f1))
+        h = _gelu_from_cdf(f1, cdf, np.empty_like(f1))
         dw2, db2 = _weight_grads(h, g[s])
         t = _gelu_pdf_rows(f1, h)
         dh = np.matmul(g[s], w2t, out=f1)
-        _gelu_grad_from_pdf(cdf[s], t, dh, cdf[s])
+        _gelu_grad_from_pdf(cdf, t, dh, cdf)
         del f1, h, t, dh
-        dw1, db1 = _weight_grads(normed, cdf[s])
-        np.matmul(cdf[s], w1t, out=normed)
+        dw1, db1 = _weight_grads(normed, cdf)
+        np.matmul(cdf, w1t, out=normed)
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
         dgamma, dbeta = _layernorm_grads(xhat, inv_std[s], gamma, normed)
         g[s] += normed
         return dgamma, dbeta, dw1, db1, dw2, db2
-    return (g, *_grouped(max(x.size, cdf.size), _groups(x.shape), group))
+    hidden = math.prod(x.shape[:-1]) * w1.shape[1]
+    return (g, *_grouped(max(x.size, hidden), _groups(x.shape), group))
 
 
 def _vjp_mse_masked(node, g):

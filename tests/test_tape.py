@@ -1113,7 +1113,7 @@ def test_backward_extra_memory_is_bounded():
 def test_layernorm_mlp_backward_holds_fc1_a_chunk_at_a_time(monkeypatch,
                                                             parts):
     # At the desk decoder's shape; see _assert_backward_holds_a_group.  A
-    # whole-size fc1, GELU output or dh buffer fails the bound.
+    # whole-size fc1, CDF term, GELU output or dh buffer fails the bound.
     _assert_backward_holds_a_group(monkeypatch, "layernorm-mlp", 64, parts)
 
 
@@ -1692,12 +1692,12 @@ def test_desk_rule_parameter_grads_near_whole_batch_sums(n):
 
 def _group_width(kind, d, heads, n):
     """Elements per row of a group that a streamed rule holds at once at
-    most: xhat, the normed rows and the hidden-wide fc1 and GELU output
-    (layernorm-mlp); xhat, the normed rows and their gradient's temporary
+    most: xhat, the normed rows and the hidden-wide fc1, GELU CDF term and
+    GELU output (layernorm-mlp); xhat, the normed rows and their gradient's temporary
     (layernorm-linear); xhat, the normed rows, q|k|v, dqkv, the merged
     heads' gradient and the probabilities, their gradient and a product
     of the two (the attention rules)."""
-    return {"layernorm-mlp": d + 2 * 4 * d, "layernorm-linear": 3 * d,
+    return {"layernorm-mlp": d + 3 * 4 * d, "layernorm-linear": 3 * d,
             "layernorm-attention": 9 * d + 3 * heads * n,
             "unshuffle-attention": 9 * d + 3 * heads * n}[kind]
 
@@ -1779,15 +1779,21 @@ def test_forward_values_bitwise_equal_to_tape(monkeypatch, dtype, parts):
             w.kind
         assert g.saved == [] and g.bytes == 0 and g.inputs == (), w.kind
     assert fwd.nodes == [] and fwd.meter.peak_activation_bytes == 0
-    # On a Tape the MLP node still saves the whole CDF term, the GELU's
-    # own, and charges it.
-    mlp = want[2]
-    cdf = mlp.saved[3]
-    h = t.linear(t.layernorm(want[1], *mlp.inputs[1:3]), *mlp.inputs[3:5])
-    assert np.array_equal(cdf, t.gelu(h).saved[1])
-    assert cdf.shape == (5, 4, 20)
-    assert mlp.bytes == want[1].value.nbytes + 2 * 5 * 4 * dtype(0).nbytes \
-        + cdf.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_node_saves_nothing_of_the_hidden_width(dtype):
+    # On a Tape too, the MLP node saves and charges only its input and a
+    # mean and inverse std per row besides its parameters: backward
+    # recomputes fc1, the GELU's CDF term and its output, whose rows are
+    # 20 wide here against the input's 12.
+    t = Tape()
+    _, att, mlp, _ = _forward_chain(t, dtype)
+    params = [n.value for n in mlp.inputs[1:]]
+    acts = [a for a in mlp.saved if not any(a is p for p in params)]
+    assert acts[0] is att.value
+    assert [a.shape for a in acts] == [(5, 4, 12), (5, 4, 1), (5, 4, 1)]
+    assert mlp.bytes == att.value.nbytes + 2 * 5 * 4 * dtype(0).nbytes
 
 
 def test_forward_refuses_backward_and_release():
