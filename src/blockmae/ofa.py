@@ -8,9 +8,10 @@ prefixes nest by construction.
 
 The backbone forward never runs backward, so `forward_tokens` runs the
 embedding and the encoder layers on a `Forward` tape, which saves
-nothing: at most one layer's input, attention output and output are
-alive at once, plus one chunk's temporaries per thread.  Only the final
-norm records on a `Tape`.
+nothing, and whose residual nodes write their output over the input they
+consume: each layer holds one [b, N, d] activation, plus one chunk's
+temporaries per thread.  Only the final norm records on a `Tape`.  The
+probe reads its images a chunk at a time.
 """
 
 import dataclasses
@@ -77,11 +78,13 @@ def forward_tokens(prefix, images):
     Tokens stay in original patch order (identity visibility).  The
     embedding and the encoder layers run on one `Forward` tape, through
     the same layer functions as training, so the values are the same as
-    on a `Tape`, but nothing is saved for a backward: a layer holds its
-    input, its attention sublayer's output and its own output, each one
-    [b, N, d] activation, plus one chunk's temporaries per thread.  The
-    final norm records on a `Tape`, whose meter reads its row statistics,
-    the mean and inverse std of each of the b * N rows.
+    on a `Tape`, but nothing is saved for a backward, and each residual
+    sum is written over the array of the input it consumes: a layer
+    holds one [b, N, d] activation, plus one chunk's temporaries per
+    thread.  The embedding holds more: its position rows `pos[kept]`, its
+    patch rows and its output.  The final norm records on a `Tape`, whose
+    meter reads its row statistics, the mean and inverse std of each of
+    the b * N rows; it holds the last layer's output and its own.
     """
     spec = prefix.model.spec
     params = prefix.model.params
@@ -97,10 +100,14 @@ def forward_tokens(prefix, images):
                           tape.leaf(params[b])).value
 
 
-def extract_features(prefix, images, chunk=128):
-    """Mean-pooled, norm-applied features, [b, embed_dim]."""
-    outs = [forward_tokens(prefix, images[s:s + chunk]).mean(axis=1)
-            for s in range(0, images.shape[0], chunk)]
+def extract_features(prefix, dataset, chunk=128):
+    """Mean-pooled, norm-applied features of every image of `dataset`,
+    [len(dataset), embed_dim].  Each chunk's images are read as f64 when
+    the chunk runs, so only one chunk of them is held."""
+    outs = []
+    for s in range(0, len(dataset), chunk):
+        images = dataset.images(slice(s, s + chunk), dtype=np.float64)
+        outs.append(forward_tokens(prefix, images).mean(axis=1))
     return np.concatenate(outs, axis=0)
 
 
@@ -178,8 +185,7 @@ def linear_probe(prefix, dataset, cfg=None, num_classes=None):
     num_classes = num_classes or int(labels.max()) + 1
     hash_before = prefix.param_hash()
 
-    images = dataset.images(dtype=np.float64)
-    feats = extract_features(prefix, images)
+    feats = extract_features(prefix, dataset)
     n_val = max(1, int(len(dataset) * cfg.val_fraction))
     tr_f, va_f = feats[:-n_val], feats[-n_val:]
     tr_y, va_y = labels[:-n_val], labels[-n_val:]

@@ -36,8 +36,9 @@ Charged buffers per primitive:
                   sublayer: the bridge output z (when non-leaf), the
                   per-sample row order (int64 ids) and the row statistics of
                   layernorm-attention.  The input, mask tokens put among
-                  z's rows plus the position table, is not saved: backward
-                  rebuilds it from z, the order and those two leaves
+                  z's rows plus the position table, is not saved: the
+                  output is written over it, and backward rebuilds it
+                  from z, the order and those two leaves
     mse-masked    prediction value (when non-leaf)
     boundary      the array it is given, shared, not copied: the block
                   before's output, or the rows of it the reading block
@@ -84,12 +85,18 @@ backward.  A `Forward` tape, for a forward that never runs backward,
 records nothing: its nodes save no buffer, charge nothing, are not
 appended and keep no link to their inputs, so an array lives only while
 the caller holds its node, and its backward and release raise a
-lifecycle error.
+lifecycle error.  Since nothing saves an input there, the residual nodes
+layernorm-attention and layernorm-mlp write their sum over the array of
+a non-leaf input of the sum's dtype and take it over: that input node is
+consumed, and reading its value again is a lifecycle error that names
+it.  A leaf's array is never written.
 
 Backward keeps only the gradient frontier: a non-leaf node's gradient is
 dropped as soon as its backward rule has run, so intermediate gradients do
 not accumulate over the pass.  Leaf gradients stay until backward returns
-them.  Gradients are never charged; the table above is the whole meter.
+them, and a constant leaf's are dropped: the rules of linear and
+layernorm-attention compute none for a constant input (`_takes_grad`).
+Gradients are never charged; the table above is the whole meter.
 
 Threading: the heavy kernels (the forwards of linear, layernorm, gelu
 and the fused nodes, and the backward rules) run on all cores the
@@ -210,13 +217,14 @@ class Node:
     charged size of those arrays (leaf-owned buffers charge zero).
     """
 
-    __slots__ = ("kind", "value", "inputs", "block", "requires_grad",
-                 "is_leaf", "name", "attrs", "saved", "bytes", "disposed")
+    __slots__ = ("kind", "_value", "inputs", "block", "requires_grad",
+                 "is_leaf", "name", "attrs", "saved", "bytes", "disposed",
+                 "consumed_by")
 
     def __init__(self, kind, value, inputs=(), requires_grad=False,
                  is_leaf=False, name=None, attrs=None):
         self.kind = kind
-        self.value = value
+        self._value = value
         self.inputs = tuple(inputs)
         self.block = None
         self.requires_grad = requires_grad
@@ -226,6 +234,21 @@ class Node:
         self.saved = []
         self.bytes = 0
         self.disposed = False
+        self.consumed_by = None
+
+    @property
+    def value(self):
+        """The node's array; a node whose array a `Forward` residual node
+        took over has none, and reading it is a lifecycle error."""
+        if self.consumed_by is not None:
+            raise LifecycleError(
+                f"{self!r} was consumed by a {self.consumed_by} node, whose "
+                f"output was written over its array")
+        return self._value
+
+    @value.setter
+    def value(self, value):
+        self._value = value
 
     @property
     def shape(self):
@@ -240,7 +263,8 @@ class Node:
         # LifecycleError about a released node still formats its message.
         tag = f" block={self.block}" if self.block is not None else ""
         nm = f" name={self.name!r}" if self.name else ""
-        state = " released" if self.disposed else ""
+        state = (" released" if self.disposed else
+                 " consumed" if self.consumed_by is not None else "")
         return f"<Node {self.kind}{tag}{nm}{state}>"
 
 
@@ -333,6 +357,11 @@ class Tape:
         if not x.is_leaf:
             x.value.flags.writeable = False
         return (x.value, not x.is_leaf)
+
+    def _residual_out(self, x, dtype, kind):
+        """The output array of a `kind` node whose residual is x: a new one,
+        since the node saves x."""
+        return np.empty(x.value.shape, dtype)
 
     # ----- primitives ------------------------------------------------
 
@@ -436,8 +465,9 @@ class Tape:
         inv_std = np.empty_like(mu)
 
         def rows(lo, hi):
-            _layernorm_rows(*(_lead(a)[lo:hi] for a in (xv, mu, inv_std, out)),
-                            gamma.value, beta.value)
+            for c in _chunks(lo, hi, _lead(xv).shape[1:]):
+                _layernorm_rows(*(_lead(a)[c] for a in (xv, mu, inv_std, out)),
+                                gamma.value, beta.value)
         _parallel(xv.size, rows=len(_lead(xv)), part=rows)
         node = Node("layernorm", out, (x, gamma, beta))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
@@ -493,11 +523,16 @@ class Tape:
         q|k|v, the probabilities and the merged heads exist a chunk at a
         time, and the output is bitwise equal to the unfused nodes'.  Only
         x, its row statistics and each attention row's softmax max and sum
-        are saved: backward rebuilds the rest from them.
+        are saved: backward rebuilds the rest from them.  On a `Forward`
+        the output is written over x's array, each chunk's out projection
+        going through a temporary of the chunk's rows.
         """
+        xv = x.value
         params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
-        _check_attention(x.value.shape, *params, heads, "layernorm-attention")
-        out, stats = _attention_forward(x.value, *params, heads)
+        _check_attention(xv.shape, *params, heads, "layernorm-attention")
+        out = self._residual_out(x, np.result_type(xv, params[2], params[4]),
+                                 "layernorm-attention")
+        stats = _attention_forward(xv, *params, heads, out)
         node = Node("layernorm-attention", out,
                     (x, gamma, beta, w_qkv, b_qkv, w_out, b_out),
                     attrs={"heads": heads})
@@ -534,8 +569,12 @@ class Tape:
         params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
         _check_attention(order.shape + fv.shape, *params, heads,
                          "unshuffle-attention")
-        out, stats = _attention_forward(_unshuffle_rows(zv, fv, pv, order),
-                                        *params, heads)
+        # Nothing else holds the rebuilt input: the output is written over
+        # it when their dtypes agree.
+        xv = _unshuffle_rows(zv, fv, pv, order)
+        dtype = np.result_type(xv, params[2], params[4])
+        out = xv if xv.dtype == dtype else np.empty(xv.shape, dtype)
+        stats = _attention_forward(xv, *params, heads, out)
         node = Node("unshuffle-attention", out,
                     (z, fill, pos, gamma, beta, w_qkv, b_qkv, w_out, b_out),
                     attrs={"heads": heads})
@@ -569,7 +608,8 @@ class Tape:
         GELU CDF term goes into a temporary of the chunk's size.  Only x
         and the row statistics are saved, besides the parameters: backward
         recomputes the normed rows, the fc1 output, the CDF term and the
-        GELU output.
+        GELU output.  On a `Forward` the output is written over x's array,
+        as in `layernorm_attention`.
         """
         xv, gv, bev, w1v, b1v, w2v, b2v = (
             n.value for n in (x, gamma, beta, w1, b1, w2, b2))
@@ -578,8 +618,8 @@ class Tape:
         hidden_shape = xv.shape[:-1] + w1v.shape[1:]
         _check_linear(hidden_shape, w2v.shape, b2v.shape, "layernorm-mlp")
         dtype = np.result_type(xv, w1v)
-        out = np.empty(xv.shape[:-1] + w2v.shape[1:], np.result_type(dtype, w2v))
-        _residual_value(x, out.shape)
+        _residual_value(x, xv.shape[:-1] + w2v.shape[1:])
+        out = self._residual_out(x, np.result_type(dtype, w2v), "layernorm-mlp")
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
 
@@ -590,7 +630,8 @@ class Tape:
                 h = np.empty(normed.shape[:-1] + hidden_shape[-1:], dtype)
                 _linear_rows(normed, w1v, b1v, h)
                 _gelu_rows(h, np.empty_like(h), h)
-                _linear_rows(h, w2v, b2v, out[c], xv[c])
+                o = out[c]
+                _linear_rows(h, w2v, b2v, o, o if out is xv else xv[c])
         _parallel(max(xv.size, math.prod(hidden_shape)), rows=len(xv),
                   part=rows)
         node = Node("layernorm-mlp", out, (x, gamma, beta, w1, b1, w2, b2))
@@ -694,9 +735,7 @@ class Tape:
             contribs = _VJP[node.kind](node, g)
             node.saved = None   # the meter charges them until release
             for inp, contrib in zip(node.inputs, contribs):
-                if contrib is None:
-                    continue
-                if inp.is_leaf and not inp.requires_grad:
+                if contrib is None or not _takes_grad(inp):
                     continue
                 acc = grads.get(id(inp))
                 grads[id(inp)] = contrib if acc is None else acc + contrib
@@ -755,12 +794,30 @@ class Forward(Tape):
     Every primitive computes the same values as on a `Tape`, bit for bit,
     but its node saves no buffer, charges nothing, is not appended and
     keeps no link to its inputs: an array lives only while the caller
-    holds its node.
+    holds its node.  A residual node writes its output over its non-leaf
+    input's array (`_residual_out`), so a layer holds one activation.
     """
 
     def _register(self, node, saved_pairs):
         node.inputs = ()
         return node
+
+    @staticmethod
+    def _act(x):
+        # Nothing is saved, so no array is made read-only; and a consumed
+        # input has no array to pair.
+        return None
+
+    def _residual_out(self, x, dtype, kind):
+        """x's own array when x is a non-leaf node of the output's dtype:
+        nothing saved it, so the residual sum is written over it, and x is
+        consumed.  A leaf's array is never written."""
+        if x.is_leaf or x.value.dtype != dtype:
+            return super()._residual_out(x, dtype, kind)
+        out = x.value
+        x.value = None
+        x.consumed_by = kind
+        return out
 
     def backward(self, loss):
         raise LifecycleError(
@@ -853,11 +910,17 @@ def _with_residual(inputs, residual):
 def _linear_rows(x, w, b, out, residual=None):
     # Split by batch entry: each keeps its own product, so the BLAS calls
     # are the same as unsplit.  The sums are those of add(x @ w, b) and
-    # add(residual, that): addition commutes bit for bit.
+    # add(residual, that): addition commutes bit for bit.  A residual that
+    # is `out` itself, a sum written over its input, is added to the
+    # product made in a temporary of out's rows.
+    if residual is out:
+        out += _linear_rows(x, w, b, np.empty_like(out))
+        return out
     np.matmul(x, w, out=out)
     out += b
     if residual is not None:
         out += residual
+    return out
 
 
 def _row_mean(a):
@@ -979,12 +1042,12 @@ def _attention_rows(qkv, heads, row_max, row_sum, merged, stats=False):
     return p
 
 
-def _attention_forward(xv, gv, bev, wqv, bqv, wov, bov, heads):
-    """The output of `Tape.layernorm_attention` and its saved statistics
-    (mean, inv-std, softmax max and sum), for parameters _check_attention
-    accepts."""
+def _attention_forward(xv, gv, bev, wqv, bqv, wov, bov, heads, out):
+    """Writes the output of `Tape.layernorm_attention` into `out`, which
+    may be xv itself, and returns its saved statistics (mean, inv-std,
+    softmax max and sum), for parameters _check_attention accepts.  A
+    chunk's rows of xv are read before its rows of out are written."""
     dtype = np.result_type(xv, wqv)
-    out = np.empty(xv.shape[:-1] + wov.shape[1:], np.result_type(dtype, wov))
     b, n = xv.shape[:2]
     mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
     inv_std = np.empty_like(mu)
@@ -1002,9 +1065,10 @@ def _attention_forward(xv, gv, bev, wqv, bqv, wov, bov, heads):
             _attention_rows(qkv, heads, row_max[c], row_sum[c], merged,
                             stats=True)
             del qkv
-            _linear_rows(merged, wov, bov, out[c], xv[c])
+            o = out[c]
+            _linear_rows(merged, wov, bov, o, o if out is xv else xv[c])
     _parallel(max(b * n * wqv.shape[1], b * heads * n * n), rows=b, part=rows)
-    return out, (mu, inv_std, row_max, row_sum)
+    return mu, inv_std, row_max, row_sum
 
 
 def _unshuffle_rows(z, fill, pos, order):
@@ -1082,6 +1146,12 @@ def _broadcast_grad(g, lead):
     return total
 
 
+def _takes_grad(node):
+    """Whether backward keeps a gradient for `node`: it drops a constant
+    leaf's, so a rule need not compute it."""
+    return not node.is_leaf or node.requires_grad
+
+
 def _weight_grad(x, g):
     """x's rows, transposed, times g's: the weight gradient of x @ w."""
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -1109,13 +1179,16 @@ def _vjp_matmul(node, g):
 
 def _vjp_linear(node, g):
     # The last entry is a residual's gradient, g itself; a node without a
-    # residual has no input to pair it with.
+    # residual has no input to pair it with.  A constant input gets no dx.
     x, w = node.saved
-    wt = np.ascontiguousarray(w.T)
-    dx = np.empty(x.shape, np.result_type(g, w))
+    dx = None
+    if _takes_grad(node.inputs[0]):
+        wt = np.ascontiguousarray(w.T)
+        dx = np.empty(x.shape, np.result_type(g, w))
 
     def group(s):
-        np.matmul(g[s], wt, out=dx[s])
+        if dx is not None:
+            np.matmul(g[s], wt, out=dx[s])
         return _weight_grads(x[s], g[s])
     return (dx, *_grouped(max(x.size, g.size), _groups(x.shape), group), g)
 
@@ -1151,13 +1224,17 @@ def _vjp_concat_rows(node, g):
     return tuple(outs)
 
 
-def _layernorm_grads(xhat, inv_std, gamma, g):
+def _layernorm_grads(xhat, inv_std, gamma, g, dx=True):
     """The partial (dgamma, dbeta) of xhat * gamma + beta over one group's
-    rows, xhat the normed rows before the affine, and dx, written over
-    the rows' gradient g: g is consumed, xhat is not.
+    rows, xhat the normed rows before the affine, and, with `dx`, the
+    input's gradient, written over the rows' gradient g: g is consumed,
+    xhat is not.
     """
     lead = g.ndim - 1
     dbeta = _lead_sum(g, lead)
+    if not dx:
+        np.multiply(xhat, g, out=g)
+        return _lead_sum(g, lead), dbeta
     dxhat = g * gamma
     np.multiply(xhat, g, out=g)
     dgamma = _lead_sum(g, lead)
@@ -1222,10 +1299,11 @@ def _attention_weights(gamma, beta, w_qkv, b_qkv, w_out):
             np.ascontiguousarray(w_qkv.T), np.ascontiguousarray(w_out.T))
 
 
-def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g):
+def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g,
+                     dx=True):
     """The gradient of `Tape.layernorm_attention`'s input over one group of
-    whole samples, less the residual's g, and the partial gradients of
-    gamma, beta, w_qkv, b_qkv, w_out and b_out.
+    whole samples, less the residual's g (None without `dx`), and the
+    partial gradients of gamma, beta, w_qkv, b_qkv, w_out and b_out.
 
     xhat holds the group's input rows normed before the affine.  The
     normed rows are rebuilt from it once, then q|k|v, the probabilities
@@ -1264,8 +1342,9 @@ def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g):
     dw_qkv, db_qkv = _weight_grads(normed, dqkv)
     np.matmul(dqkv, w_qkv_t, out=normed)
     del dqkv
-    dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, normed)
-    return normed, (dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
+    dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, normed, dx)
+    return (normed if dx else None,
+            (dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out))
 
 
 def _attention_size(shape, w_qkv, heads):
@@ -1276,19 +1355,24 @@ def _attention_size(shape, w_qkv, heads):
 
 
 def _vjp_layernorm_attention(node, g):
-    # dx is written over g: each group adds its rows' gradient to g's.
+    # dx is written over g: each group adds its rows' gradient to g's.  A
+    # constant input, such as a later block's boundary leaf, gets none.
     x, mu, inv_std, row_max, row_sum, *params = node.saved
     heads = node.attrs["heads"]
     weights = _attention_weights(*params)
+    need_dx = _takes_grad(node.inputs[0])
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
         dx, grads = _attention_grads(xhat, inv_std[s], row_max[s],
-                                     row_sum[s], weights, heads, g[s])
-        g[s] += dx
+                                     row_sum[s], weights, heads, g[s],
+                                     need_dx)
+        if dx is not None:
+            g[s] += dx
         return grads
-    return (g, *_grouped(_attention_size(x.shape, params[2], heads),
-                         _groups(x.shape), group))
+    grads = _grouped(_attention_size(x.shape, params[2], heads),
+                     _groups(x.shape), group)
+    return (g if need_dx else None, *grads)
 
 
 def _vjp_unshuffle_attention(node, g):

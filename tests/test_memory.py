@@ -23,7 +23,8 @@ from blockmae.model import (
     patch_targets, reconstruction_loss,
 )
 from blockmae.optim import AdamW
-from blockmae.runner import _keep_freed_heap
+from blockmae.checkpoint import load_checkpoint, save_checkpoint
+from blockmae.runner import _keep_freed_heap, _load_params, _num_blocks_record
 from blockmae.tape import Tape
 
 
@@ -500,4 +501,40 @@ def test_seeded_sweep_is_bitwise_across_threads(monkeypatch):
                  flops.decoder_units)
         if not all(np.isfinite(u) and u > 0 for u in units):
             failures.append(f"{spec} {plan}: flop units {units}")
+    assert not failures, "\n".join(failures)
+
+
+def test_seeded_sweep_resumes_bitwise(tmp_path):
+    # Per config, two steps of one run against one step, a checkpoint of
+    # the parameters and optimizer state as a run writes it, a load into a
+    # model of another init seed and a fresh AdamW, and the second step:
+    # the second step's losses and the updated parameters are bitwise
+    # equal.
+    path = tmp_path / "ckpt.bimc"
+    failures = []
+    for spec, plan, batch, dtype in _sweep_configs(25, seed=14):
+        images = gen_synthetic_dataset(spec.image_size, 2 * batch, 3).images(
+            dtype=dtype)
+
+        def step(model, opt, i):
+            return blockwise_train_step(
+                partition_encoder(model), images[i * batch:(i + 1) * batch],
+                plan, opt, 1e-3, step_seed=5 + i)
+
+        model, opt = build_model(spec, plan.num_blocks, 4, dtype), AdamW()
+        step(model, opt, 0)
+        save_checkpoint({**model.params, **opt.state_tensors(),
+                         "meta.num_blocks": _num_blocks_record(model)}, path)
+        want = step(model, opt, 1).losses
+        tensors = load_checkpoint(path)
+        resumed, opt = build_model(spec, plan.num_blocks, 9, dtype), AdamW()
+        missing = _load_params(resumed, tensors, dtype)
+        opt.load_state_tensors(tensors)
+        got = step(resumed, opt, 1).losses
+        differ = [k for k in model.params
+                  if not np.array_equal(model.params[k], resumed.params[k])]
+        if missing or got != want or differ:
+            failures.append(f"{spec} {plan} batch={batch} "
+                            f"{np.dtype(dtype).name}: missing {missing[:3]} "
+                            f"differ in {differ[:3]} losses {got} {want}")
     assert not failures, "\n".join(failures)

@@ -114,11 +114,13 @@ def test_forward_tokens_meters_only_the_final_norm(monkeypatch):
 
 
 # Real bytes of a depth-8 forward at the desk shape, batch 32, f64, on two
-# threads, in units of one [b, N, d] activation: 5.3 with the layers on a
-# Forward (a layer's input, attention output and output, and each
-# thread's chunk temporaries, the MLP's CDF term among them), 22 with all
-# layers on one Tape, which keeps each layer's input and residual sum.
-HEAP_OVER_ONE_ACTIVATION = 6.5
+# threads, in units of one [b, N, d] activation: 3.4 with the layers on a
+# Forward whose residual nodes write over their input (one activation,
+# and each thread's MLP chunk temporaries: the normed rows, fc1, its CDF
+# term and fc2's output, 1.25 units per thread); 5.3 when each layer
+# also held its input and attention output; 22 with all layers on one
+# Tape, which keeps each layer's input and residual sum.
+HEAP_OVER_ONE_ACTIVATION = 4.0
 
 
 def test_forward_tokens_heap_at_desk_shape(monkeypatch):
@@ -135,10 +137,11 @@ def test_forward_tokens_heap_at_desk_shape(monkeypatch):
 
 # Real bytes of the whole depth-8 forward at a small shape, where bytes
 # that do not grow with the batch weigh most, in units of one [b, N, d]
-# activation: 9.5, against 29.5 when one Tape holds all layers.  At
-# mlp_ratio 2 one chunk takes the whole batch, so a layer holds its
-# input, attention output and output, the normed rows and fc1 and its
-# CDF term at twice the width: 8 units.  The bound is 688,128 B.
+# activation: 8.5, against 29.5 when one Tape holds all layers.  At
+# mlp_ratio 2 one chunk takes the whole batch, so a layer holds its one
+# activation, the normed rows, fc1 and its CDF term at twice the width,
+# and fc2's output before it is added over the activation: 7 units.  The
+# bound is 688,128 B.
 SMALL_HEAP_OVER_ONE_ACTIVATION = 10.5
 
 
@@ -177,11 +180,24 @@ def test_probe_requires_labels():
 
 def test_features_shape_and_chunking_consistency():
     spec, model = _model()
-    imgs = gen_synthetic_dataset(16, 10, 17).images(dtype=np.float64)
-    f_all = extract_features(truncate_backbone(model, 2), imgs, chunk=10)
-    f_chunked = extract_features(truncate_backbone(model, 2), imgs, chunk=3)
+    ds = gen_synthetic_dataset(16, 10, 17)
+    f_all = extract_features(truncate_backbone(model, 2), ds, chunk=10)
+    f_chunked = extract_features(truncate_backbone(model, 2), ds, chunk=3)
     assert f_all.shape == (10, spec.embed_dim)
     np.testing.assert_allclose(f_all, f_chunked, atol=1e-15)
+
+
+def test_features_read_each_chunk_as_the_whole_set_reads_it():
+    # Each chunk's images are converted when it runs; its features are
+    # bitwise those of the same rows of the whole set converted at once.
+    _, model = _model(depth=8)
+    ds = gen_synthetic_dataset(16, 7, 27)
+    imgs = ds.images(dtype=np.float64)
+    for k in (1, 2, 3, 4):
+        prefix = truncate_backbone(model, k)
+        want = np.concatenate([forward_tokens(prefix, imgs[s:s + 3]).mean(
+            axis=1) for s in (0, 3, 6)])
+        assert np.array_equal(extract_features(prefix, ds, chunk=3), want), k
 
 
 # ----- training-cost model ------------------------------------------------------

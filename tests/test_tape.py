@@ -1226,11 +1226,13 @@ def test_attention_rebuilt_probabilities_bitwise_equal_to_saved(
     # samples per thread; the node that keeps only x and row statistics
     # gives the value and every gradient of plain numpy that keeps the
     # normed rows, q|k|v, the whole probabilities and the merged heads.
+    # Every input takes a gradient, so the rule computes x's too.
     monkeypatch.setattr(tape, "_PARTS", parts)
     vals = _attention_inputs(b, n, d, dtype, 200 + n)
     g = _rand(210 + n, b, n, d).astype(dtype)
     t = Tape()
-    node = t.layernorm_attention(*(t.leaf(a) for a in vals.values()), heads)
+    node = t.layernorm_attention(
+        *(t.leaf(a, requires_grad=True) for a in vals.values()), heads)
     _assert_attention_matches_whole_probabilities(
         node, heads, g, _VJP[node.kind](node, g.copy()))
 
@@ -1350,6 +1352,27 @@ def _split_kernels_run(b, dtype):
     return out
 
 
+def test_unshuffle_attention_writes_its_output_over_the_rebuilt_input(
+        monkeypatch):
+    # At the desk decoder's shape on one thread the forward holds its
+    # output and one chunk's temporaries, not the rebuilt input beside
+    # them: 2.9 outputs, against 3.9 when input and output were two arrays.
+    monkeypatch.setattr(tape, "_PARTS", 1)
+    vals, heads = _desk_values(64, np.float32)
+    t = Tape()
+    z = t.scale(t.leaf(vals["z"]), 1.0)
+    fill, pos, *attention = (t.leaf(vals[k])
+                             for k in ("fill", "pos") + _ATTENTION)
+    tracemalloc.start()
+    try:
+        out = t.unshuffle_attention(z, fill, pos, vals["order"], *attention,
+                                    heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4 * out.value.nbytes, peak / out.value.nbytes
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("b", [1, 2, 3, 5])
 def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
@@ -1368,7 +1391,9 @@ def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
 def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
     # The forwards of layernorm-mlp and attention take two of the 5 rows of
     # their [5, 5, 20] hidden buffers and [5, 3, 5, 5] probabilities per
-    # chunk: rows 2, 2, 1 on one thread, or 2 | 2, 1 on two.
+    # chunk: rows 2, 2, 1 on one thread, or 2 | 2, 1 on two.  layernorm's
+    # forward takes three of its 5 [5, 12] samples per chunk, on one
+    # thread, since its 300 elements do not repay a second: rows 3, 2.
     # layernorm-linear's forward normalizes a group of 2 samples (10 rows)
     # at a time within each thread's rows, and every backward rule cuts
     # the 5 samples into groups of 2, whatever the threads and chunk size;
@@ -1391,8 +1416,8 @@ def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
     monkeypatch.setattr(tape, "_groups", recorded(tape._groups, groups))
     got = _split_kernels_run(5, np.float32)
     split = {1: [[(0, 2), (2, 4), (4, 5)]], 2: [[(0, 2)], [(2, 4), (4, 5)]]}
-    # layernorm-mlp's and attention's forwards
-    assert sorted(chunks) == sorted(split[parts] * 2)
+    # layernorm's, layernorm-mlp's and attention's forwards
+    assert sorted(chunks) == sorted(split[parts] * 2 + [[(0, 3), (3, 5)]])
     # layernorm-linear's forward, then the rules of layernorm, attention,
     # linear, layernorm-linear, layernorm-mlp and linear with a residual
     assert sorted(groups) == sorted(split[parts]
@@ -1748,20 +1773,28 @@ def test_streamed_rule_backward_holds_a_group_per_thread(monkeypatch, kind,
 
 # ----- a tape that records nothing ------------------------------------------
 
-def _forward_chain(t, dtype):
+def _forward_chain(t, dtype, copies=None):
     """linear, layernorm-attention, layernorm-mlp and layernorm on a batch
-    of 5 samples, each node reading the last; returns the nodes."""
+    of 5 samples, each node reading the last; returns the nodes.  With a
+    list `copies`, a copy of each node's value goes into it before the
+    next node reads that value: on a Forward, the two residual nodes write
+    over their input's array."""
     def leaf(seed, *shape):
         return t.leaf(_rand(seed, *shape).astype(dtype))
 
-    x = t.linear(leaf(300, 5, 4, 6), leaf(301, 6, 12), leaf(302, 12))
-    att = t.layernorm_attention(x, *(
+    def kept(node):
+        if copies is not None:
+            copies.append(node.value.copy())
+        return node
+
+    x = kept(t.linear(leaf(300, 5, 4, 6), leaf(301, 6, 12), leaf(302, 12)))
+    att = kept(t.layernorm_attention(x, *(
         leaf(310 + i, *shape) for i, shape in enumerate(
-            ((12,), (12,), (12, 36), (36,), (12, 12), (12,)))), 3)
-    mlp = t.layernorm_mlp(att, leaf(320, 12), leaf(321, 12),
-                          leaf(322, 12, 20), leaf(323, 20),
-                          leaf(324, 20, 12), leaf(325, 12))
-    return x, att, mlp, t.layernorm(mlp, leaf(330, 12), leaf(331, 12))
+            ((12,), (12,), (12, 36), (36,), (12, 12), (12,)))), 3))
+    mlp = kept(t.layernorm_mlp(att, leaf(320, 12), leaf(321, 12),
+                               leaf(322, 12, 20), leaf(323, 20),
+                               leaf(324, 20, 12), leaf(325, 12)))
+    return x, att, mlp, kept(t.layernorm(mlp, leaf(330, 12), leaf(331, 12)))
 
 
 @pytest.mark.parametrize("parts", [1, 2])
@@ -1773,11 +1806,14 @@ def test_forward_values_bitwise_equal_to_tape(monkeypatch, dtype, parts):
     monkeypatch.setattr(tape, "_PARTS", parts)
     monkeypatch.setattr(tape, "_PART_ELEMENTS", 2 * 4 * 20)
     t, fwd = Tape(), tape.Forward()
-    want, got = _forward_chain(t, dtype), _forward_chain(fwd, dtype)
-    for w, g in zip(want, got):
-        assert g.value.dtype == dtype and np.array_equal(g.value, w.value), \
-            w.kind
-        assert g.saved == [] and g.bytes == 0 and g.inputs == (), w.kind
+    want, got = [], []
+    _forward_chain(t, dtype, want)
+    nodes = _forward_chain(fwd, dtype, got)
+    assert len(want) == len(got) == len(nodes)
+    for node, w, g in zip(nodes, want, got):
+        assert g.dtype == dtype and np.array_equal(g, w), node.kind
+        assert node.saved == [] and node.bytes == 0 and node.inputs == (), \
+            node.kind
     assert fwd.nodes == [] and fwd.meter.peak_activation_bytes == 0
 
 
@@ -1809,3 +1845,94 @@ def test_forward_refuses_backward_and_release():
         fwd.backward(loss)
     with pytest.raises(LifecycleError, match="records nothing"):
         fwd.release_block_activations(0)
+
+
+def test_forward_residual_nodes_write_over_the_input_they_consume():
+    # Each residual node takes its non-leaf input's array over for its own
+    # output, and the input node has no value left.  The final layernorm is
+    # no residual node: the MLP's output keeps its array.
+    fwd = tape.Forward()
+    arrays = []
+    x, att, mlp, out = _forward_chain(fwd, np.float64, arrays)
+    assert np.array_equal(mlp.value, arrays[2])
+    assert not np.shares_memory(out.value, mlp.value)
+    for node, consumer in ((x, "layernorm-attention"),
+                           (att, "layernorm-mlp")):
+        assert node.consumed_by == consumer and "consumed" in repr(node)
+        assert node._value is None
+    fwd = tape.Forward()
+    x = fwd.linear(*(fwd.leaf(_rand(340 + i, *shape)) for i, shape in
+                     enumerate(((2, 3, 4), (4, 4), (4,)))))
+    held = x.value
+    att = fwd.layernorm_attention(x, *(
+        fwd.leaf(_rand(350 + i, *shape)) for i, shape in enumerate(
+            ((4,), (4,), (4, 12), (12,), (4, 4), (4,)))), 2)
+    assert att.value is held
+
+
+def test_reading_a_consumed_node_is_a_lifecycle_error_naming_it():
+    # Reading the node again would otherwise be an AttributeError on None,
+    # and using its array the consumer's output, silently.
+    fwd = tape.Forward()
+    x, att, _, _ = _forward_chain(fwd, np.float32)
+    for node, consumer in ((x, "layernorm-attention"),
+                           (att, "layernorm-mlp")):
+        with pytest.raises(LifecycleError,
+                           match=f"<Node {node.kind} consumed> was consumed "
+                                 f"by a {consumer} node"):
+            node.value
+        with pytest.raises(LifecycleError, match=f"<Node {node.kind} "):
+            fwd.layernorm_mlp(node, *(fwd.leaf(_rand(360 + i, *shape))
+                                      for i, shape in enumerate(
+                                          ((12,), (12,), (12, 20), (20,),
+                                           (20, 12), (12,)))))
+
+
+@pytest.mark.parametrize("leaf_input", [True, False])
+def test_forward_never_writes_a_leaf_or_an_input_of_another_dtype(leaf_input):
+    # A leaf's array is the caller's (a parameter, a constant, an image
+    # batch); an f32 input of an f64 sum cannot hold it.  Both keep their
+    # values, and the output is a new array.
+    fwd = tape.Forward()
+    xv = _rand(370, 3, 4, 8)
+    if leaf_input:
+        x = fwd.leaf(xv.copy())
+    else:
+        x = fwd.linear(fwd.leaf(xv.astype(np.float32)),
+                       fwd.leaf(np.eye(8, dtype=np.float32)),
+                       fwd.leaf(np.zeros(8, np.float32)))
+    before = x.value.copy()
+    att = fwd.layernorm_attention(x, *(
+        fwd.leaf(_rand(380 + i, *shape)) for i, shape in enumerate(
+            ((8,), (8,), (8, 24), (24,), (8, 8), (8,)))), 2)
+    mlp = fwd.layernorm_mlp(x, *(
+        fwd.leaf(_rand(390 + i, *shape)) for i, shape in enumerate(
+            ((8,), (8,), (8, 16), (16,), (16, 8), (8,)))))
+    assert x.consumed_by is None and np.array_equal(x.value, before)
+    for node in (att, mlp):
+        assert node.value.dtype == np.float64
+        assert not np.shares_memory(node.value, x.value)
+
+
+@pytest.mark.parametrize("kind", ["linear", "layernorm-attention"])
+def test_rule_skips_the_gradient_of_a_constant_input(kind):
+    # A later block's first layer reads its boundary leaf, and the
+    # embedding its patch leaf: backward drops their gradient, so the rule
+    # returns None for it, and every parameter's gradient is bitwise the
+    # one computed beside x's (three groups of 24 samples here).
+    vals, heads = _desk_values(16, np.float64)
+    g = _rand(410, 64, 16, 64)
+    out = {}
+    for takes in (True, False):
+        t = Tape()
+        x = t.leaf(vals["x"], requires_grad=takes)
+        if kind == "linear":
+            node = t.linear(x, t.leaf(vals["w"]), t.leaf(vals["b"]))
+        else:
+            node = t.layernorm_attention(
+                x, *(t.leaf(vals[k]) for k in _ATTENTION), heads)
+        out[takes] = _VJP[node.kind](node, g.copy())
+    assert out[False][0] is None and out[True][0].shape == g.shape
+    assert len(out[True]) == len(out[False])
+    for a, b in zip(out[True][1:], out[False][1:]):
+        assert np.array_equal(a, b)
