@@ -157,10 +157,10 @@ def incremental_drop(tape, out, kept, keep, seed):
 
     `kept` [b, cur] holds each sample's visible patch ids in token order.
     Returns (tape.boundary(out), kept) when `keep` equals cur.  Otherwise
-    row i keeps the first `keep` entries of a stable argsort of cur
-    uniforms drawn from split(seed, "sample", i), a subset of its visible
-    tokens without replacement, so visibility nests; the boundary holds a
-    copy of those rows, and `out` is not kept.
+    row i keeps the first `keep` entries of rng.permutation(split(seed,
+    "sample", i), cur), a subset of its visible tokens without
+    replacement, so visibility nests; the boundary holds a copy of those
+    rows, and `out` is not kept.
     """
     cur = kept.shape[1]
     if keep > cur:
@@ -169,9 +169,8 @@ def incremental_drop(tape, out, kept, keep, seed):
             f"(ratios must be non-decreasing)")
     if keep == cur:
         return tape.boundary(out), kept
-    noise = rng.uniforms([rng.split(seed, "sample", i)
-                          for i in range(len(kept))], cur)
-    take = np.argsort(noise, axis=-1, kind="stable")[:, :keep]
+    take = rng.permutation([rng.split(seed, "sample", i)
+                            for i in range(len(kept))], cur)[:, :keep]
     return (tape.boundary(out[np.arange(len(take))[:, None], take]),
             np.take_along_axis(kept, take, axis=-1))
 

@@ -242,13 +242,12 @@ def keep_count(num_patches, ratio):
 def mask_indices(num_patches, ratio, seeds):
     """Visible patch ids [len(seeds), k] at masking ratio `ratio`.
 
-    k = keep_count(N, ratio); row i is the first k entries of a stable
-    argsort over N uniforms drawn from seeds[i] (ties by index).
+    k = keep_count(N, ratio); row i is the first k entries of
+    rng.permutation(seeds[i], N).
     """
     if not 0.0 <= ratio < 1.0:
         raise ContractError(f"masking ratio must be in [0, 1), got {ratio}")
-    noise = rng.uniforms(seeds, num_patches)
-    return np.argsort(noise, axis=-1, kind="stable")[
+    return rng.permutation(seeds, num_patches)[
         :, :keep_count(num_patches, ratio)]
 
 
@@ -288,9 +287,6 @@ def _sublayer_params(tape, params, prefix, names):
 
 def encoder_block_layer(tape, params, prefix, x, heads):
     """Pre-norm transformer layer: x + MHSA(LN(x)), then + MLP(LN(x))."""
-    dim = x.shape[-1]
-    if dim % heads != 0:
-        raise DimensionError(f"width {dim} not divisible by heads {heads}")
     x2 = tape.layernorm_attention(
         x, *_sublayer_params(tape, params, prefix, _ATTENTION), heads)
     return tape.layernorm_mlp(

@@ -72,6 +72,10 @@ def normals(seed: int, n: int) -> np.ndarray:
     return out[:n]
 
 
-def permutation(seed: int, n: int) -> np.ndarray:
-    """Deterministic permutation of range(n): stable argsort of uniforms."""
-    return np.argsort(uniforms(seed, n), kind="stable")
+def permutation(seed, n: int) -> np.ndarray:
+    """Deterministic permutation of range(n): stable argsort of uniforms.
+
+    `seed` may also be a sequence of seeds: the result is then one row per
+    seed, each equal to that seed's own permutation.
+    """
+    return np.argsort(uniforms(seed, n), axis=-1, kind="stable")

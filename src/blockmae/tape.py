@@ -1,5 +1,6 @@
-"""Reverse-mode autodiff over dense f32/f64 arrays with block tags,
-explicit activation release, and byte-exact live-memory accounting.
+"""Reverse-mode autodiff over dense arrays of one float dtype per tape,
+f32 or f64, with block tags, explicit activation release, and byte-exact
+live-memory accounting.
 
 Forward evaluation is eager; every operation appends a Node to the tape.
 A Node's `saved` list holds exactly the buffers its backward rule needs.
@@ -87,16 +88,20 @@ appended and keep no link to their inputs, so an array lives only while
 the caller holds its node, and its backward and release raise a
 lifecycle error.  Since nothing saves an input there, the residual nodes
 layernorm-attention and layernorm-mlp write their sum over the array of
-a non-leaf input of the sum's dtype and take it over: that input node is
-consumed, and reading its value again is a lifecycle error that names
-it.  A leaf's array is never written.
+a non-leaf input and take it over: that input node is consumed, and
+reading its value again is a lifecycle error that names it.  A leaf's
+array is never written.
+
+A tape holds one dtype, f32 or f64: the first array its `leaf` or
+`boundary` is given sets it, and both refuse an array of another.  So
+every kernel and rule allocates in its input's dtype.
 
 Backward keeps only the gradient frontier: a non-leaf node's gradient is
 dropped as soon as its backward rule has run, so intermediate gradients do
 not accumulate over the pass.  Leaf gradients stay until backward returns
-them, and a constant leaf's are dropped: the rules of linear and
-layernorm-attention compute none for a constant input (`_takes_grad`).
-Gradients are never charged; the table above is the whole meter.
+them, and a constant leaf's are dropped; no rule asks which of its
+inputs' gradients backward keeps.  Gradients are never charged; the
+table above is the whole meter.
 
 Threading: the heavy kernels (the forwards of linear, layernorm, gelu
 and the fused nodes, and the backward rules) run on all cores the
@@ -158,11 +163,6 @@ class LifecycleError(TapeError):
 
 class NumericError(TapeError):
     pass
-
-
-def _check_dtype(arr):
-    if arr.dtype not in (np.float32, np.float64):
-        raise ContractError(f"tensors must be f32 or f64, got {arr.dtype}")
 
 
 @functools.cache
@@ -316,6 +316,7 @@ class Tape:
     def __init__(self):
         self.nodes = []
         self.meter = MemoryMeter()
+        self.dtype = None
         self._block = None
         self._released_blocks = set()
         self._backwarded_blocks = set()
@@ -330,9 +331,21 @@ class Tape:
         """Register a constant or parameter; never charged to the meter.
         Leaves are the only nodes that carry `requires_grad`."""
         value = np.ascontiguousarray(value)
-        _check_dtype(value)
+        self._check_dtype(value)
         return self._register(Node("leaf", value, requires_grad=requires_grad,
                                    is_leaf=True, name=name), [])
+
+    def _check_dtype(self, arr):
+        """Refuse an array that is not f32 or f64, or not of the dtype of
+        the first array the tape was given, which sets its dtype."""
+        if arr.dtype not in (np.float32, np.float64):
+            raise ContractError(f"tensors must be f32 or f64, got {arr.dtype}")
+        if self.dtype is None:
+            self.dtype = arr.dtype
+        elif arr.dtype != self.dtype:
+            raise ContractError(
+                f"a tape holds one dtype: got {arr.dtype} on a tape of "
+                f"{self.dtype}")
 
     def _register(self, node, saved_pairs):
         """Tag, charge and append a node.
@@ -358,10 +371,10 @@ class Tape:
             x.value.flags.writeable = False
         return (x.value, not x.is_leaf)
 
-    def _residual_out(self, x, dtype, kind):
+    def _residual_out(self, x, kind):
         """The output array of a `kind` node whose residual is x: a new one,
         since the node saves x."""
-        return np.empty(x.value.shape, dtype)
+        return np.empty_like(x.value)
 
     # ----- primitives ------------------------------------------------
 
@@ -387,7 +400,7 @@ class Tape:
         and so is `residual`, a node of the output's shape, when given."""
         xv, wv, bv = x.value, w.value, b.value
         _check_linear(xv.shape, wv.shape, bv.shape, "linear")
-        out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
+        out = np.empty(xv.shape[:-1] + wv.shape[1:], xv.dtype)
         rv = _residual_value(residual, out.shape)
 
         def rows(lo, hi):
@@ -465,10 +478,10 @@ class Tape:
         inv_std = np.empty_like(mu)
 
         def rows(lo, hi):
-            for c in _chunks(lo, hi, _lead(xv).shape[1:]):
-                _layernorm_rows(*(_lead(a)[c] for a in (xv, mu, inv_std, out)),
-                                gamma.value, beta.value)
-        _parallel(xv.size, rows=len(_lead(xv)), part=rows)
+            for c in _chunks(lo, hi, xv.shape[1:]):
+                _layernorm_rows(xv[c], mu[c], inv_std[c], out[c], gamma.value,
+                                beta.value)
+        _parallel(xv.size, rows=len(xv), part=rows)
         node = Node("layernorm", out, (x, gamma, beta))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
                                       self._act(gamma)])
@@ -485,7 +498,7 @@ class Tape:
         xv, gv, bev, wv, bv = (n.value for n in (x, gamma, beta, w, b))
         _check_linear(xv.shape, wv.shape, bv.shape, "layernorm-linear")
         _check_layernorm(xv.shape, gv, bev)
-        out = np.empty(xv.shape[:-1] + wv.shape[1:], np.result_type(xv, wv))
+        out = np.empty(xv.shape[:-1] + wv.shape[1:], xv.dtype)
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
 
@@ -530,8 +543,7 @@ class Tape:
         xv = x.value
         params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
         _check_attention(xv.shape, *params, heads, "layernorm-attention")
-        out = self._residual_out(x, np.result_type(xv, params[2], params[4]),
-                                 "layernorm-attention")
+        out = self._residual_out(x, "layernorm-attention")
         stats = _attention_forward(xv, *params, heads, out)
         node = Node("layernorm-attention", out,
                     (x, gamma, beta, w_qkv, b_qkv, w_out, b_out),
@@ -569,13 +581,10 @@ class Tape:
         params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
         _check_attention(order.shape + fv.shape, *params, heads,
                          "unshuffle-attention")
-        # Nothing else holds the rebuilt input: the output is written over
-        # it when their dtypes agree.
+        # Nothing else holds the rebuilt input: the output is written over it.
         xv = _unshuffle_rows(zv, fv, pv, order)
-        dtype = np.result_type(xv, params[2], params[4])
-        out = xv if xv.dtype == dtype else np.empty(xv.shape, dtype)
-        stats = _attention_forward(xv, *params, heads, out)
-        node = Node("unshuffle-attention", out,
+        stats = _attention_forward(xv, *params, heads, xv)
+        node = Node("unshuffle-attention", xv,
                     (z, fill, pos, gamma, beta, w_qkv, b_qkv, w_out, b_out),
                     attrs={"heads": heads})
         return self._register(node, [self._act(z), (order, True),
@@ -593,8 +602,8 @@ class Tape:
         out = np.empty_like(xv)
 
         def rows(lo, hi):
-            _gelu_rows(*(_lead(a)[lo:hi] for a in (xv, cdf, out)))
-        _parallel(xv.size, rows=len(_lead(xv)), part=rows)
+            _gelu_rows(xv[lo:hi], cdf[lo:hi], out[lo:hi])
+        _parallel(xv.size, rows=len(xv), part=rows)
         node = Node("gelu", out, (x,))
         return self._register(node, [self._act(x), (cdf, True)])
 
@@ -617,9 +626,8 @@ class Tape:
         _check_linear(xv.shape, w1v.shape, b1v.shape, "layernorm-mlp")
         hidden_shape = xv.shape[:-1] + w1v.shape[1:]
         _check_linear(hidden_shape, w2v.shape, b2v.shape, "layernorm-mlp")
-        dtype = np.result_type(xv, w1v)
         _residual_value(x, xv.shape[:-1] + w2v.shape[1:])
-        out = self._residual_out(x, np.result_type(dtype, w2v), "layernorm-mlp")
+        out = self._residual_out(x, "layernorm-mlp")
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
 
@@ -627,7 +635,7 @@ class Tape:
             for c in _chunks(lo, hi, hidden_shape[1:]):
                 normed = np.empty_like(xv[c])
                 _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
-                h = np.empty(normed.shape[:-1] + hidden_shape[-1:], dtype)
+                h = np.empty(normed.shape[:-1] + hidden_shape[-1:], xv.dtype)
                 _linear_rows(normed, w1v, b1v, h)
                 _gelu_rows(h, np.empty_like(h), h)
                 o = out[c]
@@ -676,6 +684,7 @@ class Tape:
         producer's node that saves it and by this leaf, until that
         release.
         """
+        self._check_dtype(value)
         value.flags.writeable = False
         return self._register(Node("boundary", value, (), is_leaf=True),
                               [(value, True)])
@@ -735,7 +744,9 @@ class Tape:
             contribs = _VJP[node.kind](node, g)
             node.saved = None   # the meter charges them until release
             for inp, contrib in zip(node.inputs, contribs):
-                if contrib is None or not _takes_grad(inp):
+                if contrib is None:
+                    continue
+                if inp.is_leaf and not inp.requires_grad:
                     continue
                 acc = grads.get(id(inp))
                 grads[id(inp)] = contrib if acc is None else acc + contrib
@@ -808,12 +819,12 @@ class Forward(Tape):
         # input has no array to pair.
         return None
 
-    def _residual_out(self, x, dtype, kind):
-        """x's own array when x is a non-leaf node of the output's dtype:
-        nothing saved it, so the residual sum is written over it, and x is
-        consumed.  A leaf's array is never written."""
-        if x.is_leaf or x.value.dtype != dtype:
-            return super()._residual_out(x, dtype, kind)
+    def _residual_out(self, x, kind):
+        """x's own array when x is a non-leaf node: nothing saved it, so the
+        residual sum is written over it, and x is consumed.  A leaf's array
+        is never written."""
+        if x.is_leaf:
+            return super()._residual_out(x, kind)
         out = x.value
         x.value = None
         x.consumed_by = kind
@@ -828,11 +839,6 @@ class Forward(Tape):
         raise LifecycleError(
             f"release of block {block_id} on a Forward tape: it records "
             f"nothing to release")
-
-
-def _lead(a):
-    """a itself, or a 0-d/1-d array viewed with a leading axis of length 1."""
-    return a if a.ndim > 1 else a.reshape(1, -1)
 
 
 def _chunks(lo, hi, row_shape):
@@ -863,6 +869,9 @@ def _check_linear(x_shape, w_shape, b_shape, kind):
 
 
 def _check_layernorm(x_shape, gv, bv):
+    if len(x_shape) < 2:
+        raise DimensionError(
+            f"layernorm needs rows [b, ..., d] of rank >= 2, got {x_shape}")
     d = x_shape[-1]
     if gv.shape != (d,) or bv.shape != (d,):
         raise DimensionError(
@@ -1047,20 +1056,19 @@ def _attention_forward(xv, gv, bev, wqv, bqv, wov, bov, heads, out):
     may be xv itself, and returns its saved statistics (mean, inv-std,
     softmax max and sum), for parameters _check_attention accepts.  A
     chunk's rows of xv are read before its rows of out are written."""
-    dtype = np.result_type(xv, wqv)
     b, n = xv.shape[:2]
     mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
     inv_std = np.empty_like(mu)
-    row_max = np.empty((b, heads, n, 1), dtype)
+    row_max = np.empty((b, heads, n, 1), xv.dtype)
     row_sum = np.empty_like(row_max)
 
     def rows(lo, hi):
         for c in _chunks(lo, hi, (heads, n, n)):
             normed = np.empty_like(xv[c])
             _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
-            qkv = np.empty(normed.shape[:-1] + wqv.shape[1:], dtype)
+            qkv = np.empty(normed.shape[:-1] + wqv.shape[1:], xv.dtype)
             _linear_rows(normed, wqv, bqv, qkv)
-            merged = np.empty(normed.shape[:-1] + wov.shape[:1], dtype)
+            merged = np.empty(normed.shape[:-1] + wov.shape[:1], xv.dtype)
             del normed
             _attention_rows(qkv, heads, row_max[c], row_sum[c], merged,
                             stats=True)
@@ -1075,7 +1083,7 @@ def _unshuffle_rows(z, fill, pos, order):
     """The decoder input [b, n, d]: row j of z's sample i at row order[i, j]
     for j < k, `fill` at the other rows, then plus `pos`."""
     k = z.shape[1]
-    out = np.empty(order.shape + fill.shape, np.result_type(z, fill, pos))
+    out = np.empty(order.shape + fill.shape, z.dtype)
     out[_per_sample(order[:, :k])] = z
     out[_per_sample(order[:, k:])] = fill
     out += pos
@@ -1146,12 +1154,6 @@ def _broadcast_grad(g, lead):
     return total
 
 
-def _takes_grad(node):
-    """Whether backward keeps a gradient for `node`: it drops a constant
-    leaf's, so a rule need not compute it."""
-    return not node.is_leaf or node.requires_grad
-
-
 def _weight_grad(x, g):
     """x's rows, transposed, times g's: the weight gradient of x @ w."""
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -1168,7 +1170,7 @@ def _vjp_matmul(node, g):
     if b.ndim == 3:
         return (g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g)
     bt = np.ascontiguousarray(b.T)
-    da = np.empty(a.shape, np.result_type(g, b))
+    da = np.empty_like(a)
 
     def group(s):
         np.matmul(g[s], bt, out=da[s])
@@ -1179,16 +1181,13 @@ def _vjp_matmul(node, g):
 
 def _vjp_linear(node, g):
     # The last entry is a residual's gradient, g itself; a node without a
-    # residual has no input to pair it with.  A constant input gets no dx.
+    # residual has no input to pair it with.
     x, w = node.saved
-    dx = None
-    if _takes_grad(node.inputs[0]):
-        wt = np.ascontiguousarray(w.T)
-        dx = np.empty(x.shape, np.result_type(g, w))
+    wt = np.ascontiguousarray(w.T)
+    dx = np.empty_like(x)
 
     def group(s):
-        if dx is not None:
-            np.matmul(g[s], wt, out=dx[s])
+        np.matmul(g[s], wt, out=dx[s])
         return _weight_grads(x[s], g[s])
     return (dx, *_grouped(max(x.size, g.size), _groups(x.shape), group), g)
 
@@ -1224,17 +1223,13 @@ def _vjp_concat_rows(node, g):
     return tuple(outs)
 
 
-def _layernorm_grads(xhat, inv_std, gamma, g, dx=True):
+def _layernorm_grads(xhat, inv_std, gamma, g):
     """The partial (dgamma, dbeta) of xhat * gamma + beta over one group's
-    rows, xhat the normed rows before the affine, and, with `dx`, the
-    input's gradient, written over the rows' gradient g: g is consumed,
-    xhat is not.
+    rows, xhat the normed rows before the affine, and dx, written over
+    the rows' gradient g: g is consumed, xhat is not.
     """
     lead = g.ndim - 1
     dbeta = _lead_sum(g, lead)
-    if not dx:
-        np.multiply(xhat, g, out=g)
-        return _lead_sum(g, lead), dbeta
     dxhat = g * gamma
     np.multiply(xhat, g, out=g)
     dgamma = _lead_sum(g, lead)
@@ -1251,11 +1246,10 @@ def _layernorm_grads(xhat, inv_std, gamma, g, dx=True):
 def _vjp_layernorm(node, g):
     # dx is written over g.
     x, mu, inv_std, gamma = node.saved
-    x, mu, inv_std, g2 = (_lead(a) for a in (x, mu, inv_std, g))
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        return _layernorm_grads(xhat, inv_std[s], gamma, g2[s])
+        return _layernorm_grads(xhat, inv_std[s], gamma, g[s])
     return (g, *_grouped(x.size, _groups(x.shape), group))
 
 
@@ -1286,8 +1280,8 @@ def _vjp_gelu(node, g):
     dx = np.empty_like(x)
 
     def rows(lo, hi):
-        _gelu_grad_rows(*(_lead(a)[lo:hi] for a in (x, cdf, g, dx)))
-    _parallel(x.size, rows=len(_lead(x)), part=rows)
+        _gelu_grad_rows(x[lo:hi], cdf[lo:hi], g[lo:hi], dx[lo:hi])
+    _parallel(x.size, rows=len(x), part=rows)
     return (dx,)
 
 
@@ -1299,11 +1293,10 @@ def _attention_weights(gamma, beta, w_qkv, b_qkv, w_out):
             np.ascontiguousarray(w_qkv.T), np.ascontiguousarray(w_out.T))
 
 
-def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g,
-                     dx=True):
+def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g):
     """The gradient of `Tape.layernorm_attention`'s input over one group of
-    whole samples, less the residual's g (None without `dx`), and the
-    partial gradients of gamma, beta, w_qkv, b_qkv, w_out and b_out.
+    whole samples, less the residual's g, and the partial gradients of
+    gamma, beta, w_qkv, b_qkv, w_out and b_out.
 
     xhat holds the group's input rows normed before the affine.  The
     normed rows are rebuilt from it once, then q|k|v, the probabilities
@@ -1342,9 +1335,8 @@ def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g,
     dw_qkv, db_qkv = _weight_grads(normed, dqkv)
     np.matmul(dqkv, w_qkv_t, out=normed)
     del dqkv
-    dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, normed, dx)
-    return (normed if dx else None,
-            (dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out))
+    dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, normed)
+    return normed, (dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
 
 
 def _attention_size(shape, w_qkv, heads):
@@ -1355,24 +1347,19 @@ def _attention_size(shape, w_qkv, heads):
 
 
 def _vjp_layernorm_attention(node, g):
-    # dx is written over g: each group adds its rows' gradient to g's.  A
-    # constant input, such as a later block's boundary leaf, gets none.
+    # dx is written over g: each group adds its rows' gradient to g's.
     x, mu, inv_std, row_max, row_sum, *params = node.saved
     heads = node.attrs["heads"]
     weights = _attention_weights(*params)
-    need_dx = _takes_grad(node.inputs[0])
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
         dx, grads = _attention_grads(xhat, inv_std[s], row_max[s],
-                                     row_sum[s], weights, heads, g[s],
-                                     need_dx)
-        if dx is not None:
-            g[s] += dx
+                                     row_sum[s], weights, heads, g[s])
+        g[s] += dx
         return grads
-    grads = _grouped(_attention_size(x.shape, params[2], heads),
-                     _groups(x.shape), group)
-    return (g if need_dx else None, *grads)
+    return (g, *_grouped(_attention_size(x.shape, params[2], heads),
+                         _groups(x.shape), group))
 
 
 def _vjp_unshuffle_attention(node, g):
@@ -1386,9 +1373,8 @@ def _vjp_unshuffle_attention(node, g):
     weights = _attention_weights(*params)
     b, k = z.shape[:2]
     shape = order.shape + fill.shape
-    dtype = np.result_type(z, fill, pos)
-    dz = np.empty(z.shape, dtype)
-    dfill = np.empty((b, shape[1] - k) + fill.shape, dtype)
+    dz = np.empty_like(z)
+    dfill = np.empty((b, shape[1] - k) + fill.shape, z.dtype)
 
     def group(s):
         x = _unshuffle_rows(z[s], fill, pos, order[s])
@@ -1417,12 +1403,11 @@ def _vjp_layernorm_mlp(node, g):
     # rule's dx, which is added to g's rows: dx is written over g.
     x, mu, inv_std, gamma, beta, w1, b1, w2 = node.saved
     w1t, w2t = (np.ascontiguousarray(w.T) for w in (w1, w2))
-    dtype = np.result_type(x, w1)
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
         normed = _affine_rows(xhat, gamma, beta, xhat)
-        f1 = np.empty(normed.shape[:-1] + w1.shape[1:], dtype)
+        f1 = np.empty(normed.shape[:-1] + w1.shape[1:], x.dtype)
         _linear_rows(normed, w1, b1, f1)
         cdf = _gelu_cdf_rows(f1, np.empty_like(f1))
         h = _gelu_from_cdf(f1, cdf, np.empty_like(f1))
@@ -1449,7 +1434,7 @@ def _vjp_mse_masked(node, g):
     dpred *= mask[..., None]
     dpred /= pred.shape[-1] * mask.sum()
     dpred *= g
-    return (dpred.astype(pred.dtype, copy=False), None, None)
+    return (dpred, None, None)
 
 
 _VJP = {

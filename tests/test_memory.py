@@ -457,14 +457,29 @@ def _sweep_step(spec, plan, batch, dtype):
     return rep, model.params
 
 
-def test_seeded_sweep_meters_what_the_model_predicts():
+def test_seeded_sweep_meters_what_the_model_predicts(monkeypatch):
     # Per config, one step: the metered peak is analytic_peak, and after
     # each block's release only the next block's boundary is live, the
-    # tokens that block keeps.
+    # tokens that block keeps.  And every node the step records holds an
+    # array of the config's dtype, the tape's: each kernel allocates in
+    # its input's dtype.
+    register = Tape._register
+    recorded = set()
+
+    def spy(self, node, saved_pairs):
+        recorded.add((self.dtype, node.value.dtype, node.kind))
+        return register(self, node, saved_pairs)
+    monkeypatch.setattr(Tape, "_register", spy)
     failures = []
     for spec, plan, batch, dtype in _sweep_configs(25, seed=14):
         s = np.dtype(dtype).itemsize
+        recorded.clear()
         rep, _ = _sweep_step(spec, plan, batch, dtype)
+        strays = sorted((str(t), str(v), k) for t, v, k in recorded
+                        if t != dtype or v != dtype)
+        if strays:
+            failures.append(f"{spec} {plan} {np.dtype(dtype).name}: "
+                            f"(tape, node, kind) {strays}")
         keeps = [keep_count(spec.num_patches, r) for r in plan.mask_schedule]
         boundaries = [s * batch * k * spec.embed_dim for k in keeps[1:]]
         want = (analytic_peak(spec, plan, batch, s), boundaries + [0])

@@ -352,6 +352,14 @@ def test_grad_fused_nodes(kind, var):
     _grad_check(build, vals[var], 6300)
 
 
+def test_layernorm_refuses_a_row_without_a_batch():
+    # Rows are batched: a 1-D input is refused, not normed as one row.
+    t = Tape()
+    with pytest.raises(DimensionError, match="rank >= 2"):
+        t.layernorm(t.leaf(_rand(40, 4)), t.leaf(np.ones(4)),
+                    t.leaf(np.zeros(4)))
+
+
 def test_fused_nodes_refuse_mismatched_shapes():
     t = Tape()
     x, w, b = (t.leaf(np.zeros(s)) for s in ((2, 5, 4), (4, 3), (3,)))
@@ -1882,25 +1890,17 @@ def test_reading_a_consumed_node_is_a_lifecycle_error_naming_it():
                                  f"by a {consumer} node"):
             node.value
         with pytest.raises(LifecycleError, match=f"<Node {node.kind} "):
-            fwd.layernorm_mlp(node, *(fwd.leaf(_rand(360 + i, *shape))
-                                      for i, shape in enumerate(
-                                          ((12,), (12,), (12, 20), (20,),
+            fwd.layernorm_mlp(node, *(
+                fwd.leaf(_rand(360 + i, *shape).astype(np.float32))
+                for i, shape in enumerate(((12,), (12,), (12, 20), (20,),
                                            (20, 12), (12,)))))
 
 
-@pytest.mark.parametrize("leaf_input", [True, False])
-def test_forward_never_writes_a_leaf_or_an_input_of_another_dtype(leaf_input):
+def test_forward_never_writes_a_leaf():
     # A leaf's array is the caller's (a parameter, a constant, an image
-    # batch); an f32 input of an f64 sum cannot hold it.  Both keep their
-    # values, and the output is a new array.
+    # batch): it keeps its values, and the output is a new array.
     fwd = tape.Forward()
-    xv = _rand(370, 3, 4, 8)
-    if leaf_input:
-        x = fwd.leaf(xv.copy())
-    else:
-        x = fwd.linear(fwd.leaf(xv.astype(np.float32)),
-                       fwd.leaf(np.eye(8, dtype=np.float32)),
-                       fwd.leaf(np.zeros(8, np.float32)))
+    x = fwd.leaf(_rand(370, 3, 4, 8))
     before = x.value.copy()
     att = fwd.layernorm_attention(x, *(
         fwd.leaf(_rand(380 + i, *shape)) for i, shape in enumerate(
@@ -1910,29 +1910,19 @@ def test_forward_never_writes_a_leaf_or_an_input_of_another_dtype(leaf_input):
             ((8,), (8,), (8, 16), (16,), (16, 8), (8,)))))
     assert x.consumed_by is None and np.array_equal(x.value, before)
     for node in (att, mlp):
-        assert node.value.dtype == np.float64
         assert not np.shares_memory(node.value, x.value)
 
 
-@pytest.mark.parametrize("kind", ["linear", "layernorm-attention"])
-def test_rule_skips_the_gradient_of_a_constant_input(kind):
-    # A later block's first layer reads its boundary leaf, and the
-    # embedding its patch leaf: backward drops their gradient, so the rule
-    # returns None for it, and every parameter's gradient is bitwise the
-    # one computed beside x's (three groups of 24 samples here).
-    vals, heads = _desk_values(16, np.float64)
-    g = _rand(410, 64, 16, 64)
-    out = {}
-    for takes in (True, False):
-        t = Tape()
-        x = t.leaf(vals["x"], requires_grad=takes)
-        if kind == "linear":
-            node = t.linear(x, t.leaf(vals["w"]), t.leaf(vals["b"]))
-        else:
-            node = t.layernorm_attention(
-                x, *(t.leaf(vals[k]) for k in _ATTENTION), heads)
-        out[takes] = _VJP[node.kind](node, g.copy())
-    assert out[False][0] is None and out[True][0].shape == g.shape
-    assert len(out[True]) == len(out[False])
-    for a, b in zip(out[True][1:], out[False][1:]):
-        assert np.array_equal(a, b)
+@pytest.mark.parametrize("make", [Tape, tape.Forward],
+                         ids=["tape", "forward"])
+def test_a_tape_refuses_an_array_of_a_second_dtype(make):
+    # The first array a tape is given sets its dtype, so every kernel can
+    # allocate in its input's dtype; an f64 leaf or boundary beside f32
+    # ones is refused, not promoted.
+    t = make()
+    t.leaf(np.ones((2, 3), np.float32))
+    for record in (t.leaf, t.boundary):
+        with pytest.raises(ContractError,
+                           match="float64 on a tape of float32"):
+            record(np.ones((2, 3)))
+    assert t.dtype == np.float32
