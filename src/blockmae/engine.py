@@ -201,9 +201,10 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
             for j in unit.layer_ids:
                 x = encoder_block_layer(tape, params, f"enc.layer{j}", x,
                                         spec.heads)
-            pred = local_decoder_forward(tape, params, spec, x, kept, i)
-            loss = reconstruction_loss(tape, pred, patch_targets(images, spec),
-                                       kept)
+            loss = reconstruction_loss(
+                tape, params, spec,
+                local_decoder_forward(tape, params, spec, x, kept, i),
+                patch_targets(images, spec), kept, i)
         # Backward drops x's value, so hold block i's output for block
         # i+1's boundary; the last block's output dies with its release.
         out = x.value if i < plan.num_blocks - 1 else None

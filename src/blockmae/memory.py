@@ -88,6 +88,12 @@ def _decoder_bytes(spec, b, n_vis, s):
     The first layer's attention node builds the decoder input itself and
     saves the bridge output z, [n_vis, dd] per sample, and each sample's
     row order, in place of the input: that layer's input is uncharged.
+    The last layer's MLP, the final norm, the prediction head and the
+    loss are one node, which saves what that MLP node alone would: its
+    input and row statistics.  Its backward recomputes the MLP output
+    (the tail's fc2), the head's row statistics and normed rows, and the
+    prediction (the head), so neither the head nor the loss charges a
+    byte.
     """
     n = spec.num_patches
     dd = spec.decoder_dim
@@ -95,8 +101,6 @@ def _decoder_bytes(spec, b, n_vis, s):
     for j in range(spec.decoder_depth):
         total += _layer_bytes(b, n, dd, spec.decoder_heads, s,
                               input_charged=j > 0)
-    total += s * b * (n * dd + 2 * n)        # final norm + prediction head
-    total += s * b * n * spec.patch_pixels   # loss saves the prediction
     return total
 
 
@@ -237,7 +241,8 @@ def flop_estimate(spec, plan, baseline_ratio=0.75):
 
     Forward MACs only: neither backward nor what backward recomputes (the
     MLP node's fc1 products, the attention node's qkv, score and
-    probability-value products) is counted."""
+    probability-value products, and in the loss node the decoder tail's
+    fc1 and fc2 products and the prediction head) is counted."""
     fractions = _plan_fractions(plan)
     blocks = block_layers(spec.depth, plan.num_blocks)
     linear, quad = _encoder_units(spec, blocks, fractions)

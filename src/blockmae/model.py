@@ -22,7 +22,10 @@ second residual sum the other (`Tape.layernorm_mlp`).  A decoder's input,
 the mask tokens put among the visible tokens in patch order plus the
 position table, is never held: it and its first layer's attention
 sublayer are one node (`Tape.unshuffle_attention`), which saves the
-bridge output and rebuilds the input in backward.
+bridge output and rebuilds the input in backward.  A decoder's last MLP
+sits in the loss node: that MLP, the final norm, the prediction head and
+the masked MSE are one node (`Tape.mlp_head_mse`), which saves only the
+MLP's input and row statistics and rebuilds the rest in backward.
 """
 
 from dataclasses import dataclass
@@ -269,13 +272,6 @@ def _linear(tape, x, params, prefix, residual=None):
                        _param(tape, params, f"{prefix}.b"), residual=residual)
 
 
-def _layernorm_linear(tape, x, params, norm, prefix):
-    """The linear `prefix` of LayerNorm `norm` of x, in one node."""
-    return tape.layernorm_linear(
-        x, *(_param(tape, params, name) for name in (
-            f"{norm}.g", f"{norm}.b", f"{prefix}.w", f"{prefix}.b")))
-
-
 _ATTENTION = ("ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
               "attn.out.b")
 _MLP = ("ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b")
@@ -294,15 +290,18 @@ def encoder_block_layer(tape, params, prefix, x, heads):
 
 
 def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
-    """Predict all N patches from one block's visible-token output.
+    """The decoder of one block's visible-token output, over all N patches,
+    up to its last layer's attention sublayer, whose output it returns.
 
     Applies the block-local LayerNorm + projection bridge, appends learned
     mask tokens for every non-visible patch, unshuffles to original patch
-    order, adds the decoder position table, runs the decoder layers, and
-    projects to patch pixels.  The shuffled sequence is [visible tokens in
+    order, adds the decoder position table and runs the decoder layers
+    but the last one's MLP.  The shuffled sequence is [visible tokens in
     `kept` order..., mask tokens in ascending patch order...].  The first
     layer's attention sublayer takes the bridge output and does the
-    unshuffle itself (`Tape.unshuffle_attention`).
+    unshuffle itself (`Tape.unshuffle_attention`).  The last MLP, the
+    final norm and the projection to patch pixels are the loss's
+    (`reconstruction_loss`).
     """
     batch, n_vis = block_output.shape[0], block_output.shape[-2]
     if kept.shape[1] != n_vis:
@@ -313,8 +312,8 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
     dtype = block_output.dtype
     pfx = f"block{decoder_id}"
 
-    z = _layernorm_linear(tape, block_output, params, f"{pfx}.bridge.ln",
-                          f"{pfx}.bridge.proj")
+    z = tape.layernorm_linear(block_output, *_sublayer_params(
+        tape, params, f"{pfx}.bridge", ("ln.g", "ln.b", "proj.w", "proj.b")))
 
     masked = np.nonzero(patch_mask(kept, n))[1].reshape(batch, n - n_vis)
     order = np.concatenate([kept, masked], axis=1)   # shuffled rows' patch ids
@@ -324,12 +323,13 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
         z, _param(tape, params, f"{pfx}.dec.mask_token"), pos, order,
         *_sublayer_params(tape, params, first, _ATTENTION),
         spec.decoder_heads)
-    x = tape.layernorm_mlp(x, *_sublayer_params(tape, params, first, _MLP))
     for j in range(1, spec.decoder_depth):
-        x = encoder_block_layer(tape, params, f"{pfx}.dec.layer{j}", x,
-                                spec.decoder_heads)
-    return _layernorm_linear(tape, x, params, f"{pfx}.dec.ln",
-                             f"{pfx}.dec.pred")
+        x = tape.layernorm_mlp(x, *_sublayer_params(
+            tape, params, f"{pfx}.dec.layer{j - 1}", _MLP))
+        x = tape.layernorm_attention(x, *_sublayer_params(
+            tape, params, f"{pfx}.dec.layer{j}", _ATTENTION),
+            spec.decoder_heads)
+    return x
 
 
 # ----- reconstruction loss ----------------------------------------------------
@@ -344,8 +344,18 @@ def patch_targets(images, spec):
     return t
 
 
-def reconstruction_loss(tape, pred, targets, kept):
-    """Masked-patch MSE between predictions and `patch_targets` output."""
-    mask = patch_mask(kept, pred.shape[-2]).astype(pred.dtype)
-    tgt = targets.astype(pred.dtype, copy=False)
-    return tape.mse_masked(pred, tape.leaf(tgt), tape.leaf(mask))
+def reconstruction_loss(tape, params, spec, x, targets, kept, decoder_id):
+    """Masked-patch MSE between decoder `decoder_id`'s predictions and
+    `patch_targets` output, from x, the last decoder layer's attention
+    output (`local_decoder_forward`): that layer's MLP, the final norm,
+    the prediction head and the loss are one node (`Tape.mlp_head_mse`).
+    """
+    pfx = f"block{decoder_id}.dec"
+    mask = patch_mask(kept, x.shape[-2]).astype(x.dtype)
+    tgt = targets.astype(x.dtype, copy=False)
+    return tape.mlp_head_mse(
+        x, *_sublayer_params(tape, params,
+                             f"{pfx}.layer{spec.decoder_depth - 1}", _MLP),
+        *_sublayer_params(tape, params, pfx,
+                          ("ln.g", "ln.b", "pred.w", "pred.b")),
+        tape.leaf(tgt), tape.leaf(mask))

@@ -40,7 +40,17 @@ Charged buffers per primitive:
                   z's rows plus the position table, is not saved: the
                   output is written over it, and backward rebuilds it
                   from z, the order and those two leaves
-    mse-masked    prediction value (when non-leaf)
+    mse-masked    prediction value (when non-leaf).  No code in src/
+                  records it since the loss node below took its place; it
+                  stays as the tests' reference loss and for the name the
+                  benchmark wraps
+    mlp-head-mse  a decoder's last MLP, final norm, prediction head and
+                  masked MSE: as layernorm-mlp, x (when non-leaf) and the
+                  MLP's row statistics.  Neither the MLP output, the head's
+                  row statistics and normed rows nor the prediction is
+                  saved: backward rebuilds them from x a group of samples
+                  at a time, one more fc2 and head product per group.  The
+                  target and mask are leaves, uncharged
     boundary      the array it is given, shared, not copied: the block
                   before's output, or the rows of it the reading block
                   keeps.  Charged from the moment it is recorded, after
@@ -504,9 +514,8 @@ class Tape:
 
         def rows(lo, hi):
             for c in _groups(xv.shape, lo, hi):
-                normed = np.empty_like(xv[c])
-                _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
-                _linear_rows(normed, wv, bv, out[c])
+                _layernorm_linear_rows(xv[c], mu[c], inv_std[c], out[c], gv,
+                                       bev, wv, bv)
         _parallel(max(xv.size, out.size), rows=len(xv), part=rows)
         node = Node("layernorm-linear", out, (x, gamma, beta, w, b))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
@@ -620,26 +629,18 @@ class Tape:
         GELU output.  On a `Forward` the output is written over x's array,
         as in `layernorm_attention`.
         """
-        xv, gv, bev, w1v, b1v, w2v, b2v = (
-            n.value for n in (x, gamma, beta, w1, b1, w2, b2))
-        _check_layernorm(xv.shape, gv, bev)
-        _check_linear(xv.shape, w1v.shape, b1v.shape, "layernorm-mlp")
-        hidden_shape = xv.shape[:-1] + w1v.shape[1:]
-        _check_linear(hidden_shape, w2v.shape, b2v.shape, "layernorm-mlp")
-        _residual_value(x, xv.shape[:-1] + w2v.shape[1:])
+        xv = x.value
+        params = [n.value for n in (gamma, beta, w1, b1, w2, b2)]
+        hidden_shape = _check_mlp(xv.shape, *params, "layernorm-mlp")
         out = self._residual_out(x, "layernorm-mlp")
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
 
         def rows(lo, hi):
             for c in _chunks(lo, hi, hidden_shape[1:]):
-                normed = np.empty_like(xv[c])
-                _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
-                h = np.empty(normed.shape[:-1] + hidden_shape[-1:], xv.dtype)
-                _linear_rows(normed, w1v, b1v, h)
-                _gelu_rows(h, np.empty_like(h), h)
                 o = out[c]
-                _linear_rows(h, w2v, b2v, o, o if out is xv else xv[c])
+                _mlp_rows(xv[c], mu[c], inv_std[c], o, *params,
+                          o if out is xv else xv[c])
         _parallel(max(xv.size, math.prod(hidden_shape)), rows=len(xv),
                   part=rows)
         node = Node("layernorm-mlp", out, (x, gamma, beta, w1, b1, w2, b2))
@@ -654,22 +655,62 @@ class Tape:
         pred/target are [..., N, P]; mask is [..., N].  The per-row error is
         averaged over P, then averaged over rows with mask == 1.
         """
-        pv, tv, mv = pred.value, target.value, mask.value
-        if pv.shape != tv.shape:
-            raise DimensionError(f"mse-masked pred {pv.shape} vs target {tv.shape}")
-        if mv.shape != pv.shape[:-1]:
-            raise DimensionError(f"mse-masked mask {mv.shape} vs rows {pv.shape[:-1]}")
-        total = mv.sum()
-        if total == 0:
-            raise ContractError("mse-masked: no masked rows, loss undefined")
-        err = pv - tv
-        err *= err
-        per_row = err.mean(axis=-1)
-        del err
-        out = np.asarray((per_row * mv).sum() / total, dtype=pv.dtype)
+        pv = pred.value
+        total = _check_mse(pv.shape, target.value, mask.value, "mse-masked")
+        per_row = np.empty(pv.shape[:-1], pv.dtype)
+        _squared_error_rows(pv, target.value, per_row)
+        out = _masked_mean(per_row, mask.value, total)
         node = Node("mse-masked", out, (pred, target, mask))
         return self._register(node, [self._act(pred), self._act(target),
                                       self._act(mask)])
+
+    def mlp_head_mse(self, x, gamma, beta, w1, b1, w2, b2, head_gamma,
+                     head_beta, w, b, target, mask):
+        """mse_masked(layernorm_linear(layernorm_mlp(x, gamma, beta, w1, b1,
+        w2, b2), head_gamma, head_beta, w, b), target, mask) in one node,
+        x [b, n, d]: a decoder's last MLP, its final norm and prediction
+        head, and the masked loss.
+
+        Each part runs its samples a group at a time (the cut of
+        `_groups`), with the kernels of the three nodes, so neither the
+        MLP output nor the prediction exists whole, and the loss is
+        bitwise equal to theirs.  Only x and the MLP's row statistics are
+        saved, besides the parameters, target and mask: backward rebuilds
+        the MLP output, the head's normed rows and the prediction from
+        them, a group at a time.
+        """
+        xv = x.value
+        mlp = [n.value for n in (gamma, beta, w1, b1, w2, b2)]
+        head = [n.value for n in (head_gamma, head_beta, w, b)]
+        tv, mv = target.value, mask.value
+        hidden_shape = _check_mlp(xv.shape, *mlp, "mlp-head-mse")
+        _check_layernorm(xv.shape, *head[:2])
+        _check_linear(xv.shape, head[2].shape, head[3].shape, "mlp-head-mse")
+        total = _check_mse(xv.shape[:-1] + head[2].shape[1:], tv, mv,
+                           "mlp-head-mse")
+        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
+        inv_std = np.empty_like(mu)
+        per_row = np.empty(mv.shape, xv.dtype)
+
+        def rows(lo, hi):
+            for c in _groups(xv.shape, lo, hi):
+                h = np.empty_like(xv[c])
+                _mlp_rows(xv[c], mu[c], inv_std[c], h, *mlp, xv[c])
+                pred = np.empty(h.shape[:-1] + head[2].shape[1:], xv.dtype)
+                _layernorm_linear_rows(h, np.empty_like(mu[c]),
+                                       np.empty_like(mu[c]), pred, *head)
+                del h
+                _squared_error_rows(pred, tv[c], per_row[c])
+        _parallel(max(xv.size, math.prod(hidden_shape)), rows=len(xv),
+                  part=rows)
+        node = Node("mlp-head-mse", _masked_mean(per_row, mv, total),
+                    (x, gamma, beta, w1, b1, w2, b2, head_gamma, head_beta,
+                     w, b, target, mask))
+        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
+                                      *(self._act(n) for n in (
+                                          gamma, beta, w1, b1, w2, b2,
+                                          head_gamma, head_beta, w, b,
+                                          target, mask))])
 
     def boundary(self, value):
         """The array `value` as a detached constant leaf: shared, not
@@ -879,6 +920,36 @@ def _check_layernorm(x_shape, gv, bv):
             f"do not match feature dim {d}")
 
 
+def _check_mlp(x_shape, gv, bev, w1v, b1v, w2v, b2v, kind):
+    """Refuse an MLP sublayer whose parameters do not fit an input of shape
+    x_shape, or whose output could not take x as its residual; returns
+    the hidden rows' shape."""
+    _check_layernorm(x_shape, gv, bev)
+    _check_linear(x_shape, w1v.shape, b1v.shape, kind)
+    hidden_shape = x_shape[:-1] + w1v.shape[1:]
+    _check_linear(hidden_shape, w2v.shape, b2v.shape, kind)
+    out_shape = x_shape[:-1] + w2v.shape[1:]
+    if out_shape != x_shape:
+        raise DimensionError(
+            f"residual {x_shape} does not match the output {out_shape}")
+    return hidden_shape
+
+
+def _check_mse(pred_shape, tv, mv, kind):
+    """Refuse a target that is not of the prediction's shape, a mask that
+    is not of its rows' shape, or a mask with no masked row; returns the
+    count of masked rows."""
+    if tv.shape != pred_shape:
+        raise DimensionError(f"{kind} pred {pred_shape} vs target {tv.shape}")
+    if mv.shape != pred_shape[:-1]:
+        raise DimensionError(
+            f"{kind} mask {mv.shape} vs rows {pred_shape[:-1]}")
+    total = mv.sum()
+    if total == 0:
+        raise ContractError(f"{kind}: no masked rows, loss undefined")
+    return total
+
+
 def _check_attention(x_shape, gv, bev, wqv, bqv, wov, bov, heads, kind):
     """Refuse an attention sublayer whose parameters do not fit an input
     of shape x_shape, before anything is computed."""
@@ -926,6 +997,12 @@ def _linear_rows(x, w, b, out, residual=None):
         out += _linear_rows(x, w, b, np.empty_like(out))
         return out
     np.matmul(x, w, out=out)
+    return _bias_rows(out, b, residual)
+
+
+def _bias_rows(out, b, residual=None):
+    """The sums of `_linear_rows` over its product in `out`: b, and then
+    the residual when given."""
     out += b
     if residual is not None:
         out += residual
@@ -954,6 +1031,41 @@ def _layernorm_rows(x, mu, inv_std, out, gamma, beta):
     np.divide(1.0, var, out=inv_std)
     out *= inv_std
     _affine_rows(out, gamma, beta, out)
+
+
+def _layernorm_linear_rows(x, mu, inv_std, out, gamma, beta, w, b):
+    """linear(layernorm(x)) of `Tape.layernorm_linear`, through a
+    temporary of the normed rows."""
+    normed = np.empty_like(x)
+    _layernorm_rows(x, mu, inv_std, normed, gamma, beta)
+    _linear_rows(normed, w, b, out)
+
+
+def _mlp_rows(x, mu, inv_std, out, gamma, beta, w1, b1, w2, b2, residual):
+    """linear(gelu(linear(layernorm(x), w1, b1)), w2, b2) + residual of
+    `Tape.layernorm_mlp`, through temporaries of the normed rows, fc1 and
+    its CDF term; x's rows are read before out's are written, so out may
+    be x's buffer, and then residual out itself."""
+    normed = np.empty_like(x)
+    _layernorm_rows(x, mu, inv_std, normed, gamma, beta)
+    h = np.empty(normed.shape[:-1] + w1.shape[1:], x.dtype)
+    _linear_rows(normed, w1, b1, h)
+    del normed
+    _gelu_rows(h, np.empty_like(h), h)
+    _linear_rows(h, w2, b2, out, residual)
+
+
+def _squared_error_rows(pred, target, out):
+    """Each row's squared error averaged over its last axis, in `out`."""
+    err = pred - target
+    err *= err
+    out[...] = err.mean(axis=-1)
+
+
+def _masked_mean(per_row, mask, total):
+    """The mean of per_row over the rows where mask is 1, total of them, as
+    a 0-d array."""
+    return np.asarray((per_row * mask).sum() / total, dtype=per_row.dtype)
 
 
 def _xhat_rows(x, mu, inv_std, out):
@@ -1253,19 +1365,27 @@ def _vjp_layernorm(node, g):
     return (g, *_grouped(x.size, _groups(x.shape), group))
 
 
+def _layernorm_linear_grads(xhat, inv_std, gamma, beta, wt, g, dx):
+    """The partial (dgamma, dbeta, dw, db) of `Tape.layernorm_linear` over
+    one group's rows, xhat the input rows normed before the affine, and g
+    their output's gradient.  The normed rows are rebuilt from xhat for
+    the product's partials and die with them; dx's rows then take the
+    normed rows' gradient, and then their own."""
+    dw, db = _weight_grads(_affine_rows(xhat, gamma, beta,
+                                        np.empty_like(xhat)), g)
+    np.matmul(g, wt, out=dx)
+    return (*_layernorm_grads(xhat, inv_std, gamma, dx), dw, db)
+
+
 def _vjp_layernorm_linear(node, g):
-    # Per group: xhat, the normed rows from it, the product's partials;
-    # dx's rows then take the normed rows' gradient, and then their own.
     x, mu, inv_std, gamma, beta, w = node.saved
     wt = np.ascontiguousarray(w.T)
     dx = np.empty_like(x)
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        dw, db = _weight_grads(_affine_rows(xhat, gamma, beta,
-                                            np.empty_like(xhat)), g[s])
-        np.matmul(g[s], wt, out=dx[s])
-        return (*_layernorm_grads(xhat, inv_std[s], gamma, dx[s]), dw, db)
+        return _layernorm_linear_grads(xhat, inv_std[s], gamma, beta, wt,
+                                       g[s], dx[s])
     return (dx, *_grouped(max(x.size, g.size), _groups(x.shape), group))
 
 
@@ -1390,51 +1510,129 @@ def _vjp_unshuffle_attention(node, g):
     return (dz, _broadcast_grad(dfill, 2), None, *grads)
 
 
+def _mlp_rebuild(x, mu, inv_std, gamma, beta, w1, b1):
+    """One group's normed rows, fc1 and GELU CDF term, bitwise the
+    forward's: fc1 is, so the CDF term recomputed from it with the
+    forward's kernel is too.  xhat becomes the normed rows in place.
+    Returned in a list that `_mlp_grads` takes over."""
+    xhat = _xhat_rows(x, mu, inv_std, np.empty_like(x))
+    normed = _affine_rows(xhat, gamma, beta, xhat)
+    f1 = np.empty(normed.shape[:-1] + w1.shape[1:], x.dtype)
+    _linear_rows(normed, w1, b1, f1)
+    return [normed, f1, _gelu_cdf_rows(f1, np.empty_like(f1))]
+
+
+def _mlp_gelu(rebuilt):
+    """The GELU output 0.5 * fc1 * CDF term of `_mlp_rebuild`'s buffers,
+    in a new one."""
+    _, f1, cdf = rebuilt
+    return _gelu_from_cdf(f1, cdf, np.empty_like(f1))
+
+
+def _mlp_grads(x, mu, inv_std, gamma, rebuilt, w1t, w2t, g):
+    """The partial (dgamma, dbeta, dw1, db1, dw2, db2) of
+    `Tape.layernorm_mlp` over one group's input rows x and their output's
+    gradient g, from the buffers `rebuilt` that `_mlp_rebuild` made for
+    them; it empties that list, so each buffer dies once read.  The
+    input's gradient less the residual's g is added to g.
+
+    Only one buffer of width d is held while the hidden-wide ones live.
+    The GELU output feeds dw2's partial; its buffer then takes
+    2 * fc1 * pdf(fc1), fc1's takes dh, and the GELU gradient goes into
+    the CDF term's buffer, for dw1's partial.  The normed rows' buffer
+    then takes their gradient and then the LayerNorm rule's dx, for
+    which xhat is made again.
+    """
+    h = _mlp_gelu(rebuilt)
+    normed, f1, cdf = rebuilt
+    rebuilt.clear()
+    dw2, db2 = _weight_grads(h, g)
+    t = _gelu_pdf_rows(f1, h)
+    dh = np.matmul(g, w2t, out=f1)
+    _gelu_grad_from_pdf(cdf, t, dh, cdf)
+    del f1, h, t, dh
+    dw1, db1 = _weight_grads(normed, cdf)
+    np.matmul(cdf, w1t, out=normed)
+    del cdf
+    xhat = _xhat_rows(x, mu, inv_std, np.empty_like(x))
+    dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, normed)
+    g += normed
+    return dgamma, dbeta, dw1, db1, dw2, db2
+
+
+def _mlp_size(x, w1):
+    """The element count `_grouped` weighs an MLP rule by: the larger of
+    the input and the hidden rows over the whole batch."""
+    return max(x.size, math.prod(x.shape[:-1]) * w1.shape[1])
+
+
 def _vjp_layernorm_mlp(node, g):
-    # One pass, a group at a time: the normed rows and fc1 from them, once
-    # each, with only one buffer of width d held while the hidden-wide
-    # ones live: xhat becomes the normed rows in place, and is made again
-    # for the LayerNorm rule.  fc1 is bitwise the forward's, so the CDF
-    # term recomputed from it with the forward's kernel is too, and the
-    # GELU output from both feeds dw2's partial.  The GELU output's buffer
-    # then takes 2 * fc1 * pdf(fc1), fc1's takes dh, and the GELU gradient
-    # goes into the CDF term's buffer, for dw1's partial.  The normed
-    # rows' buffer then takes their gradient and then the LayerNorm
-    # rule's dx, which is added to g's rows: dx is written over g.
+    # One pass, a group at a time; dx is written over g.
     x, mu, inv_std, gamma, beta, w1, b1, w2 = node.saved
     w1t, w2t = (np.ascontiguousarray(w.T) for w in (w1, w2))
 
     def group(s):
-        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        normed = _affine_rows(xhat, gamma, beta, xhat)
-        f1 = np.empty(normed.shape[:-1] + w1.shape[1:], x.dtype)
-        _linear_rows(normed, w1, b1, f1)
-        cdf = _gelu_cdf_rows(f1, np.empty_like(f1))
-        h = _gelu_from_cdf(f1, cdf, np.empty_like(f1))
-        dw2, db2 = _weight_grads(h, g[s])
-        t = _gelu_pdf_rows(f1, h)
-        dh = np.matmul(g[s], w2t, out=f1)
-        _gelu_grad_from_pdf(cdf, t, dh, cdf)
-        del f1, h, t, dh
-        dw1, db1 = _weight_grads(normed, cdf)
-        np.matmul(cdf, w1t, out=normed)
-        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        dgamma, dbeta = _layernorm_grads(xhat, inv_std[s], gamma, normed)
-        g[s] += normed
-        return dgamma, dbeta, dw1, db1, dw2, db2
-    hidden = math.prod(x.shape[:-1]) * w1.shape[1]
-    return (g, *_grouped(max(x.size, hidden), _groups(x.shape), group))
+        return _mlp_grads(x[s], mu[s], inv_std[s], gamma, _mlp_rebuild(
+            x[s], mu[s], inv_std[s], gamma, beta, w1, b1), w1t, w2t, g[s])
+    return (g, *_grouped(_mlp_size(x, w1), _groups(x.shape), group))
+
+
+def _mse_grad_rows(pred, target, mask, total, g, out):
+    """2 * (pred - target) * mask / (p * total) * g in `out`, which may be
+    pred's buffer, for rows of p columns and `total` masked rows."""
+    np.subtract(pred, target, out=out)
+    out *= 2.0
+    out *= mask[..., None]
+    out /= pred.shape[-1] * total
+    out *= g
+    return out
 
 
 def _vjp_mse_masked(node, g):
-    # 2 * (pred - target) * mask / (p * total) * g, in place.
     pred, target, mask = node.saved
-    dpred = pred - target
-    dpred *= 2.0
-    dpred *= mask[..., None]
-    dpred /= pred.shape[-1] * mask.sum()
-    dpred *= g
-    return (dpred, None, None)
+    return (_mse_grad_rows(pred, target, mask, mask.sum(), g,
+                           np.empty_like(pred)), None, None)
+
+
+def _vjp_mlp_head_mse(node, g):
+    # A group at a time: the MLP's normed rows, fc1 and CDF term once
+    # (`_mlp_rebuild`), the GELU output from them, and the MLP output
+    # from that, written into dx's rows; the GELU output dies first.
+    # From the MLP output, the head's row statistics and the prediction,
+    # with the forward's kernels; the prediction's buffer takes the loss's
+    # gradient.  The head's rule, with xhat made in place over the MLP
+    # output, writes its input's gradient into a buffer of its own, which
+    # then moves into dx's rows; the MLP's rule, which rebuilds the GELU
+    # output, adds its own to them.
+    (x, mu, inv_std, gamma, beta, w1, b1, w2, b2, head_gamma, head_beta, w,
+     b, target, mask) = node.saved
+    w1t, w2t, wt = (np.ascontiguousarray(a.T) for a in (w1, w2, w))
+    total = mask.sum()
+    dx = np.empty_like(x)
+
+    def group(s):
+        rebuilt = _mlp_rebuild(x[s], mu[s], inv_std[s], gamma, beta, w1, b1)
+        out = dx[s]
+        # _linear_rows, with its sums once the GELU output is gone: a
+        # broadcast sum takes a buffer of numpy's (about 34 KB).
+        np.matmul(_mlp_gelu(rebuilt), w2, out=out)
+        _bias_rows(out, b2, x[s])
+        head_mu = np.empty_like(mu[s])
+        head_inv_std = np.empty_like(mu[s])
+        pred = np.empty(out.shape[:-1] + w.shape[1:], x.dtype)
+        _layernorm_linear_rows(out, head_mu, head_inv_std, pred, head_gamma,
+                               head_beta, w, b)
+        _mse_grad_rows(pred, target[s], mask[s], total, g, pred)
+        dh = np.empty_like(out)
+        head = _layernorm_linear_grads(
+            _xhat_rows(out, head_mu, head_inv_std, out), head_inv_std,
+            head_gamma, head_beta, wt, pred, dh)
+        out[...] = dh
+        del head_mu, head_inv_std, pred, dh
+        return (*_mlp_grads(x[s], mu[s], inv_std[s], gamma, rebuilt, w1t,
+                            w2t, out), *head)
+    return (dx, *_grouped(_mlp_size(x, w1), _groups(x.shape), group), None,
+            None)
 
 
 _VJP = {
@@ -1453,6 +1651,7 @@ _VJP = {
     "softmax-lastdim": _vjp_softmax,
     "gelu": _vjp_gelu,
     "mse-masked": _vjp_mse_masked,
+    "mlp-head-mse": _vjp_mlp_head_mse,
 }
 
 

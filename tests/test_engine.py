@@ -240,8 +240,9 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     def forward(i, x):
         with t.block(i):
             x = encoder_block_layer(t, params, f"enc.layer{i}", x, spec.heads)
-            pred = local_decoder_forward(t, params, spec, x, kept, i)
-            return x, reconstruction_loss(t, pred, targets, kept)
+            dec = local_decoder_forward(t, params, spec, x, kept, i)
+            return x, reconstruction_loss(t, params, spec, dec, targets,
+                                          kept, i)
 
     with t.block(0):
         tokens = embed_visible(t, params, spec, images, kept)

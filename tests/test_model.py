@@ -481,9 +481,29 @@ def _decoder_setup(ratio=0.5, batch=2, seed=31):
     return spec, params, kept, t, z
 
 
+def _predict(t, params, spec, z, kept, decoder_id=0):
+    """A decoder's predictions: `local_decoder_forward`, then the last
+    layer's MLP, the final norm and the head, as the nodes that the loss
+    node fuses."""
+    x = local_decoder_forward(t, params, spec, z, kept, decoder_id)
+    pfx = f"block{decoder_id}.dec"
+    last = f"{pfx}.layer{spec.decoder_depth - 1}"
+
+    def leaves(prefix, names):
+        return [t.leaf(params[f"{prefix}.{name}"], name=f"{prefix}.{name}",
+                       requires_grad=True) for name in names]
+    h = t.layernorm_mlp(x, *leaves(last, (
+        "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w",
+        "mlp.fc2.b")))
+    return t.layernorm_linear(h, *leaves(pfx, ("ln.g", "ln.b", "pred.w",
+                                                "pred.b")))
+
+
 def test_decoder_covers_all_patches():
     spec, params, kept, t, z = _decoder_setup()
-    pred = local_decoder_forward(t, params, spec, z, kept, 0)
+    x = local_decoder_forward(t, params, spec, z, kept, 0)
+    assert x.shape == (2, spec.num_patches, spec.decoder_dim)
+    pred = _predict(t, params, spec, z, kept)
     assert pred.shape == (2, spec.num_patches, spec.patch_pixels)
 
 
@@ -493,14 +513,14 @@ def test_decoder_zero_weights_final_bias_everywhere():
         params[name][:] = 0.0
     beta = rng.normals(55, spec.patch_pixels)
     params["block0.dec.pred.b"][:] = beta
-    pred = local_decoder_forward(t, params, spec, z, kept, 0)
+    pred = _predict(t, params, spec, z, kept)
     want = np.broadcast_to(beta, pred.value.shape)
     np.testing.assert_allclose(pred.value, want, atol=1e-14)
 
 
 def test_decoder_invariant_to_kept_order_permutation():
     spec, params, kept, t, z = _decoder_setup()
-    pred = local_decoder_forward(t, params, spec, z, kept, 0)
+    pred = _predict(t, params, spec, z, kept)
 
     # permute each sample's kept order together with its token rows
     t2 = Tape()
@@ -508,7 +528,7 @@ def test_decoder_invariant_to_kept_order_permutation():
                      for i in range(len(kept))])
     z2 = t2.leaf(np.take_along_axis(z.value, perm[..., None], axis=1))
     kept2 = np.take_along_axis(kept, perm, axis=1)
-    pred2 = local_decoder_forward(t2, params, spec, z2, kept2, 0)
+    pred2 = _predict(t2, params, spec, z2, kept2)
     np.testing.assert_allclose(pred2.value, pred.value, atol=1e-12)
 
 
@@ -522,13 +542,16 @@ def test_decoder_rejects_inconsistent_state():
 # ----- loss ----------------------------------------------------------------------
 
 def test_loss_zero_when_pred_equals_target():
-    spec = _toy_spec()
-    imgs = _images(spec, 2, seed=41)
-    kept = mask_indices(spec.num_patches, 0.5,
-                        [rng.split(42, i) for i in range(2)])
-    t = Tape()
-    pred = t.leaf(patch_targets(imgs, spec))
-    loss = reconstruction_loss(t, pred, patch_targets(imgs, spec), kept)
+    # Zero weights predict the head's bias at every patch; images of one
+    # value c make every target c.
+    spec, params, kept, t, z = _decoder_setup()
+    for name in params:
+        params[name][:] = 0.0
+    params["block0.dec.pred.b"][:] = 0.25
+    imgs = np.full((2, 1, spec.image_size, spec.image_size), 0.25)
+    x = local_decoder_forward(t, params, spec, z, kept, 0)
+    loss = reconstruction_loss(t, params, spec, x, patch_targets(imgs, spec),
+                               kept, 0)
     assert float(loss.value) == 0.0
 
 
@@ -541,20 +564,60 @@ def test_loss_normalized_targets():
 
 
 def test_loss_gradient_zero_on_unmasked_predictions():
+    # The loss node works row by row, so the rows of its input that hold
+    # visible patches get no gradient.
     spec = _toy_spec()
     imgs = _images(spec, 2, seed=44)
     kept = mask_indices(spec.num_patches, 0.5,
                         [rng.split(45, i) for i in range(2)])
+    params = init_block_head_params(spec, 0, seed=46, dtype=np.float64)
     t = Tape()
-    pred = t.leaf(rng.normals(46, 2 * spec.num_patches * spec.patch_pixels)
-                  .reshape(2, spec.num_patches, spec.patch_pixels),
-                  name="pred", requires_grad=True)
-    loss = reconstruction_loss(t, pred, patch_targets(imgs, spec), kept)
-    g = t.backward(loss)["pred"]
+    x = t.leaf(rng.normals(46, 2 * spec.num_patches * spec.decoder_dim)
+               .reshape(2, spec.num_patches, spec.decoder_dim),
+               name="x", requires_grad=True)
+    loss = reconstruction_loss(t, params, spec, x, patch_targets(imgs, spec),
+                               kept, 0)
+    g = t.backward(loss)["x"]
     mask = patch_mask(kept, spec.num_patches)
     for i in range(2):
         assert np.all(g[i][kept[i]] == 0.0)
         assert np.abs(g[i][mask[i] == 1]).max() > 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_loss_node_bitwise_equal_mlp_head_and_mse_nodes(depth, dtype):
+    # One block's decoder and loss at the desk decoder's shape, 8 samples
+    # in backward groups of 6 and 2: the loss node gives the loss and
+    # every gradient of the nodes it fuses (the last layer's MLP, the
+    # final norm and head, and the masked MSE) bit for bit.
+    spec = ModelSpec(decoder_depth=depth)
+    params = init_block_head_params(spec, 1, seed=23, dtype=dtype)
+    kept = mask_indices(spec.num_patches, 0.75,
+                        [rng.split(24, i) for i in range(8)])
+    z = rng.normals(25, 8 * kept.shape[1] * spec.embed_dim).reshape(
+        8, kept.shape[1], spec.embed_dim).astype(dtype)
+    targets = patch_targets(_images(spec, 8, seed=26, dtype=dtype), spec)
+
+    def run(fused):
+        t = Tape()
+        # a non-leaf block output, as in a step
+        zn = t.add(t.leaf(z, name="z", requires_grad=True),
+                   t.leaf(np.zeros(spec.embed_dim, dtype)))
+        if fused:
+            x = local_decoder_forward(t, params, spec, zn, kept, 1)
+            loss = reconstruction_loss(t, params, spec, x, targets, kept, 1)
+        else:
+            pred = _predict(t, params, spec, zn, kept, 1)
+            mask = patch_mask(kept, spec.num_patches).astype(dtype)
+            loss = t.mse_masked(pred, t.leaf(targets), t.leaf(mask))
+        return loss.value.copy(), t.backward(loss)
+
+    (loss, grads), (want, want_grads) = run(True), run(False)
+    assert loss.dtype == dtype and np.array_equal(loss, want)
+    assert grads.keys() == want_grads.keys() == set(params) | {"z"}
+    for name, g in grads.items():
+        assert np.array_equal(g, want_grads[name]), name
 
 
 def test_forward_deterministic_given_seed():

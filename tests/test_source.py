@@ -1,9 +1,11 @@
 """Source hygiene: every module reads each name it imports, every
 private module-level definition is read somewhere in the package, the
-tape's table of charged buffers names every node kind, and every package
-name the benchmark wraps exists."""
+tape's table of charged buffers names every node kind, the tape
+primitives that no package code calls are the known ones, and every
+package name the benchmark wraps exists."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -112,6 +114,49 @@ def test_detector_reads_the_charged_buffer_table():
 def test_charged_buffer_table_names_every_node_kind():
     # The rule kinds, and the one charged leaf
     assert _table_kinds(tape.__doc__) == sorted(set(tape._VJP) | {"boundary"})
+
+
+def _tape_calls(source):
+    """Method names a module calls on a tape: on `self`, on `tape` (the
+    name the model's functions take theirs by) or on a name the module
+    binds to a new `Tape()` or `Forward()`."""
+    tree = ast.parse(source)
+    names = {"self", "tape"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id in ("Tape", "Forward")):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in names}
+
+
+def test_detector_finds_tape_calls():
+    source = ("def f(tape, x):\n    return tape.add(x, x)\n"
+              "def g(x):\n    fwd = Forward()\n    fwd.scale(x, 2.0)\n"
+              "    return np.matmul(x, x).transpose(1, 0)\n")
+    assert _tape_calls(source) == {"add", "scale"}
+
+
+# Tape primitives that no package code calls.  They stay as the tests'
+# reference computations and because the benchmark wraps them by name;
+# ROADMAP item 2 deletes them.  A primitive that joins or leaves this set
+# fails the test by name.
+UNCALLED_PRIMITIVES = {"matmul", "add", "scale", "transpose", "gather_rows",
+                       "concat_rows", "softmax", "gelu", "mse_masked"}
+
+
+def test_tape_primitives_without_a_caller_are_the_known_ones():
+    # A primitive is a public Tape method that records a node.
+    primitives = {name for name, fn in vars(tape.Tape).items()
+                  if not name.startswith("_") and callable(fn)
+                  and "Node(" in inspect.getsource(fn)}
+    called = set().union(*(_tape_calls(p.read_text(encoding="utf-8"))
+                           for p in SRC.glob("*.py")))
+    assert sorted(primitives - called) == sorted(UNCALLED_PRIMITIVES)
 
 
 def _literal_wraps(module):

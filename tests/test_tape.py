@@ -504,6 +504,11 @@ def _one_node_per_backward_rule():
         t.gelu(act(23, 2, 3, 4)),
         t.mse_masked(act(24, 2, 3, 4), leaf(25, 2, 3, 4),
                      t.leaf(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))),
+        t.mlp_head_mse(act(57, 2, 3, 4), leaf(58, 4), leaf(59, 4),
+                       leaf(60, 4, 6), leaf(61, 6), leaf(62, 6, 4),
+                       leaf(63, 4), leaf(64, 4), leaf(65, 4), leaf(66, 4, 5),
+                       leaf(67, 5), leaf(68, 2, 3, 5),
+                       t.leaf(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))),
     ]
 
 
@@ -638,6 +643,138 @@ def test_mse_masked_matches_double_loop():
                 acc += np.mean((pred[b, n] - tgt[b, n]) ** 2)
                 cnt += 1
     assert abs(float(loss.value) - acc / cnt) < 1e-12
+
+
+# ----- the decoder's loss node ----------------------------------------------
+
+# The inputs of `Tape.mlp_head_mse` that get a gradient, in its order.
+_MLP_HEAD = ("x", "gamma", "beta", "w1", "b1", "w2", "b2", "head_gamma",
+             "head_beta", "w", "b")
+
+
+def _mlp_head_inputs(dtype, seed=700):
+    """The loss node's inputs on 5 samples of 3 rows, width 4, hidden 6,
+    3 pixels; its target and mask, which masks 9 of the 15 rows."""
+    shapes = {"x": (5, 3, 4), "gamma": (4,), "beta": (4,), "w1": (4, 6),
+              "b1": (6,), "w2": (6, 4), "b2": (4,), "head_gamma": (4,),
+              "head_beta": (4,), "w": (4, 3), "b": (3,)}
+    vals = {k: (_rand(seed + i, *shape) * 1.5).astype(dtype)
+            for i, (k, shape) in enumerate(shapes.items())}
+    target = _rand(seed + 20, 5, 3, 3).astype(dtype)
+    mask = (np.arange(15).reshape(5, 3) % 5 < 3).astype(dtype)
+    return vals, target, mask
+
+
+def _mlp_head_mse(t, v, target, mask, fused=True):
+    """The loss node over the nodes v, or the three nodes it fuses."""
+    args = [v[k] for k in _MLP_HEAD]
+    if fused:
+        return t.mlp_head_mse(*args, target, mask)
+    pred = t.layernorm_linear(t.layernorm_mlp(*args[:7]), *args[7:])
+    return t.mse_masked(pred, target, mask)
+
+
+def _mlp_head_run(vals, target, mask, fused):
+    t = Tape()
+    v = {k: t.leaf(a, name=k, requires_grad=True) for k, a in vals.items()}
+    # a non-leaf input, as in a step
+    v["x"] = t.scale(v["x"], 1.0)
+    loss = _mlp_head_mse(t, v, t.leaf(target), t.leaf(mask), fused)
+    assert loss.kind == ("mlp-head-mse" if fused else "mse-masked")
+    return loss.value.copy(), t.backward(loss)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_head_mse_bitwise_equal_three_node_composition(monkeypatch,
+                                                           dtype, parts):
+    # Groups of 2 of the 5 samples (2, 2, 1), every kernel split over
+    # `parts` threads however small: the loss and all 11 gradients are the
+    # composition's bit for bit.
+    monkeypatch.setattr(tape, "_GROUP_ROWS", 6)
+    assert [(c.start, c.stop) for c in tape._groups((5, 3, 4))] == [
+        (0, 2), (2, 4), (4, 5)]
+    pool = _force_parts(monkeypatch, parts)
+    vals, target, mask = _mlp_head_inputs(dtype)
+    loss, grads = _mlp_head_run(vals, target, mask, fused=True)
+    want, want_grads = _mlp_head_run(vals, target, mask, fused=False)
+    assert loss.dtype == want.dtype == dtype and loss.shape == ()
+    assert np.array_equal(loss, want)
+    assert grads.keys() == want_grads.keys() == set(_MLP_HEAD)
+    for k in _MLP_HEAD:
+        assert grads[k].dtype == dtype, k
+        assert np.array_equal(grads[k], want_grads[k]), k
+    assert (pool.submitted > 0) == (parts > 1)
+
+
+def test_mlp_head_mse_bitwise_equal_composition_at_desk_shape():
+    # The desk decoder's shape: 64 samples of 64 rows, width 32, 16
+    # pixels, in groups of 6 samples.
+    vals, _ = _desk_values(64, np.float32)
+    vals = {k: vals[k] for k in ("x", "gamma", "beta", "w1", "b1", "w2",
+                                 "b2", "head_gamma", "head_beta", "w_pred",
+                                 "b_pred", "target")}
+    vals["w"], vals["b"] = vals.pop("w_pred"), vals.pop("b_pred")
+    target, mask = vals.pop("target"), _desk_mask(64, np.float32)
+    loss, grads = _mlp_head_run(vals, target, mask, fused=True)
+    want, want_grads = _mlp_head_run(vals, target, mask, fused=False)
+    assert np.array_equal(loss, want)
+    for k in _MLP_HEAD:
+        assert np.array_equal(grads[k], want_grads[k]), k
+
+
+@pytest.mark.parametrize("var", _MLP_HEAD)
+def test_grad_mlp_head_mse(var):
+    vals, target, mask = _mlp_head_inputs(np.float64, seed=6400)
+
+    def build(t, node):
+        v = {k: node if k == var else t.leaf(a) for k, a in vals.items()}
+        return _mlp_head_mse(t, v, t.leaf(target), t.leaf(mask))
+
+    _grad_check(build, vals[var], 6400)
+
+
+def _assert_mlp_head_refuses(change, error, match):
+    """`Tape.mlp_head_mse` on _mlp_head_inputs with the arrays in `change`
+    (name -> array) put in raises `error` before it records anything."""
+    vals, target, mask = _mlp_head_inputs(np.float64)
+    vals.update(target=target, mask=mask)
+    vals.update(change)
+    t = Tape()
+    v = {k: t.leaf(a) for k, a in vals.items()}
+    with pytest.raises(error, match=match):
+        t.mlp_head_mse(*(v[k] for k in _MLP_HEAD + ("target", "mask")))
+    assert [n.kind for n in t.nodes] == ["leaf"] * len(vals)
+
+
+def test_mlp_head_mse_refuses_a_target_not_of_the_prediction_shape():
+    _assert_mlp_head_refuses({"target": np.zeros((5, 3, 4))}, DimensionError,
+                             r"mlp-head-mse pred \(5, 3, 3\) vs target")
+
+
+def test_mlp_head_mse_refuses_a_mask_not_of_the_prediction_rows():
+    _assert_mlp_head_refuses({"mask": np.ones((5, 4))}, DimensionError,
+                             r"mlp-head-mse mask \(5, 4\) vs rows \(5, 3\)")
+
+
+def test_mlp_head_mse_refuses_a_mask_with_no_masked_row():
+    _assert_mlp_head_refuses({"mask": np.zeros((5, 3))}, ContractError,
+                             "mlp-head-mse: no masked rows")
+
+
+@pytest.mark.parametrize("shapes,match", [
+    ({"gamma": (3,)}, "layernorm affine"),
+    ({"w1": (3, 6)}, r"mlp-head-mse extent mismatch: \(5, 3, 4\) x \(3, 6\)"),
+    ({"b2": (3,)}, r"mlp-head-mse supports \[b,m,k\]"),
+    # fc2 back to a width other than x's, so x cannot be its residual
+    ({"w2": (6, 3), "b2": (3,)}, "residual"),
+    ({"head_beta": (3,)}, "layernorm affine"),
+    ({"w": (3, 3)}, r"mlp-head-mse extent mismatch: \(5, 3, 4\) x \(3, 3\)"),
+    ({"b": (4,)}, r"mlp-head-mse supports \[b,m,k\]")])
+def test_mlp_head_mse_refuses_parameters_of_the_wrong_shape(shapes, match):
+    # The MLP part's and the head part's shape checks.
+    _assert_mlp_head_refuses({k: np.zeros(s) for k, s in shapes.items()},
+                             DimensionError, match)
 
 
 # ----- finite-difference oracle on every primitive -------------------------
@@ -1125,6 +1262,14 @@ def test_layernorm_mlp_backward_holds_fc1_a_chunk_at_a_time(monkeypatch,
     _assert_backward_holds_a_group(monkeypatch, "layernorm-mlp", 64, parts)
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+def test_mlp_head_mse_backward_holds_a_group_at_a_time(monkeypatch, parts):
+    # At the desk decoder's shape; see _assert_backward_holds_a_group: dx
+    # and the MLP rule's group buffers per thread.  A whole MLP output
+    # (524,288 B) or prediction (262,144 B) fails the bound.
+    _assert_backward_holds_a_group(monkeypatch, "mlp-head-mse", 64, parts)
+
+
 def _in_group_order(partial, b, n):
     """partial(s) summed over slices s of a batch of b samples of n rows,
     in the backward rules' order: groups of max(1, _GROUP_ROWS // n) whole
@@ -1544,12 +1689,18 @@ def _desk_values(n, dtype, seed=300):
               "b1": (4 * d,), "w2": (4 * d, d), "b2": (d,),
               "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
               "b_out": (d,), "z": (64, n // 4, d), "fill": (d,),
-              "pos": (n, d), "res": (64, n, d)}
+              "pos": (n, d), "res": (64, n, d), "head_gamma": (d,),
+              "head_beta": (d,), "target": (64, n, 16)}
     vals = {k: (_rand(seed + i, *s) * 0.5).astype(dtype)
             for i, (k, s) in enumerate(shapes.items())}
     vals["order"] = np.stack([rng.permutation(seed + 50 + i, n)
                               for i in range(64)])
     return vals, 4 if n == 16 else 1
+
+
+def _desk_mask(n, dtype):
+    """A loss mask over 64 samples of n rows that masks 3 rows in 4."""
+    return (np.arange(64 * n).reshape(64, n) % 4 != 0).astype(dtype)
 
 
 def _desk_node(t, kind, vals, heads):
@@ -1577,6 +1728,11 @@ def _desk_node(t, kind, vals, heads):
             "gamma", "beta", "w1", "b1", "w2", "b2")))
     if kind == "layernorm-attention":
         return t.layernorm_attention(x, *attention, heads)
+    if kind == "mlp-head-mse":
+        return t.mlp_head_mse(x, *(v[k] for k in (
+            "gamma", "beta", "w1", "b1", "w2", "b2", "head_gamma",
+            "head_beta", "w_pred", "b_pred", "target")),
+            t.leaf(_desk_mask(x.shape[1], x.dtype)))
     return t.unshuffle_attention(z, v["fill"], v["pos"], vals["order"],
                                  *attention, heads)
 
@@ -1726,11 +1882,13 @@ def test_desk_rule_parameter_grads_near_whole_batch_sums(n):
 def _group_width(kind, d, heads, n):
     """Elements per row of a group that a streamed rule holds at once at
     most: xhat, the normed rows and the hidden-wide fc1, GELU CDF term and
-    GELU output (layernorm-mlp); xhat, the normed rows and their gradient's temporary
+    GELU output (layernorm-mlp, and mlp-head-mse, whose head and loss
+    steps hold less); xhat, the normed rows and their gradient's temporary
     (layernorm-linear); xhat, the normed rows, q|k|v, dqkv, the merged
     heads' gradient and the probabilities, their gradient and a product
     of the two (the attention rules)."""
-    return {"layernorm-mlp": d + 3 * 4 * d, "layernorm-linear": 3 * d,
+    return {"layernorm-mlp": d + 3 * 4 * d, "mlp-head-mse": d + 3 * 4 * d,
+            "layernorm-linear": 3 * d,
             "layernorm-attention": 9 * d + 3 * heads * n,
             "unshuffle-attention": 9 * d + 3 * heads * n}[kind]
 
