@@ -221,18 +221,23 @@ def patchify(images, spec):
     return np.ascontiguousarray(x.reshape(b, g * g, p * p * c))
 
 
-def embed_visible(tape, params, spec, images, kept):
+def embed_visible(tape, params, spec, images, kept=None):
     """Embed only the visible patches `kept` [b, k] of each sample.
 
     Masking is decided on indices before any embedding, so the masked
     patches never enter the graph; this is algebraically identical to
-    embedding everything and gathering the kept rows.
+    embedding everything and gathering the kept rows.  `kept` None means
+    every patch, in patch order: the product then reads `patchify`'s rows
+    as they are, and the [N, d] position table is added to each sample's
+    rows, the same values, bit for bit, as the ids `arange(N)` give.
     """
     patches = patchify(images, spec)
     pos = sincos_pos_embed(spec.grid_side, spec.embed_dim).astype(images.dtype)
-    vis = patches[np.arange(len(kept))[:, None], kept]
-    return _linear(tape, tape.leaf(vis), params, "embed",
-                   residual=tape.leaf(pos[kept]))
+    if kept is not None:
+        patches = patches[np.arange(len(kept))[:, None], kept]
+        pos = pos[kept]
+    return _linear(tape, tape.leaf(patches), params, "embed",
+                   residual=tape.leaf(pos))
 
 
 # ----- masking ---------------------------------------------------------------

@@ -10,8 +10,12 @@ The backbone forward never runs backward, so `forward_tokens` runs the
 embedding and the encoder layers on a `Forward` tape, which saves
 nothing, and whose residual nodes write their output over the input they
 consume: each layer holds one [b, N, d] activation, plus one chunk's
-temporaries per thread.  Only the final norm records on a `Tape`.  The
-probe reads its images a chunk at a time.
+temporaries per thread.  The embedding reads the patch rows as
+`patchify` makes them and adds the [N, d] position table to each
+sample's rows, so it holds no gathered copy of either.  Only the final
+norm records on a `Tape`.  The probe reads its images a chunk at a time,
+and the model it reads holds only the prefix's tensors (see
+`runner._model_from_checkpoint`).
 """
 
 import dataclasses
@@ -81,17 +85,17 @@ def forward_tokens(prefix, images):
     on a `Tape`, but nothing is saved for a backward, and each residual
     sum is written over the array of the input it consumes: a layer
     holds one [b, N, d] activation, plus one chunk's temporaries per
-    thread.  The embedding holds more: its position rows `pos[kept]`, its
-    patch rows and its output.  The final norm records on a `Tape`, whose
-    meter reads its row statistics, the mean and inverse std of each of
-    the b * N rows; it holds the last layer's output and its own.
+    thread.  The embedding keeps every patch (`kept` None), so it holds
+    only `patchify`'s rows and its output: the [N, d] position table is
+    added to each sample's rows.  The final norm records on a `Tape`,
+    whose meter reads its row statistics, the mean and inverse std of
+    each of the b * N rows; it holds the last layer's output and its own,
+    and sets the forward's heap peak.
     """
     spec = prefix.model.spec
     params = prefix.model.params
-    kept = np.broadcast_to(np.arange(spec.num_patches),
-                           (images.shape[0], spec.num_patches))
     fwd = Forward()
-    x = embed_visible(fwd, params, spec, images, kept)
+    x = embed_visible(fwd, params, spec, images)
     for j in prefix.layer_ids:
         x = encoder_block_layer(fwd, params, f"enc.layer{j}", x, spec.heads)
     tape = Tape()

@@ -364,16 +364,20 @@ def _load_params(model, tensors, dtype):
 
 def _model_from_checkpoint(cfg, checkpoint_path, k):
     """Prefix k of the config's model, every tensor of it read from the
-    checkpoint: a full run's or an exported backbone."""
+    checkpoint: a full run's or an exported backbone.  The model keeps
+    only the prefix's tensors, all that the probe and the export read:
+    the decoders, the bridge projections and the other bridge norms are
+    dropped once the checkpoint is checked."""
     model = build_model(cfg.model, cfg.plan.num_blocks, cfg.train.seed,
                         np.float64)
     tensors = load_checkpoint(checkpoint_path)
     _load_params(model, tensors, np.float64)
     prefix = truncate_backbone(model, k)
-    missing = [n for n in prefix.parameters() + list(prefix.norm_params())
-               if n not in tensors]
+    names = prefix.parameters() + list(prefix.norm_params())
+    missing = [n for n in names if n not in tensors]
     if missing:
         raise ConfigError(f"checkpoint lacks backbone tensors: {missing[:3]}")
+    model.params = {n: model.params[n] for n in names}
     return prefix
 
 

@@ -13,7 +13,8 @@ Charged buffers per primitive:
     matmul        both operand values (when non-leaf)
     linear        input value (when non-leaf); the weight is a leaf.  An
                   optional residual, added in place, is not saved: its
-                  gradient is the incoming one
+                  gradient is the incoming one.  A constant leaf of the
+                  output's row shape is added to every sample's rows
     add/scale/transpose/concat-rows   nothing
     gather-rows   the index vector
     layernorm     input value (when non-leaf) + per-row mean and inv-std
@@ -407,15 +408,21 @@ class Tape:
 
     def linear(self, x, w, b, residual=None):
         """x @ w + b in one node, x [b, m, k]: the bias is added in place,
-        and so is `residual`, a node of the output's shape, when given."""
+        and so is `residual` when given.  The residual is a node of the
+        output's shape [b, m, n], or a constant leaf of its row shape
+        [m, n], added to each sample's rows (as the sin-cos position table
+        is); the rule hands the residual the incoming gradient of shape
+        [b, m, n], so a row-shape residual that takes a gradient is
+        refused."""
         xv, wv, bv = x.value, w.value, b.value
         _check_linear(xv.shape, wv.shape, bv.shape, "linear")
         out = np.empty(xv.shape[:-1] + wv.shape[1:], xv.dtype)
         rv = _residual_value(residual, out.shape)
+        per_sample = rv is not None and rv.ndim == out.ndim
 
         def rows(lo, hi):
             _linear_rows(xv[lo:hi], wv, bv, out[lo:hi],
-                         None if rv is None else rv[lo:hi])
+                         rv[lo:hi] if per_sample else rv)
         _parallel(out.size, rows=len(xv), part=rows)
         node = Node("linear", out, _with_residual((x, w, b), residual))
         return self._register(node, [self._act(x), self._act(w)])
@@ -968,14 +975,23 @@ def _check_attention(x_shape, gv, bev, wqv, bqv, wov, bov, heads, kind):
 
 
 def _residual_value(residual, shape):
-    """The residual node's value, which must have the output's shape."""
+    """The residual node's value, of the output's shape, or of its row
+    shape shape[1:] when the node is a constant leaf."""
     if residual is None:
         return None
-    if residual.value.shape != shape:
+    rv = residual.value
+    if rv.shape == shape:
+        return rv
+    if rv.shape != shape[1:]:
         raise DimensionError(
-            f"residual {residual.value.shape} does not match the output "
-            f"{shape}")
-    return residual.value
+            f"residual {rv.shape} matches neither the output {shape} nor "
+            f"its rows {shape[1:]}")
+    if not residual.is_leaf or residual.requires_grad:
+        raise ContractError(
+            f"a residual of the output's row shape {rv.shape} must be a "
+            f"constant leaf: its gradient would be the incoming one of "
+            f"shape {shape}, not summed over the batch")
+    return rv
 
 
 def _with_residual(inputs, residual):
@@ -990,7 +1006,8 @@ def _with_residual(inputs, residual):
 def _linear_rows(x, w, b, out, residual=None):
     # Split by batch entry: each keeps its own product, so the BLAS calls
     # are the same as unsplit.  The sums are those of add(x @ w, b) and
-    # add(residual, that): addition commutes bit for bit.  A residual that
+    # add(residual, that): addition commutes bit for bit, and a residual of
+    # the rows' shape [m, n] is broadcast over the batch.  A residual that
     # is `out` itself, a sum written over its input, is added to the
     # product made in a temporary of out's rows.
     if residual is out:

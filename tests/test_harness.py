@@ -880,6 +880,56 @@ def test_exported_backbone_records_the_block_count(tmp_path):
     assert backbone["meta.k"].tolist() == [1.0]
 
 
+def _four_block_run(tmp_path):
+    """The config of a 4-block, depth-4 tiny run and its 4-step checkpoint."""
+    cfg = parse_config(TINY_CONFIG + "depth = 4\n"
+                       "mask_schedule = 0.5,0.5,0.5,0.5\n")
+    return cfg, run_pretrain(cfg, str(tmp_path / "run"),
+                             max_steps=4).checkpoint_paths[0]
+
+
+def _prefix_names(names, k):
+    """The names among `names` of prefix k of a depth-4, 4-block model, in
+    the export's order: the embedding's and layers 0..k-1's, sorted, then
+    block k-1's bridge norm."""
+    starts = ("embed.",) + tuple(f"enc.layer{j}." for j in range(k))
+    return (sorted(n for n in names if n.startswith(starts))
+            + [f"block{k - 1}.bridge.ln.g", f"block{k - 1}.bridge.ln.b"])
+
+
+def test_model_from_checkpoint_keeps_only_the_prefix(tmp_path):
+    # The probe and the export read the prefix alone; the decoders, the
+    # bridge projections and the other depths' bridge norms are dropped.
+    cfg, ckpt = _four_block_run(tmp_path)
+    tensors = load_checkpoint(ckpt)
+    for k in (1, 2, 3, 4):
+        params = runner._model_from_checkpoint(cfg, ckpt, k).model.params
+        assert sorted(params) == sorted(_prefix_names(tensors, k)), k
+        for name, arr in params.items():
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, tensors[name]), name
+
+
+def test_exported_backbone_holds_the_checkpoint_tensors_bytewise(tmp_path):
+    # The file is the one the prefix's checkpoint tensors, as f64, and the
+    # two records make; exporting that file again writes the same bytes.
+    cfg, ckpt = _four_block_run(tmp_path)
+    tensors = load_checkpoint(ckpt)
+    for k in (1, 4):
+        want = {n: tensors[n].astype(np.float64)
+                for n in _prefix_names(tensors, k)}
+        want["meta.k"] = np.array([k], dtype=np.float64)
+        want["meta.num_blocks"] = np.array([4.0])
+        ref = tmp_path / f"want_k{k}.bimc"
+        save_checkpoint(want, str(ref))
+        path = runner.run_export_backbone(
+            cfg, ckpt, k, str(tmp_path / "out")).backbone_path
+        assert Path(path).read_bytes() == ref.read_bytes(), k
+        again = runner.run_export_backbone(
+            cfg, path, k, str(tmp_path / "again")).backbone_path
+        assert Path(again).read_bytes() == ref.read_bytes(), k
+
+
 @pytest.mark.parametrize("batch", ["0", "-1"])
 def test_cli_mem_report_refuses_batch_below_one(tmp_path, capsys, batch):
     out = str(tmp_path / "report")

@@ -99,6 +99,25 @@ def test_embed_visible_matches_full_embed_gather():
     np.testing.assert_allclose(vis.value, gathered, atol=1e-14)
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make", [Tape, tape_module.Forward],
+                         ids=["tape", "forward"])
+def test_embed_visible_of_every_patch_equals_the_explicit_ids(
+        monkeypatch, make, dtype, parts):
+    # kept=None reads patchify's rows and adds the [N, d] position table to
+    # each sample's rows: the same bits as gathering them by arange(N).
+    monkeypatch.setattr(tape_module, "_PARTS", parts)
+    monkeypatch.setattr(tape_module, "_PART_ELEMENTS", 64)
+    spec = _toy_spec()
+    params = init_encoder_params(spec, seed=3, dtype=dtype)
+    imgs = _images(spec, 3, seed=4, dtype=dtype)
+    want = embed_visible(make(), params, spec, imgs, _unmasked(spec, 3))
+    got = embed_visible(make(), params, spec, imgs)
+    assert got.value.dtype == dtype
+    assert np.array_equal(got.value, want.value)
+
+
 # ----- sin-cos positions ------------------------------------------------------
 
 def test_sincos_origin_row():

@@ -1,5 +1,6 @@
 """Nested backbones: truncation equality, fixed-backbone probing, cost model."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -114,12 +115,13 @@ def test_forward_tokens_meters_only_the_final_norm(monkeypatch):
 
 
 # Real bytes of a depth-8 forward at the desk shape, batch 32, f64, on two
-# threads, in units of one [b, N, d] activation: 3.4 with the layers on a
+# threads, in units of one [b, N, d] activation: 3.42 with the layers on a
 # Forward whose residual nodes write over their input (one activation,
 # and each thread's MLP chunk temporaries: the normed rows, fc1, its CDF
-# term and fc2's output, 1.25 units per thread); 5.3 when each layer
-# also held its input and attention output; 22 with all layers on one
-# Tape, which keeps each layer's input and residual sum.
+# term and fc2's output, 1.25 units per thread), where the embedding
+# reaches 1.35; 5.3 when each layer also held its input and attention
+# output; 21.85 with all layers on one Tape, which keeps each layer's
+# input and residual sum.
 HEAP_OVER_ONE_ACTIVATION = 4.0
 
 
@@ -137,7 +139,7 @@ def test_forward_tokens_heap_at_desk_shape(monkeypatch):
 
 # Real bytes of the whole depth-8 forward at a small shape, where bytes
 # that do not grow with the batch weigh most, in units of one [b, N, d]
-# activation: 8.5, against 29.5 when one Tape holds all layers.  At
+# activation: 8.49, against 29.6 when one Tape holds all layers.  At
 # mlp_ratio 2 one chunk takes the whole batch, so a layer holds its one
 # activation, the normed rows, fc1 and its CDF term at twice the width,
 # and fc2's output before it is added over the activation: 7 units.  The
@@ -151,6 +153,60 @@ def test_forward_tokens_heap_holds_about_one_layer():
     peak = _heap_peak(truncate_backbone(model, 4), imgs)
     unit = 32 * spec.num_patches * spec.embed_dim * 8
     assert peak < SMALL_HEAP_OVER_ONE_ACTIVATION * unit, peak / unit
+
+
+def _desk_probe_chunk(monkeypatch):
+    """The k = 1 prefix of a desk model in f64 on two threads, one chunk
+    of the probe's images (`extract_features`' default chunk) and the
+    bytes of one [b, N, d] activation.  Each layer writes over its input,
+    so a deeper prefix holds no more."""
+    monkeypatch.setattr(tape, "_PARTS", 2)
+    spec = ModelSpec()
+    model = build_model(spec, 4, seed=5, dtype=np.float64)
+    partition_encoder(model)
+    batch = inspect.signature(extract_features).parameters["chunk"].default
+    imgs = gen_synthetic_dataset(spec.image_size, batch, 29).images(
+        dtype=np.float64)
+    unit = batch * spec.num_patches * spec.embed_dim * 8
+    return truncate_backbone(model, 1), imgs, unit
+
+
+# Real bytes of the probe's embedding at the desk shape, batch 128, f64,
+# in units of one [b, N, d] activation: 1.28, its output and `patchify`'s
+# rows (a quarter unit at 16 pixels per patch against 64 channels).  It
+# read 2.53 while it gathered the patch rows again by their identity ids
+# and made the [b, N, d] position rows to add as the residual.
+EMBED_HEAP_OVER_ONE_ACTIVATION = 1.5
+
+
+def test_probe_embedding_holds_its_output_and_the_patch_rows(monkeypatch):
+    prefix, imgs, unit = _desk_probe_chunk(monkeypatch)
+    forward_tokens(prefix, imgs)
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return embed_visible(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    monkeypatch.setattr(ofa, "embed_visible", traced)
+    forward_tokens(prefix, imgs)
+    assert len(peaks) == 1
+    assert peaks[0] < EMBED_HEAP_OVER_ONE_ACTIVATION * unit, peaks[0] / unit
+
+
+# Real bytes of a warm `forward_tokens` over one desk probe chunk, in the
+# same units: 2.16, set by the final norm, which holds the last layer's
+# output and its own.  It read 2.53 while the embedding set the peak.
+PROBE_CHUNK_HEAP_OVER_ONE_ACTIVATION = 2.3
+
+
+def test_probe_chunk_heap_is_the_final_norms(monkeypatch):
+    prefix, imgs, unit = _desk_probe_chunk(monkeypatch)
+    peak = _heap_peak(prefix, imgs)
+    assert peak < PROBE_CHUNK_HEAP_OVER_ONE_ACTIVATION * unit, peak / unit
 
 
 def test_probe_reaches_95_on_separable_two_class_set():

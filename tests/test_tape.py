@@ -2084,3 +2084,63 @@ def test_a_tape_refuses_an_array_of_a_second_dtype(make):
                            match="float64 on a tape of float32"):
             record(np.ones((2, 3)))
     assert t.dtype == np.float32
+
+
+# ----- a residual of the output's row shape ----------------------------------
+
+def _linear_args(t):
+    return [t.leaf(_rand(400 + i, *shape)) for i, shape in
+            enumerate(((5, 4, 6), (6, 3), (3,)))]
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("make", [Tape, tape.Forward],
+                         ids=["tape", "forward"])
+def test_linear_row_shape_residual_equals_the_gathered_one(monkeypatch, make,
+                                                           parts):
+    # A constant [m, n] residual is added to each sample's rows: the same
+    # bits as its copy per sample, [b, m, n], on one thread or cut in two.
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    monkeypatch.setattr(tape, "_PART_ELEMENTS", 4 * 3)
+    pos = _rand(410, 4, 3)
+
+    def linear(res):
+        t = make()
+        return t.linear(*_linear_args(t), residual=t.leaf(res)).value
+    want = linear(np.ascontiguousarray(np.broadcast_to(pos, (5, 4, 3))))
+    assert np.array_equal(linear(pos), want)
+
+
+def test_linear_row_shape_residual_gives_the_gathered_gradients():
+    # The constant residual takes no gradient; every other input's is the
+    # one its gathered copy gives.
+    def grads(res):
+        t = Tape()
+        x, w, b = _linear_args(t)
+        x, w, b = (t.leaf(n.value, name=name, requires_grad=True)
+                   for n, name in zip((x, w, b), "xwb"))
+        y = t.linear(x, w, b, residual=t.leaf(res))
+        return t.backward(t.mse_masked(y, t.leaf(_rand(411, 5, 4, 3)),
+                                       t.leaf(np.ones((5, 4)))))
+    pos = _rand(410, 4, 3)
+    got = grads(pos)
+    want = grads(np.ascontiguousarray(np.broadcast_to(pos, (5, 4, 3))))
+    assert sorted(got) == ["b", "w", "x"]
+    for name in got:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("make", [Tape, tape.Forward],
+                         ids=["tape", "forward"])
+def test_linear_refuses_a_row_shape_residual_that_takes_a_gradient(make):
+    # The rule hands the residual the [b, m, n] incoming gradient, not its
+    # sum over the batch, so only a constant leaf may be of the row shape.
+    t = make()
+    args = _linear_args(t)
+    for res in (t.leaf(np.zeros((4, 3)), name="pos", requires_grad=True),
+                t.scale(t.leaf(np.zeros((4, 3))), 1.0)):
+        with pytest.raises(ContractError, match="must be a constant leaf"):
+            t.linear(*args, residual=res)
+    for shape in ((1, 4, 3), (4, 1), (3,), (5, 3, 3)):
+        with pytest.raises(DimensionError, match="matches neither"):
+            t.linear(*args, residual=t.leaf(np.zeros(shape)))
