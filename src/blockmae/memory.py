@@ -87,17 +87,17 @@ def _decoder_bytes(spec, b, n_vis, s):
 
     The first layer's attention node builds the decoder input itself and
     saves the bridge output z, [n_vis, dd] per sample, and each sample's
-    row order, in place of the input: that layer's input is uncharged.
-    The last layer's MLP, the final norm, the prediction head and the
-    loss are one node, which saves what that MLP node alone would: its
-    input and row statistics.  Its backward recomputes the MLP output
-    (the tail's fc2), the head's row statistics and normed rows, and the
-    prediction (the head), so neither the head nor the loss charges a
-    byte.
+    n_vis visible ids, in place of the input: that layer's input is
+    uncharged.  The last layer's MLP, the final norm, the prediction head
+    and the loss are one node, which saves what that MLP node alone
+    would: its input and row statistics.  Its backward recomputes the MLP
+    output (the tail's fc2), the head's row statistics and normed rows,
+    and the prediction (the head), so neither the head nor the loss
+    charges a byte.
     """
     n = spec.num_patches
     dd = spec.decoder_dim
-    total = _IDS_BYTES * b * n + s * b * n_vis * dd   # row order ids and z
+    total = (_IDS_BYTES + s * dd) * b * n_vis   # visible ids and z
     for j in range(spec.decoder_depth):
         total += _layer_bytes(b, n, dd, spec.decoder_heads, s,
                               input_charged=j > 0)

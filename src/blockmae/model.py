@@ -9,8 +9,9 @@ for free.  No function here tags nodes with a block: the caller's
 `Tape.block` scope does.
 
 A step's visibility is one int64 array `kept` [batch, k]: each sample's
-visible patch ids in token order.  The loss mask and the decoder's
-restore order are derived from it where they are read.
+visible patch ids in token order.  The embedding's position rows and the
+decoder's visible rows are picked by it inside their tape nodes; the
+loss mask is the one array derived from it, where the loss reads it.
 
 Attention uses the usual head-batched layout: one `attn.qkv` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), runs every head
@@ -19,13 +20,14 @@ in one batched product, and the heads merge back to [b, n, d] for the
 projection, attention, the out projection and the first residual sum
 are one (`Tape.layernorm_attention`), and LN2, fc1, GELU, fc2 and the
 second residual sum the other (`Tape.layernorm_mlp`).  A decoder's input,
-the mask tokens put among the visible tokens in patch order plus the
+the visible tokens put among mask tokens in patch order plus the
 position table, is never held: it and its first layer's attention
 sublayer are one node (`Tape.unshuffle_attention`), which saves the
-bridge output and rebuilds the input in backward.  A decoder's last MLP
-sits in the loss node: that MLP, the final norm, the prediction head and
-the masked MSE are one node (`Tape.mlp_head_mse`), which saves only the
-MLP's input and row statistics and rebuilds the rest in backward.
+bridge output and `kept` and rebuilds the input in backward.  A
+decoder's last MLP sits in the loss node: that MLP, the final norm, the
+prediction head and the masked MSE are one node (`Tape.mlp_head_mse`),
+which saves only the MLP's input and row statistics and rebuilds the
+rest in backward.
 """
 
 from dataclasses import dataclass
@@ -226,18 +228,21 @@ def embed_visible(tape, params, spec, images, kept=None):
 
     Masking is decided on indices before any embedding, so the masked
     patches never enter the graph; this is algebraically identical to
-    embedding everything and gathering the kept rows.  `kept` None means
-    every patch, in patch order: the product then reads `patchify`'s rows
-    as they are, and the [N, d] position table is added to each sample's
-    rows, the same values, bit for bit, as the ids `arange(N)` give.
+    embedding everything and gathering the kept rows.  The linear node
+    adds the rows of the [N, d] position table that `kept` picks.  `kept`
+    None means every patch, in patch order: the product then reads
+    `patchify`'s rows as they are, and the whole table is added to each
+    sample's rows, the same values, bit for bit, as the ids `arange(N)`
+    give.
     """
     patches = patchify(images, spec)
-    pos = sincos_pos_embed(spec.grid_side, spec.embed_dim).astype(images.dtype)
     if kept is not None:
         patches = patches[np.arange(len(kept))[:, None], kept]
-        pos = pos[kept]
-    return _linear(tape, tape.leaf(patches), params, "embed",
-                   residual=tape.leaf(pos))
+    x = tape.leaf(patches)
+    pos = tape.leaf(
+        sincos_pos_embed(spec.grid_side, spec.embed_dim).astype(images.dtype))
+    return tape.linear(x, *_sublayer_params(tape, params, "embed", ("w", "b")),
+                       pos, kept)
 
 
 # ----- masking ---------------------------------------------------------------
@@ -272,11 +277,6 @@ def _param(tape, params, name):
     return tape.leaf(params[name], name=name, requires_grad=True)
 
 
-def _linear(tape, x, params, prefix, residual=None):
-    return tape.linear(x, _param(tape, params, f"{prefix}.w"),
-                       _param(tape, params, f"{prefix}.b"), residual=residual)
-
-
 _ATTENTION = ("ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
               "attn.out.b")
 _MLP = ("ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b")
@@ -298,34 +298,23 @@ def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
     """The decoder of one block's visible-token output, over all N patches,
     up to its last layer's attention sublayer, whose output it returns.
 
-    Applies the block-local LayerNorm + projection bridge, appends learned
-    mask tokens for every non-visible patch, unshuffles to original patch
-    order, adds the decoder position table and runs the decoder layers
-    but the last one's MLP.  The shuffled sequence is [visible tokens in
-    `kept` order..., mask tokens in ascending patch order...].  The first
-    layer's attention sublayer takes the bridge output and does the
-    unshuffle itself (`Tape.unshuffle_attention`).  The last MLP, the
-    final norm and the projection to patch pixels are the loss's
+    Applies the block-local LayerNorm + projection bridge, puts the
+    bridged visible token j of sample i at patch kept[i, j] and a learned
+    mask token at every other patch, adds the decoder position table and
+    runs the decoder layers but the last one's MLP.  The first layer's
+    attention sublayer takes the bridge output and `kept` and builds its
+    input itself (`Tape.unshuffle_attention`).  The last MLP, the final
+    norm and the projection to patch pixels are the loss's
     (`reconstruction_loss`).
     """
-    batch, n_vis = block_output.shape[0], block_output.shape[-2]
-    if kept.shape[1] != n_vis:
-        raise ContractError(
-            f"{kept.shape[1]} visible ids for {n_vis} visible tokens")
-    n = spec.num_patches
-    dd = spec.decoder_dim
-    dtype = block_output.dtype
     pfx = f"block{decoder_id}"
-
     z = tape.layernorm_linear(block_output, *_sublayer_params(
         tape, params, f"{pfx}.bridge", ("ln.g", "ln.b", "proj.w", "proj.b")))
-
-    masked = np.nonzero(patch_mask(kept, n))[1].reshape(batch, n - n_vis)
-    order = np.concatenate([kept, masked], axis=1)   # shuffled rows' patch ids
-    pos = tape.leaf(sincos_pos_embed(spec.grid_side, dd).astype(dtype))
+    pos = tape.leaf(sincos_pos_embed(spec.grid_side, spec.decoder_dim)
+                    .astype(block_output.dtype))
     first = f"{pfx}.dec.layer0"
     x = tape.unshuffle_attention(
-        z, _param(tape, params, f"{pfx}.dec.mask_token"), pos, order,
+        z, _param(tape, params, f"{pfx}.dec.mask_token"), pos, kept,
         *_sublayer_params(tape, params, first, _ATTENTION),
         spec.decoder_heads)
     for j in range(1, spec.decoder_depth):
@@ -357,10 +346,9 @@ def reconstruction_loss(tape, params, spec, x, targets, kept, decoder_id):
     """
     pfx = f"block{decoder_id}.dec"
     mask = patch_mask(kept, x.shape[-2]).astype(x.dtype)
-    tgt = targets.astype(x.dtype, copy=False)
     return tape.mlp_head_mse(
         x, *_sublayer_params(tape, params,
                              f"{pfx}.layer{spec.decoder_depth - 1}", _MLP),
         *_sublayer_params(tape, params, pfx,
                           ("ln.g", "ln.b", "pred.w", "pred.b")),
-        tape.leaf(tgt), tape.leaf(mask))
+        tape.leaf(targets), tape.leaf(mask))

@@ -11,10 +11,10 @@ they live outside the activation budget.
 
 Charged buffers per primitive:
     matmul        both operand values (when non-leaf)
-    linear        input value (when non-leaf); the weight is a leaf.  An
-                  optional residual, added in place, is not saved: its
-                  gradient is the incoming one.  A constant leaf of the
-                  output's row shape is added to every sample's rows
+    linear        input value (when non-leaf); the weight is a leaf.  The
+                  rows of an optional constant position table that the
+                  ids pick, added in place, are not saved: the table is
+                  a leaf and gets no gradient
     add/scale/transpose/concat-rows   nothing
     gather-rows   the index vector
     layernorm     input value (when non-leaf) + per-row mean and inv-std
@@ -35,12 +35,12 @@ Charged buffers per primitive:
                   forward's kernel, and the GELU output as
                   0.5 * fc1 * CDF term
     unshuffle-attention   a decoder's input and its first attention
-                  sublayer: the bridge output z (when non-leaf), the
-                  per-sample row order (int64 ids) and the row statistics of
-                  layernorm-attention.  The input, mask tokens put among
-                  z's rows plus the position table, is not saved: the
-                  output is written over it, and backward rebuilds it
-                  from z, the order and those two leaves
+                  sublayer: the bridge output z (when non-leaf), each
+                  sample's visible row ids (int64 [b, k]) and the row
+                  statistics of layernorm-attention.  The input, z's rows
+                  put among mask tokens plus the position table, is not
+                  saved: the output is written over it, and backward
+                  rebuilds it from z, the ids and those two leaves
     mse-masked    prediction value (when non-leaf).  No code in src/
                   records it since the loss node below took its place; it
                   stays as the tests' reference loss and for the name the
@@ -406,25 +406,34 @@ class Tape:
         node = Node("matmul", np.ascontiguousarray(out), (a, b))
         return self._register(node, [self._act(a), self._act(b)])
 
-    def linear(self, x, w, b, residual=None):
+    def linear(self, x, w, b, pos=None, ids=None):
         """x @ w + b in one node, x [b, m, k]: the bias is added in place,
-        and so is `residual` when given.  The residual is a node of the
-        output's shape [b, m, n], or a constant leaf of its row shape
-        [m, n], added to each sample's rows (as the sin-cos position table
-        is); the rule hands the residual the incoming gradient of shape
-        [b, m, n], so a row-shape residual that takes a gradient is
-        refused."""
+        and so are rows of `pos` when given, a constant leaf [N, n]: row
+        ids[i, j] to row j of sample i, ids [b, m] unique per sample, or
+        with ids None every row of pos to each sample's rows (m = N).  pos
+        gets no gradient, so a pos that takes one is refused."""
         xv, wv, bv = x.value, w.value, b.value
         _check_linear(xv.shape, wv.shape, bv.shape, "linear")
         out = np.empty(xv.shape[:-1] + wv.shape[1:], xv.dtype)
-        rv = _residual_value(residual, out.shape)
-        per_sample = rv is not None and rv.ndim == out.ndim
+        m, n = out.shape[1:]
+        pv = None if pos is None else pos.value
+        if pos is not None and (not pos.is_leaf or pos.requires_grad):
+            raise ContractError(
+                "linear pos must be a constant leaf: it gets no gradient")
+        if pv is not None and (pv.ndim != 2 or pv.shape[1] != n
+                               or (ids is None and len(pv) != m)):
+            raise DimensionError(
+                f"linear needs pos [N, {n}], N = {m} without ids; got "
+                f"{pv.shape}")
+        if ids is not None:
+            ids = _check_ids(ids, out.shape[:2], len(pv), "linear")
 
         def rows(lo, hi):
             _linear_rows(xv[lo:hi], wv, bv, out[lo:hi],
-                         rv[lo:hi] if per_sample else rv)
+                         pv if ids is None else pv[ids[lo:hi]])
         _parallel(out.size, rows=len(xv), part=rows)
-        node = Node("linear", out, _with_residual((x, w, b), residual))
+        # pos is an input so that backward drops its value as it walks.
+        node = Node("linear", out, (x, w, b) if pos is None else (x, w, b, pos))
         return self._register(node, [self._act(x), self._act(w)])
 
     def add(self, x, y):
@@ -456,19 +465,10 @@ class Tape:
         gradient row by assignment.
         """
         xv = x.value
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        if xv.ndim != 3 or ids.ndim != 2 or ids.shape[0] != xv.shape[0]:
+        if xv.ndim != 3:
             raise DimensionError(
-                f"gather-rows needs x [b, n, d] and ids [b, k]; got "
-                f"x={xv.shape} ids={ids.shape}")
-        n_rows = xv.shape[1]
-        if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-            raise DimensionError(
-                f"gather-rows ids out of range [0, {n_rows}): min={ids.min()} "
-                f"max={ids.max()}")
-        ordered = np.sort(ids, axis=-1)
-        if np.any(ordered[..., 1:] == ordered[..., :-1]):
-            raise ContractError("gather-rows ids must be unique per sample")
+                f"gather-rows needs x [b, n, d]; got {xv.shape}")
+        ids = _check_ids(ids, (len(xv), None), xv.shape[1], "gather-rows")
         node = Node("gather-rows", xv[_per_sample(ids)], (x,),
                     attrs={"in_shape": xv.shape})
         return self._register(node, [(ids, True)])
@@ -568,42 +568,38 @@ class Tape:
                                       *(self._act(n) for n in (
                                           gamma, beta, w_qkv, b_qkv, w_out))])
 
-    def unshuffle_attention(self, z, fill, pos, order, gamma, beta, w_qkv,
+    def unshuffle_attention(self, z, fill, pos, kept, gamma, beta, w_qkv,
                             b_qkv, w_out, b_out, heads):
         """A decoder's input and its first attention sublayer in one node:
-        `layernorm_attention` of x [b, n, d], where x holds the rows of z
-        [b, k, d] and then n - k copies of `fill` [d], row j of sample i
-        placed at row order[i, j], plus the position table `pos` [n, d].
+        `layernorm_attention` of x [b, n, d], where row j of z [b, k, d]'s
+        sample i goes to row kept[i, j], `fill` [d] to every other row,
+        plus the position table `pos` [n, d].
 
-        Each row of order [b, n] must be a permutation of range(n), so that
-        backward gathers each row's gradient by it.  x exists only while
-        the node runs: z, the order and the row statistics are saved, and
-        backward rebuilds x with the forward's scatter, fill and position
-        add.  pos is a constant: it gets no gradient.
+        kept [b, k] holds each sample's k unique visible row ids, so that
+        backward gathers z's gradient by them and takes the fill rows'
+        in ascending row order.  x exists only while the node runs: z,
+        kept and the row statistics are saved, and backward rebuilds x
+        with the forward's fill, scatter and position add.  pos is a
+        constant: it gets no gradient.
         """
         zv, fv, pv = z.value, fill.value, pos.value
-        order = np.ascontiguousarray(order, dtype=np.int64)
         if (zv.ndim != 3 or pv.ndim != 2 or fv.shape != zv.shape[-1:]
-                or pv.shape[1:] != fv.shape or order.shape != (
-                    len(zv), len(pv)) or zv.shape[1] > len(pv)):
+                or pv.shape[1:] != fv.shape or zv.shape[1] > len(pv)):
             raise DimensionError(
-                f"unshuffle-attention needs z [b, k, d], fill [d], pos [n, d] "
-                f"and order [b, n] with k <= n; got z={zv.shape} "
-                f"fill={fv.shape} pos={pv.shape} order={order.shape}")
-        if np.any(np.sort(order, axis=-1) != np.arange(len(pv))):
-            raise ContractError(
-                "unshuffle-attention order rows must be permutations of "
-                "range(n)")
+                f"unshuffle-attention needs z [b, k, d], fill [d] and pos "
+                f"[n, d] with k <= n; got z={zv.shape} fill={fv.shape} "
+                f"pos={pv.shape}")
+        kept = _check_ids(kept, zv.shape[:2], len(pv), "unshuffle-attention")
         params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
-        _check_attention(order.shape + fv.shape, *params, heads,
+        _check_attention((len(zv), len(pv)) + fv.shape, *params, heads,
                          "unshuffle-attention")
         # Nothing else holds the rebuilt input: the output is written over it.
-        xv = _unshuffle_rows(zv, fv, pv, order)
+        xv = _unshuffle_rows(zv, fv, pv, kept)
         stats = _attention_forward(xv, *params, heads, xv)
         node = Node("unshuffle-attention", xv,
                     (z, fill, pos, gamma, beta, w_qkv, b_qkv, w_out, b_out),
                     attrs={"heads": heads})
-        return self._register(node, [self._act(z), (order, True),
+        return self._register(node, [self._act(z), (kept, True),
                                       self._act(fill), self._act(pos),
                                       *((a, True) for a in stats),
                                       *(self._act(n) for n in (
@@ -974,28 +970,24 @@ def _check_attention(x_shape, gv, bev, wqv, bqv, wov, bov, heads, kind):
             f"residual {x_shape} does not match the output {out_shape}")
 
 
-def _residual_value(residual, shape):
-    """The residual node's value, of the output's shape, or of its row
-    shape shape[1:] when the node is a constant leaf."""
-    if residual is None:
-        return None
-    rv = residual.value
-    if rv.shape == shape:
-        return rv
-    if rv.shape != shape[1:]:
+def _check_ids(ids, shape, n, kind):
+    """ids as a contiguous int64 array, refused unless it is [b, k] of
+    `shape` (b, k), or (b, None) for any k, and each sample's ids are
+    unique and in range(n)."""
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    b, k = shape
+    if ids.ndim != 2 or len(ids) != b or k not in (None, ids.shape[1]):
         raise DimensionError(
-            f"residual {rv.shape} matches neither the output {shape} nor "
-            f"its rows {shape[1:]}")
-    if not residual.is_leaf or residual.requires_grad:
-        raise ContractError(
-            f"a residual of the output's row shape {rv.shape} must be a "
-            f"constant leaf: its gradient would be the incoming one of "
-            f"shape {shape}, not summed over the batch")
-    return rv
-
-
-def _with_residual(inputs, residual):
-    return inputs if residual is None else inputs + (residual,)
+            f"{kind} needs ids [b, k] = [{b}, {'k' if k is None else k}]; "
+            f"got {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise DimensionError(
+            f"{kind} ids out of range [0, {n}): min={ids.min()} "
+            f"max={ids.max()}")
+    ordered = np.sort(ids, axis=-1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
+        raise ContractError(f"{kind} ids must be unique per sample")
+    return ids
 
 
 # ----- row kernels --------------------------------------------------------
@@ -1208,13 +1200,12 @@ def _attention_forward(xv, gv, bev, wqv, bqv, wov, bov, heads, out):
     return mu, inv_std, row_max, row_sum
 
 
-def _unshuffle_rows(z, fill, pos, order):
-    """The decoder input [b, n, d]: row j of z's sample i at row order[i, j]
-    for j < k, `fill` at the other rows, then plus `pos`."""
-    k = z.shape[1]
-    out = np.empty(order.shape + fill.shape, z.dtype)
-    out[_per_sample(order[:, :k])] = z
-    out[_per_sample(order[:, k:])] = fill
+def _unshuffle_rows(z, fill, pos, kept):
+    """The decoder input [b, n, d]: row j of z's sample i at row
+    kept[i, j], `fill` at the other rows, then plus `pos`."""
+    out = np.empty((len(z), len(pos)) + fill.shape, z.dtype)
+    out[...] = fill
+    out[_per_sample(kept)] = z
     out += pos
     return out
 
@@ -1309,8 +1300,7 @@ def _vjp_matmul(node, g):
 
 
 def _vjp_linear(node, g):
-    # The last entry is a residual's gradient, g itself; a node without a
-    # residual has no input to pair it with.
+    # The last entry is pos's, a constant's: none.
     x, w = node.saved
     wt = np.ascontiguousarray(w.T)
     dx = np.empty_like(x)
@@ -1318,7 +1308,8 @@ def _vjp_linear(node, g):
     def group(s):
         np.matmul(g[s], wt, out=dx[s])
         return _weight_grads(x[s], g[s])
-    return (dx, *_grouped(max(x.size, g.size), _groups(x.shape), group), g)
+    return (dx, *_grouped(max(x.size, g.size), _groups(x.shape), group),
+            None)
 
 
 def _vjp_add(node, g):
@@ -1502,25 +1493,28 @@ def _vjp_layernorm_attention(node, g):
 def _vjp_unshuffle_attention(node, g):
     # Each group's input is rebuilt with the forward's kernel into a buffer
     # that then takes xhat, and the residual adds g to the input's
-    # gradient.  Row j of sample i went to row order[i, j]: its gradient is
-    # gathered back into dz, and the fill rows' gradients into a buffer of
-    # their own, which sums into the fill's as add's rule sums a broadcast.
-    z, order, fill, pos, mu, inv_std, row_max, row_sum, *params = node.saved
+    # gradient.  Row j of sample i went to row kept[i, j]: its gradient is
+    # gathered back into dz, and the other rows' gradients, in ascending
+    # row order, into a buffer of their own, which sums into the fill's as
+    # add's rule sums a broadcast.
+    z, kept, fill, pos, mu, inv_std, row_max, row_sum, *params = node.saved
     heads = node.attrs["heads"]
     weights = _attention_weights(*params)
-    b, k = z.shape[:2]
-    shape = order.shape + fill.shape
+    b, k = kept.shape
+    shape = (b, len(pos)) + fill.shape
     dz = np.empty_like(z)
     dfill = np.empty((b, shape[1] - k) + fill.shape, z.dtype)
 
     def group(s):
-        x = _unshuffle_rows(z[s], fill, pos, order[s])
+        x = _unshuffle_rows(z[s], fill, pos, kept[s])
         xhat = _xhat_rows(x, mu[s], inv_std[s], x)
         dx, grads = _attention_grads(xhat, inv_std[s], row_max[s],
                                      row_sum[s], weights, heads, g[s])
         dx += g[s]
-        dz[s] = dx[_per_sample(order[s, :k])]
-        dfill[s] = dx[_per_sample(order[s, k:])]
+        dz[s] = dx[_per_sample(kept[s])]
+        hidden = np.ones(dx.shape[:2], bool)
+        hidden[_per_sample(kept[s])] = False
+        dfill[s] = dx[hidden].reshape(dfill[s].shape)
         return grads
     grads = _grouped(_attention_size(shape, params[2], heads), _groups(shape),
                      group)

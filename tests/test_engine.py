@@ -250,10 +250,11 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     out = x.value
     entry = next(n for n in t.nodes if n.kind == "unshuffle-attention")
     table = weakref.ref(entry.inputs[2].value)   # the position leaf
+    embed_table = weakref.ref(tokens.inputs[3].value)   # the embedding's
     copy = weakref.ref(out)
     t.backward(loss)
     # Backward drops the constant leaves it walks.
-    assert table() is None and copy() is not None
+    assert table() is None and embed_table() is None and copy() is not None
     t.release_block_activations(0)
     assert all(n.value is None for n in t.nodes if n.block == 0)
     assert t.meter.live_activation_bytes == 0

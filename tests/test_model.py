@@ -15,7 +15,8 @@ from blockmae.model import (
     reconstruction_loss, sincos_pos_embed,
 )
 from blockmae.tape import (
-    LN_EPS, ContractError, Node, Tape, _attention_probs, _split_heads,
+    LN_EPS, ContractError, DimensionError, Node, Tape, _attention_probs,
+    _split_heads,
 )
 
 
@@ -553,8 +554,11 @@ def test_decoder_invariant_to_kept_order_permutation():
 
 def test_decoder_rejects_inconsistent_state():
     spec, params, kept, t, z = _decoder_setup()
-    # one visible id fewer than the block has token rows
-    with pytest.raises(ContractError, match="visible ids for"):
+    # one visible id fewer than the block has token rows: the decoder's
+    # entry node refuses it
+    with pytest.raises(DimensionError,
+                       match=r"unshuffle-attention needs ids \[b, k\] = "
+                             r"\[2, 8\]; got \(2, 7\)"):
         local_decoder_forward(t, params, spec, z, kept[:, :-1], 0)
 
 

@@ -80,8 +80,18 @@ def test_gather_rows_id_order():
 ])
 def test_gather_rows_rejects_other_ranks(x_shape, ids):
     t = Tape()
-    with pytest.raises(DimensionError, match=r"x \[b, n, d\] and ids \[b, k\]"):
+    with pytest.raises(DimensionError,
+                       match=r"gather-rows needs (x \[b, n, d\]|ids \[b, k\])"):
         t.gather_rows(t.leaf(np.zeros(x_shape)), ids)
+
+
+def test_gather_rows_rejects_ids_out_of_range():
+    t = Tape()
+    x = t.leaf(np.zeros((2, 5, 4)))
+    for ids in ([[0, 5], [1, 2]], [[0, 1], [-1, 2]]):
+        with pytest.raises(DimensionError,
+                           match=r"gather-rows ids out of range \[0, 5\)"):
+            t.gather_rows(x, np.array(ids))
 
 
 def test_layernorm_constant_row_is_zero_before_affine():
@@ -232,9 +242,9 @@ def test_linear_bitwise_equal_matmul_plus_bias(dtype):
     assert all(np.array_equal(g1[k], g2[k]) for k in ("x", "w", "b"))
 
 
-# Each sample's shuffled-row order for the decoder-entry node's inputs:
-# 3 rows of z, then 2 fill rows.
-_ORDER = np.array([[3, 0, 4, 1, 2], [1, 2, 0, 4, 3]])
+# Each sample's rows of the decoder-entry node's 3 rows of z among 5; the
+# fill goes to the other 2.
+_KEPT = np.array([[3, 0, 4], [1, 2, 0]])
 _ATTENTION = ("gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")
 
 
@@ -245,14 +255,25 @@ def _fused(t, kind, v):
     return _fused_and_unfused(t, kind, v)[0]
 
 
-def _unshuffle_then_attention(t, z, fill, pos, order, attention, heads):
+def _unshuffle_then_attention(t, z, fill, pos, kept, attention, heads):
     """The decoder input as zeros + fill, concat, gather and position add,
-    then its attention sublayer: the unfused `Tape.unshuffle_attention`."""
+    then its attention sublayer: the unfused `Tape.unshuffle_attention`.
+    The fill rows go to the rows `kept` leaves out, in ascending order."""
     b, k, d = z.shape
-    fills = t.add(t.leaf(np.zeros((b, order.shape[1] - k, d), z.dtype)), fill)
+    n = pos.shape[0]
+    hidden = np.stack([np.setdiff1d(np.arange(n), row) for row in kept])
+    order = np.concatenate([kept, hidden], axis=1)   # each row's patch id
+    fills = t.add(t.leaf(np.zeros((b, n - k, d), z.dtype)), fill)
     ordered = t.gather_rows(t.concat_rows([z, fills]),
                             np.argsort(order, axis=1))
     return t.layernorm_attention(t.add(ordered, pos), *attention, heads)
+
+
+def _position_rows(b, m, n, dtype, seed=88):
+    """A constant position table [m + 2, n] and ids [b, m] that pick m of
+    its rows for each sample."""
+    ids = np.stack([rng.permutation(seed + i, m + 2)[:m] for i in range(b)])
+    return _rand(seed, m + 2, n).astype(dtype), ids
 
 
 def _fused_and_unfused(t, kind, v):
@@ -262,8 +283,8 @@ def _fused_and_unfused(t, kind, v):
         z, fill = v["z"], v["fill"]
         pos = t.leaf(_rand(88, 5, 4).astype(z.dtype))   # a constant
         attention = [v[k] for k in _ATTENTION]
-        return (t.unshuffle_attention(z, fill, pos, _ORDER, *attention, 2),
-                _unshuffle_then_attention(t, z, fill, pos, _ORDER, attention,
+        return (t.unshuffle_attention(z, fill, pos, _KEPT, *attention, 2),
+                _unshuffle_then_attention(t, z, fill, pos, _KEPT, attention,
                                           2))
     if kind == "layernorm-linear":
         args = (v["x"], v["gamma"], v["beta"], v["w"], v["b"])
@@ -273,16 +294,21 @@ def _fused_and_unfused(t, kind, v):
         args = [v[k] for k in ("x", "gamma", "beta", "w1", "b1", "w2", "b2")]
         fused = t.layernorm_mlp(*args)
         h = t.gelu(t.layernorm_linear(*args[:5]))
-        return fused, t.linear(h, *args[5:], residual=v["x"])
-    return (t.linear(v["x"], v["w"], v["b"], residual=v["res"]),
-            t.add(v["res"], t.linear(v["x"], v["w"], v["b"])))
+        return fused, t.add(v["x"], t.linear(h, *args[5:]))
+    x, w, b = v["x"], v["w"], v["b"]
+    batch, m, _ = x.shape
+    pos, ids = _position_rows(batch, m, w.shape[1], x.dtype)
+    rows = t.gather_rows(
+        t.leaf(np.ascontiguousarray(np.broadcast_to(pos, (batch,) + pos.shape))),
+        ids)
+    return (t.linear(x, w, b, t.leaf(pos), ids),
+            t.add(t.linear(x, w, b), rows))
 
 
 def _fused_inputs(kind, dtype, seed=81):
-    shapes = {"x": (2, 5, 4), "w": (4, 3), "b": (3,), "res": (2, 5, 3)}
+    shapes = {"x": (2, 5, 4), "w": (4, 3), "b": (3,)}
     if kind == "layernorm-linear":
         shapes.update(gamma=(4,), beta=(4,))
-        del shapes["res"]
     if kind == "layernorm-mlp":
         shapes = {"x": (2, 5, 4), "gamma": (4,), "beta": (4,), "w1": (4, 6),
                   "b1": (6,), "w2": (6, 4), "b2": (4,)}
@@ -339,7 +365,7 @@ def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     *(("layernorm-attention", v) for v in (
         "x", "gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")),
     *(("unshuffle-attention", v) for v in ("z", "fill") + _ATTENTION),
-    ("linear", "res")])
+    ("linear", "x")])
 def test_grad_fused_nodes(kind, var):
     vals = _fused_inputs(kind, np.float64, seed=6300)
 
@@ -363,8 +389,6 @@ def test_layernorm_refuses_a_row_without_a_batch():
 def test_fused_nodes_refuse_mismatched_shapes():
     t = Tape()
     x, w, b = (t.leaf(np.zeros(s)) for s in ((2, 5, 4), (4, 3), (3,)))
-    with pytest.raises(DimensionError, match="residual"):
-        t.linear(x, w, b, residual=t.leaf(np.zeros((2, 5, 4))))
     with pytest.raises(DimensionError, match="layernorm affine"):
         t.layernorm_linear(x, t.leaf(np.ones(3)), t.leaf(np.zeros(4)), w, b)
     norm = [t.leaf(np.ones(4)), t.leaf(np.zeros(4))]
@@ -413,20 +437,17 @@ def test_attention_and_unshuffle_refuse_mismatched_shapes():
             ({4: (4, 3), 5: (3,)}, "residual")):
         with pytest.raises(DimensionError, match=match):
             attention_with(changed)
-    order = np.array([[0, 1, 2], [2, 1, 0]])
+    kept = np.array([[0, 2], [2, 1]])
     z = t.leaf(np.zeros((2, 2, 4)))
     fill, pos = t.leaf(np.zeros(4)), t.leaf(np.zeros((3, 4)))
     attention = [t.leaf(np.zeros(s)) for s in shapes]
-    for args in ((x, fill, pos, order),                 # 5 rows for 3
-                 (z, t.leaf(np.zeros(3)), pos, order),
-                 (z, fill, pos, order[:1]),
-                 (t.leaf(np.zeros((2, 4))), fill, pos, order)):
+    for args in ((x, fill, pos, kept),                  # 5 rows for 3
+                 (z, t.leaf(np.zeros(3)), pos, kept),
+                 (z, fill, t.leaf(np.zeros((3, 3))), kept),
+                 (t.leaf(np.zeros((2, 4))), fill, pos, kept)):
         with pytest.raises(DimensionError,
                            match="unshuffle-attention needs z"):
             t.unshuffle_attention(*args, *attention, 2)
-    with pytest.raises(ContractError, match="permutations"):
-        t.unshuffle_attention(z, fill, pos, np.array([[0, 1, 1], [2, 1, 0]]),
-                              *attention, 2)
     # the attention sublayer's checks, on the [2, 3, 4] decoder input
     for i, shape, match in (
             (0, (3,), "layernorm affine"),
@@ -437,9 +458,35 @@ def test_attention_and_unshuffle_refuse_mismatched_shapes():
         args = list(attention)
         args[i] = t.leaf(np.zeros(shape))
         with pytest.raises(DimensionError, match=match):
-            t.unshuffle_attention(z, fill, pos, order, *args, 2)
+            t.unshuffle_attention(z, fill, pos, kept, *args, 2)
     with pytest.raises(DimensionError, match="divisible by 3 heads"):
-        t.unshuffle_attention(z, fill, pos, order, *attention, 3)
+        t.unshuffle_attention(z, fill, pos, kept, *attention, 3)
+    assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
+
+
+@pytest.mark.parametrize("kept,error,match", [
+    # a repeated id: two of z's rows for one row
+    ([[0, 2], [1, 1]], ContractError,
+     "unshuffle-attention ids must be unique per sample"),
+    # an id past the last of the 3 rows
+    ([[0, 3], [2, 1]], DimensionError,
+     r"unshuffle-attention ids out of range \[0, 3\)"),
+    # ids for 1 or 3 of z's 2 rows, or for 1 of its 2 samples
+    ([[0], [2]], DimensionError,
+     r"unshuffle-attention needs ids \[b, k\] = \[2, 2\]; got \(2, 1\)"),
+    ([[0, 1, 2], [2, 1, 0]], DimensionError,
+     r"unshuffle-attention needs ids \[b, k\] = \[2, 2\]; got \(2, 3\)"),
+    ([[0, 2]], DimensionError,
+     r"unshuffle-attention needs ids \[b, k\] = \[2, 2\]; got \(1, 2\)")])
+def test_unshuffle_attention_refuses_kept_ids_it_cannot_place(kept, error,
+                                                              match):
+    t = Tape()
+    z = t.leaf(np.zeros((2, 2, 4)))
+    fill, pos = t.leaf(np.zeros(4)), t.leaf(np.zeros((3, 4)))
+    attention = [t.leaf(np.zeros(s)) for s in
+                 ((4,), (4,), (4, 12), (12,), (4, 4), (4,))]
+    with pytest.raises(error, match=match):
+        t.unshuffle_attention(z, fill, pos, np.array(kept), *attention, 2)
     assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
@@ -481,7 +528,7 @@ def _one_node_per_backward_rule():
         t.matmul(act(3, 2, 3, 4), act(4, 2, 4, 5)),
         t.linear(act(5, 2, 3, 4), leaf(6, 4, 5), leaf(7, 5)),
         t.linear(act(26, 2, 3, 4), leaf(27, 4, 5), leaf(28, 5),
-                 residual=act(29, 2, 3, 5)),
+                 leaf(29, 5, 5), np.array([[4, 0, 2], [1, 3, 0]])),
         t.layernorm_linear(act(30, 2, 3, 4), leaf(31, 4), leaf(32, 4),
                            leaf(33, 4, 5), leaf(34, 5)),
         t.layernorm_mlp(act(35, 2, 3, 4), leaf(36, 4), leaf(37, 4),
@@ -491,7 +538,7 @@ def _one_node_per_backward_rule():
                               leaf(44, 4, 12), leaf(45, 12), leaf(46, 4, 4),
                               leaf(47, 4), 2),
         t.unshuffle_attention(act(48, 2, 3, 4), leaf(49, 4), leaf(50, 5, 4),
-                              _ORDER, leaf(51, 4), leaf(52, 4),
+                              _KEPT, leaf(51, 4), leaf(52, 4),
                               leaf(53, 4, 12), leaf(54, 12), leaf(55, 4, 4),
                               leaf(56, 4), 2),
         t.add(act(8, 2, 3, 4), act(9, 4)),
@@ -1406,7 +1453,7 @@ def test_decoder_entry_bitwise_equal_unshuffle_then_attention(
     vals = {"z": _rand(240, b, k, d).astype(dtype),
             "fill": _rand(241, d).astype(dtype), **vals}
     pos = _rand(242, n, d).astype(dtype)
-    order = np.stack([rng.permutation(243 + i, n) for i in range(b)])
+    kept = np.stack([rng.permutation(243 + i, n)[:k] for i in range(b)])
     target = _rand(250, b, n, d).astype(dtype)
 
     def run(fused):
@@ -1414,7 +1461,7 @@ def test_decoder_entry_bitwise_equal_unshuffle_then_attention(
         v = {name: t.leaf(a, name=name, requires_grad=True)
              for name, a in vals.items()}
         attention = [v[name] for name in _ATTENTION]
-        args = (v["z"], v["fill"], t.leaf(pos), order)
+        args = (v["z"], v["fill"], t.leaf(pos), kept)
         y = (t.unshuffle_attention(*args, *attention, heads) if fused
              else _unshuffle_then_attention(t, *args, attention, heads))
         out = y.value.copy()
@@ -1462,11 +1509,11 @@ def _force_parts(monkeypatch, parts):
 
 
 def _split_kernels_run(b, dtype):
-    """Forward and every VJP of linear (with and without a residual),
-    layernorm, layernorm-attention, gelu, layernorm-linear and
-    layernorm-mlp; returns each node's value, saved buffers and charged
-    bytes, the meter, and every VJP output.  The attention node's value
-    and gradients are checked against plain numpy on the way."""
+    """Forward and every VJP of linear (with and without position rows),
+    layernorm, layernorm-attention, gelu, layernorm-linear, layernorm-mlp
+    and add; returns each node's value, saved buffers and charged bytes,
+    the meter, and every VJP output.  The attention node's value and
+    gradients are checked against plain numpy on the way."""
     def r(seed, *shape):
         return _rand(seed, *shape).astype(dtype)
 
@@ -1482,7 +1529,9 @@ def _split_kernels_run(b, dtype):
     f3 = t.layernorm_mlp(att, t.leaf(r(12, 12)), t.leaf(r(13, 12)),
                          t.leaf(r(16, 12, 20)), t.leaf(r(17, 20)),
                          t.leaf(r(18, 20, 12)), t.leaf(r(19, 12)))
-    t.linear(f3, t.leaf(r(14, 12, 12)), t.leaf(r(15, 12)), residual=x)
+    pos, ids = _position_rows(b, 5, 12, dtype)
+    t.add(x, t.linear(f3, t.leaf(r(14, 12, 12)), t.leaf(r(15, 12)),
+                      t.leaf(pos), ids))
     out = {"peak": t.meter.peak_activation_bytes,
            "live": t.meter.live_activation_bytes}
     for i, node in enumerate(t.nodes):
@@ -1500,7 +1549,7 @@ def _split_kernels_run(b, dtype):
             _assert_attention_matches_whole_probabilities(node, 3, g, grads)
     assert {n.kind for n in t.nodes} - {"leaf"} == {
         "layernorm", "linear", "layernorm-attention", "gelu",
-        "layernorm-linear", "layernorm-mlp"}
+        "layernorm-linear", "layernorm-mlp", "add"}
     assert f1.shape == f2.shape == (b, 5, 20)
     return out
 
@@ -1518,7 +1567,7 @@ def test_unshuffle_attention_writes_its_output_over_the_rebuilt_input(
                              for k in ("fill", "pos") + _ATTENTION)
     tracemalloc.start()
     try:
-        out = t.unshuffle_attention(z, fill, pos, vals["order"], *attention,
+        out = t.unshuffle_attention(z, fill, pos, vals["kept"], *attention,
                                     heads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1572,7 +1621,7 @@ def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
     # layernorm's, layernorm-mlp's and attention's forwards
     assert sorted(chunks) == sorted(split[parts] * 2 + [[(0, 3), (3, 5)]])
     # layernorm-linear's forward, then the rules of layernorm, attention,
-    # linear, layernorm-linear, layernorm-mlp and linear with a residual
+    # linear, layernorm-linear, layernorm-mlp and linear with position rows
     assert sorted(groups) == sorted(split[parts]
                                     + [[(0, 2), (2, 4), (4, 5)]] * 6)
     assert want.keys() == got.keys()
@@ -1664,10 +1713,10 @@ def test_split_kernels_stress_more_threads_than_cores(monkeypatch):
 
 # The rules that sum over rows, each with the names of its inputs in the
 # order of its gradients; None marks an input whose gradient is not
-# compared (a constant, or a residual's pass-through).
+# compared (a constant).
 _DESK_RULES = {
     "linear": ("x", "w", "b"),
-    "linear+residual": ("x", "w", "b", None),
+    "linear+pos": ("x", "w", "b"),
     "matmul": ("x", "w"),
     "add": ("x", "y"),
     "add-rows": ("x", "y_rows"),
@@ -1689,12 +1738,12 @@ def _desk_values(n, dtype, seed=300):
               "b1": (4 * d,), "w2": (4 * d, d), "b2": (d,),
               "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
               "b_out": (d,), "z": (64, n // 4, d), "fill": (d,),
-              "pos": (n, d), "res": (64, n, d), "head_gamma": (d,),
-              "head_beta": (d,), "target": (64, n, 16)}
+              "pos": (n, d), "head_gamma": (d,), "head_beta": (d,),
+              "target": (64, n, 16)}
     vals = {k: (_rand(seed + i, *s) * 0.5).astype(dtype)
             for i, (k, s) in enumerate(shapes.items())}
-    vals["order"] = np.stack([rng.permutation(seed + 50 + i, n)
-                              for i in range(64)])
+    vals["kept"] = np.stack([rng.permutation(seed + 50 + i, n)[:n // 4]
+                             for i in range(64)])
     return vals, 4 if n == 16 else 1
 
 
@@ -1704,15 +1753,15 @@ def _desk_mask(n, dtype):
 
 
 def _desk_node(t, kind, vals, heads):
-    """Node `kind` over vals on tape t; x, y, z and the residual are
-    non-leaf, as in a step."""
-    v = {k: t.leaf(a) for k, a in vals.items() if k != "order"}
+    """Node `kind` over vals on tape t; x, y and z are non-leaf, as in a
+    step."""
+    v = {k: t.leaf(a) for k, a in vals.items() if k != "kept"}
     x, z = t.scale(v["x"], 1.0), t.scale(v["z"], 1.0)
     attention = [v[k] for k in _ATTENTION]
     if kind == "linear":
         return t.linear(x, v["w"], v["b"])
-    if kind == "linear+residual":
-        return t.linear(x, v["w"], v["b"], residual=t.scale(v["res"], 1.0))
+    if kind == "linear+pos":
+        return t.linear(x, v["w"], v["b"], v["pos"])
     if kind == "matmul":
         return t.matmul(x, v["w"])
     if kind in ("add", "add-rows"):
@@ -1733,7 +1782,7 @@ def _desk_node(t, kind, vals, heads):
             "gamma", "beta", "w1", "b1", "w2", "b2", "head_gamma",
             "head_beta", "w_pred", "b_pred", "target")),
             t.leaf(_desk_mask(x.shape[1], x.dtype)))
-    return t.unshuffle_attention(z, v["fill"], v["pos"], vals["order"],
+    return t.unshuffle_attention(z, v["fill"], v["pos"], vals["kept"],
                                  *attention, heads)
 
 
@@ -1786,7 +1835,7 @@ def test_desk_fused_node_bitwise_equal_unfused_composition(kind, n):
     # At desk shapes each rule sums over several groups of rows; the fused
     # node and the nodes it fuses cut and add them the same way.
     vals, _ = _desk_values(n, np.float32)
-    names = {"linear": ("x", "w", "b", "res"),
+    names = {"linear": ("x", "w", "b"),
              "layernorm-linear": ("x", "gamma", "beta", "w", "b"),
              "layernorm-mlp": ("x", "gamma", "beta", "w1", "b1", "w2",
                                "b2")}[kind]
@@ -1851,14 +1900,16 @@ def _whole_batch_grads(kind, v, heads, g):
     if kind == "layernorm-attention":
         return _attention_whole_probabilities([x] + params, heads, g,
                                               _whole_batch)[1][1:]
-    z, order, k = v["z"], v["order"], v["z"].shape[1]
+    visible = (np.arange(64)[:, None], v["kept"])
+    hidden = np.ones(x.shape[:2], bool)
+    hidden[visible] = False
     xin = np.empty_like(x)
-    xin[np.arange(64)[:, None], order[:, :k]] = z
-    xin[np.arange(64)[:, None], order[:, k:]] = v["fill"]
+    xin[...] = v["fill"]
+    xin[visible] = v["z"]
     xin += v["pos"]
     dx, *grads = _attention_whole_probabilities([xin] + params, heads, g,
                                                 _whole_batch)[1]
-    return (rows(dx[np.arange(64)[:, None], order[:, k:]]), *grads)
+    return (dx[hidden].sum(axis=0), *grads)
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -2086,7 +2137,7 @@ def test_a_tape_refuses_an_array_of_a_second_dtype(make):
     assert t.dtype == np.float32
 
 
-# ----- a residual of the output's row shape ----------------------------------
+# ----- position rows added by linear ----------------------------------------
 
 def _linear_args(t):
     return [t.leaf(_rand(400 + i, *shape)) for i, shape in
@@ -2098,33 +2149,33 @@ def _linear_args(t):
                          ids=["tape", "forward"])
 def test_linear_row_shape_residual_equals_the_gathered_one(monkeypatch, make,
                                                            parts):
-    # A constant [m, n] residual is added to each sample's rows: the same
-    # bits as its copy per sample, [b, m, n], on one thread or cut in two.
+    # Without ids the [m, n] position table is added to each sample's rows:
+    # the same bits as its rows picked by the ids arange(m) for each
+    # sample, on one thread or cut in two.
     monkeypatch.setattr(tape, "_PARTS", parts)
     monkeypatch.setattr(tape, "_PART_ELEMENTS", 4 * 3)
     pos = _rand(410, 4, 3)
 
-    def linear(res):
+    def linear(ids):
         t = make()
-        return t.linear(*_linear_args(t), residual=t.leaf(res)).value
-    want = linear(np.ascontiguousarray(np.broadcast_to(pos, (5, 4, 3))))
-    assert np.array_equal(linear(pos), want)
+        return t.linear(*_linear_args(t), t.leaf(pos), ids).value
+    want = linear(np.tile(np.arange(4), (5, 1)))
+    assert np.array_equal(linear(None), want)
 
 
 def test_linear_row_shape_residual_gives_the_gathered_gradients():
-    # The constant residual takes no gradient; every other input's is the
-    # one its gathered copy gives.
-    def grads(res):
+    # The constant table takes no gradient; every other input's is the one
+    # the table's rows picked by ids give.
+    def grads(ids):
         t = Tape()
         x, w, b = _linear_args(t)
         x, w, b = (t.leaf(n.value, name=name, requires_grad=True)
                    for n, name in zip((x, w, b), "xwb"))
-        y = t.linear(x, w, b, residual=t.leaf(res))
+        y = t.linear(x, w, b, t.leaf(_rand(410, 4, 3)), ids)
         return t.backward(t.mse_masked(y, t.leaf(_rand(411, 5, 4, 3)),
                                        t.leaf(np.ones((5, 4)))))
-    pos = _rand(410, 4, 3)
-    got = grads(pos)
-    want = grads(np.ascontiguousarray(np.broadcast_to(pos, (5, 4, 3))))
+    got = grads(None)
+    want = grads(np.tile(np.arange(4), (5, 1)))
     assert sorted(got) == ["b", "w", "x"]
     for name in got:
         assert np.array_equal(got[name], want[name]), name
@@ -2133,14 +2184,44 @@ def test_linear_row_shape_residual_gives_the_gathered_gradients():
 @pytest.mark.parametrize("make", [Tape, tape.Forward],
                          ids=["tape", "forward"])
 def test_linear_refuses_a_row_shape_residual_that_takes_a_gradient(make):
-    # The rule hands the residual the [b, m, n] incoming gradient, not its
-    # sum over the batch, so only a constant leaf may be of the row shape.
+    # The rule gives the position table no gradient, so only a constant
+    # leaf may be one.
     t = make()
     args = _linear_args(t)
-    for res in (t.leaf(np.zeros((4, 3)), name="pos", requires_grad=True),
+    for pos in (t.leaf(np.zeros((4, 3)), name="pos", requires_grad=True),
                 t.scale(t.leaf(np.zeros((4, 3))), 1.0)):
-        with pytest.raises(ContractError, match="must be a constant leaf"):
-            t.linear(*args, residual=res)
-    for shape in ((1, 4, 3), (4, 1), (3,), (5, 3, 3)):
-        with pytest.raises(DimensionError, match="matches neither"):
-            t.linear(*args, residual=t.leaf(np.zeros(shape)))
+        with pytest.raises(ContractError,
+                           match="linear pos must be a constant leaf"):
+            t.linear(*args, pos)
+
+
+@pytest.mark.parametrize("make", [Tape, tape.Forward],
+                         ids=["tape", "forward"])
+def test_linear_refuses_position_rows_it_cannot_add(make):
+    # x is 5 samples of 4 rows, the output 3 wide.
+    t = make()
+    args = _linear_args(t)
+    ids = np.tile(np.arange(4), (5, 1))
+    refusals = [
+        # a table not [N, 3], or without ids not of the 4 rows
+        *((np.zeros(shape), None, DimensionError,
+           r"linear needs pos \[N, 3\], N = 4 without ids; got "
+           + re.escape(str(shape))) for shape in (
+            (4,), (1, 4, 3), (4, 2), (6, 3))),
+        (np.zeros((6, 2)), ids, DimensionError, r"linear needs pos \[N, 3\]"),
+        # ids past the table's 4 rows, or below 0
+        (np.zeros((4, 3)), np.where(ids == 3, 4, ids), DimensionError,
+         r"linear ids out of range \[0, 4\)"),
+        (np.zeros((4, 3)), -ids, DimensionError, "linear ids out of range"),
+        # ids for 3 of the 4 rows, or for 1 of the 5 samples
+        (np.zeros((4, 3)), ids[:, :3], DimensionError,
+         r"linear needs ids \[b, k\] = \[5, 4\]; got \(5, 3\)"),
+        (np.zeros((4, 3)), ids[:1], DimensionError,
+         r"linear needs ids \[b, k\] = \[5, 4\]; got \(1, 4\)"),
+        # a row picked twice for one sample
+        (np.zeros((4, 3)), np.where(ids == 3, 0, ids), ContractError,
+         "linear ids must be unique per sample")]
+    for pos, rows, error, match in refusals:
+        with pytest.raises(error, match=match):
+            t.linear(*args, t.leaf(pos), rows)
+    assert all(n.kind == "leaf" for n in t.nodes)
