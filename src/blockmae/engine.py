@@ -203,7 +203,7 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
                                         spec.heads)
             loss = reconstruction_loss(
                 tape, params, spec,
-                local_decoder_forward(tape, params, spec, x, kept, i),
+                local_decoder_forward(tape, params, x, i),
                 patch_targets(images, spec), kept, i)
         # Backward drops x's value, so hold block i's output for block
         # i+1's boundary; the last block's output dies with its release.
@@ -214,6 +214,7 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
             raise IsolationError(
                 f"gradient for {foreign[0]!r} leaked into block {i}")
         optimizer.step(params, table, lr)
+        del table   # the next block's backward would hold it besides its own
         losses.append(float(loss.value))
         tape.release_block_activations(i)
         if out is not None:

@@ -24,8 +24,6 @@ from .engine import (
 from .data import gen_synthetic_dataset
 from .model import keep_count
 
-_IDS_BYTES = 8  # int64 row indices
-
 
 class ResourceError(Exception):
     pass
@@ -82,26 +80,26 @@ def _bridge_bytes(b, n, d, s):
     return s * b * (n * d + 2 * n)
 
 
+def _decoder_params(spec):
+    """The parameter count of one block's decoder, its bridge aside: the
+    mask token, every layer, the final norm and the prediction head."""
+    dd, p = spec.decoder_dim, spec.patch_pixels
+    hidden = dd * spec.mlp_ratio
+    # LN1, the qkv and out projections, LN2, fc1 and fc2, with biases
+    layer = (2 * dd + 3 * dd * (dd + 1) + dd * (dd + 1) + 2 * dd
+             + hidden * (dd + 1) + dd * (hidden + 1))
+    return dd + spec.decoder_depth * layer + 2 * dd + p * (dd + 1)
+
+
 def _decoder_bytes(spec, b, n_vis, s):
     """The local decoder and the loss of one block at n_vis visible tokens.
 
-    The first layer's attention node builds the decoder input itself and
-    saves the bridge output z, [n_vis, dd] per sample, and each sample's
-    n_vis visible ids, in place of the input: that layer's input is
-    uncharged.  The last layer's MLP, the final norm, the prediction head
-    and the loss are one node, which saves what that MLP node alone
-    would: its input and row statistics.  Its backward recomputes the MLP
-    output (the tail's fc2), the head's row statistics and normed rows,
-    and the prediction (the head), so neither the head nor the loss
-    charges a byte.
+    They are one node, which computes its gradients as it runs and saves
+    only those: the bridge output's, [n_vis, dd] per sample, and the
+    decoder parameters'.  No activation of the decoder is held, so its
+    bytes grow neither with its depth nor with the N patches it decodes.
     """
-    n = spec.num_patches
-    dd = spec.decoder_dim
-    total = (_IDS_BYTES + s * dd) * b * n_vis   # visible ids and z
-    for j in range(spec.decoder_depth):
-        total += _layer_bytes(b, n, dd, spec.decoder_heads, s,
-                              input_charged=j > 0)
-    return total
+    return s * (b * n_vis * spec.decoder_dim + _decoder_params(spec))
 
 
 def _visible_counts(spec, plan):
@@ -239,10 +237,11 @@ def _decoder_units(spec, num_decoders, fractions):
 def flop_estimate(spec, plan, baseline_ratio=0.75):
     """MAC totals for the plan against a fixed-ratio single-decoder baseline.
 
-    Forward MACs only: neither backward nor what backward recomputes (the
-    MLP node's fc1 products, the attention node's qkv, score and
-    probability-value products, and in the loss node the decoder tail's
-    fc1 and fc2 products and the prediction head) is counted."""
+    Forward MACs only: neither backward nor what backward recomputes is
+    counted: the encoder MLP node's fc1 products, the encoder attention
+    node's qkv, score and probability-value products, and the decoder
+    node's qkv and fc1 products, which its backward makes again rather
+    than keep (it keeps the probabilities, GELU outputs and CDF terms)."""
     fractions = _plan_fractions(plan)
     blocks = block_layers(spec.depth, plan.num_blocks)
     linear, quad = _encoder_units(spec, blocks, fractions)

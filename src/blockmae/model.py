@@ -16,18 +16,16 @@ loss mask is the one array derived from it, where the loss reads it.
 Attention uses the usual head-batched layout: one `attn.qkv` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), runs every head
 in one batched product, and the heads merge back to [b, n, d] for the
-`attn.out` projection.  A layer is two tape nodes: LN1, the qkv
-projection, attention, the out projection and the first residual sum
-are one (`Tape.layernorm_attention`), and LN2, fc1, GELU, fc2 and the
-second residual sum the other (`Tape.layernorm_mlp`).  A decoder's input,
-the visible tokens put among mask tokens in patch order plus the
-position table, is never held: it and its first layer's attention
-sublayer are one node (`Tape.unshuffle_attention`), which saves the
-bridge output and `kept` and rebuilds the input in backward.  A
-decoder's last MLP sits in the loss node: that MLP, the final norm, the
-prediction head and the masked MSE are one node (`Tape.mlp_head_mse`),
-which saves only the MLP's input and row statistics and rebuilds the
-rest in backward.
+`attn.out` projection.  An encoder layer is two tape nodes: LN1, the
+qkv projection, attention, the out projection and the first residual
+sum are one (`Tape.layernorm_attention`), and LN2, fc1, GELU, fc2 and
+the second residual sum the other (`Tape.layernorm_mlp`).  A decoder and
+its loss are one node (`Tape.decoder_loss`): from the bridge output it
+puts the visible tokens among mask tokens in patch order, runs every
+decoder layer, the final norm, the prediction head and the masked MSE,
+and computes its gradients as it runs, so it holds none of its
+activations: it saves the bridge output's and the decoder parameters'
+gradients.
 """
 
 from dataclasses import dataclass
@@ -294,36 +292,13 @@ def encoder_block_layer(tape, params, prefix, x, heads):
         x2, *_sublayer_params(tape, params, prefix, _MLP))
 
 
-def local_decoder_forward(tape, params, spec, block_output, kept, decoder_id):
-    """The decoder of one block's visible-token output, over all N patches,
-    up to its last layer's attention sublayer, whose output it returns.
-
-    Applies the block-local LayerNorm + projection bridge, puts the
-    bridged visible token j of sample i at patch kept[i, j] and a learned
-    mask token at every other patch, adds the decoder position table and
-    runs the decoder layers but the last one's MLP.  The first layer's
-    attention sublayer takes the bridge output and `kept` and builds its
-    input itself (`Tape.unshuffle_attention`).  The last MLP, the final
-    norm and the projection to patch pixels are the loss's
-    (`reconstruction_loss`).
-    """
-    pfx = f"block{decoder_id}"
-    z = tape.layernorm_linear(block_output, *_sublayer_params(
-        tape, params, f"{pfx}.bridge", ("ln.g", "ln.b", "proj.w", "proj.b")))
-    pos = tape.leaf(sincos_pos_embed(spec.grid_side, spec.decoder_dim)
-                    .astype(block_output.dtype))
-    first = f"{pfx}.dec.layer0"
-    x = tape.unshuffle_attention(
-        z, _param(tape, params, f"{pfx}.dec.mask_token"), pos, kept,
-        *_sublayer_params(tape, params, first, _ATTENTION),
-        spec.decoder_heads)
-    for j in range(1, spec.decoder_depth):
-        x = tape.layernorm_mlp(x, *_sublayer_params(
-            tape, params, f"{pfx}.dec.layer{j - 1}", _MLP))
-        x = tape.layernorm_attention(x, *_sublayer_params(
-            tape, params, f"{pfx}.dec.layer{j}", _ATTENTION),
-            spec.decoder_heads)
-    return x
+def local_decoder_forward(tape, params, block_output, decoder_id):
+    """The block-local LayerNorm + projection bridge of one block's
+    visible-token output [b, k, d]: the decoder's visible tokens
+    [b, k, decoder_dim], which `reconstruction_loss` decodes."""
+    return tape.layernorm_linear(block_output, *_sublayer_params(
+        tape, params, f"block{decoder_id}.bridge",
+        ("ln.g", "ln.b", "proj.w", "proj.b")))
 
 
 # ----- reconstruction loss ----------------------------------------------------
@@ -338,17 +313,28 @@ def patch_targets(images, spec):
     return t
 
 
-def reconstruction_loss(tape, params, spec, x, targets, kept, decoder_id):
+def reconstruction_loss(tape, params, spec, z, targets, kept, decoder_id):
     """Masked-patch MSE between decoder `decoder_id`'s predictions and
-    `patch_targets` output, from x, the last decoder layer's attention
-    output (`local_decoder_forward`): that layer's MLP, the final norm,
-    the prediction head and the loss are one node (`Tape.mlp_head_mse`).
+    `patch_targets` output, from z, the bridged visible tokens
+    (`local_decoder_forward`), in one node (`Tape.decoder_loss`).
+
+    The decoder puts token j of sample i at patch kept[i, j] and a learned
+    mask token at every other patch, adds the decoder position table and
+    runs its layers, the final norm and the projection to patch pixels
+    over all N patches; the loss averages the hidden patches' errors.
     """
     pfx = f"block{decoder_id}.dec"
-    mask = patch_mask(kept, x.shape[-2]).astype(x.dtype)
-    return tape.mlp_head_mse(
-        x, *_sublayer_params(tape, params,
-                             f"{pfx}.layer{spec.decoder_depth - 1}", _MLP),
+    mask = patch_mask(kept, spec.num_patches).astype(z.dtype)
+    pos = tape.leaf(sincos_pos_embed(spec.grid_side, spec.decoder_dim)
+                    .astype(z.dtype))
+    # Leaves in the order of the parameters' first use: the gradient table,
+    # and so the optimizer's state and its checkpoint, follow it.
+    fill = _param(tape, params, f"{pfx}.mask_token")
+    layers = [_sublayer_params(tape, params, f"{pfx}.layer{j}",
+                               _ATTENTION + _MLP)
+              for j in range(spec.decoder_depth)]
+    return tape.decoder_loss(
+        z, fill, pos, kept, layers,
         *_sublayer_params(tape, params, pfx,
                           ("ln.g", "ln.b", "pred.w", "pred.b")),
-        tape.leaf(targets), tape.leaf(mask))
+        tape.leaf(targets), tape.leaf(mask), spec.decoder_heads)

@@ -34,24 +34,17 @@ Charged buffers per primitive:
                   samples at a time, the CDF term from fc1 with the
                   forward's kernel, and the GELU output as
                   0.5 * fc1 * CDF term
-    unshuffle-attention   a decoder's input and its first attention
-                  sublayer: the bridge output z (when non-leaf), each
-                  sample's visible row ids (int64 [b, k]) and the row
-                  statistics of layernorm-attention.  The input, z's rows
-                  put among mask tokens plus the position table, is not
-                  saved: the output is written over it, and backward
-                  rebuilds it from z, the ids and those two leaves
     mse-masked    prediction value (when non-leaf).  No code in src/
-                  records it since the loss node below took its place; it
-                  stays as the tests' reference loss and for the name the
-                  benchmark wraps
-    mlp-head-mse  a decoder's last MLP, final norm, prediction head and
-                  masked MSE: as layernorm-mlp, x (when non-leaf) and the
-                  MLP's row statistics.  Neither the MLP output, the head's
-                  row statistics and normed rows nor the prediction is
-                  saved: backward rebuilds them from x a group of samples
-                  at a time, one more fc2 and head product per group.  The
-                  target and mask are leaves, uncharged
+                  records it since the decoder's loss node took its place;
+                  it stays as the tests' reference loss and for the name
+                  the benchmark wraps
+    decoder-loss  a decoder and its loss: the gradients of its input z
+                  and of every parameter, which it computes as it runs.
+                  No activation is saved: neither the decoder's input
+                  (z's rows put among mask tokens plus the position
+                  table), nor any layer's buffers, the prediction or the
+                  ids.  The position table, target and mask are leaves,
+                  uncharged
     boundary      the array it is given, shared, not copied: the block
                   before's output, or the rows of it the reading block
                   keeps.  Charged from the moment it is recorded, after
@@ -75,7 +68,11 @@ sweep; a value that a consumer saved stays alive through `saved`, and a
 boundary leaf's array through its own `saved` until it is released.
 It drops each node's saved buffers as soon as that node's rule has run;
 the meter charges them until release, so the peak and the live counter
-read the same as if they were kept.  A rule walks its batch once, a
+read the same as if they were kept.  A decoder-loss node saves its
+inputs' gradients, made by its forward, not activations: its rule
+scales them in place by the incoming gradient and hands them on, so
+from there on they live as the gradients of z and of the parameters,
+and the meter still charges them until release.  A rule walks its batch once, a
 group of whole samples at a time (`_groups`), and holds its dx plus one
 group's temporaries per thread; the rules of layernorm and of the two
 residual nodes, layernorm-attention and layernorm-mlp, write dx over
@@ -115,7 +112,8 @@ inputs' gradients backward keeps.  Gradients are never charged; the
 table above is the whole meter.
 
 Threading: the heavy kernels (the forwards of linear, layernorm, gelu
-and the fused nodes, and the backward rules) run on all cores the
+and the fused nodes, the backward rules and the decoder-loss node, which
+runs its backward in its forward) run on all cores the
 process may use; kernels too small to repay a hand-off run inline.  A
 forward splits its rows over the leading axis, and each part computes
 its rows with the same operations as the whole array would.  A backward
@@ -568,43 +566,6 @@ class Tape:
                                       *(self._act(n) for n in (
                                           gamma, beta, w_qkv, b_qkv, w_out))])
 
-    def unshuffle_attention(self, z, fill, pos, kept, gamma, beta, w_qkv,
-                            b_qkv, w_out, b_out, heads):
-        """A decoder's input and its first attention sublayer in one node:
-        `layernorm_attention` of x [b, n, d], where row j of z [b, k, d]'s
-        sample i goes to row kept[i, j], `fill` [d] to every other row,
-        plus the position table `pos` [n, d].
-
-        kept [b, k] holds each sample's k unique visible row ids, so that
-        backward gathers z's gradient by them and takes the fill rows'
-        in ascending row order.  x exists only while the node runs: z,
-        kept and the row statistics are saved, and backward rebuilds x
-        with the forward's fill, scatter and position add.  pos is a
-        constant: it gets no gradient.
-        """
-        zv, fv, pv = z.value, fill.value, pos.value
-        if (zv.ndim != 3 or pv.ndim != 2 or fv.shape != zv.shape[-1:]
-                or pv.shape[1:] != fv.shape or zv.shape[1] > len(pv)):
-            raise DimensionError(
-                f"unshuffle-attention needs z [b, k, d], fill [d] and pos "
-                f"[n, d] with k <= n; got z={zv.shape} fill={fv.shape} "
-                f"pos={pv.shape}")
-        kept = _check_ids(kept, zv.shape[:2], len(pv), "unshuffle-attention")
-        params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
-        _check_attention((len(zv), len(pv)) + fv.shape, *params, heads,
-                         "unshuffle-attention")
-        # Nothing else holds the rebuilt input: the output is written over it.
-        xv = _unshuffle_rows(zv, fv, pv, kept)
-        stats = _attention_forward(xv, *params, heads, xv)
-        node = Node("unshuffle-attention", xv,
-                    (z, fill, pos, gamma, beta, w_qkv, b_qkv, w_out, b_out),
-                    attrs={"heads": heads})
-        return self._register(node, [self._act(z), (kept, True),
-                                      self._act(fill), self._act(pos),
-                                      *((a, True) for a in stats),
-                                      *(self._act(n) for n in (
-                                          gamma, beta, w_qkv, b_qkv, w_out))])
-
     def gelu(self, x):
         xv = x.value
         # 0.5 * x * (1 + erf(x / sqrt2)), with the CDF term and the product
@@ -667,53 +628,115 @@ class Tape:
         return self._register(node, [self._act(pred), self._act(target),
                                       self._act(mask)])
 
-    def mlp_head_mse(self, x, gamma, beta, w1, b1, w2, b2, head_gamma,
-                     head_beta, w, b, target, mask):
-        """mse_masked(layernorm_linear(layernorm_mlp(x, gamma, beta, w1, b1,
-        w2, b2), head_gamma, head_beta, w, b), target, mask) in one node,
-        x [b, n, d]: a decoder's last MLP, its final norm and prediction
-        head, and the masked loss.
+    def decoder_loss(self, z, fill, pos, kept, layers, head_gamma, head_beta,
+                     w, b, target, mask, heads):
+        """A decoder and its masked loss in one node, which computes its
+        inputs' gradients as it runs.
 
-        Each part runs its samples a group at a time (the cut of
-        `_groups`), with the kernels of the three nodes, so neither the
-        MLP output nor the prediction exists whole, and the loss is
-        bitwise equal to theirs.  Only x and the MLP's row statistics are
-        saved, besides the parameters, target and mask: backward rebuilds
-        the MLP output, the head's normed rows and the prediction from
-        them, a group at a time.
+        The decoder input x [b, n, d] holds row j of z [b, k, d]'s sample
+        i at row kept[i, j] and `fill` [d] at every other row, plus the
+        position table `pos` [n, d].  Each entry of `layers`, an attention
+        sublayer's six parameters and then an MLP sublayer's six, in the
+        order `layernorm_attention` and `layernorm_mlp` take them, runs
+        those two sublayers on x; the node's value is
+        mse_masked(layernorm_linear(x, head_gamma, head_beta, w, b),
+        target, mask).  kept [b, k] holds each sample's k unique visible
+        row ids.
+
+        Each group of samples (the cut of `_groups` over x's shape) runs
+        its forward with the kernels of the nodes it fuses, so the loss is
+        theirs bit for bit, and then their backward rules with a loss
+        gradient of 1, on the buffers its forward kept: each sublayer's
+        xhat, the probabilities and merged heads, the GELU output and its
+        CDF term.  No exp or erf runs twice; only the q|k|v and fc1
+        products, the cheapest to make and the largest to keep, are made
+        again.  Every gradient, its groups' partials summed in
+        `_grouped`'s order, is the nodes' bit for bit.  The gradients of
+        z, fill and the parameters are saved, and backward scales them by
+        its incoming gradient, which is exact at 1.  pos, target and mask
+        are constants: they get no gradient.
         """
-        xv = x.value
-        mlp = [n.value for n in (gamma, beta, w1, b1, w2, b2)]
+        zv, fv, pv = z.value, fill.value, pos.value
+        if (zv.ndim != 3 or pv.ndim != 2 or fv.shape != zv.shape[-1:]
+                or pv.shape[1:] != fv.shape or zv.shape[1] > len(pv)):
+            raise DimensionError(
+                f"decoder-loss needs z [b, k, d], fill [d] and pos [n, d] "
+                f"with k <= n; got z={zv.shape} fill={fv.shape} "
+                f"pos={pv.shape}")
+        kept = _check_ids(kept, zv.shape[:2], len(pv), "decoder-loss")
+        layers = [tuple(layer) for layer in layers]
+        if any(len(layer) != 12 for layer in layers):
+            raise ContractError(
+                f"decoder-loss takes 12 parameters per layer; got "
+                f"{[len(layer) for layer in layers]}")
+        shape = (len(zv), len(pv)) + fv.shape
+        params = [[n.value for n in layer] for layer in layers]
+        for p in params:
+            _check_attention(shape, *p[:6], heads, "decoder-loss")
+            _check_mlp(shape, *p[6:], "decoder-loss")
         head = [n.value for n in (head_gamma, head_beta, w, b)]
+        _check_layernorm(shape, *head[:2])
+        _check_linear(shape, head[2].shape, head[3].shape, "decoder-loss")
         tv, mv = target.value, mask.value
-        hidden_shape = _check_mlp(xv.shape, *mlp, "mlp-head-mse")
-        _check_layernorm(xv.shape, *head[:2])
-        _check_linear(xv.shape, head[2].shape, head[3].shape, "mlp-head-mse")
-        total = _check_mse(xv.shape[:-1] + head[2].shape[1:], tv, mv,
-                           "mlp-head-mse")
-        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
-        inv_std = np.empty_like(mu)
-        per_row = np.empty(mv.shape, xv.dtype)
+        total = _check_mse(shape[:-1] + head[2].shape[1:], tv, mv,
+                           "decoder-loss")
+        per_row = np.empty(mv.shape, zv.dtype)
+        dz = np.empty_like(zv)
+        # The fill rows' gradients, in ascending row order, sum into the
+        # fill's as add's rule sums a broadcast.
+        dfill = np.empty((shape[0], shape[1] - kept.shape[1]) + fv.shape,
+                         zv.dtype)
+        inner = [(functools.partial(_attention_kept_backward,
+                                    weights=_attention_weights(*p[:5]),
+                                    heads=heads),
+                  functools.partial(_mlp_kept_hidden_grads, w1=p[8],
+                                    b1=p[9],
+                                    w1t=np.ascontiguousarray(p[8].T),
+                                    w2t=np.ascontiguousarray(p[10].T)))
+                 for p in params]
+        head_t = np.ascontiguousarray(head[2].T)
+        one = np.ones((), zv.dtype)
 
-        def rows(lo, hi):
-            for c in _groups(xv.shape, lo, hi):
-                h = np.empty_like(xv[c])
-                _mlp_rows(xv[c], mu[c], inv_std[c], h, *mlp, xv[c])
-                pred = np.empty(h.shape[:-1] + head[2].shape[1:], xv.dtype)
-                _layernorm_linear_rows(h, np.empty_like(mu[c]),
-                                       np.empty_like(mu[c]), pred, *head)
-                del h
-                _squared_error_rows(pred, tv[c], per_row[c])
-        _parallel(max(xv.size, math.prod(hidden_shape)), rows=len(xv),
-                  part=rows)
-        node = Node("mlp-head-mse", _masked_mean(per_row, mv, total),
-                    (x, gamma, beta, w1, b1, w2, b2, head_gamma, head_beta,
-                     w, b, target, mask))
-        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
-                                      *(self._act(n) for n in (
-                                          gamma, beta, w1, b1, w2, b2,
-                                          head_gamma, head_beta, w, b,
-                                          target, mask))])
+        def group(s):
+            x = _unshuffle_rows(zv[s], fv, pv, kept[s])
+            kept_bufs = []
+            for p in params:
+                x, att = _attention_keep(x, *p[:6], heads)
+                x, mlp = _mlp_keep(x, *p[6:])
+                kept_bufs.append((att, mlp))
+            head_inv_std = np.empty(x.shape[:-1] + (1,), x.dtype)
+            xhat = _normalize_rows(x, np.empty_like(head_inv_std),
+                                   head_inv_std, x)
+            del x
+            pred = _linear_rows(_affine_rows(xhat, *head[:2],
+                                             np.empty_like(xhat)), *head[2:])
+            _squared_error_rows(pred, tv[s], per_row[s])
+            _mse_grad_rows(pred, tv[s], mv[s], total, one, pred)
+            dx = np.empty_like(xhat)
+            grads = list(_layernorm_linear_grads(xhat, head_inv_std, *head[:2],
+                                                 head_t, pred, dx))
+            del xhat, pred
+            # dx takes each sublayer's input gradient, last layer first.
+            for p, (att_inner, mlp_inner) in zip(reversed(params),
+                                                 reversed(inner)):
+                att, mlp = kept_bufs.pop()
+                grads[:0] = _kept_sublayer_grads(mlp, *p[6:8], mlp_inner, dx)
+                grads[:0] = _kept_sublayer_grads(att, *p[:2], att_inner, dx)
+            dz[s] = dx[_per_sample(kept[s])]
+            hidden = np.ones(dx.shape[:2], bool)
+            hidden[_per_sample(kept[s])] = False
+            dfill[s] = dx[hidden].reshape(dfill[s].shape)
+            return grads
+        size = max([math.prod(shape)] + [
+            max(_attention_size(shape, p[2], heads), _mlp_size(shape, p[8]))
+            for p in params])
+        grads = _grouped(size, _groups(shape), group)
+        node = Node("decoder-loss", _masked_mean(per_row, mv, total),
+                    (z, fill, pos, *(n for layer in layers for n in layer),
+                     head_gamma, head_beta, w, b, target, mask))
+        return self._register(node, [(dz, True),
+                                      (_broadcast_grad(dfill, 2), True),
+                                      *((a, True) for a in grads)])
 
     def boundary(self, value):
         """The array `value` as a detached constant leaf: shared, not
@@ -993,25 +1016,22 @@ def _check_ids(ids, shape, n, kind):
 # ----- row kernels --------------------------------------------------------
 #
 # One kernel per operation, shared by its own node and the fused nodes.
-# Each writes the rows it is given into preallocated outputs.
+# Each writes the rows it is given into preallocated outputs; the linear
+# kernel makes its output when none is given, and returns it.
 
-def _linear_rows(x, w, b, out, residual=None):
+def _linear_rows(x, w, b, out=None, residual=None):
     # Split by batch entry: each keeps its own product, so the BLAS calls
     # are the same as unsplit.  The sums are those of add(x @ w, b) and
     # add(residual, that): addition commutes bit for bit, and a residual of
     # the rows' shape [m, n] is broadcast over the batch.  A residual that
     # is `out` itself, a sum written over its input, is added to the
     # product made in a temporary of out's rows.
-    if residual is out:
-        out += _linear_rows(x, w, b, np.empty_like(out))
+    if out is None:
+        out = np.empty(x.shape[:-1] + w.shape[1:], x.dtype)
+    elif residual is out:
+        out += _linear_rows(x, w, b)
         return out
     np.matmul(x, w, out=out)
-    return _bias_rows(out, b, residual)
-
-
-def _bias_rows(out, b, residual=None):
-    """The sums of `_linear_rows` over its product in `out`: b, and then
-    the residual when given."""
     out += b
     if residual is not None:
         out += residual
@@ -1028,9 +1048,16 @@ def _row_mean(a):
 
 
 def _layernorm_rows(x, mu, inv_std, out, gamma, beta):
-    # The centred rows become the output in place; the same operations as
-    # `x.mean`, `x.var` and `(x - mu) * inv_std * gamma + beta` (see
-    # _row_mean), so the values are equal bit for bit.
+    # The normed rows before the affine become the output in place.
+    _affine_rows(_normalize_rows(x, mu, inv_std, out), gamma, beta, out)
+
+
+def _normalize_rows(x, mu, inv_std, out):
+    """xhat = (x - mu) * inv_std in `out`, which may be x's buffer, and
+    which it returns; each row's mean and inverse std go into mu and
+    inv_std.  The same operations as `x.mean`, `x.var` and
+    `(x - mu) * inv_std` (see _row_mean), so the values are equal bit for
+    bit, and equal to `_xhat_rows`'s."""
     np.add.reduce(x, axis=-1, keepdims=True, out=mu)
     mu /= x.shape[-1]
     np.subtract(x, mu, out=out)
@@ -1039,7 +1066,7 @@ def _layernorm_rows(x, mu, inv_std, out, gamma, beta):
     np.sqrt(var, out=var)
     np.divide(1.0, var, out=inv_std)
     out *= inv_std
-    _affine_rows(out, gamma, beta, out)
+    return out
 
 
 def _layernorm_linear_rows(x, mu, inv_std, out, gamma, beta, w, b):
@@ -1057,8 +1084,7 @@ def _mlp_rows(x, mu, inv_std, out, gamma, beta, w1, b1, w2, b2, residual):
     be x's buffer, and then residual out itself."""
     normed = np.empty_like(x)
     _layernorm_rows(x, mu, inv_std, normed, gamma, beta)
-    h = np.empty(normed.shape[:-1] + w1.shape[1:], x.dtype)
-    _linear_rows(normed, w1, b1, h)
+    h = _linear_rows(normed, w1, b1)
     del normed
     _gelu_rows(h, np.empty_like(h), h)
     _linear_rows(h, w2, b2, out, residual)
@@ -1187,8 +1213,7 @@ def _attention_forward(xv, gv, bev, wqv, bqv, wov, bov, heads, out):
         for c in _chunks(lo, hi, (heads, n, n)):
             normed = np.empty_like(xv[c])
             _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
-            qkv = np.empty(normed.shape[:-1] + wqv.shape[1:], xv.dtype)
-            _linear_rows(normed, wqv, bqv, qkv)
+            qkv = _linear_rows(normed, wqv, bqv)
             merged = np.empty(normed.shape[:-1] + wov.shape[:1], xv.dtype)
             del normed
             _attention_rows(qkv, heads, row_max[c], row_sum[c], merged,
@@ -1208,6 +1233,47 @@ def _unshuffle_rows(z, fill, pos, kept):
     out[_per_sample(kept)] = z
     out += pos
     return out
+
+
+def _kept_layernorm(x, gamma, beta):
+    """xhat, inv_std and the normed rows of x, bitwise `_layernorm_rows`'s,
+    for a sublayer whose forward keeps xhat for its backward."""
+    inv_std = np.empty(x.shape[:-1] + (1,), x.dtype)
+    xhat = _normalize_rows(x, np.empty_like(inv_std), inv_std,
+                           np.empty_like(x))
+    return xhat, inv_std, _affine_rows(xhat, gamma, beta, np.empty_like(x))
+
+
+def _attention_keep(x, gamma, beta, w_qkv, b_qkv, w_out, b_out, heads):
+    """The output of `Tape.layernorm_attention` over one group's rows x,
+    bitwise its forward's, in a new buffer, and what its backward reads
+    of the forward, in a list: xhat, inv_std, the probabilities and the
+    merged heads (`_attention_kept_backward`).  q|k|v is not kept: it is
+    the larger, and its product the cheaper to make again."""
+    xhat, inv_std, normed = _kept_layernorm(x, gamma, beta)
+    qkv = _linear_rows(normed, w_qkv, b_qkv)
+    del normed
+    merged = np.empty(x.shape[:-1] + w_out.shape[:1], x.dtype)
+    row_max = np.empty((len(x), heads, x.shape[1], 1), x.dtype)
+    p = _attention_rows(qkv, heads, row_max, np.empty_like(row_max), merged,
+                        stats=True)
+    out = _linear_rows(merged, w_out, b_out, np.empty_like(x), x)
+    return out, [xhat, inv_std, p, merged]
+
+
+def _mlp_keep(x, gamma, beta, w1, b1, w2, b2):
+    """The output of `Tape.layernorm_mlp` over one group's rows x, bitwise
+    its forward's, in a new buffer, and what its backward reads of the
+    forward, in a list: xhat, inv_std, the GELU output and its CDF term
+    (`_mlp_kept_hidden_grads`).  The GELU output is written over fc1, as
+    `_mlp_rows` writes it."""
+    xhat, inv_std, normed = _kept_layernorm(x, gamma, beta)
+    h = _linear_rows(normed, w1, b1)
+    del normed
+    cdf = _gelu_cdf_rows(h, np.empty_like(h))
+    _gelu_from_cdf(h, cdf, h)
+    out = _linear_rows(h, w2, b2, np.empty_like(x), x)
+    return out, [xhat, inv_std, h, cdf]
 
 
 # ----- backward rules ----------------------------------------------------
@@ -1414,34 +1480,43 @@ def _vjp_gelu(node, g):
 
 
 def _attention_weights(gamma, beta, w_qkv, b_qkv, w_out):
-    """What `_attention_grads` reads of an attention sublayer's saved
-    parameters: those, and contiguous copies of both weights'
-    transposes."""
+    """What `_attention_rebuild` and `_attention_backward` read of an
+    attention sublayer's saved parameters: those, and contiguous copies of
+    both weights' transposes."""
     return (gamma, beta, w_qkv, b_qkv, w_out,
             np.ascontiguousarray(w_qkv.T), np.ascontiguousarray(w_out.T))
 
 
-def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g):
-    """The gradient of `Tape.layernorm_attention`'s input over one group of
-    whole samples, less the residual's g, and the partial gradients of
-    gamma, beta, w_qkv, b_qkv, w_out and b_out.
+def _attention_rebuild(xhat, row_max, row_sum, weights, heads):
+    """One group's normed rows, q|k|v, probabilities and merged heads,
+    bitwise the forward's, from its input rows xhat normed before the
+    affine and the softmax statistics, in a list that
+    `_attention_backward` takes over."""
+    gamma, beta, w_qkv, b_qkv, w_out = weights[:5]
+    normed = _affine_rows(xhat, gamma, beta, np.empty_like(xhat))
+    qkv = _linear_rows(normed, w_qkv, b_qkv)
+    merged = np.empty(xhat.shape[:-1] + w_out.shape[:1], row_max.dtype)
+    p = _attention_rows(qkv, heads, row_max, row_sum, merged)
+    return [normed, qkv, p, merged]
 
-    xhat holds the group's input rows normed before the affine.  The
-    normed rows are rebuilt from it once, then q|k|v, the probabilities
-    and the merged heads with the forward's kernels, and attention's rule
-    runs into the group's dqkv.  The merged heads die with the out
-    projection's partials, dqkv with the qkv projection's, and the normed
-    rows' buffer takes their gradient and then the input's, which is
+
+def _attention_backward(bufs, g, weights, heads):
+    """The gradient of an attention sublayer's normed rows and the partial
+    (dw_qkv, db_qkv, dw_out, db_out) over one group of whole samples, from
+    its output's gradient g and the buffers `bufs` [normed rows, q|k|v,
+    probabilities, merged heads] (`_attention_rebuild`); it empties that
+    list, so each buffer dies once read.
+
+    The merged heads die with the out projection's partials, attention's
+    rule runs into the group's dqkv, which dies with the qkv projection's
+    partials, and the normed rows' buffer takes their gradient, which is
     returned.
     """
-    gamma, beta, w_qkv, b_qkv, w_out, w_qkv_t, w_out_t = weights
-    c, n, _ = xhat.shape
+    w_out, w_qkv_t, w_out_t = weights[4:]
+    normed, qkv, p, merged = bufs
+    bufs.clear()
+    c, n, _ = normed.shape
     width = w_out.shape[0]
-    normed = _affine_rows(xhat, gamma, beta, np.empty_like(xhat))
-    qkv = np.empty(xhat.shape[:-1] + w_qkv.shape[1:], row_max.dtype)
-    _linear_rows(normed, w_qkv, b_qkv, qkv)
-    merged = np.empty(xhat.shape[:-1] + (width,), row_max.dtype)
-    p = _attention_rows(qkv, heads, row_max, row_sum, merged)
     dw_out, db_out = _weight_grads(merged, g)
     del merged
     q, k, v = _split_heads(qkv, heads)
@@ -1456,15 +1531,13 @@ def _attention_grads(xhat, inv_std, row_max, row_sum, weights, heads, g):
     dprobs -= np.add.reduce(dprobs * p, axis=-1, keepdims=True)
     dprobs *= p
     del p
-    dprobs *= row_max.dtype.type(1.0 / np.sqrt(width // heads))
+    dprobs *= normed.dtype.type(1.0 / np.sqrt(width // heads))
     np.matmul(dprobs, k, out=dq)
     np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
     del qkv, q, k, v, dprobs
     dw_qkv, db_qkv = _weight_grads(normed, dqkv)
     np.matmul(dqkv, w_qkv_t, out=normed)
-    del dqkv
-    dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, normed)
-    return normed, (dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
+    return normed, (dw_qkv, db_qkv, dw_out, db_out)
 
 
 def _attention_size(shape, w_qkv, heads):
@@ -1482,43 +1555,13 @@ def _vjp_layernorm_attention(node, g):
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        dx, grads = _attention_grads(xhat, inv_std[s], row_max[s],
-                                     row_sum[s], weights, heads, g[s])
-        g[s] += dx
-        return grads
+        dnormed, grads = _attention_backward(
+            _attention_rebuild(xhat, row_max[s], row_sum[s], weights, heads),
+            g[s], weights, heads)
+        return (*_sublayer_input_grads(xhat, inv_std[s], weights[0], dnormed,
+                                       g[s]), *grads)
     return (g, *_grouped(_attention_size(x.shape, params[2], heads),
                          _groups(x.shape), group))
-
-
-def _vjp_unshuffle_attention(node, g):
-    # Each group's input is rebuilt with the forward's kernel into a buffer
-    # that then takes xhat, and the residual adds g to the input's
-    # gradient.  Row j of sample i went to row kept[i, j]: its gradient is
-    # gathered back into dz, and the other rows' gradients, in ascending
-    # row order, into a buffer of their own, which sums into the fill's as
-    # add's rule sums a broadcast.
-    z, kept, fill, pos, mu, inv_std, row_max, row_sum, *params = node.saved
-    heads = node.attrs["heads"]
-    weights = _attention_weights(*params)
-    b, k = kept.shape
-    shape = (b, len(pos)) + fill.shape
-    dz = np.empty_like(z)
-    dfill = np.empty((b, shape[1] - k) + fill.shape, z.dtype)
-
-    def group(s):
-        x = _unshuffle_rows(z[s], fill, pos, kept[s])
-        xhat = _xhat_rows(x, mu[s], inv_std[s], x)
-        dx, grads = _attention_grads(xhat, inv_std[s], row_max[s],
-                                     row_sum[s], weights, heads, g[s])
-        dx += g[s]
-        dz[s] = dx[_per_sample(kept[s])]
-        hidden = np.ones(dx.shape[:2], bool)
-        hidden[_per_sample(kept[s])] = False
-        dfill[s] = dx[hidden].reshape(dfill[s].shape)
-        return grads
-    grads = _grouped(_attention_size(shape, params[2], heads), _groups(shape),
-                     group)
-    return (dz, _broadcast_grad(dfill, 2), None, *grads)
 
 
 def _mlp_rebuild(x, mu, inv_std, gamma, beta, w1, b1):
@@ -1528,53 +1571,103 @@ def _mlp_rebuild(x, mu, inv_std, gamma, beta, w1, b1):
     Returned in a list that `_mlp_grads` takes over."""
     xhat = _xhat_rows(x, mu, inv_std, np.empty_like(x))
     normed = _affine_rows(xhat, gamma, beta, xhat)
-    f1 = np.empty(normed.shape[:-1] + w1.shape[1:], x.dtype)
-    _linear_rows(normed, w1, b1, f1)
+    f1 = _linear_rows(normed, w1, b1)
     return [normed, f1, _gelu_cdf_rows(f1, np.empty_like(f1))]
 
 
-def _mlp_gelu(rebuilt):
-    """The GELU output 0.5 * fc1 * CDF term of `_mlp_rebuild`'s buffers,
-    in a new one."""
-    _, f1, cdf = rebuilt
-    return _gelu_from_cdf(f1, cdf, np.empty_like(f1))
+def _mlp_hidden_grads(bufs, g, w1t, w2t):
+    """The gradient of an MLP sublayer's normed rows and the partial
+    (dw1, db1, dw2, db2) over one group, from its output's gradient g and
+    the buffers `bufs` [normed rows, fc1, GELU CDF term] (`_mlp_rebuild`);
+    it empties that list, so each buffer dies once read.
+
+    Only one buffer of width d is held while the hidden-wide ones live.
+    The GELU output, made from fc1 and the CDF term, feeds dw2's partial;
+    its buffer then takes 2 * fc1 * pdf(fc1), fc1's takes dh, and the
+    GELU gradient goes into the CDF term's buffer, for dw1's partial.  The
+    normed rows' buffer then takes their gradient, which is returned.
+    """
+    normed, f1, cdf = bufs
+    bufs.clear()
+    h = _gelu_from_cdf(f1, cdf, np.empty_like(f1))
+    dw2, db2 = _weight_grads(h, g)
+    t = _gelu_pdf_rows(f1, h)
+    dh = np.matmul(g, w2t, out=f1)
+    _gelu_grad_from_pdf(cdf, t, dh, cdf)
+    del f1, h, t, dh
+    return _fc1_grads(normed, cdf, w1t, dw2, db2)
+
+
+def _mlp_kept_hidden_grads(bufs, g, w1, b1, w1t, w2t):
+    """`_mlp_hidden_grads` from the buffers [normed rows, GELU output, CDF
+    term] (`_mlp_keep`), which it empties, with two hidden-wide buffers
+    where that holds three.
+
+    The GELU output feeds dw2's partial, and its buffer then takes fc1
+    again, from the normed rows.  The GELU gradient's sum of the CDF term
+    and 2 * fc1 * pdf(fc1) goes into the CDF term's buffer one sample at
+    a time, through a temporary of one sample's rows; fc1's buffer then
+    takes dh, and the CDF term's the GELU gradient.  Each value is the
+    one `_gelu_grad_from_pdf` makes, bit for bit.
+    """
+    normed, h, cdf = bufs
+    bufs.clear()
+    dw2, db2 = _weight_grads(h, g)
+    f1 = _linear_rows(normed, w1, b1, h)
+    del h
+    t = np.empty_like(f1[0])
+    for i in range(len(f1)):
+        cdf[i] += _gelu_pdf_rows(f1[i], t)
+    del t
+    cdf *= 0.5
+    cdf *= np.matmul(g, w2t, out=f1)
+    del f1
+    return _fc1_grads(normed, cdf, w1t, dw2, db2)
+
+
+def _fc1_grads(normed, dh, w1t, dw2, db2):
+    """The last steps of an MLP sublayer's hidden gradients, from the
+    gradient dh of fc1's output: the normed rows' buffer takes their
+    gradient, which is returned with the partial (dw1, db1, dw2, db2)."""
+    dw1, db1 = _weight_grads(normed, dh)
+    np.matmul(dh, w1t, out=normed)
+    return normed, (dw1, db1, dw2, db2)
+
+
+def _attention_kept_backward(bufs, g, weights, heads):
+    """`_attention_backward` from the buffers [normed rows, probabilities,
+    merged heads] (`_attention_keep`), with q|k|v made again from the
+    normed rows."""
+    bufs.insert(1, _linear_rows(bufs[0], *weights[2:4]))
+    return _attention_backward(bufs, g, weights, heads)
+
+
+def _sublayer_input_grads(xhat, inv_std, gamma, dnormed, g):
+    """A pre-norm sublayer's LayerNorm partials (dgamma, dbeta) from its
+    normed rows' gradient dnormed, which takes the input's; that is added
+    to g, the residual's."""
+    grads = _layernorm_grads(xhat, inv_std, gamma, dnormed)
+    g += dnormed
+    return grads
 
 
 def _mlp_grads(x, mu, inv_std, gamma, rebuilt, w1t, w2t, g):
     """The partial (dgamma, dbeta, dw1, db1, dw2, db2) of
     `Tape.layernorm_mlp` over one group's input rows x and their output's
     gradient g, from the buffers `rebuilt` that `_mlp_rebuild` made for
-    them; it empties that list, so each buffer dies once read.  The
-    input's gradient less the residual's g is added to g.
-
-    Only one buffer of width d is held while the hidden-wide ones live.
-    The GELU output feeds dw2's partial; its buffer then takes
-    2 * fc1 * pdf(fc1), fc1's takes dh, and the GELU gradient goes into
-    the CDF term's buffer, for dw1's partial.  The normed rows' buffer
-    then takes their gradient and then the LayerNorm rule's dx, for
-    which xhat is made again.
-    """
-    h = _mlp_gelu(rebuilt)
-    normed, f1, cdf = rebuilt
-    rebuilt.clear()
-    dw2, db2 = _weight_grads(h, g)
-    t = _gelu_pdf_rows(f1, h)
-    dh = np.matmul(g, w2t, out=f1)
-    _gelu_grad_from_pdf(cdf, t, dh, cdf)
-    del f1, h, t, dh
-    dw1, db1 = _weight_grads(normed, cdf)
-    np.matmul(cdf, w1t, out=normed)
-    del cdf
+    them (see `_mlp_hidden_grads`).  The input's gradient less the
+    residual's g is added to g; xhat is made again for it once the
+    hidden-wide buffers are gone."""
+    dnormed, hidden = _mlp_hidden_grads(rebuilt, g, w1t, w2t)
     xhat = _xhat_rows(x, mu, inv_std, np.empty_like(x))
-    dgamma, dbeta = _layernorm_grads(xhat, inv_std, gamma, normed)
-    g += normed
-    return dgamma, dbeta, dw1, db1, dw2, db2
+    return (*_sublayer_input_grads(xhat, inv_std, gamma, dnormed, g),
+            *hidden)
 
 
-def _mlp_size(x, w1):
+def _mlp_size(shape, w1):
     """The element count `_grouped` weighs an MLP rule by: the larger of
-    the input and the hidden rows over the whole batch."""
-    return max(x.size, math.prod(x.shape[:-1]) * w1.shape[1])
+    the input and the hidden rows over the whole batch of `shape`."""
+    return max(math.prod(shape), math.prod(shape[:-1]) * w1.shape[1])
 
 
 def _vjp_layernorm_mlp(node, g):
@@ -1585,7 +1678,20 @@ def _vjp_layernorm_mlp(node, g):
     def group(s):
         return _mlp_grads(x[s], mu[s], inv_std[s], gamma, _mlp_rebuild(
             x[s], mu[s], inv_std[s], gamma, beta, w1, b1), w1t, w2t, g[s])
-    return (g, *_grouped(_mlp_size(x, w1), _groups(x.shape), group))
+    return (g, *_grouped(_mlp_size(x.shape, w1), _groups(x.shape), group))
+
+
+def _kept_sublayer_grads(bufs, gamma, beta, inner, g):
+    """The partial gradients of a pre-norm sublayer over one group, from
+    the buffers its forward kept (`_attention_keep`, `_mlp_keep`): xhat,
+    inv_std, and what `inner(bufs, g)` reads after the normed rows, which
+    are made from xhat in their place.  It empties bufs; the input's
+    gradient less the residual's is added to g."""
+    xhat, inv_std = bufs[:2]
+    bufs[:2] = [_affine_rows(xhat, gamma, beta, np.empty_like(xhat))]
+    dnormed, grads = inner(bufs, g)
+    return (*_sublayer_input_grads(xhat, inv_std, gamma, dnormed, g),
+            *grads)
 
 
 def _mse_grad_rows(pred, target, mask, total, g, out):
@@ -1605,45 +1711,13 @@ def _vjp_mse_masked(node, g):
                            np.empty_like(pred)), None, None)
 
 
-def _vjp_mlp_head_mse(node, g):
-    # A group at a time: the MLP's normed rows, fc1 and CDF term once
-    # (`_mlp_rebuild`), the GELU output from them, and the MLP output
-    # from that, written into dx's rows; the GELU output dies first.
-    # From the MLP output, the head's row statistics and the prediction,
-    # with the forward's kernels; the prediction's buffer takes the loss's
-    # gradient.  The head's rule, with xhat made in place over the MLP
-    # output, writes its input's gradient into a buffer of its own, which
-    # then moves into dx's rows; the MLP's rule, which rebuilds the GELU
-    # output, adds its own to them.
-    (x, mu, inv_std, gamma, beta, w1, b1, w2, b2, head_gamma, head_beta, w,
-     b, target, mask) = node.saved
-    w1t, w2t, wt = (np.ascontiguousarray(a.T) for a in (w1, w2, w))
-    total = mask.sum()
-    dx = np.empty_like(x)
-
-    def group(s):
-        rebuilt = _mlp_rebuild(x[s], mu[s], inv_std[s], gamma, beta, w1, b1)
-        out = dx[s]
-        # _linear_rows, with its sums once the GELU output is gone: a
-        # broadcast sum takes a buffer of numpy's (about 34 KB).
-        np.matmul(_mlp_gelu(rebuilt), w2, out=out)
-        _bias_rows(out, b2, x[s])
-        head_mu = np.empty_like(mu[s])
-        head_inv_std = np.empty_like(mu[s])
-        pred = np.empty(out.shape[:-1] + w.shape[1:], x.dtype)
-        _layernorm_linear_rows(out, head_mu, head_inv_std, pred, head_gamma,
-                               head_beta, w, b)
-        _mse_grad_rows(pred, target[s], mask[s], total, g, pred)
-        dh = np.empty_like(out)
-        head = _layernorm_linear_grads(
-            _xhat_rows(out, head_mu, head_inv_std, out), head_inv_std,
-            head_gamma, head_beta, wt, pred, dh)
-        out[...] = dh
-        del head_mu, head_inv_std, pred, dh
-        return (*_mlp_grads(x[s], mu[s], inv_std[s], gamma, rebuilt, w1t,
-                            w2t, out), *head)
-    return (dx, *_grouped(_mlp_size(x, w1), _groups(x.shape), group), None,
-            None)
+def _vjp_decoder_loss(node, g):
+    # The node's own gradients, which no other node holds: scaled in place.
+    # The last two entries are target's and mask's, constants: none.
+    for a in node.saved:
+        a *= g
+    dz, dfill, *grads = node.saved
+    return (dz, dfill, None, *grads, None, None)
 
 
 _VJP = {
@@ -1658,11 +1732,10 @@ _VJP = {
     "layernorm-linear": _vjp_layernorm_linear,
     "layernorm-mlp": _vjp_layernorm_mlp,
     "layernorm-attention": _vjp_layernorm_attention,
-    "unshuffle-attention": _vjp_unshuffle_attention,
     "softmax-lastdim": _vjp_softmax,
     "gelu": _vjp_gelu,
     "mse-masked": _vjp_mse_masked,
-    "mlp-head-mse": _vjp_mlp_head_mse,
+    "decoder-loss": _vjp_decoder_loss,
 }
 
 

@@ -240,7 +240,7 @@ def test_release_frees_boundary_copy_and_constant_leaves():
     def forward(i, x):
         with t.block(i):
             x = encoder_block_layer(t, params, f"enc.layer{i}", x, spec.heads)
-            dec = local_decoder_forward(t, params, spec, x, kept, i)
+            dec = local_decoder_forward(t, params, x, i)
             return x, reconstruction_loss(t, params, spec, dec, targets,
                                           kept, i)
 
@@ -248,8 +248,7 @@ def test_release_frees_boundary_copy_and_constant_leaves():
         tokens = embed_visible(t, params, spec, images, kept)
     x, loss = forward(0, tokens)
     out = x.value
-    entry = next(n for n in t.nodes if n.kind == "unshuffle-attention")
-    table = weakref.ref(entry.inputs[2].value)   # the position leaf
+    table = weakref.ref(loss.inputs[2].value)   # the decoder's position leaf
     embed_table = weakref.ref(tokens.inputs[3].value)   # the embedding's
     copy = weakref.ref(out)
     t.backward(loss)

@@ -1141,3 +1141,25 @@ def test_cli_baseline_mae_forces_mode(tmp_path):
     for name in names:
         assert Path(out, name).read_bytes() == Path(ref, name).read_bytes(), \
             name
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given", [None, "3"])
+def test_cli_import_pins_blas_threads_unless_the_environment_sets_them(
+        given):
+    # The CLI's entry module imports the package first, which sets each
+    # BLAS thread count to 1 before numpy loads; a count the user set
+    # wins.
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env.update(dict.fromkeys(_BLAS_THREADS, given) if given else {})
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    child = ("import os, sys\n"
+             "import blockmae.cli\n"
+             f"print(*(os.environ[k] for k in {_BLAS_THREADS!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [given or "1"] * 3

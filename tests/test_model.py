@@ -200,9 +200,7 @@ def test_mask_partition_and_restore_bijection():
     params = init_block_head_params(spec, 0, seed=3, dtype=np.float64)
     token = params["block0.dec.mask_token"]
     pos = sincos_pos_embed(spec.grid_side, spec.decoder_dim)
-    attention = [params[f"block0.dec.layer0.{name}"] for name in (
-        "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
-        "attn.out.b")]
+    targets = patch_targets(_images(spec, 3, seed=8), spec)
     for trial in range(50):
         kept = mask_indices(n, 0.6, [rng.split(trial, i) for i in range(3)])
         mask = patch_mask(kept, n)
@@ -213,10 +211,9 @@ def test_mask_partition_and_restore_bijection():
         t = Tape()
         z = t.leaf(rng.normals(trial, 3 * k * spec.embed_dim).reshape(
             3, k, spec.embed_dim))
-        local_decoder_forward(t, params, spec, z, kept, 0)
-        (entry,) = [node for node in t.nodes
-                    if node.kind == "unshuffle-attention"]
-        bridged = entry.inputs[0].value
+        bridged = local_decoder_forward(t, params, z, 0)
+        loss = reconstruction_loss(t, params, spec, bridged, targets, kept, 0)
+        bridged = bridged.value
         # Patch kept[i, j] holds visible token j and every hidden patch the
         # mask token, each plus its position row.
         dec_in = np.empty((3, n, spec.decoder_dim))
@@ -226,12 +223,13 @@ def test_mask_partition_and_restore_bijection():
                                   np.arange(n))
             dec_in[i, kept[i]] = bridged[i] + pos[kept[i]]
             dec_in[i, hidden] = token + pos[hidden]
-        # The node is the first layer's attention sublayer of that input.
+        # The loss node decodes that input, bit for bit as the decoder's
+        # layers, head and loss as nodes of their own.
         ref = Tape()
-        want = ref.layernorm_attention(ref.leaf(dec_in),
-                                       *(ref.leaf(a) for a in attention),
-                                       spec.decoder_heads)
-        assert np.array_equal(entry.value, want.value)
+        want = ref.mse_masked(
+            _decode(ref, params, spec, ref.leaf(dec_in), 0),
+            ref.leaf(targets), ref.leaf(mask.astype(np.float64)))
+        assert np.array_equal(loss.value, want.value)
 
 
 def test_mask_keep_frequency_monte_carlo():
@@ -501,28 +499,49 @@ def _decoder_setup(ratio=0.5, batch=2, seed=31):
     return spec, params, kept, t, z
 
 
-def _predict(t, params, spec, z, kept, decoder_id=0):
-    """A decoder's predictions: `local_decoder_forward`, then the last
-    layer's MLP, the final norm and the head, as the nodes that the loss
-    node fuses."""
-    x = local_decoder_forward(t, params, spec, z, kept, decoder_id)
-    pfx = f"block{decoder_id}.dec"
-    last = f"{pfx}.layer{spec.decoder_depth - 1}"
+def _leaves(t, params, prefix, names):
+    return [t.leaf(params[f"{prefix}.{name}"], name=f"{prefix}.{name}",
+                   requires_grad=True) for name in names]
 
-    def leaves(prefix, names):
-        return [t.leaf(params[f"{prefix}.{name}"], name=f"{prefix}.{name}",
-                       requires_grad=True) for name in names]
-    h = t.layernorm_mlp(x, *leaves(last, (
-        "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w",
-        "mlp.fc2.b")))
-    return t.layernorm_linear(h, *leaves(pfx, ("ln.g", "ln.b", "pred.w",
-                                                "pred.b")))
+
+def _decode(t, params, spec, x, decoder_id):
+    """The predictions of decoder `decoder_id` from its input x [b, N,
+    dd], as the nodes that the loss node fuses: each layer's attention
+    and MLP nodes, then the final norm and head."""
+    pfx = f"block{decoder_id}.dec"
+    for j in range(spec.decoder_depth):
+        x = t.layernorm_attention(x, *_leaves(t, params, f"{pfx}.layer{j}", (
+            "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
+            "attn.out.b")), spec.decoder_heads)
+        x = t.layernorm_mlp(x, *_leaves(t, params, f"{pfx}.layer{j}", (
+            "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w",
+            "mlp.fc2.b")))
+    return t.layernorm_linear(x, *_leaves(t, params, pfx, (
+        "ln.g", "ln.b", "pred.w", "pred.b")))
+
+
+def _predict(t, params, spec, z, kept, decoder_id=0):
+    """A decoder's predictions from a block output z: the bridge
+    (`local_decoder_forward`), the decoder input built by five nodes (the
+    bridged tokens and the mask token's rows, concatenated, put in patch
+    order by a gather, plus the position table), and `_decode`."""
+    bridged = local_decoder_forward(t, params, z, decoder_id)
+    b, k, dd = bridged.shape
+    n = spec.num_patches
+    hidden = np.stack([np.setdiff1d(np.arange(n), row) for row in kept])
+    fills = t.add(t.leaf(np.zeros((b, n - k, dd), bridged.dtype)),
+                  *_leaves(t, params, f"block{decoder_id}.dec",
+                           ("mask_token",)))
+    rows = t.gather_rows(t.concat_rows([bridged, fills]), np.argsort(
+        np.concatenate([kept, hidden], axis=1), axis=1))
+    pos = t.leaf(sincos_pos_embed(spec.grid_side, dd).astype(bridged.dtype))
+    return _decode(t, params, spec, t.add(rows, pos), decoder_id)
 
 
 def test_decoder_covers_all_patches():
     spec, params, kept, t, z = _decoder_setup()
-    x = local_decoder_forward(t, params, spec, z, kept, 0)
-    assert x.shape == (2, spec.num_patches, spec.decoder_dim)
+    x = local_decoder_forward(t, params, z, 0)
+    assert x.shape == (2, kept.shape[1], spec.decoder_dim)
     pred = _predict(t, params, spec, z, kept)
     assert pred.shape == (2, spec.num_patches, spec.patch_pixels)
 
@@ -554,12 +573,15 @@ def test_decoder_invariant_to_kept_order_permutation():
 
 def test_decoder_rejects_inconsistent_state():
     spec, params, kept, t, z = _decoder_setup()
-    # one visible id fewer than the block has token rows: the decoder's
-    # entry node refuses it
+    # one visible id fewer than the block has token rows: the loss node
+    # refuses it
+    targets = patch_targets(_images(spec, 2, seed=32), spec)
     with pytest.raises(DimensionError,
-                       match=r"unshuffle-attention needs ids \[b, k\] = "
+                       match=r"decoder-loss needs ids \[b, k\] = "
                              r"\[2, 8\]; got \(2, 7\)"):
-        local_decoder_forward(t, params, spec, z, kept[:, :-1], 0)
+        reconstruction_loss(t, params, spec,
+                            local_decoder_forward(t, params, z, 0), targets,
+                            kept[:, :-1], 0)
 
 
 # ----- loss ----------------------------------------------------------------------
@@ -572,7 +594,7 @@ def test_loss_zero_when_pred_equals_target():
         params[name][:] = 0.0
     params["block0.dec.pred.b"][:] = 0.25
     imgs = np.full((2, 1, spec.image_size, spec.image_size), 0.25)
-    x = local_decoder_forward(t, params, spec, z, kept, 0)
+    x = local_decoder_forward(t, params, z, 0)
     loss = reconstruction_loss(t, params, spec, x, patch_targets(imgs, spec),
                                kept, 0)
     assert float(loss.value) == 0.0
@@ -587,33 +609,46 @@ def test_loss_normalized_targets():
 
 
 def test_loss_gradient_zero_on_unmasked_predictions():
-    # The loss node works row by row, so the rows of its input that hold
-    # visible patches get no gradient.
+    # The loss reads only the hidden patches' errors, so the predictions
+    # of visible patches get no gradient: the targets of visible patches
+    # change neither the loss nor any gradient, bit for bit, while one
+    # hidden patch's target changes the loss.
     spec = _toy_spec()
     imgs = _images(spec, 2, seed=44)
     kept = mask_indices(spec.num_patches, 0.5,
                         [rng.split(45, i) for i in range(2)])
     params = init_block_head_params(spec, 0, seed=46, dtype=np.float64)
-    t = Tape()
-    x = t.leaf(rng.normals(46, 2 * spec.num_patches * spec.decoder_dim)
-               .reshape(2, spec.num_patches, spec.decoder_dim),
-               name="x", requires_grad=True)
-    loss = reconstruction_loss(t, params, spec, x, patch_targets(imgs, spec),
-                               kept, 0)
-    g = t.backward(loss)["x"]
-    mask = patch_mask(kept, spec.num_patches)
-    for i in range(2):
-        assert np.all(g[i][kept[i]] == 0.0)
-        assert np.abs(g[i][mask[i] == 1]).max() > 0.0
+    z = rng.normals(46, 2 * kept.shape[1] * spec.decoder_dim).reshape(
+        2, kept.shape[1], spec.decoder_dim)
+
+    def run(targets):
+        t = Tape()
+        loss = reconstruction_loss(t, params, spec,
+                                   t.leaf(z, name="z", requires_grad=True),
+                                   targets, kept, 0)
+        return float(loss.value), t.backward(loss)
+
+    targets = patch_targets(imgs, spec)
+    loss, grads = run(targets)
+    visible = targets.copy()
+    visible[np.arange(2)[:, None], kept] += 1.0
+    loss2, grads2 = run(visible)
+    assert loss2 == loss and grads2.keys() == grads.keys()
+    assert all(np.array_equal(grads2[k], grads[k]) for k in grads)
+    assert np.abs(grads["z"]).max() > 0.0
+    hidden = targets.copy()
+    hidden[0, np.flatnonzero(patch_mask(kept, spec.num_patches)[0])[0]] += 1.0
+    assert run(hidden)[0] != loss
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_loss_node_bitwise_equal_mlp_head_and_mse_nodes(depth, dtype):
     # One block's decoder and loss at the desk decoder's shape, 8 samples
-    # in backward groups of 6 and 2: the loss node gives the loss and
-    # every gradient of the nodes it fuses (the last layer's MLP, the
-    # final norm and head, and the masked MSE) bit for bit.
+    # in groups of 6 and 2: the loss node gives the loss and every
+    # gradient of the nodes it fuses (the decoder input's five nodes, each
+    # layer's attention and MLP nodes, the final norm and head, and the
+    # masked MSE) bit for bit.
     spec = ModelSpec(decoder_depth=depth)
     params = init_block_head_params(spec, 1, seed=23, dtype=dtype)
     kept = mask_indices(spec.num_patches, 0.75,
@@ -628,7 +663,7 @@ def test_loss_node_bitwise_equal_mlp_head_and_mse_nodes(depth, dtype):
         zn = t.add(t.leaf(z, name="z", requires_grad=True),
                    t.leaf(np.zeros(spec.embed_dim, dtype)))
         if fused:
-            x = local_decoder_forward(t, params, spec, zn, kept, 1)
+            x = local_decoder_forward(t, params, zn, 1)
             loss = reconstruction_loss(t, params, spec, x, targets, kept, 1)
         else:
             pred = _predict(t, params, spec, zn, kept, 1)

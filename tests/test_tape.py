@@ -249,15 +249,25 @@ _ATTENTION = ("gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")
 
 
 def _fused(t, kind, v):
-    """The fused node `kind` over leaves v, recorded on tape t."""
+    """The fused node `kind` over leaves v, recorded on tape t.  For
+    "unshuffle-attention" it is the decoder-loss node whose input z, mask
+    token and first attention sublayer read v; its MLP, head, target and
+    mask are constants."""
     if kind == "layernorm-attention":
         return t.layernorm_attention(*v.values(), 2)
+    if kind == "unshuffle-attention":
+        vals, consts = _decoder_values(2, 3, 5, 4, 1, np.float64, 6310,
+                                       kept=_KEPT)
+        nodes = {k: t.leaf(a) for k, a in vals.items()}
+        nodes.update({f"0.{k}": v[k] for k in _ATTENTION},
+                     z=v["z"], fill=v["fill"])
+        return _decoder_loss(t, nodes, consts, 2)
     return _fused_and_unfused(t, kind, v)[0]
 
 
 def _unshuffle_then_attention(t, z, fill, pos, kept, attention, heads):
     """The decoder input as zeros + fill, concat, gather and position add,
-    then its attention sublayer: the unfused `Tape.unshuffle_attention`.
+    then its attention sublayer: the entry of `Tape.decoder_loss`, unfused.
     The fill rows go to the rows `kept` leaves out, in ascending order."""
     b, k, d = z.shape
     n = pos.shape[0]
@@ -279,13 +289,6 @@ def _position_rows(b, m, n, dtype, seed=88):
 def _fused_and_unfused(t, kind, v):
     """The fused node `kind` over leaves v, and the same function as the
     nodes it fuses, both recorded on tape t."""
-    if kind == "unshuffle-attention":
-        z, fill = v["z"], v["fill"]
-        pos = t.leaf(_rand(88, 5, 4).astype(z.dtype))   # a constant
-        attention = [v[k] for k in _ATTENTION]
-        return (t.unshuffle_attention(z, fill, pos, _KEPT, *attention, 2),
-                _unshuffle_then_attention(t, z, fill, pos, _KEPT, attention,
-                                          2))
     if kind == "layernorm-linear":
         args = (v["x"], v["gamma"], v["beta"], v["w"], v["b"])
         return (t.layernorm_linear(*args),
@@ -324,8 +327,7 @@ def _fused_inputs(kind, dtype, seed=81):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear",
-                                  "unshuffle-attention"])
+@pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear"])
 def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     # One tape: the fused node and the nodes it fuses read the same leaves,
     # and one loss sums both outputs' errors, so every input gradient is
@@ -372,6 +374,8 @@ def test_grad_fused_nodes(kind, var):
     def build(t, node):
         v = {k: node if k == var else t.leaf(a) for k, a in vals.items()}
         y = _fused(t, kind, v)
+        if y.kind == "decoder-loss":
+            return y
         return t.mse_masked(y, t.leaf(_rand(6390, *y.shape)),
                             t.leaf(np.ones((2, 5))))
 
@@ -437,56 +441,37 @@ def test_attention_and_unshuffle_refuse_mismatched_shapes():
             ({4: (4, 3), 5: (3,)}, "residual")):
         with pytest.raises(DimensionError, match=match):
             attention_with(changed)
-    kept = np.array([[0, 2], [2, 1]])
-    z = t.leaf(np.zeros((2, 2, 4)))
-    fill, pos = t.leaf(np.zeros(4)), t.leaf(np.zeros((3, 4)))
-    attention = [t.leaf(np.zeros(s)) for s in shapes]
-    for args in ((x, fill, pos, kept),                  # 5 rows for 3
-                 (z, t.leaf(np.zeros(3)), pos, kept),
-                 (z, fill, t.leaf(np.zeros((3, 3))), kept),
-                 (t.leaf(np.zeros((2, 4))), fill, pos, kept)):
-        with pytest.raises(DimensionError,
-                           match="unshuffle-attention needs z"):
-            t.unshuffle_attention(*args, *attention, 2)
-    # the attention sublayer's checks, on the [2, 3, 4] decoder input
-    for i, shape, match in (
-            (0, (3,), "layernorm affine"),
-            (2, (3, 12), r"unshuffle-attention extent mismatch: "
-                         r"\(2, 3, 4\) x \(3, 12\)"),
-            (4, (6, 4), r"unshuffle-attention extent mismatch: "
-                        r"\(2, 3, 4\) x \(6, 4\)")):
-        args = list(attention)
-        args[i] = t.leaf(np.zeros(shape))
+    # The decoder-loss node's input and its first attention sublayer, on
+    # the [2, 3, 4] decoder input.
+    vals, consts = _decoder_values(2, 2, 3, 4, 1, np.float64, 740,
+                                   kept=np.array([[0, 2], [2, 1]]))
+
+    def decoder_with(changed, heads=2):
+        v = {k: t.leaf(changed.get(k, a)) for k, a in vals.items()}
+        return _decoder_loss(t, v, {**consts, **changed}, heads)
+
+    for changed in ({"z": np.zeros((2, 5, 4))},          # 5 rows for 3
+                    {"fill": np.zeros(3)},
+                    {"pos": np.zeros((3, 3))},
+                    {"z": np.zeros((2, 4))}):
+        with pytest.raises(DimensionError, match="decoder-loss needs z"):
+            decoder_with(changed)
+    for name, shape, match in (
+            ("gamma", (3,), "layernorm affine"),
+            ("w_qkv", (3, 12), r"decoder-loss extent mismatch: "
+                               r"\(2, 3, 4\) x \(3, 12\)"),
+            ("w_out", (6, 4), r"decoder-loss extent mismatch: "
+                              r"\(2, 3, 4\) x \(6, 4\)")):
         with pytest.raises(DimensionError, match=match):
-            t.unshuffle_attention(z, fill, pos, kept, *args, 2)
+            decoder_with({f"0.{name}": np.zeros(shape)})
     with pytest.raises(DimensionError, match="divisible by 3 heads"):
-        t.unshuffle_attention(z, fill, pos, kept, *attention, 3)
-    assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
-
-
-@pytest.mark.parametrize("kept,error,match", [
-    # a repeated id: two of z's rows for one row
-    ([[0, 2], [1, 1]], ContractError,
-     "unshuffle-attention ids must be unique per sample"),
-    # an id past the last of the 3 rows
-    ([[0, 3], [2, 1]], DimensionError,
-     r"unshuffle-attention ids out of range \[0, 3\)"),
-    # ids for 1 or 3 of z's 2 rows, or for 1 of its 2 samples
-    ([[0], [2]], DimensionError,
-     r"unshuffle-attention needs ids \[b, k\] = \[2, 2\]; got \(2, 1\)"),
-    ([[0, 1, 2], [2, 1, 0]], DimensionError,
-     r"unshuffle-attention needs ids \[b, k\] = \[2, 2\]; got \(2, 3\)"),
-    ([[0, 2]], DimensionError,
-     r"unshuffle-attention needs ids \[b, k\] = \[2, 2\]; got \(1, 2\)")])
-def test_unshuffle_attention_refuses_kept_ids_it_cannot_place(kept, error,
-                                                              match):
-    t = Tape()
-    z = t.leaf(np.zeros((2, 2, 4)))
-    fill, pos = t.leaf(np.zeros(4)), t.leaf(np.zeros((3, 4)))
-    attention = [t.leaf(np.zeros(s)) for s in
-                 ((4,), (4,), (4, 12), (12,), (4, 4), (4,))]
-    with pytest.raises(error, match=match):
-        t.unshuffle_attention(z, fill, pos, np.array(kept), *attention, 2)
+        decoder_with({}, heads=3)
+    with pytest.raises(ContractError, match="12 parameters per layer"):
+        t.decoder_loss(*(t.leaf(vals[k]) for k in ("z", "fill")),
+                       t.leaf(consts["pos"]), consts["kept"],
+                       [[t.leaf(vals[f"0.{k}"]) for k in _ATTENTION]],
+                       *(t.leaf(vals[k]) for k in _HEAD),
+                       t.leaf(consts["target"]), t.leaf(consts["mask"]), 2)
     assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
@@ -537,10 +522,6 @@ def _one_node_per_backward_rule():
         t.layernorm_attention(act(22, 2, 3, 4), leaf(42, 4), leaf(43, 4),
                               leaf(44, 4, 12), leaf(45, 12), leaf(46, 4, 4),
                               leaf(47, 4), 2),
-        t.unshuffle_attention(act(48, 2, 3, 4), leaf(49, 4), leaf(50, 5, 4),
-                              _KEPT, leaf(51, 4), leaf(52, 4),
-                              leaf(53, 4, 12), leaf(54, 12), leaf(55, 4, 4),
-                              leaf(56, 4), 2),
         t.add(act(8, 2, 3, 4), act(9, 4)),
         t.scale(act(10, 3, 4), 0.5),
         t.transpose(act(11, 2, 3, 4)),
@@ -551,11 +532,14 @@ def _one_node_per_backward_rule():
         t.gelu(act(23, 2, 3, 4)),
         t.mse_masked(act(24, 2, 3, 4), leaf(25, 2, 3, 4),
                      t.leaf(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))),
-        t.mlp_head_mse(act(57, 2, 3, 4), leaf(58, 4), leaf(59, 4),
-                       leaf(60, 4, 6), leaf(61, 6), leaf(62, 6, 4),
-                       leaf(63, 4), leaf(64, 4), leaf(65, 4), leaf(66, 4, 5),
-                       leaf(67, 5), leaf(68, 2, 3, 5),
-                       t.leaf(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))),
+        t.decoder_loss(act(48, 2, 3, 4), leaf(49, 4), leaf(50, 5, 4), _KEPT,
+                       [[leaf(51 + i, *s) for i, s in enumerate((
+                           (4,), (4,), (4, 12), (12,), (4, 4), (4,), (4,),
+                           (4,), (4, 6), (6,), (6, 4), (4,)))]],
+                       leaf(64, 4), leaf(65, 4), leaf(66, 4, 5), leaf(67, 5),
+                       leaf(68, 2, 5, 5),
+                       t.leaf(np.array([[0.0, 1.0, 1.0, 0.0, 0.0],
+                                        [0.0, 0.0, 0.0, 1.0, 1.0]])), 2),
     ]
 
 
@@ -694,41 +678,113 @@ def test_mse_masked_matches_double_loop():
 
 # ----- the decoder's loss node ----------------------------------------------
 
-# The inputs of `Tape.mlp_head_mse` that get a gradient, in its order.
+# A decoder layer's parameters in the order `Tape.decoder_loss` takes them:
+# the attention sublayer's, then the MLP sublayer's.
+_LAYER = _ATTENTION + ("gamma2", "beta2", "w1", "b1", "w2", "b2")
+_HEAD = ("head_gamma", "head_beta", "w", "b")
+
+
+def _decoder_values(b, k, n, d, depth, dtype, seed, hidden=None, pixels=3,
+                    kept=None):
+    """The inputs of `Tape.decoder_loss` that take a gradient, by name: z
+    [b, k, d], fill, layer j's parameters as f"{j}.{name}" for the names
+    of _LAYER, and the head's; and its constants: pos [n, d], each
+    sample's k visible row ids (`kept`, or drawn from the seed), the
+    target and the mask of the other rows."""
+    hidden = hidden or 2 * d
+    shapes = {"z": (b, k, d), "fill": (d,)}
+    for j in range(depth):
+        shapes.update((f"{j}.{name}", shape) for name, shape in zip(_LAYER, (
+            (d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,), (d,), (d,),
+            (d, hidden), (hidden,), (hidden, d), (d,))))
+    shapes.update(head_gamma=(d,), head_beta=(d,), w=(d, pixels),
+                  b=(pixels,))
+    vals = {name: (_rand(seed + i, *shape) * 0.5).astype(dtype)
+            for i, (name, shape) in enumerate(shapes.items())}
+    if kept is None:
+        kept = np.stack([rng.permutation(seed + 100 + i, n)[:k]
+                         for i in range(b)])
+    mask = np.ones((b, n), dtype)
+    mask[np.arange(b)[:, None], kept] = 0.0
+    consts = {"pos": _rand(seed + 200, n, d).astype(dtype), "kept": kept,
+              "target": _rand(seed + 201, b, n, pixels).astype(dtype),
+              "mask": mask}
+    return vals, consts
+
+
+def _depth(v):
+    return sum(1 for name in v if name.endswith(".gamma"))
+
+
+def _decoder_loss(t, v, c, heads):
+    """`Tape.decoder_loss` over the nodes v and the constants c."""
+    layers = [[v[f"{j}.{name}"] for name in _LAYER] for j in range(_depth(v))]
+    return t.decoder_loss(v["z"], v["fill"], t.leaf(c["pos"]), c["kept"],
+                          layers, *(v[name] for name in _HEAD),
+                          t.leaf(c["target"]), t.leaf(c["mask"]), heads)
+
+
+def _decoder_chain(t, v, c, heads):
+    """The nodes `Tape.decoder_loss` fuses: the decoder input built by
+    five nodes, each layer's attention and MLP nodes, the head's
+    layernorm-linear and the masked MSE."""
+    x = None
+    for j in range(_depth(v)):
+        attention = [v[f"{j}.{name}"] for name in _ATTENTION]
+        x = (_unshuffle_then_attention(t, v["z"], v["fill"],
+                                       t.leaf(c["pos"]), c["kept"],
+                                       attention, heads) if x is None
+             else t.layernorm_attention(x, *attention, heads))
+        x = t.layernorm_mlp(x, *(v[f"{j}.{name}"] for name in _LAYER[6:]))
+    pred = t.layernorm_linear(x, *(v[name] for name in _HEAD))
+    return t.mse_masked(pred, t.leaf(c["target"]), t.leaf(c["mask"]))
+
+
+def _decoder_run(vals, consts, heads, fused=True, upstream=None):
+    """The loss and every gradient of the node, or of the chain, with z a
+    non-leaf as in a step; with `upstream`, backward runs from
+    scale(loss, upstream)."""
+    t = Tape()
+    v = {k: t.leaf(a, name=k, requires_grad=True) for k, a in vals.items()}
+    v["z"] = t.scale(v["z"], 1.0)
+    loss = (_decoder_loss if fused else _decoder_chain)(t, v, consts, heads)
+    assert loss.kind == ("decoder-loss" if fused else "mse-masked")
+    value = loss.value.copy()
+    if upstream is not None:
+        loss = t.scale(loss, upstream)
+    return value, t.backward(loss)
+
+
+def _assert_decoder_matches_chain(vals, consts, heads):
+    loss, grads = _decoder_run(vals, consts, heads)
+    want, want_grads = _decoder_run(vals, consts, heads, fused=False)
+    dtype = vals["z"].dtype
+    assert loss.dtype == want.dtype == dtype and loss.shape == ()
+    assert np.array_equal(loss, want)
+    assert grads.keys() == want_grads.keys() == set(vals)
+    for k in vals:
+        assert grads[k].dtype == dtype, k
+        assert np.array_equal(grads[k], want_grads[k]), k
+
+
+# The inputs of the last layer's MLP and of the head, by the names of
+# the loss node these tests once checked; "x" is the decoder's input z.
 _MLP_HEAD = ("x", "gamma", "beta", "w1", "b1", "w2", "b2", "head_gamma",
              "head_beta", "w", "b")
 
 
-def _mlp_head_inputs(dtype, seed=700):
-    """The loss node's inputs on 5 samples of 3 rows, width 4, hidden 6,
-    3 pixels; its target and mask, which masks 9 of the 15 rows."""
-    shapes = {"x": (5, 3, 4), "gamma": (4,), "beta": (4,), "w1": (4, 6),
-              "b1": (6,), "w2": (6, 4), "b2": (4,), "head_gamma": (4,),
-              "head_beta": (4,), "w": (4, 3), "b": (3,)}
-    vals = {k: (_rand(seed + i, *shape) * 1.5).astype(dtype)
-            for i, (k, shape) in enumerate(shapes.items())}
-    target = _rand(seed + 20, 5, 3, 3).astype(dtype)
-    mask = (np.arange(15).reshape(5, 3) % 5 < 3).astype(dtype)
-    return vals, target, mask
+def _mlp_head_inputs(dtype, seed=700, depth=1):
+    """`_decoder_values` on 5 samples of 3 rows, 1 of them visible, width
+    4, hidden 6, 3 pixels, and 2 heads."""
+    return _decoder_values(5, 1, 3, 4, depth, dtype, seed, hidden=6)
 
 
-def _mlp_head_mse(t, v, target, mask, fused=True):
-    """The loss node over the nodes v, or the three nodes it fuses."""
-    args = [v[k] for k in _MLP_HEAD]
-    if fused:
-        return t.mlp_head_mse(*args, target, mask)
-    pred = t.layernorm_linear(t.layernorm_mlp(*args[:7]), *args[7:])
-    return t.mse_masked(pred, target, mask)
-
-
-def _mlp_head_run(vals, target, mask, fused):
-    t = Tape()
-    v = {k: t.leaf(a, name=k, requires_grad=True) for k, a in vals.items()}
-    # a non-leaf input, as in a step
-    v["x"] = t.scale(v["x"], 1.0)
-    loss = _mlp_head_mse(t, v, t.leaf(target), t.leaf(mask), fused)
-    assert loss.kind == ("mlp-head-mse" if fused else "mse-masked")
-    return loss.value.copy(), t.backward(loss)
+def _mlp_head_name(var, depth=1):
+    """The `_decoder_values` name of a `_MLP_HEAD` input."""
+    last = f"{depth - 1}."
+    return {"x": "z", "gamma": last + "gamma2",
+            "beta": last + "beta2"}.get(var, var if var in _HEAD
+                                         else last + var)
 
 
 @pytest.mark.parametrize("parts", [1, 2])
@@ -736,92 +792,135 @@ def _mlp_head_run(vals, target, mask, fused):
 def test_mlp_head_mse_bitwise_equal_three_node_composition(monkeypatch,
                                                            dtype, parts):
     # Groups of 2 of the 5 samples (2, 2, 1), every kernel split over
-    # `parts` threads however small: the loss and all 11 gradients are the
-    # composition's bit for bit.
+    # `parts` threads however small, one and two layers: the loss and
+    # every gradient of the decoder-loss node are those of the nodes it
+    # fuses, its tail the last MLP, head and masked MSE, bit for bit.
     monkeypatch.setattr(tape, "_GROUP_ROWS", 6)
     assert [(c.start, c.stop) for c in tape._groups((5, 3, 4))] == [
         (0, 2), (2, 4), (4, 5)]
     pool = _force_parts(monkeypatch, parts)
-    vals, target, mask = _mlp_head_inputs(dtype)
-    loss, grads = _mlp_head_run(vals, target, mask, fused=True)
-    want, want_grads = _mlp_head_run(vals, target, mask, fused=False)
-    assert loss.dtype == want.dtype == dtype and loss.shape == ()
-    assert np.array_equal(loss, want)
-    assert grads.keys() == want_grads.keys() == set(_MLP_HEAD)
-    for k in _MLP_HEAD:
-        assert grads[k].dtype == dtype, k
-        assert np.array_equal(grads[k], want_grads[k]), k
+    for depth in (1, 2):
+        _assert_decoder_matches_chain(*_mlp_head_inputs(dtype, depth=depth),
+                                      2)
     assert (pool.submitted > 0) == (parts > 1)
 
 
 def test_mlp_head_mse_bitwise_equal_composition_at_desk_shape():
-    # The desk decoder's shape: 64 samples of 64 rows, width 32, 16
-    # pixels, in groups of 6 samples.
-    vals, _ = _desk_values(64, np.float32)
-    vals = {k: vals[k] for k in ("x", "gamma", "beta", "w1", "b1", "w2",
-                                 "b2", "head_gamma", "head_beta", "w_pred",
-                                 "b_pred", "target")}
-    vals["w"], vals["b"] = vals.pop("w_pred"), vals.pop("b_pred")
-    target, mask = vals.pop("target"), _desk_mask(64, np.float32)
-    loss, grads = _mlp_head_run(vals, target, mask, fused=True)
-    want, want_grads = _mlp_head_run(vals, target, mask, fused=False)
-    assert np.array_equal(loss, want)
-    for k in _MLP_HEAD:
-        assert np.array_equal(grads[k], want_grads[k]), k
+    # The desk decoder's shape: 64 samples of 64 rows, 16 of them visible,
+    # width 32, one head, 16 pixels, in groups of 6 samples.
+    _assert_decoder_matches_chain(
+        *_decoder_values(64, 16, 64, 32, 1, np.float32, 720, hidden=128,
+                         pixels=16), 1)
 
 
 @pytest.mark.parametrize("var", _MLP_HEAD)
 def test_grad_mlp_head_mse(var):
-    vals, target, mask = _mlp_head_inputs(np.float64, seed=6400)
+    vals, consts = _mlp_head_inputs(np.float64, seed=6400)
+    name = _mlp_head_name(var)
 
     def build(t, node):
-        v = {k: node if k == var else t.leaf(a) for k, a in vals.items()}
-        return _mlp_head_mse(t, v, t.leaf(target), t.leaf(mask))
+        v = {k: node if k == name else t.leaf(a) for k, a in vals.items()}
+        return _decoder_loss(t, v, consts, 2)
 
-    _grad_check(build, vals[var], 6400)
+    _grad_check(build, vals[name], 6400)
+
+
+@pytest.mark.parametrize("var", _LAYER + ("z", "fill"))
+def test_grad_decoder_loss_second_layer(var):
+    # Two layers: the second layer's parameters, and the decoder input and
+    # the mask token through both.
+    vals, consts = _mlp_head_inputs(np.float64, seed=6500, depth=2)
+    name = var if var in ("z", "fill") else f"1.{var}"
+
+    def build(t, node):
+        v = {k: node if k == name else t.leaf(a) for k, a in vals.items()}
+        return _decoder_loss(t, v, consts, 2)
+
+    _grad_check(build, vals[name], 6500)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decoder_loss_scales_its_gradients_by_the_upstream_gradient(dtype):
+    # Backward from 3 * loss: every gradient is the saved one times 3, in
+    # the tape's dtype; the node's value is the loss at any upstream.
+    vals, consts = _mlp_head_inputs(dtype, depth=2)
+    loss, grads = _decoder_run(vals, consts, 2)
+    loss3, grads3 = _decoder_run(vals, consts, 2, upstream=3.0)
+    assert np.array_equal(loss3, loss)
+    assert grads3.keys() == grads.keys() == set(vals)
+    for k, g in grads.items():
+        assert grads3[k].dtype == dtype, k
+        assert np.array_equal(grads3[k], g * dtype(3.0)), k
 
 
 def _assert_mlp_head_refuses(change, error, match):
-    """`Tape.mlp_head_mse` on _mlp_head_inputs with the arrays in `change`
-    (name -> array) put in raises `error` before it records anything."""
-    vals, target, mask = _mlp_head_inputs(np.float64)
-    vals.update(target=target, mask=mask)
-    vals.update(change)
+    """`Tape.decoder_loss` on _mlp_head_inputs with the arrays in `change`
+    (name -> array; the constants too) put in raises `error` before it
+    records anything."""
+    vals, consts = _mlp_head_inputs(np.float64)
+    for k, a in change.items():
+        (consts if k in consts else vals)[_mlp_head_name(k)
+                                          if k not in consts else k] = a
     t = Tape()
     v = {k: t.leaf(a) for k, a in vals.items()}
     with pytest.raises(error, match=match):
-        t.mlp_head_mse(*(v[k] for k in _MLP_HEAD + ("target", "mask")))
-    assert [n.kind for n in t.nodes] == ["leaf"] * len(vals)
+        _decoder_loss(t, v, consts, 2)
+    assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
 def test_mlp_head_mse_refuses_a_target_not_of_the_prediction_shape():
     _assert_mlp_head_refuses({"target": np.zeros((5, 3, 4))}, DimensionError,
-                             r"mlp-head-mse pred \(5, 3, 3\) vs target")
+                             r"decoder-loss pred \(5, 3, 3\) vs target")
 
 
 def test_mlp_head_mse_refuses_a_mask_not_of_the_prediction_rows():
     _assert_mlp_head_refuses({"mask": np.ones((5, 4))}, DimensionError,
-                             r"mlp-head-mse mask \(5, 4\) vs rows \(5, 3\)")
+                             r"decoder-loss mask \(5, 4\) vs rows \(5, 3\)")
 
 
 def test_mlp_head_mse_refuses_a_mask_with_no_masked_row():
     _assert_mlp_head_refuses({"mask": np.zeros((5, 3))}, ContractError,
-                             "mlp-head-mse: no masked rows")
+                             "decoder-loss: no masked rows")
 
 
 @pytest.mark.parametrize("shapes,match", [
     ({"gamma": (3,)}, "layernorm affine"),
-    ({"w1": (3, 6)}, r"mlp-head-mse extent mismatch: \(5, 3, 4\) x \(3, 6\)"),
-    ({"b2": (3,)}, r"mlp-head-mse supports \[b,m,k\]"),
+    ({"w1": (3, 6)}, r"decoder-loss extent mismatch: \(5, 3, 4\) x \(3, 6\)"),
+    ({"b2": (3,)}, r"decoder-loss supports \[b,m,k\]"),
     # fc2 back to a width other than x's, so x cannot be its residual
     ({"w2": (6, 3), "b2": (3,)}, "residual"),
     ({"head_beta": (3,)}, "layernorm affine"),
-    ({"w": (3, 3)}, r"mlp-head-mse extent mismatch: \(5, 3, 4\) x \(3, 3\)"),
-    ({"b": (4,)}, r"mlp-head-mse supports \[b,m,k\]")])
+    ({"w": (3, 3)}, r"decoder-loss extent mismatch: \(5, 3, 4\) x \(3, 3\)"),
+    ({"b": (4,)}, r"decoder-loss supports \[b,m,k\]")])
 def test_mlp_head_mse_refuses_parameters_of_the_wrong_shape(shapes, match):
-    # The MLP part's and the head part's shape checks.
+    # The last MLP's and the head's shape checks, on the decoder input
+    # [5, 3, 4].
     _assert_mlp_head_refuses({k: np.zeros(s) for k, s in shapes.items()},
                              DimensionError, match)
+
+
+@pytest.mark.parametrize("kept,error,match", [
+    # a repeated id: two of z's rows for one row
+    ([[0, 2], [1, 1]], ContractError,
+     "decoder-loss ids must be unique per sample"),
+    # an id past the last of the 3 rows
+    ([[0, 3], [2, 1]], DimensionError,
+     r"decoder-loss ids out of range \[0, 3\)"),
+    # ids for 1 or 3 of z's 2 rows, or for 1 of its 2 samples
+    ([[0], [2]], DimensionError,
+     r"decoder-loss needs ids \[b, k\] = \[2, 2\]; got \(2, 1\)"),
+    ([[0, 1, 2], [2, 1, 0]], DimensionError,
+     r"decoder-loss needs ids \[b, k\] = \[2, 2\]; got \(2, 3\)"),
+    ([[0, 2]], DimensionError,
+     r"decoder-loss needs ids \[b, k\] = \[2, 2\]; got \(1, 2\)")])
+def test_decoder_loss_refuses_kept_ids_it_cannot_place(kept, error, match):
+    vals, consts = _decoder_values(2, 2, 3, 4, 1, np.float64, 730)
+    consts["kept"] = np.array(kept)
+    t = Tape()
+    v = {k: t.leaf(a) for k, a in vals.items()}
+    with pytest.raises(error, match=match):
+        _decoder_loss(t, v, consts, 2)
+    assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
 # ----- finite-difference oracle on every primitive -------------------------
@@ -1311,10 +1410,40 @@ def test_layernorm_mlp_backward_holds_fc1_a_chunk_at_a_time(monkeypatch,
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_mlp_head_mse_backward_holds_a_group_at_a_time(monkeypatch, parts):
-    # At the desk decoder's shape; see _assert_backward_holds_a_group: dx
-    # and the MLP rule's group buffers per thread.  A whole MLP output
-    # (524,288 B) or prediction (262,144 B) fails the bound.
-    _assert_backward_holds_a_group(monkeypatch, "mlp-head-mse", 64, parts)
+    # The decoder-loss node runs its MLP's, head's and loss's backward,
+    # and its attention's, inside its forward.  At the desk decoder's
+    # shape on `parts` threads it holds, per thread, one group's buffers
+    # at once at most: what its forward keeps for its backward, of the
+    # attention sublayer xhat, the probabilities and the merged heads
+    # (2d + heads*n per row) and of the MLP xhat, the GELU output and its
+    # CDF term (d + 2 * hidden), and then the head's xhat, normed rows,
+    # prediction, input gradient and one temporary (4d + pixels), with
+    # one d-wide broadcast temporary besides.  And for the whole batch
+    # the gradients of z and of the fill rows (n rows of width d per
+    # sample), each row's loss, and the parameters' gradients: the
+    # weights' transposes, each thread's running sums and one group's
+    # partials, one more total and the saved ones.  Reads about 1.57 and
+    # 2.3 MB; a whole decoder input (524,288 B) held besides fails it.
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    b, k, n, d, hidden, pixels, heads = 64, 16, 64, 32, 128, 16, 1
+    vals, consts = _decoder_values(b, k, n, d, 1, np.float32, 750,
+                                   hidden=hidden, pixels=pixels)
+    t = Tape()
+    v = {name: t.leaf(a) for name, a in vals.items()}
+    _decoder_loss(t, v, consts, heads)   # the workers start outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _decoder_loss(t, v, consts, heads)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    params = sum(a.size for name, a in vals.items() if name != "z")
+    rows = max(1, tape._GROUP_ROWS // n) * n
+    width = (2 * d + heads * n) + (d + 2 * hidden) + (4 * d + pixels) + d
+    bound = 4 * (parts * rows * width + b * n * (d + 1)
+                 + (2 * parts + 3) * params)
+    assert peak <= bound, (peak, bound)
 
 
 def _in_group_order(partial, b, n):
@@ -1443,37 +1572,13 @@ def test_attention_rebuilt_probabilities_bitwise_equal_to_saved(
                                            (3, 2, 5, 12, 3)])
 def test_decoder_entry_bitwise_equal_unshuffle_then_attention(
         monkeypatch, b, k, n, d, heads, dtype, parts):
-    # The desk decoder's shape, in several chunks of samples per thread,
-    # and a 3-head one: the node that saves z and rebuilds the decoder
-    # input gives the output and every gradient of the input built by
-    # five nodes and then attention's node.
+    # The desk decoder's shape, in several groups of samples per thread,
+    # and a 3-head one: the decoder-loss node, in which no decoder input
+    # exists whole, gives the loss and every gradient of the input built
+    # by five nodes and then the nodes of the layer, head and loss.
     monkeypatch.setattr(tape, "_PARTS", parts)
-    vals = _attention_inputs(b, n, d, dtype, 230 + n)
-    del vals["x"]
-    vals = {"z": _rand(240, b, k, d).astype(dtype),
-            "fill": _rand(241, d).astype(dtype), **vals}
-    pos = _rand(242, n, d).astype(dtype)
-    kept = np.stack([rng.permutation(243 + i, n)[:k] for i in range(b)])
-    target = _rand(250, b, n, d).astype(dtype)
-
-    def run(fused):
-        t = Tape()
-        v = {name: t.leaf(a, name=name, requires_grad=True)
-             for name, a in vals.items()}
-        attention = [v[name] for name in _ATTENTION]
-        args = (v["z"], v["fill"], t.leaf(pos), kept)
-        y = (t.unshuffle_attention(*args, *attention, heads) if fused
-             else _unshuffle_then_attention(t, *args, attention, heads))
-        out = y.value.copy()
-        return out, t.backward(t.mse_masked(y, t.leaf(target),
-                                            t.leaf(np.ones((b, n), dtype))))
-
-    (y, grads), (y_ref, grads_ref) = run(True), run(False)
-    assert y.dtype == dtype and np.array_equal(y, y_ref)
-    assert grads.keys() == grads_ref.keys() == set(vals)
-    for name, g in grads.items():
-        assert g.dtype == dtype, name
-        assert np.array_equal(g, grads_ref[name]), name
+    _assert_decoder_matches_chain(
+        *_decoder_values(b, k, n, d, 1, dtype, 230 + n, hidden=4 * d), heads)
 
 
 @pytest.mark.parametrize("parts", [1, 2])
@@ -1552,27 +1657,6 @@ def _split_kernels_run(b, dtype):
         "layernorm-linear", "layernorm-mlp", "add"}
     assert f1.shape == f2.shape == (b, 5, 20)
     return out
-
-
-def test_unshuffle_attention_writes_its_output_over_the_rebuilt_input(
-        monkeypatch):
-    # At the desk decoder's shape on one thread the forward holds its
-    # output and one chunk's temporaries, not the rebuilt input beside
-    # them: 2.9 outputs, against 3.9 when input and output were two arrays.
-    monkeypatch.setattr(tape, "_PARTS", 1)
-    vals, heads = _desk_values(64, np.float32)
-    t = Tape()
-    z = t.scale(t.leaf(vals["z"]), 1.0)
-    fill, pos, *attention = (t.leaf(vals[k])
-                             for k in ("fill", "pos") + _ATTENTION)
-    tracemalloc.start()
-    try:
-        out = t.unshuffle_attention(z, fill, pos, vals["kept"], *attention,
-                                    heads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.4 * out.value.nbytes, peak / out.value.nbytes
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1724,7 +1808,6 @@ _DESK_RULES = {
     "layernorm-linear": ("x", "gamma", "beta", "w_pred", "b_pred"),
     "layernorm-mlp": ("x", "gamma", "beta", "w1", "b1", "w2", "b2"),
     "layernorm-attention": ("x",) + _ATTENTION,
-    "unshuffle-attention": ("z", "fill", None) + _ATTENTION,
 }
 
 
@@ -1737,27 +1820,17 @@ def _desk_values(n, dtype, seed=300):
               "w_pred": (d, 16), "b_pred": (16,), "w1": (d, 4 * d),
               "b1": (4 * d,), "w2": (4 * d, d), "b2": (d,),
               "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
-              "b_out": (d,), "z": (64, n // 4, d), "fill": (d,),
-              "pos": (n, d), "head_gamma": (d,), "head_beta": (d,),
-              "target": (64, n, 16)}
+              "b_out": (d,), "pos": (n, d)}
     vals = {k: (_rand(seed + i, *s) * 0.5).astype(dtype)
             for i, (k, s) in enumerate(shapes.items())}
-    vals["kept"] = np.stack([rng.permutation(seed + 50 + i, n)[:n // 4]
-                             for i in range(64)])
     return vals, 4 if n == 16 else 1
 
 
-def _desk_mask(n, dtype):
-    """A loss mask over 64 samples of n rows that masks 3 rows in 4."""
-    return (np.arange(64 * n).reshape(64, n) % 4 != 0).astype(dtype)
-
-
 def _desk_node(t, kind, vals, heads):
-    """Node `kind` over vals on tape t; x, y and z are non-leaf, as in a
+    """Node `kind` over vals on tape t; x and y are non-leaf, as in a
     step."""
-    v = {k: t.leaf(a) for k, a in vals.items() if k != "kept"}
-    x, z = t.scale(v["x"], 1.0), t.scale(v["z"], 1.0)
-    attention = [v[k] for k in _ATTENTION]
+    v = {k: t.leaf(a) for k, a in vals.items()}
+    x = t.scale(v["x"], 1.0)
     if kind == "linear":
         return t.linear(x, v["w"], v["b"])
     if kind == "linear+pos":
@@ -1775,15 +1848,7 @@ def _desk_node(t, kind, vals, heads):
     if kind == "layernorm-mlp":
         return t.layernorm_mlp(x, *(v[k] for k in (
             "gamma", "beta", "w1", "b1", "w2", "b2")))
-    if kind == "layernorm-attention":
-        return t.layernorm_attention(x, *attention, heads)
-    if kind == "mlp-head-mse":
-        return t.mlp_head_mse(x, *(v[k] for k in (
-            "gamma", "beta", "w1", "b1", "w2", "b2", "head_gamma",
-            "head_beta", "w_pred", "b_pred", "target")),
-            t.leaf(_desk_mask(x.shape[1], x.dtype)))
-    return t.unshuffle_attention(z, v["fill"], v["pos"], vals["kept"],
-                                 *attention, heads)
+    return t.layernorm_attention(x, *(v[k] for k in _ATTENTION), heads)
 
 
 def _desk_rule_grads(n, dtype=np.float32):
@@ -1896,20 +1961,8 @@ def _whole_batch_grads(kind, v, heads, g):
         dn = dgelu @ v["w1"].T
         return (rows(xhat * dn), rows(dn), weight(normed, dgelu),
                 rows(dgelu), weight(0.5 * f1 * cdf, g), rows(g))
-    params = [v[k] for k in _ATTENTION]
-    if kind == "layernorm-attention":
-        return _attention_whole_probabilities([x] + params, heads, g,
-                                              _whole_batch)[1][1:]
-    visible = (np.arange(64)[:, None], v["kept"])
-    hidden = np.ones(x.shape[:2], bool)
-    hidden[visible] = False
-    xin = np.empty_like(x)
-    xin[...] = v["fill"]
-    xin[visible] = v["z"]
-    xin += v["pos"]
-    dx, *grads = _attention_whole_probabilities([xin] + params, heads, g,
-                                                _whole_batch)[1]
-    return (dx[hidden].sum(axis=0), *grads)
+    return _attention_whole_probabilities(
+        [x] + [v[k] for k in _ATTENTION], heads, g, _whole_batch)[1][1:]
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -1933,15 +1986,12 @@ def test_desk_rule_parameter_grads_near_whole_batch_sums(n):
 def _group_width(kind, d, heads, n):
     """Elements per row of a group that a streamed rule holds at once at
     most: xhat, the normed rows and the hidden-wide fc1, GELU CDF term and
-    GELU output (layernorm-mlp, and mlp-head-mse, whose head and loss
-    steps hold less); xhat, the normed rows and their gradient's temporary
-    (layernorm-linear); xhat, the normed rows, q|k|v, dqkv, the merged
-    heads' gradient and the probabilities, their gradient and a product
-    of the two (the attention rules)."""
-    return {"layernorm-mlp": d + 3 * 4 * d, "mlp-head-mse": d + 3 * 4 * d,
-            "layernorm-linear": 3 * d,
-            "layernorm-attention": 9 * d + 3 * heads * n,
-            "unshuffle-attention": 9 * d + 3 * heads * n}[kind]
+    GELU output (layernorm-mlp); xhat, the normed rows and their
+    gradient's temporary (layernorm-linear); xhat, the normed rows, q|k|v,
+    dqkv, the merged heads' gradient and the probabilities, their gradient
+    and a product of the two (layernorm-attention)."""
+    return {"layernorm-mlp": d + 3 * 4 * d, "layernorm-linear": 3 * d,
+            "layernorm-attention": 9 * d + 3 * heads * n}[kind]
 
 
 def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
@@ -1966,7 +2016,6 @@ def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # unshuffle-attention's dx is dz and the fill rows' gradients: n rows
     dx = 0 if grads[0] is g else 4 * 64 * n * d
     params = sum(a.nbytes for a in grads[1:] if a is not None)
     rows = max(1, tape._GROUP_ROWS // n) * n
@@ -1978,8 +2027,7 @@ def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
 @pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize("kind,n", [
     ("layernorm-linear", 16), ("layernorm-linear", 64),
-    ("layernorm-mlp", 16), ("layernorm-attention", 16),
-    ("unshuffle-attention", 64)])
+    ("layernorm-mlp", 16), ("layernorm-attention", 16)])
 def test_streamed_rule_backward_holds_a_group_per_thread(monkeypatch, kind,
                                                          n, parts):
     # The desk encoder's (n = 16) and decoder's (n = 64) shapes; the
