@@ -249,20 +249,25 @@ _ATTENTION = ("gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")
 
 
 def _fused(t, kind, v):
-    """The fused node `kind` over leaves v, recorded on tape t.  For
-    "unshuffle-attention" it is the decoder-loss node whose input z, mask
-    token and first attention sublayer read v; its MLP, head, target and
-    mask are constants."""
+    """The fused node `kind` over leaves v, recorded on tape t."""
     if kind == "layernorm-attention":
         return t.layernorm_attention(*v.values(), 2)
     if kind == "unshuffle-attention":
-        vals, consts = _decoder_values(2, 3, 5, 4, 1, np.float64, 6310,
-                                       kept=_KEPT)
-        nodes = {k: t.leaf(a) for k, a in vals.items()}
-        nodes.update({f"0.{k}": v[k] for k in _ATTENTION},
-                     z=v["z"], fill=v["fill"])
-        return _decoder_loss(t, nodes, consts, 2)
+        return _unshuffle_attention(t, v, _decoder_loss)
     return _fused_and_unfused(t, kind, v)[0]
+
+
+def _unshuffle_attention(t, v, build):
+    """`build` (`_decoder_loss` or `_decoder_chain`) of the decoder whose
+    input z, mask token and first attention sublayer read the leaves v;
+    its MLP, head, target and mask are constants.  The decoder-loss node
+    runs the work of the unshuffle-attention node it replaced."""
+    vals, consts = _decoder_values(2, 3, 5, 4, 1, v["z"].value.dtype, 6310,
+                                   kept=_KEPT)
+    nodes = {k: t.leaf(a) for k, a in vals.items()}
+    nodes.update({f"0.{k}": v[k] for k in _ATTENTION}, z=v["z"],
+                 fill=v["fill"])
+    return build(t, nodes, consts, 2)
 
 
 def _unshuffle_then_attention(t, z, fill, pos, kept, attention, heads):
@@ -288,7 +293,11 @@ def _position_rows(b, m, n, dtype, seed=88):
 
 def _fused_and_unfused(t, kind, v):
     """The fused node `kind` over leaves v, and the same function as the
-    nodes it fuses, both recorded on tape t."""
+    nodes it fuses, both recorded on tape t.  For "unshuffle-attention"
+    both are losses."""
+    if kind == "unshuffle-attention":
+        return (_unshuffle_attention(t, v, _decoder_loss),
+                _unshuffle_attention(t, v, _decoder_chain))
     if kind == "layernorm-linear":
         args = (v["x"], v["gamma"], v["beta"], v["w"], v["b"])
         return (t.layernorm_linear(*args),
@@ -327,23 +336,29 @@ def _fused_inputs(kind, dtype, seed=81):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear"])
+@pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear",
+                                  "unshuffle-attention"])
 def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     # One tape: the fused node and the nodes it fuses read the same leaves,
     # and one loss sums both outputs' errors, so every input gradient is
     # the sum of the two paths' contributions.  Each path is checked on
-    # its own tape too, where each is the whole gradient.
+    # its own tape too, where each is the whole gradient.  The
+    # unshuffle-attention work is the decoder-loss node's, whose value is
+    # already a loss: the decoder input built by five nodes and its
+    # attention sublayer, through a layer's MLP, the head and the loss.
     vals = _fused_inputs(kind, dtype)
+    is_loss = kind == "unshuffle-attention"
 
     def run(which):
         t = Tape()
         v = {k: t.leaf(a, name=k, requires_grad=True) for k, a in vals.items()}
         outs = _fused_and_unfused(t, kind, v)
-        assert outs[0].kind == kind
+        assert outs[0].kind == ("decoder-loss" if is_loss else kind)
         ys = [outs[i] for i in which]
         target = _rand(90, *outs[0].shape).astype(dtype)
         mask = t.leaf(np.ones((2, 5), dtype))
-        losses = [t.mse_masked(y, t.leaf(target), mask) for y in ys]
+        losses = ys if is_loss else [t.mse_masked(y, t.leaf(target), mask)
+                                     for y in ys]
         loss = losses[0] if len(losses) == 1 else t.add(*losses)
         return [y.value.copy() for y in ys], t.backward(loss)
 
@@ -1659,6 +1674,31 @@ def _split_kernels_run(b, dtype):
     return out
 
 
+def test_unshuffle_attention_writes_its_output_over_the_rebuilt_input(
+        monkeypatch):
+    # The decoder-loss node rebuilds the decoder input a group of samples
+    # at a time and lets each group's go once its attention has run.  At
+    # the desk decoder's shape on one thread its forward, which holds
+    # besides the gradients of z, of the fill rows and of the parameters,
+    # reads 2.99 whole decoder inputs [b, n, d]; a whole rebuilt input
+    # beside them fails the bound of the node it replaced.
+    monkeypatch.setattr(tape, "_PARTS", 1)
+    vals, consts = _decoder_values(64, 16, 64, 32, 1, np.float32, 770,
+                                   hidden=128, pixels=16)
+    t = Tape()
+    v = {name: t.leaf(a) for name, a in vals.items()}
+    _decoder_loss(t, v, consts, 1)   # the first call's one-time costs
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _decoder_loss(t, v, consts, 1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    whole = 64 * 64 * 32 * 4
+    assert peak < 3.4 * whole, peak / whole
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("b", [1, 2, 3, 5])
 def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
@@ -1848,6 +1888,14 @@ def _desk_node(t, kind, vals, heads):
     if kind == "layernorm-mlp":
         return t.layernorm_mlp(x, *(v[k] for k in (
             "gamma", "beta", "w1", "b1", "w2", "b2")))
+    if kind == "unshuffle-attention":
+        d = vals["x"].shape[-1]
+        dv, consts = _decoder_values(64, 16, vals["x"].shape[1], d, 1,
+                                     vals["x"].dtype, 760, hidden=4 * d,
+                                     pixels=16)
+        nodes = {k: t.leaf(a) for k, a in dv.items()}
+        nodes["z"] = t.scale(nodes["z"], 1.0)
+        return _decoder_loss(t, nodes, consts, heads)
     return t.layernorm_attention(x, *(v[k] for k in _ATTENTION), heads)
 
 
@@ -1989,9 +2037,13 @@ def _group_width(kind, d, heads, n):
     GELU output (layernorm-mlp); xhat, the normed rows and their
     gradient's temporary (layernorm-linear); xhat, the normed rows, q|k|v,
     dqkv, the merged heads' gradient and the probabilities, their gradient
-    and a product of the two (layernorm-attention)."""
+    and a product of the two (layernorm-attention); none for the
+    decoder-loss node, whose forward ran the unshuffle-attention work's
+    backward and whose rule scales the gradients it saved in place
+    (unshuffle-attention)."""
     return {"layernorm-mlp": d + 3 * 4 * d, "layernorm-linear": 3 * d,
-            "layernorm-attention": 9 * d + 3 * heads * n}[kind]
+            "layernorm-attention": 9 * d + 3 * heads * n,
+            "unshuffle-attention": 0}[kind]
 
 
 def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
@@ -2016,7 +2068,9 @@ def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    dx = 0 if grads[0] is g else 4 * 64 * n * d
+    # dx written over g, or over the gradient its node saved, is not new
+    dx = (0 if any(grads[0] is a for a in (g, *node.saved))
+          else 4 * 64 * n * d)
     params = sum(a.nbytes for a in grads[1:] if a is not None)
     rows = max(1, tape._GROUP_ROWS // n) * n
     bound = (dx + 4 * parts * rows * _group_width(kind, d, heads, n)
@@ -2027,7 +2081,8 @@ def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
 @pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize("kind,n", [
     ("layernorm-linear", 16), ("layernorm-linear", 64),
-    ("layernorm-mlp", 16), ("layernorm-attention", 16)])
+    ("layernorm-mlp", 16), ("layernorm-attention", 16),
+    ("unshuffle-attention", 64)])
 def test_streamed_rule_backward_holds_a_group_per_thread(monkeypatch, kind,
                                                          n, parts):
     # The desk encoder's (n = 16) and decoder's (n = 64) shapes; the
