@@ -44,7 +44,10 @@ def _add_common(sp, checkpoint=False, k=False, resume=False, batch=False):
                         help="checkpoint to continue from")
     if batch:
         sp.add_argument("--batch", type=int, default=None,
-                        help="instrumented batch size")
+                        help="instrumented batch size (default: the "
+                             "smaller of batch_size and 8); block-wise / "
+                             "MAE moves with it, since each decoder's "
+                             "parameter gradients do not grow with batch")
 
 
 def build_parser():

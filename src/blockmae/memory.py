@@ -238,10 +238,12 @@ def flop_estimate(spec, plan, baseline_ratio=0.75):
     """MAC totals for the plan against a fixed-ratio single-decoder baseline.
 
     Forward MACs only: neither backward nor what backward recomputes is
-    counted: the encoder MLP node's fc1 products, the encoder attention
-    node's qkv, score and probability-value products, and the decoder
-    node's qkv and fc1 products, which its backward makes again rather
-    than keep (it keeps the probabilities, GELU outputs and CDF terms)."""
+    counted: the encoder MLP node's fc1 product twice per group (once to
+    replay the GELU output and its CDF term, once more over the GELU
+    output once dw2's partial is taken), the encoder attention node's
+    qkv, score and probability-value products, and the decoder node's qkv
+    and fc1 products, which its backward makes again rather than keep (it
+    keeps the probabilities, GELU outputs and CDF terms)."""
     fractions = _plan_fractions(plan)
     blocks = block_layers(spec.depth, plan.num_blocks)
     linear, quad = _encoder_units(spec, blocks, fractions)

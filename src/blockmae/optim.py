@@ -91,7 +91,9 @@ class AdamW:
             out[f"opt.t.{name}"] = np.array([st["t"]], dtype=np.float64)
         return out
 
-    def load_state_tensors(self, tensors):
+    def load_state_tensors(self, tensors, dtype):
+        """Restore the state `state_tensors` flattened, each moment copied
+        as `dtype`, the parameters' dtype, whatever dtype it was saved in."""
         self.state = {}
         for key, arr in tensors.items():
             if not key.startswith("opt.m."):
@@ -99,6 +101,6 @@ class AdamW:
             name = key[len("opt.m."):]
             self.state[name] = {
                 "t": int(tensors[f"opt.t.{name}"][0]),
-                "m": arr.copy(),
-                "v": tensors[f"opt.v.{name}"].copy(),
+                "m": arr.astype(dtype),
+                "v": tensors[f"opt.v.{name}"].astype(dtype),
             }

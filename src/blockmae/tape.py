@@ -24,16 +24,17 @@ Charged buffers per primitive:
     layernorm-attention   as layernorm; x is the residual too.  Plus each
                   attention row's softmax max and sum.  Neither the normed
                   rows, q|k|v, the probabilities nor the merged heads are
-                  saved: backward rebuilds them from x and those, a group
+                  saved: backward replays them from x and those, a group
                   of samples at a time
     gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
     layernorm-mlp as layernorm; x is the residual too.  Nothing of the
                   hidden width is saved, neither the fc1 output nor the
                   GELU's CDF term 1 + erf(fc1/sqrt2) nor its output:
-                  backward recomputes fc1 from the normed rows a group of
-                  samples at a time, the CDF term from fc1 with the
-                  forward's kernel, and the GELU output as
-                  0.5 * fc1 * CDF term
+                  backward replays the forward's GELU output and CDF term
+                  from the normed rows, a group of samples at a time, and
+                  once dw2's partial is taken makes fc1 again over the
+                  GELU output, so it makes fc1 twice per group and holds
+                  two hidden-wide buffers
     mse-masked    prediction value (when non-leaf).  No code in src/
                   records it since the decoder's loss node took its place;
                   it stays as the tests' reference loss and for the name
@@ -99,6 +100,14 @@ layernorm-attention and layernorm-mlp write their sum over the array of
 a non-leaf input and take it over: that input node is consumed, and
 reading its value again is a lifecycle error that names it.  A leaf's
 array is never written.
+
+Each fused sublayer's math after its LayerNorm is written once, as a
+replay of a group's or chunk's normed rows (`_attention_replay`,
+`_mlp_replay`).  The node forwards run it chunk by chunk, the two
+sublayer rules group by group from the saved x and row statistics, and
+the decoder-loss node group by group in its forward, keeping what its
+backward reads.  All four backward sites then go through
+`_kept_sublayer_grads`, around one attention core and one MLP core.
 
 A tape holds one dtype, f32 or f64: the first array its `leaf` or
 `boundary` is given sets it, and both refuse an array of another.  So
@@ -557,12 +566,31 @@ class Tape:
         xv = x.value
         params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
         _check_attention(xv.shape, *params, heads, "layernorm-attention")
+        gv, bev, wqv, bqv, wov, bov = params
         out = self._residual_out(x, "layernorm-attention")
-        stats = _attention_forward(xv, *params, heads, out)
+        b, n = xv.shape[:2]
+        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
+        inv_std = np.empty_like(mu)
+        row_max = np.empty((b, heads, n, 1), xv.dtype)
+        row_sum = np.empty_like(row_max)
+
+        def rows(lo, hi):
+            # A chunk's rows of xv are read before its rows of out are
+            # written, so out may be xv itself.  No chunk's buffer is bound
+            # to a name, so none outlives its chunk.
+            for c in _chunks(lo, hi, (heads, n, n)):
+                o = out[c]
+                _linear_rows(_attention_replay(
+                    _layernorm_rows(xv[c], mu[c], inv_std[c],
+                                    np.empty_like(o), gv, bev),
+                    wqv, bqv, len(wov), heads, row_max[c], row_sum[c],
+                    stats=True)[2], wov, bov, o, o if out is xv else xv[c])
+        _parallel(_attention_size(xv.shape, wqv, heads), rows=b, part=rows)
         node = Node("layernorm-attention", out,
                     (x, gamma, beta, w_qkv, b_qkv, w_out, b_out),
                     attrs={"heads": heads})
-        return self._register(node, [self._act(x), *((a, True) for a in stats),
+        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
+                                      (row_max, True), (row_sum, True),
                                       *(self._act(n) for n in (
                                           gamma, beta, w_qkv, b_qkv, w_out))])
 
@@ -596,15 +624,20 @@ class Tape:
         xv = x.value
         params = [n.value for n in (gamma, beta, w1, b1, w2, b2)]
         hidden_shape = _check_mlp(xv.shape, *params, "layernorm-mlp")
+        gv, bev, w1v, b1v, w2v, b2v = params
         out = self._residual_out(x, "layernorm-mlp")
         mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
         inv_std = np.empty_like(mu)
 
         def rows(lo, hi):
+            # As in layernorm_attention, no chunk's buffer is bound to a
+            # name.
             for c in _chunks(lo, hi, hidden_shape[1:]):
                 o = out[c]
-                _mlp_rows(xv[c], mu[c], inv_std[c], o, *params,
-                          o if out is xv else xv[c])
+                _linear_rows(_mlp_replay(
+                    _layernorm_rows(xv[c], mu[c], inv_std[c],
+                                    np.empty_like(o), gv, bev),
+                    w1v, b1v)[0], w2v, b2v, o, o if out is xv else xv[c])
         _parallel(max(xv.size, math.prod(hidden_shape)), rows=len(xv),
                   part=rows)
         node = Node("layernorm-mlp", out, (x, gamma, beta, w1, b1, w2, b2))
@@ -686,13 +719,11 @@ class Tape:
         # fill's as add's rule sums a broadcast.
         dfill = np.empty((shape[0], shape[1] - kept.shape[1]) + fv.shape,
                          zv.dtype)
-        inner = [(functools.partial(_attention_kept_backward,
+        inner = [(functools.partial(_attention_backward,
                                     weights=_attention_weights(*p[:5]),
                                     heads=heads),
-                  functools.partial(_mlp_kept_hidden_grads, w1=p[8],
-                                    b1=p[9],
-                                    w1t=np.ascontiguousarray(p[8].T),
-                                    w2t=np.ascontiguousarray(p[10].T)))
+                  functools.partial(_mlp_kept_hidden_grads,
+                                    weights=_mlp_weights(*p[8:11])))
                  for p in params]
         head_t = np.ascontiguousarray(head[2].T)
         one = np.ones((), zv.dtype)
@@ -1048,8 +1079,10 @@ def _row_mean(a):
 
 
 def _layernorm_rows(x, mu, inv_std, out, gamma, beta):
-    # The normed rows before the affine become the output in place.
-    _affine_rows(_normalize_rows(x, mu, inv_std, out), gamma, beta, out)
+    """The normed rows of x in `out`, which it returns; the rows before
+    the affine become them in place."""
+    return _affine_rows(_normalize_rows(x, mu, inv_std, out), gamma, beta,
+                        out)
 
 
 def _normalize_rows(x, mu, inv_std, out):
@@ -1075,19 +1108,6 @@ def _layernorm_linear_rows(x, mu, inv_std, out, gamma, beta, w, b):
     normed = np.empty_like(x)
     _layernorm_rows(x, mu, inv_std, normed, gamma, beta)
     _linear_rows(normed, w, b, out)
-
-
-def _mlp_rows(x, mu, inv_std, out, gamma, beta, w1, b1, w2, b2, residual):
-    """linear(gelu(linear(layernorm(x), w1, b1)), w2, b2) + residual of
-    `Tape.layernorm_mlp`, through temporaries of the normed rows, fc1 and
-    its CDF term; x's rows are read before out's are written, so out may
-    be x's buffer, and then residual out itself."""
-    normed = np.empty_like(x)
-    _layernorm_rows(x, mu, inv_std, normed, gamma, beta)
-    h = _linear_rows(normed, w1, b1)
-    del normed
-    _gelu_rows(h, np.empty_like(h), h)
-    _linear_rows(h, w2, b2, out, residual)
 
 
 def _squared_error_rows(pred, target, out):
@@ -1185,44 +1205,35 @@ def _attention_probs(q, k, row_max, row_sum, stats=False):
     return p
 
 
-def _attention_rows(qkv, heads, row_max, row_sum, merged, stats=False):
-    """softmax(q k^T / sqrt(dh)) v of each head of the q|k|v rows qkv
-    [c, n, 3d], each head's product written into its (head, dh) columns of
-    merged [c, n, d].  Returns the probabilities; `stats` as in
-    _attention_probs."""
+def _attention_replay(normed, w_qkv, b_qkv, width, heads, row_max, row_sum,
+                      stats=False):
+    """An attention sublayer after its LayerNorm, over one chunk's or
+    group's normed rows [c, n, d]: q|k|v [c, n, 3 width], the
+    probabilities softmax(q k^T / sqrt(dh)) of each head and the merged
+    heads [c, n, width], each head's product in its (head, dh) columns,
+    bitwise the forward's; `stats` as in _attention_probs.  A caller that
+    reads the normed rows no more passes its only reference to them, and
+    they die once q|k|v is made."""
+    qkv = _linear_rows(normed, w_qkv, b_qkv)
+    del normed
     q, k, v = _split_heads(qkv, heads)
-    c, n, d = merged.shape
+    c, n = qkv.shape[:2]
+    merged = np.empty((c, n, width), qkv.dtype)
     p = _attention_probs(q, k, row_max, row_sum, stats)
-    np.matmul(p, v, out=np.swapaxes(merged.reshape(c, n, heads, d // heads),
-                                    1, 2))
-    return p
+    np.matmul(p, v, out=np.swapaxes(merged.reshape(c, n, heads,
+                                                   width // heads), 1, 2))
+    return qkv, p, merged
 
 
-def _attention_forward(xv, gv, bev, wqv, bqv, wov, bov, heads, out):
-    """Writes the output of `Tape.layernorm_attention` into `out`, which
-    may be xv itself, and returns its saved statistics (mean, inv-std,
-    softmax max and sum), for parameters _check_attention accepts.  A
-    chunk's rows of xv are read before its rows of out are written."""
-    b, n = xv.shape[:2]
-    mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
-    inv_std = np.empty_like(mu)
-    row_max = np.empty((b, heads, n, 1), xv.dtype)
-    row_sum = np.empty_like(row_max)
-
-    def rows(lo, hi):
-        for c in _chunks(lo, hi, (heads, n, n)):
-            normed = np.empty_like(xv[c])
-            _layernorm_rows(xv[c], mu[c], inv_std[c], normed, gv, bev)
-            qkv = _linear_rows(normed, wqv, bqv)
-            merged = np.empty(normed.shape[:-1] + wov.shape[:1], xv.dtype)
-            del normed
-            _attention_rows(qkv, heads, row_max[c], row_sum[c], merged,
-                            stats=True)
-            del qkv
-            o = out[c]
-            _linear_rows(merged, wov, bov, o, o if out is xv else xv[c])
-    _parallel(max(b * n * wqv.shape[1], b * heads * n * n), rows=b, part=rows)
-    return mu, inv_std, row_max, row_sum
+def _mlp_replay(normed, w1, b1):
+    """An MLP sublayer after its LayerNorm, over one chunk's or group's
+    normed rows: the GELU output, written over fc1, and its CDF term
+    1 + erf(fc1/sqrt2), bitwise the forward's.  The normed rows die once
+    fc1 is made, as in _attention_replay."""
+    h = _linear_rows(normed, w1, b1)
+    del normed
+    cdf = _gelu_cdf_rows(h, np.empty_like(h))
+    return _gelu_from_cdf(h, cdf, h), cdf
 
 
 def _unshuffle_rows(z, fill, pos, kept):
@@ -1235,45 +1246,35 @@ def _unshuffle_rows(z, fill, pos, kept):
     return out
 
 
-def _kept_layernorm(x, gamma, beta):
-    """xhat, inv_std and the normed rows of x, bitwise `_layernorm_rows`'s,
-    for a sublayer whose forward keeps xhat for its backward."""
-    inv_std = np.empty(x.shape[:-1] + (1,), x.dtype)
-    xhat = _normalize_rows(x, np.empty_like(inv_std), inv_std,
-                           np.empty_like(x))
-    return xhat, inv_std, _affine_rows(xhat, gamma, beta, np.empty_like(x))
-
-
 def _attention_keep(x, gamma, beta, w_qkv, b_qkv, w_out, b_out, heads):
     """The output of `Tape.layernorm_attention` over one group's rows x,
     bitwise its forward's, in a new buffer, and what its backward reads
     of the forward, in a list: xhat, inv_std, the probabilities and the
-    merged heads (`_attention_kept_backward`).  q|k|v is not kept: it is
-    the larger, and its product the cheaper to make again."""
-    xhat, inv_std, normed = _kept_layernorm(x, gamma, beta)
-    qkv = _linear_rows(normed, w_qkv, b_qkv)
-    del normed
-    merged = np.empty(x.shape[:-1] + w_out.shape[:1], x.dtype)
+    merged heads (`_attention_backward`).  q|k|v is not kept: it is the
+    larger, and its product the cheaper to make again."""
+    inv_std = np.empty(x.shape[:-1] + (1,), x.dtype)
+    xhat = _normalize_rows(x, np.empty_like(inv_std), inv_std,
+                           np.empty_like(x))
     row_max = np.empty((len(x), heads, x.shape[1], 1), x.dtype)
-    p = _attention_rows(qkv, heads, row_max, np.empty_like(row_max), merged,
-                        stats=True)
-    out = _linear_rows(merged, w_out, b_out, np.empty_like(x), x)
-    return out, [xhat, inv_std, p, merged]
+    p, merged = _attention_replay(
+        _affine_rows(xhat, gamma, beta, np.empty_like(x)), w_qkv, b_qkv,
+        len(w_out), heads, row_max, np.empty_like(row_max), stats=True)[1:]
+    return (_linear_rows(merged, w_out, b_out, np.empty_like(x), x),
+            [xhat, inv_std, p, merged])
 
 
 def _mlp_keep(x, gamma, beta, w1, b1, w2, b2):
     """The output of `Tape.layernorm_mlp` over one group's rows x, bitwise
     its forward's, in a new buffer, and what its backward reads of the
     forward, in a list: xhat, inv_std, the GELU output and its CDF term
-    (`_mlp_kept_hidden_grads`).  The GELU output is written over fc1, as
-    `_mlp_rows` writes it."""
-    xhat, inv_std, normed = _kept_layernorm(x, gamma, beta)
-    h = _linear_rows(normed, w1, b1)
-    del normed
-    cdf = _gelu_cdf_rows(h, np.empty_like(h))
-    _gelu_from_cdf(h, cdf, h)
-    out = _linear_rows(h, w2, b2, np.empty_like(x), x)
-    return out, [xhat, inv_std, h, cdf]
+    (`_mlp_kept_hidden_grads`)."""
+    inv_std = np.empty(x.shape[:-1] + (1,), x.dtype)
+    xhat = _normalize_rows(x, np.empty_like(inv_std), inv_std,
+                           np.empty_like(x))
+    h, cdf = _mlp_replay(_affine_rows(xhat, gamma, beta, np.empty_like(x)),
+                         w1, b1)
+    return (_linear_rows(h, w2, b2, np.empty_like(x), x),
+            [xhat, inv_std, h, cdf])
 
 
 # ----- backward rules ----------------------------------------------------
@@ -1480,43 +1481,36 @@ def _vjp_gelu(node, g):
 
 
 def _attention_weights(gamma, beta, w_qkv, b_qkv, w_out):
-    """What `_attention_rebuild` and `_attention_backward` read of an
-    attention sublayer's saved parameters: those, and contiguous copies of
-    both weights' transposes."""
+    """What `_attention_backward` reads of an attention sublayer's saved
+    parameters: those, and contiguous copies of both weights'
+    transposes."""
     return (gamma, beta, w_qkv, b_qkv, w_out,
             np.ascontiguousarray(w_qkv.T), np.ascontiguousarray(w_out.T))
 
 
-def _attention_rebuild(xhat, row_max, row_sum, weights, heads):
-    """One group's normed rows, q|k|v, probabilities and merged heads,
-    bitwise the forward's, from its input rows xhat normed before the
-    affine and the softmax statistics, in a list that
-    `_attention_backward` takes over."""
-    gamma, beta, w_qkv, b_qkv, w_out = weights[:5]
-    normed = _affine_rows(xhat, gamma, beta, np.empty_like(xhat))
-    qkv = _linear_rows(normed, w_qkv, b_qkv)
-    merged = np.empty(xhat.shape[:-1] + w_out.shape[:1], row_max.dtype)
-    p = _attention_rows(qkv, heads, row_max, row_sum, merged)
-    return [normed, qkv, p, merged]
-
-
-def _attention_backward(bufs, g, weights, heads):
+def _attention_backward(bufs, g, weights, heads, stats=None):
     """The gradient of an attention sublayer's normed rows and the partial
     (dw_qkv, db_qkv, dw_out, db_out) over one group of whole samples, from
-    its output's gradient g and the buffers `bufs` [normed rows, q|k|v,
-    probabilities, merged heads] (`_attention_rebuild`); it empties that
-    list, so each buffer dies once read.
+    its output's gradient g and `bufs`: the normed rows, the
+    probabilities and the merged heads, as `_attention_keep` keeps them,
+    or the normed rows alone, whose probabilities and merged heads
+    `_attention_replay` makes again from `stats`, the group's softmax max
+    and sum.  q|k|v is made again from the normed rows either way.  It
+    empties bufs, so each buffer dies once read.
 
     The merged heads die with the out projection's partials, attention's
     rule runs into the group's dqkv, which dies with the qkv projection's
     partials, and the normed rows' buffer takes their gradient, which is
     returned.
     """
-    w_out, w_qkv_t, w_out_t = weights[4:]
-    normed, qkv, p, merged = bufs
+    w_qkv, b_qkv, w_out, w_qkv_t, w_out_t = weights[2:]
+    normed = bufs.pop(0)
+    qkv, p, merged = (
+        _attention_replay(normed, w_qkv, b_qkv, len(w_out), heads, *stats)
+        if stats else (_linear_rows(normed, w_qkv, b_qkv), *bufs))
     bufs.clear()
     c, n, _ = normed.shape
-    width = w_out.shape[0]
+    width = len(w_out)
     dw_out, db_out = _weight_grads(merged, g)
     del merged
     q, k, v = _split_heads(qkv, heads)
@@ -1555,113 +1549,58 @@ def _vjp_layernorm_attention(node, g):
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        dnormed, grads = _attention_backward(
-            _attention_rebuild(xhat, row_max[s], row_sum[s], weights, heads),
-            g[s], weights, heads)
-        return (*_sublayer_input_grads(xhat, inv_std[s], weights[0], dnormed,
-                                       g[s]), *grads)
+        return _kept_sublayer_grads(
+            [xhat, inv_std[s]], *params[:2],
+            functools.partial(_attention_backward, weights=weights,
+                              heads=heads, stats=(row_max[s], row_sum[s])),
+            g[s])
     return (g, *_grouped(_attention_size(x.shape, params[2], heads),
                          _groups(x.shape), group))
 
 
-def _mlp_rebuild(x, mu, inv_std, gamma, beta, w1, b1):
-    """One group's normed rows, fc1 and GELU CDF term, bitwise the
-    forward's: fc1 is, so the CDF term recomputed from it with the
-    forward's kernel is too.  xhat becomes the normed rows in place.
-    Returned in a list that `_mlp_grads` takes over."""
-    xhat = _xhat_rows(x, mu, inv_std, np.empty_like(x))
-    normed = _affine_rows(xhat, gamma, beta, xhat)
-    f1 = _linear_rows(normed, w1, b1)
-    return [normed, f1, _gelu_cdf_rows(f1, np.empty_like(f1))]
+def _mlp_weights(w1, b1, w2):
+    """What `_mlp_kept_hidden_grads` reads of an MLP sublayer's saved
+    parameters: fc1's weight and bias, and contiguous copies of both
+    weights' transposes."""
+    return w1, b1, np.ascontiguousarray(w1.T), np.ascontiguousarray(w2.T)
 
 
-def _mlp_hidden_grads(bufs, g, w1t, w2t):
+def _mlp_kept_hidden_grads(bufs, g, weights):
     """The gradient of an MLP sublayer's normed rows and the partial
     (dw1, db1, dw2, db2) over one group, from its output's gradient g and
-    the buffers `bufs` [normed rows, fc1, GELU CDF term] (`_mlp_rebuild`);
-    it empties that list, so each buffer dies once read.
-
-    Only one buffer of width d is held while the hidden-wide ones live.
-    The GELU output, made from fc1 and the CDF term, feeds dw2's partial;
-    its buffer then takes 2 * fc1 * pdf(fc1), fc1's takes dh, and the
-    GELU gradient goes into the CDF term's buffer, for dw1's partial.  The
-    normed rows' buffer then takes their gradient, which is returned.
-    """
-    normed, f1, cdf = bufs
-    bufs.clear()
-    h = _gelu_from_cdf(f1, cdf, np.empty_like(f1))
-    dw2, db2 = _weight_grads(h, g)
-    t = _gelu_pdf_rows(f1, h)
-    dh = np.matmul(g, w2t, out=f1)
-    _gelu_grad_from_pdf(cdf, t, dh, cdf)
-    del f1, h, t, dh
-    return _fc1_grads(normed, cdf, w1t, dw2, db2)
-
-
-def _mlp_kept_hidden_grads(bufs, g, w1, b1, w1t, w2t):
-    """`_mlp_hidden_grads` from the buffers [normed rows, GELU output, CDF
-    term] (`_mlp_keep`), which it empties, with two hidden-wide buffers
-    where that holds three.
+    `bufs`: the normed rows, the GELU output and its CDF term, as
+    `_mlp_keep` keeps them, or the normed rows alone, whose other two
+    `_mlp_replay` makes.  It empties bufs, so each buffer dies once read,
+    and holds two hidden-wide buffers at once at most.
 
     The GELU output feeds dw2's partial, and its buffer then takes fc1
     again, from the normed rows.  The GELU gradient's sum of the CDF term
-    and 2 * fc1 * pdf(fc1) goes into the CDF term's buffer one sample at
-    a time, through a temporary of one sample's rows; fc1's buffer then
-    takes dh, and the CDF term's the GELU gradient.  Each value is the
-    one `_gelu_grad_from_pdf` makes, bit for bit.
+    and 2 * fc1 * pdf(fc1) goes into the CDF term's buffer 64 rows at a
+    time, through a temporary of 64 rows; fc1's buffer then takes dh, the
+    CDF term's the GELU gradient, and the normed rows' buffer their
+    gradient, which is returned.  Each value is the one
+    `_gelu_grad_from_pdf` makes, bit for bit: every step is elementwise.
     """
-    normed, h, cdf = bufs
+    w1, b1, w1t, w2t = weights
+    normed = bufs.pop(0)
+    h, cdf = bufs or _mlp_replay(normed, w1, b1)
     bufs.clear()
     dw2, db2 = _weight_grads(h, g)
     f1 = _linear_rows(normed, w1, b1, h)
     del h
-    t = np.empty_like(f1[0])
-    for i in range(len(f1)):
-        cdf[i] += _gelu_pdf_rows(f1[i], t)
+    f1_rows = f1.reshape(-1, f1.shape[-1])
+    cdf_rows = cdf.reshape(f1_rows.shape)
+    t = np.empty((min(64, len(f1_rows)), f1.shape[-1]), f1.dtype)
+    for i in range(0, len(f1_rows), 64):
+        part = cdf_rows[i:i + 64]
+        part += _gelu_pdf_rows(f1_rows[i:i + 64], t[:len(part)])
     del t
     cdf *= 0.5
     cdf *= np.matmul(g, w2t, out=f1)
-    del f1
-    return _fc1_grads(normed, cdf, w1t, dw2, db2)
-
-
-def _fc1_grads(normed, dh, w1t, dw2, db2):
-    """The last steps of an MLP sublayer's hidden gradients, from the
-    gradient dh of fc1's output: the normed rows' buffer takes their
-    gradient, which is returned with the partial (dw1, db1, dw2, db2)."""
-    dw1, db1 = _weight_grads(normed, dh)
-    np.matmul(dh, w1t, out=normed)
+    del f1, f1_rows
+    dw1, db1 = _weight_grads(normed, cdf)
+    np.matmul(cdf, w1t, out=normed)
     return normed, (dw1, db1, dw2, db2)
-
-
-def _attention_kept_backward(bufs, g, weights, heads):
-    """`_attention_backward` from the buffers [normed rows, probabilities,
-    merged heads] (`_attention_keep`), with q|k|v made again from the
-    normed rows."""
-    bufs.insert(1, _linear_rows(bufs[0], *weights[2:4]))
-    return _attention_backward(bufs, g, weights, heads)
-
-
-def _sublayer_input_grads(xhat, inv_std, gamma, dnormed, g):
-    """A pre-norm sublayer's LayerNorm partials (dgamma, dbeta) from its
-    normed rows' gradient dnormed, which takes the input's; that is added
-    to g, the residual's."""
-    grads = _layernorm_grads(xhat, inv_std, gamma, dnormed)
-    g += dnormed
-    return grads
-
-
-def _mlp_grads(x, mu, inv_std, gamma, rebuilt, w1t, w2t, g):
-    """The partial (dgamma, dbeta, dw1, db1, dw2, db2) of
-    `Tape.layernorm_mlp` over one group's input rows x and their output's
-    gradient g, from the buffers `rebuilt` that `_mlp_rebuild` made for
-    them (see `_mlp_hidden_grads`).  The input's gradient less the
-    residual's g is added to g; xhat is made again for it once the
-    hidden-wide buffers are gone."""
-    dnormed, hidden = _mlp_hidden_grads(rebuilt, g, w1t, w2t)
-    xhat = _xhat_rows(x, mu, inv_std, np.empty_like(x))
-    return (*_sublayer_input_grads(xhat, inv_std, gamma, dnormed, g),
-            *hidden)
 
 
 def _mlp_size(shape, w1):
@@ -1673,25 +1612,31 @@ def _mlp_size(shape, w1):
 def _vjp_layernorm_mlp(node, g):
     # One pass, a group at a time; dx is written over g.
     x, mu, inv_std, gamma, beta, w1, b1, w2 = node.saved
-    w1t, w2t = (np.ascontiguousarray(w.T) for w in (w1, w2))
+    inner = functools.partial(_mlp_kept_hidden_grads,
+                              weights=_mlp_weights(w1, b1, w2))
 
     def group(s):
-        return _mlp_grads(x[s], mu[s], inv_std[s], gamma, _mlp_rebuild(
-            x[s], mu[s], inv_std[s], gamma, beta, w1, b1), w1t, w2t, g[s])
+        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
+        return _kept_sublayer_grads([xhat, inv_std[s]], gamma, beta, inner,
+                                    g[s])
     return (g, *_grouped(_mlp_size(x.shape, w1), _groups(x.shape), group))
 
 
 def _kept_sublayer_grads(bufs, gamma, beta, inner, g):
     """The partial gradients of a pre-norm sublayer over one group, from
-    the buffers its forward kept (`_attention_keep`, `_mlp_keep`): xhat,
-    inv_std, and what `inner(bufs, g)` reads after the normed rows, which
-    are made from xhat in their place.  It empties bufs; the input's
-    gradient less the residual's is added to g."""
+    `bufs`: its input rows normed before the affine (xhat), their inv_std,
+    and what `inner(bufs, g)` reads after the normed rows, which are made
+    from xhat in their place.  That is what a decoder-loss forward kept
+    (`_attention_keep`, `_mlp_keep`), or nothing, for a rule whose inner
+    replays it.  It empties bufs.  The LayerNorm's partials (dgamma,
+    dbeta) come before inner's, and the input's gradient less the
+    residual's is added to g."""
     xhat, inv_std = bufs[:2]
     bufs[:2] = [_affine_rows(xhat, gamma, beta, np.empty_like(xhat))]
     dnormed, grads = inner(bufs, g)
-    return (*_sublayer_input_grads(xhat, inv_std, gamma, dnormed, g),
-            *grads)
+    grads = (*_layernorm_grads(xhat, inv_std, gamma, dnormed), *grads)
+    g += dnormed
+    return grads
 
 
 def _mse_grad_rows(pred, target, mask, total, g, out):

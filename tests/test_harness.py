@@ -163,9 +163,28 @@ def test_adamw_state_roundtrip():
     opt.step(params, {"w": np.array([0.1, -0.1])}, lr=0.01)
     st = opt.state_tensors()
     opt2 = AdamW()
-    opt2.load_state_tensors(st)
+    opt2.load_state_tensors(st, np.float64)
     assert opt2.state["w"]["t"] == 1
     np.testing.assert_array_equal(opt2.state["w"]["m"], opt.state["w"]["m"])
+
+
+@pytest.mark.parametrize("saved,resumed", [("f32", "f64"), ("f64", "f32")])
+def test_resume_under_another_dtype_keeps_the_configs_dtype(tmp_path, saved,
+                                                            resumed):
+    # The parameters and both moments of every later checkpoint are in
+    # the resuming config's dtype, not the one the checkpoint was saved in.
+    half = run_pretrain(parse_config(TINY_CONFIG.replace(
+        "dtype = f64", f"dtype = {saved}")), str(tmp_path / "half"),
+        max_steps=4)
+    cfg = parse_config(TINY_CONFIG.replace("dtype = f64",
+                                           f"dtype = {resumed}"))
+    run = run_pretrain(cfg, str(tmp_path / "resumed"),
+                       resume_from=half.checkpoint_paths[0])
+    want = np.dtype(cfg.train.np_dtype)
+    tensors = load_checkpoint(run.checkpoint_paths[-1])
+    wrong = {k: a.dtype.name for k, a in tensors.items()
+             if not k.startswith(("meta.", "opt.t.")) and a.dtype != want}
+    assert not wrong, wrong
 
 
 # ----- config --------------------------------------------------------------------

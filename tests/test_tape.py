@@ -2033,15 +2033,17 @@ def test_desk_rule_parameter_grads_near_whole_batch_sums(n):
 
 def _group_width(kind, d, heads, n):
     """Elements per row of a group that a streamed rule holds at once at
-    most: xhat, the normed rows and the hidden-wide fc1, GELU CDF term and
-    GELU output (layernorm-mlp); xhat, the normed rows and their
+    most: xhat, the normed rows and two hidden-wide buffers, the GELU
+    output written over fc1 and its CDF term, where fc1 is made again over
+    the first once dw2's partial is taken (layernorm-mlp); xhat, the
+    normed rows and their
     gradient's temporary (layernorm-linear); xhat, the normed rows, q|k|v,
     dqkv, the merged heads' gradient and the probabilities, their gradient
     and a product of the two (layernorm-attention); none for the
     decoder-loss node, whose forward ran the unshuffle-attention work's
     backward and whose rule scales the gradients it saved in place
     (unshuffle-attention)."""
-    return {"layernorm-mlp": d + 3 * 4 * d, "layernorm-linear": 3 * d,
+    return {"layernorm-mlp": 2 * d + 2 * 4 * d, "layernorm-linear": 3 * d,
             "layernorm-attention": 9 * d + 3 * heads * n,
             "unshuffle-attention": 0}[kind]
 
@@ -2049,11 +2051,13 @@ def _group_width(kind, d, heads, n):
 def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
     """The rule of `kind` at desk shape n, on `parts` threads, holds at
     most its dx (none when dx is written over g), one group's buffers per
-    thread (`_group_width` per row), contiguous copies of its weights'
-    transposes, and its parameters' partial sums: a running total and one
-    group's partials per thread, and one more total on one thread, which
-    keeps the first half's while it adds the second's.  The copies and
-    each set of sums are at most the parameters' gradients in size."""
+    thread (`_group_width` per row) and, for layernorm-mlp, the 64 rows
+    of the temporary its 2 * fc1 * pdf(fc1) pass walks the hidden rows
+    with, contiguous copies of its weights' transposes, and its
+    parameters' partial sums: a running total and one group's partials
+    per thread, and one more total on one thread, which keeps the first
+    half's while it adds the second's.  The copies and each set of sums
+    are at most the parameters' gradients in size."""
     monkeypatch.setattr(tape, "_PARTS", parts)
     vals, heads = _desk_values(n, np.float32)
     node = _desk_node(Tape(), kind, vals, heads)
@@ -2073,7 +2077,9 @@ def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
           else 4 * 64 * n * d)
     params = sum(a.nbytes for a in grads[1:] if a is not None)
     rows = max(1, tape._GROUP_ROWS // n) * n
-    bound = (dx + 4 * parts * rows * _group_width(kind, d, heads, n)
+    pdf_rows = 64 * 4 * d if kind == "layernorm-mlp" else 0
+    bound = (dx + 4 * parts * (rows * _group_width(kind, d, heads, n)
+                               + pdf_rows)
              + (2 * parts + 2) * params)
     assert peak <= bound, (peak, bound)
 
