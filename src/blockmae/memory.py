@@ -13,6 +13,7 @@ Token counts in the compute model are exact fractions of N, not floored,
 so schedules with equal average ratios compare as exactly equal.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .engine import (
     partition_encoder,
 )
 from .data import gen_synthetic_dataset
-from .model import keep_count
+from .model import block_head_shapes, keep_count
 
 
 class ResourceError(Exception):
@@ -82,13 +83,10 @@ def _bridge_bytes(b, n, d, s):
 
 def _decoder_params(spec):
     """The parameter count of one block's decoder, its bridge aside: the
-    mask token, every layer, the final norm and the prediction head."""
-    dd, p = spec.decoder_dim, spec.patch_pixels
-    hidden = dd * spec.mlp_ratio
-    # LN1, the qkv and out projections, LN2, fc1 and fc2, with biases
-    layer = (2 * dd + 3 * dd * (dd + 1) + dd * (dd + 1) + 2 * dd
-             + hidden * (dd + 1) + dd * (hidden + 1))
-    return dd + spec.decoder_depth * layer + 2 * dd + p * (dd + 1)
+    `dec.*` entries of the model's shape table."""
+    return sum(math.prod(shape)
+               for name, shape in block_head_shapes(spec, 0).items()
+               if name.startswith("block0.dec."))
 
 
 def _decoder_bytes(spec, b, n_vis, s):
@@ -96,8 +94,9 @@ def _decoder_bytes(spec, b, n_vis, s):
 
     They are one node, which computes its gradients as it runs and saves
     only those: the bridge output's, [n_vis, dd] per sample, and the
-    decoder parameters'.  No activation of the decoder is held, so its
-    bytes grow neither with its depth nor with the N patches it decodes.
+    decoder parameters'.  No activation, nor the loss mask it builds
+    from the kept ids, is held, so its bytes grow neither with its depth
+    nor with the N patches it decodes.
     """
     return s * (b * n_vis * spec.decoder_dim + _decoder_params(spec))
 

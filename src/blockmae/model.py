@@ -9,9 +9,9 @@ for free.  No function here tags nodes with a block: the caller's
 `Tape.block` scope does.
 
 A step's visibility is one int64 array `kept` [batch, k]: each sample's
-visible patch ids in token order.  The embedding's position rows and the
-decoder's visible rows are picked by it inside their tape nodes; the
-loss mask is the one array derived from it, where the loss reads it.
+visible patch ids in token order.  The embedding's position rows, the
+decoder's visible rows and the loss mask, which scores every patch but
+the kept ones, are all derived from it inside their tape nodes.
 
 Attention uses the usual head-batched layout: one `attn.qkv` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), runs every head
@@ -101,14 +101,16 @@ def _xavier_uniform(seed, fan_in, fan_out, shape, dtype):
     return ((u * 2.0 - 1.0) * limit).astype(dtype)
 
 
-def _layer_param_shapes(dim, mlp_ratio):
+def _layer_param_shapes(layer, dim, mlp_ratio):
+    """Name -> shape of one transformer layer's parameters under `layer`."""
     hidden = dim * mlp_ratio
-    return {"ln1.g": (dim,), "ln1.b": (dim,),
-            "ln2.g": (dim,), "ln2.b": (dim,),
-            "attn.qkv.w": (dim, 3 * dim), "attn.qkv.b": (3 * dim,),
-            "attn.out.w": (dim, dim), "attn.out.b": (dim,),
-            "mlp.fc1.w": (dim, hidden), "mlp.fc1.b": (hidden,),
-            "mlp.fc2.w": (hidden, dim), "mlp.fc2.b": (dim,)}
+    shapes = {"ln1.g": (dim,), "ln1.b": (dim,),
+              "ln2.g": (dim,), "ln2.b": (dim,),
+              "attn.qkv.w": (dim, 3 * dim), "attn.qkv.b": (3 * dim,),
+              "attn.out.w": (dim, dim), "attn.out.b": (dim,),
+              "mlp.fc1.w": (dim, hidden), "mlp.fc1.b": (hidden,),
+              "mlp.fc2.w": (hidden, dim), "mlp.fc2.b": (dim,)}
+    return {f"{layer}.{key}": shape for key, shape in shapes.items()}
 
 
 def split_qkv_names(layer, heads):
@@ -117,17 +119,17 @@ def split_qkv_names(layer, heads):
     return [f"{layer}.attn.{proj}{h}" for proj in "qkv" for h in range(heads)]
 
 
-def _init_layer_params(layer, dim, heads, mlp_ratio, seed, dtype):
-    """One transformer layer's parameters under the prefix `layer`.
+def _init_params(shapes, heads, seed, dtype):
+    """A parameter for each name -> shape entry, in the table's order.
 
-    The `attn.qkv` weight is the column concatenation of per-head xavier
+    Each `attn.qkv` weight is the column concatenation of per-head xavier
     draws seeded by the split layout's names, so a fresh model computes the
     same function as one built with a projection per head.
     """
     params = {}
-    for key, shape in _layer_param_shapes(dim, mlp_ratio).items():
-        name = f"{layer}.{key}"
-        if key == "attn.qkv.w":
+    for name, shape in shapes.items():
+        if name.endswith(".attn.qkv.w"):
+            layer, dim = name.removesuffix(".attn.qkv.w"), shape[0]
             params[name] = np.concatenate(
                 [_init_param(f"{head}.w", (dim, dim // heads), seed, dtype)
                  for head in split_qkv_names(layer, heads)], axis=1)
@@ -154,36 +156,38 @@ def init_encoder_params(spec, seed, dtype=np.float32):
     """Patch embedding plus `depth` transformer layers, name-keyed."""
     shapes = {"embed.w": (spec.patch_pixels, spec.embed_dim),
               "embed.b": (spec.embed_dim,)}
-    params = {name: _init_param(name, shape, seed, dtype)
-              for name, shape in shapes.items()}
     for j in range(spec.depth):
-        params.update(_init_layer_params(f"enc.layer{j}", spec.embed_dim,
-                                         spec.heads, spec.mlp_ratio, seed,
-                                         dtype))
-    return params
+        shapes.update(_layer_param_shapes(f"enc.layer{j}", spec.embed_dim,
+                                          spec.mlp_ratio))
+    return _init_params(shapes, spec.heads, seed, dtype)
+
+
+def block_head_shapes(spec, block_id):
+    """Name -> shape of one block's bridge (LayerNorm + projection) and
+    local decoder parameters: the `block{i}.bridge.*` and `block{i}.dec.*`
+    entries, in the order `init_block_head_params` draws them."""
+    d, dd, pfx = spec.embed_dim, spec.decoder_dim, f"block{block_id}"
+    shapes = {
+        f"{pfx}.bridge.ln.g": (d,),
+        f"{pfx}.bridge.ln.b": (d,),
+        f"{pfx}.bridge.proj.w": (d, dd),
+        f"{pfx}.bridge.proj.b": (dd,),
+        f"{pfx}.dec.mask_token": (dd,),
+        f"{pfx}.dec.ln.g": (dd,),
+        f"{pfx}.dec.ln.b": (dd,),
+        f"{pfx}.dec.pred.w": (dd, spec.patch_pixels),
+        f"{pfx}.dec.pred.b": (spec.patch_pixels,),
+    }
+    for j in range(spec.decoder_depth):
+        shapes.update(_layer_param_shapes(f"{pfx}.dec.layer{j}", dd,
+                                          spec.mlp_ratio))
+    return shapes
 
 
 def init_block_head_params(spec, block_id, seed, dtype=np.float32):
     """Bridge (LayerNorm + projection) and local decoder for one block."""
-    d, dd = spec.embed_dim, spec.decoder_dim
-    shapes = {
-        f"block{block_id}.bridge.ln.g": (d,),
-        f"block{block_id}.bridge.ln.b": (d,),
-        f"block{block_id}.bridge.proj.w": (d, dd),
-        f"block{block_id}.bridge.proj.b": (dd,),
-        f"block{block_id}.dec.mask_token": (dd,),
-        f"block{block_id}.dec.ln.g": (dd,),
-        f"block{block_id}.dec.ln.b": (dd,),
-        f"block{block_id}.dec.pred.w": (dd, spec.patch_pixels),
-        f"block{block_id}.dec.pred.b": (spec.patch_pixels,),
-    }
-    params = {name: _init_param(name, shape, seed, dtype)
-              for name, shape in shapes.items()}
-    for j in range(spec.decoder_depth):
-        params.update(_init_layer_params(f"block{block_id}.dec.layer{j}", dd,
-                                         spec.decoder_heads, spec.mlp_ratio,
-                                         seed, dtype))
-    return params
+    return _init_params(block_head_shapes(spec, block_id),
+                        spec.decoder_heads, seed, dtype)
 
 
 # ----- positions and patches -------------------------------------------------
@@ -262,13 +266,6 @@ def mask_indices(num_patches, ratio, seeds):
         :, :keep_count(num_patches, ratio)]
 
 
-def patch_mask(kept, num_patches):
-    """[b, N] int64 mask of `kept`: 1 on hidden patches, 0 on visible ones."""
-    mask = np.ones((len(kept), num_patches), dtype=np.int64)
-    np.put_along_axis(mask, kept, 0, axis=-1)
-    return mask
-
-
 # ----- transformer layers ----------------------------------------------------
 
 def _param(tape, params, name):
@@ -321,10 +318,10 @@ def reconstruction_loss(tape, params, spec, z, targets, kept, decoder_id):
     The decoder puts token j of sample i at patch kept[i, j] and a learned
     mask token at every other patch, adds the decoder position table and
     runs its layers, the final norm and the projection to patch pixels
-    over all N patches; the loss averages the hidden patches' errors.
+    over all N patches; the loss averages the errors of the patches
+    `kept` does not name, and the node takes them from `kept` itself.
     """
     pfx = f"block{decoder_id}.dec"
-    mask = patch_mask(kept, spec.num_patches).astype(z.dtype)
     pos = tape.leaf(sincos_pos_embed(spec.grid_side, spec.decoder_dim)
                     .astype(z.dtype))
     # Leaves in the order of the parameters' first use: the gradient table,
@@ -337,4 +334,4 @@ def reconstruction_loss(tape, params, spec, z, targets, kept, decoder_id):
         z, fill, pos, kept, layers,
         *_sublayer_params(tape, params, pfx,
                           ("ln.g", "ln.b", "pred.w", "pred.b")),
-        tape.leaf(targets), tape.leaf(mask), spec.decoder_heads)
+        tape.leaf(targets), spec.decoder_heads)

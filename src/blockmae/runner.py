@@ -397,7 +397,9 @@ def run_probe(cfg, checkpoint_path, k, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     prefix = _model_from_checkpoint(cfg, checkpoint_path, k)
     ds = _dataset_for(cfg)
-    if ds.labels is not None and ds.labels.max() >= cfg.train.num_classes:
+    # An empty dataset has no top label: linear_probe refuses it by size.
+    if (ds.labels is not None and len(ds)
+            and ds.labels.max() >= cfg.train.num_classes):
         top = ds.labels.max()
         raise ConfigError(
             f"dataset label {top} needs num_classes > {top}, the config "

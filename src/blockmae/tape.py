@@ -43,9 +43,9 @@ Charged buffers per primitive:
                   and of every parameter, which it computes as it runs.
                   No activation is saved: neither the decoder's input
                   (z's rows put among mask tokens plus the position
-                  table), nor any layer's buffers, the prediction or the
-                  ids.  The position table, target and mask are leaves,
-                  uncharged
+                  table), nor any layer's buffers, the prediction, the
+                  ids or the loss mask it builds from them.  The position
+                  table and target are leaves, uncharged
     boundary      the array it is given, shared, not copied: the block
                   before's output, or the rows of it the reading block
                   keeps.  Charged from the moment it is recorded, after
@@ -662,7 +662,7 @@ class Tape:
                                       self._act(mask)])
 
     def decoder_loss(self, z, fill, pos, kept, layers, head_gamma, head_beta,
-                     w, b, target, mask, heads):
+                     w, b, target, heads):
         """A decoder and its masked loss in one node, which computes its
         inputs' gradients as it runs.
 
@@ -673,8 +673,8 @@ class Tape:
         order `layernorm_attention` and `layernorm_mlp` take them, runs
         those two sublayers on x; the node's value is
         mse_masked(layernorm_linear(x, head_gamma, head_beta, w, b),
-        target, mask).  kept [b, k] holds each sample's k unique visible
-        row ids.
+        target, mask), where mask [b, n] is 1 on the rows that kept [b, k],
+        each sample's k < n unique visible row ids, does not name.
 
         Each group of samples (the cut of `_groups` over x's shape) runs
         its forward with the kernels of the nodes it fuses, so the loss is
@@ -686,8 +686,8 @@ class Tape:
         again.  Every gradient, its groups' partials summed in
         `_grouped`'s order, is the nodes' bit for bit.  The gradients of
         z, fill and the parameters are saved, and backward scales them by
-        its incoming gradient, which is exact at 1.  pos, target and mask
-        are constants: they get no gradient.
+        its incoming gradient, which is exact at 1.  pos and target are
+        constants: they get no gradient.
         """
         zv, fv, pv = z.value, fill.value, pos.value
         if (zv.ndim != 3 or pv.ndim != 2 or fv.shape != zv.shape[-1:]
@@ -710,7 +710,9 @@ class Tape:
         head = [n.value for n in (head_gamma, head_beta, w, b)]
         _check_layernorm(shape, *head[:2])
         _check_linear(shape, head[2].shape, head[3].shape, "decoder-loss")
-        tv, mv = target.value, mask.value
+        tv = target.value
+        mv = np.ones(shape[:2], zv.dtype)
+        mv[_per_sample(kept)] = 0
         total = _check_mse(shape[:-1] + head[2].shape[1:], tv, mv,
                            "decoder-loss")
         per_row = np.empty(mv.shape, zv.dtype)
@@ -754,9 +756,7 @@ class Tape:
                 grads[:0] = _kept_sublayer_grads(mlp, *p[6:8], mlp_inner, dx)
                 grads[:0] = _kept_sublayer_grads(att, *p[:2], att_inner, dx)
             dz[s] = dx[_per_sample(kept[s])]
-            hidden = np.ones(dx.shape[:2], bool)
-            hidden[_per_sample(kept[s])] = False
-            dfill[s] = dx[hidden].reshape(dfill[s].shape)
+            dfill[s] = dx[mv[s] != 0].reshape(dfill[s].shape)
             return grads
         size = max([math.prod(shape)] + [
             max(_attention_size(shape, p[2], heads), _mlp_size(shape, p[8]))
@@ -764,7 +764,7 @@ class Tape:
         grads = _grouped(size, _groups(shape), group)
         node = Node("decoder-loss", _masked_mean(per_row, mv, total),
                     (z, fill, pos, *(n for layer in layers for n in layer),
-                     head_gamma, head_beta, w, b, target, mask))
+                     head_gamma, head_beta, w, b, target))
         return self._register(node, [(dz, True),
                                       (_broadcast_grad(dfill, 2), True),
                                       *((a, True) for a in grads)])
@@ -1658,11 +1658,11 @@ def _vjp_mse_masked(node, g):
 
 def _vjp_decoder_loss(node, g):
     # The node's own gradients, which no other node holds: scaled in place.
-    # The last two entries are target's and mask's, constants: none.
+    # pos and target are constants: none.
     for a in node.saved:
         a *= g
     dz, dfill, *grads = node.saved
-    return (dz, dfill, None, *grads, None, None)
+    return (dz, dfill, None, *grads, None)
 
 
 _VJP = {

@@ -19,7 +19,7 @@ from blockmae.config import (
     ConfigError, PRESETS, TrainConfig, load_config, parse_config,
 )
 from blockmae.data import (
-    FormatError, gen_synthetic_dataset, load_dataset, save_dataset,
+    Dataset, FormatError, gen_synthetic_dataset, load_dataset, save_dataset,
 )
 from blockmae.engine import BlockPlan, build_model
 from blockmae.model import ModelSpec
@@ -994,6 +994,25 @@ def test_cli_probe_refuses_a_dataset_too_small_to_split(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: linear probing needs at least 2 images to split into train "
         "and validation, got 1")
+    assert not os.path.exists(os.path.join(out, "probe_results.csv"))
+
+
+def test_cli_probe_refuses_an_empty_dataset(tmp_path, capsys):
+    # A BIMD file may hold no image; the label check must not reduce an
+    # empty array before the size check refuses it.
+    data = str(tmp_path / "empty.bimd")
+    save_dataset(Dataset(np.zeros((0, 16, 16, 1), np.uint8),
+                         np.zeros(0, np.uint32)), data)
+    assert len(load_dataset(data)) == 0
+    ckpt = run_pretrain(parse_config(TINY_CONFIG), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    cfg_path = _write_cfg(tmp_path, TINY_CONFIG + f"dataset = {data}\n")
+    out = str(tmp_path / "out")
+    assert cli_main(["probe", "--config", cfg_path, "--checkpoint", ckpt,
+                     "--k", "2", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: linear probing needs at least 2 images to split into train "
+        "and validation, got 0")
     assert not os.path.exists(os.path.join(out, "probe_results.csv"))
 
 

@@ -11,7 +11,7 @@ from blockmae import tape as tape_module
 from blockmae.model import (
     ModelSpec, _xavier_uniform, embed_visible, encoder_block_layer,
     init_block_head_params, init_encoder_params, keep_count,
-    local_decoder_forward, mask_indices, patch_mask, patch_targets, patchify,
+    local_decoder_forward, mask_indices, patch_targets, patchify,
     reconstruction_loss, sincos_pos_embed,
 )
 from blockmae.tape import (
@@ -183,7 +183,6 @@ def test_mask_keep_count_196():
 def test_mask_ratio_zero_identity():
     kept = mask_indices(10, 0.0, [12])
     assert kept.shape == (1, 10)
-    assert np.all(patch_mask(kept, 10) == 0)
     assert np.array_equal(np.sort(kept[0]), np.arange(10))
 
 
@@ -203,11 +202,8 @@ def test_mask_partition_and_restore_bijection():
     targets = patch_targets(_images(spec, 3, seed=8), spec)
     for trial in range(50):
         kept = mask_indices(n, 0.6, [rng.split(trial, i) for i in range(3)])
-        mask = patch_mask(kept, n)
         k = kept.shape[1]
         assert k == keep_count(n, 0.6)
-        assert np.all(mask.sum(axis=1) == n - k)
-        assert np.all(np.take_along_axis(mask, kept, axis=1) == 0)
         t = Tape()
         z = t.leaf(rng.normals(trial, 3 * k * spec.embed_dim).reshape(
             3, k, spec.embed_dim))
@@ -218,7 +214,7 @@ def test_mask_partition_and_restore_bijection():
         # mask token, each plus its position row.
         dec_in = np.empty((3, n, spec.decoder_dim))
         for i in range(3):
-            hidden = np.flatnonzero(mask[i])
+            hidden = np.setdiff1d(np.arange(n), kept[i])
             assert np.array_equal(np.sort(np.concatenate([kept[i], hidden])),
                                   np.arange(n))
             dec_in[i, kept[i]] = bridged[i] + pos[kept[i]]
@@ -228,7 +224,7 @@ def test_mask_partition_and_restore_bijection():
         ref = Tape()
         want = ref.mse_masked(
             _decode(ref, params, spec, ref.leaf(dec_in), 0),
-            ref.leaf(targets), ref.leaf(mask.astype(np.float64)))
+            ref.leaf(targets), ref.leaf(_hidden_mask(kept, n, np.float64)))
         assert np.array_equal(loss.value, want.value)
 
 
@@ -499,6 +495,14 @@ def _decoder_setup(ratio=0.5, batch=2, seed=31):
     return spec, params, kept, t, z
 
 
+def _hidden_mask(kept, n, dtype):
+    """The reference loss's mask of `kept` [b, k]: 1 on each sample's
+    hidden patches, 0 on its kept ones."""
+    mask = np.ones((len(kept), n), dtype)
+    mask[np.arange(len(kept))[:, None], kept] = 0
+    return mask
+
+
 def _leaves(t, params, prefix, names):
     return [t.leaf(params[f"{prefix}.{name}"], name=f"{prefix}.{name}",
                    requires_grad=True) for name in names]
@@ -637,7 +641,7 @@ def test_loss_gradient_zero_on_unmasked_predictions():
     assert all(np.array_equal(grads2[k], grads[k]) for k in grads)
     assert np.abs(grads["z"]).max() > 0.0
     hidden = targets.copy()
-    hidden[0, np.flatnonzero(patch_mask(kept, spec.num_patches)[0])[0]] += 1.0
+    hidden[0, np.setdiff1d(np.arange(spec.num_patches), kept[0])[0]] += 1.0
     assert run(hidden)[0] != loss
 
 
@@ -667,7 +671,7 @@ def test_loss_node_bitwise_equal_mlp_head_and_mse_nodes(depth, dtype):
             loss = reconstruction_loss(t, params, spec, x, targets, kept, 1)
         else:
             pred = _predict(t, params, spec, zn, kept, 1)
-            mask = patch_mask(kept, spec.num_patches).astype(dtype)
+            mask = _hidden_mask(kept, spec.num_patches, dtype)
             loss = t.mse_masked(pred, t.leaf(targets), t.leaf(mask))
         return loss.value.copy(), t.backward(loss)
 

@@ -1,7 +1,8 @@
 """Source hygiene: every module reads each name it imports, every
 private module-level definition is read somewhere in the package, the
-tape's table of charged buffers names every node kind, the tape
-primitives that no package code calls are the known ones, and every
+public functions that no package or benchmark code reads are the known
+ones, the tape's table of charged buffers names every node kind, the
+tape primitives that no package code calls are the known ones, and every
 package name the benchmark wraps exists."""
 
 import ast
@@ -88,6 +89,51 @@ def test_package_reads_every_private_definition():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in SRC.glob("*.py")}
     assert _unread_privates(sources) == []
+
+
+def _unread_functions(sources, readers):
+    """`module.name` of each public top-level function in `sources`
+    (module name -> source) that neither they nor the sources `readers`
+    load, by name or as an attribute, sorted."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in [*trees.values(), *map(ast.parse, readers)]
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{m}.{node.name}" for m, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")
+                  and node.name not in read)
+
+
+def test_detector_finds_an_unread_public_function():
+    sources = {
+        "a": ("def used():\n    pass\n"
+              "def orphan():\n    pass\n"
+              "def _private():\n    pass\n"
+              "class Public:\n    pass\n"
+              "def called_by_b():\n    return used()\n"),
+        "b": ("from .a import orphan as kept\n"
+              "def wrapped():\n    pass\n"),
+    }
+    readers = ["import b\nb.wrapped\na.called_by_b()\n"]
+    assert _unread_functions(sources, readers) == ["a.orphan"]
+
+
+# Public functions that no package or benchmark module reads: the tests'
+# finite-difference oracle, and a cost model only the tests call.  A helper
+# whose last caller goes, and is left behind, fails the test by name.
+UNREAD_FUNCTIONS = {"tape.finite_diff", "ofa.training_cost_saving"}
+
+
+def test_public_functions_without_a_reader_are_the_known_ones():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
+    bench = [p.read_text(encoding="utf-8")
+             for p in (ROOT / "perfbench").glob("*.py")]
+    assert _unread_functions(sources, bench) == sorted(UNREAD_FUNCTIONS)
 
 
 def _table_kinds(doc):

@@ -260,7 +260,7 @@ def _fused(t, kind, v):
 def _unshuffle_attention(t, v, build):
     """`build` (`_decoder_loss` or `_decoder_chain`) of the decoder whose
     input z, mask token and first attention sublayer read the leaves v;
-    its MLP, head, target and mask are constants.  The decoder-loss node
+    its MLP, head and target are constants.  The decoder-loss node
     runs the work of the unshuffle-attention node it replaced."""
     vals, consts = _decoder_values(2, 3, 5, 4, 1, v["z"].value.dtype, 6310,
                                    kept=_KEPT)
@@ -486,7 +486,7 @@ def test_attention_and_unshuffle_refuse_mismatched_shapes():
                        t.leaf(consts["pos"]), consts["kept"],
                        [[t.leaf(vals[f"0.{k}"]) for k in _ATTENTION]],
                        *(t.leaf(vals[k]) for k in _HEAD),
-                       t.leaf(consts["target"]), t.leaf(consts["mask"]), 2)
+                       t.leaf(consts["target"]), 2)
     assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
@@ -552,9 +552,7 @@ def _one_node_per_backward_rule():
                            (4,), (4,), (4, 12), (12,), (4, 4), (4,), (4,),
                            (4,), (4, 6), (6,), (6, 4), (4,)))]],
                        leaf(64, 4), leaf(65, 4), leaf(66, 4, 5), leaf(67, 5),
-                       leaf(68, 2, 5, 5),
-                       t.leaf(np.array([[0.0, 1.0, 1.0, 0.0, 0.0],
-                                        [0.0, 0.0, 0.0, 1.0, 1.0]])), 2),
+                       leaf(68, 2, 5, 5), 2),
     ]
 
 
@@ -704,8 +702,8 @@ def _decoder_values(b, k, n, d, depth, dtype, seed, hidden=None, pixels=3,
     """The inputs of `Tape.decoder_loss` that take a gradient, by name: z
     [b, k, d], fill, layer j's parameters as f"{j}.{name}" for the names
     of _LAYER, and the head's; and its constants: pos [n, d], each
-    sample's k visible row ids (`kept`, or drawn from the seed), the
-    target and the mask of the other rows."""
+    sample's k visible row ids (`kept`, or drawn from the seed) and the
+    target."""
     hidden = hidden or 2 * d
     shapes = {"z": (b, k, d), "fill": (d,)}
     for j in range(depth):
@@ -719,11 +717,8 @@ def _decoder_values(b, k, n, d, depth, dtype, seed, hidden=None, pixels=3,
     if kept is None:
         kept = np.stack([rng.permutation(seed + 100 + i, n)[:k]
                          for i in range(b)])
-    mask = np.ones((b, n), dtype)
-    mask[np.arange(b)[:, None], kept] = 0.0
     consts = {"pos": _rand(seed + 200, n, d).astype(dtype), "kept": kept,
-              "target": _rand(seed + 201, b, n, pixels).astype(dtype),
-              "mask": mask}
+              "target": _rand(seed + 201, b, n, pixels).astype(dtype)}
     return vals, consts
 
 
@@ -736,13 +731,13 @@ def _decoder_loss(t, v, c, heads):
     layers = [[v[f"{j}.{name}"] for name in _LAYER] for j in range(_depth(v))]
     return t.decoder_loss(v["z"], v["fill"], t.leaf(c["pos"]), c["kept"],
                           layers, *(v[name] for name in _HEAD),
-                          t.leaf(c["target"]), t.leaf(c["mask"]), heads)
+                          t.leaf(c["target"]), heads)
 
 
 def _decoder_chain(t, v, c, heads):
     """The nodes `Tape.decoder_loss` fuses: the decoder input built by
     five nodes, each layer's attention and MLP nodes, the head's
-    layernorm-linear and the masked MSE."""
+    layernorm-linear and the masked MSE over the rows `kept` leaves out."""
     x = None
     for j in range(_depth(v)):
         attention = [v[f"{j}.{name}"] for name in _ATTENTION]
@@ -752,7 +747,9 @@ def _decoder_chain(t, v, c, heads):
              else t.layernorm_attention(x, *attention, heads))
         x = t.layernorm_mlp(x, *(v[f"{j}.{name}"] for name in _LAYER[6:]))
     pred = t.layernorm_linear(x, *(v[name] for name in _HEAD))
-    return t.mse_masked(pred, t.leaf(c["target"]), t.leaf(c["mask"]))
+    mask = np.ones(pred.shape[:2], pred.dtype)
+    mask[np.arange(len(mask))[:, None], c["kept"]] = 0.0
+    return t.mse_masked(pred, t.leaf(c["target"]), t.leaf(mask))
 
 
 def _decoder_run(vals, consts, heads, fused=True, upstream=None):
@@ -888,14 +885,12 @@ def test_mlp_head_mse_refuses_a_target_not_of_the_prediction_shape():
                              r"decoder-loss pred \(5, 3, 3\) vs target")
 
 
-def test_mlp_head_mse_refuses_a_mask_not_of_the_prediction_rows():
-    _assert_mlp_head_refuses({"mask": np.ones((5, 4))}, DimensionError,
-                             r"decoder-loss mask \(5, 4\) vs rows \(5, 3\)")
-
-
 def test_mlp_head_mse_refuses_a_mask_with_no_masked_row():
-    _assert_mlp_head_refuses({"mask": np.zeros((5, 3))}, ContractError,
-                             "decoder-loss: no masked rows")
+    # The node builds its mask from kept: ids for all 3 rows (k = n) leave
+    # it no row to score.
+    _assert_mlp_head_refuses({"x": np.zeros((5, 3, 4)),
+                              "kept": np.tile([2, 0, 1], (5, 1))},
+                             ContractError, "decoder-loss: no masked rows")
 
 
 @pytest.mark.parametrize("shapes,match", [
