@@ -24,7 +24,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .engine import (
     BlockPlan, BlockUnit, BlockwiseModel, IsolationError, ScheduleError,
     StepReport, blockwise_train_step, build_model, incremental_drop,
-    mae_train_step, partition_encoder,
+    partition_encoder,
 )
 from .memory import FlopReport, MemoryReport, analytic_peak, compare_peak, flop_estimate
 from .model import ModelSpec, reconstruction_loss, sincos_pos_embed

@@ -26,7 +26,7 @@ from .runner import (
 from .tape import TapeError
 
 _ERRORS = (ConfigError, FormatError, ScheduleError, IsolationError,
-           ResourceError, TapeError, OSError)
+           ResourceError, TapeError, OSError, MemoryError)
 
 
 def _add_common(sp, checkpoint=False, k=False, resume=False, batch=False):
@@ -100,7 +100,7 @@ def main(argv=None):
             path = write_flop_report(cfg, args.out)
             print(f"flop report: {path}")
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -10,10 +10,10 @@ none is dropped).  Each block builds its own patch targets, which die
 with its backward.
 
 `BlockPlan` owns the schedule rules (name, ratio range, one ratio per
-block, order) and `block_layers` the block layout.  The end-to-end
-baseline is the one-block plan, named "mae", and runs through the same
-step body, `blockwise_train_step`, so the two are bitwise comparable
-under shared seeds.
+block, order) and `block_layers` the block layout.  `blockwise_train_step`
+is the one training step for every plan: the end-to-end MAE baseline is
+the one-block plan, one forward and one backward over every layer, so
+the two are bitwise comparable under shared seeds.
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +40,10 @@ class IsolationError(Exception):
 @dataclass
 class BlockPlan:
     """Block count and per-block masking ratios; the one place a schedule
-    is checked, each raising ScheduleError.  Only its own rule reads `mode`
-    ("mae" only for one block), which stays for perfbench's `plan_of`."""
+    is checked, each raising ScheduleError.  A one-block plan is the
+    end-to-end MAE baseline, whatever its `mode`.  Only its own rule reads
+    `mode` ("mae" only for one block), which stays for perfbench's
+    `plan_of`."""
 
     num_blocks: int = 4
     mask_schedule: tuple = (0.75, 0.75, 0.75, 0.75)
@@ -233,10 +235,3 @@ def blockwise_train_step(blocks, images, plan, optimizer, lr, step_seed):
     return StepReport(losses=losses, mean_loss=float(np.mean(losses)),
                       peak_activation_bytes=tape.meter.peak_activation_bytes,
                       live_after_release=live_trace)
-
-
-def mae_train_step(blocks, images, ratio, optimizer, lr, step_seed):
-    """End-to-end baseline: one forward, one full backward, one update."""
-    return blockwise_train_step(blocks, images,
-                                BlockPlan(1, (ratio,), "mae"),
-                                optimizer, lr, step_seed)

@@ -59,11 +59,13 @@ class FlopReport:
 
 # ----- analytic byte model ------------------------------------------------------
 
-def _layer_bytes(b, n, d, heads, s, input_charged=True):
+def _layer_bytes(b, n, d, heads, s):
     """Charged bytes of one transformer layer at n tokens, width d.
 
-    Per sample, in units of n*d: the layer input to the attention node
-    (when charged), and the residual sum to the MLP node (1).  The row
+    Per sample, in units of n*d: the layer input, saved by the attention
+    node (1), and the residual sum, saved by the MLP node (1).  A block's
+    first layer is priced alike: its input, the embedding's output in
+    block 0 and the boundary leaf after it, is charged once.  The row
     statistics: each node's LayerNorm saves a mean and an inverse std per
     row, 2n, and attention a softmax max and sum per row and head,
     2*heads*n.  No LayerNorm output, q|k|v, attention probability, merged
@@ -71,9 +73,7 @@ def _layer_bytes(b, n, d, heads, s, input_charged=True):
     recomputes them.  So no term is quadratic in n, and none grows with
     the MLP's hidden width.
     """
-    lin = (1 + (1 if input_charged else 0)) * n * d
-    aux = (4 + 2 * heads) * n
-    return s * b * (lin + aux)
+    return s * b * (2 * n * d + (4 + 2 * heads) * n)
 
 
 def _bridge_bytes(b, n, d, s):
@@ -108,28 +108,24 @@ def _visible_counts(spec, plan):
 def analytic_peak(spec, plan, batch, dtype_size=4):
     """Closed-form peak activation bytes for one training step.
 
-    The peak is the largest block's live bytes: its encoder layers, bridge,
-    local decoder and loss, plus, after block 0, its boundary: the n_i
-    tokens it keeps of the block before's output.  That boundary is the
-    first layer's input, so the layer does not charge it again.  A
-    block's own output is the bridge's saved input until the block is
-    released; the next block's boundary is recorded after that release,
-    so no token is counted twice.  End-to-end MAE is the one-block case:
-    every layer of one long backward, with no boundary.
+    The peak is the largest block's live bytes at the n_i tokens it
+    keeps: its encoder layers, bridge, local decoder and loss.  Each layer
+    prices its own input, a block's first layer too: the embedding's
+    output in block 0, after it the boundary of the tokens the block
+    keeps of the block before's output.  A block's own output is the
+    bridge's saved input until the block is released; the next block's
+    boundary is recorded after that release, so no token is counted
+    twice.  End-to-end MAE is the one-block case: every layer of one long
+    backward.
     """
     s = dtype_size
     b = batch
     d = spec.embed_dim
-    counts = _visible_counts(spec, plan)
-    peak = 0
-    for i, layers in enumerate(block_layers(spec.depth, plan.num_blocks)):
-        n_i = counts[i]
-        live = s * b * n_i * d if i > 0 else 0        # boundary
-        live += _layer_bytes(b, n_i, d, spec.heads, s, input_charged=(i == 0))
-        live += (len(layers) - 1) * _layer_bytes(b, n_i, d, spec.heads, s)
-        live += _bridge_bytes(b, n_i, d, s) + _decoder_bytes(spec, b, n_i, s)
-        peak = max(peak, live)
-    return peak
+    return max(
+        len(layers) * _layer_bytes(b, n_i, d, spec.heads, s)
+        + _bridge_bytes(b, n_i, d, s) + _decoder_bytes(spec, b, n_i, s)
+        for layers, n_i in zip(block_layers(spec.depth, plan.num_blocks),
+                               _visible_counts(spec, plan)))
 
 
 # ----- instrumented comparison ----------------------------------------------------
@@ -168,10 +164,11 @@ def compare_peak(spec, plan, batch, seed=0, dtype=np.float32):
     """
     dtype = np.dtype(dtype)
     s = dtype.itemsize
-    images = gen_synthetic_dataset(spec.image_size, batch, seed,
-                                   channels=spec.channels).images(dtype=dtype)
     mae_plan = BlockPlan(num_blocks=1, mask_schedule=plan.mask_schedule[:1])
     try:
+        images = gen_synthetic_dataset(
+            spec.image_size, batch, seed,
+            channels=spec.channels).images(dtype=dtype)
         rep_m = _metered_step(spec, mae_plan, images, seed, dtype)
         rep_p = (rep_m if plan.num_blocks == 1
                  else _metered_step(spec, plan, images, seed, dtype))

@@ -1,5 +1,8 @@
 """Run pipelines: pretraining, baselines, probes, exports, reports.
 
+Every training run, block-wise or the end-to-end MAE baseline (the
+one-block plan), calls the one step, `blockwise_train_step`.
+
 Each pipeline writes into its own output directory:
     metrics.csv          one row per (step, block) plus an aggregate row
                          per step (block_id = -1), schema below
@@ -30,9 +33,7 @@ from . import rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError
 from .data import gen_synthetic_dataset, load_dataset
-from .engine import (
-    blockwise_train_step, build_model, mae_train_step, partition_encoder,
-)
+from .engine import blockwise_train_step, build_model, partition_encoder
 from .memory import compare_peak, flop_estimate
 from .ofa import ProbeConfig, linear_probe, truncate_backbone
 from .optim import AdamW, lr_at_step
@@ -46,6 +47,11 @@ FLOP_HEADER = ("schedule,visible_fractions,encoder_linear_units,"
                "baseline_quad_units,baseline_decoder_units,"
                "savings_vs_baseline")
 PROBE_HEADER = "depth_k,train_accuracy,val_accuracy,epochs,config_hash"
+
+# The one step, under the second name the benchmark wraps it by
+# (perfbench's `run_call` and `instrument`); it goes when the benchmark
+# skips names the tree lacks (ROADMAP item 1 part A).
+mae_train_step = blockwise_train_step
 
 # glibc `mallopt` parameters (malloc.h) and their values for a training run.
 # M_TRIM_THRESHOLD: a freed heap top below 1 GiB stays in the process, so
@@ -217,6 +223,10 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
             f"{t.batch_size}")
     steps_per_epoch = len(ds) // t.batch_size
     total_steps = t.total_epochs * steps_per_epoch
+    if start_step > total_steps:
+        raise ConfigError(
+            f"checkpoint is at step {start_step}, past the schedule's end "
+            f"at step {total_steps}")
 
     artifacts = RunArtifacts(metrics_path=os.path.join(out_dir, "metrics.csv"))
     if resume_from is not None:
@@ -241,12 +251,8 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
             images = ds.images(idx, dtype=dtype)
             lr = lr_at_step(gstep, steps_per_epoch, t)
             step_seed = rng.split(t.seed, "step", epoch, step)
-            if plan.num_blocks == 1:
-                rep = mae_train_step(units, images, plan.mask_schedule[0],
-                                     opt, lr, step_seed)
-            else:
-                rep = blockwise_train_step(units, images, plan, opt, lr,
-                                           step_seed)
+            rep = blockwise_train_step(units, images, plan, opt, lr,
+                                       step_seed)
             _check_finite(rep.losses, "loss")
             for i, (loss, live) in enumerate(zip(rep.losses,
                                                  rep.live_after_release)):
@@ -332,18 +338,25 @@ def _num_blocks_record(model):
 def _load_params(model, tensors, dtype):
     """Copy the checkpoint's parameters into `model.params` as `dtype`.
 
-    Every checkpoint tensor must be a parameter of the config's model, its
-    `opt.m.`/`opt.v.`/`opt.t.` entry or a `meta.` counter, or ConfigError
-    names the first that is not.  A file's `meta.num_blocks` must be a
-    whole number (`_counter`) equal to the config's block count, or
-    ConfigError names both: a bridge norm trained after the last layer of
-    another block count reads other features.  A file without that record
-    must hold every parameter of the config's model, or ConfigError names
-    the first it lacks.  Each parameter's tensor and its `opt.m.`/`opt.v.`
-    moments must have the shape the config gives it, or ConfigError names
-    the tensor and both shapes.  Returns the names of the parameters the
-    checkpoint lacks.
+    A file's `meta.num_blocks` must be a whole number (`_counter`) equal
+    to the config's block count, or ConfigError names both: a bridge norm
+    trained after the last layer of another block count reads other
+    features.  It is checked first, since another block count's tensors
+    are not the config's.  Every checkpoint tensor must be a parameter of
+    the config's model, its `opt.m.`/`opt.v.`/`opt.t.` entry or a `meta.`
+    counter, or ConfigError names the first that is not.  A file without
+    the record must hold every parameter of the config's model, or
+    ConfigError names the first it lacks.  Each parameter's tensor and its
+    `opt.m.`/`opt.v.` moments must have the shape the config gives it, or
+    ConfigError names the tensor and both shapes.  Returns the names of
+    the parameters the checkpoint lacks.
     """
+    if "meta.num_blocks" in tensors:
+        recorded = _counter(tensors, "meta.num_blocks")
+        if recorded != model.num_blocks:
+            raise ConfigError(
+                f"checkpoint was trained with {recorded} blocks, the config "
+                f"gives {model.num_blocks}")
     for key in tensors:
         name = re.sub(r"^opt\.[mvt]\.", "", key)
         if name not in model.params and not key.startswith("meta."):
@@ -351,13 +364,7 @@ def _load_params(model, tensors, dtype):
                 f"checkpoint tensor {key!r} is not a parameter of the "
                 f"config's model")
     missing = [name for name in model.params if name not in tensors]
-    if "meta.num_blocks" in tensors:
-        recorded = _counter(tensors, "meta.num_blocks")
-        if recorded != model.num_blocks:
-            raise ConfigError(
-                f"checkpoint was trained with {recorded} blocks, the config "
-                f"gives {model.num_blocks}")
-    elif missing:
+    if "meta.num_blocks" not in tensors and missing:
         raise ConfigError(
             f"checkpoint records no meta.num_blocks and lacks parameter "
             f"{missing[0]!r}; only a file of every parameter may omit the "

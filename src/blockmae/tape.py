@@ -528,8 +528,9 @@ class Tape:
 
         def rows(lo, hi):
             for c in _groups(xv.shape, lo, hi):
-                _layernorm_linear_rows(xv[c], mu[c], inv_std[c], out[c], gv,
-                                       bev, wv, bv)
+                _linear_rows(_layernorm_rows(xv[c], mu[c], inv_std[c],
+                                             np.empty_like(xv[c]), gv, bev),
+                             wv, bv, out[c])
         _parallel(max(xv.size, out.size), rows=len(xv), part=rows)
         node = Node("layernorm-linear", out, (x, gamma, beta, w, b))
         return self._register(node, [self._act(x), (mu, True), (inv_std, True),
@@ -603,7 +604,8 @@ class Tape:
         out = np.empty_like(xv)
 
         def rows(lo, hi):
-            _gelu_rows(xv[lo:hi], cdf[lo:hi], out[lo:hi])
+            _gelu_from_cdf(xv[lo:hi], _gelu_cdf_rows(xv[lo:hi], cdf[lo:hi]),
+                           out[lo:hi])
         _parallel(xv.size, rows=len(xv), part=rows)
         node = Node("gelu", out, (x,))
         return self._register(node, [self._act(x), (cdf, True)])
@@ -722,7 +724,7 @@ class Tape:
         dfill = np.empty((shape[0], shape[1] - kept.shape[1]) + fv.shape,
                          zv.dtype)
         inner = [(functools.partial(_attention_backward,
-                                    weights=_attention_weights(*p[:5]),
+                                    weights=_attention_weights(*p[2:5]),
                                     heads=heads),
                   functools.partial(_mlp_kept_hidden_grads,
                                     weights=_mlp_weights(*p[8:11])))
@@ -1102,14 +1104,6 @@ def _normalize_rows(x, mu, inv_std, out):
     return out
 
 
-def _layernorm_linear_rows(x, mu, inv_std, out, gamma, beta, w, b):
-    """linear(layernorm(x)) of `Tape.layernorm_linear`, through a
-    temporary of the normed rows."""
-    normed = np.empty_like(x)
-    _layernorm_rows(x, mu, inv_std, normed, gamma, beta)
-    _linear_rows(normed, w, b, out)
-
-
 def _squared_error_rows(pred, target, out):
     """Each row's squared error averaged over its last axis, in `out`."""
     err = pred - target
@@ -1137,10 +1131,6 @@ def _affine_rows(xhat, gamma, beta, out):
     return out
 
 
-def _gelu_rows(x, cdf, out):
-    _gelu_from_cdf(x, _gelu_cdf_rows(x, cdf), out)
-
-
 def _gelu_cdf_rows(x, cdf):
     """The CDF term 1 + erf(x / sqrt2) in `cdf`, in place."""
     np.divide(x, np.sqrt(x.dtype.type(2.0)), out=cdf)
@@ -1153,13 +1143,6 @@ def _gelu_from_cdf(x, cdf, out):
     np.multiply(0.5, x, out=out)
     out *= cdf
     return out
-
-
-def _gelu_grad_rows(x, cdf, g, out):
-    """g * (0.5 * cdf + x * pdf(x)) in `out`, which may be cdf's buffer
-    but neither x's nor g's.  The forward's CDF term 1 + erf(x/sqrt2) is
-    reused; halving it is exact."""
-    _gelu_grad_from_pdf(cdf, _gelu_pdf_rows(x, np.empty_like(x)), g, out)
 
 
 def _gelu_pdf_rows(x, out):
@@ -1475,16 +1458,18 @@ def _vjp_gelu(node, g):
     dx = np.empty_like(x)
 
     def rows(lo, hi):
-        _gelu_grad_rows(x[lo:hi], cdf[lo:hi], g[lo:hi], dx[lo:hi])
+        # The forward's CDF term 1 + erf(x/sqrt2) is reused.
+        _gelu_grad_from_pdf(cdf[lo:hi], _gelu_pdf_rows(
+            x[lo:hi], np.empty_like(x[lo:hi])), g[lo:hi], dx[lo:hi])
     _parallel(x.size, rows=len(x), part=rows)
     return (dx,)
 
 
-def _attention_weights(gamma, beta, w_qkv, b_qkv, w_out):
+def _attention_weights(w_qkv, b_qkv, w_out):
     """What `_attention_backward` reads of an attention sublayer's saved
-    parameters: those, and contiguous copies of both weights'
+    parameters: its projections, and contiguous copies of both weights'
     transposes."""
-    return (gamma, beta, w_qkv, b_qkv, w_out,
+    return (w_qkv, b_qkv, w_out,
             np.ascontiguousarray(w_qkv.T), np.ascontiguousarray(w_out.T))
 
 
@@ -1503,7 +1488,7 @@ def _attention_backward(bufs, g, weights, heads, stats=None):
     partials, and the normed rows' buffer takes their gradient, which is
     returned.
     """
-    w_qkv, b_qkv, w_out, w_qkv_t, w_out_t = weights[2:]
+    w_qkv, b_qkv, w_out, w_qkv_t, w_out_t = weights
     normed = bufs.pop(0)
     qkv, p, merged = (
         _attention_replay(normed, w_qkv, b_qkv, len(w_out), heads, *stats)
@@ -1545,7 +1530,7 @@ def _vjp_layernorm_attention(node, g):
     # dx is written over g: each group adds its rows' gradient to g's.
     x, mu, inv_std, row_max, row_sum, *params = node.saved
     heads = node.attrs["heads"]
-    weights = _attention_weights(*params)
+    weights = _attention_weights(*params[2:5])
 
     def group(s):
         xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockmae import rng, runner
+from blockmae import memory, rng, runner
 from blockmae.checkpoint import load_checkpoint, save_checkpoint
 from blockmae.cli import main as cli_main
 from blockmae.config import (
@@ -711,6 +711,24 @@ def test_cli_resume_from_weights_only_exits_nonzero(tmp_path, capsys,
         f"error: checkpoint lacks {missing!r}, which a resume needs")
 
 
+def test_cli_resume_past_the_schedule_end_exits_nonzero(tmp_path, capsys):
+    # It used to exit 0, train nothing and cut metrics.csv to its header.
+    out = str(tmp_path / "run")
+    ckpt = run_pretrain(parse_config(TINY_CONFIG), out).checkpoint_paths[1]
+    metrics = Path(out, "metrics.csv").read_bytes()
+    shorter = _write_cfg(tmp_path, TINY_CONFIG + "total_epochs = 1\n")
+    assert cli_main(["pretrain", "--config", shorter, "--out", out,
+                     "--resume", ckpt]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint is at step 8, past the schedule's end at step 4")
+    assert Path(out, "metrics.csv").read_bytes() == metrics
+    # A checkpoint at the schedule's end resumes to a run that trains
+    # nothing more.
+    assert cli_main(["pretrain", "--config", _write_cfg(tmp_path), "--out",
+                     out, "--resume", ckpt]) == 0
+    assert Path(out, "metrics.csv").read_bytes() == metrics
+
+
 @pytest.mark.parametrize("missing", ["opt.t.embed.w", "opt.v.embed.w",
                                      "opt.m.embed.w"])
 def test_cli_resume_with_partial_optimizer_state_exits_nonzero(
@@ -826,7 +844,8 @@ def test_cli_refuses_checkpoint_with_more_blocks_than_the_config(
         tmp_path, capsys, command):
     # A 4-block run loaded under a 2-block config of the same depth: its
     # block1 bridge norm was trained after layer 1, not layer 3, and its
-    # block2 and block3 tensors have no place in the config's model.
+    # block2 and block3 tensors have no place in the config's model.  The
+    # block count is named before any such tensor.
     deep = TINY_CONFIG + "depth = 4\n"
     ckpt = run_pretrain(
         parse_config(deep + "mask_schedule = 0.5,0.5,0.5,0.5\n"),
@@ -836,9 +855,22 @@ def test_cli_refuses_checkpoint_with_more_blocks_than_the_config(
     args = (["--resume", ckpt] if command == "pretrain"
             else ["--checkpoint", ckpt, "--k", "2"])
     assert cli_main([command, "--config", cfg_path, "--out", out] + args) == 1
-    err = capsys.readouterr().err
-    assert re.match(r"error: checkpoint tensor 'block2\.[\w.]+' is not a "
-                    r"parameter of the config's model", err), err
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint was trained with 4 blocks, the config gives 2")
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
+def test_cli_baseline_mae_refuses_a_two_block_checkpoint_by_block_count(
+        tmp_path, capsys):
+    # It used to name the first tensor the one-block model lacks,
+    # 'block1.bridge.ln.g', not the block counts.
+    ckpt = run_pretrain(parse_config(TINY_CONFIG), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    out = str(tmp_path / "mae")
+    assert cli_main(["baseline-mae", "--config", _write_cfg(tmp_path),
+                     "--out", out, "--resume", ckpt]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint was trained with 2 blocks, the config gives 1")
     assert not os.path.exists(out) or os.listdir(out) == []
 
 
@@ -947,6 +979,32 @@ def test_exported_backbone_holds_the_checkpoint_tensors_bytewise(tmp_path):
         again = runner.run_export_backbone(
             cfg, path, k, str(tmp_path / "again")).backbone_path
         assert Path(again).read_bytes() == ref.read_bytes(), k
+
+
+def _out_of_memory(*args, **kwargs):
+    # Stands in for an allocation too large to make; a real one might
+    # succeed on an overcommitting system and start filling pages.
+    raise MemoryError()
+
+
+def test_cli_mem_report_out_of_memory_gives_the_analytic_estimate(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(memory, "gen_synthetic_dataset", _out_of_memory)
+    out = str(tmp_path / "report")
+    assert cli_main(["mem-report", "--config", _write_cfg(tmp_path),
+                     "--out", out, "--batch", "100000000"]) == 1
+    assert re.match(r"error: step at batch 100000000 exceeded memory; "
+                    r"analytic estimate \d+ bytes\n$",
+                    capsys.readouterr().err)
+    assert not os.path.exists(os.path.join(out, "mem_report.csv"))
+
+
+def test_cli_pretrain_out_of_memory_exits_nonzero(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(runner, "gen_synthetic_dataset", _out_of_memory)
+    assert cli_main(["pretrain", "--config", _write_cfg(tmp_path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("batch", ["0", "-1"])

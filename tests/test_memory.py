@@ -63,20 +63,21 @@ def test_analytic_equals_measured_incremental_schedule():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("input_charged", [True, False])
-def test_one_layer_meter_equals_layer_bytes(input_charged, dtype):
+@pytest.mark.parametrize("activation_fed", [True, False])
+def test_one_layer_meter_equals_layer_bytes(activation_fed, dtype):
     spec = ModelSpec(embed_dim=32, heads=4, depth=1, mlp_ratio=3)
     b, n, d = 3, 7, spec.embed_dim
     params = init_encoder_params(spec, seed=4, dtype=dtype)
     t = Tape()
     x = t.leaf(rng.normals(5, b * n * d).reshape(b, n, d).astype(dtype))
-    if input_charged:
+    if activation_fed:
         # a non-leaf input, which LN1 charges
         x = t.add(x, t.leaf(np.zeros(d, dtype)))
     encoder_block_layer(t, params, "enc.layer0", x, spec.heads)
+    s = np.dtype(dtype).itemsize
+    leaf_input = 0 if activation_fed else s * b * n * d
     assert t.meter.live_activation_bytes == _layer_bytes(
-        b, n, d, spec.heads, np.dtype(dtype).itemsize,
-        input_charged=input_charged)
+        b, n, d, spec.heads, s) - leaf_input
 
 
 @pytest.mark.parametrize("workload", ["pretrain-blockwise", "pretrain-grow",
@@ -113,13 +114,14 @@ def test_metered_equals_analytic_on_the_benchmark_workloads(monkeypatch,
 
 
 @pytest.mark.parametrize("heads,d", [(1, 32), (4, 64), (16, 16)])
-@pytest.mark.parametrize("input_charged", [True, False])
-def test_layer_bytes_grow_at_most_linearly_in_tokens(heads, d, input_charged):
+@pytest.mark.parametrize("activation_fed", [True, False])
+def test_layer_bytes_grow_at_most_linearly_in_tokens(heads, d, activation_fed):
     # Attention saves row statistics, not probabilities: doubling the
-    # tokens at most doubles a layer's charged bytes.
+    # tokens at most doubles a layer's charged bytes, with its input or,
+    # as when a leaf feeds it, without.
     for n in (1, 8, 64, 256):
-        one, two = (_layer_bytes(2, m, d, heads, 4,
-                                 input_charged=input_charged)
+        one, two = (_layer_bytes(2, m, d, heads, 4)
+                    - (0 if activation_fed else 4 * 2 * m * d)
                     for m in (n, 2 * n))
         assert two <= 2 * one, (n, one, two)
 
