@@ -8,8 +8,11 @@ Version 1 stores f32 payloads.  Version 2 inserts a u32 dtype code
 (0 = f32, 1 = f64) before the rank so that f64 states round-trip
 bitwise; files are written as version 1 whenever every tensor is f32.
 Optimizer state travels as ordinary tensors under the reserved
-'opt.m.' / 'opt.v.' / 'opt.t.' name prefixes, run counters and the
-trained block count (`meta.num_blocks`) under 'meta.'.
+'opt.m.' / 'opt.v.' / 'opt.t.' name prefixes, and one-element records
+under 'meta.': `meta.step`, the steps a training checkpoint has run;
+`meta.num_blocks`, the block count it was trained with; `meta.heads`,
+its encoder's head count; and `meta.k`, the depth of an exported
+backbone.
 """
 
 import math

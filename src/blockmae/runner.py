@@ -269,7 +269,7 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
                 tensors = dict(model.params)
                 tensors.update(opt.state_tensors())
                 tensors["meta.step"] = np.array([gstep + 1], dtype=np.float64)
-                tensors["meta.num_blocks"] = _num_blocks_record(model)
+                tensors.update(_model_record(model))
                 save_checkpoint(tensors, path)
                 artifacts.checkpoint_paths.append(path)
 
@@ -329,34 +329,47 @@ def write_flop_report(cfg, out_dir):
     return path
 
 
-def _num_blocks_record(model):
-    """`meta.num_blocks` of a checkpoint of `model`: the block count its
-    bridge norms were trained for."""
-    return np.array([model.num_blocks], dtype=np.float64)
+def _model_record(model):
+    """The `meta.` records of a checkpoint of `model` that no tensor's
+    name or shape shows: the block count its bridge norms were trained
+    for, and the encoder's head count."""
+    return {"meta.num_blocks": np.array([model.num_blocks], dtype=np.float64),
+            "meta.heads": np.array([model.spec.heads], dtype=np.float64)}
+
+
+def _check_record(tensors, key, want, message):
+    """A file's record `key` must be a whole number (`_counter`) equal to
+    `want`, or ConfigError gives `message`, formatted with the two as
+    `got` and `want`.  A file without the record passes."""
+    if key in tensors and (got := _counter(tensors, key)) != want:
+        raise ConfigError(message.format(got=got, want=want))
 
 
 def _load_params(model, tensors, dtype):
     """Copy the checkpoint's parameters into `model.params` as `dtype`.
 
-    A file's `meta.num_blocks` must be a whole number (`_counter`) equal
-    to the config's block count, or ConfigError names both: a bridge norm
-    trained after the last layer of another block count reads other
-    features.  It is checked first, since another block count's tensors
-    are not the config's.  Every checkpoint tensor must be a parameter of
-    the config's model, its `opt.m.`/`opt.v.`/`opt.t.` entry or a `meta.`
-    counter, or ConfigError names the first that is not.  A file without
-    the record must hold every parameter of the config's model, or
-    ConfigError names the first it lacks.  Each parameter's tensor and its
-    `opt.m.`/`opt.v.` moments must have the shape the config gives it, or
-    ConfigError names the tensor and both shapes.  Returns the names of
-    the parameters the checkpoint lacks.
+    A file's `meta.num_blocks` and `meta.heads` must equal the config's
+    block and head counts (`_check_record`), or ConfigError names both: a
+    bridge norm trained after the last layer of another block count reads
+    other features, and attention weights trained with another head count
+    have the same names and shapes but compute another function.  They
+    are checked first, since another block count's tensors are not the
+    config's.  A file without either record passes its check.  Every
+    checkpoint tensor must be a parameter of the config's model, its
+    `opt.m.`/`opt.v.`/`opt.t.` entry or a `meta.` record, or ConfigError
+    names the first that is not.  A file without `meta.num_blocks` must
+    hold every parameter of the config's model, or ConfigError names the
+    first it lacks.  Each parameter's tensor and its `opt.m.`/`opt.v.`
+    moments must have the shape the config gives it, or ConfigError names
+    the tensor and both shapes.  Returns the names of the parameters the
+    checkpoint lacks.
     """
-    if "meta.num_blocks" in tensors:
-        recorded = _counter(tensors, "meta.num_blocks")
-        if recorded != model.num_blocks:
-            raise ConfigError(
-                f"checkpoint was trained with {recorded} blocks, the config "
-                f"gives {model.num_blocks}")
+    _check_record(tensors, "meta.num_blocks", model.num_blocks,
+                  "checkpoint was trained with {got} blocks, the config "
+                  "gives {want}")
+    _check_record(tensors, "meta.heads", model.spec.heads,
+                  "checkpoint was trained with {got} heads, the config "
+                  "gives {want}")
     for key in tensors:
         name = re.sub(r"^opt\.[mvt]\.", "", key)
         if name not in model.params and not key.startswith("meta."):
@@ -382,14 +395,20 @@ def _load_params(model, tensors, dtype):
 
 def _model_from_checkpoint(cfg, checkpoint_path, k):
     """Prefix k of the config's model, every tensor of it read from the
-    checkpoint: a full run's or an exported backbone.  The model keeps
-    only the prefix's tensors, all that the probe and the export read:
-    the decoders, the bridge projections and the other bridge norms are
-    dropped once the checkpoint is checked."""
+    checkpoint: a full run's or an exported backbone.  The checkpoint
+    must pass `_load_params`, and an exported backbone's `meta.k` must be
+    k, or ConfigError names both; then it must hold every tensor of the
+    prefix, or ConfigError names the first three it lacks.  The model
+    keeps only the prefix's tensors, all that the probe and the export
+    read: the decoders, the bridge projections and the other bridge norms
+    are dropped once the checkpoint is checked."""
     model = build_model(cfg.model, cfg.plan.num_blocks, cfg.train.seed,
                         np.float64)
     tensors = load_checkpoint(checkpoint_path)
     _load_params(model, tensors, np.float64)
+    _check_record(tensors, "meta.k", k,
+                  "checkpoint is the backbone exported at k = {got}, not "
+                  "k = {want}")
     prefix = truncate_backbone(model, k)
     names = prefix.parameters() + list(prefix.norm_params())
     missing = [n for n in names if n not in tensors]
@@ -443,7 +462,7 @@ def run_export_backbone(cfg, checkpoint_path, k, out_dir):
     tensors = {n: prefix.model.params[n]
                for n in prefix.parameters() + list(prefix.norm_params())}
     tensors["meta.k"] = np.array([k], dtype=np.float64)
-    tensors["meta.num_blocks"] = _num_blocks_record(prefix.model)
+    tensors.update(_model_record(prefix.model))
     path = os.path.join(out_dir, f"backbone_k{k}.bimc")
     save_checkpoint(tensors, path)
     return RunArtifacts(backbone_path=path)

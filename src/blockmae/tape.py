@@ -135,7 +135,9 @@ worker threads: node creation, recording, metering, the backward order
 and release stay on the calling thread.  So every value, gradient, saved
 buffer and meter reading is the same bit for bit whatever the number of
 workers or the chunk size; a gradient summed over rows is not bitwise
-the whole-batch product or sum, but within rounding of it.
+the whole-batch product or sum, but within rounding of it.  So is the
+decoder-loss node's mask token gradient against the nodes it fuses, as
+it sums it in its own groups; every other gradient is theirs bitwise.
 """
 
 import contextvars
@@ -686,10 +688,11 @@ class Tape:
         CDF term.  No exp or erf runs twice; only the q|k|v and fc1
         products, the cheapest to make and the largest to keep, are made
         again.  Every gradient, its groups' partials summed in
-        `_grouped`'s order, is the nodes' bit for bit.  The gradients of
-        z, fill and the parameters are saved, and backward scales them by
-        its incoming gradient, which is exact at 1.  pos and target are
-        constants: they get no gradient.
+        `_grouped`'s order, is the nodes' bit for bit but fill's, whose
+        partial is the sum of each group's masked rows of dx.  The
+        gradients of z, fill and the parameters are saved, and backward
+        scales them by its incoming gradient, which is exact at 1.  pos
+        and target are constants: they get no gradient.
         """
         zv, fv, pv = z.value, fill.value, pos.value
         if (zv.ndim != 3 or pv.ndim != 2 or fv.shape != zv.shape[-1:]
@@ -719,10 +722,6 @@ class Tape:
                            "decoder-loss")
         per_row = np.empty(mv.shape, zv.dtype)
         dz = np.empty_like(zv)
-        # The fill rows' gradients, in ascending row order, sum into the
-        # fill's as add's rule sums a broadcast.
-        dfill = np.empty((shape[0], shape[1] - kept.shape[1]) + fv.shape,
-                         zv.dtype)
         inner = [(functools.partial(_attention_backward,
                                     weights=_attention_weights(*p[2:5]),
                                     heads=heads),
@@ -758,8 +757,7 @@ class Tape:
                 grads[:0] = _kept_sublayer_grads(mlp, *p[6:8], mlp_inner, dx)
                 grads[:0] = _kept_sublayer_grads(att, *p[:2], att_inner, dx)
             dz[s] = dx[_per_sample(kept[s])]
-            dfill[s] = dx[mv[s] != 0].reshape(dfill[s].shape)
-            return grads
+            return [_lead_sum(dx[mv[s] != 0], 1), *grads]
         size = max([math.prod(shape)] + [
             max(_attention_size(shape, p[2], heads), _mlp_size(shape, p[8]))
             for p in params])
@@ -768,7 +766,6 @@ class Tape:
                     (z, fill, pos, *(n for layer in layers for n in layer),
                      head_gamma, head_beta, w, b, target))
         return self._register(node, [(dz, True),
-                                      (_broadcast_grad(dfill, 2), True),
                                       *((a, True) for a in grads)])
 
     def boundary(self, value):

@@ -931,6 +931,48 @@ def test_exported_backbone_records_the_block_count(tmp_path):
     assert backbone["meta.k"].tolist() == [1.0]
 
 
+@pytest.mark.parametrize("command", ["probe", "pretrain",
+                                     "export-then-probe"])
+def test_cli_refuses_checkpoint_of_another_head_count(tmp_path, capsys,
+                                                      command):
+    # The head count changes no tensor's name or shape, so a checkpoint
+    # trained with 2 heads used to probe, resume and export under a
+    # 4-head config and exit 0, computing another function.  A run's
+    # checkpoints and the export record the count.
+    ckpt, cfg_path = _checkpoint_and_wider_config(tmp_path, "heads", 4)
+    if command == "export-then-probe":
+        ckpt = runner.run_export_backbone(
+            parse_config(TINY_CONFIG), ckpt, 2,
+            str(tmp_path / "export")).backbone_path
+        command = "probe"
+    out = str(tmp_path / "out")
+    args = (["--resume", ckpt] if command == "pretrain"
+            else ["--checkpoint", ckpt, "--k", "2"])
+    assert cli_main([command, "--config", cfg_path, "--out", out] + args) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint was trained with 2 heads, the config gives 4")
+    assert not os.path.exists(out) or os.listdir(out) == []
+    assert load_checkpoint(ckpt)["meta.heads"].tolist() == [2.0]
+
+
+def test_cli_probe_refuses_an_export_at_another_k(tmp_path, capsys):
+    # An export at k = 2 holds block 1's bridge norm, not block 0's.  A
+    # probe at k = 1 used to name the tensors it lacked, not the depths.
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = run_pretrain(load_config(cfg_path), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    export = str(tmp_path / "export")
+    assert cli_main(["export-backbone", "--config", cfg_path, "--checkpoint",
+                     ckpt, "--k", "2", "--out", export]) == 0
+    out = str(tmp_path / "out")
+    assert cli_main(["probe", "--config", cfg_path, "--checkpoint",
+                     os.path.join(export, "backbone_k2.bimc"), "--k", "1",
+                     "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint is the backbone exported at k = 2, not k = 1")
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
 def _four_block_run(tmp_path):
     """The config of a 4-block, depth-4 tiny run and its 4-step checkpoint."""
     cfg = parse_config(TINY_CONFIG + "depth = 4\n"
@@ -963,7 +1005,7 @@ def test_model_from_checkpoint_keeps_only_the_prefix(tmp_path):
 
 def test_exported_backbone_holds_the_checkpoint_tensors_bytewise(tmp_path):
     # The file is the one the prefix's checkpoint tensors, as f64, and the
-    # two records make; exporting that file again writes the same bytes.
+    # three records make; exporting that file again writes the same bytes.
     cfg, ckpt = _four_block_run(tmp_path)
     tensors = load_checkpoint(ckpt)
     for k in (1, 4):
@@ -971,6 +1013,7 @@ def test_exported_backbone_holds_the_checkpoint_tensors_bytewise(tmp_path):
                 for n in _prefix_names(tensors, k)}
         want["meta.k"] = np.array([k], dtype=np.float64)
         want["meta.num_blocks"] = np.array([4.0])
+        want["meta.heads"] = np.array([2.0])
         ref = tmp_path / f"want_k{k}.bimc"
         save_checkpoint(want, str(ref))
         path = runner.run_export_backbone(

@@ -24,7 +24,7 @@ from blockmae.model import (
 )
 from blockmae.optim import AdamW
 from blockmae.checkpoint import load_checkpoint, save_checkpoint
-from blockmae.runner import _keep_freed_heap, _load_params, _num_blocks_record
+from blockmae.runner import _keep_freed_heap, _load_params, _model_record
 from blockmae.tape import Tape
 
 
@@ -397,8 +397,10 @@ def _decoder_loss_over_metered(tokens):
     sample.  The meter then charges every buffer the block saved but the
     node's own: its gradients of z [64, tokens, 32] and of the decoder's
     13,328 parameters, charged once it is recorded, are part of the
-    metered peak and not yet of the live bytes.  The fixed schedule's
-    blocks and desk-mae's one block peak here.
+    metered peak and not yet of the live bytes.  Desk-mae's one block
+    peaks here, 2.28-2.44 MB over 8 warm steps; the fixed schedule's
+    blocks read 2.30-2.37 MB here, and their peak is as often an encoder
+    MLP rule's (see the test below).
 
     The node holds per thread one group's buffers, 384 rows, of at most
     592 elements each (`tests/test_tape.py`'s decoder bound at the same
@@ -407,8 +409,9 @@ def _decoder_loss_over_metered(tokens):
     (xhat, the GELU output and its CDF term, 32 + 2 * 128), the head's
     xhat, normed rows, prediction, input gradient and one temporary
     (4 * 32 + 16), and one broadcast temporary (32).  For the whole batch
-    it holds the gradients of z and of the fill rows and each row's loss,
-    [64, 64, 32 + 1], and of the parameters' gradients contiguous copies
+    it holds the gradient of z and each row's loss, within [64, 64,
+    32 + 1], the room they took when the node held the fill rows'
+    gradients besides, and of the parameters' gradients contiguous copies
     of the weights' transposes, each thread's running sums and one
     group's partials, and one more total: 6 * 13,328 at most.
     The step holds besides, uncharged: z itself, as large as its gradient
@@ -427,10 +430,11 @@ def test_warm_blockwise_step_heap_within_bound_of_metered():
     # The meter charges saved buffers only; the process also holds the
     # gradient frontier, the rules' temporaries (one group of rows per
     # thread) and the parameter gradients, but no released or dead
-    # forward value.  This reads about 2.71-2.80 MB against 3.05 MB, in
-    # the decoder-loss node's forward; the encoder's MLP rules read at
-    # most 2.15-2.47 MB.  One encoder layer's whole CDF term (1,048,576 B)
-    # held besides in its rule fails it, and the two checks below.
+    # forward value.  This reads about 2.34-2.58 MB against 3.05 MB over
+    # 8 warm steps, in an encoder MLP rule (2.07-2.58 MB) or in the
+    # decoder-loss node's forward (2.30-2.37 MB), whichever holds more.
+    # One encoder layer's whole CDF term (1,048,576 B) held besides in
+    # its rule fails it, and the two checks below.
     rise, metered = _warm_step_heap(BlockPlan(num_blocks=4,
                                               mask_schedule=(0.75,) * 4))
     assert rise - metered <= _decoder_loss_over_metered(16), \
@@ -447,8 +451,8 @@ def test_warm_step_heap_within_bound_of_metered(plan, bound):
     # The same check on the growing schedule, where block 0 keeps 32
     # tokens and its last MLP rule holds the peak, and on desk-mae's one
     # long backward, which peaks in its decoder-loss node's forward.
-    # These read about 2.95-3.09 MB against 3.55 MB and 2.73-2.84 MB
-    # against 3.05 MB.
+    # These read about 2.69-3.08 MB against 3.55 MB and 2.28-2.44 MB
+    # against 3.05 MB over 8 warm steps.
     rise, metered = _warm_step_heap(plan)
     assert rise - metered <= bound, f"heap - metered = {rise - metered} B"
 
@@ -468,7 +472,7 @@ RISE_BEFORE_DECODER_NODE = {"blockwise": 4_854_219, "mae": 7_964_950}
 ], ids=["blockwise", "mae"])
 def test_warm_step_heap_rise_no_higher_than_before_the_decoder_node(plan):
     # Not read through the meter: the process's own peak.  These read
-    # about 4.31-4.40 MB and 7.78-7.88 MB.
+    # about 3.94-4.18 MB and 7.32-7.48 MB over 8 warm steps.
     rise, _ = _warm_step_heap(plan)
     assert rise <= RISE_BEFORE_DECODER_NODE[plan.mode], rise
 
@@ -625,7 +629,7 @@ def test_seeded_sweep_resumes_bitwise(tmp_path):
         model, opt = build_model(spec, plan.num_blocks, 4, dtype), AdamW()
         step(model, opt, 0)
         save_checkpoint({**model.params, **opt.state_tensors(),
-                         "meta.num_blocks": _num_blocks_record(model)}, path)
+                         **_model_record(model)}, path)
         want = step(model, opt, 1).losses
         tensors = load_checkpoint(path)
         resumed, opt = build_model(spec, plan.num_blocks, 9, dtype), AdamW()

@@ -528,12 +528,14 @@ def _predict(t, params, spec, z, kept, decoder_id=0):
     """A decoder's predictions from a block output z: the bridge
     (`local_decoder_forward`), the decoder input built by five nodes (the
     bridged tokens and the mask token's rows, concatenated, put in patch
-    order by a gather, plus the position table), and `_decode`."""
+    order by a gather, plus the position table), and `_decode`.  The mask
+    token's rows are zeros, the leaf "fill_rows", plus the mask token."""
     bridged = local_decoder_forward(t, params, z, decoder_id)
     b, k, dd = bridged.shape
     n = spec.num_patches
     hidden = np.stack([np.setdiff1d(np.arange(n), row) for row in kept])
-    fills = t.add(t.leaf(np.zeros((b, n - k, dd), bridged.dtype)),
+    fills = t.add(t.leaf(np.zeros((b, n - k, dd), bridged.dtype),
+                         name="fill_rows", requires_grad=True),
                   *_leaves(t, params, f"block{decoder_id}.dec",
                            ("mask_token",)))
     rows = t.gather_rows(t.concat_rows([bridged, fills]), np.argsort(
@@ -645,6 +647,26 @@ def test_loss_gradient_zero_on_unmasked_predictions():
     assert run(hidden)[0] != loss
 
 
+def _mask_token_grad(fill_rows, n):
+    """The mask token's gradient as the loss node sums it, from the fill
+    rows' gradient [b, n - k, dd]: each group of `_groups` over the
+    decoder input [b, n, dd] sums its fill rows; the first half's groups
+    add one after another, then the second half's, then first plus
+    second."""
+    b, _, dd = fill_rows.shape
+    cut = tape_module._groups((b, n, dd))
+    half = max(1, len(cut) // 2)
+
+    def run(groups):
+        total = None
+        for s in groups:
+            part = fill_rows[s].reshape(-1, dd).sum(axis=0)
+            total = part if total is None else total + part
+        return total
+    first, second = run(cut[:half]), run(cut[half:])
+    return first if second is None else first + second
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_loss_node_bitwise_equal_mlp_head_and_mse_nodes(depth, dtype):
@@ -652,7 +674,8 @@ def test_loss_node_bitwise_equal_mlp_head_and_mse_nodes(depth, dtype):
     # in groups of 6 and 2: the loss node gives the loss and every
     # gradient of the nodes it fuses (the decoder input's five nodes, each
     # layer's attention and MLP nodes, the final norm and head, and the
-    # masked MSE) bit for bit.
+    # masked MSE) bit for bit, but the mask token's.  The node sums that
+    # in its own groups, and is within rounding of the nodes' sum.
     spec = ModelSpec(decoder_depth=depth)
     params = init_block_head_params(spec, 1, seed=23, dtype=dtype)
     kept = mask_indices(spec.num_patches, 0.75,
@@ -676,10 +699,18 @@ def test_loss_node_bitwise_equal_mlp_head_and_mse_nodes(depth, dtype):
         return loss.value.copy(), t.backward(loss)
 
     (loss, grads), (want, want_grads) = run(True), run(False)
+    fill_rows = want_grads.pop("fill_rows")
     assert loss.dtype == dtype and np.array_equal(loss, want)
     assert grads.keys() == want_grads.keys() == set(params) | {"z"}
+    token = "block1.dec.mask_token"
     for name, g in grads.items():
-        assert np.array_equal(g, want_grads[name]), name
+        if name != token:
+            assert np.array_equal(g, want_grads[name]), name
+    assert np.array_equal(grads[token],
+                          _mask_token_grad(fill_rows, spec.num_patches))
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    err = np.abs(grads[token] - want_grads[token]).max()
+    assert err <= tol * np.abs(want_grads[token]).max(), err
 
 
 def test_forward_deterministic_given_seed():

@@ -1,8 +1,9 @@
 """Source hygiene: every module reads each name it imports, every
 private module-level definition is read somewhere in the package, the
 public functions that no package or benchmark code reads are the known
-ones, the tape's table of charged buffers names every node kind, the
-tape primitives that no package code calls are the known ones, and every
+ones, every checkpoint `meta.` key the package writes is read, the
+tape's table of charged buffers names every node kind, the tape
+primitives that no package code calls are the known ones, and every
 package name the benchmark wraps exists."""
 
 import ast
@@ -134,6 +135,58 @@ def test_public_functions_without_a_reader_are_the_known_ones():
     bench = [p.read_text(encoding="utf-8")
              for p in (ROOT / "perfbench").glob("*.py")]
     assert _unread_functions(sources, bench) == sorted(UNREAD_FUNCTIONS)
+
+
+def _meta(node):
+    """The string of a constant node if it is a `meta.` key, else None."""
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("meta.")):
+        return node.value
+    return None
+
+
+def _unread_meta_keys(sources):
+    """The `meta.` checkpoint keys, sorted, that `sources` (module name ->
+    source) write, by a subscript store or as a dict literal's key, and
+    never read: by a load subscript, an `in` or `not in` test, or as a
+    call argument."""
+    written, read = set(), set()
+    for tree in map(ast.parse, sources.values()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript):
+                (written if isinstance(node.ctx, ast.Store)
+                 else read).add(_meta(node.slice))
+            elif isinstance(node, ast.Dict):
+                written.update(map(_meta, node.keys))
+            elif isinstance(node, ast.Compare) and isinstance(
+                    node.ops[0], (ast.In, ast.NotIn)):
+                read.add(_meta(node.left))
+            elif isinstance(node, ast.Call):
+                read.update(map(_meta, node.args))
+    return sorted(written - read - {None})
+
+
+def test_detector_finds_an_unread_meta_key():
+    sources = {
+        "a": ("def save(t, m):\n"
+              "    t['meta.a'] = t['meta.b'] = t['meta.c'] = 1\n"
+              "    t['meta.d'] = t['other'] = 2\n"
+              "    return {'meta.e': 1, 'meta.f': 2, **m}\n"),
+        "b": ("def load(t):\n"
+              "    if 'meta.a' in t and 'meta.e' not in t:\n"
+              "        return t['meta.b']\n"
+              "    keys = ['meta.d', 'meta.f']\n"
+              "    return f(t, 'meta.c'), keys\n"),
+    }
+    assert _unread_meta_keys(sources) == ["meta.d", "meta.f"]
+
+
+def test_package_reads_every_meta_key_it_writes():
+    # A checkpoint record that nothing checks on load is data no code
+    # uses, and a file that disagrees with the config loads in silence.
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
+    assert _unread_meta_keys(sources) == []
 
 
 def _table_kinds(doc):
