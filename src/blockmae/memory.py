@@ -62,18 +62,19 @@ class FlopReport:
 def _layer_bytes(b, n, d, heads, s):
     """Charged bytes of one transformer layer at n tokens, width d.
 
-    Per sample, in units of n*d: the layer input, saved by the attention
-    node (1), and the residual sum, saved by the MLP node (1).  A block's
-    first layer is priced alike: its input, the embedding's output in
-    block 0 and the boundary leaf after it, is charged once.  The row
-    statistics: each node's LayerNorm saves a mean and an inverse std per
-    row, 2n, and attention a softmax max and sum per row and head,
-    2*heads*n.  No LayerNorm output, q|k|v, attention probability, merged
-    heads, fc1 output, GELU CDF term or GELU output is saved: backward
-    recomputes them.  So no term is quadratic in n, and none grows with
-    the MLP's hidden width.
+    Per sample: the layer input, n*d, the one activation its node saves.
+    A block's first layer is priced alike: its input, the embedding's
+    output in block 0 and the boundary leaf after it, is charged once.
+    The row statistics: each of the two LayerNorms saves a mean and an
+    inverse std per row, 4n, and attention a softmax max and sum per row
+    and head, 2*heads*n.  Neither the attention sublayer's residual sum
+    nor any LayerNorm output, q|k|v, attention probability, merged heads,
+    fc1 output, GELU CDF term or GELU output is saved: backward
+    recomputes them, the residual sum by one more replay of the attention
+    sublayer.  So no term is quadratic in n, and none grows with the
+    MLP's hidden width.
     """
-    return s * b * (2 * n * d + (4 + 2 * heads) * n)
+    return s * b * (n * d + (4 + 2 * heads) * n)
 
 
 def _bridge_bytes(b, n, d, s):
@@ -110,9 +111,10 @@ def analytic_peak(spec, plan, batch, dtype_size=4):
 
     The peak is the largest block's live bytes at the n_i tokens it
     keeps: its encoder layers, bridge, local decoder and loss.  Each layer
-    prices its own input, a block's first layer too: the embedding's
-    output in block 0, after it the boundary of the tokens the block
-    keeps of the block before's output.  A block's own output is the
+    prices its own input and row statistics, and nothing of its inside
+    (`_layer_bytes`), a block's first layer too: the embedding's output
+    in block 0, after it the boundary of the tokens the block keeps of
+    the block before's output.  A block's own output is the
     bridge's saved input until the block is released; the next block's
     boundary is recorded after that release, so no token is counted
     twice.  End-to-end MAE is the one-block case: every layer of one long
@@ -234,12 +236,14 @@ def flop_estimate(spec, plan, baseline_ratio=0.75):
     """MAC totals for the plan against a fixed-ratio single-decoder baseline.
 
     Forward MACs only: neither backward nor what backward recomputes is
-    counted: the encoder MLP node's fc1 product twice per group (once to
-    replay the GELU output and its CDF term, once more over the GELU
-    output once dw2's partial is taken), the encoder attention node's
-    qkv, score and probability-value products, and the decoder node's qkv
-    and fc1 products, which its backward makes again rather than keep (it
-    keeps the probabilities, GELU outputs and CDF terms)."""
+    counted: the encoder layer node's attention sublayer twice per group
+    (its qkv, score and probability-value products, and the out
+    projection once, to rebuild the residual sum the MLP reads; then the
+    three again in the attention part's backward) and its fc1 product
+    twice (once to replay the GELU output and its CDF term, once more
+    over the GELU output once dw2's partial is taken), and the decoder
+    node's qkv and fc1 products, which its backward makes again rather
+    than keep (it keeps the probabilities, GELU outputs and CDF terms)."""
     fractions = _plan_fractions(plan)
     blocks = block_layers(spec.depth, plan.num_blocks)
     linear, quad = _encoder_units(spec, blocks, fractions)

@@ -16,10 +16,11 @@ the kept ones, are all derived from it inside their tape nodes.
 Attention uses the usual head-batched layout: one `attn.qkv` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), runs every head
 in one batched product, and the heads merge back to [b, n, d] for the
-`attn.out` projection.  An encoder layer is two tape nodes: LN1, the
-qkv projection, attention, the out projection and the first residual
-sum are one (`Tape.layernorm_attention`), and LN2, fc1, GELU, fc2 and
-the second residual sum the other (`Tape.layernorm_mlp`).  A decoder and
+`attn.out` projection.  An encoder layer is one tape node
+(`Tape.encoder_layer`): LN1, the qkv projection, attention, the out
+projection, the first residual sum, LN2, fc1, GELU, fc2 and the second
+residual sum.  It saves its input and row statistics, not the first
+residual sum, which its backward rebuilds.  A decoder and
 its loss are one node (`Tape.decoder_loss`): from the bridge output it
 puts the visible tokens among mask tokens in patch order, runs every
 decoder layer, the final norm, the prediction head and the masked MSE,
@@ -282,11 +283,10 @@ def _sublayer_params(tape, params, prefix, names):
 
 
 def encoder_block_layer(tape, params, prefix, x, heads):
-    """Pre-norm transformer layer: x + MHSA(LN(x)), then + MLP(LN(x))."""
-    x2 = tape.layernorm_attention(
-        x, *_sublayer_params(tape, params, prefix, _ATTENTION), heads)
-    return tape.layernorm_mlp(
-        x2, *_sublayer_params(tape, params, prefix, _MLP))
+    """Pre-norm transformer layer: x + MHSA(LN(x)), then + MLP(LN(x)),
+    in one node (`Tape.encoder_layer`)."""
+    return tape.encoder_layer(
+        x, *_sublayer_params(tape, params, prefix, _ATTENTION + _MLP), heads)
 
 
 def local_decoder_forward(tape, params, block_output, decoder_id):

@@ -8,9 +8,9 @@ prefixes nest by construction.
 
 The backbone forward never runs backward, so `forward_tokens` runs the
 embedding and the encoder layers on a `Forward` tape, which saves
-nothing, and whose residual nodes write their output over the input they
-consume: each layer holds one [b, N, d] activation, plus one chunk's
-temporaries per thread.  The embedding reads the patch rows as
+nothing, and whose layer nodes write both residual sums over the input
+they consume: each layer holds one [b, N, d] activation, plus one
+chunk's temporaries per thread.  The embedding reads the patch rows as
 `patchify` makes them and adds the [N, d] position table to each
 sample's rows, so it holds no gathered copy of either.  Only the final
 norm records on a `Tape`.  The probe reads its images a chunk at a time,
@@ -82,10 +82,10 @@ def forward_tokens(prefix, images):
     Tokens stay in original patch order (identity visibility).  The
     embedding and the encoder layers run on one `Forward` tape, through
     the same layer functions as training, so the values are the same as
-    on a `Tape`, but nothing is saved for a backward, and each residual
-    sum is written over the array of the input it consumes: a layer
-    holds one [b, N, d] activation, plus one chunk's temporaries per
-    thread.  The embedding keeps every patch (`kept` None), so it holds
+    on a `Tape`, but nothing is saved for a backward, and each layer
+    writes both its residual sums over the array of the input it
+    consumes: a layer holds one [b, N, d] activation, plus one chunk's
+    temporaries per thread.  The embedding keeps every patch (`kept` None), so it holds
     only `patchify`'s rows and its output: the [N, d] position table is
     added to each sample's rows.  The final norm records on a `Tape`,
     whose meter reads its row statistics, the mean and inverse std of

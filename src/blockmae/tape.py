@@ -21,20 +21,15 @@ Charged buffers per primitive:
     layernorm-linear   as layernorm; the normed rows are not saved, and
                   backward recomputes them from x, mean and inv-std
     softmax-lastdim   its own output
-    layernorm-attention   as layernorm; x is the residual too.  Plus each
-                  attention row's softmax max and sum.  Neither the normed
-                  rows, q|k|v, the probabilities nor the merged heads are
-                  saved: backward replays them from x and those, a group
-                  of samples at a time
     gelu          input value (when non-leaf) + its CDF term 1 + erf(x/sqrt2)
-    layernorm-mlp as layernorm; x is the residual too.  Nothing of the
-                  hidden width is saved, neither the fc1 output nor the
-                  GELU's CDF term 1 + erf(fc1/sqrt2) nor its output:
-                  backward replays the forward's GELU output and CDF term
-                  from the normed rows, a group of samples at a time, and
-                  once dw2's partial is taken makes fc1 again over the
-                  GELU output, so it makes fc1 twice per group and holds
-                  two hidden-wide buffers
+    encoder-layer input value (when non-leaf), the first residual too, +
+                  both LayerNorms' per-row mean and inv-std + each
+                  attention row's softmax max and sum.  Nothing else:
+                  backward replays the attention sublayer from those, a
+                  group of samples at a time, to rebuild its residual sum
+                  x2 for the MLP part, which replays the GELU output and
+                  CDF term and makes fc1 again over the former once dw2's
+                  partial is taken, then replays it again for its own part
     mse-masked    prediction value (when non-leaf).  No code in src/
                   records it since the decoder's loss node took its place;
                   it stays as the tests' reference loss and for the name
@@ -75,11 +70,11 @@ scales them in place by the incoming gradient and hands them on, so
 from there on they live as the gradients of z and of the parameters,
 and the meter still charges them until release.  A rule walks its batch once, a
 group of whole samples at a time (`_groups`), and holds its dx plus one
-group's temporaries per thread; the rules of layernorm and of the two
-residual nodes, layernorm-attention and layernorm-mlp, write dx over
-their incoming gradient, which no other node or leaf holds (add's rule
-hands y a copy).  A rule never writes into a saved input: another node,
-a later block's boundary leaf among them, may hold the same array.
+group's temporaries per thread; the rules of layernorm and of the
+residual node, encoder-layer, write dx over their incoming gradient,
+which no other node or leaf holds (add's rule hands y a copy).  A rule
+never writes into a saved input: another node, a later block's boundary
+leaf among them, may hold the same array.
 Every activation a node saves is made read-only when it is saved, so
 such a write raises;
 leaf arrays are not touched, and the optimizer updates the parameters in
@@ -95,19 +90,21 @@ backward.  A `Forward` tape, for a forward that never runs backward,
 records nothing: its nodes save no buffer, charge nothing, are not
 appended and keep no link to their inputs, so an array lives only while
 the caller holds its node, and its backward and release raise a
-lifecycle error.  Since nothing saves an input there, the residual nodes
-layernorm-attention and layernorm-mlp write their sum over the array of
-a non-leaf input and take it over: that input node is consumed, and
-reading its value again is a lifecycle error that names it.  A leaf's
-array is never written.
+lifecycle error.  Since nothing saves an input there, the residual node
+encoder-layer writes its sums over the array of a non-leaf input and
+takes it over: that input node is consumed, and reading its value again
+is a lifecycle error that names it.  A leaf's array is never written.
 
 Each fused sublayer's math after its LayerNorm is written once, as a
 replay of a group's or chunk's normed rows (`_attention_replay`,
-`_mlp_replay`).  The node forwards run it chunk by chunk, the two
-sublayer rules group by group from the saved x and row statistics, and
-the decoder-loss node group by group in its forward, keeping what its
-backward reads.  All four backward sites then go through
-`_kept_sublayer_grads`, around one attention core and one MLP core.
+`_mlp_replay`), and the attention sublayer's residual sum once around
+it (`_attention_sum`).  The encoder-layer forward runs them chunk by
+chunk, making the row statistics; its rule group by group from the
+saved x and those statistics, the attention sublayer twice, once to
+rebuild x2 and once in its own backward; and the decoder-loss node
+group by group in its forward, keeping what its backward reads.  Both
+backward sites then go through `_layer_grads`: `_kept_sublayer_grads`
+around one MLP core and then one attention core.
 
 A tape holds one dtype, f32 or f64: the first array its `leaf` or
 `boundary` is given sets it, and both refuse an array of another.  So
@@ -547,56 +544,6 @@ class Tape:
         node = Node("softmax-lastdim", out, (x,))
         return self._register(node, [(out, True)])
 
-    def layernorm_attention(self, x, gamma, beta, w_qkv, b_qkv, w_out, b_out,
-                            heads):
-        """x + linear(mhsa(linear(layernorm(x), w_qkv, b_qkv)), w_out, b_out)
-        in one node, x [b, n, d]: a pre-norm multi-head self-attention
-        sublayer and its residual sum.
-
-        The qkv projection's columns are ordered (q|k|v, head, dh) and
-        viewed as [3, b, heads, n, dh]; every head runs softmax(q k^T /
-        sqrt(dh)) v in one batched product, and the heads merge back to
-        columns (head, dh) for the out projection.  Each part runs its
-        samples in chunks of at most _PART_ELEMENTS probabilities, with the
-        kernels of `layernorm_linear` and `linear`, so the normed rows,
-        q|k|v, the probabilities and the merged heads exist a chunk at a
-        time, and the output is bitwise equal to the unfused nodes'.  Only
-        x, its row statistics and each attention row's softmax max and sum
-        are saved: backward rebuilds the rest from them.  On a `Forward`
-        the output is written over x's array, each chunk's out projection
-        going through a temporary of the chunk's rows.
-        """
-        xv = x.value
-        params = [n.value for n in (gamma, beta, w_qkv, b_qkv, w_out, b_out)]
-        _check_attention(xv.shape, *params, heads, "layernorm-attention")
-        gv, bev, wqv, bqv, wov, bov = params
-        out = self._residual_out(x, "layernorm-attention")
-        b, n = xv.shape[:2]
-        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
-        inv_std = np.empty_like(mu)
-        row_max = np.empty((b, heads, n, 1), xv.dtype)
-        row_sum = np.empty_like(row_max)
-
-        def rows(lo, hi):
-            # A chunk's rows of xv are read before its rows of out are
-            # written, so out may be xv itself.  No chunk's buffer is bound
-            # to a name, so none outlives its chunk.
-            for c in _chunks(lo, hi, (heads, n, n)):
-                o = out[c]
-                _linear_rows(_attention_replay(
-                    _layernorm_rows(xv[c], mu[c], inv_std[c],
-                                    np.empty_like(o), gv, bev),
-                    wqv, bqv, len(wov), heads, row_max[c], row_sum[c],
-                    stats=True)[2], wov, bov, o, o if out is xv else xv[c])
-        _parallel(_attention_size(xv.shape, wqv, heads), rows=b, part=rows)
-        node = Node("layernorm-attention", out,
-                    (x, gamma, beta, w_qkv, b_qkv, w_out, b_out),
-                    attrs={"heads": heads})
-        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
-                                      (row_max, True), (row_sum, True),
-                                      *(self._act(n) for n in (
-                                          gamma, beta, w_qkv, b_qkv, w_out))])
-
     def gelu(self, x):
         xv = x.value
         # 0.5 * x * (1 + erf(x / sqrt2)), with the CDF term and the product
@@ -612,43 +559,60 @@ class Tape:
         node = Node("gelu", out, (x,))
         return self._register(node, [self._act(x), (cdf, True)])
 
-    def layernorm_mlp(self, x, gamma, beta, w1, b1, w2, b2):
-        """x + linear(gelu(linear(layernorm(x), w1, b1)), w2, b2) in one
-        node, x [b, m, d]: a pre-norm MLP and its residual sum.
+    def encoder_layer(self, x, gamma1, beta1, w_qkv, b_qkv, w_out, b_out,
+                      gamma2, beta2, w1, b1, w2, b2, heads):
+        """A pre-norm transformer layer in one node, x [b, n, d]: the
+        attention sublayer's residual sum x2 = x + linear(mhsa(linear(
+        layernorm(x), w_qkv, b_qkv)), w_out, b_out), then the MLP's,
+        x2 + linear(gelu(linear(layernorm(x2), w1, b1)), w2, b2).
 
-        Each part runs its rows in chunks of at most _PART_ELEMENTS hidden
-        elements, with the kernels of `layernorm`, `linear` and `gelu`, so
-        the output is bitwise equal to the unfused nodes'.  Each chunk's
-        GELU CDF term goes into a temporary of the chunk's size.  Only x
-        and the row statistics are saved, besides the parameters: backward
-        recomputes the normed rows, the fc1 output, the CDF term and the
-        GELU output.  On a `Forward` the output is written over x's array,
-        as in `layernorm_attention`.
+        The qkv projection's columns are ordered (q|k|v, head, dh) and
+        viewed as [3, b, heads, n, dh]; every head runs softmax(q k^T /
+        sqrt(dh)) v in one batched product, and the heads merge back to
+        columns (head, dh) for the out projection.  Each part writes x2
+        into the output in chunks of at most _PART_ELEMENTS probabilities,
+        then the layer's output over it in chunks of at most
+        _PART_ELEMENTS hidden elements, with the unfused nodes' kernels, so
+        every temporary exists a chunk at a time and the output is bitwise
+        theirs.  Only x and row statistics are saved (see the table above).
+        On a `Forward` the output is written over x's array.
         """
         xv = x.value
-        params = [n.value for n in (gamma, beta, w1, b1, w2, b2)]
-        hidden_shape = _check_mlp(xv.shape, *params, "layernorm-mlp")
-        gv, bev, w1v, b1v, w2v, b2v = params
-        out = self._residual_out(x, "layernorm-mlp")
-        mu = np.empty(xv.shape[:-1] + (1,), xv.dtype)
-        inv_std = np.empty_like(mu)
+        att = [n.value for n in (gamma1, beta1, w_qkv, b_qkv, w_out, b_out)]
+        mlp = [n.value for n in (gamma2, beta2, w1, b1, w2, b2)]
+        _check_attention(xv.shape, *att, heads, "encoder-layer")
+        hidden_shape = _check_mlp(xv.shape, *mlp, "encoder-layer")
+        out = self._residual_out(x, "encoder-layer")
+        b, n = xv.shape[:2]
+        mu1, inv_std1, mu2, inv_std2 = (
+            np.empty(xv.shape[:-1] + (1,), xv.dtype) for _ in range(4))
+        row_max = np.empty((b, heads, n, 1), xv.dtype)
+        row_sum = np.empty_like(row_max)
 
         def rows(lo, hi):
-            # As in layernorm_attention, no chunk's buffer is bound to a
-            # name.
+            # A chunk's rows of xv are read before its rows of out are
+            # written, so out may be xv itself, and the MLP's rows of x2
+            # before its sum is written over them.  No chunk's buffer is
+            # bound to a name, so none outlives its chunk.
+            for c in _chunks(lo, hi, (heads, n, n)):
+                o = out[c]
+                _attention_sum(xv[c], mu1[c], inv_std1[c], row_max[c],
+                               row_sum[c], att, heads, o,
+                               o if out is xv else xv[c], stats=True)
             for c in _chunks(lo, hi, hidden_shape[1:]):
                 o = out[c]
                 _linear_rows(_mlp_replay(
-                    _layernorm_rows(xv[c], mu[c], inv_std[c],
-                                    np.empty_like(o), gv, bev),
-                    w1v, b1v)[0], w2v, b2v, o, o if out is xv else xv[c])
-        _parallel(max(xv.size, math.prod(hidden_shape)), rows=len(xv),
-                  part=rows)
-        node = Node("layernorm-mlp", out, (x, gamma, beta, w1, b1, w2, b2))
-        return self._register(node, [self._act(x), (mu, True), (inv_std, True),
-                                      self._act(gamma), self._act(beta),
-                                      self._act(w1), self._act(b1),
-                                      self._act(w2)])
+                    _layernorm_rows(o, mu2[c], inv_std2[c], np.empty_like(o),
+                                    *mlp[:2]), *mlp[2:4])[0], *mlp[4:], o, o)
+        _parallel(max(_attention_size(xv.shape, att[2], heads),
+                      _mlp_size(xv.shape, mlp[2])), rows=b, part=rows)
+        params = (gamma1, beta1, w_qkv, b_qkv, w_out, b_out, gamma2, beta2,
+                  w1, b1, w2, b2)
+        node = Node("encoder-layer", out, (x, *params), attrs={"heads": heads})
+        return self._register(node, [
+            self._act(x), *((a, True) for a in (mu1, inv_std1, row_max,
+                                                 row_sum, mu2, inv_std2)),
+            *(self._act(p) for p in params[:-1])])
 
     def mse_masked(self, pred, target, mask):
         """Mean squared error over masked rows only (mask entry 1 = masked).
@@ -674,8 +638,8 @@ class Tape:
         i at row kept[i, j] and `fill` [d] at every other row, plus the
         position table `pos` [n, d].  Each entry of `layers`, an attention
         sublayer's six parameters and then an MLP sublayer's six, in the
-        order `layernorm_attention` and `layernorm_mlp` take them, runs
-        those two sublayers on x; the node's value is
+        order `encoder_layer` takes them, runs that layer on x; the node's
+        value is
         mse_masked(layernorm_linear(x, head_gamma, head_beta, w, b),
         target, mask), where mask [b, n] is 1 on the rows that kept [b, k],
         each sample's k < n unique visible row ids, does not name.
@@ -750,12 +714,9 @@ class Tape:
             grads = list(_layernorm_linear_grads(xhat, head_inv_std, *head[:2],
                                                  head_t, pred, dx))
             del xhat, pred
-            # dx takes each sublayer's input gradient, last layer first.
-            for p, (att_inner, mlp_inner) in zip(reversed(params),
-                                                 reversed(inner)):
-                att, mlp = kept_bufs.pop()
-                grads[:0] = _kept_sublayer_grads(mlp, *p[6:8], mlp_inner, dx)
-                grads[:0] = _kept_sublayer_grads(att, *p[:2], att_inner, dx)
+            # dx takes each layer's input gradient, last layer first.
+            for p, inners in zip(reversed(params), reversed(inner)):
+                grads[:0] = _layer_grads(*kept_bufs.pop(), p, inners, dx)
             dz[s] = dx[_per_sample(kept[s])]
             return [_lead_sum(dx[mv[s] != 0], 1), *grads]
         size = max([math.prod(shape)] + [
@@ -1077,11 +1038,13 @@ def _row_mean(a):
     return out
 
 
-def _layernorm_rows(x, mu, inv_std, out, gamma, beta):
+def _layernorm_rows(x, mu, inv_std, out, gamma, beta, stats=True):
     """The normed rows of x in `out`, which it returns; the rows before
-    the affine become them in place."""
-    return _affine_rows(_normalize_rows(x, mu, inv_std, out), gamma, beta,
-                        out)
+    the affine become them in place.  With `stats` (a forward) each row's
+    mean and inverse std are written into mu and inv_std; without (a
+    rule) they are read, and the rows are the forward's bit for bit."""
+    return _affine_rows((_normalize_rows if stats else _xhat_rows)(
+        x, mu, inv_std, out), gamma, beta, out)
 
 
 def _normalize_rows(x, mu, inv_std, out):
@@ -1205,6 +1168,21 @@ def _attention_replay(normed, w_qkv, b_qkv, width, heads, row_max, row_sum,
     return qkv, p, merged
 
 
+def _attention_sum(x, mu, inv_std, row_max, row_sum, params, heads, out,
+                   residual, stats=False):
+    """x + an attention sublayer of its six parameters `params`, over one
+    chunk's or group's rows x, in `out`, which it returns; `residual` is
+    x, or out when out is x's buffer (see _linear_rows).  With `stats`
+    (the forward) the row statistics are written into mu, inv_std,
+    row_max and row_sum; without (the rule, rebuilding x2) they are read,
+    and the sum is the forward's bit for bit."""
+    gamma, beta, w_qkv, b_qkv, w_out, b_out = params
+    return _linear_rows(_attention_replay(
+        _layernorm_rows(x, mu, inv_std, np.empty_like(x), gamma, beta, stats),
+        w_qkv, b_qkv, len(w_out), heads, row_max, row_sum, stats)[2],
+        w_out, b_out, out, residual)
+
+
 def _mlp_replay(normed, w1, b1):
     """An MLP sublayer after its LayerNorm, over one chunk's or group's
     normed rows: the GELU output, written over fc1, and its CDF term
@@ -1227,11 +1205,12 @@ def _unshuffle_rows(z, fill, pos, kept):
 
 
 def _attention_keep(x, gamma, beta, w_qkv, b_qkv, w_out, b_out, heads):
-    """The output of `Tape.layernorm_attention` over one group's rows x,
-    bitwise its forward's, in a new buffer, and what its backward reads
-    of the forward, in a list: xhat, inv_std, the probabilities and the
-    merged heads (`_attention_backward`).  q|k|v is not kept: it is the
-    larger, and its product the cheaper to make again."""
+    """The attention sublayer's residual sum over one group's rows x,
+    bitwise `Tape.encoder_layer`'s x2, in a new buffer, and what its
+    backward reads of the forward, in a list: xhat, inv_std, the
+    probabilities and the merged heads (`_attention_backward`).  q|k|v is
+    not kept: it is the larger, and its product the cheaper to make
+    again."""
     inv_std = np.empty(x.shape[:-1] + (1,), x.dtype)
     xhat = _normalize_rows(x, np.empty_like(inv_std), inv_std,
                            np.empty_like(x))
@@ -1244,10 +1223,10 @@ def _attention_keep(x, gamma, beta, w_qkv, b_qkv, w_out, b_out, heads):
 
 
 def _mlp_keep(x, gamma, beta, w1, b1, w2, b2):
-    """The output of `Tape.layernorm_mlp` over one group's rows x, bitwise
-    its forward's, in a new buffer, and what its backward reads of the
-    forward, in a list: xhat, inv_std, the GELU output and its CDF term
-    (`_mlp_kept_hidden_grads`)."""
+    """The MLP sublayer's residual sum over one group's rows x, bitwise
+    `Tape.encoder_layer`'s output, in a new buffer, and what its backward
+    reads of the forward, in a list: xhat, inv_std, the GELU output and
+    its CDF term (`_mlp_kept_hidden_grads`)."""
     inv_std = np.empty(x.shape[:-1] + (1,), x.dtype)
     xhat = _normalize_rows(x, np.empty_like(inv_std), inv_std,
                            np.empty_like(x))
@@ -1523,23 +1502,6 @@ def _attention_size(shape, w_qkv, heads):
     return max(b * n * w_qkv.shape[1], b * heads * n * n)
 
 
-def _vjp_layernorm_attention(node, g):
-    # dx is written over g: each group adds its rows' gradient to g's.
-    x, mu, inv_std, row_max, row_sum, *params = node.saved
-    heads = node.attrs["heads"]
-    weights = _attention_weights(*params[2:5])
-
-    def group(s):
-        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        return _kept_sublayer_grads(
-            [xhat, inv_std[s]], *params[:2],
-            functools.partial(_attention_backward, weights=weights,
-                              heads=heads, stats=(row_max[s], row_sum[s])),
-            g[s])
-    return (g, *_grouped(_attention_size(x.shape, params[2], heads),
-                         _groups(x.shape), group))
-
-
 def _mlp_weights(w1, b1, w2):
     """What `_mlp_kept_hidden_grads` reads of an MLP sublayer's saved
     parameters: fc1's weight and bias, and contiguous copies of both
@@ -1591,17 +1553,33 @@ def _mlp_size(shape, w1):
     return max(math.prod(shape), math.prod(shape[:-1]) * w1.shape[1])
 
 
-def _vjp_layernorm_mlp(node, g):
+def _vjp_encoder_layer(node, g):
     # One pass, a group at a time; dx is written over g.
-    x, mu, inv_std, gamma, beta, w1, b1, w2 = node.saved
-    inner = functools.partial(_mlp_kept_hidden_grads,
-                              weights=_mlp_weights(w1, b1, w2))
+    x, mu1, inv_std1, row_max, row_sum, mu2, inv_std2, *params = node.saved
+    heads = node.attrs["heads"]
+    weights = _attention_weights(*params[2:5])
+    mlp_inner = functools.partial(_mlp_kept_hidden_grads,
+                                  weights=_mlp_weights(*params[8:11]))
 
     def group(s):
-        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        return _kept_sublayer_grads([xhat, inv_std[s]], gamma, beta, inner,
-                                    g[s])
-    return (g, *_grouped(_mlp_size(x.shape, w1), _groups(x.shape), group))
+        # x2's rows, rebuilt by a replay of the attention sublayer, die as
+        # the MLP's xhat is made of them.
+        xs = x[s]
+        return _layer_grads(
+            [_xhat_rows(xs, mu1[s], inv_std1[s], np.empty_like(xs)),
+             inv_std1[s]],
+            [_xhat_rows(_attention_sum(xs, mu1[s], inv_std1[s], row_max[s],
+                                       row_sum[s], params[:6], heads,
+                                       np.empty_like(xs), xs),
+                        mu2[s], inv_std2[s], np.empty_like(xs)),
+             inv_std2[s]],
+            params, (functools.partial(_attention_backward, weights=weights,
+                                       heads=heads,
+                                       stats=(row_max[s], row_sum[s])),
+                     mlp_inner), g[s])
+    size = max(_attention_size(x.shape, params[2], heads),
+               _mlp_size(x.shape, params[8]))
+    return (g, *_grouped(size, _groups(x.shape), group))
 
 
 def _kept_sublayer_grads(bufs, gamma, beta, inner, g):
@@ -1619,6 +1597,19 @@ def _kept_sublayer_grads(bufs, gamma, beta, inner, g):
     grads = (*_layernorm_grads(xhat, inv_std, gamma, dnormed), *grads)
     g += dnormed
     return grads
+
+
+def _layer_grads(att, mlp, params, inners, g):
+    """The partial gradients of a transformer layer over one group, in the
+    order of its parameters `params`: the MLP sublayer's, then the
+    attention sublayer's, each through `_kept_sublayer_grads` from the
+    buffers `mlp` and `att` and with `inners` (attention's, the MLP's).
+    Each adds its input's gradient to g in turn.  The decoder-loss node
+    passes what its forward kept, the encoder-layer rule what it
+    rebuilt."""
+    mlp_grads = _kept_sublayer_grads(mlp, *params[6:8], inners[1], g)
+    return (*_kept_sublayer_grads(att, *params[:2], inners[0], g),
+            *mlp_grads)
 
 
 def _mse_grad_rows(pred, target, mask, total, g, out):
@@ -1657,8 +1648,7 @@ _VJP = {
     "concat-rows": _vjp_concat_rows,
     "layernorm": _vjp_layernorm,
     "layernorm-linear": _vjp_layernorm_linear,
-    "layernorm-mlp": _vjp_layernorm_mlp,
-    "layernorm-attention": _vjp_layernorm_attention,
+    "encoder-layer": _vjp_encoder_layer,
     "softmax-lastdim": _vjp_softmax,
     "gelu": _vjp_gelu,
     "mse-masked": _vjp_mse_masked,

@@ -255,11 +255,11 @@ def test_encoder_layer_attention_rows_sum_to_one():
     t = Tape()
     x = t.leaf(rng.normals(8, 1 * 6 * 16).reshape(1, 6, 16))
     encoder_block_layer(t, params, "enc.layer0", x, spec.heads)
-    (attn,) = [n for n in t.nodes if n.kind == "layernorm-attention"]
-    # The node saves x, its row statistics and each attention row's max
-    # and sum; q|k|v and the probabilities are rebuilt from them as
-    # backward rebuilds them.
-    xs, mu, inv_std, row_max, row_sum = attn.saved[:5]
+    (layer,) = [n for n in t.nodes if n.kind == "encoder-layer"]
+    # The node saves x, LN1's row statistics and each attention row's max
+    # and sum (then LN2's statistics); q|k|v and the probabilities are
+    # rebuilt from them as backward rebuilds them.
+    xs, mu, inv_std, row_max, row_sum = layer.saved[:5]
     g, b, w, bias = (params[f"enc.layer0.{name}"] for name in (
         "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b"))
     qkv = ((xs - mu) * inv_std * g + b) @ w + bias
@@ -324,8 +324,7 @@ def test_fused_layer_bitwise_equal_split_heads_reference(dtype, dim, heads, n):
     want = _split_heads_layer(params, "enc.layer0", x, heads)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.value, want)
-    assert [n.kind for n in t.nodes if not n.is_leaf] == [
-        "layernorm-attention", "layernorm-mlp"]
+    assert [n.kind for n in t.nodes if not n.is_leaf] == ["encoder-layer"]
 
 
 class _WholeAttentionTape(Tape):
@@ -510,16 +509,14 @@ def _leaves(t, params, prefix, names):
 
 def _decode(t, params, spec, x, decoder_id):
     """The predictions of decoder `decoder_id` from its input x [b, N,
-    dd], as the nodes that the loss node fuses: each layer's attention
-    and MLP nodes, then the final norm and head."""
+    dd], as the nodes that the loss node fuses: each layer's node, then
+    the final norm and head."""
     pfx = f"block{decoder_id}.dec"
     for j in range(spec.decoder_depth):
-        x = t.layernorm_attention(x, *_leaves(t, params, f"{pfx}.layer{j}", (
+        x = t.encoder_layer(x, *_leaves(t, params, f"{pfx}.layer{j}", (
             "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
-            "attn.out.b")), spec.decoder_heads)
-        x = t.layernorm_mlp(x, *_leaves(t, params, f"{pfx}.layer{j}", (
-            "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w",
-            "mlp.fc2.b")))
+            "attn.out.b", "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b",
+            "mlp.fc2.w", "mlp.fc2.b")), spec.decoder_heads)
     return t.layernorm_linear(x, *_leaves(t, params, pfx, (
         "ln.g", "ln.b", "pred.w", "pred.b")))
 

@@ -174,7 +174,7 @@ def test_gelu_vjp_bitwise_equal_recompute_reference(dtype):
 
 def _attention_inputs(b, n, d, dtype, seed):
     """x [b, n, d] and an attention sublayer's parameters, in the argument
-    order of `Tape.layernorm_attention`."""
+    order of `Tape.encoder_layer`."""
     shapes = {"x": (b, n, d), "gamma": (d,), "beta": (d,),
               "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
               "b_out": (d,)}
@@ -202,12 +202,62 @@ def _attention_reference(v, heads):
     return x + np.concatenate(outs, axis=-1) @ v["w_out"] + v["b_out"]
 
 
+# The encoder-layer node's inputs after x, in its argument order: the
+# attention sublayer's six parameters, then the MLP sublayer's six.  As
+# one sublayer's, the MLP's are named as in _MLP.
+_ATTENTION = ("gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")
+_MLP = ("gamma", "beta", "w1", "b1", "w2", "b2")
+_LAYER = _ATTENTION + ("gamma2", "beta2", "w1", "b1", "w2", "b2")
+# The encoder-layer node, as its two parts (`_layer_part`) and whole.
+_LAYER_KINDS = ("layernorm-attention", "layernorm-mlp", "encoder-layer")
+
+
+def _layer_part(t, part, v, heads=2, hidden=None):
+    """The encoder-layer node on tape t as one of its two parts, over the
+    nodes v: x and the attention sublayer's inputs (_ATTENTION) for part
+    "layernorm-attention", or x and the MLP sublayer's (_MLP) for
+    "layernorm-mlp".  The other part's inputs are constant leaves whose
+    output projection is zero, so that part's residual sum is its input
+    and its rule hands the gradient on: the node computes the part's
+    function, and its rule the part's gradients, while both parts run.
+    The constant MLP's hidden width is `hidden`, 2 * d by default."""
+    x = v["x"]
+    d, dtype = x.shape[-1], x.dtype
+    hidden = hidden or 2 * d
+
+    def const(i, *shape):
+        return t.leaf((_rand(8000 + i, *shape) * 0.5).astype(dtype))
+    attention = part == "layernorm-attention"
+    zero_w = t.leaf(np.zeros((hidden if attention else d, d), dtype))
+    zero_b = t.leaf(np.zeros(d, dtype))
+    if attention:
+        return t.encoder_layer(x, *(v[k] for k in _ATTENTION), const(0, d),
+                               const(1, d), const(2, d, hidden),
+                               const(3, hidden), zero_w, zero_b, heads)
+    return t.encoder_layer(x, const(0, d), const(1, d), const(2, d, 3 * d),
+                           const(3, 3 * d), zero_w, zero_b,
+                           *(v[k] for k in _MLP), heads)
+
+
+def _layer_inputs(b, n, d, dtype, seed, hidden=None):
+    """x [b, n, d] and a layer's twelve parameters, by the names "x" and
+    _LAYER; the MLP's hidden width is `hidden`, 2 * d by default."""
+    hidden = hidden or 2 * d
+    vals = _attention_inputs(b, n, d, dtype, seed)
+    vals.update((k, (_rand(seed + 20 + i, *shape) * 0.5).astype(dtype))
+                for i, (k, shape) in enumerate(zip(_LAYER[6:], (
+                    (d,), (d,), (d, hidden), (hidden,), (hidden, d), (d,)))))
+    return vals
+
+
 @pytest.mark.parametrize("heads,n", [(1, 1), (1, 5), (2, 1), (2, 5), (4, 7)])
 def test_attention_matches_per_head_reference(heads, n):
+    # The layer's attention part.
     vals = _attention_inputs(2, n, 4 * heads, np.float64, 61 + n)
     t = Tape()
-    out = t.layernorm_attention(*(t.leaf(a) for a in vals.values()), heads)
-    assert out.kind == "layernorm-attention"
+    out = _layer_part(t, "layernorm-attention",
+                      {k: t.leaf(a) for k, a in vals.items()}, heads)
+    assert out.kind == "encoder-layer"
     assert out.shape == (2, n, 4 * heads)
     np.testing.assert_allclose(out.value, _attention_reference(vals, heads),
                                rtol=1e-12, atol=1e-13)
@@ -217,9 +267,10 @@ def test_attention_rejects_width_not_split_by_heads():
     t = Tape()
     x = t.leaf(np.zeros((2, 3, 4)))
     params = [t.leaf(np.zeros(s))
-              for s in ((4,), (4,), (4, 12), (12,), (4, 4), (4,))]
+              for s in ((4,), (4,), (4, 12), (12,), (4, 4), (4,),
+                        (4,), (4,), (4, 6), (6,), (6, 4), (4,))]
     with pytest.raises(DimensionError, match="divisible by 3 heads"):
-        t.layernorm_attention(x, *params, 3)  # d = 4, not 3 heads
+        t.encoder_layer(x, *params, 3)  # d = 4, not 3 heads
     assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
@@ -245,13 +296,13 @@ def test_linear_bitwise_equal_matmul_plus_bias(dtype):
 # Each sample's rows of the decoder-entry node's 3 rows of z among 5; the
 # fill goes to the other 2.
 _KEPT = np.array([[3, 0, 4], [1, 2, 0]])
-_ATTENTION = ("gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")
 
 
 def _fused(t, kind, v):
-    """The fused node `kind` over leaves v, recorded on tape t."""
+    """The fused node `kind` over leaves v, recorded on tape t; the
+    encoder-layer node's parts are `_layer_part`'s."""
     if kind == "layernorm-attention":
-        return t.layernorm_attention(*v.values(), 2)
+        return _layer_part(t, kind, v)
     if kind == "unshuffle-attention":
         return _unshuffle_attention(t, v, _decoder_loss)
     return _fused_and_unfused(t, kind, v)[0]
@@ -270,10 +321,10 @@ def _unshuffle_attention(t, v, build):
     return build(t, nodes, consts, 2)
 
 
-def _unshuffle_then_attention(t, z, fill, pos, kept, attention, heads,
-                              fill_rows_grad=False):
+def _unshuffle_then_layer(t, z, fill, pos, kept, layer, heads,
+                          fill_rows_grad=False):
     """The decoder input as zeros + fill, concat, gather and position add,
-    then its attention sublayer: the entry of `Tape.decoder_loss`, unfused.
+    then its first layer: the entry of `Tape.decoder_loss`, unfused.
     The fill rows go to the rows `kept` leaves out, in ascending order.
     With `fill_rows_grad` their zeros are the leaf "fill_rows", whose
     gradient is theirs."""
@@ -285,7 +336,7 @@ def _unshuffle_then_attention(t, z, fill, pos, kept, attention, heads,
                          requires_grad=fill_rows_grad), fill)
     ordered = t.gather_rows(t.concat_rows([z, fills]),
                             np.argsort(order, axis=1))
-    return t.layernorm_attention(t.add(ordered, pos), *attention, heads)
+    return t.encoder_layer(t.add(ordered, pos), *layer, heads)
 
 
 def _position_rows(b, m, n, dtype, seed=88):
@@ -298,7 +349,9 @@ def _position_rows(b, m, n, dtype, seed=88):
 def _fused_and_unfused(t, kind, v):
     """The fused node `kind` over leaves v, and the same function as the
     nodes it fuses, both recorded on tape t.  For "unshuffle-attention"
-    both are losses."""
+    both are losses.  The MLP sublayer, the whole encoder-layer node's or
+    its MLP part's, is unfused into layernorm-linear, gelu, linear and
+    add; the whole node's attention sublayer into its attention part."""
     if kind == "unshuffle-attention":
         return (_unshuffle_attention(t, v, _decoder_loss),
                 _unshuffle_attention(t, v, _decoder_chain))
@@ -306,11 +359,17 @@ def _fused_and_unfused(t, kind, v):
         args = (v["x"], v["gamma"], v["beta"], v["w"], v["b"])
         return (t.layernorm_linear(*args),
                 t.linear(t.layernorm(*args[:3]), *args[3:]))
-    if kind == "layernorm-mlp":
-        args = [v[k] for k in ("x", "gamma", "beta", "w1", "b1", "w2", "b2")]
-        fused = t.layernorm_mlp(*args)
-        h = t.gelu(t.layernorm_linear(*args[:5]))
-        return fused, t.add(v["x"], t.linear(h, *args[5:]))
+    if kind in ("layernorm-mlp", "encoder-layer"):
+        if kind == "layernorm-mlp":
+            fused, x2, mlp = (_layer_part(t, kind, v), v["x"],
+                              [v[k] for k in _MLP])
+        else:
+            fused = t.encoder_layer(v["x"], *(v[k] for k in _LAYER), 2)
+            x2 = _layer_part(t, "layernorm-attention", v,
+                             hidden=v["w1"].shape[1])
+            mlp = [v[k] for k in _LAYER[6:]]
+        h = t.gelu(t.layernorm_linear(x2, *mlp[:4]))
+        return fused, t.add(x2, t.linear(h, *mlp[4:]))
     x, w, b = v["x"], v["w"], v["b"]
     batch, m, _ = x.shape
     pos, ids = _position_rows(batch, m, w.shape[1], x.dtype)
@@ -335,13 +394,15 @@ def _fused_inputs(kind, dtype, seed=81):
                 "fill": (_rand(seed + 8, 4) * 1.5).astype(dtype), **vals}
     if kind == "layernorm-attention":
         return _attention_inputs(2, 5, 4, dtype, seed)
+    if kind == "encoder-layer":
+        return _layer_inputs(2, 5, 4, dtype, seed, hidden=6)
     return {k: (_rand(seed + i, *shape) * 1.5).astype(dtype)
             for i, (k, shape) in enumerate(shapes.items())}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", ["layernorm-linear", "layernorm-mlp", "linear",
-                                  "unshuffle-attention"])
+                                  "unshuffle-attention", "encoder-layer"])
 def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     # One tape: the fused node and the nodes it fuses read the same leaves,
     # and one loss sums both outputs' errors, so every input gradient is
@@ -357,7 +418,9 @@ def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
         t = Tape()
         v = {k: t.leaf(a, name=k, requires_grad=True) for k, a in vals.items()}
         outs = _fused_and_unfused(t, kind, v)
-        assert outs[0].kind == ("decoder-loss" if is_loss else kind)
+        assert outs[0].kind == ("decoder-loss" if is_loss else
+                                "encoder-layer" if kind in _LAYER_KINDS
+                                else kind)
         ys = [outs[i] for i in which]
         target = _rand(90, *outs[0].shape).astype(dtype)
         mask = t.leaf(np.ones((2, 5), dtype))
@@ -386,8 +449,11 @@ def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     *(("layernorm-attention", v) for v in (
         "x", "gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")),
     *(("unshuffle-attention", v) for v in ("z", "fill") + _ATTENTION),
+    *(("encoder-layer", v) for v in ("x",) + _LAYER),
     ("linear", "x")])
 def test_grad_fused_nodes(kind, var):
+    # "layernorm-attention" and "layernorm-mlp" are the encoder-layer
+    # node's parts (`_layer_part`); "encoder-layer" is the whole node.
     vals = _fused_inputs(kind, np.float64, seed=6300)
 
     def build(t, node):
@@ -414,6 +480,9 @@ def test_fused_nodes_refuse_mismatched_shapes():
     x, w, b = (t.leaf(np.zeros(s)) for s in ((2, 5, 4), (4, 3), (3,)))
     with pytest.raises(DimensionError, match="layernorm affine"):
         t.layernorm_linear(x, t.leaf(np.ones(3)), t.leaf(np.zeros(4)), w, b)
+    # The encoder-layer node's MLP part, after a well-shaped attention part.
+    attention = [t.leaf(np.zeros(s))
+                 for s in ((4,), (4,), (4, 12), (12,), (4, 4), (4,))]
     norm = [t.leaf(np.ones(4)), t.leaf(np.zeros(4))]
     mlp = [t.leaf(np.zeros(s)) for s in ((4, 6), (6,), (6, 4), (4,))]
 
@@ -424,18 +493,18 @@ def test_fused_nodes_refuse_mismatched_shapes():
 
     for i, shape, match in (
             (0, (3,), "layernorm affine"),
-            (2, (3, 6), r"layernorm-mlp extent mismatch: \(2, 5, 4\)"),
-            (3, (5,), r"layernorm-mlp supports \[b,m,k\] x \[k,n\] \+ \[n\]"),
-            (4, (5, 4), r"layernorm-mlp extent mismatch: \(2, 5, 6\)"),
-            (5, (3,), r"layernorm-mlp supports")):
+            (2, (3, 6), r"encoder-layer extent mismatch: \(2, 5, 4\)"),
+            (3, (5,), r"encoder-layer supports \[b,m,k\] x \[k,n\] \+ \[n\]"),
+            (4, (5, 4), r"encoder-layer extent mismatch: \(2, 5, 6\)"),
+            (5, (3,), r"encoder-layer supports")):
         with pytest.raises(DimensionError, match=match):
-            t.layernorm_mlp(x, *with_mlp(i, shape))
+            t.encoder_layer(x, *attention, *with_mlp(i, shape), 2)
     # fc2 back to a width other than x's, so x cannot be its residual
     with pytest.raises(DimensionError, match="residual"):
-        t.layernorm_mlp(x, *norm, *mlp[:2], t.leaf(np.zeros((6, 3))),
-                        t.leaf(np.zeros(3)))
-    with pytest.raises(DimensionError, match="layernorm-mlp supports"):
-        t.layernorm_mlp(t.leaf(np.zeros((5, 4))), *norm, *mlp)
+        t.encoder_layer(x, *attention, *norm, *mlp[:2],
+                        t.leaf(np.zeros((6, 3))), t.leaf(np.zeros(3)), 2)
+    with pytest.raises(DimensionError, match="encoder-layer supports"):
+        t.encoder_layer(t.leaf(np.zeros((5, 4))), *attention, *norm, *mlp, 2)
     assert [n.kind for n in t.nodes] == ["leaf"] * len(t.nodes)
 
 
@@ -443,18 +512,21 @@ def test_attention_and_unshuffle_refuse_mismatched_shapes():
     t = Tape()
     x = t.leaf(np.zeros((2, 5, 4)))
     shapes = [(4,), (4,), (4, 12), (12,), (4, 4), (4,)]
+    mlp = [t.leaf(np.zeros(s))
+           for s in ((4,), (4,), (4, 6), (6,), (6, 4), (4,))]
 
     def attention_with(changed):
+        # The encoder-layer node's attention part, before a well-shaped MLP.
         args = [t.leaf(np.zeros(changed.get(i, s)))
                 for i, s in enumerate(shapes)]
-        return t.layernorm_attention(x, *args, 2)
+        return t.encoder_layer(x, *args, *mlp, 2)
 
     for changed, match in (
             ({0: (3,)}, "layernorm affine"),
-            ({2: (3, 12), 3: (12,)}, r"layernorm-attention extent mismatch: "
+            ({2: (3, 12), 3: (12,)}, r"encoder-layer extent mismatch: "
                                      r"\(2, 5, 4\) x \(3, 12\)"),
-            ({3: (6,)}, r"layernorm-attention supports \[b,m,k\]"),
-            ({4: (6, 4)}, r"layernorm-attention extent mismatch: "
+            ({3: (6,)}, r"encoder-layer supports \[b,m,k\]"),
+            ({4: (6, 4)}, r"encoder-layer extent mismatch: "
                           r"\(2, 5, 4\) x \(6, 4\)"),
             # the out projection to a width other than x's
             ({4: (4, 3), 5: (3,)}, "residual")):
@@ -535,12 +607,10 @@ def _one_node_per_backward_rule():
                  leaf(29, 5, 5), np.array([[4, 0, 2], [1, 3, 0]])),
         t.layernorm_linear(act(30, 2, 3, 4), leaf(31, 4), leaf(32, 4),
                            leaf(33, 4, 5), leaf(34, 5)),
-        t.layernorm_mlp(act(35, 2, 3, 4), leaf(36, 4), leaf(37, 4),
-                        leaf(38, 4, 6), leaf(39, 6), leaf(40, 6, 4),
-                        leaf(41, 4)),
-        t.layernorm_attention(act(22, 2, 3, 4), leaf(42, 4), leaf(43, 4),
-                              leaf(44, 4, 12), leaf(45, 12), leaf(46, 4, 4),
-                              leaf(47, 4), 2),
+        t.encoder_layer(act(35, 2, 3, 4), leaf(42, 4), leaf(43, 4),
+                        leaf(44, 4, 12), leaf(45, 12), leaf(46, 4, 4),
+                        leaf(47, 4), leaf(36, 4), leaf(37, 4), leaf(38, 4, 6),
+                        leaf(39, 6), leaf(40, 6, 4), leaf(41, 4), 2),
         t.add(act(8, 2, 3, 4), act(9, 4)),
         t.scale(act(10, 3, 4), 0.5),
         t.transpose(act(11, 2, 3, 4)),
@@ -596,12 +666,10 @@ def test_a_saved_activation_is_read_only_and_a_saved_leaf_is_not():
         t.linear(act(1, 2, 3, 4), leaf(2, 4, 5), leaf(3, 5)),
         t.layernorm_linear(act(4, 2, 3, 4), leaf(5, 4), leaf(6, 4),
                            leaf(7, 4, 5), leaf(8, 5)),
-        t.layernorm_attention(act(9, 2, 3, 4), leaf(10, 4), leaf(11, 4),
-                              leaf(12, 4, 12), leaf(13, 12), leaf(14, 4, 4),
-                              leaf(15, 4), 2),
-        t.layernorm_mlp(act(16, 2, 3, 4), leaf(17, 4), leaf(18, 4),
-                        leaf(19, 4, 6), leaf(20, 6), leaf(21, 6, 4),
-                        leaf(22, 4)),
+        t.encoder_layer(act(9, 2, 3, 4), leaf(10, 4), leaf(11, 4),
+                        leaf(12, 4, 12), leaf(13, 12), leaf(14, 4, 4),
+                        leaf(15, 4), leaf(17, 4), leaf(18, 4), leaf(19, 4, 6),
+                        leaf(20, 6), leaf(21, 6, 4), leaf(22, 4), 2),
         t.mse_masked(act(23, 2, 3, 4), t.leaf(_rand(24, 2, 3, 4)),
                      t.leaf(np.ones((2, 3)))),
     ]
@@ -695,9 +763,8 @@ def test_mse_masked_matches_double_loop():
 
 # ----- the decoder's loss node ----------------------------------------------
 
-# A decoder layer's parameters in the order `Tape.decoder_loss` takes them:
-# the attention sublayer's, then the MLP sublayer's.
-_LAYER = _ATTENTION + ("gamma2", "beta2", "w1", "b1", "w2", "b2")
+# A decoder layer's parameters are _LAYER, in the order `Tape.decoder_loss`
+# takes them as `Tape.encoder_layer` does.
 _HEAD = ("head_gamma", "head_beta", "w", "b")
 
 
@@ -740,19 +807,16 @@ def _decoder_loss(t, v, c, heads):
 
 def _decoder_chain(t, v, c, heads, fill_rows_grad=False):
     """The nodes `Tape.decoder_loss` fuses: the decoder input built by
-    five nodes, each layer's attention and MLP nodes, the head's
-    layernorm-linear and the masked MSE over the rows `kept` leaves out.
+    five nodes, each layer's node, the head's layernorm-linear and the
+    masked MSE over the rows `kept` leaves out.
     With `fill_rows_grad` the fill rows' gradient is the leaf
     "fill_rows"'s."""
     x = None
     for j in range(_depth(v)):
-        attention = [v[f"{j}.{name}"] for name in _ATTENTION]
-        x = (_unshuffle_then_attention(t, v["z"], v["fill"],
-                                       t.leaf(c["pos"]), c["kept"],
-                                       attention, heads, fill_rows_grad)
-             if x is None
-             else t.layernorm_attention(x, *attention, heads))
-        x = t.layernorm_mlp(x, *(v[f"{j}.{name}"] for name in _LAYER[6:]))
+        layer = [v[f"{j}.{name}"] for name in _LAYER]
+        x = (_unshuffle_then_layer(t, v["z"], v["fill"], t.leaf(c["pos"]),
+                                   c["kept"], layer, heads, fill_rows_grad)
+             if x is None else t.encoder_layer(x, *layer, heads))
     pred = t.layernorm_linear(x, *(v[name] for name in _HEAD))
     mask = np.ones(pred.shape[:2], pred.dtype)
     mask[np.arange(len(mask))[:, None], c["kept"]] = 0.0
@@ -1064,15 +1128,16 @@ def test_grad_linear(x_shape, var):
 
 @pytest.mark.parametrize("heads,n", [(1, 1), (1, 5), (2, 1), (2, 5)])
 def test_grad_attention(heads, n):
-    # x reaches the output through LN1 and through the residual
+    # x reaches the whole layer's output through LN1 and LN2 and through
+    # both residuals.
     b, d = 2, 4 * heads
     seed = 6200 + 10 * heads + n
-    vals = _attention_inputs(b, n, d, np.float64, seed)
+    vals = _layer_inputs(b, n, d, np.float64, seed)
     target = _rand(6100 + n, b, n, d)
 
     def build(t, x):
-        out = t.layernorm_attention(
-            x, *(t.leaf(vals[k]) for k in list(vals)[1:]), heads)
+        out = t.encoder_layer(
+            x, *(t.leaf(vals[k]) for k in _LAYER), heads)
         return t.mse_masked(out, t.leaf(target), t.leaf(np.ones((b, n))))
 
     _grad_check(build, vals["x"] * 4.0, seed)
@@ -1570,14 +1635,16 @@ def _attention_whole_probabilities(inputs, heads, g, rows=_in_group_order):
 
 
 def _assert_attention_matches_whole_probabilities(node, heads, g, grads):
-    """The node's value and its rule's gradients `grads` are bitwise those
-    of `_attention_whole_probabilities` on its inputs' values."""
+    """The value of an encoder-layer node's attention part (`_layer_part`)
+    and its rule's gradients `grads` of x and of the attention sublayer's
+    inputs are bitwise those of `_attention_whole_probabilities` on its
+    inputs' values."""
     want_out, want_grads = _attention_whole_probabilities(
-        [n.value for n in node.inputs], heads, g)
+        [n.value for n in node.inputs[:7]], heads, g)
     assert node.value.dtype == want_out.dtype
     assert np.array_equal(node.value, want_out)
-    assert len(grads) == len(want_grads) == 7
-    for i, (got, want) in enumerate(zip(grads, want_grads)):
+    assert len(grads) == 13 and len(want_grads) == 7
+    for i, (got, want) in enumerate(zip(grads[:7], want_grads)):
         assert got.dtype == want.dtype, i
         assert np.array_equal(got, want), i
 
@@ -1589,16 +1656,17 @@ def _assert_attention_matches_whole_probabilities(node, heads, g, grads):
 def test_attention_rebuilt_probabilities_bitwise_equal_to_saved(
         monkeypatch, b, n, d, heads, dtype, parts):
     # The desk decoder's and encoder's shapes run in several chunks of
-    # samples per thread; the node that keeps only x and row statistics
-    # gives the value and every gradient of plain numpy that keeps the
-    # normed rows, q|k|v, the whole probabilities and the merged heads.
-    # Every input takes a gradient, so the rule computes x's too.
+    # samples per thread; the layer's attention part, which keeps only x
+    # and row statistics, gives the value and every gradient of plain
+    # numpy that keeps the normed rows, q|k|v, the whole probabilities and
+    # the merged heads.  Every input takes a gradient, so the rule
+    # computes x's too.
     monkeypatch.setattr(tape, "_PARTS", parts)
     vals = _attention_inputs(b, n, d, dtype, 200 + n)
     g = _rand(210 + n, b, n, d).astype(dtype)
     t = Tape()
-    node = t.layernorm_attention(
-        *(t.leaf(a, requires_grad=True) for a in vals.values()), heads)
+    node = _layer_part(t, "layernorm-attention", {
+        k: t.leaf(a, requires_grad=True) for k, a in vals.items()}, heads)
     _assert_attention_matches_whole_probabilities(
         node, heads, g, _VJP[node.kind](node, g.copy()))
 
@@ -1650,27 +1718,31 @@ def _force_parts(monkeypatch, parts):
     return pool
 
 
+_SPLIT_LAYER = ((12,), (12,), (12, 36), (36,), (12, 12), (12,), (12,), (12,),
+                (12, 20), (20,), (20, 12), (12,))
+
+
 def _split_kernels_run(b, dtype):
     """Forward and every VJP of linear (with and without position rows),
-    layernorm, layernorm-attention, gelu, layernorm-linear, layernorm-mlp
-    and add; returns each node's value, saved buffers and charged bytes,
-    the meter, and every VJP output.  The attention node's value and
-    gradients are checked against plain numpy on the way."""
+    layernorm, encoder-layer (its attention part, and whole), gelu,
+    layernorm-linear and add; returns each node's value, saved buffers
+    and charged bytes, the meter, and every VJP output.  The attention
+    part's value and gradients are checked against plain numpy on the
+    way."""
     def r(seed, *shape):
         return _rand(seed, *shape).astype(dtype)
 
     t = Tape()
     x = t.leaf(r(1, b, 5, 12), name="x", requires_grad=True)
     h = t.layernorm(x, t.leaf(r(2, 12)), t.leaf(r(3, 12)))
-    att = t.layernorm_attention(h, *(
-        t.leaf(r(20 + i, *shape)) for i, shape in enumerate(
-            ((12,), (12,), (12, 36), (36,), (12, 12), (12,)))), 3)
+    att = _layer_part(t, "layernorm-attention", {"x": h, **{
+        k: t.leaf(r(20 + i, *shape)) for i, (k, shape) in enumerate(
+            zip(_ATTENTION, _SPLIT_LAYER))}}, 3, hidden=20)
     f1 = t.gelu(t.linear(att, t.leaf(r(6, 12, 20)), t.leaf(r(7, 20))))
     f2 = t.layernorm_linear(att, t.leaf(r(8, 12)), t.leaf(r(9, 12)),
                             t.leaf(r(10, 12, 20)), t.leaf(r(11, 20)))
-    f3 = t.layernorm_mlp(att, t.leaf(r(12, 12)), t.leaf(r(13, 12)),
-                         t.leaf(r(16, 12, 20)), t.leaf(r(17, 20)),
-                         t.leaf(r(18, 20, 12)), t.leaf(r(19, 12)))
+    f3 = t.encoder_layer(att, *(t.leaf(r(30 + i, *shape))
+                                for i, shape in enumerate(_SPLIT_LAYER)), 3)
     pos, ids = _position_rows(b, 5, 12, dtype)
     t.add(x, t.linear(f3, t.leaf(r(14, 12, 12)), t.leaf(r(15, 12)),
                       t.leaf(pos), ids))
@@ -1690,8 +1762,8 @@ def _split_kernels_run(b, dtype):
         if node is att:
             _assert_attention_matches_whole_probabilities(node, 3, g, grads)
     assert {n.kind for n in t.nodes} - {"leaf"} == {
-        "layernorm", "linear", "layernorm-attention", "gelu",
-        "layernorm-linear", "layernorm-mlp", "add"}
+        "layernorm", "linear", "encoder-layer", "gelu", "layernorm-linear",
+        "add"}
     assert f1.shape == f2.shape == (b, 5, 20)
     return out
 
@@ -1738,16 +1810,17 @@ def test_split_kernels_bitwise_equal_to_one_part(monkeypatch, b, dtype):
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
-    # The forwards of layernorm-mlp and attention take two of the 5 rows of
-    # their [5, 5, 20] hidden buffers and [5, 3, 5, 5] probabilities per
-    # chunk: rows 2, 2, 1 on one thread, or 2 | 2, 1 on two.  layernorm's
-    # forward takes three of its 5 [5, 12] samples per chunk, on one
-    # thread, since its 300 elements do not repay a second: rows 3, 2.
-    # layernorm-linear's forward normalizes a group of 2 samples (10 rows)
-    # at a time within each thread's rows, and every backward rule cuts
-    # the 5 samples into groups of 2, whatever the threads and chunk size;
-    # its sums give the one-thread run's bit for bit, and the attention
-    # node's also give the plain numpy attention's (see _split_kernels_run).
+    # Each encoder-layer forward's attention and MLP loops take two of the
+    # 5 rows of their [5, 3, 5, 5] probabilities and [5, 5, 20] hidden
+    # buffers per chunk: rows 2, 2, 1 on one thread, or 2 | 2, 1 on two.
+    # layernorm's forward takes three of its 5 [5, 12] samples per chunk,
+    # on one thread, since its 300 elements do not repay a second: rows
+    # 3, 2.  layernorm-linear's forward normalizes a group of 2 samples
+    # (10 rows) at a time within each thread's rows, and every backward
+    # rule cuts the 5 samples into groups of 2, whatever the threads and
+    # chunk size; its sums give the one-thread run's bit for bit, and the
+    # attention part's also give the plain numpy attention's (see
+    # _split_kernels_run).
     monkeypatch.setattr(tape, "_GROUP_ROWS", 10)
     monkeypatch.setattr(tape, "_PARTS", 1)
     want = _split_kernels_run(5, np.float32)
@@ -1765,10 +1838,10 @@ def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
     monkeypatch.setattr(tape, "_groups", recorded(tape._groups, groups))
     got = _split_kernels_run(5, np.float32)
     split = {1: [[(0, 2), (2, 4), (4, 5)]], 2: [[(0, 2)], [(2, 4), (4, 5)]]}
-    # layernorm's, layernorm-mlp's and attention's forwards
-    assert sorted(chunks) == sorted(split[parts] * 2 + [[(0, 3), (3, 5)]])
-    # layernorm-linear's forward, then the rules of layernorm, attention,
-    # linear, layernorm-linear, layernorm-mlp and linear with position rows
+    # layernorm's forward, and the two loops of each layer's
+    assert sorted(chunks) == sorted(split[parts] * 4 + [[(0, 3), (3, 5)]])
+    # layernorm-linear's forward, then the rules of layernorm, the two
+    # layers, linear, layernorm-linear and linear with position rows
     assert sorted(groups) == sorted(split[parts]
                                     + [[(0, 2), (2, 4), (4, 5)]] * 6)
     assert want.keys() == got.keys()
@@ -1860,7 +1933,9 @@ def test_split_kernels_stress_more_threads_than_cores(monkeypatch):
 
 # The rules that sum over rows, each with the names of its inputs in the
 # order of its gradients; None marks an input whose gradient is not
-# compared (a constant).
+# compared (a constant).  "layernorm-attention" and "layernorm-mlp" are
+# the encoder-layer node's parts (`_layer_part`), whose other part's
+# inputs are constants.
 _DESK_RULES = {
     "linear": ("x", "w", "b"),
     "linear+pos": ("x", "w", "b"),
@@ -1869,8 +1944,9 @@ _DESK_RULES = {
     "add-rows": ("x", "y_rows"),
     "layernorm": ("x", "gamma", "beta"),
     "layernorm-linear": ("x", "gamma", "beta", "w_pred", "b_pred"),
-    "layernorm-mlp": ("x", "gamma", "beta", "w1", "b1", "w2", "b2"),
-    "layernorm-attention": ("x",) + _ATTENTION,
+    "layernorm-mlp": ("x",) + (None,) * 6 + _MLP,
+    "layernorm-attention": ("x",) + _ATTENTION + (None,) * 6,
+    "encoder-layer": ("x",) + _LAYER,
 }
 
 
@@ -1883,7 +1959,7 @@ def _desk_values(n, dtype, seed=300):
               "w_pred": (d, 16), "b_pred": (16,), "w1": (d, 4 * d),
               "b1": (4 * d,), "w2": (4 * d, d), "b2": (d,),
               "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
-              "b_out": (d,), "pos": (n, d)}
+              "b_out": (d,), "pos": (n, d), "gamma2": (d,), "beta2": (d,)}
     vals = {k: (_rand(seed + i, *s) * 0.5).astype(dtype)
             for i, (k, s) in enumerate(shapes.items())}
     return vals, 4 if n == 16 else 1
@@ -1908,9 +1984,9 @@ def _desk_node(t, kind, vals, heads):
     if kind == "layernorm-linear":
         return t.layernorm_linear(x, v["gamma"], v["beta"], v["w_pred"],
                                   v["b_pred"])
-    if kind == "layernorm-mlp":
-        return t.layernorm_mlp(x, *(v[k] for k in (
-            "gamma", "beta", "w1", "b1", "w2", "b2")))
+    if kind in ("layernorm-mlp", "layernorm-attention"):
+        return _layer_part(t, kind, {**v, "x": x}, heads,
+                           hidden=vals["w1"].shape[1])
     if kind == "unshuffle-attention":
         d = vals["x"].shape[-1]
         dv, consts = _decoder_values(64, 16, vals["x"].shape[1], d, 1,
@@ -1919,7 +1995,7 @@ def _desk_node(t, kind, vals, heads):
         nodes = {k: t.leaf(a) for k, a in dv.items()}
         nodes["z"] = t.scale(nodes["z"], 1.0)
         return _decoder_loss(t, nodes, consts, heads)
-    return t.layernorm_attention(x, *(v[k] for k in _ATTENTION), heads)
+    return t.encoder_layer(x, *(v[k] for k in _LAYER), heads)
 
 
 def _desk_rule_grads(n, dtype=np.float32):
@@ -1965,7 +2041,7 @@ def test_desk_rules_bitwise_equal_whatever_the_threads(monkeypatch, n,
 
 
 @pytest.mark.parametrize("kind", ["linear", "layernorm-linear",
-                                  "layernorm-mlp"])
+                                  "layernorm-mlp", "encoder-layer"])
 @pytest.mark.parametrize("n", [16, 64])
 def test_desk_fused_node_bitwise_equal_unfused_composition(kind, n):
     # At desk shapes each rule sums over several groups of rows; the fused
@@ -1973,8 +2049,8 @@ def test_desk_fused_node_bitwise_equal_unfused_composition(kind, n):
     vals, _ = _desk_values(n, np.float32)
     names = {"linear": ("x", "w", "b"),
              "layernorm-linear": ("x", "gamma", "beta", "w", "b"),
-             "layernorm-mlp": ("x", "gamma", "beta", "w1", "b1", "w2",
-                               "b2")}[kind]
+             "layernorm-mlp": ("x",) + _MLP,
+             "encoder-layer": ("x",) + _LAYER}[kind]
     target = _rand(460, 64, n, vals["x"].shape[-1]).astype(np.float32)
 
     def run(which):
@@ -1997,6 +2073,28 @@ def _layernorm_whole(x, gamma, beta):
     xhat *= 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True)
                           + x.dtype.type(LN_EPS))
     return xhat, xhat * gamma + beta
+
+
+def _mlp_whole(x, gamma, beta, w1, b1, w2, g):
+    """The gradient of x and the partials of gamma, beta, w1, b1, w2 and
+    b2 of x + linear(gelu(linear(layernorm(x), w1, b1)), w2, b2), each one
+    product or sum over every row of the batch, in plain numpy."""
+    def weight(a, grad):
+        return a.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
+
+    xhat, normed = _layernorm_whole(x, gamma, beta)
+    f1 = normed @ w1 + b1
+    cdf = 1.0 + erf(f1 / np.sqrt(2.0))
+    dgelu = (g @ w2.T) * (0.5 * cdf + f1 * np.exp(-0.5 * f1 * f1)
+                          / np.sqrt(2.0 * np.pi))
+    dn = dgelu @ w1.T
+    dxhat = dn * gamma
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
+    dx = g + inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat
+                        * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, ((xhat * dn).sum(axis=(0, 1)), dn.sum(axis=(0, 1)),
+                weight(normed, dgelu), dgelu.sum(axis=(0, 1)),
+                weight(0.5 * f1 * cdf, g), g.sum(axis=(0, 1)))
 
 
 def _whole_batch_grads(kind, v, heads, g):
@@ -2025,15 +2123,15 @@ def _whole_batch_grads(kind, v, heads, g):
         dn = g @ v["w_pred"].T
         return rows(xhat * dn), rows(dn), weight(normed, g), rows(g)
     if kind == "layernorm-mlp":
-        f1 = normed @ v["w1"] + v["b1"]
-        cdf = 1.0 + erf(f1 / np.sqrt(2.0))
-        dgelu = (g @ v["w2"].T) * (0.5 * cdf + f1 * np.exp(-0.5 * f1 * f1)
-                                   / np.sqrt(2.0 * np.pi))
-        dn = dgelu @ v["w1"].T
-        return (rows(xhat * dn), rows(dn), weight(normed, dgelu),
-                rows(dgelu), weight(0.5 * f1 * cdf, g), rows(g))
-    return _attention_whole_probabilities(
-        [x] + [v[k] for k in _ATTENTION], heads, g, _whole_batch)[1][1:]
+        return _mlp_whole(x, *(v[k] for k in _MLP[:-1]), g)[1]
+    attention = [x] + [v[k] for k in _ATTENTION]
+    if kind == "layernorm-attention":
+        return _attention_whole_probabilities(attention, heads, g,
+                                              _whole_batch)[1][1:]
+    x2 = _attention_whole_probabilities(attention, heads, g)[0]
+    dx2, mlp = _mlp_whole(x2, *(v[k] for k in _LAYER[6:11]), g)
+    return (*_attention_whole_probabilities(attention, heads, dx2,
+                                            _whole_batch)[1][1:], *mlp)
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -2056,25 +2154,27 @@ def test_desk_rule_parameter_grads_near_whole_batch_sums(n):
 
 def _group_width(kind, d, heads, n):
     """Elements per row of a group that a streamed rule holds at once at
-    most: xhat, the normed rows and two hidden-wide buffers, the GELU
-    output written over fc1 and its CDF term, where fc1 is made again over
-    the first once dw2's partial is taken (layernorm-mlp); xhat, the
-    normed rows and their
-    gradient's temporary (layernorm-linear); xhat, the normed rows, q|k|v,
-    dqkv, the merged heads' gradient and the probabilities, their gradient
-    and a product of the two (layernorm-attention); none for the
-    decoder-loss node, whose forward ran the unshuffle-attention work's
-    backward and whose rule scales the gradients it saved in place
-    (unshuffle-attention)."""
-    return {"layernorm-mlp": 2 * d + 2 * 4 * d, "layernorm-linear": 3 * d,
-            "layernorm-attention": 9 * d + 3 * heads * n,
-            "unshuffle-attention": 0}[kind]
+    most: xhat, the normed rows and their gradient's temporary
+    (layernorm-linear); none for the decoder-loss node, whose forward ran
+    the unshuffle-attention work's backward and whose rule scales the
+    gradients it saved in place (unshuffle-attention).  The encoder-layer
+    rule, whole or as a part (`_layer_part`), holds the larger of its MLP
+    part's both sublayers' xhat, the MLP's normed rows and two
+    hidden-wide buffers, the GELU output written over fc1 and its CDF
+    term, where fc1 is made again over the first once dw2's partial is
+    taken; and its attention part's xhat, the normed rows, q|k|v, dqkv,
+    the merged heads' gradient and the probabilities, their gradient and a
+    product of the two.  Its rebuild of x2 holds less than the attention
+    part."""
+    if kind in _LAYER_KINDS:
+        return max(2 * d + d + 2 * 4 * d, 9 * d + 3 * heads * n)
+    return {"layernorm-linear": 3 * d, "unshuffle-attention": 0}[kind]
 
 
 def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
     """The rule of `kind` at desk shape n, on `parts` threads, holds at
     most its dx (none when dx is written over g), one group's buffers per
-    thread (`_group_width` per row) and, for layernorm-mlp, the 64 rows
+    thread (`_group_width` per row) and, for an encoder layer, the 64 rows
     of the temporary its 2 * fc1 * pdf(fc1) pass walks the hidden rows
     with, contiguous copies of its weights' transposes, and its
     parameters' partial sums: a running total and one group's partials
@@ -2100,7 +2200,7 @@ def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
           else 4 * 64 * n * d)
     params = sum(a.nbytes for a in grads[1:] if a is not None)
     rows = max(1, tape._GROUP_ROWS // n) * n
-    pdf_rows = 64 * 4 * d if kind == "layernorm-mlp" else 0
+    pdf_rows = 64 * 4 * d if kind in _LAYER_KINDS else 0
     bound = (dx + 4 * parts * (rows * _group_width(kind, d, heads, n)
                                + pdf_rows)
              + (2 * parts + 2) * params)
@@ -2111,11 +2211,12 @@ def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
 @pytest.mark.parametrize("kind,n", [
     ("layernorm-linear", 16), ("layernorm-linear", 64),
     ("layernorm-mlp", 16), ("layernorm-attention", 16),
-    ("unshuffle-attention", 64)])
+    ("unshuffle-attention", 64), ("encoder-layer", 16),
+    ("encoder-layer", 64)])
 def test_streamed_rule_backward_holds_a_group_per_thread(monkeypatch, kind,
                                                          n, parts):
     # The desk encoder's (n = 16) and decoder's (n = 64) shapes; the
-    # decoder's layernorm-mlp and layernorm-attention are the two tests
+    # encoder-layer node's parts at the decoder's shape are the two tests
     # above.
     _assert_backward_holds_a_group(monkeypatch, kind, n, parts)
 
@@ -2123,11 +2224,10 @@ def test_streamed_rule_backward_holds_a_group_per_thread(monkeypatch, kind,
 # ----- a tape that records nothing ------------------------------------------
 
 def _forward_chain(t, dtype, copies=None):
-    """linear, layernorm-attention, layernorm-mlp and layernorm on a batch
-    of 5 samples, each node reading the last; returns the nodes.  With a
-    list `copies`, a copy of each node's value goes into it before the
-    next node reads that value: on a Forward, the two residual nodes write
-    over their input's array."""
+    """linear, two encoder layers and layernorm on a batch of 5 samples,
+    each node reading the last; returns the nodes.  With a list `copies`,
+    a copy of each node's value goes into it before the next node reads
+    that value: on a Forward, each layer writes over its input's array."""
     def leaf(seed, *shape):
         return t.leaf(_rand(seed, *shape).astype(dtype))
 
@@ -2136,14 +2236,16 @@ def _forward_chain(t, dtype, copies=None):
             copies.append(node.value.copy())
         return node
 
+    def layer(x, seed):
+        return kept(t.encoder_layer(x, *(
+            leaf(seed + i, *shape) for i, shape in enumerate(_SPLIT_LAYER)),
+            3))
+
     x = kept(t.linear(leaf(300, 5, 4, 6), leaf(301, 6, 12), leaf(302, 12)))
-    att = kept(t.layernorm_attention(x, *(
-        leaf(310 + i, *shape) for i, shape in enumerate(
-            ((12,), (12,), (12, 36), (36,), (12, 12), (12,)))), 3))
-    mlp = kept(t.layernorm_mlp(att, leaf(320, 12), leaf(321, 12),
-                               leaf(322, 12, 20), leaf(323, 20),
-                               leaf(324, 20, 12), leaf(325, 12)))
-    return x, att, mlp, kept(t.layernorm(mlp, leaf(330, 12), leaf(331, 12)))
+    first = layer(x, 310)
+    second = layer(first, 330)
+    return x, first, second, kept(t.layernorm(second, leaf(350, 12),
+                                              leaf(351, 12)))
 
 
 @pytest.mark.parametrize("parts", [1, 2])
@@ -2168,17 +2270,22 @@ def test_forward_values_bitwise_equal_to_tape(monkeypatch, dtype, parts):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_mlp_node_saves_nothing_of_the_hidden_width(dtype):
-    # On a Tape too, the MLP node saves and charges only its input and a
-    # mean and inverse std per row besides its parameters: backward
-    # recomputes fc1, the GELU's CDF term and its output, whose rows are
-    # 20 wide here against the input's 12.
+    # On a Tape too, the layer node, which runs the MLP, saves and charges
+    # only its input and row statistics besides its parameters: LN1's
+    # mean and inverse std, each of the 3 heads' softmax max and sum, and
+    # LN2's mean and inverse std per row.  Backward recomputes the
+    # attention sublayer's residual sum, fc1, the GELU's CDF term and its
+    # output, whose rows are 20 wide here against the input's 12.
     t = Tape()
-    _, att, mlp, _ = _forward_chain(t, dtype)
-    params = [n.value for n in mlp.inputs[1:]]
-    acts = [a for a in mlp.saved if not any(a is p for p in params)]
-    assert acts[0] is att.value
-    assert [a.shape for a in acts] == [(5, 4, 12), (5, 4, 1), (5, 4, 1)]
-    assert mlp.bytes == att.value.nbytes + 2 * 5 * 4 * dtype(0).nbytes
+    _, first, layer, _ = _forward_chain(t, dtype)
+    params = [n.value for n in layer.inputs[1:]]
+    acts = [a for a in layer.saved if not any(a is p for p in params)]
+    assert acts[0] is first.value
+    assert [a.shape for a in acts] == [(5, 4, 12), (5, 4, 1), (5, 4, 1),
+                                       (5, 3, 4, 1), (5, 3, 4, 1),
+                                       (5, 4, 1), (5, 4, 1)]
+    assert layer.bytes == (first.value.nbytes
+                           + (4 + 2 * 3) * 5 * 4 * dtype(0).nbytes)
 
 
 def test_forward_refuses_backward_and_release():
@@ -2196,62 +2303,60 @@ def test_forward_refuses_backward_and_release():
         fwd.release_block_activations(0)
 
 
+_SMALL_LAYER = ((4,), (4,), (4, 12), (12,), (4, 4), (4,), (4,), (4,),
+                (4, 8), (8,), (8, 4), (4,))
+
+
 def test_forward_residual_nodes_write_over_the_input_they_consume():
-    # Each residual node takes its non-leaf input's array over for its own
-    # output, and the input node has no value left.  The final layernorm is
-    # no residual node: the MLP's output keeps its array.
+    # Each layer node takes its non-leaf input's array over for its own
+    # output, both residual sums written into it, and the input node has
+    # no value left.  The final layernorm is no residual node: the last
+    # layer's output keeps its array.
     fwd = tape.Forward()
     arrays = []
-    x, att, mlp, out = _forward_chain(fwd, np.float64, arrays)
-    assert np.array_equal(mlp.value, arrays[2])
-    assert not np.shares_memory(out.value, mlp.value)
-    for node, consumer in ((x, "layernorm-attention"),
-                           (att, "layernorm-mlp")):
-        assert node.consumed_by == consumer and "consumed" in repr(node)
-        assert node._value is None
+    x, first, second, out = _forward_chain(fwd, np.float64, arrays)
+    assert np.array_equal(second.value, arrays[2])
+    assert not np.shares_memory(out.value, second.value)
+    for node in (x, first):
+        assert node.consumed_by == "encoder-layer"
+        assert "consumed" in repr(node) and node._value is None
     fwd = tape.Forward()
     x = fwd.linear(*(fwd.leaf(_rand(340 + i, *shape)) for i, shape in
                      enumerate(((2, 3, 4), (4, 4), (4,)))))
     held = x.value
-    att = fwd.layernorm_attention(x, *(
-        fwd.leaf(_rand(350 + i, *shape)) for i, shape in enumerate(
-            ((4,), (4,), (4, 12), (12,), (4, 4), (4,)))), 2)
-    assert att.value is held
+    layer = fwd.encoder_layer(x, *(
+        fwd.leaf(_rand(350 + i, *shape))
+        for i, shape in enumerate(_SMALL_LAYER)), 2)
+    assert layer.value is held
 
 
 def test_reading_a_consumed_node_is_a_lifecycle_error_naming_it():
     # Reading the node again would otherwise be an AttributeError on None,
     # and using its array the consumer's output, silently.
     fwd = tape.Forward()
-    x, att, _, _ = _forward_chain(fwd, np.float32)
-    for node, consumer in ((x, "layernorm-attention"),
-                           (att, "layernorm-mlp")):
+    x, first, _, _ = _forward_chain(fwd, np.float32)
+    for node in (x, first):
         with pytest.raises(LifecycleError,
                            match=f"<Node {node.kind} consumed> was consumed "
-                                 f"by a {consumer} node"):
+                                 f"by a encoder-layer node"):
             node.value
         with pytest.raises(LifecycleError, match=f"<Node {node.kind} "):
-            fwd.layernorm_mlp(node, *(
+            fwd.encoder_layer(node, *(
                 fwd.leaf(_rand(360 + i, *shape).astype(np.float32))
-                for i, shape in enumerate(((12,), (12,), (12, 20), (20,),
-                                           (20, 12), (12,)))))
+                for i, shape in enumerate(_SPLIT_LAYER)), 3)
 
 
 def test_forward_never_writes_a_leaf():
     # A leaf's array is the caller's (a parameter, a constant, an image
     # batch): it keeps its values, and the output is a new array.
     fwd = tape.Forward()
-    x = fwd.leaf(_rand(370, 3, 4, 8))
+    x = fwd.leaf(_rand(370, 3, 4, 4))
     before = x.value.copy()
-    att = fwd.layernorm_attention(x, *(
-        fwd.leaf(_rand(380 + i, *shape)) for i, shape in enumerate(
-            ((8,), (8,), (8, 24), (24,), (8, 8), (8,)))), 2)
-    mlp = fwd.layernorm_mlp(x, *(
-        fwd.leaf(_rand(390 + i, *shape)) for i, shape in enumerate(
-            ((8,), (8,), (8, 16), (16,), (16, 8), (8,)))))
+    layer = fwd.encoder_layer(x, *(
+        fwd.leaf(_rand(380 + i, *shape))
+        for i, shape in enumerate(_SMALL_LAYER)), 2)
     assert x.consumed_by is None and np.array_equal(x.value, before)
-    for node in (att, mlp):
-        assert not np.shares_memory(node.value, x.value)
+    assert not np.shares_memory(layer.value, x.value)
 
 
 @pytest.mark.parametrize("make", [Tape, tape.Forward],
