@@ -9,10 +9,11 @@ Version 1 stores f32 payloads.  Version 2 inserts a u32 dtype code
 bitwise; files are written as version 1 whenever every tensor is f32.
 Optimizer state travels as ordinary tensors under the reserved
 'opt.m.' / 'opt.v.' / 'opt.t.' name prefixes, and one-element records
-under 'meta.': `meta.step`, the steps a training checkpoint has run;
-`meta.num_blocks`, the block count it was trained with; `meta.heads`,
-its encoder's head count; and `meta.k`, the depth of an exported
-backbone.
+under 'meta.': `meta.step`, the steps a training checkpoint has run,
+and `meta.batch_size`, the batch size they ran at; `meta.num_blocks`,
+the block count it was trained with; `meta.heads` and `meta.depth`, its
+encoder's head count and layer count; and `meta.k`, the depth of an
+exported backbone.
 """
 
 import math

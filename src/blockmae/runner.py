@@ -214,6 +214,10 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
         if missing:
             raise ConfigError(f"checkpoint lacks parameter {missing[0]!r}")
         start_step = _resume_step(tensors, model.params)
+        # meta.step counts steps of the checkpoint's batches.
+        _check_record(tensors, "meta.batch_size", t.batch_size,
+                      "checkpoint was trained at batch size {got}, the "
+                      "config gives {want}")
         opt.load_state_tensors(tensors, dtype)
 
     ds = _dataset_for(cfg)
@@ -269,6 +273,8 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
                 tensors = dict(model.params)
                 tensors.update(opt.state_tensors())
                 tensors["meta.step"] = np.array([gstep + 1], dtype=np.float64)
+                tensors["meta.batch_size"] = np.array([t.batch_size],
+                                                      dtype=np.float64)
                 tensors.update(_model_record(model))
                 save_checkpoint(tensors, path)
                 artifacts.checkpoint_paths.append(path)
@@ -332,9 +338,10 @@ def write_flop_report(cfg, out_dir):
 def _model_record(model):
     """The `meta.` records of a checkpoint of `model` that no tensor's
     name or shape shows: the block count its bridge norms were trained
-    for, and the encoder's head count."""
+    for, and the encoder's head count and depth."""
     return {"meta.num_blocks": np.array([model.num_blocks], dtype=np.float64),
-            "meta.heads": np.array([model.spec.heads], dtype=np.float64)}
+            "meta.heads": np.array([model.spec.heads], dtype=np.float64),
+            "meta.depth": np.array([model.spec.depth], dtype=np.float64)}
 
 
 def _check_record(tensors, key, want, message):
@@ -348,13 +355,14 @@ def _check_record(tensors, key, want, message):
 def _load_params(model, tensors, dtype):
     """Copy the checkpoint's parameters into `model.params` as `dtype`.
 
-    A file's `meta.num_blocks` and `meta.heads` must equal the config's
-    block and head counts (`_check_record`), or ConfigError names both: a
-    bridge norm trained after the last layer of another block count reads
-    other features, and attention weights trained with another head count
-    have the same names and shapes but compute another function.  They
-    are checked first, since another block count's tensors are not the
-    config's.  A file without either record passes its check.  Every
+    A file's `meta.num_blocks`, `meta.heads` and `meta.depth` must equal
+    the config's block count, head count and depth (`_check_record`), or
+    ConfigError names both: a bridge norm trained after the last layer of
+    another block count or depth reads other features, and attention
+    weights trained with another head count have the same names and
+    shapes but compute another function.  They are checked first, since
+    another block count's or depth's tensors are not the config's.  A
+    file without a record passes its check.  Every
     checkpoint tensor must be a parameter of the config's model, its
     `opt.m.`/`opt.v.`/`opt.t.` entry or a `meta.` record, or ConfigError
     names the first that is not.  A file without `meta.num_blocks` must
@@ -370,6 +378,9 @@ def _load_params(model, tensors, dtype):
     _check_record(tensors, "meta.heads", model.spec.heads,
                   "checkpoint was trained with {got} heads, the config "
                   "gives {want}")
+    _check_record(tensors, "meta.depth", model.spec.depth,
+                  "checkpoint was trained at depth {got}, the config "
+                  "gives depth {want}")
     for key in tensors:
         name = re.sub(r"^opt\.[mvt]\.", "", key)
         if name not in model.params and not key.startswith("meta."):

@@ -68,28 +68,27 @@ read the same as if they were kept.  A decoder-loss node saves its
 inputs' gradients, made by its forward, not activations: its rule
 scales them in place by the incoming gradient and hands them on, so
 from there on they live as the gradients of z and of the parameters,
-and the meter still charges them until release.  A rule walks its batch once, a
-group of whole samples at a time (`_groups`), and holds its dx plus one
-group's temporaries per thread; the rules of layernorm and of the
-residual node, encoder-layer, write dx over their incoming gradient,
-which no other node or leaf holds (add's rule hands y a copy).  A rule
-never writes into a saved input: another node, a later block's boundary
-leaf among them, may hold the same array.
+and the meter still charges them until release.  The rule of a node a
+step records walks its batch once, a group of whole samples at a time
+(`_groups`), and holds its dx plus one group's temporaries per thread;
+the rules of layernorm and of the residual node, encoder-layer, write dx
+over their incoming gradient, which no other node or leaf holds (add's
+rule hands y a copy).  A rule never writes into a saved input: another
+node, a later block's boundary leaf among them, may hold the same array.
 Every activation a node saves is made read-only when it is saved, so
-such a write raises;
-leaf arrays are not touched, and the optimizer updates the parameters in
-place.  Releasing a node, a leaf or not, drops both its value and its
-saved buffers and decreases the live counter by exactly the node's
-charged bytes, fixed when it was recorded; releasing a block frees the
-sum of its nodes' bytes.  Parameter arrays outlive their leaves
-in the caller's table.  Running backward through a released node, or
-through a node an earlier backward ran the rule of, is a lifecycle
-error, and a later block must continue from a `boundary` leaf, not from
-an earlier block's nodes, whose values are gone after that block's
-backward.  A `Forward` tape, for a forward that never runs backward,
-records nothing: its nodes save no buffer, charge nothing, are not
-appended and keep no link to their inputs, so an array lives only while
-the caller holds its node, and its backward and release raise a
+such a write raises; leaf arrays are not touched, and the optimizer
+updates the parameters in place.  Releasing a node, a leaf or not, drops
+both its value and its saved buffers and decreases the live counter by
+exactly the node's charged bytes, fixed when it was recorded; releasing
+a block frees the sum of its nodes' bytes.  Parameter arrays outlive
+their leaves in the caller's table.  Running backward through a released
+node, or through a node an earlier backward ran the rule of, is a
+lifecycle error, and a later block must continue from a `boundary` leaf,
+not from an earlier block's nodes, whose values are gone after that
+block's backward.  A `Forward` tape, for a forward that never runs
+backward, records nothing: its nodes save no buffer, charge nothing, are
+not appended and keep no link to their inputs, so an array lives only
+while the caller holds its node, and its backward and release raise a
 lifecycle error.  Since nothing saves an input there, the residual node
 encoder-layer writes its sums over the array of a non-leaf input and
 takes it over: that input node is consumed, and reading its value again
@@ -117,13 +116,14 @@ them, and a constant leaf's are dropped; no rule asks which of its
 inputs' gradients backward keeps.  Gradients are never charged; the
 table above is the whole meter.
 
-Threading: the heavy kernels (the forwards of linear, layernorm, gelu
-and the fused nodes, the backward rules and the decoder-loss node, which
-runs its backward in its forward) run on all cores the
-process may use; kernels too small to repay a hand-off run inline.  A
-forward splits its rows over the leading axis, and each part computes
-its rows with the same operations as the whole array would.  A backward
-rule that sums over rows (a weight, bias, gamma, beta or broadcast
+Threading: the heavy kernels of the nodes the package records (the
+forwards of linear, layernorm and the fused nodes, the rules of linear
+and the fused nodes, and the decoder-loss node, which runs its backward
+in its forward) run on all cores the process may use; kernels too small
+to repay a hand-off, and every other primitive and rule, run inline on
+the whole batch.  A forward splits its rows over the leading axis, and
+each part computes its rows with the same operations as the whole array
+would.  Such a rule that sums over rows (a weight, bias, gamma or beta
 gradient) cuts its batch into groups of whole samples by the batch's
 shape alone, adds the groups' partial sums within each half of that cut
 in one fixed order and then the two halves' totals (`_grouped`), and
@@ -549,14 +549,8 @@ class Tape:
         # 0.5 * x * (1 + erf(x / sqrt2)), with the CDF term and the product
         # computed in place: no temporaries beyond cdf and out.  The CDF
         # term is saved for the backward rule.
-        cdf = np.empty_like(xv)
-        out = np.empty_like(xv)
-
-        def rows(lo, hi):
-            _gelu_from_cdf(xv[lo:hi], _gelu_cdf_rows(xv[lo:hi], cdf[lo:hi]),
-                           out[lo:hi])
-        _parallel(xv.size, rows=len(xv), part=rows)
-        node = Node("gelu", out, (x,))
+        cdf = _gelu_cdf_rows(xv, np.empty_like(xv))
+        node = Node("gelu", _gelu_from_cdf(xv, cdf, np.empty_like(xv)), (x,))
         return self._register(node, [self._act(x), (cdf, True)])
 
     def encoder_layer(self, x, gamma1, beta1, w_qkv, b_qkv, w_out, b_out,
@@ -1238,11 +1232,12 @@ def _mlp_keep(x, gamma, beta, w1, b1, w2, b2):
 
 # ----- backward rules ----------------------------------------------------
 #
-# A rule over a batch [b, n, ...] walks it once, a group of whole samples
-# at a time (`_groups`), writes each group's rows of its input gradients
-# and adds each group's partial sums over rows in `_grouped`'s fixed
-# order.  A product with a weight's transpose reads a contiguous copy of
-# it, made once per rule.
+# The rule of a node a step records walks its batch [b, n, ...] once, a
+# group of whole samples at a time (`_groups`), writes each group's rows
+# of its input gradients and adds each group's partial sums over rows in
+# `_grouped`'s fixed order; a product with a weight's transpose reads a
+# contiguous copy of it, made once per rule.  The other rules run on the
+# whole batch.
 
 def _groups(shape, lo=0, hi=None):
     """Slices of samples lo..hi (all by default) of a batch of `shape`
@@ -1292,14 +1287,6 @@ def _lead_sum(a, lead):
     return np.add.reduce(a, axis=tuple(range(lead)))
 
 
-def _broadcast_grad(g, lead):
-    """The gradient of an operand broadcast along g's first `lead` axes:
-    g summed over them, group by group."""
-    (total,) = _grouped(g.size, _groups(g.shape),
-                        lambda s: (_lead_sum(g[s], lead),))
-    return total
-
-
 def _weight_grad(x, g):
     """x's rows, transposed, times g's: the weight gradient of x @ w."""
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -1315,14 +1302,7 @@ def _vjp_matmul(node, g):
     a, b = node.saved
     if b.ndim == 3:
         return (g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g)
-    bt = np.ascontiguousarray(b.T)
-    da = np.empty_like(a)
-
-    def group(s):
-        np.matmul(g[s], bt, out=da[s])
-        return (_weight_grad(a[s], g[s]),)
-    (db,) = _grouped(max(a.size, g.size), _groups(a.shape), group)
-    return (da, db)
+    return (g @ b.T, _weight_grad(a, g))
 
 
 def _vjp_linear(node, g):
@@ -1342,7 +1322,7 @@ def _vjp_add(node, g):
     # A copy for y: a rule may write over its incoming gradient, so no
     # two nodes are handed one array.
     extra = g.ndim - node.attrs["y_ndim"]
-    return (g, _broadcast_grad(g, extra) if extra else g.copy())
+    return (g, _lead_sum(g, extra) if extra else g.copy())
 
 
 def _vjp_scale(node, g):
@@ -1371,8 +1351,8 @@ def _vjp_concat_rows(node, g):
 
 def _layernorm_grads(xhat, inv_std, gamma, g):
     """The partial (dgamma, dbeta) of xhat * gamma + beta over one group's
-    rows, xhat the normed rows before the affine, and dx, written over
-    the rows' gradient g: g is consumed, xhat is not.
+    rows, or the batch's, xhat the normed rows before the affine, and dx,
+    written over the rows' gradient g: g is consumed, xhat is not.
     """
     lead = g.ndim - 1
     dbeta = _lead_sum(g, lead)
@@ -1392,11 +1372,8 @@ def _layernorm_grads(xhat, inv_std, gamma, g):
 def _vjp_layernorm(node, g):
     # dx is written over g.
     x, mu, inv_std, gamma = node.saved
-
-    def group(s):
-        xhat = _xhat_rows(x[s], mu[s], inv_std[s], np.empty_like(x[s]))
-        return _layernorm_grads(xhat, inv_std[s], gamma, g[s])
-    return (g, *_grouped(x.size, _groups(x.shape), group))
+    xhat = _xhat_rows(x, mu, inv_std, np.empty_like(x))
+    return (g, *_layernorm_grads(xhat, inv_std, gamma, g))
 
 
 def _layernorm_linear_grads(xhat, inv_std, gamma, beta, wt, g, dx):
@@ -1430,14 +1407,10 @@ def _vjp_softmax(node, g):
 
 
 def _vjp_gelu(node, g):
+    # The forward's CDF term 1 + erf(x/sqrt2) is reused.
     x, cdf = node.saved
-    dx = np.empty_like(x)
-
-    def rows(lo, hi):
-        # The forward's CDF term 1 + erf(x/sqrt2) is reused.
-        _gelu_grad_from_pdf(cdf[lo:hi], _gelu_pdf_rows(
-            x[lo:hi], np.empty_like(x[lo:hi])), g[lo:hi], dx[lo:hi])
-    _parallel(x.size, rows=len(x), part=rows)
+    dx = _gelu_pdf_rows(x, np.empty_like(x))
+    _gelu_grad_from_pdf(cdf, dx, g, dx)
     return (dx,)
 
 

@@ -955,6 +955,39 @@ def test_cli_refuses_checkpoint_of_another_head_count(tmp_path, capsys,
     assert load_checkpoint(ckpt)["meta.heads"].tolist() == [2.0]
 
 
+@pytest.mark.parametrize("command", ["probe", "export-backbone", "pretrain"])
+def test_cli_refuses_checkpoint_of_another_depth(tmp_path, capsys, command):
+    # At twice the depth and the same block count, prefix 1 is layers 0-1,
+    # which a depth-2 checkpoint holds: probe and export used to read them
+    # through block 0's bridge norm, trained after layer 0, and exit 0.  A
+    # resume named a missing layer, not the depths.
+    ckpt, cfg_path = _checkpoint_and_wider_config(tmp_path, "depth", 4)
+    out = str(tmp_path / "out")
+    args = (["--resume", ckpt] if command == "pretrain"
+            else ["--checkpoint", ckpt, "--k", "1"])
+    assert cli_main([command, "--config", cfg_path, "--out", out] + args) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint was trained at depth 2, the config gives depth 4")
+    assert not os.path.exists(out) or os.listdir(out) == []
+    assert load_checkpoint(ckpt)["meta.depth"].tolist() == [2.0]
+
+
+def test_resume_refuses_checkpoint_of_another_batch_size(tmp_path):
+    # meta.step counts steps of the checkpoint's batch size.  At batch 8 a
+    # batch-16 run's epoch-0 checkpoint used to resume as step 4 of an
+    # 8-step epoch, replay the rest of epoch 0 at another batch and lr
+    # schedule, and append rows the uninterrupted run never wrote.
+    ckpt, cfg_path = _checkpoint_and_wider_config(tmp_path, "batch_size", 8)
+    metrics = tmp_path / "run" / "metrics.csv"
+    rows = metrics.read_bytes()
+    with pytest.raises(ConfigError, match=re.escape(
+            "checkpoint was trained at batch size 16, the config gives 8")):
+        run_pretrain(load_config(cfg_path), str(tmp_path / "run"),
+                     resume_from=ckpt)
+    assert metrics.read_bytes() == rows
+    assert load_checkpoint(ckpt)["meta.batch_size"].tolist() == [16.0]
+
+
 def test_cli_probe_refuses_an_export_at_another_k(tmp_path, capsys):
     # An export at k = 2 holds block 1's bridge norm, not block 0's.  A
     # probe at k = 1 used to name the tensors it lacked, not the depths.
@@ -1005,7 +1038,7 @@ def test_model_from_checkpoint_keeps_only_the_prefix(tmp_path):
 
 def test_exported_backbone_holds_the_checkpoint_tensors_bytewise(tmp_path):
     # The file is the one the prefix's checkpoint tensors, as f64, and the
-    # three records make; exporting that file again writes the same bytes.
+    # four records make; exporting that file again writes the same bytes.
     cfg, ckpt = _four_block_run(tmp_path)
     tensors = load_checkpoint(ckpt)
     for k in (1, 4):
@@ -1014,6 +1047,7 @@ def test_exported_backbone_holds_the_checkpoint_tensors_bytewise(tmp_path):
         want["meta.k"] = np.array([k], dtype=np.float64)
         want["meta.num_blocks"] = np.array([4.0])
         want["meta.heads"] = np.array([2.0])
+        want["meta.depth"] = np.array([4.0])
         ref = tmp_path / f"want_k{k}.bimc"
         save_checkpoint(want, str(ref))
         path = runner.run_export_backbone(

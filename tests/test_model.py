@@ -18,6 +18,7 @@ from blockmae.tape import (
     LN_EPS, ContractError, DimensionError, Node, Tape, _attention_probs,
     _split_heads,
 )
+from test_tape import _batch_loss, _group_order_sum
 
 
 def _toy_spec(**over):
@@ -396,7 +397,8 @@ def _unfused_layer(tape, params, prefix, x, heads):
 def _assert_fused_layer_gradients_equal_unfused(monkeypatch, spec, shape,
                                                 dtype):
     """A layer of `spec` over x of `shape`: its output and every gradient
-    are those of `_unfused_layer` bit for bit."""
+    are those of `_unfused_layer` run on each of the fused rule's groups of
+    samples, the parameters' added in its order, bit for bit."""
     # In the unfused layer the residual input x gets two contributions, g
     # and then LN1's; the fused node adds them in the other order.
     # Addition commutes bit for bit, so even x's gradient is bitwise equal.
@@ -404,20 +406,21 @@ def _assert_fused_layer_gradients_equal_unfused(monkeypatch, spec, shape,
     params = init_encoder_params(spec, seed=19, dtype=dtype)
     x = rng.normals(20, math.prod(shape)).reshape(shape).astype(dtype)
     target = rng.normals(21, x.size).reshape(x.shape).astype(dtype)
+    b, n = shape[:2]
 
-    def run(layer):
+    def run(layer, s=slice(0, b)):
         t = _WholeAttentionTape()
-        xn = t.leaf(x, name="x", requires_grad=True)
+        xn = t.leaf(x[s], name="x", requires_grad=True)
         # a non-leaf layer input, as in a step
-        xa = t.add(xn, t.leaf(np.zeros_like(x)))
+        xa = t.add(xn, t.leaf(np.zeros_like(x[s])))
         out = layer(t, params, "enc.layer0", xa, spec.heads)
-        loss = t.mse_masked(out, t.leaf(target),
-                            t.leaf(np.ones(shape[:2], dtype)))
-        return out.value.copy(), t.backward(loss)
+        value = out.value.copy()
+        return {"y": value, **t.backward(_batch_loss(t, out, target[s], b))}
 
-    y, grads = run(encoder_block_layer)
-    y_ref, grads_ref = run(_unfused_layer)
-    assert np.array_equal(y, y_ref)
+    grads = run(encoder_block_layer)
+    grads_ref = _group_order_sum(lambda s: run(_unfused_layer, s), b, n,
+                                 rows=("x", "y"))
+    assert np.array_equal(grads.pop("y"), grads_ref.pop("y"))
     assert grads.keys() == grads_ref.keys() and len(grads) == 13
     for name, g in grads.items():
         assert g.dtype == dtype, name

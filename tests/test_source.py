@@ -3,12 +3,15 @@ private module-level definition is read somewhere in the package, the
 public functions that no package or benchmark code reads are the known
 ones, every checkpoint `meta.` key the package writes is read, the
 tape's table of charged buffers names every node kind, the tape
-primitives that no package code calls are the known ones, and every
-package name the benchmark wraps exists."""
+primitives that no package code calls are the known ones and run
+without the group cuts and thread splits, and every package name the
+benchmark wraps exists."""
 
 import ast
 import inspect
+import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -256,6 +259,41 @@ def test_tape_primitives_without_a_caller_are_the_known_ones():
     called = set().union(*(_tape_calls(p.read_text(encoding="utf-8"))
                            for p in SRC.glob("*.py")))
     assert sorted(primitives - called) == sorted(UNCALLED_PRIMITIVES)
+
+
+# The tape helpers that cut a batch into groups, rows into chunks, or a
+# kernel over threads, so that a fused node's sums follow one order.
+_LOCKSTEP = {"_grouped", "_groups", "_parallel", "_chunks"}
+
+
+def _tape_functions_called(fn):
+    """Names of the tape module's functions that fn calls, directly or
+    through other tape module functions."""
+    seen, todo = set(), [fn]
+    while todo:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(todo.pop())))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id not in seen
+                    and inspect.isfunction(getattr(tape, node.func.id, None))):
+                seen.add(node.func.id)
+                todo.append(getattr(tape, node.func.id))
+    return seen
+
+
+def test_primitives_without_a_caller_run_without_lockstep():
+    # Nothing keeps a rule no step records in the fused nodes' group order:
+    # neither such a primitive nor its node kind's rule cuts, chunks or
+    # splits its batch.  A live rule does, through its helpers.
+    live = (_tape_functions_called(tape.Tape.encoder_layer)
+            | _tape_functions_called(tape._VJP["encoder-layer"]))
+    assert _LOCKSTEP <= live
+    for name in sorted(UNCALLED_PRIMITIVES):
+        method = getattr(tape.Tape, name)
+        (kind,) = re.findall(r'Node\("([\w-]+)"', inspect.getsource(method))
+        for fn in (method, tape._VJP[kind]):
+            assert not _tape_functions_called(fn) & _LOCKSTEP, (
+                name, fn.__name__)
 
 
 def _literal_wraps(module):

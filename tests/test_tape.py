@@ -339,19 +339,22 @@ def _unshuffle_then_layer(t, z, fill, pos, kept, layer, heads,
     return t.encoder_layer(t.add(ordered, pos), *layer, heads)
 
 
-def _position_rows(b, m, n, dtype, seed=88):
+def _position_rows(b, m, n, dtype, seed=88, first=0):
     """A constant position table [m + 2, n] and ids [b, m] that pick m of
-    its rows for each sample."""
-    ids = np.stack([rng.permutation(seed + i, m + 2)[:m] for i in range(b)])
+    its rows for each of samples first..first + b of a batch."""
+    ids = np.stack([rng.permutation(seed + first + i, m + 2)[:m]
+                    for i in range(b)])
     return _rand(seed, m + 2, n).astype(dtype), ids
 
 
-def _fused_and_unfused(t, kind, v):
+def _fused_and_unfused(t, kind, v, first=0):
     """The fused node `kind` over leaves v, and the same function as the
     nodes it fuses, both recorded on tape t.  For "unshuffle-attention"
     both are losses.  The MLP sublayer, the whole encoder-layer node's or
     its MLP part's, is unfused into layernorm-linear, gelu, linear and
-    add; the whole node's attention sublayer into its attention part."""
+    add; the whole node's attention sublayer into its attention part.
+    x's samples are a batch's from sample `first` on, whose position ids
+    the linear kind takes."""
     if kind == "unshuffle-attention":
         return (_unshuffle_attention(t, v, _decoder_loss),
                 _unshuffle_attention(t, v, _decoder_chain))
@@ -372,7 +375,7 @@ def _fused_and_unfused(t, kind, v):
         return fused, t.add(x2, t.linear(h, *mlp[4:]))
     x, w, b = v["x"], v["w"], v["b"]
     batch, m, _ = x.shape
-    pos, ids = _position_rows(batch, m, w.shape[1], x.dtype)
+    pos, ids = _position_rows(batch, m, w.shape[1], x.dtype, first=first)
     rows = t.gather_rows(
         t.leaf(np.ascontiguousarray(np.broadcast_to(pos, (batch,) + pos.shape))),
         ids)
@@ -1566,6 +1569,35 @@ def _in_group_order(partial, b, n):
     return run(cut[:half]) + run(cut[half:]) if half < len(cut) else run(cut)
 
 
+def _group_order_sum(run, b, n, rows):
+    """The arrays `run(s)` returns, a dict, over each slice s of a batch
+    of b samples of n rows, cut as a backward rule cuts it (`_groups`):
+    those named in `rows` joined along the batch in order, every other
+    added in `_in_group_order`.  To run a node's unfused chain on each
+    group's samples this way gives the partials of the fused node's
+    groups, and adds them in its order."""
+    parts = {(s.start, s.stop): run(s) for s in tape._groups((b, n, 1))}
+    return {k: np.concatenate([p[k] for p in parts.values()]) if k in rows
+            else _in_group_order(lambda s: parts[s.start, s.stop][k], b, n)
+            for k in next(iter(parts.values()))}
+
+
+def _batch_loss(t, y, target, b):
+    """mse_masked of y [c, n, p], c of a batch's b samples, against their
+    target rows, every row masked, scaled as over the whole batch: masked
+    rows of zeros are appended to both until the masked rows are those of
+    b samples, so y's gradient is the whole-batch loss's rows bit for
+    bit."""
+    c, n, p = y.shape
+    extra = -(-(b - c) * n // c)
+    mask = np.ones((c, n + extra), y.dtype)
+    mask[:, n:] = (np.arange(c * extra) < (b - c) * n).reshape(c, extra)
+    zeros = np.zeros((c, extra, p), y.dtype)
+    return t.mse_masked(t.concat_rows([y, t.leaf(zeros)]),
+                        t.leaf(np.concatenate([target, zeros], axis=1)),
+                        t.leaf(mask))
+
+
 def _whole_batch(partial, b, n):
     """partial over the whole batch: one product or sum of every row."""
     return partial(slice(None))
@@ -1816,11 +1848,11 @@ def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
     # layernorm's forward takes three of its 5 [5, 12] samples per chunk,
     # on one thread, since its 300 elements do not repay a second: rows
     # 3, 2.  layernorm-linear's forward normalizes a group of 2 samples
-    # (10 rows) at a time within each thread's rows, and every backward
-    # rule cuts the 5 samples into groups of 2, whatever the threads and
-    # chunk size; its sums give the one-thread run's bit for bit, and the
-    # attention part's also give the plain numpy attention's (see
-    # _split_kernels_run).
+    # (10 rows) at a time within each thread's rows, and the backward rules
+    # of the nodes a step records cut the 5 samples into groups of 2,
+    # whatever the threads and chunk size; their sums give the one-thread
+    # run's bit for bit, and the attention part's also give the plain
+    # numpy attention's (see _split_kernels_run).
     monkeypatch.setattr(tape, "_GROUP_ROWS", 10)
     monkeypatch.setattr(tape, "_PARTS", 1)
     want = _split_kernels_run(5, np.float32)
@@ -1840,10 +1872,10 @@ def test_uneven_chunks_bitwise_equal_to_one_chunk(monkeypatch, parts):
     split = {1: [[(0, 2), (2, 4), (4, 5)]], 2: [[(0, 2)], [(2, 4), (4, 5)]]}
     # layernorm's forward, and the two loops of each layer's
     assert sorted(chunks) == sorted(split[parts] * 4 + [[(0, 3), (3, 5)]])
-    # layernorm-linear's forward, then the rules of layernorm, the two
-    # layers, linear, layernorm-linear and linear with position rows
+    # layernorm-linear's forward, then the rules of the two layers, linear,
+    # layernorm-linear and linear with position rows
     assert sorted(groups) == sorted(split[parts]
-                                    + [[(0, 2), (2, 4), (4, 5)]] * 6)
+                                    + [[(0, 2), (2, 4), (4, 5)]] * 5)
     assert want.keys() == got.keys()
     for key, value in want.items():
         assert np.array_equal(got[key], value), key
@@ -1864,11 +1896,13 @@ def test_worker_failure_reaches_caller_and_records_nothing(monkeypatch):
 
     monkeypatch.setattr(tape, "erf", erf_failing_in_worker)
     t = Tape()
-    x = t.leaf(_rand(11, 4, 3, 8), name="x", requires_grad=True)
+    v = {k: t.leaf(a) for k, a in _layer_inputs(11, 3, 8, np.float64,
+                                                 90).items()}
     with pytest.raises(FloatingPointError, match="worker part failed"):
-        t.gelu(x)
+        # the MLP part's GELU
+        t.encoder_layer(v["x"], *(v[k] for k in _LAYER), 2)
     assert taken.is_set()
-    assert [n.kind for n in t.nodes] == ["leaf"]
+    assert [n.kind for n in t.nodes] == ["leaf"] * 13
     assert t.meter.peak_activation_bytes == 0
 
 
@@ -2044,8 +2078,9 @@ def test_desk_rules_bitwise_equal_whatever_the_threads(monkeypatch, n,
                                   "layernorm-mlp", "encoder-layer"])
 @pytest.mark.parametrize("n", [16, 64])
 def test_desk_fused_node_bitwise_equal_unfused_composition(kind, n):
-    # At desk shapes each rule sums over several groups of rows; the fused
-    # node and the nodes it fuses cut and add them the same way.
+    # At desk shapes each fused rule sums over several groups of rows.  The
+    # nodes it fuses, run on each group's samples, give its groups'
+    # partials, and added in its order its gradients, bit for bit.
     vals, _ = _desk_values(n, np.float32)
     names = {"linear": ("x", "w", "b"),
              "layernorm-linear": ("x", "gamma", "beta", "w", "b"),
@@ -2053,14 +2088,15 @@ def test_desk_fused_node_bitwise_equal_unfused_composition(kind, n):
              "encoder-layer": ("x",) + _LAYER}[kind]
     target = _rand(460, 64, n, vals["x"].shape[-1]).astype(np.float32)
 
-    def run(which):
+    def run(which, s=slice(0, 64)):
         t = Tape()
-        v = {k: t.leaf(vals[k], name=k, requires_grad=True) for k in names}
-        y = _fused_and_unfused(t, kind, v)[which]
-        mask = t.leaf(np.ones((64, n), np.float32))
-        return t.backward(t.mse_masked(y, t.leaf(target), mask))
+        v = {k: t.leaf(vals[k][s] if k == "x" else vals[k], name=k,
+                       requires_grad=True) for k in names}
+        y = _fused_and_unfused(t, kind, v, s.start)[which]
+        return t.backward(_batch_loss(t, y, target[s], 64))
 
-    fused, unfused = run(0), run(1)
+    fused = run(0)
+    unfused = _group_order_sum(lambda s: run(1, s), 64, n, rows=("x",))
     assert fused.keys() == unfused.keys() == set(names)
     for k in names:
         assert np.array_equal(fused[k], unfused[k]), k
