@@ -10,7 +10,8 @@ bitwise; files are written as version 1 whenever every tensor is f32.
 Optimizer state travels as ordinary tensors under the reserved
 'opt.m.' / 'opt.v.' / 'opt.t.' name prefixes, and one-element records
 under 'meta.': `meta.step`, the steps a training checkpoint has run,
-and `meta.batch_size`, the batch size they ran at; `meta.num_blocks`,
+`meta.batch_size`, the batch size they ran at, and `meta.seed_hi` and
+`meta.seed_lo`, the high and low 32 bits of its seed; `meta.num_blocks`,
 the block count it was trained with; `meta.heads` and `meta.depth`, its
 encoder's head count and layer count; and `meta.k`, the depth of an
 exported backbone.

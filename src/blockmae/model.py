@@ -13,20 +13,21 @@ visible patch ids in token order.  The embedding's position rows, the
 decoder's visible rows and the loss mask, which scores every patch but
 the kept ones, are all derived from it inside their tape nodes.
 
-Attention uses the usual head-batched layout: one `attn.qkv` projection
+Attention uses the usual head-batched layout: one `attn.qkv.w` projection
 of width 3d, whose columns are ordered (q|k|v, head, dh), runs every head
 in one batched product, and the heads merge back to [b, n, d] for the
-`attn.out` projection.  An encoder layer is one tape node
+`attn.out` projection.  Its bias `attn.qv.b` [2d] is [q | v]: a key bias
+would change no output, since softmax ignores a shift shared by every key
+(BEiT, arXiv 2106.08254, has none).  An encoder layer is one tape node
 (`Tape.encoder_layer`): LN1, the qkv projection, attention, the out
 projection, the first residual sum, LN2, fc1, GELU, fc2 and the second
 residual sum.  It saves its input and row statistics, not the first
-residual sum, which its backward rebuilds.  A decoder and
-its loss are one node (`Tape.decoder_loss`): from the bridge output it
-puts the visible tokens among mask tokens in patch order, runs every
-decoder layer, the final norm, the prediction head and the masked MSE,
-and computes its gradients as it runs, so it holds none of its
-activations: it saves the bridge output's and the decoder parameters'
-gradients.
+residual sum, which its backward rebuilds.  A decoder and its loss are
+one node (`Tape.decoder_loss`): from the bridge output it puts the
+visible tokens among mask tokens in patch order, runs every decoder
+layer, the final norm, the prediction head and the masked MSE, and
+computes its gradients as it runs, so it holds none of its activations:
+it saves the bridge output's and the decoder parameters' gradients.
 """
 
 from dataclasses import dataclass
@@ -107,7 +108,7 @@ def _layer_param_shapes(layer, dim, mlp_ratio):
     hidden = dim * mlp_ratio
     shapes = {"ln1.g": (dim,), "ln1.b": (dim,),
               "ln2.g": (dim,), "ln2.b": (dim,),
-              "attn.qkv.w": (dim, 3 * dim), "attn.qkv.b": (3 * dim,),
+              "attn.qkv.w": (dim, 3 * dim), "attn.qv.b": (2 * dim,),
               "attn.out.w": (dim, dim), "attn.out.b": (dim,),
               "mlp.fc1.w": (dim, hidden), "mlp.fc1.b": (hidden,),
               "mlp.fc2.w": (hidden, dim), "mlp.fc2.b": (dim,)}
@@ -273,7 +274,7 @@ def _param(tape, params, name):
     return tape.leaf(params[name], name=name, requires_grad=True)
 
 
-_ATTENTION = ("ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
+_ATTENTION = ("ln1.g", "ln1.b", "attn.qkv.w", "attn.qv.b", "attn.out.w",
               "attn.out.b")
 _MLP = ("ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b")
 

@@ -155,7 +155,7 @@ def _keep_freed_heap():
 def _counter(tensors, key):
     """The checkpoint counter `key` as an int.  It must hold one finite,
     non-negative whole number, or ConfigError names the key."""
-    arr = tensors[key]
+    arr = tensors.get(key, np.empty(0))
     value = arr.reshape(-1)[0] if arr.size == 1 else None
     if value is None or not np.isfinite(value) or value < 0 or \
             value != np.floor(value):
@@ -218,6 +218,13 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
         _check_record(tensors, "meta.batch_size", t.batch_size,
                       "checkpoint was trained at batch size {got}, the "
                       "config gives {want}")
+        # rng.split reads the seed mod 2**64; a float64 holds each half.
+        if "meta.seed_hi" in tensors or "meta.seed_lo" in tensors:
+            got = ((_counter(tensors, "meta.seed_hi") << 32)
+                   + _counter(tensors, "meta.seed_lo"))
+            if got != t.seed % 2**64:
+                raise ConfigError(f"checkpoint was trained with seed {got}, "
+                                  f"the config gives seed {t.seed}")
         opt.load_state_tensors(tensors, dtype)
 
     ds = _dataset_for(cfg)
@@ -275,6 +282,9 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
                 tensors["meta.step"] = np.array([gstep + 1], dtype=np.float64)
                 tensors["meta.batch_size"] = np.array([t.batch_size],
                                                       dtype=np.float64)
+                tensors["meta.seed_hi"], tensors["meta.seed_lo"] = (
+                    np.array([v], dtype=np.float64)
+                    for v in divmod(t.seed % 2**64, 2**32))
                 tensors.update(_model_record(model))
                 save_checkpoint(tensors, path)
                 artifacts.checkpoint_paths.append(path)

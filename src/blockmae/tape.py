@@ -137,6 +137,7 @@ decoder-loss node's mask token gradient against the nodes it fuses, as
 it sums it in its own groups; every other gradient is theirs bitwise.
 """
 
+import contextlib
 import contextvars
 import functools
 import math
@@ -307,22 +308,6 @@ class MemoryMeter:
             raise LifecycleError("live activation bytes went negative")
 
 
-class _BlockScope:
-    def __init__(self, tape, tag):
-        self.tape = tape
-        self.tag = tag
-        self.prev = None
-
-    def __enter__(self):
-        self.prev = self.tape._block
-        self.tape._block = self.tag
-        return self.tape
-
-    def __exit__(self, *exc):
-        self.tape._block = self.prev
-        return False
-
-
 class Tape:
     """Eagerly evaluated graph confined to one training step.
 
@@ -340,9 +325,14 @@ class Tape:
 
     # ----- recording -------------------------------------------------
 
+    @contextlib.contextmanager
     def block(self, tag):
         """Context manager: ops recorded inside carry block tag `tag`."""
-        return _BlockScope(self, tag)
+        prev, self._block = self._block, tag
+        try:
+            yield self
+        finally:
+            self._block = prev
 
     def leaf(self, value, name=None, requires_grad=False):
         """Register a constant or parameter; never charged to the meter.
@@ -397,11 +387,7 @@ class Tape:
 
     def matmul(self, a, b):
         av, bv = a.value, b.value
-        if av.ndim == 2 and bv.ndim == 2:
-            pass
-        elif av.ndim == 3 and bv.ndim in (2, 3):
-            pass
-        else:
+        if (av.ndim, bv.ndim) not in ((2, 2), (3, 2), (3, 3)):
             raise DimensionError(
                 f"matmul supports [m,k]x[k,n], [b,m,k]x[k,n], [b,m,k]x[b,k,n]; "
                 f"got {av.shape} x {bv.shape}")
@@ -553,28 +539,31 @@ class Tape:
         node = Node("gelu", _gelu_from_cdf(xv, cdf, np.empty_like(xv)), (x,))
         return self._register(node, [self._act(x), (cdf, True)])
 
-    def encoder_layer(self, x, gamma1, beta1, w_qkv, b_qkv, w_out, b_out,
+    def encoder_layer(self, x, gamma1, beta1, w_qkv, b_qv, w_out, b_out,
                       gamma2, beta2, w1, b1, w2, b2, heads):
         """A pre-norm transformer layer in one node, x [b, n, d]: the
         attention sublayer's residual sum x2 = x + linear(mhsa(linear(
         layernorm(x), w_qkv, b_qkv)), w_out, b_out), then the MLP's,
         x2 + linear(gelu(linear(layernorm(x2), w1, b1)), w2, b2).
 
-        The qkv projection's columns are ordered (q|k|v, head, dh) and
-        viewed as [3, b, heads, n, dh]; every head runs softmax(q k^T /
-        sqrt(dh)) v in one batched product, and the heads merge back to
-        columns (head, dh) for the out projection.  Each part writes x2
-        into the output in chunks of at most _PART_ELEMENTS probabilities,
-        then the layer's output over it in chunks of at most
-        _PART_ELEMENTS hidden elements, with the unfused nodes' kernels, so
-        every temporary exists a chunk at a time and the output is bitwise
-        theirs.  Only x and row statistics are saved (see the table above).
-        On a `Forward` the output is written over x's array.
+        The qkv projection's columns are ordered (q|k|v, head, dh), and
+        its bias b_qkv is b_qv [2d] widened once with zeros in the k
+        columns (`_widen_qv`); they are viewed as [3, b, heads, n, dh],
+        every head runs softmax(q k^T / sqrt(dh)) v in one batched product,
+        and the heads merge back to columns (head, dh) for the out
+        projection.  Each part writes x2 into the output in chunks of at
+        most _PART_ELEMENTS probabilities, then the layer's output over it
+        in chunks of at most _PART_ELEMENTS hidden elements, with the
+        unfused nodes' kernels, so every temporary exists a chunk at a time
+        and the output is bitwise theirs.  Only x and row statistics are
+        saved (see the table above).  On a `Forward` the output is written
+        over x's array.
         """
         xv = x.value
-        att = [n.value for n in (gamma1, beta1, w_qkv, b_qkv, w_out, b_out)]
+        att = [n.value for n in (gamma1, beta1, w_qkv, b_qv, w_out, b_out)]
         mlp = [n.value for n in (gamma2, beta2, w1, b1, w2, b2)]
         _check_attention(xv.shape, *att, heads, "encoder-layer")
+        att[3] = _widen_qv(att[3])
         hidden_shape = _check_mlp(xv.shape, *mlp, "encoder-layer")
         out = self._residual_out(x, "encoder-layer")
         b, n = xv.shape[:2]
@@ -600,7 +589,7 @@ class Tape:
                                     *mlp[:2]), *mlp[2:4])[0], *mlp[4:], o, o)
         _parallel(max(_attention_size(xv.shape, att[2], heads),
                       _mlp_size(xv.shape, mlp[2])), rows=b, part=rows)
-        params = (gamma1, beta1, w_qkv, b_qkv, w_out, b_out, gamma2, beta2,
+        params = (gamma1, beta1, w_qkv, b_qv, w_out, b_out, gamma2, beta2,
                   w1, b1, w2, b2)
         node = Node("encoder-layer", out, (x, *params), attrs={"heads": heads})
         return self._register(node, [
@@ -631,9 +620,9 @@ class Tape:
         The decoder input x [b, n, d] holds row j of z [b, k, d]'s sample
         i at row kept[i, j] and `fill` [d] at every other row, plus the
         position table `pos` [n, d].  Each entry of `layers`, an attention
-        sublayer's six parameters and then an MLP sublayer's six, in the
-        order `encoder_layer` takes them, runs that layer on x; the node's
-        value is
+        sublayer's six parameters (its bias [q | v]) and then an MLP
+        sublayer's six, in the order `encoder_layer` takes them, runs that
+        layer on x; the node's value is
         mse_masked(layernorm_linear(x, head_gamma, head_beta, w, b),
         target, mask), where mask [b, n] is 1 on the rows that kept [b, k],
         each sample's k < n unique visible row ids, does not name.
@@ -670,6 +659,7 @@ class Tape:
         for p in params:
             _check_attention(shape, *p[:6], heads, "decoder-loss")
             _check_mlp(shape, *p[6:], "decoder-loss")
+            p[3] = _widen_qv(p[3])
         head = [n.value for n in (head_gamma, head_beta, w, b)]
         _check_layernorm(shape, *head[:2])
         _check_linear(shape, head[2].shape, head[3].shape, "decoder-loss")
@@ -965,12 +955,16 @@ def _check_attention(x_shape, gv, bev, wqv, bqv, wov, bov, heads, kind):
     """Refuse an attention sublayer whose parameters do not fit an input
     of shape x_shape, before anything is computed."""
     _check_layernorm(x_shape, gv, bev)
-    _check_linear(x_shape, wqv.shape, bqv.shape, kind)
+    _check_linear(x_shape, wqv.shape, wqv.shape[-1:], kind)
     if wqv.shape[1] % (3 * heads) != 0:
         raise DimensionError(
             f"{kind} needs a q|k|v width 3*d with d divisible by {heads} "
             f"heads; got {wqv.shape[1]}")
-    merged_shape = x_shape[:-1] + (wqv.shape[1] // 3,)
+    width = wqv.shape[1] // 3
+    if bqv.shape != (2 * width,):
+        raise DimensionError(f"{kind} needs a q|v bias [2*d] = "
+                             f"[{2 * width}]; got {bqv.shape}")
+    merged_shape = x_shape[:-1] + (width,)
     _check_linear(merged_shape, wov.shape, bov.shape, kind)
     out_shape = x_shape[:-1] + wov.shape[1:]
     if out_shape != x_shape:
@@ -1414,17 +1408,23 @@ def _vjp_gelu(node, g):
     return (dx,)
 
 
+def _widen_qv(b_qv):
+    """b_qv [2d] as the 3d columns of the q|k|v product: zeros in k's."""
+    q, v = np.split(b_qv, 2)
+    return np.concatenate((q, np.zeros_like(q), v))
+
+
 def _attention_weights(w_qkv, b_qkv, w_out):
-    """What `_attention_backward` reads of an attention sublayer's saved
-    parameters: its projections, and contiguous copies of both weights'
-    transposes."""
+    """What `_attention_backward` reads of an attention sublayer's
+    parameters: its projections, the q|v bias widened (`_widen_qv`), and
+    contiguous copies of both weights' transposes."""
     return (w_qkv, b_qkv, w_out,
             np.ascontiguousarray(w_qkv.T), np.ascontiguousarray(w_out.T))
 
 
 def _attention_backward(bufs, g, weights, heads, stats=None):
     """The gradient of an attention sublayer's normed rows and the partial
-    (dw_qkv, db_qkv, dw_out, db_out) over one group of whole samples, from
+    (dw_qkv, db_qv, dw_out, db_out) over one group of whole samples, from
     its output's gradient g and `bufs`: the normed rows, the
     probabilities and the merged heads, as `_attention_keep` keeps them,
     or the normed rows alone, whose probabilities and merged heads
@@ -1435,7 +1435,7 @@ def _attention_backward(bufs, g, weights, heads, stats=None):
     The merged heads die with the out projection's partials, attention's
     rule runs into the group's dqkv, which dies with the qkv projection's
     partials, and the normed rows' buffer takes their gradient, which is
-    returned.
+    returned; the bias partial is dqkv's row sum without its k columns.
     """
     w_qkv, b_qkv, w_out, w_qkv_t, w_out_t = weights
     normed = bufs.pop(0)
@@ -1465,7 +1465,8 @@ def _attention_backward(bufs, g, weights, heads, stats=None):
     del qkv, q, k, v, dprobs
     dw_qkv, db_qkv = _weight_grads(normed, dqkv)
     np.matmul(dqkv, w_qkv_t, out=normed)
-    return normed, (dw_qkv, db_qkv, dw_out, db_out)
+    db_qv = np.concatenate((db_qkv[:width], db_qkv[2 * width:]))
+    return normed, (dw_qkv, db_qv, dw_out, db_out)
 
 
 def _attention_size(shape, w_qkv, heads):
@@ -1529,6 +1530,7 @@ def _mlp_size(shape, w1):
 def _vjp_encoder_layer(node, g):
     # One pass, a group at a time; dx is written over g.
     x, mu1, inv_std1, row_max, row_sum, mu2, inv_std2, *params = node.saved
+    params[3] = _widen_qv(params[3])
     heads = node.attrs["heads"]
     weights = _attention_weights(*params[2:5])
     mlp_inner = functools.partial(_mlp_kept_hidden_grads,

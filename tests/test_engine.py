@@ -410,22 +410,14 @@ class _Recording(AdamW):
         super().step(params, grads, lr)
 
 
-# Parameter entries whose gradient is rounding noise: the key third of
-# every attention's qkv bias, since softmax ignores a shift shared by all
-# keys.  ROADMAP item 23 deletes the key bias and empties this set.
-def _known_noise(params):
-    """(name, index) of each key-bias entry among `params`."""
-    return {(name, i) for name, b in params.items()
-            if name.endswith(".attn.qkv.b")
-            for i in range(len(b) // 3, 2 * len(b) // 3)}
-
-
 @pytest.mark.parametrize("blocks,schedule", [(4, None), (1, (0.75,))])
 def test_parameters_whose_gradient_is_rounding_noise_are_the_known_ones(
         blocks, schedule):
     # Over three f64 steps, the entries whose gradient stays at or below
     # 1e-12 of its tensor's largest entry at every step, block-wise and
-    # end to end.
+    # end to end: none.  A key bias's would, since softmax ignores a shift
+    # shared by all keys, and AdamW would turn its rounding noise into
+    # lr-sized steps.
     spec, model, units, plan, _ = _setup(blocks=blocks, schedule=schedule)
     opt = _Recording(weight_decay=0.01)
     for step in range(3):
@@ -438,7 +430,7 @@ def test_parameters_whose_gradient_is_rounding_noise_are_the_known_ones(
         quiet = np.all([np.abs(g) <= 1e-12 * np.abs(g).max() for g in grads],
                        axis=0)
         noise.update((name, int(i)) for i in np.flatnonzero(quiet))
-    assert sorted(noise) == sorted(_known_noise(model.params))
+    assert sorted(noise) == []
 
 
 def test_counterfactual_block0_update_independent_of_later_losses():

@@ -988,6 +988,69 @@ def test_resume_refuses_checkpoint_of_another_batch_size(tmp_path):
     assert load_checkpoint(ckpt)["meta.batch_size"].tolist() == [16.0]
 
 
+@pytest.mark.parametrize("seed", [6, 5 + 2**32, 5 - 2**64])
+def test_resume_refuses_checkpoint_of_another_seed(tmp_path, capsys, seed):
+    # Another seed draws other batch orders and masks: a resume under
+    # --seed 6 used to exit 0 and write other rows than the uninterrupted
+    # run from the first resumed step on.  `rng.split` reads the seed mod
+    # 2**64, so 5 - 2**64 is the run's own seed, and 5 + 2**32 differs in
+    # the high record alone.
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = run_pretrain(load_config(cfg_path), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    metrics = tmp_path / "run" / "metrics.csv"
+    rows = metrics.read_bytes()
+    args = ["pretrain", "--config", cfg_path, "--seed", str(seed), "--out",
+            str(tmp_path / "run"), "--resume", ckpt]
+    if seed % 2**64 == 5:
+        assert cli_main(args) == 0
+        return
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: checkpoint was trained with seed 5, the config gives seed "
+        f"{seed}")
+    assert metrics.read_bytes() == rows
+    tensors = load_checkpoint(ckpt)
+    assert [tensors[f"meta.seed_{half}"].tolist() for half in ("hi", "lo")] \
+        == [[0.0], [5.0]]
+    # A file without the records passes; one with half of them does not.
+    del tensors["meta.seed_hi"]
+    save_checkpoint(tensors, ckpt)
+    with pytest.raises(ConfigError, match=re.escape(
+            "checkpoint counter 'meta.seed_hi' must be one finite")):
+        run_pretrain(load_config(cfg_path), str(tmp_path / "run"),
+                     resume_from=ckpt)
+    del tensors["meta.seed_lo"]
+    save_checkpoint(tensors, ckpt)
+    assert cli_main(args) == 0
+
+
+@pytest.mark.parametrize("command", ["probe", "export-backbone", "pretrain"])
+def test_cli_refuses_checkpoint_with_a_key_bias(tmp_path, capsys, command):
+    # Checkpoints written before the attention bias became [q | v] hold a
+    # q|k|v bias, 3 * d wide, under `attn.qkv.b`: every command refuses
+    # them and names the tensor.
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = run_pretrain(load_config(cfg_path), str(tmp_path / "run"),
+                        max_steps=4).checkpoint_paths[0]
+    tensors = load_checkpoint(ckpt)
+    for key in [k for k in tensors if k.endswith(".attn.qv.b")]:
+        a = tensors.pop(key)
+        if a.size > 1:   # the bias and its moments, not its step count
+            q, v = np.split(a, 2)
+            a = np.concatenate((q, np.zeros_like(q), v))
+        tensors[key.replace(".qv.", ".qkv.")] = a
+    save_checkpoint(tensors, ckpt)
+    out = str(tmp_path / "out")
+    args = (["--resume", ckpt] if command == "pretrain"
+            else ["--checkpoint", ckpt, "--k", "1"])
+    assert cli_main([command, "--config", cfg_path, "--out", out] + args) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint tensor 'enc.layer0.attn.qkv.b' is not a parameter "
+        "of the config's model")
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
 def test_cli_probe_refuses_an_export_at_another_k(tmp_path, capsys):
     # An export at k = 2 holds block 1's bridge norm, not block 0's.  A
     # probe at k = 1 used to name the tensors it lacked, not the depths.

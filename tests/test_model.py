@@ -18,7 +18,7 @@ from blockmae.tape import (
     LN_EPS, ContractError, DimensionError, Node, Tape, _attention_probs,
     _split_heads,
 )
-from test_tape import _batch_loss, _group_order_sum
+from test_tape import _batch_loss, _group_order_sum, _qv_columns, _widen_qv
 
 
 def _toy_spec(**over):
@@ -262,8 +262,8 @@ def test_encoder_layer_attention_rows_sum_to_one():
     # rebuilt from them as backward rebuilds them.
     xs, mu, inv_std, row_max, row_sum = layer.saved[:5]
     g, b, w, bias = (params[f"enc.layer0.{name}"] for name in (
-        "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b"))
-    qkv = ((xs - mu) * inv_std * g + b) @ w + bias
+        "ln1.g", "ln1.b", "attn.qkv.w", "attn.qv.b"))
+    qkv = ((xs - mu) * inv_std * g + b) @ w + _widen_qv(bias)
     q, k, _ = _split_heads(qkv, spec.heads)
     probs = _attention_probs(q, k, row_max, row_sum)
     assert probs.shape == (1, spec.heads, 6, 6)
@@ -273,9 +273,10 @@ def test_encoder_layer_attention_rows_sum_to_one():
 def _split_heads_layer(params, prefix, x, heads):
     """The layer in plain numpy, with one q, k and v projection per head
     and the heads merged by a concatenation: the reference for the fused
-    layer.  The per-head weights are cut from `attn.qkv`, columns
-    (q|k|v, head, dh).  Each step is the operation the tape's kernels
-    perform, so the values agree bit for bit."""
+    layer.  The per-head weights are cut from `attn.qkv.w`, columns
+    (q|k|v, head, dh), and the biases from `attn.qv.b` widened to them.
+    Each step is the operation the tape's kernels perform, so the values
+    agree bit for bit."""
     d = x.shape[-1]
     dh = d // heads
 
@@ -300,7 +301,8 @@ def _split_heads_layer(params, prefix, x, heads):
     def gelu(h):
         return 0.5 * h * (1.0 + erf(h / np.sqrt(h.dtype.type(2.0))))
 
-    w, b = params[f"{prefix}.attn.qkv.w"], params[f"{prefix}.attn.qkv.b"]
+    w, b = (params[f"{prefix}.attn.qkv.w"],
+            _widen_qv(params[f"{prefix}.attn.qv.b"]))
     h1 = layernorm(x, "ln1")
     ctxs = []
     for h in range(heads):
@@ -318,7 +320,7 @@ def _split_heads_layer(params, prefix, x, heads):
 def test_fused_layer_bitwise_equal_split_heads_reference(dtype, dim, heads, n):
     spec = ModelSpec(embed_dim=dim, heads=heads, depth=1, mlp_ratio=2)
     params = init_encoder_params(spec, seed=13, dtype=dtype)
-    params["enc.layer0.attn.qkv.b"][:] = rng.normals(14, 3 * dim)
+    params["enc.layer0.attn.qv.b"][:] = rng.normals(14, 2 * dim)
     x = rng.normals(15, 3 * n * dim).reshape(3, n, dim).astype(dtype)
     t = Tape()
     got = encoder_block_layer(t, params, "enc.layer0", t.leaf(x), heads)
@@ -378,16 +380,20 @@ def _vjp_whole_attention(node, g):
 def _unfused_layer(tape, params, prefix, x, heads):
     """The layer as ten nodes, one per LayerNorm, projection, GELU and
     residual sum, and attention as `_WholeAttentionTape.attention`: the
-    reference for the fused nodes' gradients."""
-    def p(name):
-        return tape.leaf(params[f"{prefix}.{name}"], name=f"{prefix}.{name}",
+    reference for the fused nodes' gradients.  The qkv projection adds
+    `attn.qv.b` widened to its columns, so that leaf's gradient is 3d
+    wide."""
+    def p(name, value=None):
+        return tape.leaf(params[f"{prefix}.{name}"] if value is None
+                         else value, name=f"{prefix}.{name}",
                          requires_grad=True)
 
     def linear(h, name):
         return tape.linear(h, p(f"{name}.w"), p(f"{name}.b"))
 
     h1 = tape.layernorm(x, p("ln1.g"), p("ln1.b"))
-    merged = tape.attention(linear(h1, "attn.qkv"), heads)
+    merged = tape.attention(tape.linear(h1, p("attn.qkv.w"), p(
+        "attn.qv.b", _widen_qv(params[f"{prefix}.attn.qv.b"]))), heads)
     x2 = tape.add(x, linear(merged, "attn.out"))
     h2 = tape.layernorm(x2, p("ln2.g"), p("ln2.b"))
     f1 = tape.gelu(linear(h2, "mlp.fc1"))
@@ -420,6 +426,8 @@ def _assert_fused_layer_gradients_equal_unfused(monkeypatch, spec, shape,
     grads = run(encoder_block_layer)
     grads_ref = _group_order_sum(lambda s: run(_unfused_layer, s), b, n,
                                  rows=("x", "y"))
+    bias = "enc.layer0.attn.qv.b"
+    grads_ref[bias] = _qv_columns(grads_ref[bias])
     assert np.array_equal(grads.pop("y"), grads_ref.pop("y"))
     assert grads.keys() == grads_ref.keys() and len(grads) == 13
     for name, g in grads.items():
@@ -455,7 +463,8 @@ def test_qkv_init_is_the_per_head_draws_of_the_split_layout(prefix, heads, dim):
     w = params[f"{prefix}.attn.qkv.w"]
     dh = dim // heads
     assert w.shape == (dim, 3 * dim) and w.dtype == np.float32
-    assert np.all(params[f"{prefix}.attn.qkv.b"] == 0.0)
+    bias = params[f"{prefix}.attn.qv.b"]
+    assert bias.shape == (2 * dim,) and np.all(bias == 0.0)
     for i, (proj, h) in enumerate((p, h) for p in "qkv" for h in range(heads)):
         draw = _xavier_uniform(rng.split(17, "init", f"{prefix}.attn.{proj}{h}.w"),
                                dim, dh, (dim, dh), np.float32)
@@ -517,7 +526,7 @@ def _decode(t, params, spec, x, decoder_id):
     pfx = f"block{decoder_id}.dec"
     for j in range(spec.decoder_depth):
         x = t.encoder_layer(x, *_leaves(t, params, f"{pfx}.layer{j}", (
-            "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.out.w",
+            "ln1.g", "ln1.b", "attn.qkv.w", "attn.qv.b", "attn.out.w",
             "attn.out.b", "ln2.g", "ln2.b", "mlp.fc1.w", "mlp.fc1.b",
             "mlp.fc2.w", "mlp.fc2.b")), spec.decoder_heads)
     return t.layernorm_linear(x, *_leaves(t, params, pfx, (

@@ -24,6 +24,19 @@ def _rand(seed, *shape):
     return rng.normals(seed, int(np.prod(shape))).reshape(shape)
 
 
+def _widen_qv(b_qv):
+    """A q|v bias [2d] as the q|k|v columns it biases, with zeros in the k
+    columns: what the attention kernels add."""
+    q, v = np.split(b_qv, 2)
+    return np.concatenate((q, np.zeros_like(q), v))
+
+
+def _qv_columns(a):
+    """The q and v thirds of a q|k|v vector [3d]: a q|v bias's gradient."""
+    q, _, v = np.split(a, 3)
+    return np.concatenate((q, v))
+
+
 def _grad_check(build, point, seed, rel_tol=1e-4, eps=1e-6):
     """Compare tape gradient of a scalar function against finite differences.
 
@@ -176,7 +189,7 @@ def _attention_inputs(b, n, d, dtype, seed):
     """x [b, n, d] and an attention sublayer's parameters, in the argument
     order of `Tape.encoder_layer`."""
     shapes = {"x": (b, n, d), "gamma": (d,), "beta": (d,),
-              "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
+              "w_qkv": (d, 3 * d), "b_qv": (2 * d,), "w_out": (d, d),
               "b_out": (d,)}
     return {k: (_rand(seed + i, *shape) * 0.5).astype(dtype)
             for i, (k, shape) in enumerate(shapes.items())}
@@ -192,7 +205,7 @@ def _attention_reference(v, heads):
     mu = x.mean(-1, keepdims=True)
     normed = ((x - mu) / np.sqrt(x.var(-1, keepdims=True) + LN_EPS)
               * v["gamma"] + v["beta"])
-    qkv = normed @ v["w_qkv"] + v["b_qkv"]
+    qkv = normed @ v["w_qkv"] + _widen_qv(v["b_qv"])
     outs = []
     for h in range(heads):
         q, k, val = (qkv[..., p * d + h * dh:p * d + (h + 1) * dh]
@@ -205,7 +218,7 @@ def _attention_reference(v, heads):
 # The encoder-layer node's inputs after x, in its argument order: the
 # attention sublayer's six parameters, then the MLP sublayer's six.  As
 # one sublayer's, the MLP's are named as in _MLP.
-_ATTENTION = ("gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")
+_ATTENTION = ("gamma", "beta", "w_qkv", "b_qv", "w_out", "b_out")
 _MLP = ("gamma", "beta", "w1", "b1", "w2", "b2")
 _LAYER = _ATTENTION + ("gamma2", "beta2", "w1", "b1", "w2", "b2")
 # The encoder-layer node, as its two parts (`_layer_part`) and whole.
@@ -235,7 +248,7 @@ def _layer_part(t, part, v, heads=2, hidden=None):
                                const(1, d), const(2, d, hidden),
                                const(3, hidden), zero_w, zero_b, heads)
     return t.encoder_layer(x, const(0, d), const(1, d), const(2, d, 3 * d),
-                           const(3, 3 * d), zero_w, zero_b,
+                           const(3, 2 * d), zero_w, zero_b,
                            *(v[k] for k in _MLP), heads)
 
 
@@ -267,7 +280,7 @@ def test_attention_rejects_width_not_split_by_heads():
     t = Tape()
     x = t.leaf(np.zeros((2, 3, 4)))
     params = [t.leaf(np.zeros(s))
-              for s in ((4,), (4,), (4, 12), (12,), (4, 4), (4,),
+              for s in ((4,), (4,), (4, 12), (8,), (4, 4), (4,),
                         (4,), (4,), (4, 6), (6,), (6, 4), (4,))]
     with pytest.raises(DimensionError, match="divisible by 3 heads"):
         t.encoder_layer(x, *params, 3)  # d = 4, not 3 heads
@@ -450,7 +463,7 @@ def test_fused_node_bitwise_equal_unfused_composition(kind, dtype):
     *(("layernorm-mlp", v)
       for v in ("x", "gamma", "beta", "w1", "b1", "w2", "b2")),
     *(("layernorm-attention", v) for v in (
-        "x", "gamma", "beta", "w_qkv", "b_qkv", "w_out", "b_out")),
+        "x", "gamma", "beta", "w_qkv", "b_qv", "w_out", "b_out")),
     *(("unshuffle-attention", v) for v in ("z", "fill") + _ATTENTION),
     *(("encoder-layer", v) for v in ("x",) + _LAYER),
     ("linear", "x")])
@@ -485,7 +498,7 @@ def test_fused_nodes_refuse_mismatched_shapes():
         t.layernorm_linear(x, t.leaf(np.ones(3)), t.leaf(np.zeros(4)), w, b)
     # The encoder-layer node's MLP part, after a well-shaped attention part.
     attention = [t.leaf(np.zeros(s))
-                 for s in ((4,), (4,), (4, 12), (12,), (4, 4), (4,))]
+                 for s in ((4,), (4,), (4, 12), (8,), (4, 4), (4,))]
     norm = [t.leaf(np.ones(4)), t.leaf(np.zeros(4))]
     mlp = [t.leaf(np.zeros(s)) for s in ((4, 6), (6,), (6, 4), (4,))]
 
@@ -514,7 +527,7 @@ def test_fused_nodes_refuse_mismatched_shapes():
 def test_attention_and_unshuffle_refuse_mismatched_shapes():
     t = Tape()
     x = t.leaf(np.zeros((2, 5, 4)))
-    shapes = [(4,), (4,), (4, 12), (12,), (4, 4), (4,)]
+    shapes = [(4,), (4,), (4, 12), (8,), (4, 4), (4,)]
     mlp = [t.leaf(np.zeros(s))
            for s in ((4,), (4,), (4, 6), (6,), (6, 4), (4,))]
 
@@ -526,9 +539,11 @@ def test_attention_and_unshuffle_refuse_mismatched_shapes():
 
     for changed, match in (
             ({0: (3,)}, "layernorm affine"),
-            ({2: (3, 12), 3: (12,)}, r"encoder-layer extent mismatch: "
-                                     r"\(2, 5, 4\) x \(3, 12\)"),
-            ({3: (6,)}, r"encoder-layer supports \[b,m,k\]"),
+            ({2: (3, 12)}, r"encoder-layer extent mismatch: "
+                           r"\(2, 5, 4\) x \(3, 12\)"),
+            # a q|k|v bias, 3 * d wide, as parent-format checkpoints hold
+            ({3: (12,)}, r"encoder-layer needs a q\|v bias \[2\*d\] = \[8\]; "
+                         r"got \(12,\)"),
             ({4: (6, 4)}, r"encoder-layer extent mismatch: "
                           r"\(2, 5, 4\) x \(6, 4\)"),
             # the out projection to a width other than x's
@@ -554,6 +569,8 @@ def test_attention_and_unshuffle_refuse_mismatched_shapes():
             ("gamma", (3,), "layernorm affine"),
             ("w_qkv", (3, 12), r"decoder-loss extent mismatch: "
                                r"\(2, 3, 4\) x \(3, 12\)"),
+            ("b_qv", (12,), r"decoder-loss needs a q\|v bias \[2\*d\] = "
+                            r"\[8\]; got \(12,\)"),
             ("w_out", (6, 4), r"decoder-loss extent mismatch: "
                               r"\(2, 3, 4\) x \(6, 4\)")):
         with pytest.raises(DimensionError, match=match):
@@ -611,7 +628,7 @@ def _one_node_per_backward_rule():
         t.layernorm_linear(act(30, 2, 3, 4), leaf(31, 4), leaf(32, 4),
                            leaf(33, 4, 5), leaf(34, 5)),
         t.encoder_layer(act(35, 2, 3, 4), leaf(42, 4), leaf(43, 4),
-                        leaf(44, 4, 12), leaf(45, 12), leaf(46, 4, 4),
+                        leaf(44, 4, 12), leaf(45, 8), leaf(46, 4, 4),
                         leaf(47, 4), leaf(36, 4), leaf(37, 4), leaf(38, 4, 6),
                         leaf(39, 6), leaf(40, 6, 4), leaf(41, 4), 2),
         t.add(act(8, 2, 3, 4), act(9, 4)),
@@ -626,7 +643,7 @@ def _one_node_per_backward_rule():
                      t.leaf(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))),
         t.decoder_loss(act(48, 2, 3, 4), leaf(49, 4), leaf(50, 5, 4), _KEPT,
                        [[leaf(51 + i, *s) for i, s in enumerate((
-                           (4,), (4,), (4, 12), (12,), (4, 4), (4,), (4,),
+                           (4,), (4,), (4, 12), (8,), (4, 4), (4,), (4,),
                            (4,), (4, 6), (6,), (6, 4), (4,)))]],
                        leaf(64, 4), leaf(65, 4), leaf(66, 4, 5), leaf(67, 5),
                        leaf(68, 2, 5, 5), 2),
@@ -670,7 +687,7 @@ def test_a_saved_activation_is_read_only_and_a_saved_leaf_is_not():
         t.layernorm_linear(act(4, 2, 3, 4), leaf(5, 4), leaf(6, 4),
                            leaf(7, 4, 5), leaf(8, 5)),
         t.encoder_layer(act(9, 2, 3, 4), leaf(10, 4), leaf(11, 4),
-                        leaf(12, 4, 12), leaf(13, 12), leaf(14, 4, 4),
+                        leaf(12, 4, 12), leaf(13, 8), leaf(14, 4, 4),
                         leaf(15, 4), leaf(17, 4), leaf(18, 4), leaf(19, 4, 6),
                         leaf(20, 6), leaf(21, 6, 4), leaf(22, 4), 2),
         t.mse_masked(act(23, 2, 3, 4), t.leaf(_rand(24, 2, 3, 4)),
@@ -782,7 +799,7 @@ def _decoder_values(b, k, n, d, depth, dtype, seed, hidden=None, pixels=3,
     shapes = {"z": (b, k, d), "fill": (d,)}
     for j in range(depth):
         shapes.update((f"{j}.{name}", shape) for name, shape in zip(_LAYER, (
-            (d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,), (d,), (d,),
+            (d,), (d,), (d, 3 * d), (2 * d,), (d, d), (d,), (d,), (d,),
             (d, hidden), (hidden,), (hidden, d), (d,))))
     shapes.update(head_gamma=(d,), head_beta=(d,), w=(d, pixels),
                   b=(pixels,))
@@ -1605,7 +1622,7 @@ def _whole_batch(partial, b, n):
 
 def _attention_whole_probabilities(inputs, heads, g, rows=_in_group_order):
     """The attention sublayer's output and the gradients of x, gamma, beta,
-    w_qkv, b_qkv, w_out and b_out in plain numpy, with the normed rows,
+    w_qkv, b_qv, w_out and b_out in plain numpy, with the normed rows,
     q|k|v, the whole [b, heads, n, n] probabilities and the merged heads
     kept between them.  Forward: LN1 as `_layernorm_rows` computes it, the
     qkv product, the product with a contiguous k^T, scale, shift, exp and
@@ -1615,7 +1632,7 @@ def _attention_whole_probabilities(inputs, heads, g, rows=_in_group_order):
     projection's gradients, then LN1's and the residual's.  Products with
     a weight's transpose read a contiguous copy, and every sum over rows
     goes through `rows` (`_in_group_order` or `_whole_batch`)."""
-    x, gamma, beta, w_qkv, b_qkv, w_out, b_out = inputs
+    x, gamma, beta, w_qkv, b_qv, w_out, b_out = inputs
     b, n, _ = x.shape
     width = w_qkv.shape[1] // 3
     dh = width // heads
@@ -1626,7 +1643,7 @@ def _attention_whole_probabilities(inputs, heads, g, rows=_in_group_order):
     inv_std = 1.0 / np.sqrt(var)
     xhat *= inv_std
     normed = xhat * gamma + beta
-    qkv = normed @ w_qkv + b_qkv
+    qkv = normed @ w_qkv + _widen_qv(b_qv)
     q, k, val = qkv.reshape(b, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     probs = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
     probs *= scale
@@ -1663,7 +1680,8 @@ def _attention_whole_probabilities(inputs, heads, g, rows=_in_group_order):
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv_std * ((dxhat - m1) - xhat * m2) + g
     dgamma, dbeta = row_sum(xhat * dnormed), row_sum(dnormed)
-    return out, (dx, dgamma, dbeta, dw_qkv, db_qkv, dw_out, db_out)
+    return out, (dx, dgamma, dbeta, dw_qkv, _qv_columns(db_qkv), dw_out,
+                 db_out)
 
 
 def _assert_attention_matches_whole_probabilities(node, heads, g, grads):
@@ -1750,7 +1768,7 @@ def _force_parts(monkeypatch, parts):
     return pool
 
 
-_SPLIT_LAYER = ((12,), (12,), (12, 36), (36,), (12, 12), (12,), (12,), (12,),
+_SPLIT_LAYER = ((12,), (12,), (12, 36), (24,), (12, 12), (12,), (12,), (12,),
                 (12, 20), (20,), (20, 12), (12,))
 
 
@@ -1992,7 +2010,7 @@ def _desk_values(n, dtype, seed=300):
               "y_rows": (n, d), "gamma": (d,), "beta": (d,),
               "w_pred": (d, 16), "b_pred": (16,), "w1": (d, 4 * d),
               "b1": (4 * d,), "w2": (4 * d, d), "b2": (d,),
-              "w_qkv": (d, 3 * d), "b_qkv": (3 * d,), "w_out": (d, d),
+              "w_qkv": (d, 3 * d), "b_qv": (2 * d,), "w_out": (d, d),
               "b_out": (d,), "pos": (n, d), "gamma2": (d,), "beta2": (d,)}
     vals = {k: (_rand(seed + i, *s) * 0.5).astype(dtype)
             for i, (k, s) in enumerate(shapes.items())}
@@ -2339,7 +2357,7 @@ def test_forward_refuses_backward_and_release():
         fwd.release_block_activations(0)
 
 
-_SMALL_LAYER = ((4,), (4,), (4, 12), (12,), (4, 4), (4,), (4,), (4,),
+_SMALL_LAYER = ((4,), (4,), (4, 12), (8,), (4, 4), (4,), (4,), (4,),
                 (4, 8), (8,), (8, 4), (4,))
 
 
