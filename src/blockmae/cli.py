@@ -1,13 +1,14 @@
 """Command-line entry points.
 
     blockmae pretrain        --config C [--seed N] [--out DIR] [--resume F]
-    blockmae baseline-mae    --config C [--seed N] [--out DIR] [--resume F]
     blockmae probe           --config C --checkpoint F --k K [--seed N] [--out DIR]
     blockmae export-backbone --config C --checkpoint F --k K [--out DIR]
     blockmae mem-report      --config C [--out DIR] [--batch N]
     blockmae flop-report     --config C [--out DIR]
 
-`baseline-mae` trains the config's first mask ratio as one block (MAE).
+A config of one mask ratio trains the end-to-end MAE baseline (one
+block); `mem-report` compares a config's plan with it at the training
+batch.
 Exit code 0 only if the run completed with every run-time invariant held.
 """
 
@@ -44,10 +45,8 @@ def _add_common(sp, checkpoint=False, k=False, resume=False, batch=False):
                         help="checkpoint to continue from")
     if batch:
         sp.add_argument("--batch", type=int, default=None,
-                        help="instrumented batch size (default: the "
-                             "smaller of batch_size and 8); block-wise / "
-                             "MAE moves with it, since each decoder's "
-                             "parameter gradients do not grow with batch")
+                        help="instrumented batch size (default: "
+                             "batch_size); block-wise / MAE moves with it")
 
 
 def build_parser():
@@ -57,8 +56,6 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("pretrain", help="train per the config"),
                 resume=True)
-    _add_common(sub.add_parser("baseline-mae",
-                               help="end-to-end baseline run"), resume=True)
     _add_common(sub.add_parser("probe", help="linear-probe a prefix"),
                 checkpoint=True, k=True)
     _add_common(sub.add_parser("export-backbone",
@@ -79,11 +76,6 @@ def main(argv=None):
             cfg = dataclasses.replace(
                 cfg, train=dataclasses.replace(cfg.train, seed=args.seed))
         if args.command == "pretrain":
-            art = run_pretrain(cfg, args.out, resume_from=args.resume)
-            print(f"metrics: {art.metrics_path}")
-        elif args.command == "baseline-mae":
-            cfg = dataclasses.replace(cfg, train=dataclasses.replace(
-                cfg.train, mask_schedule=cfg.train.mask_schedule[:1]))
             art = run_pretrain(cfg, args.out, resume_from=args.resume)
             print(f"metrics: {art.metrics_path}")
         elif args.command == "probe":

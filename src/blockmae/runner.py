@@ -3,11 +3,12 @@
 Every training run, block-wise or the end-to-end MAE baseline (the
 one-block plan), calls the one step, `blockwise_train_step`.
 
-Each pipeline writes into its own output directory:
+A training run writes into its output directory only:
     metrics.csv          one row per (step, block) plus an aggregate row
                          per step (block_id = -1), schema below
     ckpt_epoch<N>.bimc   parameters + optimizer state + run counters
-    mem_report.csv / flop_report.csv / probe_results.csv
+The probe, the export and the two reports each write one file:
+    probe_results.csv / backbone_k<K>.bimc / mem_report.csv / flop_report.csv
 
 Metrics CSV header (bit-exact): step,epoch,block_id,loss,lr,live_bytes,peak_bytes
 Block rows carry that block's loss and the live bytes right after its
@@ -67,8 +68,6 @@ _MMAP_THRESHOLD = (-3, 32 << 20)
 class RunArtifacts:
     metrics_path: str = None
     checkpoint_paths: list = field(default_factory=list)
-    memory_report_path: str = None
-    flop_report_path: str = None
     probe_results_path: str = None
     backbone_path: str = None
 
@@ -218,6 +217,11 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
         _check_record(tensors, "meta.batch_size", t.batch_size,
                       "checkpoint was trained at batch size {got}, the "
                       "config gives {want}")
+        # norm_pix changes the loss targets alone, no tensor's name or
+        # shape.
+        _check_record(tensors, "meta.norm_pix", int(cfg.model.norm_pix),
+                      "checkpoint was trained with norm_pix {got}, the "
+                      "config gives {want}")
         # rng.split reads the seed mod 2**64; a float64 holds each half.
         if "meta.seed_hi" in tensors or "meta.seed_lo" in tensors:
             got = ((_counter(tensors, "meta.seed_hi") << 32)
@@ -282,6 +286,8 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
                 tensors["meta.step"] = np.array([gstep + 1], dtype=np.float64)
                 tensors["meta.batch_size"] = np.array([t.batch_size],
                                                       dtype=np.float64)
+                tensors["meta.norm_pix"] = np.array([cfg.model.norm_pix],
+                                                    dtype=np.float64)
                 tensors["meta.seed_hi"], tensors["meta.seed_lo"] = (
                     np.array([v], dtype=np.float64)
                     for v in divmod(t.seed % 2**64, 2**32))
@@ -289,11 +295,7 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
                 save_checkpoint(tensors, path)
                 artifacts.checkpoint_paths.append(path)
 
-    artifacts.memory_report_path = write_mem_report(cfg, out_dir)
-    artifacts.flop_report_path = write_flop_report(cfg, out_dir)
-    for p in artifacts.checkpoint_paths + [artifacts.metrics_path,
-                                           artifacts.memory_report_path,
-                                           artifacts.flop_report_path]:
+    for p in artifacts.checkpoint_paths + [artifacts.metrics_path]:
         if not os.path.exists(p):
             raise ConfigError(f"expected artifact missing: {p}")
     return artifacts
@@ -301,18 +303,13 @@ def run_pretrain(cfg, out_dir, resume_from=None, max_steps=None):
 
 def write_mem_report(cfg, out_dir, batch=None):
     """Write `mem_report.csv`: each mode's analytic and measured peak
-    activation bytes for one step at `batch`, and block-wise / MAE.
-
-    `batch` defaults to min(batch_size, 8), not the batch the run trains
-    at.  The ratio moves with batch: each block's decoder-loss node
-    charges its decoder's parameter gradients, which do not grow with
-    batch, so on desk-blockwise it reads 0.365 at batch 8 and 0.318 at the
-    training batch of 64.  `run_pretrain` writes this report after every
-    run, so the default keeps its two metered steps small; pass the
-    training batch to price that.
+    activation bytes for one step at `batch`, by default the training
+    batch, and block-wise / MAE.  The ratio moves with batch, since each
+    block's decoder-loss node charges its decoder's parameter gradients,
+    which do not grow with batch.
     """
     if batch is None:
-        batch = min(cfg.train.batch_size, 8)
+        batch = cfg.train.batch_size
     elif batch < 1:
         raise ConfigError(f"mem-report batch must be >= 1, got {batch}")
     os.makedirs(out_dir, exist_ok=True)

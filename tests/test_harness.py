@@ -521,8 +521,19 @@ def test_pretrain_writes_metrics_and_checkpoints(tmp_path):
     block_ids = {int(l.split(",")[2]) for l in lines[1:]}
     assert block_ids == {-1, 0, 1}
     assert len(art.checkpoint_paths) == 2
-    assert os.path.exists(art.memory_report_path)
-    assert os.path.exists(art.flop_report_path)
+    # The reports are their own commands; a run writes its rows and
+    # checkpoints only.
+    assert sorted(os.listdir(tmp_path / "run")) == [
+        "ckpt_epoch0.bimc", "ckpt_epoch1.bimc", "metrics.csv"]
+
+
+def test_pretrain_runs_no_metered_report_step(tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("run_pretrain called compare_peak")
+
+    monkeypatch.setattr(runner, "compare_peak", refused)
+    art = run_pretrain(parse_config(TINY_CONFIG), str(tmp_path / "run"))
+    assert len(art.checkpoint_paths) == 2
 
 
 def test_metrics_bytewise_deterministic(tmp_path):
@@ -860,15 +871,16 @@ def test_cli_refuses_checkpoint_with_more_blocks_than_the_config(
     assert not os.path.exists(out) or os.listdir(out) == []
 
 
-def test_cli_baseline_mae_refuses_a_two_block_checkpoint_by_block_count(
+def test_cli_one_block_pretrain_refuses_a_two_block_checkpoint_by_block_count(
         tmp_path, capsys):
-    # It used to name the first tensor the one-block model lacks,
-    # 'block1.bridge.ln.g', not the block counts.
+    # The MAE baseline's resume used to name the first tensor the
+    # one-block model lacks, 'block1.bridge.ln.g', not the block counts.
     ckpt = run_pretrain(parse_config(TINY_CONFIG), str(tmp_path / "run"),
                         max_steps=4).checkpoint_paths[0]
     out = str(tmp_path / "mae")
-    assert cli_main(["baseline-mae", "--config", _write_cfg(tmp_path),
-                     "--out", out, "--resume", ckpt]) == 1
+    assert cli_main(["pretrain", "--config",
+                     _write_cfg(tmp_path, TINY_ONE_BLOCK), "--out", out,
+                     "--resume", ckpt]) == 1
     assert capsys.readouterr().err.startswith(
         "error: checkpoint was trained with 2 blocks, the config gives 1")
     assert not os.path.exists(out) or os.listdir(out) == []
@@ -986,6 +998,22 @@ def test_resume_refuses_checkpoint_of_another_batch_size(tmp_path):
                      resume_from=ckpt)
     assert metrics.read_bytes() == rows
     assert load_checkpoint(ckpt)["meta.batch_size"].tolist() == [16.0]
+
+
+def test_cli_resume_refuses_checkpoint_of_another_norm_pix(tmp_path, capsys):
+    # norm_pix changes the loss targets alone, no tensor's name or shape: a
+    # resume that flipped it used to exit 0 and write other rows than the
+    # uninterrupted run from the first resumed step on.
+    ckpt, cfg_path = _checkpoint_and_wider_config(tmp_path, "norm_pix",
+                                                  "true")
+    metrics = tmp_path / "run" / "metrics.csv"
+    rows = metrics.read_bytes()
+    assert cli_main(["pretrain", "--config", cfg_path, "--out",
+                     str(tmp_path / "run"), "--resume", ckpt]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint was trained with norm_pix 0, the config gives 1")
+    assert metrics.read_bytes() == rows
+    assert load_checkpoint(ckpt)["meta.norm_pix"].tolist() == [0.0]
 
 
 @pytest.mark.parametrize("seed", [6, 5 + 2**32, 5 - 2**64])
@@ -1155,6 +1183,15 @@ def test_cli_mem_report_refuses_batch_below_one(tmp_path, capsys, batch):
     err = capsys.readouterr().err
     assert err.startswith(f"error: mem-report batch must be >= 1, got {batch}")
     assert not os.path.exists(os.path.join(out, "mem_report.csv"))
+
+
+def test_cli_mem_report_prices_the_training_batch_by_default(tmp_path):
+    cfg_path = _write_cfg(tmp_path)
+    for name, batch in (("default", []), ("given", ["--batch", "16"])):
+        assert cli_main(["mem-report", "--config", cfg_path, "--out",
+                         str(tmp_path / name)] + batch) == 0
+    assert (tmp_path / "default" / "mem_report.csv").read_bytes() == \
+        (tmp_path / "given" / "mem_report.csv").read_bytes()
 
 
 def test_cli_probe_refuses_labels_beyond_num_classes(tmp_path, capsys):
@@ -1355,28 +1392,6 @@ def test_cli_inconsistent_blockwise_config_exits_nonzero(tmp_path, capsys):
     assert cli_main(["flop-report", "--config", str(p), "--out", out]) == 1
     assert "not divisible" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "flop_report.csv"))
-
-
-def test_cli_baseline_mae_forces_mode(tmp_path):
-    # baseline-mae trains the config's first ratio as one block: the same
-    # run, file for file, as pretrain on that one ratio.
-    out = str(tmp_path / "mae")
-    assert cli_main(["baseline-mae", "--config", _write_cfg(tmp_path),
-                     "--out", out]) == 0
-    lines = Path(out, "metrics.csv").read_text().splitlines()
-    assert {int(l.split(",")[2]) for l in lines[1:]} == {-1, 0}
-    one = tmp_path / "one"
-    one.mkdir()
-    ref = str(tmp_path / "ref")
-    assert cli_main(["pretrain", "--config", _write_cfg(one, TINY_ONE_BLOCK),
-                     "--out", ref]) == 0
-    names = sorted(os.listdir(ref))
-    assert {"metrics.csv", "mem_report.csv", "ckpt_epoch0.bimc",
-            "ckpt_epoch1.bimc"} <= set(names)
-    assert sorted(os.listdir(out)) == names
-    for name in names:
-        assert Path(out, name).read_bytes() == Path(ref, name).read_bytes(), \
-            name
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",

@@ -4,9 +4,10 @@ public functions that no package or benchmark code reads are the known
 ones, every checkpoint `meta.` key the package writes is read, the
 tape's table of charged buffers names every node kind, the tape
 primitives that no package code calls are the known ones and run
-without the group cuts and thread splits, and every package name the
-benchmark wraps exists."""
+without the group cuts and thread splits, every package name the
+benchmark wraps exists, and the CLI's usage block lists its subcommands."""
 
+import argparse
 import ast
 import inspect
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmae import tape
+from blockmae import cli, tape
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "blockmae"
@@ -347,3 +348,35 @@ def test_every_name_the_benchmark_wraps_exists():
     assert {attr for _, attr in named} >= {
         "extract_features", "forward_tokens", "Tape"}
     assert spans.changed_names(before, workloads.PATCHED_MODULES) == []
+
+
+def _usage_commands(doc):
+    """Subcommands, sorted, that a usage block lists: the second word of
+    each line that starts with `blockmae ` after its indent."""
+    return sorted(line.split()[1] for line in doc.splitlines()
+                  if line.strip().startswith("blockmae "))
+
+
+def _parser_commands(parser):
+    """Subcommands, sorted, that an argparse parser defines."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(sub.choices)
+
+
+def test_detector_reads_usage_and_parser_commands():
+    doc = ("Entry points.\n\n    blockmae a  --x\n    blockmae b\n\n"
+           "Text that names blockmae c.\n")
+    assert _usage_commands(doc) == ["a", "b"]
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    for name in ("b", "a"):
+        sub.add_parser(name)
+    assert _parser_commands(parser) == ["a", "b"]
+
+
+def test_cli_usage_lists_every_subcommand_the_parser_defines():
+    # A command deleted from the parser and left in the usage block, or
+    # added without it, fails here by name.
+    assert _usage_commands(cli.__doc__) == \
+        _parser_commands(cli.build_parser())
