@@ -27,9 +27,10 @@ Charged buffers per primitive:
                   attention row's softmax max and sum.  Nothing else:
                   backward replays the attention sublayer from those, a
                   group of samples at a time, to rebuild its residual sum
-                  x2 for the MLP part, which replays the GELU output and
-                  CDF term and makes fc1 again over the former once dw2's
-                  partial is taken, then replays it again for its own part
+                  x2, whose buffer takes LayerNorm 2's xhat, for the MLP
+                  part, which replays the GELU output and CDF term and
+                  makes fc1 again over the former once dw2's partial is
+                  taken, then replays it again for its own part
     mse-masked    prediction value (when non-leaf).  No code in src/
                   records it since the decoder's loss node took its place;
                   it stays as the tests' reference loss and for the name
@@ -73,26 +74,37 @@ step records walks its batch once, a group of whole samples at a time
 (`_groups`), and holds its dx plus one group's temporaries per thread;
 the rules of layernorm and of the residual node, encoder-layer, write dx
 over their incoming gradient, which no other node or leaf holds (add's
-rule hands y a copy).  A rule never writes into a saved input: another
-node, a later block's boundary leaf among them, may hold the same array.
-Every activation a node saves is made read-only when it is saved, so
-such a write raises; leaf arrays are not touched, and the optimizer
-updates the parameters in place.  Releasing a node, a leaf or not, drops
-both its value and its saved buffers and decreases the live counter by
-exactly the node's charged bytes, fixed when it was recorded; releasing
-a block frees the sum of its nodes' bytes.  Parameter arrays outlive
-their leaves in the caller's table.  Running backward through a released
-node, or through a node an earlier backward ran the rule of, is a
-lifecycle error, and a later block must continue from a `boundary` leaf,
-not from an earlier block's nodes, whose values are gone after that
-block's backward.  A `Forward` tape, for a forward that never runs
-backward, records nothing: its nodes save no buffer, charge nothing, are
-not appended and keep no link to their inputs, so an array lives only
-while the caller holds its node, and its backward and release raise a
-lifecycle error.  Since nothing saves an input there, the residual node
-encoder-layer writes its sums over the array of a non-leaf input and
-takes it over: that input node is consumed, and reading its value again
-is a lifecycle error that names it.  A leaf's array is never written.
+rule hands y a copy).  The encoder-layer rule holds each group buffer to
+its last read only, and makes the normed rows and LayerNorm 1's xhat
+again, from x and its statistics, where it reads them.  Its rebuild of
+x2 holds the normed rows until q|k|v is made, and q|k|v, the
+probabilities and the merged heads; its MLP part LayerNorm 2's xhat, the
+normed rows until fc1 is made again, the two hidden-wide buffers and
+then the normed rows again for dw1 and dx; its attention part the normed
+rows until q|k|v is made, q|k|v, the probabilities, the merged heads
+until dw_out, dqkv and the merged heads' gradient, and a block of
+heads' probability gradient at a time, then the normed rows again for
+dw_qkv and dx, and LayerNorm 1's xhat for its partials.  A rule never
+writes into a saved input: another node, a later block's boundary leaf
+among them, may hold the same array.  Every activation a node saves is
+made read-only when it is saved, so such a write raises; leaf arrays
+are not touched, and the optimizer updates the parameters in place.
+Releasing a node, a leaf or not, drops both its value and its saved
+buffers and decreases the live counter by exactly the node's charged
+bytes, fixed when it was recorded; releasing a block frees the sum of
+its nodes' bytes.  Parameter arrays outlive their leaves in the caller's
+table.  Running backward through a released node, or through a node an
+earlier backward ran the rule of, is a lifecycle error, and a later
+block must continue from a `boundary` leaf, not from an earlier block's
+nodes, whose values are gone after that block's backward.  A `Forward`
+tape, for a forward that never runs backward, records nothing: its nodes
+save no buffer, charge nothing, are not appended and keep no link to
+their inputs, so an array lives only while the caller holds its node,
+and its backward and release raise a lifecycle error.  Since nothing
+saves an input there, the residual node encoder-layer writes its sums
+over the array of a non-leaf input and takes it over: that input node is
+consumed, and reading its value again is a lifecycle error that names
+it.  A leaf's array is never written.
 
 Each fused sublayer's math after its LayerNorm is written once, as a
 replay of a group's or chunk's normed rows (`_attention_replay`,
@@ -102,8 +114,11 @@ chunk, making the row statistics; its rule group by group from the
 saved x and those statistics, the attention sublayer twice, once to
 rebuild x2 and once in its own backward; and the decoder-loss node
 group by group in its forward, keeping what its backward reads.  Both
-backward sites then go through `_layer_grads`: `_kept_sublayer_grads`
-around one MLP core and then one attention core.
+backward sites then run one MLP core and then one attention core
+(`_mlp_kept_hidden_grads`, `_attention_backward`), each followed by its
+LayerNorm's backward (`_pre_norm_grads`): the decoder-loss node through
+`_layer_grads`, on what its forward kept and the normed rows made once;
+the encoder-layer rule on what it makes again where it reads it.
 
 A tape holds one dtype, f32 or f64: the first array its `leaf` or
 `boundary` is given sets it, and both refuse an array of another.  So
@@ -127,14 +142,20 @@ would.  Such a rule that sums over rows (a weight, bias, gamma or beta
 gradient) cuts its batch into groups of whole samples by the batch's
 shape alone, adds the groups' partial sums within each half of that cut
 in one fixed order and then the two halves' totals (`_grouped`), and
-runs one half per thread.  Only numpy work on disjoint slices runs in
-worker threads: node creation, recording, metering, the backward order
-and release stay on the calling thread.  So every value, gradient, saved
-buffer and meter reading is the same bit for bit whatever the number of
-workers or the chunk size; a gradient summed over rows is not bitwise
-the whole-batch product or sum, but within rounding of it.  So is the
-decoder-loss node's mask token gradient against the nodes it fuses, as
-it sums it in its own groups; every other gradient is theirs bitwise.
+runs one half per thread.  The halves' BLAS calls overlap too: on a
+2-core x86 VM with one BLAS thread, two threads each looping a group's
+fc1 product, [384, 64] @ [64, 256], took a median 1.06 times one
+thread's time in f32, 1.07 in f64 and 0.99 for f32 beside f64; in the
+rounds of the 12 where one took twice as long, so did two threads' exp
+loops, which is the machine's other load.  Only numpy work on disjoint
+slices runs in worker threads: node creation, recording, metering, the
+backward order and release stay on the calling thread.  So every value,
+gradient, saved buffer and meter reading is the same bit for bit
+whatever the number of workers or the chunk size; a gradient summed over
+rows is not bitwise the whole-batch product or sum, but within rounding
+of it.  So is the decoder-loss node's mask token gradient against the
+nodes it fuses, as it sums it in its own groups; every other gradient is
+theirs bitwise.
 """
 
 import contextlib
@@ -1126,7 +1147,23 @@ def _attention_probs(q, k, row_max, row_sum, stats=False):
     # products.
     p = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
     p *= q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    if stats:
+    if stats and p.shape[-1] < 64:
+        # Over axis -2 of a head's transpose, copied into one contiguous
+        # buffer: numpy takes a max down columns a whole row at a time, and
+        # one along a short last axis element by element.  A max is exact,
+        # so the bits are the same.  On a 2-core x86 VM this took 236
+        # against 368 us at [32, 4, 16, 16] f32, and a desk encoder
+        # layer's forward ran 3-5% faster on one thread and 0.5-2% on
+        # two; rows of 64 keep the last axis, where on two threads the
+        # copy made the probe's f64 layer forward about 5% slower.  One
+        # head at a time, so the copy is a head's.
+        pt = np.empty(p.shape[:1] + p.shape[2:], p.dtype)
+        for h in range(p.shape[1]):
+            np.copyto(pt, np.swapaxes(p[:, h], -1, -2))
+            np.max(pt, axis=-2, keepdims=True,
+                   out=np.swapaxes(row_max[:, h], -1, -2))
+        del pt
+    elif stats:
         np.max(p, axis=-1, keepdims=True, out=row_max)
     p -= row_max
     np.exp(p, out=p)
@@ -1422,28 +1459,44 @@ def _attention_weights(w_qkv, b_qkv, w_out):
             np.ascontiguousarray(w_qkv.T), np.ascontiguousarray(w_out.T))
 
 
-def _attention_backward(bufs, g, weights, heads, stats=None):
+def _softmax_rows_grad(dp, p):
+    """p * (dp - sum(dp * p)) over each row of the last axis, the
+    gradient of softmax rows p from their output's gradient dp, written
+    over dp, which it returns."""
+    dp -= np.add.reduce(dp * p, axis=-1, keepdims=True)
+    dp *= p
+    return dp
+
+
+def _attention_backward(normed, kept, g, weights, heads, stats=None):
     """The gradient of an attention sublayer's normed rows and the partial
     (dw_qkv, db_qv, dw_out, db_out) over one group of whole samples, from
-    its output's gradient g and `bufs`: the normed rows, the
-    probabilities and the merged heads, as `_attention_keep` keeps them,
-    or the normed rows alone, whose probabilities and merged heads
-    `_attention_replay` makes again from `stats`, the group's softmax max
-    and sum.  q|k|v is made again from the normed rows either way.  It
-    empties bufs, so each buffer dies once read.
+    its output's gradient g.  `normed()` gives the group's normed rows, in
+    a buffer the call may write, once for q|k|v and once for dw_qkv.
+    `kept` is the probabilities and the merged heads, as `_attention_keep`
+    keeps them, or empty, and then `_attention_replay` makes them again
+    from `stats`, the group's softmax max and sum.  q|k|v is made again
+    from the normed rows either way.  It empties kept, so each buffer
+    dies once read.
 
-    The merged heads die with the out projection's partials, attention's
-    rule runs into the group's dqkv, which dies with the qkv projection's
-    partials, and the normed rows' buffer takes their gradient, which is
-    returned; the bias partial is dqkv's row sum without its k columns.
+    The merged heads die with the out projection's partials.  Attention's
+    rule then runs into the group's dqkv a block of b heads at a time, as
+    many as keep the block's probability gradient and that gradient's
+    product with the probabilities, each [c, b, n, n], within one normed
+    row's width (2 b n <= d; one head when n > d / 2).  Every product is
+    per matrix and every row sum along a contiguous row, as over all
+    heads at once, so the bits are the same.  The probabilities and
+    q|k|v die with the last block, dqkv with the qkv projection's
+    partials, and the buffer of the second normed rows takes their
+    gradient, which is returned; the bias partial is dqkv's row sum
+    without its k columns.
     """
     w_qkv, b_qkv, w_out, w_qkv_t, w_out_t = weights
-    normed = bufs.pop(0)
     qkv, p, merged = (
-        _attention_replay(normed, w_qkv, b_qkv, len(w_out), heads, *stats)
-        if stats else (_linear_rows(normed, w_qkv, b_qkv), *bufs))
-    bufs.clear()
-    c, n, _ = normed.shape
+        _attention_replay(normed(), w_qkv, b_qkv, len(w_out), heads, *stats)
+        if stats else (_linear_rows(normed(), w_qkv, b_qkv), *kept))
+    kept.clear()
+    c, n, _ = qkv.shape
     width = len(w_out)
     dw_out, db_out = _weight_grads(merged, g)
     del merged
@@ -1453,20 +1506,24 @@ def _attention_backward(bufs, g, weights, heads, stats=None):
     gctx = np.swapaxes((g @ w_out_t).reshape(c, n, heads, width // heads),
                        1, 2)
     np.matmul(np.swapaxes(p, -1, -2), gctx, out=dv)
-    dprobs = gctx @ np.swapaxes(v, -1, -2)
-    del gctx
-    # softmax: p * (dp - sum(dp * p)), then the 1/sqrt(dh) scale
-    dprobs -= np.add.reduce(dprobs * p, axis=-1, keepdims=True)
-    dprobs *= p
-    del p
-    dprobs *= normed.dtype.type(1.0 / np.sqrt(width // heads))
-    np.matmul(dprobs, k, out=dq)
-    np.matmul(np.swapaxes(dprobs, -1, -2), q, out=dk)
-    del qkv, q, k, v, dprobs
-    dw_qkv, db_qkv = _weight_grads(normed, dqkv)
-    np.matmul(dqkv, w_qkv_t, out=normed)
+    scale = qkv.dtype.type(1.0 / np.sqrt(width // heads))
+    step = max(1, width // (2 * n))
+    dprobs = np.empty((c, min(step, heads), n, n), qkv.dtype)
+    for h in range(0, heads, step):
+        hs = slice(h, h + step)
+        dp = dprobs[:, :min(step, heads - h)]
+        np.matmul(gctx[:, hs], np.swapaxes(v[:, hs], -1, -2), out=dp)
+        # softmax's gradient, then the 1/sqrt(dh) scale
+        _softmax_rows_grad(dp, p[:, hs])
+        dp *= scale
+        np.matmul(dp, k[:, hs], out=dq[:, hs])
+        np.matmul(np.swapaxes(dp, -1, -2), q[:, hs], out=dk[:, hs])
+    del p, gctx, dprobs, dp, qkv, q, k, v
+    rows = normed()
+    dw_qkv, db_qkv = _weight_grads(rows, dqkv)
+    np.matmul(dqkv, w_qkv_t, out=rows)
     db_qv = np.concatenate((db_qkv[:width], db_qkv[2 * width:]))
-    return normed, (dw_qkv, db_qv, dw_out, db_out)
+    return rows, (dw_qkv, db_qv, dw_out, db_out)
 
 
 def _attention_size(shape, w_qkv, heads):
@@ -1483,42 +1540,51 @@ def _mlp_weights(w1, b1, w2):
     return w1, b1, np.ascontiguousarray(w1.T), np.ascontiguousarray(w2.T)
 
 
-def _mlp_kept_hidden_grads(bufs, g, weights):
+def _mlp_kept_hidden_grads(normed, kept, g, weights):
     """The gradient of an MLP sublayer's normed rows and the partial
-    (dw1, db1, dw2, db2) over one group, from its output's gradient g and
-    `bufs`: the normed rows, the GELU output and its CDF term, as
-    `_mlp_keep` keeps them, or the normed rows alone, whose other two
-    `_mlp_replay` makes.  It empties bufs, so each buffer dies once read,
-    and holds two hidden-wide buffers at once at most.
+    (dw1, db1, dw2, db2) over one group, from its output's gradient g.
+    `normed()` gives the group's normed rows, in a buffer the call may
+    write, for fc1 and for dw1.  `kept` is the GELU output and its CDF
+    term, as `_mlp_keep` keeps them, or empty, and then `_mlp_replay`
+    makes them from the normed rows.  It empties kept, so each buffer
+    dies once read, and holds two hidden-wide buffers at once at most.
 
     The GELU output feeds dw2's partial, and its buffer then takes fc1
-    again, from the normed rows.  The GELU gradient's sum of the CDF term
-    and 2 * fc1 * pdf(fc1) goes into the CDF term's buffer 64 rows at a
-    time, through a temporary of 64 rows; fc1's buffer then takes dh, the
-    CDF term's the GELU gradient, and the normed rows' buffer their
-    gradient, which is returned.  Each value is the one
-    `_gelu_grad_from_pdf` makes, bit for bit: every step is elementwise.
+    again, from the same normed rows, which the call then lets go: fc1
+    reads them beside both hidden-wide buffers, so holding them through
+    dw2 raises no peak, and asking for them again for dw1 keeps them out
+    of the pass below.  The GELU gradient's sum of the CDF term and
+    2 * fc1 * pdf(fc1) goes into the CDF term's buffer a slice of rows at
+    a time, through a temporary as large as the normed rows, which takes
+    their place (96 of 384 rows at a hidden width of 4 d; 64 rows ran
+    about 27 us a group slower on a 2-core x86 VM, one numpy call's cost
+    per slice and op); fc1's buffer then takes dh, the CDF term's the
+    GELU gradient, and the buffer of the last normed rows their gradient,
+    which is returned.  Each value is the one `_gelu_grad_from_pdf`
+    makes, bit for bit: every step is elementwise.
     """
     w1, b1, w1t, w2t = weights
-    normed = bufs.pop(0)
-    h, cdf = bufs or _mlp_replay(normed, w1, b1)
-    bufs.clear()
+    rows = normed()
+    h, cdf = kept or _mlp_replay(rows, w1, b1)
+    kept.clear()
     dw2, db2 = _weight_grads(h, g)
-    f1 = _linear_rows(normed, w1, b1, h)
-    del h
+    f1 = _linear_rows(rows, w1, b1, h)
+    del h, rows
     f1_rows = f1.reshape(-1, f1.shape[-1])
     cdf_rows = cdf.reshape(f1_rows.shape)
-    t = np.empty((min(64, len(f1_rows)), f1.shape[-1]), f1.dtype)
-    for i in range(0, len(f1_rows), 64):
-        part = cdf_rows[i:i + 64]
-        part += _gelu_pdf_rows(f1_rows[i:i + 64], t[:len(part)])
+    step = max(1, len(f1_rows) * len(w1) // f1.shape[-1])
+    t = np.empty((min(step, len(f1_rows)), f1.shape[-1]), f1.dtype)
+    for i in range(0, len(f1_rows), step):
+        part = cdf_rows[i:i + step]
+        part += _gelu_pdf_rows(f1_rows[i:i + step], t[:len(part)])
     del t
     cdf *= 0.5
     cdf *= np.matmul(g, w2t, out=f1)
     del f1, f1_rows
-    dw1, db1 = _weight_grads(normed, cdf)
-    np.matmul(cdf, w1t, out=normed)
-    return normed, (dw1, db1, dw2, db2)
+    rows = normed()
+    dw1, db1 = _weight_grads(rows, cdf)
+    np.matmul(cdf, w1t, out=rows)
+    return rows, (dw1, db1, dw2, db2)
 
 
 def _mlp_size(shape, w1):
@@ -1537,51 +1603,63 @@ def _vjp_encoder_layer(node, g):
                                   weights=_mlp_weights(*params[8:11]))
 
     def group(s):
-        # x2's rows, rebuilt by a replay of the attention sublayer, die as
-        # the MLP's xhat is made of them.
-        xs = x[s]
-        return _layer_grads(
-            [_xhat_rows(xs, mu1[s], inv_std1[s], np.empty_like(xs)),
-             inv_std1[s]],
-            [_xhat_rows(_attention_sum(xs, mu1[s], inv_std1[s], row_max[s],
-                                       row_sum[s], params[:6], heads,
-                                       np.empty_like(xs), xs),
-                        mu2[s], inv_std2[s], np.empty_like(xs)),
-             inv_std2[s]],
-            params, (functools.partial(_attention_backward, weights=weights,
-                                       heads=heads,
-                                       stats=(row_max[s], row_sum[s])),
-                     mlp_inner), g[s])
+        # The normed rows are made again where a core reads them, and
+        # LayerNorm 1's xhat too, from x and its statistics.  x2's rows,
+        # rebuilt by a replay of the attention sublayer, become LayerNorm
+        # 2's xhat in place, which lives through the MLP part.
+        xs, gs, stats = x[s], g[s], (mu1[s], inv_std1[s])
+        xhat = _attention_sum(xs, *stats, row_max[s], row_sum[s], params[:6],
+                              heads, np.empty_like(xs), xs)
+        _xhat_rows(xhat, mu2[s], inv_std2[s], xhat)
+        mlp = _pre_norm_grads(mlp_inner(
+            lambda: _affine_rows(xhat, *params[6:8], np.empty_like(xs)), [],
+            gs), xhat, inv_std2[s], params[6], gs)
+        del xhat
+        core = _attention_backward(
+            lambda: _layernorm_rows(xs, *stats, np.empty_like(xs),
+                                    *params[:2], stats=False),
+            [], gs, weights, heads, (row_max[s], row_sum[s]))
+        return (*_pre_norm_grads(core, _xhat_rows(xs, *stats,
+                                                  np.empty_like(xs)),
+                                 stats[1], params[0], gs), *mlp)
     size = max(_attention_size(x.shape, params[2], heads),
                _mlp_size(x.shape, params[8]))
     return (g, *_grouped(size, _groups(x.shape), group))
 
 
-def _kept_sublayer_grads(bufs, gamma, beta, inner, g):
+def _pre_norm_grads(core, xhat, inv_std, gamma, g):
     """The partial gradients of a pre-norm sublayer over one group, from
-    `bufs`: its input rows normed before the affine (xhat), their inv_std,
-    and what `inner(bufs, g)` reads after the normed rows, which are made
-    from xhat in their place.  That is what a decoder-loss forward kept
-    (`_attention_keep`, `_mlp_keep`), or nothing, for a rule whose inner
-    replays it.  It empties bufs.  The LayerNorm's partials (dgamma,
-    dbeta) come before inner's, and the input's gradient less the
-    residual's is added to g."""
-    xhat, inv_std = bufs[:2]
-    bufs[:2] = [_affine_rows(xhat, gamma, beta, np.empty_like(xhat))]
-    dnormed, grads = inner(bufs, g)
+    `core`, what its core returned after the LayerNorm (the normed rows'
+    gradient and its partials), and xhat, its input rows normed before
+    the affine: the LayerNorm's partials (dgamma, dbeta), then the
+    core's.  The normed rows' gradient becomes the input's gradient less
+    the residual's, which is added to g."""
+    dnormed, grads = core
     grads = (*_layernorm_grads(xhat, inv_std, gamma, dnormed), *grads)
     g += dnormed
     return grads
 
 
+def _kept_sublayer_grads(bufs, gamma, beta, inner, g):
+    """`_pre_norm_grads` over one group from what a decoder-loss forward
+    kept (`_attention_keep`, `_mlp_keep`): bufs is xhat, its inv_std and
+    what `inner(normed, kept, g)` reads after the normed rows, as `kept`.
+    The normed rows are made once from xhat and held, and inner reads
+    them through `normed`.  It empties bufs."""
+    xhat, inv_std, *kept = bufs
+    bufs.clear()
+    normed = _affine_rows(xhat, gamma, beta, np.empty_like(xhat))
+    return _pre_norm_grads(inner(lambda: normed, kept, g), xhat, inv_std,
+                           gamma, g)
+
+
 def _layer_grads(att, mlp, params, inners, g):
-    """The partial gradients of a transformer layer over one group, in the
+    """The partial gradients of a decoder layer over one group, in the
     order of its parameters `params`: the MLP sublayer's, then the
     attention sublayer's, each through `_kept_sublayer_grads` from the
-    buffers `mlp` and `att` and with `inners` (attention's, the MLP's).
-    Each adds its input's gradient to g in turn.  The decoder-loss node
-    passes what its forward kept, the encoder-layer rule what it
-    rebuilt."""
+    buffers `mlp` and `att` that the decoder-loss forward kept and with
+    `inners` (attention's, the MLP's).  Each adds its input's gradient to
+    g in turn."""
     mlp_grads = _kept_sublayer_grads(mlp, *params[6:8], inners[1], g)
     return (*_kept_sublayer_grads(att, *params[:2], inners[0], g),
             *mlp_grads)

@@ -399,34 +399,45 @@ def _warm_step_heap(plan):
     return peak - start, rep.peak_activation_bytes
 
 
-def _attention_part_over_metered(tokens):
+def _layer_rule_over_metered(tokens):
     """What a warm desk step may hold beyond its metered peak, in f32
-    bytes, in the attention part of the first encoder layer rule of a
-    block's backward, the last layer's, when the block keeps `tokens`
-    tokens per sample.  There the meter still charges every buffer the
-    block saved, and the process holds at most those less two that died
-    with their rules: the decoder-loss node's gradient of z
-    [64, tokens, 32] and the bridge's row statistics, 2 per row.
-    Beyond them it holds two threads' group buffers of that part, 384
-    rows each of xhat, the normed rows, q|k|v, dqkv and the merged heads'
-    gradient, width 9 * 64, and of the probabilities, their gradient and
-    a product of the two, width 3 * 4 heads * tokens; the layer's
-    incoming gradient [64, tokens, 64]; the gradients of the block's
-    bridge (2,208 parameters), in the gradient table by then, besides the
-    decoder's, which the meter charges; contiguous copies of the four
-    weights, transposed (192 x 64, 64 x 64, 256 x 64 and 64 x 256); each
-    thread's running sums and one group's partials of the layer's 49,920
-    parameters, the MLP part's among them; the embedding's saved patch
-    rows [64, tokens, 16], a leaf, uncharged; the mask's permutation,
-    int64 [64, 64], whose first `tokens` columns are the kept ids; and a
+    bytes, in the first encoder layer rule of a block's backward, the
+    last layer's, when the block keeps `tokens` tokens per sample.  There
+    the meter still charges every buffer the block saved, and the process
+    holds at most those less two that died with their rules: the
+    decoder-loss node's gradient of z [64, tokens, 32] and the bridge's
+    row statistics, 2 per row.  Beyond them it holds per thread one
+    group's buffers, 384 rows, for the larger of the rule's two parts
+    (`tests/test_tape.py`'s group width): the MLP part's LayerNorm 2's
+    xhat, the normed rows, the GELU output and its CDF term, 2 * 64 +
+    2 * 256; the attention part's q|k|v, dqkv, the merged heads'
+    gradient, the probabilities, and one head's probability gradient and
+    its product with the probabilities, 7 * 64 + 3 * 2 * tokens.  Each
+    thread holds one group's partials of the layer's 49,920 parameters,
+    and its running sums besides from its second group on (`_grouped`):
+    at 16 tokens the cut's second half runs 24 and then 16 samples, whose
+    group buffers and partials with the sums are fewer than the first's.
+    It holds besides the layer's incoming gradient [64, tokens, 64]; the
+    gradients of the block's bridge (2,208 parameters), in the gradient
+    table by then, besides the decoder's, which the meter charges;
+    contiguous copies of the four weights, transposed (192 x 64, 64 x 64,
+    256 x 64 and 64 x 256); the embedding's saved patch rows
+    [64, tokens, 16], a leaf, uncharged; the mask's permutation, int64
+    [64, 64], whose first `tokens` columns are the kept ids; and a
     broadcast buffer of numpy's per thread (33,920 B, measured around
     `o += b` on a [6, 64, 32] f32 array).  The growing schedule's block
-    0, at 32 tokens, peaks here; the rule's rebuild of x2 and its MLP
-    part hold less.  A bound in bytes, not a ratio of the metered peak,
-    so that a cut of the meter does not widen it.
+    0, at 32 tokens, and the fixed schedule's blocks peak here.  A bound
+    in bytes, not a ratio of the metered peak, so that a cut of the
+    meter does not widen it.
     """
-    return (2 * 384 * (9 * 64 + 3 * 4 * tokens) + 64 * tokens * 64 + 2_208
-            + (192 * 64 + 64 * 64 + 2 * 256 * 64) + 2 * 2 * 49_920
+    width = max(2 * 64 + 2 * 256, 7 * 64 + 3 * 2 * tokens)
+    cut = [s.stop - s.start for s in tape._groups((64, tokens, 64))]
+    half = max(1, len(cut) // 2)
+    threads = sum(max(c * tokens * width + 49_920 * (1 + (i > 0))
+                      for i, c in enumerate(part))
+                  for part in (cut[:half], cut[half:]) if part)
+    return (threads + 64 * tokens * 64 + 2_208
+            + (192 * 64 + 64 * 64 + 2 * 256 * 64)
             + 64 * tokens * 16 + 64 * 64 * 2
             - (64 * tokens * 32 + 64 * tokens * 2)) * 4 + 2 * 33_920
 
@@ -439,8 +450,7 @@ def _decoder_loss_over_metered(tokens):
     node's own: its gradients of z [64, tokens, 32] and of the decoder's
     13,296 parameters, charged once it is recorded, are part of the
     metered peak and not yet of the live bytes.  Desk-mae's one block
-    and the fixed schedule's blocks peak here or, more often, in an
-    encoder layer rule's attention part (see _attention_part_over_metered
+    peaks here or in an encoder layer rule (see _layer_rule_over_metered
     and the tests below).
 
     The node holds per thread one group's buffers, 384 rows, of at most
@@ -450,18 +460,19 @@ def _decoder_loss_over_metered(tokens):
     (xhat, the GELU output and its CDF term, 32 + 2 * 128), the head's
     xhat, normed rows, prediction, input gradient and one temporary
     (4 * 32 + 16), and one broadcast temporary (32).  For the whole batch
-    it holds the gradient of z and each row's loss, within [64, 64,
-    32 + 1], the room they took when the node held the fill rows'
-    gradients besides, and of the parameters' gradients contiguous copies
-    of the weights' transposes, each thread's running sums and one
-    group's partials, and one more total: 6 * 13,296 at most.
+    it holds the gradient of z [64, tokens, 32] and each row's loss
+    [64, 64], and of the parameters' gradients contiguous copies of the
+    weights' transposes, each thread's running sums and one group's
+    partials, and one more total: 6 * 13,296 at most.
     The step holds besides, uncharged: z itself, as large as its gradient
-    the meter will charge; the loss's target [64, 64, 16], mask [64, 64]
-    and position table [64, 32], constant leaves; the kept ids, int64
+    the meter will charge; the loss's target [64, 64, 16] and position
+    table [64, 32], constant leaves, and the loss mask [64, 64] the node
+    builds; the kept ids, int64
     [64, tokens]; the embedding's saved patch rows [64, tokens, 16]; and
     numpy's broadcast buffer per thread.
     """
-    return (2 * 384 * 592 + 64 * 64 * 33 + 6 * 13_296 + 64 * tokens * 32
+    return (2 * 384 * 592 + 64 * tokens * 32 + 64 * 64 + 6 * 13_296
+            + 64 * tokens * 32
             + 64 * 64 * 16 + 64 * 64 + 64 * 32 + 2 * 64 * tokens
             + 64 * tokens * 16 - (64 * tokens * 32 + 13_296)) * 4 \
         + 2 * 33_920
@@ -471,32 +482,33 @@ def test_warm_blockwise_step_heap_within_bound_of_metered():
     # The meter charges saved buffers only; the process also holds the
     # gradient frontier, the rules' temporaries (one group of rows per
     # thread) and the parameter gradients, but no released or dead
-    # forward value.  This reads about 2.89-2.91 MB against 3.05 MB over
-    # 8 warm steps, in an encoder layer rule's attention part, which at 16
-    # tokens _attention_part_over_metered would allow 3.65 MB; the bound
-    # is the decoder-loss node's forward's, the tighter.  One encoder
-    # layer's whole CDF term (1,048,576 B) held besides in its rule fails
-    # it, and the two checks below.
+    # forward value.  This reads about 2.53-2.63 MB over 30 warm steps,
+    # in an encoder layer rule, against 2.86 MB; the decoder-loss node's
+    # forward reads about 2.35-2.41 MB, below its own 2.66 MB.  One
+    # encoder layer's whole CDF term (1,048,576 B) held besides in its
+    # rule fails it, and the two checks below.
     rise, metered = _warm_step_heap(BlockPlan(num_blocks=4,
                                               mask_schedule=(0.75,) * 4))
-    assert rise - metered <= _decoder_loss_over_metered(16), \
+    assert rise - metered <= max(_layer_rule_over_metered(16),
+                                 _decoder_loss_over_metered(16)), \
         f"heap - metered = {rise - metered} B"
 
 
 @pytest.mark.parametrize("plan,bound", [
     (BlockPlan(num_blocks=4, mask_schedule=(0.5, 0.625, 0.75, 0.875)),
-     _attention_part_over_metered(32)),
+     _layer_rule_over_metered(32)),
     (BlockPlan(num_blocks=1, mask_schedule=(0.75,), mode="mae"),
      _decoder_loss_over_metered(16)),
 ], ids=["grow", "mae"])
 def test_warm_step_heap_within_bound_of_metered(plan, bound):
     # The same check on the growing schedule, where block 0 keeps 32
-    # tokens and the attention part of its last layer rule holds the
-    # peak, and on desk-mae's one long backward, which peaks there too or
-    # in its decoder-loss node's forward.  These read about 3.55-4.02 MB
-    # against 4.43 MB and 2.61-2.68 MB against 3.05 MB over 8 warm steps.
-    # Grow's bound plus its metered peak, 6,531,904 B, is below the
-    # 6,694,912 B that a layer saving its residual sum was allowed.
+    # tokens and its last layer rule holds the peak, and on desk-mae's one
+    # long backward, which peaks in its decoder-loss node's forward or in
+    # an encoder layer rule, at 2.31-2.38 MB.  These read about
+    # 2.70-3.40 MB against 3.45 MB and 2.38-2.45 MB against 2.66 MB over
+    # 30 warm steps.  Grow's bound plus its metered peak, 5,548,864 B, is
+    # below the 6,694,912 B that a layer saving its residual sum was
+    # allowed.
     rise, metered = _warm_step_heap(plan)
     assert rise - metered <= bound, f"heap - metered = {rise - metered} B"
 
@@ -516,7 +528,7 @@ RISE_BEFORE_DECODER_NODE = {"blockwise": 4_854_219, "mae": 7_964_950}
 ], ids=["blockwise", "mae"])
 def test_warm_step_heap_rise_no_higher_than_before_the_decoder_node(plan):
     # Not read through the meter: the process's own peak.  These read
-    # about 3.97-3.99 MB and 5.56-5.62 MB over 8 warm steps.
+    # about 3.61-3.71 MB and 5.33-5.39 MB over 30 warm steps.
     rise, _ = _warm_step_heap(plan)
     assert rise <= RISE_BEFORE_DECODER_NODE[plan.mode], rise
 
@@ -530,8 +542,8 @@ MAE_METERED = 2_944_960
 def test_warm_mae_step_heap_rise_within_decoder_budget_of_metered():
     # The process's own peak over a warm desk-mae step, against the
     # metered peak with one activation per encoder layer plus the
-    # decoder-loss node's budget beyond it: 5,998,464 B.  It reads about
-    # 5.56-5.62 MB over 8 warm steps; with each layer's attention
+    # decoder-loss node's budget beyond it: 5,605,248 B.  It reads about
+    # 5.33-5.39 MB over 30 warm steps; with each layer's attention
     # residual sum saved besides (2,097,152 B over the 8 layers) it read
     # 7.46-7.49 MB.
     rise, metered = _warm_step_heap(

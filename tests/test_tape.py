@@ -1721,6 +1721,57 @@ def test_attention_rebuilt_probabilities_bitwise_equal_to_saved(
         node, heads, g, _VJP[node.kind](node, g.copy()))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("n", [1, 5, 16, 64])
+def test_forward_row_max_equals_last_axis_max(n, heads, dtype):
+    # The forward takes each row's max down the columns of a head's
+    # transposed copy; a max rounds nothing, so it is np.max over the last
+    # axis, and the probabilities those of the out-of-place softmax.
+    c, dh = 3, 4
+    q = _rand(60 + n, c, heads, n, dh).astype(dtype)
+    k = _rand(61 + n, c, heads, n, dh).astype(dtype)
+    q[0, 0] = 0.0   # a row of equal scores
+    row_max = np.empty((c, heads, n, 1), dtype)
+    row_sum = np.empty_like(row_max)
+    p = tape._attention_probs(q, k, row_max, row_sum, stats=True)
+    scores = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    scores *= dtype(1.0 / np.sqrt(dh))
+    assert np.array_equal(row_max, np.max(scores, axis=-1, keepdims=True))
+    np.testing.assert_allclose(p, _softmax_reference(scores),
+                               rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_per_head_softmax_backward_bitwise_equal_whole_array_form(n, heads,
+                                                                  dtype):
+    # The attention rule takes softmax's backward a block of heads at a
+    # time, one head or two or all: the block's probability gradient, a
+    # product into one contiguous [c, b, n, n] buffer, against the block's
+    # probabilities, a view of [c, heads, n, n].  Each row sum runs along
+    # a contiguous row of n either way, so the bits are those of the form
+    # over all heads at once, with its whole [c, heads, n, n] product of
+    # the two.
+    c, dh = 5, 8
+    p = _softmax_reference(_rand(40 + n, c, heads, n, n)).astype(dtype)
+    _, _, v = tape._split_heads(
+        _rand(41 + n, c, n, 3 * heads * dh).astype(dtype), heads)
+    gctx = np.swapaxes(_rand(42 + n, c, n, heads, dh).astype(dtype), 1, 2)
+    whole = gctx @ np.swapaxes(v, -1, -2)
+    whole -= np.add.reduce(whole * p, axis=-1, keepdims=True)
+    whole *= p
+    for step in sorted({1, min(2, heads), heads}):
+        dprobs = np.empty((c, step, n, n), dtype)
+        for h in range(0, heads, step):
+            hs = slice(h, h + step)
+            np.matmul(gctx[:, hs], np.swapaxes(v[:, hs], -1, -2), out=dprobs)
+            got = tape._softmax_rows_grad(dprobs, p[:, hs])
+            assert got is dprobs and got.dtype == dtype
+            assert np.array_equal(got, whole[:, hs]), (step, h)
+
+
 @pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("b,k,n,d,heads", [(64, 16, 64, 32, 1),
@@ -2213,28 +2264,36 @@ def _group_width(kind, d, heads, n):
     the unshuffle-attention work's backward and whose rule scales the
     gradients it saved in place (unshuffle-attention).  The encoder-layer
     rule, whole or as a part (`_layer_part`), holds the larger of its MLP
-    part's both sublayers' xhat, the MLP's normed rows and two
-    hidden-wide buffers, the GELU output written over fc1 and its CDF
-    term, where fc1 is made again over the first once dw2's partial is
-    taken; and its attention part's xhat, the normed rows, q|k|v, dqkv,
-    the merged heads' gradient and the probabilities, their gradient and a
-    product of the two.  Its rebuild of x2 holds less than the attention
-    part."""
+    part's LayerNorm 2's xhat, the normed rows and two hidden-wide
+    buffers, the GELU output written over fc1 and its CDF term, where fc1
+    is made again over the first once dw2's partial is taken; and its
+    attention part's q|k|v, dqkv, the merged heads' gradient, the
+    probabilities, and a block of b heads' probability gradient and a
+    product of it with the probabilities, 2 b n <= d (b >= 1).  Its
+    rebuild of x2 holds less than the attention part.  At the desk
+    encoder's shape the MLP part is the larger."""
     if kind in _LAYER_KINDS:
-        return max(2 * d + d + 2 * 4 * d, 9 * d + 3 * heads * n)
+        block = min(heads, max(1, d // (2 * n)))
+        return max(d + d + 2 * 4 * d, 7 * d + heads * n + 2 * block * n)
     return {"layernorm-linear": 3 * d, "unshuffle-attention": 0}[kind]
+
+
+# numpy's buffer for a broadcast operand, per call: measured around
+# `o += b` on a [6, 64, 32] f32 array.
+_BROADCAST_BUFFER = 33_920
 
 
 def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
     """The rule of `kind` at desk shape n, on `parts` threads, holds at
     most its dx (none when dx is written over g), one group's buffers per
-    thread (`_group_width` per row) and, for an encoder layer, the 64 rows
-    of the temporary its 2 * fc1 * pdf(fc1) pass walks the hidden rows
-    with, contiguous copies of its weights' transposes, and its
-    parameters' partial sums: a running total and one group's partials
-    per thread, and one more total on one thread, which keeps the first
-    half's while it adds the second's.  The copies and each set of sums
-    are at most the parameters' gradients in size."""
+    thread (`_group_width` per row; an encoder layer's 2 * fc1 * pdf(fc1)
+    pass walks the hidden rows with a temporary in the normed rows'
+    place) and numpy's broadcast buffer, contiguous copies of its
+    weights' transposes, and its parameters' partial sums: a running
+    total and one group's partials per thread, and one more total on one
+    thread, which keeps the first half's while it adds the second's.  The
+    copies and each set of sums are at most the parameters' gradients in
+    size."""
     monkeypatch.setattr(tape, "_PARTS", parts)
     vals, heads = _desk_values(n, np.float32)
     node = _desk_node(Tape(), kind, vals, heads)
@@ -2254,9 +2313,8 @@ def _assert_backward_holds_a_group(monkeypatch, kind, n, parts):
           else 4 * 64 * n * d)
     params = sum(a.nbytes for a in grads[1:] if a is not None)
     rows = max(1, tape._GROUP_ROWS // n) * n
-    pdf_rows = 64 * 4 * d if kind in _LAYER_KINDS else 0
-    bound = (dx + 4 * parts * (rows * _group_width(kind, d, heads, n)
-                               + pdf_rows)
+    bound = (dx + parts * (4 * rows * _group_width(kind, d, heads, n)
+                           + _BROADCAST_BUFFER)
              + (2 * parts + 2) * params)
     assert peak <= bound, (peak, bound)
 
@@ -2273,6 +2331,63 @@ def test_streamed_rule_backward_holds_a_group_per_thread(monkeypatch, kind,
     # encoder-layer node's parts at the decoder's shape are the two tests
     # above.
     _assert_backward_holds_a_group(monkeypatch, kind, n, parts)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("c,n", [(24, 16), (12, 32)])
+def test_encoder_layer_rule_holds_each_buffer_to_its_last_read(monkeypatch,
+                                                               c, n, parts):
+    # One group of c samples of n rows, 384 rows, per thread at the desk
+    # encoder's width (64, 4 heads, hidden 256), f32.  Besides one
+    # contiguous copy of each weight's transpose and the widened q|v bias,
+    # each thread holds at most the larger of
+    # - its MLP part's live set: LayerNorm 2's xhat, the normed rows and
+    #   two hidden-wide buffers (the GELU output, then fc1 again, and the
+    #   CDF term), and dw2's and db2's partials.  The 2 * fc1 * pdf(fc1)
+    #   pass holds its temporary, as large as the normed rows, in their
+    #   place;
+    # - its attention part's: q|k|v, dqkv, the merged heads' gradient, the
+    #   probabilities, and a block of heads' probability gradient and its
+    #   product with the probabilities, 4 n wide at n = 16 (two heads) and
+    #   2 n at n = 32 (one), and the MLP sublayer's partials and the out
+    #   projection's;
+    # and numpy's broadcast buffer and under 12 KB of row vectors, array
+    # views and frames.  The rule makes each normed row and LayerNorm 1's
+    # xhat again where it reads them.  Reads 1,284,291 and 1,370,291 B on
+    # one thread against 1,292,416 and 1,376,128, and 2.25-2.34 and
+    # 1.87-2.41 MB on two, whose threads' peaks need not meet.  On one
+    # thread, LayerNorm 1's xhat held through the MLP part fails it at
+    # both shapes, and the MLP's normed rows held through its hidden-wide
+    # pass at n = 16, where the MLP part peaks.
+    b, d, heads, hidden = parts * c, 64, 4, 256
+    monkeypatch.setattr(tape, "_PARTS", parts)
+    vals = _layer_inputs(b, n, d, np.float32, 500, hidden)
+    t = Tape()
+    v = {k: t.leaf(a) for k, a in vals.items()}
+    node = t.encoder_layer(t.scale(v["x"], 1.0),
+                           *(v[k] for k in _LAYER), heads)
+    g = _rand(510, b, n, d).astype(np.float32)
+    _VJP[node.kind](node, g.copy())   # the workers start outside the trace
+    g = g.copy()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = _VJP[node.kind](node, g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert grads[0] is g
+    rows = c * n
+    assert tape._groups((b, n, d)) == [slice(i * c, (i + 1) * c)
+                                       for i in range(parts)]
+    mlp = rows * (2 * d + 2 * hidden) + hidden * d + d
+    block = min(heads, max(1, d // (2 * n)))
+    attention = (rows * (7 * d + heads * n + 2 * block * n)
+                 + 2 * hidden * d + hidden + 3 * d + d * d + d)
+    shared = 3 * d * d + d * d + 2 * hidden * d + 3 * d
+    bound = (4 * (parts * max(mlp, attention) + shared)
+             + parts * (_BROADCAST_BUFFER + 12_288))
+    assert peak <= bound, (peak, bound)
 
 
 # ----- a tape that records nothing ------------------------------------------
