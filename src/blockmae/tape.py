@@ -1147,23 +1147,7 @@ def _attention_probs(q, k, row_max, row_sum, stats=False):
     # products.
     p = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
     p *= q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    if stats and p.shape[-1] < 64:
-        # Over axis -2 of a head's transpose, copied into one contiguous
-        # buffer: numpy takes a max down columns a whole row at a time, and
-        # one along a short last axis element by element.  A max is exact,
-        # so the bits are the same.  On a 2-core x86 VM this took 236
-        # against 368 us at [32, 4, 16, 16] f32, and a desk encoder
-        # layer's forward ran 3-5% faster on one thread and 0.5-2% on
-        # two; rows of 64 keep the last axis, where on two threads the
-        # copy made the probe's f64 layer forward about 5% slower.  One
-        # head at a time, so the copy is a head's.
-        pt = np.empty(p.shape[:1] + p.shape[2:], p.dtype)
-        for h in range(p.shape[1]):
-            np.copyto(pt, np.swapaxes(p[:, h], -1, -2))
-            np.max(pt, axis=-2, keepdims=True,
-                   out=np.swapaxes(row_max[:, h], -1, -2))
-        del pt
-    elif stats:
+    if stats:
         np.max(p, axis=-1, keepdims=True, out=row_max)
     p -= row_max
     np.exp(p, out=p)
@@ -1555,16 +1539,18 @@ def _mlp_kept_hidden_grads(normed, kept, g, weights):
     dw2 raises no peak, and asking for them again for dw1 keeps them out
     of the pass below.  The GELU gradient's sum of the CDF term and
     2 * fc1 * pdf(fc1) goes into the CDF term's buffer a slice of rows at
-    a time, through a temporary as large as the normed rows, which takes
-    their place (96 of 384 rows at a hidden width of 4 d; 64 rows ran
-    about 27 us a group slower on a 2-core x86 VM, one numpy call's cost
-    per slice and op); fc1's buffer then takes dh, the CDF term's the
+    a time.  Without kept the temporary is as large as the normed rows,
+    which takes their place (96 of 384 rows at a hidden width of 4 d; 64
+    rows ran about 27 us a group slower on a 2-core x86 VM, one numpy
+    call's cost per slice and op); with kept the caller holds the normed
+    rows, so it is 64 rows.  fc1's buffer then takes dh, the CDF term's the
     GELU gradient, and the buffer of the last normed rows their gradient,
     which is returned.  Each value is the one `_gelu_grad_from_pdf`
     makes, bit for bit: every step is elementwise.
     """
     w1, b1, w1t, w2t = weights
     rows = normed()
+    held = bool(kept)
     h, cdf = kept or _mlp_replay(rows, w1, b1)
     kept.clear()
     dw2, db2 = _weight_grads(h, g)
@@ -1572,7 +1558,7 @@ def _mlp_kept_hidden_grads(normed, kept, g, weights):
     del h, rows
     f1_rows = f1.reshape(-1, f1.shape[-1])
     cdf_rows = cdf.reshape(f1_rows.shape)
-    step = max(1, len(f1_rows) * len(w1) // f1.shape[-1])
+    step = 64 if held else max(1, len(f1_rows) * len(w1) // f1.shape[-1])
     t = np.empty((min(step, len(f1_rows)), f1.shape[-1]), f1.dtype)
     for i in range(0, len(f1_rows), step):
         part = cdf_rows[i:i + step]
